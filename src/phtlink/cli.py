@@ -52,20 +52,16 @@ from .manifest import (
     sign_manifest,
 )
 from .model import read_dataset_csv, write_dataset_csv
-from .network import TcpNode
+from .network import Router, TcpNode, researcher_verdict
 from .stations import (
-    AWAITING_DATA,
     DataStationActor,
     DataStationConfig,
     ResearcherActor,
-    TimeoutExpired,
     TseActor,
     TseConfig,
 )
 from .synth import SyntheticPopulationSpec, generate_population, generate_vertical_demo
-from .wire import TrainDispatch, encode
-
-log = logging.getLogger("phtlink")
+from .wire import TrainDispatch
 
 PRIVATE_MODE = 0o600
 
@@ -80,9 +76,14 @@ def _derived_key_id(kind: str, public_raw: bytes) -> str:
     return f"static:{kind}:{hashlib.sha256(public_raw).hexdigest()[:8]}"
 
 
-def _write_private(path: Path, data: bytes) -> None:
-    path.write_bytes(data)
-    os.chmod(path, PRIVATE_MODE)
+def _write_private(path: Path, data: bytes, force: bool = False) -> None:
+    """Create ``path`` owner-only from the start, so the key is never
+    readable by others, whatever the umask."""
+    if force:
+        path.unlink(missing_ok=True)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, PRIVATE_MODE)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
 
 
 def _load_json(path: Path) -> dict:
@@ -148,11 +149,11 @@ def keygen(out_dir: Path, force: bool):
     sign_priv, sign_pub = signing_keys_to_pem(sign)
     anchor_priv, anchor_pub = signing_keys_to_pem(anchor)
 
-    _write_private(out_dir / "enc_private.pem", enc_priv)
+    _write_private(out_dir / "enc_private.pem", enc_priv, force)
     (out_dir / "enc_public.pem").write_bytes(enc_pub)
-    _write_private(out_dir / "sign_private.pem", sign_priv)
+    _write_private(out_dir / "sign_private.pem", sign_priv, force)
     (out_dir / "sign_verify.pem").write_bytes(sign_pub)
-    _write_private(out_dir / "anchor_private.pem", anchor_priv)
+    _write_private(out_dir / "anchor_private.pem", anchor_priv, force)
     (out_dir / "anchor_verify.pem").write_bytes(anchor_pub)
     click.echo(f"wrote {len(KEY_FILES)} key files to {out_dir}")
 
@@ -242,61 +243,31 @@ def synth(spec_file: Path, out_dir: Path):
 # daemons
 # ---------------------------------------------------------------------------
 
-class _RunMultiplexer:
-    """Routes frames to one actor per run; creates actors on TrainDispatch."""
-
-    def __init__(self, factory, address_book: dict[str, str], timeout_s: float | None = None):
-        self.factory = factory
-        self.address_book = address_book
-        self.timeout_s = timeout_s
-        self.actors: dict[str, object] = {}
-        self.deadlines: dict[str, float] = {}
-
-    def handle(self, msg):
-        if isinstance(msg, TrainDispatch):
-            self.address_book.update(dict(msg.endpoints))
-            if msg.run_id not in self.actors:
-                self.actors[msg.run_id] = self.factory()
-                if self.timeout_s is not None:
-                    self.deadlines[msg.run_id] = time.monotonic() + self.timeout_s
-        actor = self.actors.get(msg.run_id)
-        if actor is None:
-            log.warning("dropping %s for unknown run %s", type(msg).__name__, msg.run_id)
-            return []
-        return actor.handle(msg)
-
-    def check_deadlines(self):
-        out = []
-        now = time.monotonic()
-        for run_id, deadline in list(self.deadlines.items()):
-            actor = self.actors[run_id]
-            if now >= deadline:
-                del self.deadlines[run_id]
-                if getattr(actor, "phase", None) == AWAITING_DATA:
-                    out.extend(actor.handle(TimeoutExpired(run_id)))
-        return out
-
-    def wipe_all(self):
-        for actor in self.actors.values():
-            storage = getattr(actor, "storage", None)
-            if storage is not None and not storage.wiped:
-                storage.wipe()
-                actor.audit.log(
-                    getattr(actor, "_run_id", "?") or "?", "Wiped", "wiped", "terminated"
-                )
-
-
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
     return host or "127.0.0.1", int(port)
 
 
-def _serve(node: TcpNode, mux: _RunMultiplexer, wipe_on_exit: bool):
+def _serve(cfg: dict, listen: tuple[str, int], new_actor, timeout_s: float | None = None,
+           wipe_on_exit: bool = False):
+    """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run."""
+    address_book: dict[str, str] = dict(cfg.get("endpoints", {}))
+
+    def factory(dispatch: TrainDispatch):
+        address_book.update(dispatch.endpoints)  # where this run's parties listen
+        return new_actor()
+
+    router = Router(factory, timeout_s)
+    try:
+        node = TcpNode(cfg["station_id"], router, address_book, host=listen[0], port=listen[1])
+    except OSError as exc:
+        _fail("BindError", str(exc))
     stop = threading.Event()
 
     def _terminate(signum, frame):
         if wipe_on_exit:
-            mux.wipe_all()
+            for actor in list(router.actors.values()):
+                actor.wipe("terminated")
         stop.set()
 
     signal.signal(signal.SIGTERM, _terminate)
@@ -304,8 +275,7 @@ def _serve(node: TcpNode, mux: _RunMultiplexer, wipe_on_exit: bool):
     node.start()
     click.echo(f"listening on {node.address}")
     sys.stdout.flush()
-    while not stop.is_set():
-        time.sleep(0.1)
+    stop.wait()
     node.stop()
 
 
@@ -331,31 +301,20 @@ def station(config_path: Path):
         for sid, path in cfg.get("peer_encryption_public_keys", {}).items():
             raw = public_key_from_pem(_resolve(base, path).read_bytes())
             peer_keys[sid] = PublicEncryptionKey(raw, _derived_key_id("enc", raw))
-        host, port = _parse_listen(cfg["listen"])
+        listen = _parse_listen(cfg["listen"])
+        config = DataStationConfig(
+            station_id=cfg["station_id"],
+            dataset=dataset,
+            allowed_variables=tuple(cfg.get("allow_variables", ())),
+            trust_anchor_verify=anchor_verify,
+            enc_keys=enc_keys,
+            sign_keys=sign_keys,
+            peer_encryption_keys=peer_keys,
+            audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
+        )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-
-    def factory():
-        return DataStationActor(
-            DataStationConfig(
-                station_id=cfg["station_id"],
-                dataset=dataset,
-                allowed_variables=tuple(cfg.get("allow_variables", ())),
-                trust_anchor_verify=anchor_verify,
-                enc_keys=enc_keys,
-                sign_keys=sign_keys,
-                peer_encryption_keys=peer_keys,
-                audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
-            )
-        )
-
-    address_book: dict[str, str] = dict(cfg.get("endpoints", {}))
-    mux = _RunMultiplexer(factory, address_book)
-    try:
-        node = TcpNode(cfg["station_id"], mux.handle, address_book, host=host, port=port)
-    except OSError as exc:
-        _fail("BindError", str(exc))
-    _serve(node, mux, wipe_on_exit=False)
+    _serve(cfg, listen, lambda: DataStationActor(config))
 
 
 @main.command()
@@ -371,36 +330,17 @@ def tse(config_path: Path):
             _resolve(base, cfg["trust_anchor_verify_key"]).read_bytes()
         )
         enc_keys = _load_encryption_keys(_resolve(base, cfg["encryption_private_key"]))
-        host, port = _parse_listen(cfg["listen"])
+        listen = _parse_listen(cfg["listen"])
         timeout_s = float(cfg.get("timeout_s", 60.0))
+        config = TseConfig(
+            station_id=cfg["station_id"],
+            trust_anchor_verify=anchor_verify,
+            enc_keys=enc_keys,
+            audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
+        )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-
-    def factory():
-        return TseActor(
-            TseConfig(
-                station_id=cfg["station_id"],
-                trust_anchor_verify=anchor_verify,
-                enc_keys=enc_keys,
-                audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
-            )
-        )
-
-    address_book: dict[str, str] = dict(cfg.get("endpoints", {}))
-    mux = _RunMultiplexer(factory, address_book, timeout_s=timeout_s)
-    try:
-        node = TcpNode(
-            cfg["station_id"],
-            mux.handle,
-            address_book,
-            idle_timeout=min(1.0, timeout_s),
-            on_idle=mux.check_deadlines,
-            host=host,
-            port=port,
-        )
-    except OSError as exc:
-        _fail("BindError", str(exc))
-    _serve(node, mux, wipe_on_exit=True)
+    _serve(cfg, listen, lambda: TseActor(config), timeout_s, wipe_on_exit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -462,29 +402,21 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
         _fail("BadDraft", str(exc))
 
     started = time.perf_counter()
+    router = Router()
+    node = TcpNode(manifest.researcher_id, router, endpoints)
+    endpoints[manifest.researcher_id] = node.address
     researcher = ResearcherActor(manifest.researcher_id, manifest, endpoints)
-    address_book = dict(endpoints)
-    node = TcpNode(manifest.researcher_id, researcher.handle, address_book)
+    done = router.add(manifest.run_id, researcher)
     node.start()
-    address_book[manifest.researcher_id] = node.address
-    researcher.endpoints = dict(address_book)
-    for out in researcher.start():
-        node.send(out.dest, encode(out.message))
-
-    deadline = time.monotonic() + timeout_s
-    while not researcher.done and time.monotonic() < deadline:
-        time.sleep(0.02)
-    time.sleep(0.05)
-    node.stop()
+    try:
+        node.post(researcher.start())
+        done.wait(timeout_s)
+    finally:
+        node.stop()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     elapsed = time.perf_counter() - started
-    if researcher.outcome is None:
-        outcome, reason, result = "Aborted", "Timeout", None
-    elif researcher.outcome[0] == "completed":
-        outcome, reason, result = "Completed", None, researcher.outcome[1]
-    else:
-        outcome, reason, result = "Aborted", researcher.outcome[1], None
+    outcome, reason, result = researcher_verdict(researcher, silent="Timeout")
 
     result_files = []
     audit_summary: dict = {"acks": [f"{s}:{st}" for s, st in researcher.acks]}
@@ -508,7 +440,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
 
     report_doc = {
         "run_id": manifest.run_id,
-        "outcome": outcome,
+        "outcome": outcome.capitalize(),
         "reason": reason,
         "result_files": result_files,
         "audit_summary": audit_summary,
@@ -516,7 +448,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     report_path = out_dir / "run_report.json"
     report_path.write_bytes(canonical_json_bytes(report_doc) + b"\n")
 
-    if outcome == "Completed":
+    if outcome == "completed":
         click.echo(f"completed: {manifest.run_id} report={report_path}")
         sys.exit(0)
     click.echo(f"aborted: {reason}", err=True)

@@ -21,6 +21,7 @@ from .linkage import LinkageParams
 REASON_BAD_SIGNATURE = "BadSignature"
 REASON_EXPIRED = "Expired"
 REASON_UNAUTHORIZED_VARIABLE = "UnauthorizedVariable"
+REASON_INVALID_MANIFEST = "InvalidManifest"
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,23 @@ def validate_train(
     allowed_variables: tuple[str, ...] | None = None,
 ) -> Validation:
     """Accept iff the credential signature verifies, the manifest has not
-    expired, and (for a data station) the request touches only variables the
-    station is configured to release."""
+    expired, its analysis, disclosure policy and linkage parameters are
+    well-formed, and (for a data station) the request touches only variables
+    the station is configured to release. A signature vouches for who wrote
+    a manifest, not for what it asks, so the contents are checked before any
+    data moves."""
     if manifest.credential_signature is None or not verify_payload(
         trust_anchor_verify, manifest.signable_bytes(), manifest.credential_signature
     ):
         return Validation(False, REASON_BAD_SIGNATURE, "credential signature rejected")
     if _parse_when(manifest.expiry) <= _parse_when(now):
         return Validation(False, REASON_EXPIRED, f"expired at {manifest.expiry}")
+    try:
+        manifest.analysis.validate()
+        manifest.disclosure.validate()
+        manifest.linkage.validate()
+    except ValueError as exc:
+        return Validation(False, REASON_INVALID_MANIFEST, str(exc))
     if station_id is not None:
         request = manifest.request_for(station_id)
         if request is None:

@@ -335,8 +335,11 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
 
 def _parse_cell(cell: str, vtype: str) -> object:
     if vtype == "numeric":
-        value = float(cell)
-        return int(value) if value.is_integer() else value
+        try:
+            return int(cell)  # exact at any size; float() rounds above 2**53
+        except ValueError:
+            value = float(cell)
+            return int(value) if value.is_integer() else value
     return cell
 
 

@@ -1,11 +1,12 @@
-"""Drives a full run over in-process queues or TCP sockets.
+"""One run engine: a run-id router driving actors over in-process queues or TCP.
 
-Both transports move the same frames between the same actors; the in-process
-engine still encodes and decodes every message so that what each actor sees,
-byte for byte, matches what it would receive from a socket. The returned
-RunOutcome carries the validated result, the per-channel logical message
-trace, every raw frame each endpoint received (for privacy byte-scans), all
-audit logs and the TSE storage handle (for deletion checks).
+Every endpoint, be it a `run_network` party, a `pht station`/`pht tse` daemon
+or `pht submit`, hands each decoded message to a Router (see there). The
+in-process transport still encodes and decodes every message, so what each
+actor sees, byte for byte, matches what it would receive from a socket. The
+returned RunOutcome carries the validated result, the per-channel logical
+message trace, every raw frame each endpoint received (for privacy
+byte-scans), all audit logs and the TSE storage handle (for deletion checks).
 
 Per-sender message order is preserved by construction: the in-process engine
 uses FIFO queues, the TCP transport keeps one long-lived connection per
@@ -17,6 +18,9 @@ depend on that interleaving.
 
 from __future__ import annotations
 
+import heapq
+import logging
+import math
 import queue
 import socket
 import threading
@@ -25,10 +29,9 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .analysis import ValidatedResult
-from .errors import DecodeError, PhtError
+from .errors import DecodeError
 from .manifest import TrainManifest
 from .stations import (
-    AWAITING_DATA,
     DataStationActor,
     DataStationConfig,
     Outgoing,
@@ -38,9 +41,15 @@ from .stations import (
     TseConfig,
     TseStorage,
 )
-from .wire import MAX_PAYLOAD_DEFAULT, decode, encode, message_type_name, read_frame
+from .wire import MAX_PAYLOAD_DEFAULT, TrainDispatch, decode, encode, message_type_name, read_frame
 
 DEFAULT_TSE_TIMEOUT = 60.0
+
+log = logging.getLogger("phtlink")
+
+
+def _drop(run_id: str, sender: str, reason: str, **kwargs) -> None:
+    log.warning("dropped: run_id=%s sender=%s reason=%s", run_id, sender, reason, **kwargs)
 
 
 @dataclass
@@ -72,15 +81,132 @@ class RunOutcome:
         return {k: list(v) for k, v in self.traces.items()}
 
 
-def _build_actors(setup: RunSetup):
-    researcher_id = setup.manifest.researcher_id
-    actors: dict[str, object] = {
-        cfg.station_id: DataStationActor(cfg) for cfg in setup.stations
-    }
-    tse = TseActor(setup.tse)
-    actors[setup.tse.station_id] = tse
-    return researcher_id, actors, tse
+def researcher_verdict(researcher: ResearcherActor, silent: str):
+    """The run's (outcome, reason, result) as the researcher saw it:
+    ("completed", None, result) or ("aborted", reason, None), where
+    ``silent`` is the reason when no answer came back."""
+    if researcher.outcome is None:
+        return "aborted", silent, None
+    if researcher.outcome[0] == "completed":
+        return "completed", None, researcher.outcome[1]
+    return "aborted", researcher.outcome[1], None
 
+
+# ---------------------------------------------------------------------------
+# The engine
+# ---------------------------------------------------------------------------
+
+class Ledger:
+    """What the nodes of one `run_network` run received, and how many frames
+    are still in flight between them (sent, not yet handled or dropped)."""
+
+    def __init__(self):
+        self.received: dict[str, list[bytes]] = defaultdict(list)
+        self.traces: dict[tuple[str, str], list] = defaultdict(list)
+        self._in_flight = 0
+        self._settled = threading.Condition()
+
+    def add_in_flight(self, n: int) -> None:
+        with self._settled:
+            self._in_flight += n
+            self._settled.notify_all()
+
+    def wait_settled(self, done, timeout: float) -> bool:
+        """Wait until ``done()`` holds and no frame is in flight."""
+        with self._settled:
+            return self._settled.wait_for(lambda: self._in_flight <= 0 and done(), timeout)
+
+
+class Router:
+    """Routes each message to its run's actor, one actor per run.
+
+    ``factory`` builds the actor when the run's TrainDispatch arrives; a
+    frame for a run without an actor is dropped and logged. An actor is
+    evicted once terminal and only its run id is kept, so a replayed dispatch
+    starts nothing. With ``timeout_s`` set, each run gets a deadline that many
+    seconds after its dispatch, delivered to its actor as TimeoutExpired: a
+    TCP worker waits on its inbox only until the next deadline, the
+    in-process transport lets every deadline fall due once the run is
+    quiescent. ``ledger``, shared by the nodes of one `run_network` run,
+    records what they received."""
+
+    def __init__(self, factory=None, timeout_s: float | None = None, ledger: Ledger | None = None):
+        self.factory = factory
+        self.timeout_s = timeout_s
+        self.ledger = ledger
+        self.actors: dict[str, object] = {}
+        self.finished: set[str] = set()
+        self._done: dict[str, threading.Event] = {}
+        self._deadlines: list[tuple[float, str]] = []
+
+    def add(self, run_id: str, actor) -> threading.Event:
+        """Serve ``run_id`` with ``actor``; the Event is set once it is terminal."""
+        self.actors[run_id] = actor
+        done = self._done[run_id] = threading.Event()
+        if self.timeout_s is not None:
+            heapq.heappush(self._deadlines, (time.monotonic() + self.timeout_s, run_id))
+        return done
+
+    def __call__(self, msg) -> list[Outgoing]:
+        """Hand ``msg`` to its run's actor; returns the messages to send."""
+        actor = self.actors.get(msg.run_id)
+        if actor is None:
+            finished = msg.run_id in self.finished
+            if finished or self.factory is None or not isinstance(msg, TrainDispatch):
+                state = "a finished" if finished else "an unknown"
+                _drop(msg.run_id, msg.sender, f"{message_type_name(msg)} for {state} run")
+                return []
+            actor = self.factory(msg)
+            self.add(msg.run_id, actor)
+        return self._handle(msg.run_id, actor, msg)
+
+    def next_deadline(self) -> float | None:
+        return self._deadlines[0][0] if self._deadlines else None
+
+    def expire(self, now: float = math.inf) -> list[Outgoing]:
+        """Deliver every deadline due by ``now`` to its run's live actor."""
+        out = []
+        while self._deadlines and self._deadlines[0][0] <= now:
+            _, run_id = heapq.heappop(self._deadlines)
+            actor = self.actors.get(run_id)
+            if actor is not None:
+                out += self._handle(run_id, actor, TimeoutExpired(run_id))
+        return out
+
+    def _handle(self, run_id: str, actor, msg) -> list[Outgoing]:
+        try:
+            return actor.handle(msg)
+        finally:
+            if actor.terminal:
+                del self.actors[run_id]
+                self.finished.add(run_id)
+                self._done.pop(run_id).set()
+
+
+def _receive(node_id: str, handler, frame: bytes, max_payload: int, ledger) -> list[Outgoing]:
+    """Decode one frame and hand it to ``handler`` on this thread; a frame
+    that cannot be decoded, or a handler that raises, is logged and dropped."""
+    if ledger is not None:
+        ledger.received[node_id].append(frame)
+    try:
+        msg = decode(frame, max_payload)
+    except DecodeError as exc:
+        _drop("?", "?", f"undecodable frame at {node_id}: {exc}")
+        return []
+    if ledger is not None:
+        trace = (message_type_name(msg), msg.run_id, msg.seq)
+        ledger.traces[(msg.sender, node_id)].append(trace)
+    try:
+        return handler(msg) or []
+    except Exception as exc:  # one bad message must not stop the node
+        _drop(msg.run_id, msg.sender, f"handler raised {type(exc).__name__}: {exc}",
+              exc_info=True)
+        return []
+
+
+# ---------------------------------------------------------------------------
+# Runs
+# ---------------------------------------------------------------------------
 
 def run_network(
     setup: RunSetup,
@@ -89,62 +215,87 @@ def run_network(
     run_timeout: float = 60.0,
 ) -> RunOutcome:
     """Run one train end to end and return the outcome plus full telemetry."""
-    if transport == "inproc":
-        return _run_inproc(setup)
-    if transport == "tcp":
-        return _run_tcp(setup, tse_timeout=tse_timeout, run_timeout=run_timeout)
-    raise ValueError(f"unknown transport {transport!r}")
-
-
-# ---------------------------------------------------------------------------
-# In-process transport
-# ---------------------------------------------------------------------------
-
-def _run_inproc(setup: RunSetup) -> RunOutcome:
+    if transport not in ("inproc", "tcp"):
+        raise ValueError(f"unknown transport {transport!r}")
     started = time.perf_counter()
-    researcher_id, actors, tse = _build_actors(setup)
-    endpoints = {aid: f"inproc:{aid}" for aid in actors}
-    endpoints[researcher_id] = f"inproc:{researcher_id}"
-    researcher = ResearcherActor(researcher_id, setup.manifest, endpoints)
-    actors[researcher_id] = researcher
+    manifest = setup.manifest
+    actors: dict[str, object] = {cfg.station_id: DataStationActor(cfg) for cfg in setup.stations}
+    tse = actors[setup.tse.station_id] = TseActor(setup.tse)
+    ledger = Ledger()
+    # each prebuilt actor is installed by its router at its own dispatch
+    routers = {
+        aid: Router(lambda msg, actor=actor: actor,
+                    tse_timeout if actor is tse else None, ledger)
+        for aid, actor in actors.items()
+    }
+    researcher = actors[manifest.researcher_id] = ResearcherActor(
+        manifest.researcher_id, manifest, {}
+    )
+    routers[manifest.researcher_id] = Router(ledger=ledger)
+    done = routers[manifest.researcher_id].add(manifest.run_id, researcher)
 
-    queues: dict[str, deque] = {aid: deque() for aid in actors}
-    traces: dict[tuple[str, str], list] = defaultdict(list)
-    received: dict[str, list[bytes]] = defaultdict(list)
+    if transport == "inproc":
+        _pump_inproc(setup, routers, researcher, ledger)
+    else:
+        _pump_tcp(setup, routers, researcher, ledger, done, run_timeout)
 
-    def dispatch(outgoing: list[Outgoing]) -> None:
+    outcome, reason, result = researcher_verdict(researcher, silent="Stalled")
+    return RunOutcome(
+        outcome=outcome,
+        reason=reason,
+        result=result,
+        result_bytes=result.to_canonical_json() if result is not None else None,
+        traces=dict(ledger.traces),
+        received_bytes=dict(ledger.received),
+        audit_logs={aid: list(actor.audit.events) for aid, actor in actors.items()},
+        storage=tse.storage,
+        timings={"total_s": time.perf_counter() - started},
+    )
+
+
+def _pump_inproc(setup: RunSetup, routers: dict[str, Router], researcher, ledger) -> None:
+    queues: dict[str, deque] = {aid: deque() for aid in routers}
+    researcher.endpoints = {aid: f"inproc:{aid}" for aid in routers}
+
+    def post(outgoing: list[Outgoing]) -> None:
         for out in outgoing:
-            if out.dest not in queues:
-                continue  # unknown destination: drop, like an unroutable frame
-            queues[out.dest].append(encode(out.message))
+            if out.dest in queues:
+                queues[out.dest].append(encode(out.message))
+            else:
+                _drop(out.message.run_id, out.message.sender,
+                      f"unroutable destination {out.dest!r}")
 
-    dispatch(researcher.start())
-
-    order = sorted(actors)
-    timeout_injected = False
+    post(researcher.start())
+    order = sorted(routers)
     while True:
         progress = False
         for aid in order:
-            if not queues[aid]:
-                continue
-            frame = queues[aid].popleft()
-            received[aid].append(frame)
-            msg = decode(frame, setup.max_payload)
-            traces[(msg.sender, aid)].append(
-                (message_type_name(msg), msg.run_id, msg.seq)
-            )
-            dispatch(actors[aid].handle(msg))
-            progress = True
+            if queues[aid]:
+                post(_receive(aid, routers[aid], queues[aid].popleft(), setup.max_payload, ledger))
+                progress = True
         if progress:
             continue
-        # quiescent: simulate the TSE's data deadline, then give up
-        if not researcher.done and tse.phase == AWAITING_DATA and not timeout_injected:
-            timeout_injected = True
-            dispatch(tse.handle(TimeoutExpired(setup.manifest.run_id)))
-            continue
-        break
+        # quiescent: nothing else can happen before the pending deadlines
+        for router in routers.values():
+            post(router.expire())
+        if not any(queues.values()):
+            return
 
-    return _finish(researcher, tse, traces, received, actors, started)
+
+def _pump_tcp(setup: RunSetup, routers, researcher, ledger, done, run_timeout: float) -> None:
+    address_book: dict[str, str] = {}
+    nodes = {aid: TcpNode(aid, router, address_book, setup.max_payload)
+             for aid, router in routers.items()}
+    address_book.update({aid: node.address for aid, node in nodes.items()})
+    researcher.endpoints = dict(address_book)
+    for node in nodes.values():
+        node.start()
+    try:
+        nodes[researcher.station_id].post(researcher.start())
+        ledger.wait_settled(done.is_set, run_timeout)
+    finally:
+        for node in nodes.values():
+            node.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +303,12 @@ def _run_inproc(setup: RunSetup) -> RunOutcome:
 # ---------------------------------------------------------------------------
 
 class TcpNode:
-    """One endpoint: a listening socket, a single worker thread consuming an
-    ordered inbox, and one persistent client connection per destination."""
+    """One endpoint: a listening socket, a reader thread per inbound
+    connection, a single worker thread handling the inbox in arrival order,
+    and one persistent client connection per destination.
+
+    ``handler`` is called with each decoded message and returns the messages
+    to send; a Router also supplies the node's deadlines and ledger."""
 
     def __init__(
         self,
@@ -161,218 +316,126 @@ class TcpNode:
         handler,
         address_book: dict[str, str],
         max_payload: int = MAX_PAYLOAD_DEFAULT,
-        idle_timeout: float | None = None,
-        on_idle=None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
         self.node_id = node_id
         self.handler = handler
+        self.router = handler if isinstance(handler, Router) else Router()
         self.address_book = address_book
         self.max_payload = max_payload
-        self.idle_timeout = idle_timeout
-        self.on_idle = on_idle
         self._server = socket.create_server((host, port))
         self.address = "{}:{}".format(*self._server.getsockname())
-        self._inbox: queue.Queue = queue.Queue()
-        # per-destination connection, keyed with the address it was opened
-        # to, so a peer that reappears elsewhere gets a fresh connection
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        # per-destination connection, with the address it was opened to
         self._conns: dict[str, tuple[str, socket.socket]] = {}
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._last_activity = time.monotonic()
-        self.received_bytes: list[bytes] = []
-        self.traces: dict[tuple[str, str], list] = defaultdict(list)
+        self._send_lock = threading.Lock()  # guards _conns
+        self._lock = threading.Lock()  # guards _stopped and _readers
+        self._stopped = False
+        self._readers: dict[threading.Thread, socket.socket] = {}
+        self._accept = threading.Thread(target=self._accept_loop, daemon=True)
+        self._worker = threading.Thread(target=self._worker_loop, daemon=True)
 
     def start(self) -> None:
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        worker = threading.Thread(target=self._worker_loop, daemon=True)
-        self._threads += [accept, worker]
-        accept.start()
-        worker.start()
+        self._accept.start()
+        self._worker.start()
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._server.accept()
             except OSError:
-                return
-            reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
-            self._threads.append(reader)
-            reader.start()
+                return  # stop() shut the listening socket down
+            with self._lock:
+                if self._stopped:
+                    conn.close()
+                    return
+                reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
+                self._readers[reader] = conn
+                reader.start()
 
     def _read_loop(self, conn: socket.socket) -> None:
-        stream = conn.makefile("rb")
         try:
-            while not self._stop.is_set():
-                frame = read_frame(stream, self.max_payload)
-                if frame is None:
-                    return
-                self._inbox.put(frame)
-        except (DecodeError, OSError):
-            return  # bad or dead connection: drop it
+            with conn, conn.makefile("rb") as stream:
+                while (frame := read_frame(stream, self.max_payload)) is not None:
+                    self._inbox.put(frame)
+        except (DecodeError, OSError) as exc:
+            _drop("?", "?", f"connection to {self.node_id} dropped: {exc}")
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            with self._lock:
+                self._readers.pop(threading.current_thread(), None)
 
     def _worker_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
+            self.post(self.router.expire(time.monotonic()))
+            deadline = self.router.next_deadline()
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                frame = self._inbox.get(timeout=0.05)
+                frame = self._inbox.get(timeout=wait)
             except queue.Empty:
-                if (
-                    self.on_idle is not None
-                    and self.idle_timeout is not None
-                    and time.monotonic() - self._last_activity > self.idle_timeout
-                ):
-                    self._last_activity = time.monotonic()
-                    self._run_handler_event(None)
                 continue
-            self._last_activity = time.monotonic()
-            self.received_bytes.append(frame)
-            try:
-                msg = decode(frame, self.max_payload)
-            except DecodeError:
-                continue
-            self.traces[(msg.sender, self.node_id)].append(
-                (message_type_name(msg), msg.run_id, msg.seq)
-            )
-            self._run_handler_event(msg)
+            if frame is None:  # stop() was called
+                return
+            self.post(_receive(self.node_id, self.handler, frame, self.max_payload,
+                               self.router.ledger))
+            self._in_flight(-1)
 
-    def _run_handler_event(self, msg) -> None:
-        try:
-            outgoing = self.handler(msg) if msg is not None else self.on_idle()
-        except PhtError:
-            return
-        for out in outgoing or []:
-            self.send(out.dest, encode(out.message))
+    def _in_flight(self, n: int) -> None:
+        if self.router.ledger is not None:
+            self.router.ledger.add_in_flight(n)
+
+    def post(self, outgoing: list[Outgoing]) -> None:
+        """Encode and send each message; safe to call from any thread."""
+        for out in outgoing:
+            frame = encode(out.message)
+            self._in_flight(1)  # counted before it can arrive, so never below zero
+            with self._send_lock:
+                error = self._send(out.dest, frame)
+            if error is not None:
+                _drop(out.message.run_id, self.node_id, f"send to {out.dest!r} failed: {error}")
+                self._in_flight(-1)
 
     def _drop_conn(self, dest: str) -> None:
         cached = self._conns.pop(dest, None)
         if cached is not None:
-            try:
-                cached[1].close()
-            except OSError:
-                pass
+            cached[1].close()
 
-    def send(self, dest: str, frame: bytes) -> None:
+    def _send(self, dest: str, frame: bytes) -> str | None:
+        """Send one frame; returns why it could not be sent, or None."""
         address = self.address_book.get(dest)
         if address is None:
-            return
-        cached = self._conns.get(dest)
-        if cached is not None and cached[0] != address:
-            self._drop_conn(dest)
-            cached = None
+            return "unroutable destination"
         for _ in range(2):  # one reconnect retry on a dead cached connection
-            if cached is None:
-                host, port = address.rsplit(":", 1)
-                try:
-                    conn = socket.create_connection((host, int(port)), timeout=5.0)
-                except OSError:
-                    return
-                cached = (address, conn)
-                self._conns[dest] = cached
+            cached = self._conns.get(dest)
             try:
+                if cached is None or cached[0] != address:
+                    self._drop_conn(dest)  # a peer that reappears elsewhere
+                    host, port = address.rsplit(":", 1)
+                    conn = socket.create_connection((host, int(port)), timeout=5.0)
+                    cached = self._conns[dest] = (address, conn)
                 cached[1].sendall(frame)
-                return
-            except OSError:
+                return None
+            except OSError as exc:
                 self._drop_conn(dest)
-                cached = None
+                error = str(exc)
+        return error
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        for _, conn in self._conns.values():
+        """Stop serving and release every thread and socket the node holds."""
+        with self._lock:
+            self._stopped = True  # from here on no reader thread is added
+            readers = dict(self._readers)
+        # shutdown() wakes a thread blocked in accept() or recv(); close() does not
+        for sock in (self._server, *readers.values()):
             try:
-                conn.close()
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-
-
-def _run_tcp(setup: RunSetup, tse_timeout: float, run_timeout: float) -> RunOutcome:
-    started = time.perf_counter()
-    researcher_id, actors, tse = _build_actors(setup)
-    address_book: dict[str, str] = {}
-
-    nodes: dict[str, TcpNode] = {}
-    for aid, actor in actors.items():
-        on_idle = None
-        idle = None
-        if actor is tse:
-            idle = tse_timeout
-
-            def on_idle(run_id=setup.manifest.run_id):
-                return tse.handle(TimeoutExpired(run_id))
-
-        nodes[aid] = TcpNode(
-            aid,
-            actor.handle,
-            address_book,
-            setup.max_payload,
-            idle_timeout=idle,
-            on_idle=on_idle,
-        )
-
-    researcher = ResearcherActor(researcher_id, setup.manifest, {})
-    researcher_node = TcpNode(
-        researcher_id, researcher.handle, address_book, setup.max_payload
-    )
-    nodes[researcher_id] = researcher_node
-
-    for aid, node in nodes.items():
-        address_book[aid] = node.address
-    researcher.endpoints = dict(address_book)
-
-    for node in nodes.values():
-        node.start()
-    for out in researcher.start():
-        researcher_node.send(out.dest, encode(out.message))
-
-    deadline = time.monotonic() + run_timeout
-    while not researcher.done and time.monotonic() < deadline:
-        time.sleep(0.01)
-    # let in-flight tails (acks) drain before tearing down
-    time.sleep(0.05)
-    for node in nodes.values():
-        node.stop()
-
-    traces: dict[tuple[str, str], list] = defaultdict(list)
-    received: dict[str, list[bytes]] = defaultdict(list)
-    for aid, node in nodes.items():
-        received[aid] = list(node.received_bytes)
-        for channel, entries in node.traces.items():
-            traces[channel].extend(entries)
-
-    all_actors = dict(actors)
-    all_actors[researcher_id] = researcher
-    return _finish(researcher, tse, traces, received, all_actors, started)
-
-
-def _finish(researcher, tse, traces, received, actors, started) -> RunOutcome:
-    if researcher.outcome is None:
-        outcome, reason, result = "aborted", "Stalled", None
-    elif researcher.outcome[0] == "completed":
-        outcome, reason, result = "completed", None, researcher.outcome[1]
-    else:
-        outcome, reason, result = "aborted", researcher.outcome[1], None
-
-    audit_logs = {}
-    for aid, actor in actors.items():
-        audit_logs[aid] = list(actor.audit.events)
-
-    return RunOutcome(
-        outcome=outcome,
-        reason=reason,
-        result=result,
-        result_bytes=result.to_canonical_json() if result is not None else None,
-        traces=dict(traces),
-        received_bytes=dict(received),
-        audit_logs=audit_logs,
-        storage=tse.storage,
-        timings={"total_s": time.perf_counter() - started},
-    )
+        self._server.close()
+        self._inbox.put(None)
+        for thread in (self._accept, *readers, self._worker):
+            if thread.is_alive():
+                thread.join()
+        with self._send_lock:
+            for dest in list(self._conns):
+                self._drop_conn(dest)

@@ -193,6 +193,12 @@ class DataStationActor(_SequencedActor):
         self._run_id: str | None = None
         self._seen_runs: set[str] = set()
 
+    @property
+    def terminal(self) -> bool:
+        """Nothing more arrives for this run once the extract is sent or the
+        station has given up."""
+        return self.phase in (SENT, DONE)
+
     # -- helpers -----------------------------------------------------------
 
     def _ack(self, dest: str) -> Outgoing:
@@ -468,9 +474,21 @@ class TseActor(_SequencedActor):
         self._terminal_sent = False
         self._seen_runs: set[str] = set()
 
-    def _abort(self, reason: str) -> list[Outgoing]:
+    @property
+    def terminal(self) -> bool:
+        return self.phase == WIPED
+
+    def wipe(self, detail: str | None = None) -> None:
+        """Delete everything the run left here: storage and sealed packages.
+        A ``detail`` is audited as the reason."""
         self.storage.wipe()
+        self._packages.clear()
         self.phase = WIPED
+        if detail is not None:
+            self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
+
+    def _abort(self, reason: str) -> list[Outgoing]:
+        self.wipe()
         run = self._run_id or "?"
         self.audit.log(run, self.phase, "abort_wiped", reason)
         if self._terminal_sent or self._manifest is None:
@@ -499,10 +517,8 @@ class TseActor(_SequencedActor):
             return self._abort("SaltOfferAtTse")
         if isinstance(msg, Abort):
             self.audit.log(msg.run_id, self.phase, "station_abort", msg.reason)
-            if self.phase not in (WIPED,):
-                self.storage.wipe()
-                self.phase = WIPED
-                self.audit.log(msg.run_id, self.phase, "wiped", "after station abort")
+            if self.phase != WIPED:
+                self.wipe("after station abort")
             return []
         return self._abort(f"UnexpectedMessage({message_type_name(msg)})")
 
@@ -543,9 +559,12 @@ class TseActor(_SequencedActor):
         self._packages[msg.sender] = msg.package
         self.storage.put_bytes(f"sealed:{msg.sender}", msg.package.to_bytes())
         self.audit.log(self._run_id, self.phase, "data_received", msg.sender)
-        if set(self._packages) == set(self._expected):
+        if set(self._packages) != set(self._expected):
+            return []
+        try:
             return self._process()
-        return []
+        except Exception as exc:  # fail closed: whatever broke, the run is wiped
+            return self._abort(f"{type(exc).__name__}: {exc}")
 
     def _process(self) -> list[Outgoing]:
         manifest = self._manifest
@@ -567,22 +586,19 @@ class TseActor(_SequencedActor):
             except (PhtError, ValueError, KeyError) as exc:
                 return self._abort(f"BadDataset@{sid}: {exc}")
 
-        try:
-            self.phase = LINKING
-            self.audit.log(self._run_id, self.phase, "linking")
-            result = link(datasets[0], datasets[1], manifest.linkage)
-            merged = merge(result, datasets[0], datasets[1])
-            self.storage.put_bytes("merged", dataset_to_bytes(merged))
+        self.phase = LINKING
+        self.audit.log(self._run_id, self.phase, "linking")
+        result = link(datasets[0], datasets[1], manifest.linkage)
+        merged = merge(result, datasets[0], datasets[1])
+        self.storage.put_bytes("merged", dataset_to_bytes(merged))
 
-            self.phase = ANALYZING
-            self.audit.log(self._run_id, self.phase, "analyzing", manifest.analysis.kind)
-            raw = run_analysis(merged, manifest.analysis)
+        self.phase = ANALYZING
+        self.audit.log(self._run_id, self.phase, "analyzing", manifest.analysis.kind)
+        raw = run_analysis(merged, manifest.analysis)
 
-            self.phase = VALIDATING
-            self.audit.log(self._run_id, self.phase, "validating")
-            validated = validate(raw, manifest.disclosure)
-        except PhtError as exc:
-            return self._abort(f"{type(exc).__name__}: {exc}")
+        self.phase = VALIDATING
+        self.audit.log(self._run_id, self.phase, "validating")
+        validated = validate(raw, manifest.disclosure)
 
         validated.audit["run"] = {
             "run_id": self._run_id,
@@ -605,9 +621,7 @@ class TseActor(_SequencedActor):
             )
         self.phase = RETURNED
         self.audit.log(self._run_id, self.phase, "result_returned")
-        self.storage.wipe()
-        self.phase = WIPED
-        self.audit.log(self._run_id, self.phase, "wiped", "all run data deleted")
+        self.wipe("all run data deleted")
         return out
 
 
@@ -701,3 +715,15 @@ class ResearcherActor(_SequencedActor):
     @property
     def done(self) -> bool:
         return self.outcome is not None
+
+    @property
+    def terminal(self) -> bool:
+        """Done, and after a result also holding each station's second Ack:
+        a station sends it with the data the result was computed from, but
+        over TCP it can arrive after the result."""
+        if self.outcome is None:
+            return False
+        if self.outcome[0] == "aborted":
+            return True
+        senders = [sender for sender, _ in self.acks]
+        return all(senders.count(s) >= 2 for s in self.manifest.data_station_ids())

@@ -38,6 +38,19 @@ class TestKeygen:
             mode = stat.S_IMODE((tmp_path / "keys" / name).stat().st_mode)
             assert mode == 0o600
 
+    def test_private_files_created_restricted(self, tmp_path, monkeypatch):
+        # the mode must come from the create call itself, not a later chmod
+        monkeypatch.setattr(os, "chmod", lambda *args, **kwargs: None)
+        old_umask = os.umask(0o022)
+        try:
+            run_cli("keygen", tmp_path / "keys")
+            run_cli("keygen", tmp_path / "keys", "--force")
+        finally:
+            os.umask(old_umask)
+        for name in ("enc_private.pem", "sign_private.pem", "anchor_private.pem"):
+            mode = stat.S_IMODE((tmp_path / "keys" / name).stat().st_mode)
+            assert mode == 0o600, name
+
     def test_refuses_overwrite_without_force(self, tmp_path):
         run_cli("keygen", tmp_path / "keys")
         marker = (tmp_path / "keys" / "enc_private.pem").read_bytes()

@@ -173,6 +173,15 @@ class TestCsvInterchange:
         assert [r.payload for r in back.rows] == [r.payload for r in ds.rows]
         assert back.schema == ds.schema
 
+    def test_integer_above_2_53_survives_roundtrip(self, tmp_path):
+        big = 2**53 + 1  # 9007199254740993; through a float it reads back ...992
+        ds = make_dataset(
+            "A", (("count", "numeric"),),
+            [Record(payload={"count": big}, qid=canonicalize(raw()))],
+        )
+        write_dataset_csv(ds, tmp_path / "a.csv")
+        assert read_dataset_csv(tmp_path / "a.csv").rows[0].payload == {"count": big}
+
     def test_header_has_exact_linkage_field_names(self, tmp_path):
         write_dataset_csv(self._dataset(), tmp_path / "a.csv")
         header = (tmp_path / "a.csv").read_text().splitlines()[0]

@@ -373,6 +373,34 @@ class TestResearcherDispatchOrder:
         assert researcher.outcome == ("aborted", "Timeout")
 
 
+class TestResearcherTerminal:
+    """A router evicts the researcher once it is terminal. After a result it
+    still waits for each station's second Ack, sent with the station's data,
+    because over TCP that Ack can arrive after the result."""
+
+    def test_completed_run_is_terminal_after_the_late_acks(self):
+        scn = scenario()
+        researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
+        researcher.start()
+        run_id = scn.manifest.run_id
+        for sender in ("TSE", "B", "A"):
+            researcher.handle(Ack(run_id, 1, sender, "OK"))
+        researcher.handle(ResultReturn(run_id, 2, "TSE", None))
+        assert researcher.done and not researcher.terminal
+        researcher.handle(Ack(run_id, 2, "B", "OK"))
+        assert not researcher.terminal
+        researcher.handle(Ack(run_id, 2, "A", "OK"))
+        assert researcher.terminal
+
+    def test_aborted_run_is_terminal_at_once(self):
+        scn = scenario()
+        researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
+        researcher.start()
+        assert not researcher.terminal
+        researcher.handle(Abort(scn.manifest.run_id, 1, "TSE", "Timeout"))
+        assert researcher.terminal
+
+
 class TestTseStorage:
     def test_inventory_and_read(self):
         storage = TseStorage()

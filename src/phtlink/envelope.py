@@ -14,6 +14,11 @@ The inner signature is Ed25519 over (payload, run_id, sender station id), so
 a package replayed into another run fails inner verification even though its
 ciphertext is intact.
 
+On the wire (SealedPackage.to_bytes) a package is binary: a 4-byte length
+and the canonical header JSON (the very bytes used as associated data), a
+2-byte length and the wrapped key, a 2-byte length and the tag, then the
+ciphertext up to the end of the buffer.
+
 Opening runs the three phases in order and attributes failures to the phase
 that rejected: outer integrity (tampered ciphertext, tag, or header), content
 key unwrap / decryption (wrong private key, tampered wrap), inner signature
@@ -39,7 +44,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .encoding import b64decode, b64encode, canonical_json_bytes, from_json_bytes
+from .encoding import canonical_json_bytes, from_json_bytes
 from .errors import (
     DecodeError,
     DecryptionFailure,
@@ -58,6 +63,10 @@ ALGORITHMS = {
 _GCM_TAG_LEN = 16
 _GCM_NONCE_LEN = 12
 _SIG_LEN = 64
+# ephemeral X25519 public key + wrap nonce + wrapped (content key + data nonce) + tag
+_WRAPPED_KEY_LEN = 32 + _GCM_NONCE_LEN + 32 + _GCM_NONCE_LEN + _GCM_TAG_LEN
+_U32 = struct.Struct(">I")
+_U16 = struct.Struct(">H")
 _KEK_INFO = b"phtlink-envelope-kek"
 
 STATIC_SCOPE = "static"
@@ -78,48 +87,44 @@ def _scope_of(key_id: str) -> str:
     return key_id.split(":", 1)[0]
 
 
+class _RunScoped:
+    """The run a key is bound to, read from its key id (None if static)."""
+
+    key_id: str
+
+    @property
+    def run_scope(self) -> str | None:
+        scope = _scope_of(self.key_id)
+        return None if scope == STATIC_SCOPE else scope
+
+
 @dataclass(frozen=True)
-class KeyPair:
+class KeyPair(_RunScoped):
     """X25519 encryption keypair; the private half never enters a message."""
 
     public_encryption_key: bytes
     private_decryption_key: bytes
     key_id: str
 
-    @property
-    def run_scope(self) -> str | None:
-        scope = _scope_of(self.key_id)
-        return None if scope == STATIC_SCOPE else scope
-
     def public_only(self) -> "PublicEncryptionKey":
         return PublicEncryptionKey(self.public_encryption_key, self.key_id)
 
 
 @dataclass(frozen=True)
-class PublicEncryptionKey:
+class PublicEncryptionKey(_RunScoped):
     """Distributable half of a KeyPair."""
 
     public_encryption_key: bytes
     key_id: str
 
-    @property
-    def run_scope(self) -> str | None:
-        scope = _scope_of(self.key_id)
-        return None if scope == STATIC_SCOPE else scope
-
 
 @dataclass(frozen=True)
-class SigningKeys:
+class SigningKeys(_RunScoped):
     """Ed25519 signature pair; the verification key alone cannot sign."""
 
     signing_key: bytes
     verification_key: bytes
     key_id: str
-
-    @property
-    def run_scope(self) -> str | None:
-        scope = _scope_of(self.key_id)
-        return None if scope == STATIC_SCOPE else scope
 
 
 @dataclass(frozen=True)
@@ -140,30 +145,60 @@ class SealedPackage:
         }
 
     def to_bytes(self) -> bytes:
-        return canonical_json_bytes(
-            {
-                "header": self.header(),
-                "wrapped_content_key": b64encode(self.wrapped_content_key),
-                "ciphertext": b64encode(self.ciphertext),
-                "outer_auth_tag": b64encode(self.outer_auth_tag),
-            }
+        header = canonical_json_bytes(self.header())
+        return b"".join(
+            (
+                _U32.pack(len(header)),
+                header,
+                _U16.pack(len(self.wrapped_content_key)),
+                self.wrapped_content_key,
+                _U16.pack(len(self.outer_auth_tag)),
+                self.outer_auth_tag,
+                self.ciphertext,
+            )
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedPackage":
+        """Parse to_bytes output; any length that does not fit the buffer, or
+        a key or tag length other than the algorithms fix, is a DecodeError
+        at the offset of the bad field."""
+        view = memoryview(data)
+        offset = 0
+
+        def take(size: struct.Struct, expected: int | None = None) -> memoryview:
+            nonlocal offset
+            if offset + size.size > len(view):
+                raise DecodeError(offset, "truncated sealed package")
+            (length,) = size.unpack_from(view, offset)
+            if expected is not None and length != expected:
+                raise DecodeError(offset, f"length {length}, expected {expected}")
+            if offset + size.size + length > len(view):
+                raise DecodeError(offset, f"length {length} overruns the package")
+            offset += size.size + length
+            return view[offset - length : offset]
+
+        header_bytes = take(_U32)
+        wrapped = take(_U16, _WRAPPED_KEY_LEN)
+        tag = take(_U16, _GCM_TAG_LEN)
         try:
-            doc = from_json_bytes(data)
-            header = doc["header"]
-            return cls(
-                sender_station_id=header["sender_station_id"],
-                run_id=header["run_id"],
-                key_ids=(header["key_ids"][0], header["key_ids"][1]),
-                wrapped_content_key=b64decode(doc["wrapped_content_key"]),
-                ciphertext=b64decode(doc["ciphertext"]),
-                outer_auth_tag=b64decode(doc["outer_auth_tag"]),
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise DecodeError(0, f"bad sealed package: {exc}") from exc
+            header = from_json_bytes(bytes(header_bytes))
+            key_ids = header["key_ids"]
+            if not isinstance(key_ids, list):
+                raise TypeError("key_ids must be a list")
+            fields = (header["sender_station_id"], header["run_id"], *key_ids)
+            if len(key_ids) != 2 or not all(isinstance(f, str) for f in fields):
+                raise ValueError("sender, run and two key ids must be strings")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DecodeError(_U32.size, f"bad sealed package header: {exc}") from None
+        return cls(
+            sender_station_id=fields[0],
+            run_id=fields[1],
+            key_ids=(fields[2], fields[3]),
+            wrapped_content_key=bytes(wrapped),
+            ciphertext=bytes(view[offset:]),
+            outer_auth_tag=bytes(tag),
+        )
 
 
 def generate_encryption_keypair(run_id: str | None = None) -> KeyPair:

@@ -14,6 +14,9 @@ Two modes:
 u can be supplied or estimated from the data as the chance-agreement rate
 of a random cross pair, computed from per-field digest frequencies.
 
+Each mode reads only its own part of a pseudonym vector, and a dataset whose
+rows lack that part raises MissingPseudonyms.
+
 Everything here is deterministic: ties break on (index_a, index_b), so a
 fixed pair of datasets and params always yields the same LinkResult.
 """
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import DegenerateParams, MissingPseudonyms, SchemaCollision
 from .model import QID_FIELDS, Dataset, DatasetDescriptor, Record
-from .pseudonym import PseudonymVector
+from .pseudonym import LINKAGE_MODES, PseudonymVector
 
 U_CLAMP = 1e-9
 
@@ -53,7 +56,7 @@ class LinkageParams:
     blocking_fields: tuple[str, ...] = ("date_of_birth",)
 
     def validate(self) -> None:
-        if self.mode not in ("exact", "probabilistic"):
+        if self.mode not in LINKAGE_MODES:
             raise ValueError(f"unknown linkage mode {self.mode!r}")
         if self.t_upper < self.t_lower:
             raise ValueError("t_upper must be >= t_lower")
@@ -79,11 +82,15 @@ class LinkResult:
     audit: dict = field(default_factory=dict)
 
 
-def _pseudonyms(ds: Dataset) -> list[PseudonymVector]:
+def _pseudonyms(ds: Dataset, mode: str) -> list[PseudonymVector]:
+    """Every row's vector, which must carry the part ``mode`` links on."""
+    part = "composite" if mode == "exact" else "per_field"
     vectors = []
     for i, row in enumerate(ds.rows):
         if row.pseudonym is None:
             raise MissingPseudonyms(f"{ds.station_id} row {i} has no pseudonym vector")
+        if not getattr(row.pseudonym, part):
+            raise MissingPseudonyms(f"{ds.station_id} row {i} has no {part} for {mode} linkage")
         vectors.append(row.pseudonym)
     return vectors
 
@@ -153,30 +160,28 @@ def score_pair(
 def _link_exact(
     pseudos_a: list[PseudonymVector], pseudos_b: list[PseudonymVector]
 ) -> tuple[list[tuple[int, int]], dict]:
-    by_comp_a: dict[str, list[int]] = {}
-    by_comp_b: dict[str, list[int]] = {}
-    for i, p in enumerate(pseudos_a):
-        by_comp_a.setdefault(p.composite, []).append(i)
-    for j, p in enumerate(pseudos_b):
-        by_comp_b.setdefault(p.composite, []).append(j)
+    comps_a = [p.composite for p in pseudos_a]
+    comps_b = [p.composite for p in pseudos_b]
+    count_a, count_b = Counter(comps_a), Counter(comps_b)
+    # the index of a composite's last occurrence; its only one when unique
+    index_a = {comp: i for i, comp in enumerate(comps_a)}
+    index_b = {comp: j for j, comp in enumerate(comps_b)}
 
     pairs = []
-    collisions_a = sum(1 for idxs in by_comp_a.values() if len(idxs) > 1)
-    collisions_b = sum(1 for idxs in by_comp_b.values() if len(idxs) > 1)
     excluded = 0
-    for comp, idxs_a in by_comp_a.items():
-        idxs_b = by_comp_b.get(comp)
-        if idxs_b is None:
+    for comp, n_a in count_a.items():
+        n_b = count_b.get(comp)
+        if n_b is None:
             continue
-        if len(idxs_a) == 1 and len(idxs_b) == 1:
-            pairs.append((idxs_a[0], idxs_b[0]))
+        if n_a == 1 and n_b == 1:
+            pairs.append((index_a[comp], index_b[comp]))
         else:
-            excluded += len(idxs_a) + len(idxs_b)
+            excluded += n_a + n_b
     pairs.sort()
     audit = {
         "mode": "exact",
-        "composite_collisions_a": collisions_a,
-        "composite_collisions_b": collisions_b,
+        "composite_collisions_a": sum(1 for n in count_a.values() if n > 1),
+        "composite_collisions_b": sum(1 for n in count_b.values() if n > 1),
         "records_excluded_by_collision": excluded,
         "class_counts": {"match": len(pairs), "possible": 0, "non_match": 0},
     }
@@ -200,6 +205,62 @@ def _candidates(
     return out
 
 
+def _link_probabilistic(
+    pseudos_a: list[PseudonymVector],
+    pseudos_b: list[PseudonymVector],
+    params: LinkageParams,
+) -> tuple[list[tuple[int, int]], dict]:
+    counts = {"match": 0, "possible": 0, "non_match": 0}
+    pairs: list[tuple[int, int]] = []
+    candidates: list[tuple[int, int]] = []
+    # with an empty side there is nothing to estimate u from, or to score
+    estimated = params.u is None and bool(pseudos_a) and bool(pseudos_b)
+    resolved = replace(params, u=estimate_u(pseudos_a, pseudos_b)) if estimated else params
+    if pseudos_a and pseudos_b:
+        for i in range(4):
+            if resolved.m[i] <= resolved.u[i]:
+                raise DegenerateParams(
+                    f"m <= u on field {QID_FIELDS[i]} "
+                    f"({resolved.m[i]} <= {resolved.u[i]})"
+                )
+        blocking = tuple(QID_FIELDS.index(f) for f in params.blocking_fields)
+        candidates = _candidates(pseudos_a, pseudos_b, blocking)
+
+        match_pairs: list[ScoredPair] = []
+        for i, j in candidates:
+            scored = score_pair(pseudos_a[i], pseudos_b[j], resolved, i, j)
+            if scored.match_class == MATCH:
+                counts["match"] += 1
+                match_pairs.append(scored)
+            elif scored.match_class == POSSIBLE:
+                counts["possible"] += 1
+            else:
+                counts["non_match"] += 1
+
+        match_pairs.sort(key=lambda s: (-s.weight, s.index_a, s.index_b))
+        used_a: set[int] = set()
+        used_b: set[int] = set()
+        for scored in match_pairs:
+            if scored.index_a in used_a or scored.index_b in used_b:
+                continue
+            used_a.add(scored.index_a)
+            used_b.add(scored.index_b)
+            pairs.append((scored.index_a, scored.index_b))
+        pairs.sort()
+    audit = {
+        "mode": "probabilistic",
+        "n_candidates": len(candidates),
+        "class_counts": counts,
+        "t_upper": resolved.t_upper,
+        "t_lower": resolved.t_lower,
+        "m": list(resolved.m),
+        "u": list(resolved.u) if resolved.u is not None else None,
+        "u_estimated": estimated,
+        "blocking_fields": list(params.blocking_fields),
+    }
+    return pairs, audit
+
+
 def link(ds_a: Dataset, ds_b: Dataset, params: LinkageParams) -> LinkResult:
     """Link two pseudonymized datasets.
 
@@ -209,76 +270,13 @@ def link(ds_a: Dataset, ds_b: Dataset, params: LinkageParams) -> LinkResult:
     weight, ties by (index_a, index_b).
     """
     params.validate()
-    pseudos_a = _pseudonyms(ds_a)
-    pseudos_b = _pseudonyms(ds_b)
+    pseudos_a = _pseudonyms(ds_a, params.mode)
+    pseudos_b = _pseudonyms(ds_b, params.mode)
 
     if params.mode == "exact":
         pairs, audit = _link_exact(pseudos_a, pseudos_b)
     else:
-        if not pseudos_a or not pseudos_b:
-            resolved = params if params.u is not None else None
-            pairs = []
-            audit = {
-                "mode": "probabilistic",
-                "n_candidates": 0,
-                "class_counts": {"match": 0, "possible": 0, "non_match": 0},
-                "t_upper": params.t_upper,
-                "t_lower": params.t_lower,
-                "m": list(params.m),
-                "u": list(resolved.u) if resolved else None,
-                "u_estimated": False,
-                "blocking_fields": list(params.blocking_fields),
-            }
-        else:
-            estimated = params.u is None
-            resolved = (
-                replace(params, u=estimate_u(pseudos_a, pseudos_b))
-                if estimated
-                else params
-            )
-            for i in range(4):
-                if resolved.m[i] <= resolved.u[i]:
-                    raise DegenerateParams(
-                        f"m <= u on field {QID_FIELDS[i]} "
-                        f"({resolved.m[i]} <= {resolved.u[i]})"
-                    )
-            blocking = tuple(QID_FIELDS.index(f) for f in params.blocking_fields)
-            candidates = _candidates(pseudos_a, pseudos_b, blocking)
-
-            counts = {"match": 0, "possible": 0, "non_match": 0}
-            match_pairs: list[ScoredPair] = []
-            for i, j in candidates:
-                scored = score_pair(pseudos_a[i], pseudos_b[j], resolved, i, j)
-                if scored.match_class == MATCH:
-                    counts["match"] += 1
-                    match_pairs.append(scored)
-                elif scored.match_class == POSSIBLE:
-                    counts["possible"] += 1
-                else:
-                    counts["non_match"] += 1
-
-            match_pairs.sort(key=lambda s: (-s.weight, s.index_a, s.index_b))
-            used_a: set[int] = set()
-            used_b: set[int] = set()
-            pairs = []
-            for scored in match_pairs:
-                if scored.index_a in used_a or scored.index_b in used_b:
-                    continue
-                used_a.add(scored.index_a)
-                used_b.add(scored.index_b)
-                pairs.append((scored.index_a, scored.index_b))
-            pairs.sort()
-            audit = {
-                "mode": "probabilistic",
-                "n_candidates": len(candidates),
-                "class_counts": counts,
-                "t_upper": resolved.t_upper,
-                "t_lower": resolved.t_lower,
-                "m": list(resolved.m),
-                "u": list(resolved.u),
-                "u_estimated": estimated,
-                "blocking_fields": list(params.blocking_fields),
-            }
+        pairs, audit = _link_probabilistic(pseudos_a, pseudos_b, params)
 
     matched_a = {i for i, _ in pairs}
     matched_b = {j for _, j in pairs}

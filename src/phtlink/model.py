@@ -11,6 +11,11 @@ house_number    positive integer as a decimal string, no leading zeros,
                 no suffixes ("12a" is rejected).
 gender          one of "F", "M", "X".
 date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
+
+A pseudonymized dataset travels to the analysis station as a columnar binary
+body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
+schema, descriptor and one array per payload column, then the raw 64-byte
+digests of every row. In memory a digest stays a 128-character hex string.
 """
 
 from __future__ import annotations
@@ -19,13 +24,14 @@ import csv
 import datetime as dt
 import json
 import re
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .encoding import canonical_json_bytes
 from .errors import MalformedField
-from .pseudonym import PseudonymVector
+from .pseudonym import DIGEST_HEX_LENGTH, PseudonymVector
 
 #: Order of the linkage fields everywhere in the package: CSV columns,
 #: pseudonym per-field digests, agreement vectors, m/u parameter vectors.
@@ -151,8 +157,6 @@ class Record:
     def __post_init__(self):
         if self.qid is not None and self.pseudonym is not None:
             raise ValueError("record cannot carry both a QID set and a pseudonym")
-        if len(self.payload) != len(set(self.payload)):
-            raise ValueError("payload variable names must be unique")
 
 
 @dataclass
@@ -202,24 +206,44 @@ class Dataset:
 # Wire encoding of pseudonymized datasets (carried inside sealed packages)
 # ---------------------------------------------------------------------------
 
+#: Digest parts a row may carry, in their order within a row's digest block.
+_DIGEST_PARTS = ("composite", "per_field")
+_DIGEST_BYTES = DIGEST_HEX_LENGTH // 2
+_BODY_LEN = struct.Struct(">I")
+
+
+def _digest_parts(pseudonym: PseudonymVector | None) -> tuple[str, ...]:
+    if pseudonym is None:
+        return ()
+    parts = ("composite",) if pseudonym.composite is not None else ()
+    return parts + (("per_field",) if pseudonym.per_field else ())
+
+
 def dataset_to_bytes(ds: Dataset) -> bytes:
-    """Canonical JSON bytes for a pseudonymized dataset.
+    """Columnar binary body for a pseudonymized dataset.
+
+    Layout: a 4-byte big-endian length, then a canonical JSON header
+    (station_id, schema, descriptor, row_count, the digest parts every row
+    carries, and one array per payload column in schema order), then each
+    row's raw 64-byte digests, concatenated row after row (composite first,
+    then the four per-field digests, as far as present).
 
     Only pseudonymized datasets travel, so QIDs are rejected here: a raw
     identifier must never survive to the serialization boundary.
     """
-    rows = []
+    parts = _digest_parts(ds.rows[0].pseudonym) if ds.rows else ()
+    hex_digests = []
     for row in ds.rows:
         if row.qid is not None:
             raise ValueError("refusing to serialize a dataset that still carries QIDs")
-        entry: dict[str, object] = {"payload": row.payload}
-        if row.pseudonym is not None:
-            entry["pseudonym"] = {
-                "composite": row.pseudonym.composite,
-                "per_field": list(row.pseudonym.per_field),
-            }
-        rows.append(entry)
-    return canonical_json_bytes(
+        pseudonym = row.pseudonym
+        if _digest_parts(pseudonym) != parts:
+            raise ValueError("every row must carry the same pseudonym digest parts")
+        if pseudonym is not None:
+            if pseudonym.composite is not None:
+                hex_digests.append(pseudonym.composite)
+            hex_digests.extend(pseudonym.per_field)
+    header = canonical_json_bytes(
         {
             "station_id": ds.station_id,
             "schema": [list(pair) for pair in ds.schema],
@@ -228,39 +252,80 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
                 "extracted_at": ds.descriptor.extracted_at,
                 "row_count": ds.descriptor.row_count,
             },
-            "rows": rows,
+            "row_count": len(ds.rows),
+            "digests": list(parts),
+            "columns": [[row.payload[name] for row in ds.rows] for name, _ in ds.schema],
         }
+    )
+    return b"".join(
+        (_BODY_LEN.pack(len(header)), header, bytes.fromhex("".join(hex_digests)))
     )
 
 
 def dataset_from_bytes(data: bytes) -> Dataset:
-    doc = json.loads(data.decode("utf-8"))
-    schema = tuple((str(n), str(t)) for n, t in doc["schema"])
-    names = [n for n, _ in schema]
-    rows = []
-    for entry in doc["rows"]:
-        pseudonym = None
-        if "pseudonym" in entry:
-            pseudonym = PseudonymVector(
-                composite=entry["pseudonym"]["composite"],
-                per_field=tuple(entry["pseudonym"]["per_field"]),
+    """Inverse of dataset_to_bytes; validates the result. A body whose
+    lengths or header do not fit together raises ValueError."""
+    try:
+        (header_len,) = _BODY_LEN.unpack_from(data)
+        start = _BODY_LEN.size + header_len
+        if start > len(data):
+            raise ValueError(f"header length {header_len} overruns a {len(data)}-byte body")
+        doc = json.loads(bytes(data[_BODY_LEN.size : start]).decode("utf-8"))
+        schema = tuple((str(n), str(t)) for n, t in doc["schema"])
+        names = [n for n, _ in schema]
+        n_rows, parts, columns = doc["row_count"], tuple(doc["digests"]), doc["columns"]
+        if type(n_rows) is not int or n_rows < 0:
+            raise ValueError(f"bad row_count {n_rows!r}")
+        if parts not in ((), ("composite",), ("per_field",), _DIGEST_PARTS):
+            raise ValueError(f"unknown digest parts {list(parts)}")
+        if len(columns) != len(names) or any(len(c) != n_rows for c in columns):
+            raise ValueError("payload columns do not match schema and row_count")
+        width = (1 if "composite" in parts else 0) + (4 if "per_field" in parts else 0)
+        if len(data) - start != n_rows * width * _DIGEST_BYTES:
+            raise ValueError(
+                f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests"
             )
-        # canonical JSON sorts keys; restore schema order
-        payload = {n: entry["payload"][n] for n in names}
-        rows.append(Record(payload=payload, pseudonym=pseudonym))
-    desc = doc["descriptor"]
-    ds = Dataset(
-        station_id=doc["station_id"],
-        schema=schema,
-        rows=rows,
-        descriptor=DatasetDescriptor(
+        station_id = doc["station_id"]
+        desc = doc["descriptor"]
+        descriptor = DatasetDescriptor(
             source=desc["source"],
             extracted_at=desc["extracted_at"],
             row_count=desc["row_count"],
-        ),
+        )
+    except (struct.error, KeyError, TypeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"bad dataset body: {exc!r}") from None
+
+    # filled column by column: no per-row tuple or iterator for the collector
+    payloads: list[dict] = [{} for _ in range(n_rows)]
+    for name, column in zip(names, columns):
+        for payload, value in zip(payloads, column):
+            payload[name] = value
+    pseudonyms = _pseudonyms_from_hex(memoryview(data)[start:].hex(), n_rows, parts, width)
+    ds = Dataset(
+        station_id=station_id,
+        schema=schema,
+        rows=[Record(payload=p, pseudonym=v) for p, v in zip(payloads, pseudonyms)],
+        descriptor=descriptor,
     )
     ds.validate()
     return ds
+
+
+def _pseudonyms_from_hex(
+    hexed: str, n_rows: int, parts: tuple[str, ...], width: int
+) -> list[PseudonymVector | None]:
+    """Cut one hex string of row-after-row digests back into vectors."""
+    if not parts:
+        return [None] * n_rows
+    h = DIGEST_HEX_LENGTH
+    digests = [hexed[i : i + h] for i in range(0, len(hexed), h)]
+    composites = digests[0::width] if "composite" in parts else [None] * n_rows
+    if "per_field" in parts:
+        first = width - 4
+        per_field = zip(*(digests[first + i :: width] for i in range(4)))
+    else:
+        per_field = [()] * n_rows
+    return [PseudonymVector(c, f) for c, f in zip(composites, per_field)]
 
 
 # ---------------------------------------------------------------------------

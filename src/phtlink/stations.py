@@ -10,7 +10,8 @@ TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
 
 Privacy-critical structure: the salt exchange is sealed station-to-station,
 so the TSE never receives salt bytes in any form; raw QIDs are dropped at
-pseudonymization time and never serialize; the TSE wipes its storage on
+pseudonymization time and never serialize; a station sends only the digests
+the manifest's linkage mode uses; the TSE wipes its storage on
 every terminal path, success or failure, and emits at most one result per
 run.
 """
@@ -366,7 +367,7 @@ class DataStationActor(_SequencedActor):
         rows = [
             Record(
                 payload={name: row.payload[name] for name in request.variables},
-                pseudonym=pseudonymize(row.qid, self._salt),
+                pseudonym=pseudonymize(row.qid, self._salt, manifest.linkage.mode),
             )
             for row in kept
         ]
@@ -557,7 +558,6 @@ class TseActor(_SequencedActor):
         if msg.sender in self._packages:
             return self._abort(f"DuplicateTransfer({msg.sender})")
         self._packages[msg.sender] = msg.package
-        self.storage.put_bytes(f"sealed:{msg.sender}", msg.package.to_bytes())
         self.audit.log(self._run_id, self.phase, "data_received", msg.sender)
         if set(self._packages) != set(self._expected):
             return []

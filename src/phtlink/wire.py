@@ -1,16 +1,23 @@
 """Wire protocol: tagged message union and length-prefixed binary framing.
 
-Frame layout, all integers big-endian:
+Frame layout (version 2), all integers big-endian:
 
     magic   4 bytes  "PHT1"
-    version 1 byte   0x01
+    version 1 byte   0x02
     type    1 byte   message variant tag
     length  4 bytes  payload byte count, unsigned
-    payload          canonical JSON, UTF-8
+    payload
+
+The payload of TrainDispatch, Ack, ResultReturn and Abort is canonical JSON,
+UTF-8. The payload of SaltOffer and DataTransfer is binary: a 4-byte length
+and a canonical JSON header (run_id, seq, sender, plus from_station and
+to_station for a SaltOffer), followed by the sealed package exactly as
+SealedPackage.to_bytes lays it out. There is no reader for version 1.
 
 Every message carries run_id, a per-sender monotonically increasing sequence
 number, and the sender id. Oversized lengths are rejected from the header
-alone, before any payload is read.
+alone, before any payload is read; every length inside a payload is checked
+against the frame, and whatever does not fit raises DecodeError.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .errors import DecodeError
 from .manifest import TrainManifest, manifest_from_dict, manifest_to_dict
 
 MAGIC = b"PHT1"
-VERSION = 0x01
+VERSION = 0x02
 HEADER_LEN = 10
 MAX_PAYLOAD_DEFAULT = 256 * 1024 * 1024
 
@@ -93,6 +100,8 @@ class Abort:
 
 Message = TrainDispatch | SaltOffer | Ack | DataTransfer | ResultReturn | Abort
 
+_U32 = struct.Struct(">I")
+
 _TYPE_BY_CLASS = {
     TrainDispatch: TYPE_TRAIN_DISPATCH,
     Ack: TYPE_ACK,
@@ -101,14 +110,8 @@ _TYPE_BY_CLASS = {
     ResultReturn: TYPE_RESULT_RETURN,
     Abort: TYPE_ABORT,
 }
-
-
-def _package_to_dict(pkg: SealedPackage) -> dict:
-    return json.loads(pkg.to_bytes().decode("utf-8"))
-
-
-def _package_from_dict(doc: dict) -> SealedPackage:
-    return SealedPackage.from_bytes(canonical_json_bytes(doc))
+# types whose payload is a JSON header followed by a sealed package
+_BINARY_TYPES = (TYPE_SALT_OFFER, TYPE_DATA_TRANSFER)
 
 
 def _payload_dict(msg: Message) -> dict:
@@ -122,14 +125,9 @@ def _payload_dict(msg: Message) -> dict:
     if isinstance(msg, Ack):
         return {**common, "status": msg.status}
     if isinstance(msg, SaltOffer):
-        return {
-            **common,
-            "from_station": msg.from_station,
-            "to_station": msg.to_station,
-            "sealed_salt": _package_to_dict(msg.sealed_salt),
-        }
+        return {**common, "from_station": msg.from_station, "to_station": msg.to_station}
     if isinstance(msg, DataTransfer):
-        return {**common, "package": _package_to_dict(msg.package)}
+        return common
     if isinstance(msg, ResultReturn):
         return {**common, "result": msg.result.to_dict()}
     if isinstance(msg, Abort):
@@ -137,7 +135,7 @@ def _payload_dict(msg: Message) -> dict:
     raise TypeError(f"not a message: {msg!r}")
 
 
-def _message_from_payload(type_byte: int, doc: dict) -> Message:
+def _message_from_payload(type_byte: int, doc: dict, package: SealedPackage | None) -> Message:
     run_id, seq, sender = doc["run_id"], doc["seq"], doc["sender"]
     if type_byte == TYPE_TRAIN_DISPATCH:
         return TrainDispatch(
@@ -150,16 +148,9 @@ def _message_from_payload(type_byte: int, doc: dict) -> Message:
     if type_byte == TYPE_ACK:
         return Ack(run_id, seq, sender, doc["status"])
     if type_byte == TYPE_SALT_OFFER:
-        return SaltOffer(
-            run_id,
-            seq,
-            sender,
-            doc["from_station"],
-            doc["to_station"],
-            _package_from_dict(doc["sealed_salt"]),
-        )
+        return SaltOffer(run_id, seq, sender, doc["from_station"], doc["to_station"], package)
     if type_byte == TYPE_DATA_TRANSFER:
-        return DataTransfer(run_id, seq, sender, _package_from_dict(doc["package"]))
+        return DataTransfer(run_id, seq, sender, package)
     if type_byte == TYPE_RESULT_RETURN:
         return ResultReturn(run_id, seq, sender, ValidatedResult.from_dict(doc["result"]))
     if type_byte == TYPE_ABORT:
@@ -172,12 +163,13 @@ def message_type_name(msg: Message) -> str:
 
 
 def encode(msg: Message) -> bytes:
-    payload = canonical_json_bytes(_payload_dict(msg))
-    return (
-        MAGIC
-        + bytes([VERSION, _TYPE_BY_CLASS[type(msg)]])
-        + struct.pack(">I", len(payload))
-        + payload
+    payload = [canonical_json_bytes(_payload_dict(msg))]
+    if isinstance(msg, (SaltOffer, DataTransfer)):
+        package = msg.sealed_salt if isinstance(msg, SaltOffer) else msg.package
+        payload = [_U32.pack(len(payload[0])), payload[0], package.to_bytes()]
+    length = sum(len(part) for part in payload)
+    return b"".join(
+        [MAGIC, bytes([VERSION, _TYPE_BY_CLASS[type(msg)]]), _U32.pack(length), *payload]
     )
 
 
@@ -186,13 +178,13 @@ def check_header(header: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> tuple
     if len(header) < HEADER_LEN:
         raise DecodeError(len(header), "truncated header")
     if header[:4] != MAGIC:
-        raise DecodeError(0, f"bad magic {header[:4]!r}")
+        raise DecodeError(0, f"bad magic {bytes(header[:4])!r}")
     if header[4] != VERSION:
         raise DecodeError(4, f"unsupported version 0x{header[4]:02x}")
     type_byte = header[5]
     if type_byte not in _TYPE_BY_CLASS.values():
         raise DecodeError(5, f"unknown type byte 0x{type_byte:02x}")
-    (length,) = struct.unpack(">I", header[6:HEADER_LEN])
+    (length,) = _U32.unpack_from(header, 6)
     if length > max_payload:
         raise DecodeError(6, f"payload length {length} exceeds limit {max_payload}")
     return type_byte, length
@@ -204,39 +196,57 @@ def decode(frame: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> Message:
         raise DecodeError(len(frame), "truncated payload")
     if len(frame) > HEADER_LEN + length:
         raise DecodeError(HEADER_LEN + length, "trailing bytes after frame")
-    payload = frame[HEADER_LEN:]
+    view = memoryview(frame)
+    json_at, json_end, package = HEADER_LEN, len(frame), None
+    if type_byte in _BINARY_TYPES:
+        json_at = HEADER_LEN + _U32.size
+        if json_at > len(frame):
+            raise DecodeError(HEADER_LEN, "truncated payload header length")
+        (json_len,) = _U32.unpack_from(view, HEADER_LEN)
+        json_end = json_at + json_len
+        if json_end > len(frame):
+            raise DecodeError(HEADER_LEN, f"payload header length {json_len} overruns the frame")
+        try:
+            package = SealedPackage.from_bytes(view[json_end:])
+        except DecodeError as exc:
+            raise DecodeError(json_end + exc.offset, exc.cause) from None
     try:
-        doc = json.loads(payload.decode("utf-8"))
-        return _message_from_payload(type_byte, doc)
+        doc = json.loads(bytes(view[json_at:json_end]).decode("utf-8"))
+        return _message_from_payload(type_byte, doc, package)
     except DecodeError:
         raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DecodeError(HEADER_LEN, f"bad payload: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DecodeError(json_at, f"bad payload: {exc}") from exc
 
 
-def read_frame(stream, max_payload: int = MAX_PAYLOAD_DEFAULT) -> bytes | None:
+def read_frame(stream, max_payload: int = MAX_PAYLOAD_DEFAULT) -> bytearray | None:
     """Read one whole frame from a socket-like file object; None on EOF.
 
     The length check happens on the header alone, so an oversized frame is
-    rejected before its payload is pulled off the wire.
+    rejected before its payload is pulled off the wire. The payload is read
+    straight into the one buffer the frame is returned in.
     """
-    header = _read_exact(stream, HEADER_LEN)
-    if not header:
+    header = bytearray(HEADER_LEN)
+    got = _read_into(stream, memoryview(header))
+    if got == 0:
         return None
-    if len(header) < HEADER_LEN:
-        raise DecodeError(len(header), "truncated header")
+    if got < HEADER_LEN:
+        raise DecodeError(got, "truncated header")
     _, length = check_header(header, max_payload)
-    payload = _read_exact(stream, length)
-    if len(payload) < length:
-        raise DecodeError(HEADER_LEN + len(payload), "truncated payload")
-    return header + payload
+    frame = bytearray(HEADER_LEN + length)
+    frame[:HEADER_LEN] = header
+    got = _read_into(stream, memoryview(frame)[HEADER_LEN:])
+    if got < length:
+        raise DecodeError(HEADER_LEN + got, "truncated payload")
+    return frame
 
 
-def _read_exact(stream, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = stream.read(n - len(buf))
-        if not chunk:
+def _read_into(stream, buf: memoryview) -> int:
+    """Fill ``buf`` from ``stream``; returns the byte count, short only at EOF."""
+    got = 0
+    while got < len(buf):
+        n = stream.readinto(buf[got:])
+        if not n:
             break
-        buf += chunk
-    return buf
+        got += n
+    return got

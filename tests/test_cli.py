@@ -209,20 +209,25 @@ def deployment(tmp_path):
         procs.append(proc)
         return _wait_listening(proc, stderr_log)
 
-    endpoints = {
-        "A": spawn("station", cfg_a),
-        "B": spawn("station", cfg_b),
-        "TSE": spawn("tse", cfg_tse),
-    }
-    yield dict(tmp_path=tmp_path, endpoints=endpoints, anchor_dir=anchor_dir, procs=procs)
-    for proc in procs:
-        if proc.poll() is None:
-            proc.terminate()
-    for proc in procs:
-        try:
-            proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+    # every daemon started is stopped again, also when a later one fails to start
+    try:
+        endpoints = {
+            "A": spawn("station", cfg_a),
+            "B": spawn("station", cfg_b),
+            "TSE": spawn("tse", cfg_tse),
+        }
+        yield dict(tmp_path=tmp_path, endpoints=endpoints, anchor_dir=anchor_dir, procs=procs)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 def _draft(deploy, run_id, **overrides):

@@ -14,6 +14,7 @@ from phtlink.envelope import (
     seal,
 )
 from phtlink.errors import (
+    DecodeError,
     DecryptionFailure,
     InnerSignatureFailure,
     OuterIntegrityFailure,
@@ -174,3 +175,47 @@ class TestPackageEncoding:
         assert header["sender_station_id"] == "A"
         assert header["run_id"] == RUN
         assert header["algorithms"]["aead"] == "AES-256-GCM"
+
+    def test_binary_layout_header_is_the_aad_bytes(self, keys):
+        from phtlink.encoding import canonical_json_bytes
+
+        pkg = sealed(keys)
+        data = pkg.to_bytes()
+        header = canonical_json_bytes(pkg.header())
+        assert data[:4] == len(header).to_bytes(4, "big")
+        assert data[4 : 4 + len(header)] == header
+        rest = data[4 + len(header) :]
+        n_key = int.from_bytes(rest[:2], "big")
+        assert rest[2 : 2 + n_key] == pkg.wrapped_content_key
+        rest = rest[2 + n_key :]
+        assert rest[:2] == (16).to_bytes(2, "big")
+        assert rest[2:18] == pkg.outer_auth_tag
+        assert rest[18:] == pkg.ciphertext
+
+    def test_every_truncation_is_a_decode_error(self, keys):
+        data = sealed(keys).to_bytes()
+        header_len = int.from_bytes(data[:4], "big")
+        # the ciphertext runs to the end of the buffer, so only cuts before it fail
+        for cut in range(4 + header_len + 2 + 104 + 2 + 16):
+            with pytest.raises(DecodeError):
+                SealedPackage.from_bytes(data[:cut])
+
+    def test_every_length_bit_flip_is_a_decode_error(self, keys):
+        data = sealed(keys).to_bytes()
+        header_len = int.from_bytes(data[:4], "big")
+        key_at = 4 + header_len
+        tag_at = key_at + 2 + 104
+        length_bits = [*range(0, 32), *range(key_at * 8, key_at * 8 + 16),
+                       *range(tag_at * 8, tag_at * 8 + 16)]
+        for bit in length_bits:
+            with pytest.raises(DecodeError):
+                SealedPackage.from_bytes(flip_bit(data, bit))
+
+    def test_bad_header_json_is_a_decode_error(self, keys):
+        data = sealed(keys).to_bytes()
+        header_len = int.from_bytes(data[:4], "big")
+        for header in (b"[]", b"{}", b'{"key_ids":"ab","run_id":"r","sender_station_id":"A"}',
+                       b"\xff" * 4):
+            body = len(header).to_bytes(4, "big") + header + data[4 + header_len :]
+            with pytest.raises(DecodeError):
+                SealedPackage.from_bytes(body)

@@ -246,6 +246,64 @@ class TestLinkProbabilistic:
         assert set(result.audit["class_counts"]) == {"match", "possible", "non_match"}
 
 
+class TestModeScopedInput:
+    """link() needs only the digest part its mode uses, and refuses an
+    extract that lacks it."""
+
+    @staticmethod
+    def _scoped(vectors, keep):
+        return [
+            PseudonymVector(v.composite) if keep == "composite" else PseudonymVector(None, v.per_field)
+            for v in vectors
+        ]
+
+    def test_exact_links_composite_only_extracts(self):
+        vecs = [fake_vec(zip_v=str(i)) for i in range(4)]
+        full = link(pseudo_dataset("A", vecs), pseudo_dataset("B", vecs[1:], "income"),
+                    LinkageParams(mode="exact"))
+        scoped = self._scoped(vecs, "composite")
+        got = link(pseudo_dataset("A", scoped), pseudo_dataset("B", scoped[1:], "income"),
+                   LinkageParams(mode="exact"))
+        assert got == full
+
+    def test_probabilistic_links_per_field_only_extracts(self):
+        ds_a, ds_b = synthetic_pair(6)
+        params = LinkageParams(blocking_fields=("gender",))
+        full = link(ds_a, ds_b, params)
+        scoped = [
+            dataclasses.replace(ds, rows=[
+                Record(payload=r.payload, pseudonym=PseudonymVector(None, r.pseudonym.per_field))
+                for r in ds.rows
+            ])
+            for ds in (ds_a, ds_b)
+        ]
+        assert link(*scoped, params) == full
+
+    @pytest.mark.parametrize("mode, keep", [("probabilistic", "composite"), ("exact", "per_field")])
+    def test_missing_part_raises(self, mode, keep):
+        vecs = self._scoped([fake_vec(), fake_vec(zip_v="z2")], keep)
+        with pytest.raises(MissingPseudonyms):
+            link(pseudo_dataset("A", vecs), pseudo_dataset("B", vecs, "income"),
+                 LinkageParams(mode=mode, blocking_fields=()))
+
+    @pytest.mark.parametrize("u", [None, (0.1,) * 4])
+    def test_empty_input_audit(self, u):
+        empty = make_dataset("B", (("income", "numeric"),), [])
+        result = link(pseudo_dataset("A", [fake_vec()]), empty, LinkageParams(u=u))
+        assert result.pairs == () and result.unmatched_a == (0,)
+        assert result.audit == {
+            "mode": "probabilistic",
+            "n_candidates": 0,
+            "class_counts": {"match": 0, "possible": 0, "non_match": 0},
+            "t_upper": 8.0,
+            "t_lower": 0.0,
+            "m": [0.95, 0.95, 0.98, 0.97],
+            "u": list(u) if u is not None else None,
+            "u_estimated": False,
+            "blocking_fields": ["date_of_birth"],
+        }
+
+
 class TestMerge:
     def test_union_payload(self):
         va = fake_vec()

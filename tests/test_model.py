@@ -210,3 +210,76 @@ class TestDatasetWireBytes:
         assert back.rows[0].pseudonym == vec
         assert back.rows[0].payload == {"age": 40}
         assert back.station_id == "A"
+
+
+class TestColumnarBody:
+    """The binary dataset body: header, raw digests, and its length checks."""
+
+    @staticmethod
+    def _dataset(mode, n=3):
+        salt = Salt(b"\x03" * 32, "run-x")
+        rows = [
+            Record(
+                payload={"age": 40 + i, "status": f"s{i}", "score": i / 3},
+                pseudonym=pseudonymize(canonicalize(raw(house=str(i + 1))), salt, mode),
+            )
+            for i in range(n)
+        ]
+        return make_dataset(
+            "A", (("age", "numeric"), ("status", "categorical"), ("score", "numeric")), rows,
+        )
+
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic", None])
+    def test_roundtrip_per_mode(self, mode):
+        ds = self._dataset(mode)
+        back = dataset_from_bytes(dataset_to_bytes(ds))
+        assert back == ds
+
+    def test_roundtrip_without_pseudonyms_or_rows(self):
+        merged = make_dataset("A+B", (("age", "numeric"),), [Record(payload={"age": 1})])
+        assert dataset_from_bytes(dataset_to_bytes(merged)) == merged
+        empty = make_dataset("A", (("age", "numeric"),), [])
+        assert dataset_from_bytes(dataset_to_bytes(empty)) == empty
+
+    def test_digests_travel_raw_after_a_length_prefixed_header(self):
+        ds = self._dataset("exact")
+        body = dataset_to_bytes(ds)
+        header_len = int.from_bytes(body[:4], "big")
+        header = json.loads(body[4 : 4 + header_len])
+        assert header["digests"] == ["composite"]
+        assert header["row_count"] == 3
+        assert header["columns"][0] == [40, 41, 42]
+        raw_digests = body[4 + header_len :]
+        assert raw_digests == b"".join(bytes.fromhex(r.pseudonym.composite) for r in ds.rows)
+        assert ds.rows[0].pseudonym.composite.encode() not in body
+
+    def test_rows_with_different_digest_parts_refused(self):
+        ds = self._dataset("exact")
+        other = self._dataset("probabilistic")
+        ds.rows[1] = other.rows[1]
+        with pytest.raises(ValueError):
+            dataset_to_bytes(ds)
+
+    def test_corrupt_lengths_rejected(self):
+        body = dataset_to_bytes(self._dataset(None))
+        header_len = int.from_bytes(body[:4], "big")
+        for bad in (
+            body[:-1],  # one digest byte short
+            body + b"\x00",  # one digest byte too many
+            (header_len + 1).to_bytes(4, "big") + body[4:],  # header swallows a byte
+            (header_len - 1).to_bytes(4, "big") + body[4:],  # header cut short
+            (2**32 - 1).to_bytes(4, "big") + body[4:],  # header overruns the body
+            body[:3],  # no room for the length itself
+        ):
+            with pytest.raises(ValueError):
+                dataset_from_bytes(bad)
+
+    @given(cut=st.integers(0, 400), flip=st.integers(0, 8 * 400 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_mangled_body_raises_only_value_error(self, cut, flip):
+        body = bytearray(dataset_to_bytes(self._dataset(None, n=1)))
+        body[flip // 8 % len(body)] ^= 1 << (flip % 8)
+        try:
+            dataset_from_bytes(bytes(body[: len(body) - cut]))
+        except ValueError:
+            pass

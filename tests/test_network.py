@@ -3,21 +3,25 @@
 import dataclasses
 import logging
 import socket
+import struct
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_scenario
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
+from phtlink import network, stations
 from phtlink.encoding import b64encode
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import sign_manifest
+from phtlink.model import QID_FIELDS
 from phtlink.network import Router, TcpNode, run_network
-from phtlink.pseudonym import Salt
-from phtlink.stations import IDLE, VALIDATED, WIPED, DataStationActor, TseActor
-from phtlink.wire import Abort, Ack, TrainDispatch, encode
+from phtlink.pseudonym import Salt, pseudonymize
+from phtlink.stations import IDLE, VALIDATED, WIPED, DataStationActor, TseActor, flip_bit
+from phtlink.wire import TYPE_DATA_TRANSFER, Abort, Ack, DataTransfer, TrainDispatch, encode
 from phtlink.synth import generate_population, generate_vertical_demo, SyntheticPopulationSpec
 
 
@@ -366,3 +370,161 @@ class TestNodeSurvives:
             out = run_network(scn.setup, transport="tcp", tse_timeout=5.0, run_timeout=30.0)
             assert out.completed
         assert threading.active_count() <= baseline
+
+
+# ---------------------------------------------------------------------------
+# Signed-but-invalid manifests, fuzzed
+# ---------------------------------------------------------------------------
+
+_KINDS = ("descriptive", "crosstab", "binned_association")
+_names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+_invalid_disclosure = st.builds(DisclosurePolicy, k_min=st.integers(max_value=0))
+_invalid_analysis = st.one_of(
+    st.builds(AnalysisSpec, kind=_names.filter(lambda k: k not in _KINDS),
+              variables=st.just(("age", "income"))),
+    st.builds(AnalysisSpec, kind=st.sampled_from(_KINDS),
+              variables=st.sampled_from([(), ("age", "income", "age")])),
+    st.builds(AnalysisSpec, kind=st.sampled_from(_KINDS[1:]), variables=st.just(("age",)),
+              bin_width=st.just(10)),
+    st.builds(AnalysisSpec, kind=st.just("binned_association"),
+              variables=st.just(("age", "income")),
+              bin_width=st.one_of(st.integers(max_value=0), _finite.filter(lambda w: w <= 0))),
+    st.builds(AnalysisSpec, kind=st.just("binned_association"),
+              variables=st.just(("age", "income")),
+              bin_edges=st.lists(st.integers(-5, 5), max_size=4).filter(
+                  lambda e: len(e) < 2 or any(a >= b for a, b in zip(e, e[1:]))
+              ).map(tuple)),
+    st.just(AnalysisSpec("binned_association", ("age", "income"))),
+    st.just(AnalysisSpec("binned_association", ("age", "income"), bin_width=10,
+                         bin_edges=(0, 10))),
+)
+_invalid_linkage = st.one_of(
+    st.builds(LinkageParams, mode=_names.filter(lambda m: m not in ("exact", "probabilistic"))),
+    st.tuples(_finite, _finite).filter(lambda t: t[0] < t[1]).map(
+        lambda t: LinkageParams(mode="probabilistic", t_upper=t[0], t_lower=t[1])),
+    st.lists(_names.filter(lambda f: f not in QID_FIELDS), min_size=1, max_size=2).map(
+        lambda fields: LinkageParams(blocking_fields=tuple(fields))),
+)
+_invalid_part = st.one_of(
+    _invalid_disclosure.map(lambda d: {"disclosure": d}),
+    _invalid_analysis.map(lambda a: {"analysis": a}),
+    _invalid_linkage.map(lambda p: {"linkage": p}),
+)
+
+
+@given(invalid=_invalid_part)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_fuzzed_invalid_manifest_aborts_before_data_moves(invalid):
+    """Whatever is wrong inside a correctly signed manifest, both transports
+    abort with InvalidManifest, the TSE ends wiped and empty, and no
+    DataTransfer frame ever reaches it."""
+    for transport in ("inproc", "tcp"):
+        scn = demo_scenario(seed=3, n_a=30, n_b=10, **invalid)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "InvalidManifest"), (transport, invalid)
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert all(frame[5] != TYPE_DATA_TRANSFER for frame in out.received_bytes.get("TSE", []))
+
+
+# ---------------------------------------------------------------------------
+# Mode-scoped payloads: data minimisation and failing closed
+# ---------------------------------------------------------------------------
+
+def _opened_plaintexts(monkeypatch, tse_keys) -> list[bytes]:
+    """Record every plaintext the TSE opens during a run."""
+    opened = []
+    original = stations.open_package
+
+    def recording(pkg, recipient, *args, **kwargs):
+        plaintext = original(pkg, recipient, *args, **kwargs)
+        if recipient is tse_keys:
+            opened.append(plaintext)
+        return plaintext
+
+    monkeypatch.setattr(stations, "open_package", recording)
+    return opened
+
+
+class TestDataMinimisation:
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_tse_receives_only_the_digests_its_mode_uses(self, monkeypatch, transport, mode):
+        salt = Salt(bytes(range(100, 132)), "run-0001")
+        scn = demo_scenario(seed=6, reuse_salt_a=salt,
+                            linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        opened = _opened_plaintexts(monkeypatch, scn.setup.tse.enc_keys)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.completed and len(opened) == 2
+
+        full = [pseudonymize(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
+        used = [v.composite for v in full] if mode == "exact" else [
+            d for v in full for d in v.per_field]
+        unused = [d for v in full for d in v.per_field] if mode == "exact" else [
+            v.composite for v in full]
+        plaintext = b"".join(opened)
+        # the digests the mode links on travel raw inside the sealed extracts ...
+        assert all(bytes.fromhex(d) in plaintext for d in used)
+        # ... and the others travel nowhere, neither raw nor as hex
+        seen = [plaintext, *out.received_bytes["TSE"]]
+        for digest in unused:
+            for needle in (bytes.fromhex(digest), digest.encode()):
+                assert not any(needle in blob for blob in seen), mode
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_composite_only_extract_under_probabilistic_linkage_aborts_and_wipes(
+        self, monkeypatch, transport
+    ):
+        # a station that hashed for exact linkage although the manifest says otherwise
+        monkeypatch.setattr(stations, "pseudonymize",
+                            lambda qid, salt, mode=None: pseudonymize(qid, salt, "exact"))
+        scn = demo_scenario(linkage=LinkageParams(mode="probabilistic"))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.outcome == "aborted" and out.reason.startswith("MissingPseudonyms")
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+
+class TestCorruptPackageBody:
+    def test_corrupt_package_length_in_frame_fails_closed(self, monkeypatch, caplog):
+        """B's DataTransfer arrives with a bad wrapped-key length: the frame is
+        dropped as undecodable, and the TSE, holding A's package, aborts at its
+        deadline and wipes."""
+        original = network.encode
+
+        def corrupting(msg):
+            frame = original(msg)
+            if isinstance(msg, DataTransfer) and msg.sender == "B":
+                (json_len,) = struct.unpack(">I", frame[10:14])
+                package_at = 14 + json_len
+                (header_len,) = struct.unpack(">I", frame[package_at : package_at + 4])
+                frame = flip_bit(frame, (package_at + 4 + header_len) * 8 + 3)
+            return frame
+
+        monkeypatch.setattr(network, "encode", corrupting)
+        scn = demo_scenario()
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            out = run_network(scn.setup, transport="inproc")
+        assert out.outcome == "aborted" and out.reason == "Timeout"
+        assert out.storage.wiped and out.storage.inventory() == ()
+        tse_events = [(e["event"], e["detail"]) for e in out.audit_logs["TSE"]]
+        assert ("data_received", "A") in tse_events
+        assert any("undecodable frame at TSE" in r.message for r in caplog.records)
+
+    def test_corrupt_dataset_length_inside_the_seal_aborts_and_wipes(self, monkeypatch):
+        """A correctly sealed extract whose inner header length is wrong is
+        refused after opening, and the TSE wipes what it held."""
+        original = stations.dataset_to_bytes
+
+        def corrupting(ds):
+            body = original(ds)
+            if ds.station_id == "B":
+                body = (int.from_bytes(body[:4], "big") + 1).to_bytes(4, "big") + body[4:]
+            return body
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", corrupting)
+        scn = demo_scenario()
+        out = run_network(scn.setup, transport="inproc")
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@B")
+        assert out.storage.wiped and out.storage.inventory() == ()

@@ -137,3 +137,46 @@ class TestPseudonymVector:
         good = "0" * 128
         with pytest.raises(ValueError):
             PseudonymVector(composite=good, per_field=(good,) * 3)
+
+    def test_per_field_only_and_composite_only_accepted(self):
+        good = "0" * 128
+        assert PseudonymVector(good).per_field == ()
+        assert PseudonymVector(None, (good,) * 4).composite is None
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError):
+            PseudonymVector(None, ())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_per_field_arity_other_than_four_rejected_without_composite(self, n):
+        with pytest.raises(ValueError):
+            PseudonymVector(None, ("0" * 128,) * n)
+
+    def test_short_per_field_digest_rejected_without_composite(self):
+        with pytest.raises(ValueError):
+            PseudonymVector(None, ("0" * 128,) * 3 + ("0" * 127,))
+
+
+class TestModeScopedPseudonyms:
+    def test_exact_mode_computes_the_composite_only(self):
+        vec = pseudonymize(QID, ZERO_SALT, "exact")
+        assert vec.composite == ORACLE_COMPOSITE_ZERO_SALT
+        assert vec.per_field == ()
+
+    def test_probabilistic_mode_computes_the_per_field_digests_only(self):
+        vec = pseudonymize(QID, ZERO_SALT, "probabilistic")
+        assert vec.composite is None
+        assert vec.per_field[0] == ORACLE_FIELD0_ZERO_SALT
+
+    def test_each_mode_is_the_matching_part_of_the_full_vector(self):
+        salt = generate_salt("run-1")
+        for qid in qids(20, seed=3):
+            full = pseudonymize(qid, salt)
+            assert pseudonymize(qid, salt, "exact") == PseudonymVector(full.composite)
+            assert pseudonymize(qid, salt, "probabilistic") == PseudonymVector(
+                None, full.per_field
+            )
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            pseudonymize(QID, ZERO_SALT, "fuzzy")

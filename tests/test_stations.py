@@ -195,6 +195,33 @@ class TestTse:
         result = outs[0].message.result
         assert result.audit["run"]["records_linked"] == len(scn.truth)
 
+    def test_received_package_is_held_but_not_copied_into_storage(self):
+        scn = scenario()
+        a, b, tse = actors(scn)
+        transfer_a, _ = run_salt_exchange(scn, a, b)
+        tse.handle(dispatch(scn.manifest))
+        assert tse.handle(transfer_a) == []
+        assert tse.storage.inventory() == ()
+        assert list(tse._packages) == ["A"]
+        tse.handle(TimeoutExpired(scn.manifest.run_id))
+        assert tse._packages == {} and tse.storage.inventory() == ()
+
+    def test_extract_carries_only_the_digests_of_the_linkage_mode(self):
+        from phtlink.linkage import LinkageParams
+
+        for mode in ("exact", "probabilistic"):
+            scn = scenario(linkage=LinkageParams(mode=mode))
+            transfer_a, _ = run_salt_exchange(scn, *actors(scn)[:2])
+            plaintext = open_package(
+                transfer_a.package, scn.setup.tse.enc_keys,
+                scn.manifest.verification_key_for("A"), expected_run_id=scn.manifest.run_id,
+            )
+            vectors = [r.pseudonym for r in dataset_from_bytes(plaintext).rows]
+            if mode == "exact":
+                assert all(v.composite and v.per_field == () for v in vectors)
+            else:
+                assert all(v.composite is None and len(v.per_field) == 4 for v in vectors)
+
     def test_post_wipe_reads_fail(self):
         scn = scenario()
         tse, _ = self.drive_happy(scn)

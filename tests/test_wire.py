@@ -11,6 +11,7 @@ from conftest import make_scenario
 from phtlink.analysis import ResultTable, ValidatedResult
 from phtlink.envelope import generate_encryption_keypair, generate_signing_keys, seal
 from phtlink.errors import DecodeError
+from phtlink.stations import flip_bit
 from phtlink.synth import generate_vertical_demo
 from phtlink.wire import (
     Abort,
@@ -21,6 +22,7 @@ from phtlink.wire import (
     ResultReturn,
     SaltOffer,
     TrainDispatch,
+    VERSION,
     decode,
     encode,
     read_frame,
@@ -35,7 +37,7 @@ class TestFrameLayout:
     def test_ack_frame_bytes(self):
         frame = encode(ack())
         assert frame[:4] == MAGIC == b"PHT1"
-        assert frame[4] == 0x01  # version
+        assert frame[4] == 0x02  # version
         assert frame[5] == 0x02  # Ack type byte
         (length,) = struct.unpack(">I", frame[6:10])
         payload = frame[10:]
@@ -136,14 +138,14 @@ class TestDecodeErrors:
             decode(encode(ack()) + b"junk")
 
     def test_oversized_length_rejected_from_header(self):
-        header = MAGIC + bytes([0x01, 0x02]) + struct.pack(">I", 2**31)
+        header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 2**31)
         with pytest.raises(DecodeError) as err:
             decode(header, max_payload=1024)
         assert err.value.offset == 6
 
     def test_garbage_payload(self):
         payload = b"not json"
-        frame = MAGIC + bytes([0x01, 0x02]) + struct.pack(">I", len(payload)) + payload
+        frame = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", len(payload)) + payload
         with pytest.raises(DecodeError) as err:
             decode(frame)
         assert err.value.offset == HEADER_LEN
@@ -169,9 +171,100 @@ class TestReadFrame:
             read_frame(io.BytesIO(frame[:-3]))
 
     def test_oversized_frame_rejected_before_payload_read(self):
-        header = MAGIC + bytes([0x01, 0x02]) + struct.pack(">I", 2**30)
+        header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 2**30)
         stream = io.BytesIO(header + b"\x00" * 100)
         with pytest.raises(DecodeError):
             read_frame(stream, max_payload=1000)
         # nothing past the header was consumed
         assert stream.tell() == HEADER_LEN
+
+
+def _transfer(plaintext=b"\x05" * 300):
+    kp, sk = generate_encryption_keypair(), generate_signing_keys()
+    pkg = seal(plaintext, "run-1", "A", kp.public_only(), sk)
+    return DataTransfer("run-1", 3, "A", pkg)
+
+
+_FUZZ_FRAME = encode(_transfer(b"\x09" * 200))
+
+
+class TestBinaryFrames:
+    def test_v1_frame_is_refused_at_the_version_byte(self):
+        v1 = bytearray(encode(ack()))
+        v1[4] = 0x01
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(v1))
+        assert err.value.offset == 4
+
+    def test_data_transfer_layout(self):
+        msg = _transfer()
+        frame = encode(msg)
+        assert frame[4] == VERSION and frame[5] == 0x04
+        (length,) = struct.unpack(">I", frame[6:10])
+        assert len(frame) == HEADER_LEN + length
+        (json_len,) = struct.unpack(">I", frame[10:14])
+        assert json.loads(frame[14 : 14 + json_len]) == {"run_id": "run-1", "seq": 3, "sender": "A"}
+        assert frame[14 + json_len :] == msg.package.to_bytes()
+
+    def test_salt_offer_header_names_both_stations(self):
+        pkg = _transfer().package
+        frame = encode(SaltOffer("run-1", 2, "A", "A", "B", pkg))
+        (json_len,) = struct.unpack(">I", frame[10:14])
+        header = json.loads(frame[14 : 14 + json_len])
+        assert header == {"run_id": "run-1", "seq": 2, "sender": "A",
+                          "from_station": "A", "to_station": "B"}
+        assert frame[14 + json_len :] == pkg.to_bytes()
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00\x00", b"\x00\x00\x00\x09{}"])
+    def test_payload_too_short_for_its_header_is_a_decode_error(self, payload):
+        frame = MAGIC + bytes([VERSION, 0x04]) + struct.pack(">I", len(payload)) + payload
+        with pytest.raises(DecodeError) as err:
+            decode(frame)
+        assert err.value.offset == HEADER_LEN
+
+    def test_no_base64_or_json_around_the_package(self):
+        msg = _transfer(b"\x00" * 64)
+        frame = encode(msg)
+        assert msg.package.ciphertext in frame
+        assert b"ciphertext" not in frame and b"package" not in frame
+
+    @given(keep=st.integers(0, len(_FUZZ_FRAME) - 1))
+    @settings(max_examples=200)
+    def test_truncated_data_transfer_raises_only_decode_error(self, keep):
+        with pytest.raises(DecodeError):
+            decode(_FUZZ_FRAME[:keep])
+
+    def test_every_length_bit_flip_raises_only_decode_error(self):
+        frame = _FUZZ_FRAME
+        (json_len,) = struct.unpack(">I", frame[10:14])
+        package_at = 14 + json_len
+        (header_len,) = struct.unpack(">I", frame[package_at : package_at + 4])
+        key_at = package_at + 4 + header_len
+        tag_at = key_at + 2 + 104
+        fields = [(6, 4), (10, 4), (package_at, 4), (key_at, 2), (tag_at, 2)]
+        for start, size in fields:
+            for bit in range(start * 8, (start + size) * 8):
+                with pytest.raises(DecodeError):
+                    decode(flip_bit(frame, bit))
+
+    @given(bit=st.integers(0, 8 * len(_FUZZ_FRAME) - 1), cut=st.integers(0, 50))
+    @settings(max_examples=300)
+    def test_mangled_frame_raises_nothing_but_decode_error(self, bit, cut):
+        mangled = flip_bit(_FUZZ_FRAME, bit)[: len(_FUZZ_FRAME) - cut]
+        try:
+            decode(mangled)
+        except DecodeError:
+            pass
+
+    def test_read_frame_fills_one_buffer_from_short_reads(self):
+        frame = encode(_transfer(b"\x07" * 100_000))
+
+        class Trickle(io.BytesIO):
+            def readinto(self, buf):
+                return super().readinto(memoryview(buf)[:777])
+
+        stream = Trickle(frame + encode(ack()))
+        assert read_frame(stream) == frame
+        assert decode(read_frame(stream)) == ack()
+        assert read_frame(stream) is None
+

@@ -11,12 +11,13 @@ released marginals by subtraction.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import io
 import math
 from dataclasses import dataclass, field
 
-from .encoding import canonical_json_bytes
+from .encoding import canonical_json_bytes, is_int, is_number, require_strings
 from .errors import TypeMismatch, UnknownVariable
 from .model import Dataset
 
@@ -39,6 +40,13 @@ class AnalysisSpec:
     def validate(self) -> None:
         if self.kind not in (KIND_DESCRIPTIVE, KIND_CROSSTAB, KIND_BINNED):
             raise ValueError(f"unknown analysis kind {self.kind!r}")
+        require_strings("analysis variables", self.variables)
+        if self.bin_width is not None and not is_number(self.bin_width):
+            raise ValueError(f"bin_width must be a number, not {self.bin_width!r}")
+        if self.bin_edges is not None and not (
+            isinstance(self.bin_edges, tuple) and all(map(is_number, self.bin_edges))
+        ):
+            raise ValueError(f"bin_edges must be a list of numbers, not {self.bin_edges!r}")
         if not 1 <= len(self.variables) <= 2:
             raise ValueError("analysis takes 1 or 2 variables")
         if self.kind in (KIND_CROSSTAB, KIND_BINNED) and len(self.variables) != 2:
@@ -61,8 +69,13 @@ class DisclosurePolicy:
     suppress_marker: str = "*"
 
     def validate(self) -> None:
-        if self.k_min < 1:
-            raise ValueError("k_min must be >= 1")
+        if not is_int(self.k_min) or self.k_min < 1:
+            raise ValueError(f"k_min must be an integer >= 1, not {self.k_min!r}")
+        # a released cell is told from a suppressed one by its type
+        if not isinstance(self.suppress_marker, str) or not self.suppress_marker:
+            raise ValueError(
+                f"suppress_marker must be a non-empty string, not {self.suppress_marker!r}"
+            )
 
 
 @dataclass
@@ -244,7 +257,7 @@ def _binned_association(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
             if x < edges[0] or x >= edges[-1]:
                 out_of_range += 1
                 continue
-            k = _bisect_bin(edges, x)
+            k = bisect.bisect_right(edges, x) - 1
             sums[k] += y
             counts[k] += 1
         for k in range(len(counts)):
@@ -271,17 +284,6 @@ def _binned_association(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
             "out_of_range": out_of_range,
         },
     )
-
-
-def _bisect_bin(edges: list[float], x: float) -> int:
-    lo, hi = 0, len(edges) - 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if x >= edges[mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def run_analysis(merged: Dataset, spec: AnalysisSpec) -> RawResult:

@@ -42,15 +42,7 @@ from .envelope import (
     signing_keys_to_pem,
 )
 from .errors import BadConfig, InvalidSpec, PhtError
-from .manifest import (
-    DataRequest,
-    TrainManifest,
-    analysis_spec_from_dict,
-    disclosure_policy_from_dict,
-    linkage_params_from_dict,
-    pool_filter_from_dict,
-    sign_manifest,
-)
+from .manifest import TrainManifest, block_from_dict, parameters_from_dict, sign_manifest
 from .model import read_dataset_csv, write_dataset_csv
 from .network import Router, TcpNode, researcher_verdict
 from .stations import (
@@ -195,35 +187,20 @@ def synth(spec_file: Path, out_dir: Path):
     variant = doc.pop("variant", "population")
     try:
         if variant == "vertical_demo":
+            optional = {k: doc[k] for k in ("seed", "age_range", "as_of") if k in doc}
+            if "age_range" in optional:
+                optional["age_range"] = tuple(optional["age_range"])
             ds_a, ds_b, truth = generate_vertical_demo(
-                n_a=doc["n_large"],
-                n_b=doc["n_small"],
-                seed=doc.get("seed", 0),
-                age_range=tuple(doc.get("age_range", (40, 75))),
-                as_of=doc.get("as_of", "2026-01-01"),
+                n_a=doc["n_large"], n_b=doc["n_small"], **optional
             )
             names = ("station_a", "station_b")
         elif variant == "population":
-            spec = SyntheticPopulationSpec(
-                n_large=doc["n_large"],
-                n_small=doc["n_small"],
-                overlap_fraction=doc["overlap_fraction"],
-                perturbation_rate=doc["perturbation_rate"],
-                age_range=tuple(doc.get("age_range", (40, 75))),
-                region_zip_prefixes=tuple(
-                    doc.get("region_zip_prefixes")
-                    or SyntheticPopulationSpec.__dataclass_fields__[
-                        "region_zip_prefixes"
-                    ].default
-                ),
-                seed=doc.get("seed", 0),
-                as_of=doc.get("as_of", "2026-01-01"),
-            )
+            spec = block_from_dict(SyntheticPopulationSpec, doc)
             ds_a, ds_b, truth = generate_population(spec)
             names = ("large", "small")
         else:
             _fail("InvalidSpec", f"unknown variant {variant!r}")
-    except InvalidSpec as exc:
+    except (InvalidSpec, ValueError, TypeError) as exc:
         _fail("InvalidSpec", str(exc))
     except KeyError as exc:
         _fail("InvalidSpec", f"missing field {exc}")
@@ -358,21 +335,11 @@ def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
         dt.datetime.now(dt.timezone.utc) + dt.timedelta(hours=1)
     ).isoformat()
     return TrainManifest(
+        **parameters_from_dict(doc),
         train_id=doc["train_id"],
         run_id=doc.get("run_id") or f"run-{os.urandom(6).hex()}",
         researcher_id=doc.get("researcher_id", "researcher"),
         tse_station_id=doc["tse_station_id"],
-        data_requests=tuple(
-            DataRequest(
-                station_id=req["station_id"],
-                variables=tuple(req["variables"]),
-                pool=pool_filter_from_dict(req.get("pool")),
-            )
-            for req in doc["data_requests"]
-        ),
-        analysis=analysis_spec_from_dict(doc["analysis"]),
-        disclosure=disclosure_policy_from_dict(doc.get("disclosure", {})),
-        linkage=linkage_params_from_dict(doc.get("linkage", {})),
         tse_public_encryption_key=tse_pub,
         tse_encryption_key_id=_derived_key_id("enc", tse_pub),
         station_verification_keys=tuple(sorted(verification.items())),

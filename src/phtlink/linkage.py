@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+from .encoding import is_number, require_strings
 from .errors import DegenerateParams, MissingPseudonyms, SchemaCollision
 from .model import QID_FIELDS, Dataset, DatasetDescriptor, Record
 from .pseudonym import LINKAGE_MODES, PseudonymVector
@@ -58,8 +59,23 @@ class LinkageParams:
     def validate(self) -> None:
         if self.mode not in LINKAGE_MODES:
             raise ValueError(f"unknown linkage mode {self.mode!r}")
+        # Fellegi-Sunter log weights need 0 < m, u < 1
+        for name in ("m", "u") if self.u is not None else ("m",):
+            probs = getattr(self, name)
+            if not (
+                isinstance(probs, tuple)
+                and len(probs) == len(QID_FIELDS)
+                and all(is_number(p) and 0 < p < 1 for p in probs)
+            ):
+                raise ValueError(
+                    f"{name} must be {len(QID_FIELDS)} numbers strictly between 0 and 1, "
+                    f"not {probs!r}"
+                )
+        if not (is_number(self.t_upper) and is_number(self.t_lower)):
+            raise ValueError("t_upper and t_lower must be numbers")
         if self.t_upper < self.t_lower:
             raise ValueError("t_upper must be >= t_lower")
+        require_strings("blocking_fields", self.blocking_fields)
         for name in self.blocking_fields:
             if name not in QID_FIELDS:
                 raise ValueError(f"unknown blocking field {name!r}")

@@ -11,10 +11,10 @@ signature, the expiry, and its own authorization before acting.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from .analysis import AnalysisSpec, DisclosurePolicy
-from .encoding import b64decode, b64encode, canonical_json_bytes
+from .encoding import b64decode, b64encode, canonical_json_bytes, is_int, require_strings
 from .envelope import SigningKeys, sign_payload, verify_payload
 from .linkage import LinkageParams
 
@@ -34,6 +34,19 @@ class PoolFilter:
     #: date the age is computed against, fixed in the manifest so both
     #: stations apply the same cut
     as_of: str = "2026-01-01"
+
+    def validate(self) -> None:
+        for name in ("age_min", "age_max"):
+            age = getattr(self, name)
+            if age is not None and not (is_int(age) and age >= 0):
+                raise ValueError(f"pool {name} must be a non-negative integer, not {age!r}")
+        if None not in (self.age_min, self.age_max) and self.age_min > self.age_max:
+            raise ValueError("pool age_min must be <= age_max")
+        require_strings("pool zip_prefixes", self.zip_prefixes)
+        try:
+            dt.date.fromisoformat(self.as_of)
+        except (TypeError, ValueError):
+            raise ValueError(f"pool as_of must be an ISO date, not {self.as_of!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,11 +126,11 @@ def validate_train(
     allowed_variables: tuple[str, ...] | None = None,
 ) -> Validation:
     """Accept iff the credential signature verifies, the manifest has not
-    expired, its analysis, disclosure policy and linkage parameters are
-    well-formed, and (for a data station) the request touches only variables
-    the station is configured to release. A signature vouches for who wrote
-    a manifest, not for what it asks, so the contents are checked before any
-    data moves."""
+    expired, its analysis, disclosure policy, linkage parameters, requests
+    and pool filters are well-typed and in range, and (for a data station)
+    the request touches only variables the station is configured to
+    release. A signature vouches for who wrote a manifest, not for what it
+    asks, so the contents are checked before any data moves."""
     if manifest.credential_signature is None or not verify_payload(
         trust_anchor_verify, manifest.signable_bytes(), manifest.credential_signature
     ):
@@ -128,6 +141,10 @@ def validate_train(
         manifest.analysis.validate()
         manifest.disclosure.validate()
         manifest.linkage.validate()
+        for request in manifest.data_requests:
+            require_strings(f"{request.station_id} variables", request.variables)
+            if request.pool is not None:
+                request.pool.validate()
     except ValueError as exc:
         return Validation(False, REASON_INVALID_MANIFEST, str(exc))
     if station_id is not None:
@@ -151,79 +168,41 @@ def validate_train(
 # Dict / JSON conversion (wire format and draft files)
 # ---------------------------------------------------------------------------
 
-def pool_filter_to_dict(pool: PoolFilter | None) -> dict | None:
-    if pool is None:
-        return None
+def block_from_dict(cls, doc):
+    """Read one parameter block, a dataclass, from its JSON object.
+
+    An absent key takes the dataclass default and a JSON array becomes a
+    tuple. An unknown key, or an absent one without a default, raises
+    ValueError naming it: a misspelt key fails closed instead of quietly
+    leaving a restriction at its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
+    declared = {f.name: f for f in fields(cls)}
+    for key in doc:
+        if key not in declared:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}")
+    for name, f in declared.items():
+        if name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing {cls.__name__} key {name!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+
+def parameters_from_dict(doc: dict) -> dict:
+    """A manifest's data requests and parameter blocks, as TrainManifest
+    keyword arguments, from a manifest or a draft; an absent disclosure or
+    linkage block takes its defaults."""
+    requests = []
+    for item in doc["data_requests"]:
+        request = block_from_dict(DataRequest, item)
+        if request.pool is not None:
+            request = replace(request, pool=block_from_dict(PoolFilter, request.pool))
+        requests.append(request)
     return {
-        "age_min": pool.age_min,
-        "age_max": pool.age_max,
-        "zip_prefixes": list(pool.zip_prefixes),
-        "as_of": pool.as_of,
+        "data_requests": tuple(requests),
+        "analysis": block_from_dict(AnalysisSpec, doc["analysis"]),
+        "disclosure": block_from_dict(DisclosurePolicy, doc.get("disclosure", {})),
+        "linkage": block_from_dict(LinkageParams, doc.get("linkage", {})),
     }
-
-
-def pool_filter_from_dict(doc: dict | None) -> PoolFilter | None:
-    if doc is None:
-        return None
-    return PoolFilter(
-        age_min=doc.get("age_min"),
-        age_max=doc.get("age_max"),
-        zip_prefixes=tuple(doc.get("zip_prefixes") or ()),
-        as_of=doc.get("as_of", "2026-01-01"),
-    )
-
-
-def analysis_spec_to_dict(spec: AnalysisSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "variables": list(spec.variables),
-        "bin_width": spec.bin_width,
-        "bin_edges": list(spec.bin_edges) if spec.bin_edges is not None else None,
-    }
-
-
-def analysis_spec_from_dict(doc: dict) -> AnalysisSpec:
-    return AnalysisSpec(
-        kind=doc["kind"],
-        variables=tuple(doc["variables"]),
-        bin_width=doc.get("bin_width"),
-        bin_edges=tuple(doc["bin_edges"]) if doc.get("bin_edges") is not None else None,
-    )
-
-
-def disclosure_policy_to_dict(policy: DisclosurePolicy) -> dict:
-    return {"k_min": policy.k_min, "suppress_marker": policy.suppress_marker}
-
-
-def disclosure_policy_from_dict(doc: dict) -> DisclosurePolicy:
-    return DisclosurePolicy(
-        k_min=doc.get("k_min", 10), suppress_marker=doc.get("suppress_marker", "*")
-    )
-
-
-def linkage_params_to_dict(params: LinkageParams) -> dict:
-    return {
-        "mode": params.mode,
-        "m": list(params.m),
-        "u": list(params.u) if params.u is not None else None,
-        "t_upper": params.t_upper,
-        "t_lower": params.t_lower,
-        "blocking_fields": list(params.blocking_fields),
-    }
-
-
-def linkage_params_from_dict(doc: dict) -> LinkageParams:
-    defaults = LinkageParams()
-    return LinkageParams(
-        mode=doc.get("mode", defaults.mode),
-        m=tuple(doc.get("m", defaults.m)),
-        u=tuple(doc["u"]) if doc.get("u") is not None else None,
-        t_upper=doc.get("t_upper", defaults.t_upper),
-        t_lower=doc.get("t_lower", defaults.t_lower),
-        blocking_fields=tuple(
-            doc.get("blocking_fields", defaults.blocking_fields)
-        ),
-    )
 
 
 def manifest_to_dict(manifest: TrainManifest) -> dict:
@@ -232,17 +211,10 @@ def manifest_to_dict(manifest: TrainManifest) -> dict:
         "run_id": manifest.run_id,
         "researcher_id": manifest.researcher_id,
         "tse_station_id": manifest.tse_station_id,
-        "data_requests": [
-            {
-                "station_id": req.station_id,
-                "variables": list(req.variables),
-                "pool": pool_filter_to_dict(req.pool),
-            }
-            for req in manifest.data_requests
-        ],
-        "analysis": analysis_spec_to_dict(manifest.analysis),
-        "disclosure": disclosure_policy_to_dict(manifest.disclosure),
-        "linkage": linkage_params_to_dict(manifest.linkage),
+        "data_requests": [asdict(req) for req in manifest.data_requests],
+        "analysis": asdict(manifest.analysis),
+        "disclosure": asdict(manifest.disclosure),
+        "linkage": asdict(manifest.linkage),
         "tse_public_encryption_key": b64encode(manifest.tse_public_encryption_key),
         "tse_encryption_key_id": manifest.tse_encryption_key_id,
         "station_verification_keys": {
@@ -260,21 +232,11 @@ def manifest_to_dict(manifest: TrainManifest) -> dict:
 def manifest_from_dict(doc: dict) -> TrainManifest:
     signature = doc.get("credential_signature")
     return TrainManifest(
+        **parameters_from_dict(doc),
         train_id=doc["train_id"],
         run_id=doc["run_id"],
         researcher_id=doc["researcher_id"],
         tse_station_id=doc["tse_station_id"],
-        data_requests=tuple(
-            DataRequest(
-                station_id=req["station_id"],
-                variables=tuple(req["variables"]),
-                pool=pool_filter_from_dict(req.get("pool")),
-            )
-            for req in doc["data_requests"]
-        ),
-        analysis=analysis_spec_from_dict(doc["analysis"]),
-        disclosure=disclosure_policy_from_dict(doc["disclosure"]),
-        linkage=linkage_params_from_dict(doc["linkage"]),
         tse_public_encryption_key=b64decode(doc["tse_public_encryption_key"]),
         tse_encryption_key_id=doc["tse_encryption_key_id"],
         station_verification_keys=tuple(

@@ -41,7 +41,7 @@ from .stations import (
     TseConfig,
     TseStorage,
 )
-from .wire import MAX_PAYLOAD_DEFAULT, TrainDispatch, decode, encode, message_type_name, read_frame
+from .wire import TrainDispatch, decode, encode, message_type_name, read_frame
 
 DEFAULT_TSE_TIMEOUT = 60.0
 
@@ -57,7 +57,6 @@ class RunSetup:
     manifest: TrainManifest
     stations: list[DataStationConfig]
     tse: TseConfig
-    max_payload: int = MAX_PAYLOAD_DEFAULT
 
 
 @dataclass
@@ -174,22 +173,30 @@ class Router:
         return out
 
     def _handle(self, run_id: str, actor, msg) -> list[Outgoing]:
+        """Run the actor's handler; one that raises fails its run closed:
+        the actor aborts with the exception as its reason and is evicted."""
+        raised = False
         try:
             return actor.handle(msg)
+        except Exception as exc:
+            raised = True
+            _drop(run_id, getattr(msg, "sender", "?"),
+                  f"handler raised {type(exc).__name__}: {exc}", exc_info=True)
+            return actor.abort(f"{type(exc).__name__}: {exc}")
         finally:
-            if actor.terminal:
+            if raised or actor.terminal:
                 del self.actors[run_id]
                 self.finished.add(run_id)
                 self._done.pop(run_id).set()
 
 
-def _receive(node_id: str, handler, frame: bytes, max_payload: int, ledger) -> list[Outgoing]:
+def _receive(node_id: str, handler, frame: bytes, ledger) -> list[Outgoing]:
     """Decode one frame and hand it to ``handler`` on this thread; a frame
     that cannot be decoded, or a handler that raises, is logged and dropped."""
     if ledger is not None:
         ledger.received[node_id].append(frame)
     try:
-        msg = decode(frame, max_payload)
+        msg = decode(frame)
     except DecodeError as exc:
         _drop("?", "?", f"undecodable frame at {node_id}: {exc}")
         return []
@@ -235,9 +242,9 @@ def run_network(
     done = routers[manifest.researcher_id].add(manifest.run_id, researcher)
 
     if transport == "inproc":
-        _pump_inproc(setup, routers, researcher, ledger)
+        _pump_inproc(routers, researcher, ledger)
     else:
-        _pump_tcp(setup, routers, researcher, ledger, done, run_timeout)
+        _pump_tcp(routers, researcher, ledger, done, run_timeout)
 
     outcome, reason, result = researcher_verdict(researcher, silent="Stalled")
     return RunOutcome(
@@ -253,7 +260,7 @@ def run_network(
     )
 
 
-def _pump_inproc(setup: RunSetup, routers: dict[str, Router], researcher, ledger) -> None:
+def _pump_inproc(routers: dict[str, Router], researcher, ledger) -> None:
     queues: dict[str, deque] = {aid: deque() for aid in routers}
     researcher.endpoints = {aid: f"inproc:{aid}" for aid in routers}
 
@@ -271,7 +278,7 @@ def _pump_inproc(setup: RunSetup, routers: dict[str, Router], researcher, ledger
         progress = False
         for aid in order:
             if queues[aid]:
-                post(_receive(aid, routers[aid], queues[aid].popleft(), setup.max_payload, ledger))
+                post(_receive(aid, routers[aid], queues[aid].popleft(), ledger))
                 progress = True
         if progress:
             continue
@@ -282,10 +289,9 @@ def _pump_inproc(setup: RunSetup, routers: dict[str, Router], researcher, ledger
             return
 
 
-def _pump_tcp(setup: RunSetup, routers, researcher, ledger, done, run_timeout: float) -> None:
+def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:
     address_book: dict[str, str] = {}
-    nodes = {aid: TcpNode(aid, router, address_book, setup.max_payload)
-             for aid, router in routers.items()}
+    nodes = {aid: TcpNode(aid, router, address_book) for aid, router in routers.items()}
     address_book.update({aid: node.address for aid, node in nodes.items()})
     researcher.endpoints = dict(address_book)
     for node in nodes.values():
@@ -315,7 +321,6 @@ class TcpNode:
         node_id: str,
         handler,
         address_book: dict[str, str],
-        max_payload: int = MAX_PAYLOAD_DEFAULT,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -323,7 +328,6 @@ class TcpNode:
         self.handler = handler
         self.router = handler if isinstance(handler, Router) else Router()
         self.address_book = address_book
-        self.max_payload = max_payload
         self._server = socket.create_server((host, port))
         self.address = "{}:{}".format(*self._server.getsockname())
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
@@ -357,7 +361,7 @@ class TcpNode:
     def _read_loop(self, conn: socket.socket) -> None:
         try:
             with conn, conn.makefile("rb") as stream:
-                while (frame := read_frame(stream, self.max_payload)) is not None:
+                while (frame := read_frame(stream)) is not None:
                     self._inbox.put(frame)
         except (DecodeError, OSError) as exc:
             _drop("?", "?", f"connection to {self.node_id} dropped: {exc}")
@@ -376,8 +380,7 @@ class TcpNode:
                 continue
             if frame is None:  # stop() was called
                 return
-            self.post(_receive(self.node_id, self.handler, frame, self.max_payload,
-                               self.router.ledger))
+            self.post(_receive(self.node_id, self.handler, frame, self.router.ledger))
             self._in_flight(-1)
 
     def _in_flight(self, n: int) -> None:

@@ -36,7 +36,7 @@ from .envelope import (
 from .errors import PhtError, StorageWiped
 from .linkage import link, merge
 from .manifest import TrainManifest, validate_train
-from .model import Dataset, Record, age_on, dataset_from_bytes, dataset_to_bytes
+from .model import Dataset, Record, dataset_from_bytes, dataset_to_bytes
 from .pseudonym import Salt, generate_salt, pseudonymize
 from .wire import (
     Abort,
@@ -116,24 +116,38 @@ def flip_bit(data: bytes, bit_index: int) -> bytes:
     return bytes(out)
 
 
+def _born_by(as_of: dt.date, age: int) -> str:
+    """The last ISO date of birth that is ``age`` years old on ``as_of``.
+
+    Exactly those born on or before it have ``age_on(born, as_of) >= age``.
+    It compares as a string with canonical dates even where no such day
+    exists, as with 29 February in a common year."""
+    return f"{as_of.year - age:04d}-{as_of.month:02d}-{as_of.day:02d}"
+
+
 def apply_pool_filter(rows: list[Record], pool) -> list[Record]:
-    """Keep rows whose QID passes the manifest's pool restriction."""
+    """Keep rows whose QID passes the manifest's pool restriction.
+
+    ``as_of`` is parsed once per call: each canonical date of birth is
+    compared with two cut-off dates instead of computing every row's age."""
     if pool is None:
         return list(rows)
+    as_of = dt.date.fromisoformat(pool.as_of)
+    # older than age_max, and at least age_min, if born on or before these
+    too_old = None if pool.age_max is None else _born_by(as_of, pool.age_max + 1)
+    old_enough = None if pool.age_min is None else _born_by(as_of, pool.age_min)
+    prefixes = tuple(pool.zip_prefixes)
     kept = []
     for row in rows:
         qid = row.qid
         if qid is None:
             raise PhtError("pool filter needs raw QIDs")
-        if pool.age_min is not None or pool.age_max is not None:
-            age = age_on(qid.date_of_birth, pool.as_of)
-            if pool.age_min is not None and age < pool.age_min:
-                continue
-            if pool.age_max is not None and age > pool.age_max:
-                continue
-        if pool.zip_prefixes and not any(
-            qid.zip_code.startswith(p) for p in pool.zip_prefixes
-        ):
+        born = qid.date_of_birth
+        if too_old is not None and born <= too_old:
+            continue
+        if old_enough is not None and born > old_enough:
+            continue
+        if prefixes and not qid.zip_code.startswith(prefixes):
             continue
         kept.append(row)
     return kept
@@ -207,9 +221,10 @@ class DataStationActor(_SequencedActor):
             dest, Ack(self._run_id, self.next_seq(), self.station_id, ACK_OK)
         )
 
-    def _abort(
+    def abort(
         self, reason: str, run_id: str | None = None, fallback_dest: str | None = None
     ) -> list[Outgoing]:
+        """Give the run up and tell the researcher and the TSE why."""
         run = run_id or self._run_id or "?"
         self.phase = DONE
         self.audit.log(run, self.phase, "abort", reason)
@@ -228,7 +243,7 @@ class DataStationActor(_SequencedActor):
 
     def handle(self, msg: Message) -> list[Outgoing]:
         if not self.in_order(msg):
-            return self._abort(f"OutOfOrder({msg.sender})", fallback_dest=msg.sender)
+            return self.abort(f"OutOfOrder({msg.sender})", fallback_dest=msg.sender)
         if isinstance(msg, TrainDispatch):
             return self._on_dispatch(msg)
         if isinstance(msg, SaltOffer):
@@ -239,15 +254,15 @@ class DataStationActor(_SequencedActor):
             self.audit.log(msg.run_id, self.phase, "peer_abort", msg.reason)
             self.phase = DONE
             return []
-        return self._abort(
+        return self.abort(
             f"UnexpectedMessage({message_type_name(msg)})", fallback_dest=msg.sender
         )
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
         if msg.run_id in self._seen_runs:
-            return self._abort("DuplicateRun", msg.run_id)
+            return self.abort("DuplicateRun", msg.run_id)
         if self.phase != IDLE:
-            return self._abort(f"UnexpectedMessage(TrainDispatch in {self.phase})")
+            return self.abort(f"UnexpectedMessage(TrainDispatch in {self.phase})")
         self._seen_runs.add(msg.run_id)
         self._manifest = msg.manifest
         self._run_id = msg.run_id
@@ -260,7 +275,7 @@ class DataStationActor(_SequencedActor):
             allowed_variables=self.config.allowed_variables,
         )
         if not verdict.accepted:
-            return self._abort(verdict.reason)
+            return self.abort(verdict.reason)
         self.phase = VALIDATED
         self.audit.log(self._run_id, self.phase, "train_validated")
         out = [self._ack(msg.manifest.researcher_id)]
@@ -273,11 +288,11 @@ class DataStationActor(_SequencedActor):
         manifest = self._manifest
         peers = [s for s in manifest.data_station_ids() if s != self.station_id]
         if len(peers) != 1:
-            return self._abort(f"BadTopology({len(peers)} peers)")
+            return self.abort(f"BadTopology({len(peers)} peers)")
         peer = peers[0]
         peer_key = self.config.peer_encryption_keys.get(peer)
         if peer_key is None:
-            return self._abort(f"MissingPeerKey({peer})")
+            return self.abort(f"MissingPeerKey({peer})")
         self._salt = self.config.reuse_salt or generate_salt(self._run_id)
         try:
             sealed = seal(
@@ -288,7 +303,7 @@ class DataStationActor(_SequencedActor):
                 self.config.sign_keys,
             )
         except PhtError as exc:
-            return self._abort(type(exc).__name__)
+            return self.abort(type(exc).__name__)
         self.audit.log(self._run_id, self.phase, "salt_offered", peer)
         return [
             Outgoing(
@@ -306,16 +321,16 @@ class DataStationActor(_SequencedActor):
 
     def _on_salt_offer(self, msg: SaltOffer) -> list[Outgoing]:
         if self.phase != VALIDATED or msg.run_id != self._run_id:
-            return self._abort(
+            return self.abort(
                 f"UnexpectedMessage(SaltOffer in {self.phase})",
                 run_id=msg.run_id,
                 fallback_dest=msg.sender,
             )
         if msg.to_station != self.station_id:
-            return self._abort("MisroutedSaltOffer")
+            return self.abort("MisroutedSaltOffer")
         verifier = self._manifest.verification_key_for(msg.from_station)
         if verifier is None:
-            return self._abort(f"UnknownStation({msg.from_station})")
+            return self.abort(f"UnknownStation({msg.from_station})")
         try:
             salt_bytes = open_package(
                 msg.sealed_salt,
@@ -324,7 +339,7 @@ class DataStationActor(_SequencedActor):
                 expected_run_id=self._run_id,
             )
         except PhtError as exc:
-            return self._abort(type(exc).__name__)
+            return self.abort(type(exc).__name__)
         self._salt = Salt(bytes=salt_bytes, run_id=self._run_id)
         self.audit.log(self._run_id, self.phase, "salt_accepted", msg.from_station)
         out = [self._ack(msg.from_station)]
@@ -343,7 +358,7 @@ class DataStationActor(_SequencedActor):
         ):
             self.audit.log(self._run_id, self.phase, "salt_agreed", msg.sender)
             return self._prepare_and_send()
-        return self._abort(f"UnexpectedMessage(Ack from {msg.sender} in {self.phase})")
+        return self.abort(f"UnexpectedMessage(Ack from {msg.sender} in {self.phase})")
 
     def _prepare_and_send(self) -> list[Outgoing]:
         manifest = self._manifest
@@ -352,13 +367,13 @@ class DataStationActor(_SequencedActor):
 
         # a salt is good for exactly one run; enforced here, at seal time
         if self._salt.run_id != self._run_id:
-            return self._abort("RunMismatch(salt)")
+            return self.abort("RunMismatch(salt)")
 
         request = manifest.request_for(self.station_id)
         dataset = self.config.dataset
         missing = [v for v in request.variables if v not in dataset.variable_names()]
         if missing:
-            return self._abort(f"UnknownVariable({missing[0]})")
+            return self.abort(f"UnknownVariable({missing[0]})")
 
         kept = apply_pool_filter(dataset.rows, request.pool)
         schema = tuple(
@@ -401,7 +416,7 @@ class DataStationActor(_SequencedActor):
                 self.config.sign_keys,
             )
         except PhtError as exc:
-            return self._abort(type(exc).__name__)
+            return self.abort(type(exc).__name__)
         if self.config.fault == FAULT_TAMPER:
             package = replace(package, ciphertext=flip_bit(package.ciphertext, 7))
             self.audit.log(self._run_id, self.phase, "fault", "tamper")
@@ -488,7 +503,8 @@ class TseActor(_SequencedActor):
         if detail is not None:
             self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
 
-    def _abort(self, reason: str) -> list[Outgoing]:
+    def abort(self, reason: str) -> list[Outgoing]:
+        """Wipe, and tell the researcher why (once per run)."""
         self.wipe()
         run = self._run_id or "?"
         self.audit.log(run, self.phase, "abort_wiped", reason)
@@ -505,27 +521,27 @@ class TseActor(_SequencedActor):
     def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
         if isinstance(msg, TimeoutExpired):
             if self.phase == AWAITING_DATA:
-                return self._abort("Timeout")
+                return self.abort("Timeout")
             return []
         if not self.in_order(msg):
-            return self._abort(f"OutOfOrder({msg.sender})")
+            return self.abort(f"OutOfOrder({msg.sender})")
         if isinstance(msg, TrainDispatch):
             return self._on_dispatch(msg)
         if isinstance(msg, DataTransfer):
             return self._on_data(msg)
         if isinstance(msg, SaltOffer):
             # the salt exchange is station-to-station; it must never be here
-            return self._abort("SaltOfferAtTse")
+            return self.abort("SaltOfferAtTse")
         if isinstance(msg, Abort):
             self.audit.log(msg.run_id, self.phase, "station_abort", msg.reason)
             if self.phase != WIPED:
                 self.wipe("after station abort")
             return []
-        return self._abort(f"UnexpectedMessage({message_type_name(msg)})")
+        return self.abort(f"UnexpectedMessage({message_type_name(msg)})")
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
         if msg.run_id in self._seen_runs or self.phase != IDLE:
-            return self._abort("DuplicateRun")
+            return self.abort("DuplicateRun")
         self._seen_runs.add(msg.run_id)
         self._manifest = msg.manifest
         self._run_id = msg.run_id
@@ -533,14 +549,14 @@ class TseActor(_SequencedActor):
             msg.manifest, self.config.trust_anchor_verify, self.config.clock()
         )
         if not verdict.accepted:
-            return self._abort(verdict.reason)
+            return self.abort(verdict.reason)
         self.phase = VALIDATED
         self.audit.log(self._run_id, self.phase, "train_validated")
         self._expected = msg.manifest.data_station_ids()
         # pairwise linkage only: reject wider topologies instead of silently
         # dropping a station's data
         if len(self._expected) != 2:
-            return self._abort(f"UnsupportedTopology({len(self._expected)} stations)")
+            return self.abort(f"UnsupportedTopology({len(self._expected)} stations)")
         self.phase = AWAITING_DATA
         self.audit.log(self._run_id, self.phase, "awaiting_data", ",".join(self._expected))
         return [
@@ -552,19 +568,16 @@ class TseActor(_SequencedActor):
 
     def _on_data(self, msg: DataTransfer) -> list[Outgoing]:
         if self.phase != AWAITING_DATA or msg.run_id != self._run_id:
-            return self._abort(f"UnexpectedMessage(DataTransfer in {self.phase})")
+            return self.abort(f"UnexpectedMessage(DataTransfer in {self.phase})")
         if msg.sender not in self._expected:
-            return self._abort(f"UnexpectedStation({msg.sender})")
+            return self.abort(f"UnexpectedStation({msg.sender})")
         if msg.sender in self._packages:
-            return self._abort(f"DuplicateTransfer({msg.sender})")
+            return self.abort(f"DuplicateTransfer({msg.sender})")
         self._packages[msg.sender] = msg.package
         self.audit.log(self._run_id, self.phase, "data_received", msg.sender)
         if set(self._packages) != set(self._expected):
             return []
-        try:
-            return self._process()
-        except Exception as exc:  # fail closed: whatever broke, the run is wiped
-            return self._abort(f"{type(exc).__name__}: {exc}")
+        return self._process()
 
     def _process(self) -> list[Outgoing]:
         manifest = self._manifest
@@ -578,13 +591,13 @@ class TseActor(_SequencedActor):
                     expected_run_id=self._run_id,
                 )
             except PhtError as exc:
-                return self._abort(f"{type(exc).__name__}@{sid}")
+                return self.abort(f"{type(exc).__name__}@{sid}")
             self.storage.put_bytes(f"dataset:{sid}", plaintext)
             self.audit.log(self._run_id, self.phase, "package_opened", sid)
             try:
                 datasets.append(dataset_from_bytes(plaintext))
             except (PhtError, ValueError, KeyError) as exc:
-                return self._abort(f"BadDataset@{sid}: {exc}")
+                return self.abort(f"BadDataset@{sid}: {exc}")
 
         self.phase = LINKING
         self.audit.log(self._run_id, self.phase, "linking")
@@ -637,7 +650,8 @@ class ResearcherActor(_SequencedActor):
     has acknowledged its own dispatch, and not at all if the run aborts
     first. Its SaltOffer, and every DataTransfer, then reaches a party only
     after that party's TrainDispatch, however a transport interleaves
-    messages from different senders."""
+    messages from different senders. On the first Abort it hears of, it
+    cancels the run at every other party it has dispatched."""
 
     def __init__(
         self,
@@ -653,11 +667,13 @@ class ResearcherActor(_SequencedActor):
         self.audit = AuditLog(researcher_id, audit_path, clock)
         self.acks: list[tuple[str, str]] = []
         self.outcome: tuple[str, object] | None = None
+        self._dispatched: list[str] = []
         self._initiator: str | None = None
         # parties whose dispatch Ack the initiator's dispatch still waits for
         self._awaiting_acks: set[str] = set()
 
     def _dispatch(self, dest: str) -> Outgoing:
+        self._dispatched.append(dest)
         return Outgoing(
             dest,
             TrainDispatch(
@@ -692,12 +708,28 @@ class ResearcherActor(_SequencedActor):
                 self.outcome = ("completed", msg.result)
                 self.audit.log(msg.run_id, "Receive", "result_returned", msg.sender)
         elif isinstance(msg, Abort):
-            if self.outcome is None:
-                self.outcome = ("aborted", msg.reason)
-                self.audit.log(msg.run_id, "Receive", "aborted", msg.reason)
+            return self.abort(msg.reason, msg.sender)
         else:
             self.audit.log(msg.run_id, "Receive", "unexpected_dropped", message_type_name(msg))
         return []
+
+    def abort(self, reason: str, sender: str | None = None) -> list[Outgoing]:
+        """Record the run as aborted, unless it already ended, and cancel it
+        at every party dispatched so far except ``sender``, who reported
+        the abort. A cancel leaves on the dispatch's channel, so it reaches
+        each party after that party's dispatch."""
+        if self.outcome is not None:
+            return []
+        run = self.manifest.run_id
+        self.outcome = ("aborted", reason)
+        self.audit.log(run, "Receive", "aborted", reason)
+        cancel = [dest for dest in self._dispatched if dest != sender]
+        if cancel:
+            self.audit.log(run, "Dispatch", "cancelled", ",".join(cancel))
+        return [
+            Outgoing(dest, Abort(run, self.next_seq(), self.station_id, reason))
+            for dest in cancel
+        ]
 
     def _on_ack(self, msg: Ack) -> list[Outgoing]:
         if (

@@ -56,6 +56,8 @@ class SyntheticPopulationSpec:
             raise InvalidSpec("overlap exceeds the large dataset")
         if self.age_range[0] > self.age_range[1] or self.age_range[0] < 0:
             raise InvalidSpec("bad age_range")
+        if not self.region_zip_prefixes:
+            raise InvalidSpec("region_zip_prefixes must name at least one prefix")
         for prefix in self.region_zip_prefixes:
             if len(prefix) != 4 or not prefix.isdigit():
                 raise InvalidSpec(f"zip prefix {prefix!r} must be 4 digits")
@@ -67,9 +69,6 @@ class GroundTruth:
     """True (large index, small index) counterparts, ordered by small index."""
 
     pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    def small_to_large(self) -> dict[int, int]:
-        return {s: l for l, s in self.pairs}
 
     def __len__(self) -> int:
         return len(self.pairs)

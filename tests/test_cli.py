@@ -111,6 +111,12 @@ class TestSynth:
         truth = json.loads((tmp_path / "demo" / "ground_truth.json").read_text())
         assert len(truth["pairs"]) == 10
 
+    def test_unknown_population_key_is_invalid_spec(self, tmp_path):
+        spec = self.spec_file(tmp_path, overlap_fracton=0.5)
+        result = CliRunner().invoke(main, ["synth", str(spec)])
+        assert result.exit_code != 0
+        assert "InvalidSpec" in result.output and "overlap_fracton" in result.output
+
     def test_invalid_spec_fails_with_reason(self, tmp_path):
         spec = self.spec_file(tmp_path, n_large=5, n_small=50, overlap_fraction=1.0)
         result = CliRunner().invoke(main, ["synth", str(spec)])
@@ -257,6 +263,30 @@ def _draft(deploy, run_id, **overrides):
     path = deploy["tmp_path"] / f"draft_{run_id}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestBadDraft:
+    def test_misspelt_pool_key_fails_before_any_frame_is_sent(self, tmp_path):
+        runner = CliRunner()
+        for party in ("a", "b", "tse", "researcher"):
+            assert runner.invoke(main, ["keygen", str(tmp_path / "keys" / party)]).exit_code == 0
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = "{}:{}".format(*listener.getsockname())
+            deploy = dict(tmp_path=tmp_path, endpoints=dict.fromkeys(("A", "B", "TSE"), address))
+            draft = _draft(deploy, "run-cli-bad", data_requests=[
+                {"station_id": "A", "variables": ["age"], "pool": {"age_mn": 40}},
+                {"station_id": "B", "variables": ["income"]},
+            ])
+            result = runner.invoke(main, [
+                "submit", str(draft),
+                "--anchor-key", str(tmp_path / "keys" / "researcher" / "anchor_private.pem"),
+                "--out", str(tmp_path / "out"), "--timeout", "5",
+            ])
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # nobody connected
+        assert result.exit_code == 2
+        assert "BadDraft" in result.output and "age_mn" in result.output
 
 
 class TestSubmitEndToEnd:

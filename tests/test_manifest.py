@@ -1,6 +1,9 @@
 """Manifest signing, credential checking, dict roundtrip."""
 
 import dataclasses
+import hashlib
+
+import pytest
 
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink.envelope import generate_encryption_keypair, generate_signing_keys
@@ -9,6 +12,7 @@ from phtlink.manifest import (
     DataRequest,
     PoolFilter,
     TrainManifest,
+    block_from_dict,
     manifest_from_dict,
     manifest_to_dict,
     sign_manifest,
@@ -16,6 +20,10 @@ from phtlink.manifest import (
 )
 
 NOW = "2026-06-01T00:00:00Z"
+
+# SHA-256 of signable_bytes() for the two fixed manifests in TestSignableBytesPinned
+PINNED_POOL_U = "e5056d460b3e6aa23e94cb8f3249638237368c5deaef51725ecba6191fdcc609"
+PINNED_EDGES_MARKER = "ccc7f48f75fcf3be153ca39c4f8869625ff9734500f23ad7712965456407a3da"
 
 
 def build_manifest():
@@ -110,3 +118,109 @@ class TestManifestEncoding:
     def test_salt_initiator_is_lowest_station_id(self):
         manifest, _ = build_manifest()
         assert manifest.salt_initiator_id() == "A"
+
+
+def _fixed_manifest(**blocks) -> TrainManifest:
+    """A manifest built from fixed key bytes only, so its bytes never vary."""
+    return TrainManifest(
+        train_id="t-pinned",
+        run_id="run-pinned",
+        researcher_id="researcher",
+        tse_station_id="TSE",
+        data_requests=blocks.pop("data_requests"),
+        tse_public_encryption_key=bytes(range(32)),
+        tse_encryption_key_id="static:enc:pinned",
+        station_verification_keys=(("A", b"\x0a" * 32), ("B", b"\x0b" * 32)),
+        expiry="2099-01-01T00:00:00Z",
+        **blocks,
+    )
+
+
+class TestSignableBytesPinned:
+    """The bytes a trust anchor signs, pinned: any change to how the
+    parameter blocks are written would invalidate every issued signature."""
+
+    def test_pool_and_explicit_u(self):
+        manifest = _fixed_manifest(
+            data_requests=(
+                DataRequest("A", ("age",), PoolFilter(age_min=40, age_max=75,
+                                                      zip_prefixes=("6211", "6221"))),
+                DataRequest("B", ("income",)),
+            ),
+            analysis=AnalysisSpec("binned_association", ("age", "income"), bin_width=10),
+            disclosure=DisclosurePolicy(k_min=5),
+            linkage=LinkageParams(mode="probabilistic", u=(0.01, 0.02, 0.5, 0.001),
+                                  blocking_fields=("gender", "zip_code")),
+        )
+        assert hashlib.sha256(manifest.signable_bytes()).hexdigest() == PINNED_POOL_U
+
+    def test_bin_edges_and_custom_marker(self):
+        manifest = _fixed_manifest(
+            data_requests=(DataRequest("A", ("age",)), DataRequest("B", ("income",))),
+            analysis=AnalysisSpec("binned_association", ("age", "income"),
+                                  bin_edges=(0, 40.5, 60, 100)),
+            disclosure=DisclosurePolicy(k_min=3, suppress_marker="<3"),
+            linkage=LinkageParams(mode="exact", blocking_fields=()),
+        )
+        assert hashlib.sha256(manifest.signable_bytes()).hexdigest() == PINNED_EDGES_MARKER
+
+
+class TestBlockFromDict:
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert block_from_dict(DisclosurePolicy, {}) == DisclosurePolicy()
+        assert block_from_dict(LinkageParams, {"mode": "exact"}) == LinkageParams(mode="exact")
+
+    def test_arrays_become_tuples(self):
+        pool = block_from_dict(PoolFilter, {"age_min": 40, "zip_prefixes": ["6211"]})
+        assert pool == PoolFilter(age_min=40, zip_prefixes=("6211",))
+
+    @pytest.mark.parametrize("cls, doc, key", [
+        (PoolFilter, {"age_mn": 40}, "age_mn"),
+        (DisclosurePolicy, {"kmin": 5}, "kmin"),
+        (AnalysisSpec, {"kind": "descriptive", "variables": ["age"], "bins": 3}, "bins"),
+        (AnalysisSpec, {"variables": ["age"]}, "kind"),
+    ])
+    def test_unknown_or_missing_key_is_named(self, cls, doc, key):
+        with pytest.raises(ValueError, match=key):
+            block_from_dict(cls, doc)
+
+    def test_a_block_must_be_an_object(self):
+        with pytest.raises(ValueError):
+            block_from_dict(LinkageParams, ["exact"])
+
+
+class TestBlockValidation:
+    """Every block's validate() reports a wrong type or range as ValueError,
+    which validate_train turns into InvalidManifest."""
+
+    @pytest.mark.parametrize("block", [
+        DisclosurePolicy(k_min="5"),
+        DisclosurePolicy(k_min=True),
+        DisclosurePolicy(suppress_marker=0),
+        DisclosurePolicy(suppress_marker=""),
+        AnalysisSpec("binned_association", ("age", "income"), bin_width="10"),
+        AnalysisSpec("binned_association", ("age", "income"), bin_edges=("0", "10")),
+        AnalysisSpec("descriptive", "ag"),
+        LinkageParams(m=(1.0, 0.95, 0.98, 0.97)),
+        LinkageParams(u=(0.0, 0.1, 0.1, 0.1)),
+        LinkageParams(m=(0.9, 0.9, 0.9)),
+        LinkageParams(t_upper="8"),
+        LinkageParams(blocking_fields="gender"),
+        PoolFilter(age_min="40"),
+        PoolFilter(age_min=50, age_max=40),
+        PoolFilter(age_max=-1),
+        PoolFilter(zip_prefixes="6211"),
+        PoolFilter(as_of="garbage"),
+    ])
+    def test_rejected_as_value_error(self, block):
+        with pytest.raises(ValueError):
+            block.validate()
+
+    def test_invalid_pool_is_an_invalid_manifest(self):
+        manifest, anchor = build_manifest()
+        bad = sign_manifest(dataclasses.replace(manifest, data_requests=(
+            DataRequest("A", ("age",), PoolFilter(as_of="garbage")),
+            DataRequest("B", ("income",)),
+        )), anchor)
+        verdict = validate_train(bad, anchor.verification_key, NOW)
+        assert (verdict.accepted, verdict.reason) == (False, "InvalidManifest")

@@ -1,6 +1,7 @@
 """End-to-end runs over both transports: equality, isolation, failure paths."""
 
 import dataclasses
+import datetime as dt
 import logging
 import socket
 import struct
@@ -16,11 +17,20 @@ from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import network, stations
 from phtlink.encoding import b64encode
 from phtlink.linkage import LinkageParams
-from phtlink.manifest import sign_manifest
+from phtlink.manifest import PoolFilter, sign_manifest
 from phtlink.model import QID_FIELDS
 from phtlink.network import Router, TcpNode, run_network
 from phtlink.pseudonym import Salt, pseudonymize
-from phtlink.stations import IDLE, VALIDATED, WIPED, DataStationActor, TseActor, flip_bit
+from phtlink.stations import (
+    AWAITING_DATA,
+    IDLE,
+    VALIDATED,
+    WIPED,
+    DataStationActor,
+    ResearcherActor,
+    TseActor,
+    flip_bit,
+)
 from phtlink.wire import TYPE_DATA_TRANSFER, Abort, Ack, DataTransfer, TrainDispatch, encode
 from phtlink.synth import generate_population, generate_vertical_demo, SyntheticPopulationSpec
 
@@ -223,7 +233,16 @@ class TestInvalidManifest:
         dict(analysis=AnalysisSpec("median_of_everything", ("age", "income"))),
         dict(linkage=LinkageParams(mode="probabilistic", t_upper=1.0, t_lower=5.0)),
         dict(linkage=LinkageParams(mode="probabilistic", blocking_fields=("shoe_size",))),
-    ], ids=["k_min_0", "unknown_kind", "t_upper_below_t_lower", "unknown_blocking_field"])
+        # each of these used to move data, stall or release too much
+        dict(disclosure=DisclosurePolicy(k_min="5")),
+        dict(analysis=AnalysisSpec("binned_association", ("age", "income"), bin_width="10")),
+        dict(disclosure=DisclosurePolicy(k_min=5, suppress_marker=0)),
+        dict(linkage=LinkageParams(mode="probabilistic", m=(1.0, 0.95, 0.98, 0.97))),
+        dict(pool_a=PoolFilter(age_min=40, as_of="garbage")),
+        dict(pool_a=PoolFilter(zip_prefixes="6211")),
+    ], ids=["k_min_0", "unknown_kind", "t_upper_below_t_lower", "unknown_blocking_field",
+            "k_min_str", "bin_width_str", "marker_not_str", "m_is_1", "pool_as_of_garbage",
+            "pool_zip_prefixes_str"])
     def test_aborts_with_invalid_manifest_and_wipes(self, transport, invalid):
         scn = demo_scenario(**invalid)
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
@@ -277,6 +296,23 @@ class TestRouter:
         assert b.phase == IDLE and router_b.actors == {}
         router_b(TrainDispatch(run_id, 2, "researcher", scn.manifest, ()))
         assert b.phase == VALIDATED
+
+    def test_researcher_cancel_wipes_a_tse_that_missed_the_station_abort(self):
+        # over TCP a refusing station's Abort can reach the TSE before the
+        # TSE's own dispatch; the researcher's cancel follows that dispatch
+        scn = demo_scenario(allowed_b=())
+        router, built = _tse_router(scn)
+        researcher = ResearcherActor("researcher", scn.manifest, {})
+        dispatches = {o.dest: o.message for o in researcher.start()}
+        refusal = {o.dest: o.message
+                   for o in DataStationActor(scn.setup.stations[1]).handle(dispatches["B"])}
+        assert router(refusal["TSE"]) == []  # a frame for an unknown run
+        router(dispatches["TSE"])
+        assert built[0].phase == AWAITING_DATA
+        cancels = researcher.handle(refusal["researcher"])
+        assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "UnauthorizedVariable")]
+        router(cancels[0].message)
+        assert built[0].storage.wiped and router.actors == {}
 
     def test_frame_for_unknown_run_is_dropped_and_logged(self, caplog):
         scn = demo_scenario()
@@ -359,7 +395,7 @@ class TestNodeSurvives:
                                   tse_timeout=5.0, run_timeout=30.0)
                 assert (out.outcome, out.reason) == (expected.outcome, expected.reason)
                 assert out.logical_trace() == expected.logical_trace()
-                assert out.storage.inventory() == ()
+                assert out.storage.wiped and out.storage.inventory() == ()
         finally:
             sys.setswitchinterval(interval)
 
@@ -372,6 +408,42 @@ class TestNodeSurvives:
         assert threading.active_count() <= baseline
 
 
+def _boom(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestHandlerRaises:
+    """A handler that raises fails its run closed: the Router aborts the
+    actor with the exception as the reason and evicts it."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("where", ["apply_pool_filter", "link", "validate_train"])
+    def test_run_aborts_with_the_exception_and_the_tse_wipes(self, monkeypatch, transport,
+                                                             where):
+        monkeypatch.setattr(stations, where, _boom)
+        started = time.monotonic()
+        out = run_network(demo_scenario().setup, transport=transport,
+                          tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "RuntimeError: boom")
+        assert time.monotonic() - started < 2.5, "the run waited for a deadline"
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("party", ["B", "TSE"])
+    def test_daemon_router_evicts_the_actor(self, monkeypatch, party, caplog):
+        monkeypatch.setattr(stations, "validate_train", _boom)
+        scn = demo_scenario()
+        if party == "TSE":
+            router = Router(lambda dispatch: TseActor(scn.setup.tse), 60.0)
+        else:
+            router = Router(lambda dispatch: DataStationActor(scn.setup.stations[1]))
+        run_id = scn.manifest.run_id
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            out = router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
+        assert {(o.dest, o.message.reason) for o in out} >= {("researcher", "RuntimeError: boom")}
+        assert router.actors == {} and router.finished == {run_id}
+        assert any("RuntimeError: boom" in r.message for r in caplog.records)
+
+
 # ---------------------------------------------------------------------------
 # Signed-but-invalid manifests, fuzzed
 # ---------------------------------------------------------------------------
@@ -380,7 +452,26 @@ _KINDS = ("descriptive", "crosstab", "binned_association")
 _names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
-_invalid_disclosure = st.builds(DisclosurePolicy, k_min=st.integers(max_value=0))
+_not_int = st.one_of(st.text(max_size=4), st.booleans(), _finite, st.none(),
+                    st.lists(st.integers(), max_size=2))
+_not_number = st.one_of(st.text(max_size=4), st.booleans(), st.lists(_finite, max_size=2))
+
+
+def _not_iso_date(text):
+    try:
+        dt.date.fromisoformat(text)
+    except ValueError:
+        return True
+    return False
+
+
+_invalid_disclosure = st.one_of(
+    st.builds(DisclosurePolicy, k_min=st.integers(max_value=0)),
+    st.builds(DisclosurePolicy, k_min=_not_int),
+    st.builds(DisclosurePolicy, k_min=st.just(5),
+              suppress_marker=st.one_of(st.just(""), st.integers(), st.booleans(), st.none(),
+                                        _finite, st.lists(st.text(max_size=2), max_size=2))),
+)
 _invalid_analysis = st.one_of(
     st.builds(AnalysisSpec, kind=_names.filter(lambda k: k not in _KINDS),
               variables=st.just(("age", "income"))),
@@ -396,9 +487,23 @@ _invalid_analysis = st.one_of(
               bin_edges=st.lists(st.integers(-5, 5), max_size=4).filter(
                   lambda e: len(e) < 2 or any(a >= b for a, b in zip(e, e[1:]))
               ).map(tuple)),
+    st.builds(AnalysisSpec, kind=st.just("binned_association"),
+              variables=st.just(("age", "income")), bin_width=_not_number),
+    st.builds(AnalysisSpec, kind=st.just("binned_association"),
+              variables=st.just(("age", "income")),
+              bin_edges=st.lists(_not_number, min_size=2, max_size=3).map(tuple)),
+    st.builds(AnalysisSpec, kind=st.sampled_from(_KINDS),
+              variables=st.sampled_from(["ag", "age", ("age", 1), (None,)])),
     st.just(AnalysisSpec("binned_association", ("age", "income"))),
     st.just(AnalysisSpec("binned_association", ("age", "income"), bin_width=10,
                          bin_edges=(0, 10))),
+)
+# a probability outside (0, 1) on one field, a wrong count, or a wrong type
+_bad_probs = st.one_of(
+    st.tuples(st.integers(0, 3), st.one_of(_finite.filter(lambda p: p <= 0 or p >= 1),
+                                           _not_number)).map(
+        lambda t: tuple(t[1] if i == t[0] else 0.9 for i in range(4))),
+    st.lists(st.floats(0.01, 0.99), max_size=5).filter(lambda ps: len(ps) != 4).map(tuple),
 )
 _invalid_linkage = st.one_of(
     st.builds(LinkageParams, mode=_names.filter(lambda m: m not in ("exact", "probabilistic"))),
@@ -406,11 +511,27 @@ _invalid_linkage = st.one_of(
         lambda t: LinkageParams(mode="probabilistic", t_upper=t[0], t_lower=t[1])),
     st.lists(_names.filter(lambda f: f not in QID_FIELDS), min_size=1, max_size=2).map(
         lambda fields: LinkageParams(blocking_fields=tuple(fields))),
+    _bad_probs.map(lambda m: LinkageParams(mode="probabilistic", m=m)),
+    _bad_probs.map(lambda u: LinkageParams(mode="probabilistic", u=u)),
+    st.builds(LinkageParams, t_upper=_not_number),
+    st.builds(LinkageParams, blocking_fields=st.sampled_from(["gender", ("gender", 0)])),
+)
+_invalid_pool = st.one_of(
+    st.builds(PoolFilter, age_min=_not_int.filter(lambda v: v is not None)),
+    st.builds(PoolFilter, age_max=st.integers(max_value=-1)),
+    st.tuples(st.integers(0, 120), st.integers(1, 50)).map(
+        lambda t: PoolFilter(age_min=t[0] + t[1], age_max=t[0])),
+    st.builds(PoolFilter, zip_prefixes=st.one_of(
+        st.text(max_size=4),
+        st.lists(st.one_of(st.integers(), st.none()), min_size=1, max_size=2).map(tuple))),
+    st.builds(PoolFilter, as_of=st.one_of(st.text(max_size=10).filter(_not_iso_date),
+                                          st.integers())),
 )
 _invalid_part = st.one_of(
     _invalid_disclosure.map(lambda d: {"disclosure": d}),
     _invalid_analysis.map(lambda a: {"analysis": a}),
     _invalid_linkage.map(lambda p: {"linkage": p}),
+    _invalid_pool.map(lambda p: {"pool_a": p}),
 )
 
 

@@ -1,13 +1,15 @@
 """Actor-level state machine tests: message-by-message protocol behavior."""
 
 import dataclasses
+import datetime as dt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from phtlink.errors import StorageWiped
 from phtlink.manifest import PoolFilter
-from phtlink.model import dataset_from_bytes
+from phtlink.model import QuasiIdentifierSet, Record, age_on, dataset_from_bytes
 from phtlink.pseudonym import Salt
 from phtlink.envelope import open_package
 from phtlink.stations import (
@@ -385,7 +387,9 @@ class TestResearcherDispatchOrder:
         scn = scenario()
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
-        assert researcher.handle(Abort(run_id, 1, "B", "Expired")) == []
+        # the abort is cancelled at every other party dispatched: the TSE
+        cancels = researcher.handle(Abort(run_id, 1, "B", "Expired"))
+        assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "Expired")]
         assert researcher.handle(Ack(run_id, 1, "TSE", "OK")) == []
         assert researcher.outcome == ("aborted", "Expired")
 
@@ -395,7 +399,8 @@ class TestResearcherDispatchOrder:
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
         assert researcher.handle(Ack(run_id, 1, "TSE", "OK")) == []
-        assert researcher.handle(Abort(run_id, 2, "TSE", "Timeout")) == []
+        cancels = researcher.handle(Abort(run_id, 2, "TSE", "Timeout"))
+        assert [(o.dest, o.message.reason) for o in cancels] == [("B", "Timeout")]
         assert researcher.handle(Ack(run_id, 1, "B", "OK")) == []
         assert researcher.outcome == ("aborted", "Timeout")
 
@@ -462,3 +467,28 @@ class TestPoolFilterUnit:
     def test_no_filter_keeps_everything(self):
         ds_a, _, _ = generate_vertical_demo(30, 10, seed=8)
         assert len(apply_pool_filter(ds_a.rows, None)) == 30
+
+
+_leap_days = st.sampled_from([dt.date(y, 2, 29) for y in (1948, 1960, 1984, 2000, 2024)])
+_dates = st.one_of(st.dates(dt.date(1900, 1, 1), dt.date(2030, 12, 31)), _leap_days)
+
+
+@given(births=st.lists(_dates, min_size=1, max_size=30), as_of=_dates,
+       age_min=st.one_of(st.none(), st.integers(0, 100)),
+       age_max=st.one_of(st.none(), st.integers(0, 100)))
+@settings(max_examples=300, deadline=None)
+def test_pool_filter_matches_age_on(births, as_of, age_min, age_max):
+    """The cut-off comparison keeps exactly the rows whose age_on lies in
+    the bounds, 29 February included as a birthday and as the as_of date."""
+    if None not in (age_min, age_max) and age_min > age_max:
+        age_min, age_max = age_max, age_min
+    rows = [Record(payload={}, qid=QuasiIdentifierSet("6211AB", "1", "M", born.isoformat()))
+            for born in births]
+    pool = PoolFilter(age_min=age_min, age_max=age_max, as_of=as_of.isoformat())
+    expected = [
+        row for row in rows
+        if (age_min is None or age_on(row.qid.date_of_birth, pool.as_of) >= age_min)
+        and (age_max is None or age_on(row.qid.date_of_birth, pool.as_of) <= age_max)
+    ]
+    kept = apply_pool_filter(rows, pool)
+    assert [id(row) for row in kept] == [id(row) for row in expected]

@@ -143,6 +143,16 @@ class TestDecodeErrors:
             decode(header, max_payload=1024)
         assert err.value.offset == 6
 
+    def test_dispatch_with_an_unknown_block_key_is_a_decode_error(self):
+        ds_a, ds_b, _ = generate_vertical_demo(5, 2, seed=1)
+        msg = TrainDispatch("run-0001", 1, "researcher", make_scenario(ds_a, ds_b).manifest, ())
+        doc = json.loads(encode(msg)[HEADER_LEN:])
+        doc["manifest"]["data_requests"][0]["pool"] = {"age_mn": 40}
+        payload = json.dumps(doc).encode()
+        frame = MAGIC + bytes([VERSION, 0x01]) + struct.pack(">I", len(payload)) + payload
+        with pytest.raises(DecodeError, match="age_mn"):
+            decode(frame)
+
     def test_garbage_payload(self):
         payload = b"not json"
         frame = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", len(payload)) + payload

@@ -4,6 +4,8 @@ all-pairs oracle from conftest."""
 
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -341,3 +343,65 @@ class TestMerge:
                             [Record(payload={"status": "y"}, pseudonym=va)])
         with pytest.raises(SchemaCollision):
             merge(LinkResult(((0, 0),), (), ()), ds_a, ds_b)
+
+
+def _result_digest(result):
+    """SHA-256 of a LinkResult's canonical JSON: pairs, unmatched and audit."""
+    doc = {
+        "pairs": [list(p) for p in result.pairs],
+        "unmatched_a": list(result.unmatched_a),
+        "unmatched_b": list(result.unmatched_b),
+        "audit": result.audit,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# SHA-256 of link()'s canonical output on 600x60 populations at 5% perturbation
+PINNED_LINK_RESULTS = {
+    "gender": "e1997c563f97319c6903f9e9130a3f31ba91dcd033102f427fe0d455f0e0a6fd",
+    "date_of_birth": "ae27bf338ab93e31ad7952395bbe71bb67e52adbe2bc223995984b6a0b9e2aca",
+    "unblocked": "92a67f1bc4a361f58d73a28e6ff66626de5bb39226b0269720b436ce2d2cfa45",
+    "explicit_u": "0d84ab3c20c75a723c4bcf3c92471087b1db82df634783dc5ab054833d800af3",
+}
+
+
+class TestLinkPinned:
+    """link()'s full output on seeded populations, pinned so that a rewrite
+    of the scoring loop cannot move a pair, a count or a weight."""
+
+    CASES = {
+        "gender": LinkageParams(blocking_fields=("gender",)),
+        "date_of_birth": LinkageParams(blocking_fields=("date_of_birth",)),
+        "unblocked": LinkageParams(blocking_fields=()),
+        "explicit_u": LinkageParams(
+            u=(0.02, 0.05, 0.5, 0.004), t_upper=6.0, t_lower=-2.0,
+            blocking_fields=("zip_code", "gender"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_link_result_pinned(self, case):
+        ds_a, ds_b = synthetic_pair(17, n_large=600, n_small=60, overlap=0.5,
+                                    perturbation=0.05)
+        result = link(ds_a, ds_b, self.CASES[case])
+        assert result.pairs, "a pin over an empty result pins nothing"
+        assert _result_digest(result) == PINNED_LINK_RESULTS[case]
+
+    @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=4)))
+    def test_each_agreement_pattern_joins_iff_match(self, bits):
+        params = LinkageParams(
+            m=(0.95, 0.95, 0.98, 0.97), u=(0.01, 0.1, 0.5, 0.001),
+            t_upper=8.0, t_lower=0.0, blocking_fields=(),
+        )
+        va = fake_vec("a", "a", "a", "a")
+        vb = fake_vec(*("a" if bit else "b" for bit in bits))
+        scored = score_pair(va, vb, params)
+        assert scored.agreement == bits
+        result = link(pseudo_dataset("A", [va]), pseudo_dataset("B", [vb], "income"), params)
+        assert (result.pairs == ((0, 0),)) == (scored.match_class == "Match")
+        assert result.audit["n_candidates"] == 1
+        expected = {"match": 0, "possible": 0, "non_match": 0}
+        expected[{"Match": "match", "Possible": "possible", "NonMatch": "non_match"}[
+            scored.match_class]] = 1
+        assert result.audit["class_counts"] == expected

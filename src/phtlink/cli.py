@@ -187,11 +187,15 @@ def synth(spec_file: Path, out_dir: Path):
     variant = doc.pop("variant", "population")
     try:
         if variant == "vertical_demo":
-            optional = {k: doc[k] for k in ("seed", "age_range", "as_of") if k in doc}
-            if "age_range" in optional:
-                optional["age_range"] = tuple(optional["age_range"])
+            # the variant fixes overlap and perturbation: every B row has an
+            # unperturbed counterpart in A, so those two keys are not read
+            spec = block_from_dict(
+                SyntheticPopulationSpec,
+                {"overlap_fraction": 1.0, "perturbation_rate": 0.0, **doc},
+            )
             ds_a, ds_b, truth = generate_vertical_demo(
-                n_a=doc["n_large"], n_b=doc["n_small"], **optional
+                spec.n_large, spec.n_small, spec.seed, spec.age_range,
+                spec.region_zip_prefixes, spec.as_of,
             )
             names = ("station_a", "station_b")
         elif variant == "population":
@@ -202,8 +206,6 @@ def synth(spec_file: Path, out_dir: Path):
             _fail("InvalidSpec", f"unknown variant {variant!r}")
     except (InvalidSpec, ValueError, TypeError) as exc:
         _fail("InvalidSpec", str(exc))
-    except KeyError as exc:
-        _fail("InvalidSpec", f"missing field {exc}")
 
     for ds, name in zip((ds_a, ds_b), names):
         write_dataset_csv(ds, out_dir / f"{name}.csv", out_dir / f"{name}.descriptor.json")
@@ -324,7 +326,18 @@ def tse(config_path: Path):
 # submit / report
 # ---------------------------------------------------------------------------
 
+DRAFT_KEYS = frozenset({
+    "train_id", "run_id", "researcher_id", "tse_station_id", "data_requests", "analysis",
+    "disclosure", "linkage", "expiry", "tse_public_encryption_key_file",
+    "station_verification_key_files", "endpoints",
+})
+
+
 def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
+    # a misspelt block would otherwise be signed with its defaults
+    unknown = sorted(set(doc) - DRAFT_KEYS)
+    if unknown:
+        raise ValueError(f"unknown draft keys {unknown}")
     tse_pub = public_key_from_pem(
         _resolve(base, doc["tse_public_encryption_key_file"]).read_bytes()
     )

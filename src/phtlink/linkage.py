@@ -6,10 +6,13 @@ Two modes:
   on either side are ambiguous; those records are excluded and counted in the
   audit block rather than guessed at.
 * probabilistic: Fellegi-Sunter scoring over the four per-field digests.
-  Each candidate pair gets a log2 likelihood-ratio weight from per-field
-  agreement probabilities m (among true matches) and u (among non-matches),
-  is classified against two thresholds, and Match-class pairs are reduced to
-  a one-to-one assignment greedily in descending weight.
+  A pair's log2 likelihood-ratio weight, from per-field agreement
+  probabilities m (among true matches) and u (among non-matches), depends
+  only on which fields agree, so each of the 16 agreement patterns is
+  weighed and classified against two thresholds once per call and every
+  candidate pair looks its pattern up. Only Match-class pairs are kept, so
+  memory grows with them rather than with the candidates; they are reduced
+  to a one-to-one assignment greedily in descending weight.
 
 u can be supplied or estimated from the data as the chance-agreement rate
 of a random cross pair, computed from per-field digest frequencies.
@@ -23,6 +26,7 @@ fixed pair of datasets and params always yields the same LinkResult.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -149,6 +153,17 @@ def field_weights(
     return agree, disagree
 
 
+def _weigh(agreement: tuple[int, ...], params: LinkageParams, weights) -> tuple[float, str]:
+    """Weight and class of one agreement vector; weights from field_weights."""
+    agree_w, disagree_w = weights
+    weight = sum(agree_w[i] if agreement[i] else disagree_w[i] for i in range(4))
+    if weight >= params.t_upper:
+        return weight, MATCH
+    if weight <= params.t_lower:
+        return weight, NON_MATCH
+    return weight, POSSIBLE
+
+
 def score_pair(
     pa: PseudonymVector,
     pb: PseudonymVector,
@@ -157,19 +172,10 @@ def score_pair(
     index_b: int = -1,
 ) -> ScoredPair:
     """Score one candidate pair; class comes from the two thresholds."""
-    agree_w, disagree_w = field_weights(params)
     agreement = tuple(
         int(pa.per_field[i] == pb.per_field[i]) for i in range(4)
     )
-    weight = sum(
-        agree_w[i] if agreement[i] else disagree_w[i] for i in range(4)
-    )
-    if weight >= params.t_upper:
-        match_class = MATCH
-    elif weight <= params.t_lower:
-        match_class = NON_MATCH
-    else:
-        match_class = POSSIBLE
+    weight, match_class = _weigh(agreement, params, field_weights(params))
     return ScoredPair(index_a, index_b, agreement, weight, match_class)
 
 
@@ -204,31 +210,13 @@ def _link_exact(
     return pairs, audit
 
 
-def _candidates(
-    pseudos_a: list[PseudonymVector],
-    pseudos_b: list[PseudonymVector],
-    blocking: tuple[int, ...],
-) -> list[tuple[int, int]]:
-    if not blocking:
-        return [(i, j) for i in range(len(pseudos_a)) for j in range(len(pseudos_b))]
-    buckets: dict[tuple[str, ...], list[int]] = {}
-    for j, p in enumerate(pseudos_b):
-        buckets.setdefault(tuple(p.per_field[i] for i in blocking), []).append(j)
-    out = []
-    for i, p in enumerate(pseudos_a):
-        for j in buckets.get(tuple(p.per_field[k] for k in blocking), ()):
-            out.append((i, j))
-    return out
-
-
 def _link_probabilistic(
     pseudos_a: list[PseudonymVector],
     pseudos_b: list[PseudonymVector],
     params: LinkageParams,
 ) -> tuple[list[tuple[int, int]], dict]:
-    counts = {"match": 0, "possible": 0, "non_match": 0}
+    counts = dict.fromkeys((MATCH, POSSIBLE, NON_MATCH), 0)
     pairs: list[tuple[int, int]] = []
-    candidates: list[tuple[int, int]] = []
     # with an empty side there is nothing to estimate u from, or to score
     estimated = params.u is None and bool(pseudos_a) and bool(pseudos_b)
     resolved = replace(params, u=estimate_u(pseudos_a, pseudos_b)) if estimated else params
@@ -239,34 +227,45 @@ def _link_probabilistic(
                     f"m <= u on field {QID_FIELDS[i]} "
                     f"({resolved.m[i]} <= {resolved.u[i]})"
                 )
+        # a pair's weight depends only on its agreement vector: 16 of them
+        weights = field_weights(resolved)
+        table = {
+            bits: _weigh(bits, resolved, weights)
+            for bits in itertools.product((False, True), repeat=4)
+        }
         blocking = tuple(QID_FIELDS.index(f) for f in params.blocking_fields)
-        candidates = _candidates(pseudos_a, pseudos_b, blocking)
+        buckets: dict[tuple, list[tuple]] = {}
+        for j, p in enumerate(pseudos_b):
+            key = tuple(p.per_field[k] for k in blocking)
+            buckets.setdefault(key, []).append((j, *p.per_field))
 
-        match_pairs: list[ScoredPair] = []
-        for i, j in candidates:
-            scored = score_pair(pseudos_a[i], pseudos_b[j], resolved, i, j)
-            if scored.match_class == MATCH:
-                counts["match"] += 1
-                match_pairs.append(scored)
-            elif scored.match_class == POSSIBLE:
-                counts["possible"] += 1
-            else:
-                counts["non_match"] += 1
+        match_pairs: list[tuple[float, int, int]] = []
+        for i, p in enumerate(pseudos_a):
+            f0, f1, f2, f3 = p.per_field
+            for j, g0, g1, g2, g3 in buckets.get(tuple(p.per_field[k] for k in blocking), ()):
+                weight, match_class = table[f0 == g0, f1 == g1, f2 == g2, f3 == g3]
+                counts[match_class] += 1
+                if match_class == MATCH:
+                    match_pairs.append((-weight, i, j))
 
-        match_pairs.sort(key=lambda s: (-s.weight, s.index_a, s.index_b))
+        match_pairs.sort()
         used_a: set[int] = set()
         used_b: set[int] = set()
-        for scored in match_pairs:
-            if scored.index_a in used_a or scored.index_b in used_b:
+        for _, i, j in match_pairs:
+            if i in used_a or j in used_b:
                 continue
-            used_a.add(scored.index_a)
-            used_b.add(scored.index_b)
-            pairs.append((scored.index_a, scored.index_b))
+            used_a.add(i)
+            used_b.add(j)
+            pairs.append((i, j))
         pairs.sort()
     audit = {
         "mode": "probabilistic",
-        "n_candidates": len(candidates),
-        "class_counts": counts,
+        "n_candidates": sum(counts.values()),
+        "class_counts": {
+            "match": counts[MATCH],
+            "possible": counts[POSSIBLE],
+            "non_match": counts[NON_MATCH],
+        },
         "t_upper": resolved.t_upper,
         "t_lower": resolved.t_lower,
         "m": list(resolved.m),

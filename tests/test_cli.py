@@ -1,5 +1,6 @@
 """Command-line surface: keygen, synth, daemons, submit, report."""
 
+import contextlib
 import json
 import os
 import signal
@@ -117,6 +118,21 @@ class TestSynth:
         assert result.exit_code != 0
         assert "InvalidSpec" in result.output and "overlap_fracton" in result.output
 
+    def test_unknown_vertical_demo_key_is_invalid_spec(self, tmp_path):
+        spec = self.spec_file(tmp_path, variant="vertical_demo", sead=7)
+        result = CliRunner().invoke(main, ["synth", str(spec), "--out", str(tmp_path / "d")])
+        assert result.exit_code == 2
+        assert "InvalidSpec" in result.output and "sead" in result.output
+        assert not (tmp_path / "d" / "station_a.csv").exists()
+
+    def test_vertical_demo_honours_zip_prefixes(self, tmp_path):
+        spec = self.spec_file(tmp_path, variant="vertical_demo", region_zip_prefixes=["9999"])
+        result = run_cli("synth", spec, "--out", tmp_path / "demo")
+        assert result.exit_code == 0
+        lines = (tmp_path / "demo" / "station_a.csv").read_text().splitlines()
+        assert lines[0].startswith("zip_code,")
+        assert all(line.startswith("9999") for line in lines[1:])
+
     def test_invalid_spec_fails_with_reason(self, tmp_path):
         spec = self.spec_file(tmp_path, n_large=5, n_small=50, overlap_fraction=1.0)
         result = CliRunner().invoke(main, ["synth", str(spec)])
@@ -152,9 +168,12 @@ def _child_env() -> dict[str, str]:
     return env
 
 
-@pytest.fixture
-def deployment(tmp_path):
-    """keygen for every party, synthetic data, configs, running daemons."""
+@contextlib.contextmanager
+def _deploy(tmp_path, tse_timeout_s):
+    """keygen for every party, synthetic data, configs, running daemons.
+
+    Yields the endpoints, the config paths and ``spawn(command, cfg)``,
+    which starts one more daemon and returns its address."""
     runner = CliRunner()
     for party in ("a", "b", "tse", "researcher"):
         assert runner.invoke(main, ["keygen", str(tmp_path / "keys" / party)]).exit_code == 0
@@ -198,7 +217,7 @@ def deployment(tmp_path):
         "trust_anchor_verify_key": "keys/researcher/anchor_verify.pem",
         "encryption_private_key": "keys/tse/enc_private.pem",
         "audit_log": "audit_tse.jsonl",
-        "timeout_s": 30,
+        "timeout_s": tse_timeout_s,
     })
 
     procs = []
@@ -222,7 +241,8 @@ def deployment(tmp_path):
             "B": spawn("station", cfg_b),
             "TSE": spawn("tse", cfg_tse),
         }
-        yield dict(tmp_path=tmp_path, endpoints=endpoints, anchor_dir=anchor_dir, procs=procs)
+        yield dict(tmp_path=tmp_path, endpoints=endpoints, anchor_dir=anchor_dir, procs=procs,
+                   configs={"A": cfg_a, "B": cfg_b, "TSE": cfg_tse}, spawn=spawn)
     finally:
         for proc in procs:
             if proc.poll() is None:
@@ -234,6 +254,12 @@ def deployment(tmp_path):
                 proc.kill()
                 proc.wait()
             proc.stdout.close()
+
+
+@pytest.fixture
+def deployment(tmp_path):
+    with _deploy(tmp_path, tse_timeout_s=30) as deploy:
+        yield deploy
 
 
 def _draft(deploy, run_id, **overrides):
@@ -287,6 +313,34 @@ class TestBadDraft:
                 listener.accept()  # nobody connected
         assert result.exit_code == 2
         assert "BadDraft" in result.output and "age_mn" in result.output
+
+
+    def test_misspelt_block_names_fail_before_any_frame_is_sent(self, tmp_path):
+        runner = CliRunner()
+        for party in ("a", "b", "tse", "researcher"):
+            assert runner.invoke(main, ["keygen", str(tmp_path / "keys" / party)]).exit_code == 0
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            address = "{}:{}".format(*listener.getsockname())
+            deploy = dict(tmp_path=tmp_path, endpoints=dict.fromkeys(("A", "B", "TSE"), address))
+            draft = _draft(deploy, "run-cli-bad-blocks")
+            doc = json.loads(draft.read_text())
+            for key in ("disclosure", "linkage", "expiry"):
+                del doc[key]
+            doc.update(disclosur={"k_min": 50}, linkge={"mode": "exact"},
+                       expiri="2099-01-01T00:00:00Z")
+            draft.write_text(json.dumps(doc))
+            result = runner.invoke(main, [
+                "submit", str(draft),
+                "--anchor-key", str(tmp_path / "keys" / "researcher" / "anchor_private.pem"),
+                "--out", str(tmp_path / "out"), "--timeout", "5",
+            ])
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # nobody connected
+        assert result.exit_code == 2
+        assert "BadDraft" in result.output
+        for key in ("disclosur", "linkge", "expiri"):
+            assert key in result.output
 
 
 class TestSubmitEndToEnd:
@@ -395,6 +449,115 @@ class TestDaemonLifecycle:
         assert any(e["event"] == "awaiting_data" for e in events)
         assert any(
             e["event"] == "wiped" and e["detail"] == "terminated" for e in events
+        )
+
+
+def _threads(pid: int) -> int:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("Threads:"):
+            return int(line.split()[1])
+    raise AssertionError(f"no Threads: line for pid {pid}")
+
+
+class TestDaemonSoak:
+    """Many runs against one set of long-lived daemons: completed runs,
+    manifests the TSE refuses, and a run whose station B is SIGKILLed
+    mid-run and restarted. Every broken run is wiped at the TSE, the next
+    run completes, and the TSE holds no more threads at the end than after
+    its first run."""
+
+    TSE_TIMEOUT_S = 2.0
+    # manifests every party, the TSE included, refuses at dispatch
+    REFUSED = {
+        "expired": {"expiry": "2000-01-01T00:00:00Z"},
+        "foreign_anchor": {"anchor": "a"},  # signed by a key no station trusts
+    }
+
+    @pytest.fixture
+    def soak(self, tmp_path):
+        with _deploy(tmp_path, tse_timeout_s=self.TSE_TIMEOUT_S) as deploy:
+            yield deploy
+
+    def submit(self, deploy, run_id, anchor="researcher", **overrides):
+        return CliRunner().invoke(main, [
+            "submit", str(_draft(deploy, run_id, **overrides)),
+            "--anchor-key", str(deploy["tmp_path"] / "keys" / anchor / "anchor_private.pem"),
+            "--out", str(deploy["tmp_path"] / f"out_{run_id}"), "--timeout", "20",
+        ])
+
+    def tse_events(self, deploy, run_id):
+        lines = (deploy["tmp_path"] / "audit_tse.jsonl").read_text().splitlines()
+        return [e for e in map(json.loads, lines) if e["run_id"] == run_id]
+
+    def wait_for(self, predicate, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.02)
+        return True
+
+    def kill_b_mid_run(self, deploy, run_id):
+        """Freeze B, start a run, SIGKILL B once the TSE awaits data, let
+        the TSE's deadline end the run, then start a fresh B."""
+        b_proc = deploy["b_proc"]
+        b_proc.send_signal(signal.SIGSTOP)
+        submit = subprocess.Popen(
+            [sys.executable, "-m", "phtlink.cli", "submit", str(_draft(deploy, run_id)),
+             "--anchor-key", str(deploy["anchor_dir"] / "anchor_private.pem"),
+             "--out", str(deploy["tmp_path"] / f"out_{run_id}"), "--timeout", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            cwd=deploy["tmp_path"], env=_child_env(),
+        )
+        try:
+            assert self.wait_for(lambda: any(
+                e["event"] == "awaiting_data" for e in self.tse_events(deploy, run_id)
+            )), "the run never reached the TSE"
+            b_proc.kill()
+            b_proc.wait(timeout=5)
+            output = submit.communicate(timeout=20)[0].decode()
+        finally:
+            if submit.poll() is None:
+                submit.kill()
+                submit.communicate()
+        assert submit.returncode == 1 and "aborted: Timeout" in output, output
+        deploy["endpoints"]["B"] = deploy["spawn"]("station", deploy["configs"]["B"])
+        deploy["b_proc"] = deploy["procs"][-1]
+
+    def test_daemons_survive_broken_runs(self, soak):
+        tse_pid = soak["procs"][2].pid
+        soak["b_proc"] = soak["procs"][1]
+        plan = [
+            "ok", "expired", "ok", "foreign_anchor", "ok", "kill_b", "ok",
+            "expired", "ok", "kill_b", "ok", "foreign_anchor", "ok", "ok",
+        ]
+        baseline = None
+        for n, kind in enumerate(plan):
+            run_id = f"run-soak-{n:02d}-{kind}"
+            if kind == "kill_b":
+                self.kill_b_mid_run(soak, run_id)
+            else:
+                result = self.submit(soak, run_id, **self.REFUSED.get(kind, {}))
+                assert result.exit_code == (0 if kind == "ok" else 1), (run_id, result.output)
+            if kind == "ok":
+                events = [e["event"] for e in self.tse_events(soak, run_id)]
+                assert "result_returned" in events and "abort_wiped" not in events, events
+            else:
+                # the researcher may hear B's refusal before the TSE has
+                # refused the dispatch it was sent first
+                assert self.wait_for(lambda: any(
+                    e["event"] == "abort_wiped" for e in self.tse_events(soak, run_id)
+                )), (run_id, self.tse_events(soak, run_id))
+            if baseline is None:
+                # the TSE's reader of the researcher's connection ends a
+                # moment after the run: take the lowest count over a short wait
+                counts = []
+                for _ in range(25):
+                    counts.append(_threads(tse_pid))
+                    time.sleep(0.02)
+                baseline = min(counts)
+        assert self.wait_for(lambda: _threads(tse_pid) <= baseline, timeout=5.0), (
+            f"TSE threads grew from {baseline} to {_threads(tse_pid)}"
         )
 
 

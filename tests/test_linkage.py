@@ -21,7 +21,7 @@ from phtlink.linkage import (
     merge,
     score_pair,
 )
-from phtlink.model import Record, make_dataset
+from phtlink.model import Record, dataset_from_bytes, dataset_to_bytes, make_dataset
 from phtlink.pseudonym import PseudonymVector, Salt, generate_salt
 from phtlink.synth import SyntheticPopulationSpec, generate_population
 
@@ -405,3 +405,88 @@ class TestLinkPinned:
         expected[{"Match": "match", "Possible": "possible", "NonMatch": "non_match"}[
             scored.match_class]] = 1
         assert result.audit["class_counts"] == expected
+
+
+class TestExactLinkPinned:
+    """The exact join's full output, pinned on composites repeated within A,
+    within B and on both sides, and with either side empty."""
+
+    # each label is one composite; the digest of "n704"'s ends in a NUL byte
+    LABELS_A = ("n704", "dupA", "m1", "dupA", "dupAB", "onlyA", "dupAB", "dupB", "twiceA", "twiceA")
+    LABELS_B = ("dupB", "m1", "dupAB", "onlyB", "dupA", "dupB", "n704", "dupAB")
+
+    @staticmethod
+    def _side(station_id, labels):
+        return pseudo_dataset(station_id, [fake_vec(zip_v=label) for label in labels])
+
+    def test_collisions_pinned(self):
+        assert fake_vec(zip_v="n704").composite.endswith("00")
+        result = link(self._side("A", self.LABELS_A), self._side("B", self.LABELS_B),
+                      LinkageParams(mode="exact"))
+        assert result == LinkResult(
+            pairs=((0, 6), (2, 1)),
+            unmatched_a=(1, 3, 4, 5, 6, 7, 8, 9),
+            unmatched_b=(0, 2, 3, 4, 5, 7),
+            audit={
+                "mode": "exact",
+                "composite_collisions_a": 3,
+                "composite_collisions_b": 2,
+                "records_excluded_by_collision": 10,
+                "class_counts": {"match": 2, "possible": 0, "non_match": 0},
+            },
+        )
+        assert all(type(x) is int for pair in result.pairs for x in pair)
+        assert all(type(v) is int for k, v in result.audit.items() if k.startswith(("comp", "rec")))
+
+    @pytest.mark.parametrize("empty", ["A", "B"])
+    def test_empty_side_pinned(self, empty):
+        labels = {"A": self.LABELS_A, "B": self.LABELS_B}
+        labels[empty] = ()
+        result = link(self._side("A", labels["A"]), self._side("B", labels["B"]),
+                      LinkageParams(mode="exact"))
+        assert result == LinkResult(
+            pairs=(),
+            unmatched_a=tuple(range(len(labels["A"]))),
+            unmatched_b=tuple(range(len(labels["B"]))),
+            audit={
+                "mode": "exact",
+                "composite_collisions_a": 0 if empty == "A" else 3,
+                "composite_collisions_b": 0 if empty == "B" else 2,
+                "records_excluded_by_collision": 0,
+                "class_counts": {"match": 0, "possible": 0, "non_match": 0},
+            },
+        )
+
+
+# SHA-256 of the merged body after linking TestLinkPinned's populations
+PINNED_MERGED_BODIES = {
+    "exact": "e7c1c7ba5d4c34667736cdce56df4b81ebcbd8e70080d461d69ec21d2e95fd35",
+    "probabilistic": "46002e4c59e02691c590f606473af185a021ae0f0960f67624da71769608bc39",
+}
+
+
+class TestMergePinned:
+    @pytest.mark.parametrize("mode", sorted(PINNED_MERGED_BODIES))
+    def test_merged_body_pinned(self, mode):
+        ds_a, ds_b = synthetic_pair(17, n_large=600, n_small=60, overlap=0.5,
+                                    perturbation=0.05)
+        params = LinkageParams(mode=mode, blocking_fields=("gender",))
+        merged = merge(link(ds_a, ds_b, params), ds_a, ds_b)
+        assert merged.descriptor.row_count > 0
+        body = dataset_to_bytes(merged)
+        assert hashlib.sha256(body).hexdigest() == PINNED_MERGED_BODIES[mode]
+
+
+class TestLinkAfterBodyRoundTrip:
+    """Linking what the TSE decodes gives what linking the station's
+    datasets gives."""
+
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_link_unchanged_by_body_roundtrip(self, mode):
+        ds_a, ds_b = synthetic_pair(17, n_large=600, n_small=60, overlap=0.5,
+                                    perturbation=0.05)
+        params = LinkageParams(mode=mode, blocking_fields=("gender",))
+        decoded = [dataset_from_bytes(dataset_to_bytes(ds)) for ds in (ds_a, ds_b)]
+        result = link(*decoded, params)
+        assert result.pairs
+        assert result == link(ds_a, ds_b, params)

@@ -1,6 +1,8 @@
 """Canonicalization rules, record/dataset invariants, CSV interchange."""
 
+import dataclasses
 import datetime as dt
+import hashlib
 import json
 
 import pytest
@@ -22,6 +24,7 @@ from phtlink.model import (
     write_dataset_csv,
 )
 from phtlink.pseudonym import Salt, pseudonymize
+from phtlink.synth import SyntheticPopulationSpec, generate_population
 
 
 def raw(zip_code="6211AB", house="12", gender="F", dob="1960-03-15"):
@@ -283,3 +286,52 @@ class TestColumnarBody:
             dataset_from_bytes(bytes(body[: len(body) - cut]))
         except ValueError:
             pass
+
+
+# SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23)
+PINNED_BODIES = {
+    None: "6fca79a15223719ea0caa488cebd1f45e48ba7d4298b95bc238d5fdc27e96b3e",
+    "exact": "067a9f22a997aef6f88a77b67aa9599b2568ab7ac1a8629115a80b2f4849e5f3",
+    "probabilistic": "ea09d95959e8982acc8d42307f95ebc33a2c95fac7922036efa9760b685807d5",
+    "payload_only": "a7cb6150840d122f0370db514590d376b063bf6973f9979f5162c81c75e777a7",
+    "empty": "6bd1668e64bccb7dffb2537382b5dfaabedc18f64a1d735bf7866e3dda4d678c",
+}
+
+
+class TestBodyPinned:
+    """Dataset bodies pinned byte for byte, so that a rewrite of the
+    serializer cannot move a byte of what travels to the TSE."""
+
+    @staticmethod
+    def _population():
+        large, _, _ = generate_population(SyntheticPopulationSpec(
+            n_large=800, n_small=120, overlap_fraction=0.5, perturbation_rate=0.05, seed=23,
+        ))
+        return large
+
+    @pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
+    def test_pseudonymized_body_pinned(self, mode):
+        large = self._population()
+        salt = Salt(hashlib.sha512(b"pinned body").digest()[:32], "run-pin")
+        rows = [
+            Record(payload=dict(r.payload), pseudonym=pseudonymize(r.qid, salt, mode))
+            for r in large.rows
+        ]
+        digests = [d for r in rows for d in (r.pseudonym.composite, *r.pseudonym.per_field) if d]
+        # numpy strips a trailing NUL from an S64 item: the pin must cover one
+        assert any(d.endswith("00") for d in digests)
+        body = dataset_to_bytes(dataclasses.replace(large, rows=rows))
+        assert hashlib.sha256(body).hexdigest() == PINNED_BODIES[mode]
+
+    def test_payload_only_body_pinned(self):
+        large = self._population()
+        ds = make_dataset(
+            "A+B", large.schema, [Record(payload=dict(r.payload)) for r in large.rows],
+            source="merged", extracted_at="2026-01-01T00:00:00Z",
+        )
+        body = dataset_to_bytes(ds)
+        assert hashlib.sha256(body).hexdigest() == PINNED_BODIES["payload_only"]
+
+    def test_empty_body_pinned(self):
+        body = dataset_to_bytes(make_dataset("A", (("age", "numeric"),), []))
+        assert hashlib.sha256(body).hexdigest() == PINNED_BODIES["empty"]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .encoding import canonical_json_bytes, is_int, is_number, require_strings
 from .errors import TypeMismatch, UnknownVariable
-from .model import Dataset
+from .model import Columns, Dataset
 
 TOTAL_LABEL = "(all)"
 
@@ -149,7 +149,7 @@ def _require_categorical(types: dict[str, str], name: str) -> None:
         raise TypeMismatch(f"{name} is numeric, expected categorical")
 
 
-def _descriptive(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
+def _descriptive(merged: Dataset | Columns, spec: AnalysisSpec) -> ResultTable:
     types = dict(merged.schema)
     rows = []
     for name in spec.variables:
@@ -179,7 +179,7 @@ def _descriptive(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
     )
 
 
-def _crosstab(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
+def _crosstab(merged: Dataset | Columns, spec: AnalysisSpec) -> ResultTable:
     types = dict(merged.schema)
     var_r, var_c = spec.variables
     _require_categorical(types, var_r)
@@ -238,7 +238,7 @@ def _edges_for(values: list[float], spec: AnalysisSpec) -> list[float]:
     return edges
 
 
-def _binned_association(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
+def _binned_association(merged: Dataset | Columns, spec: AnalysisSpec) -> ResultTable:
     types = dict(merged.schema)
     var_x, var_y = spec.variables
     _require_numeric(types, var_x)
@@ -286,7 +286,7 @@ def _binned_association(merged: Dataset, spec: AnalysisSpec) -> ResultTable:
     )
 
 
-def run_analysis(merged: Dataset, spec: AnalysisSpec) -> RawResult:
+def run_analysis(merged: Dataset | Columns, spec: AnalysisSpec) -> RawResult:
     """Run the declared analysis over the merged dataset."""
     spec.validate()
     if spec.kind == KIND_DESCRIPTIVE:
@@ -297,7 +297,7 @@ def run_analysis(merged: Dataset, spec: AnalysisSpec) -> RawResult:
         table = _binned_association(merged, spec)
     return RawResult(
         tables=[table],
-        audit={"kind": spec.kind, "input_rows": len(merged.rows)},
+        audit={"kind": spec.kind, "input_rows": merged.n_rows},
     )
 
 

@@ -79,10 +79,14 @@ def _write_private(path: Path, data: bytes, force: bool = False) -> None:
 
 
 def _load_json(path: Path) -> dict:
+    """A JSON file whose top level is an object; anything else is BadConfig."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise BadConfig(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadConfig(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _resolve(base: Path, relative: str) -> Path:
@@ -182,7 +186,10 @@ def synth(spec_file: Path, out_dir: Path):
     "vertical_demo" for the two-station feasibility split (station A holds
     age, station B holds income for the same people).
     """
-    doc = _load_json(spec_file)
+    try:
+        doc = _load_json(spec_file)
+    except BadConfig as exc:
+        _fail("InvalidSpec", str(exc))
     out_dir.mkdir(parents=True, exist_ok=True)
     variant = doc.pop("variant", "population")
     try:
@@ -439,7 +446,10 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
 @click.argument("report_file", type=click.Path(exists=True, path_type=Path))
 def report(report_file: Path):
     """Pretty-print RUN_REPORT.json."""
-    doc = _load_json(report_file)
+    try:
+        doc = _load_json(report_file)
+    except BadConfig as exc:
+        _fail("BadConfig", str(exc))
     click.echo(f"run      {doc['run_id']}")
     click.echo(f"outcome  {doc['outcome']}" + (f" ({doc['reason']})" if doc.get("reason") else ""))
     summary = doc.get("audit_summary", {})

@@ -17,8 +17,11 @@ Two modes:
 u can be supplied or estimated from the data as the chance-agreement rate
 of a random cross pair, computed from per-field digest frequencies.
 
-Each mode reads only its own part of a pseudonym vector, and a dataset whose
-rows lack that part raises MissingPseudonyms.
+link and merge read datasets as Columns (a Dataset of Records is converted
+first): the exact join sorts the composite digest column, and probabilistic
+linkage codes each per-field digest column as integers, equal where the
+digests are equal. Each mode reads only its own digest part, and a dataset
+whose rows lack that part raises MissingPseudonyms.
 
 Everything here is deterministic: ties break on (index_a, index_b), so a
 fixed pair of datasets and params always yields the same LinkResult.
@@ -31,9 +34,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .encoding import is_number, require_strings
 from .errors import DegenerateParams, MissingPseudonyms, SchemaCollision
-from .model import QID_FIELDS, Dataset, DatasetDescriptor, Record
+from .model import DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, DatasetDescriptor, to_columns
 from .pseudonym import LINKAGE_MODES, PseudonymVector
 
 U_CLAMP = 1e-9
@@ -102,17 +107,26 @@ class LinkResult:
     audit: dict = field(default_factory=dict)
 
 
-def _pseudonyms(ds: Dataset, mode: str) -> list[PseudonymVector]:
-    """Every row's vector, which must carry the part ``mode`` links on."""
+def _digests(cols: Columns, mode: str) -> np.ndarray:
+    """The digest part ``mode`` links on: composites (rows,) for exact
+    linkage, per-field digests (rows, 4) for probabilistic linkage."""
     part = "composite" if mode == "exact" else "per_field"
-    vectors = []
-    for i, row in enumerate(ds.rows):
-        if row.pseudonym is None:
-            raise MissingPseudonyms(f"{ds.station_id} row {i} has no pseudonym vector")
-        if not getattr(row.pseudonym, part):
-            raise MissingPseudonyms(f"{ds.station_id} row {i} has no {part} for {mode} linkage")
-        vectors.append(row.pseudonym)
-    return vectors
+    if part in cols.parts:
+        return cols.digests[:, 0] if mode == "exact" else cols.digests[:, -4:]
+    if cols.n_rows:
+        raise MissingPseudonyms(f"{cols.station_id} rows have no {part} for {mode} linkage")
+    return np.empty((0,) if mode == "exact" else (0, 4), DIGEST_DTYPE)
+
+
+def _field_codes(per_field_a: np.ndarray, per_field_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-field integer codes, (rows, 4) on each side: two digests of a field
+    get equal codes exactly when they are equal."""
+    n_a = len(per_field_a)
+    codes = np.empty((n_a + len(per_field_b), 4), dtype=np.int64)
+    for k in range(4):
+        both = np.concatenate((per_field_a[:, k], per_field_b[:, k]))
+        codes[:, k] = np.unique(both, return_inverse=True)[1]
+    return codes[:n_a], codes[n_a:]
 
 
 def estimate_u(
@@ -126,11 +140,16 @@ def estimate_u(
     """
     if not pseudos_a or not pseudos_b:
         raise ValueError("u estimation needs non-empty datasets on both sides")
-    n_a, n_b = len(pseudos_a), len(pseudos_b)
+    fields = [list(zip(*(p.per_field for p in side))) for side in (pseudos_a, pseudos_b)]
+    return _estimate_u(*fields)
+
+
+def _estimate_u(fields_a: list, fields_b: list) -> tuple[float, float, float, float]:
+    """estimate_u over the four per-field value columns of each side."""
+    n_a, n_b = len(fields_a[0]), len(fields_b[0])
     out = []
-    for i in range(4):
-        freq_a = Counter(p.per_field[i] for p in pseudos_a)
-        freq_b = Counter(p.per_field[i] for p in pseudos_b)
+    for column_a, column_b in zip(fields_a, fields_b):
+        freq_a, freq_b = Counter(column_a), Counter(column_b)
         u_i = sum(
             (count_a / n_a) * (freq_b[value] / n_b)
             for value, count_a in freq_a.items()
@@ -179,48 +198,36 @@ def score_pair(
     return ScoredPair(index_a, index_b, agreement, weight, match_class)
 
 
-def _link_exact(
-    pseudos_a: list[PseudonymVector], pseudos_b: list[PseudonymVector]
-) -> tuple[list[tuple[int, int]], dict]:
-    comps_a = [p.composite for p in pseudos_a]
-    comps_b = [p.composite for p in pseudos_b]
-    count_a, count_b = Counter(comps_a), Counter(comps_b)
-    # the index of a composite's last occurrence; its only one when unique
-    index_a = {comp: i for i, comp in enumerate(comps_a)}
-    index_b = {comp: j for j, comp in enumerate(comps_b)}
-
-    pairs = []
-    excluded = 0
-    for comp, n_a in count_a.items():
-        n_b = count_b.get(comp)
-        if n_b is None:
-            continue
-        if n_a == 1 and n_b == 1:
-            pairs.append((index_a[comp], index_b[comp]))
-        else:
-            excluded += n_a + n_b
-    pairs.sort()
+def _link_exact(comp_a: np.ndarray, comp_b: np.ndarray) -> tuple[list[tuple[int, int]], dict]:
+    keys_a, first_a, count_a = np.unique(comp_a, return_index=True, return_counts=True)
+    keys_b, first_b, count_b = np.unique(comp_b, return_index=True, return_counts=True)
+    _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    # a composite in both, but repeated on either side, excludes all its records
+    unique = (count_a[in_a] == 1) & (count_b[in_b] == 1)
+    pairs = sorted(zip(first_a[in_a[unique]].tolist(), first_b[in_b[unique]].tolist()))
+    excluded = count_a[in_a[~unique]].sum() + count_b[in_b[~unique]].sum()
     audit = {
         "mode": "exact",
-        "composite_collisions_a": sum(1 for n in count_a.values() if n > 1),
-        "composite_collisions_b": sum(1 for n in count_b.values() if n > 1),
-        "records_excluded_by_collision": excluded,
+        "composite_collisions_a": int((count_a > 1).sum()),
+        "composite_collisions_b": int((count_b > 1).sum()),
+        "records_excluded_by_collision": int(excluded),
         "class_counts": {"match": len(pairs), "possible": 0, "non_match": 0},
     }
     return pairs, audit
 
 
 def _link_probabilistic(
-    pseudos_a: list[PseudonymVector],
-    pseudos_b: list[PseudonymVector],
-    params: LinkageParams,
+    per_field_a: np.ndarray, per_field_b: np.ndarray, params: LinkageParams
 ) -> tuple[list[tuple[int, int]], dict]:
     counts = dict.fromkeys((MATCH, POSSIBLE, NON_MATCH), 0)
     pairs: list[tuple[int, int]] = []
+    resolved, estimated = params, False
     # with an empty side there is nothing to estimate u from, or to score
-    estimated = params.u is None and bool(pseudos_a) and bool(pseudos_b)
-    resolved = replace(params, u=estimate_u(pseudos_a, pseudos_b)) if estimated else params
-    if pseudos_a and pseudos_b:
+    if len(per_field_a) and len(per_field_b):
+        codes_a, codes_b = _field_codes(per_field_a, per_field_b)
+        if params.u is None:
+            u = _estimate_u(codes_a.T.tolist(), codes_b.T.tolist())
+            resolved, estimated = replace(params, u=u), True
         for i in range(4):
             if resolved.m[i] <= resolved.u[i]:
                 raise DegenerateParams(
@@ -235,14 +242,13 @@ def _link_probabilistic(
         }
         blocking = tuple(QID_FIELDS.index(f) for f in params.blocking_fields)
         buckets: dict[tuple, list[tuple]] = {}
-        for j, p in enumerate(pseudos_b):
-            key = tuple(p.per_field[k] for k in blocking)
-            buckets.setdefault(key, []).append((j, *p.per_field))
+        for j, p in enumerate(codes_b.tolist()):
+            buckets.setdefault(tuple(p[k] for k in blocking), []).append((j, *p))
 
         match_pairs: list[tuple[float, int, int]] = []
-        for i, p in enumerate(pseudos_a):
-            f0, f1, f2, f3 = p.per_field
-            for j, g0, g1, g2, g3 in buckets.get(tuple(p.per_field[k] for k in blocking), ()):
+        for i, p in enumerate(codes_a.tolist()):
+            f0, f1, f2, f3 = p
+            for j, g0, g1, g2, g3 in buckets.get(tuple(p[k] for k in blocking), ()):
                 weight, match_class = table[f0 == g0, f1 == g1, f2 == g2, f3 == g3]
                 counts[match_class] += 1
                 if match_class == MATCH:
@@ -276,7 +282,13 @@ def _link_probabilistic(
     return pairs, audit
 
 
-def link(ds_a: Dataset, ds_b: Dataset, params: LinkageParams) -> LinkResult:
+def _unmatched(n_rows: int, matched: list[int]) -> tuple[int, ...]:
+    free = np.ones(n_rows, dtype=bool)
+    free[matched] = False
+    return tuple(np.flatnonzero(free).tolist())
+
+
+def link(ds_a: Dataset | Columns, ds_b: Dataset | Columns, params: LinkageParams) -> LinkResult:
     """Link two pseudonymized datasets.
 
     Probabilistic mode resolves u (estimating it when unset), requires
@@ -285,66 +297,48 @@ def link(ds_a: Dataset, ds_b: Dataset, params: LinkageParams) -> LinkResult:
     weight, ties by (index_a, index_b).
     """
     params.validate()
-    pseudos_a = _pseudonyms(ds_a, params.mode)
-    pseudos_b = _pseudonyms(ds_b, params.mode)
-
+    cols_a, cols_b = to_columns(ds_a), to_columns(ds_b)
+    digests_a, digests_b = _digests(cols_a, params.mode), _digests(cols_b, params.mode)
     if params.mode == "exact":
-        pairs, audit = _link_exact(pseudos_a, pseudos_b)
+        pairs, audit = _link_exact(digests_a, digests_b)
     else:
-        pairs, audit = _link_probabilistic(pseudos_a, pseudos_b, params)
-
-    matched_a = {i for i, _ in pairs}
-    matched_b = {j for _, j in pairs}
+        pairs, audit = _link_probabilistic(digests_a, digests_b, params)
     return LinkResult(
         pairs=tuple(pairs),
-        unmatched_a=tuple(i for i in range(len(pseudos_a)) if i not in matched_a),
-        unmatched_b=tuple(j for j in range(len(pseudos_b)) if j not in matched_b),
+        unmatched_a=_unmatched(cols_a.n_rows, [i for i, _ in pairs]),
+        unmatched_b=_unmatched(cols_b.n_rows, [j for _, j in pairs]),
         audit=audit,
     )
 
 
-def merge(result: LinkResult, ds_a: Dataset, ds_b: Dataset) -> Dataset:
+def merge(result: LinkResult, ds_a: Dataset | Columns, ds_b: Dataset | Columns) -> Columns:
     """One row per accepted pair with the union of payload variables.
 
     Colliding variable names get station-id prefixes on both sides; pseudonym
     columns are dropped entirely, they have no further use after assignment.
     """
-    names_a = ds_a.variable_names()
-    names_b = ds_b.variable_names()
-    collisions = set(names_a) & set(names_b)
-
-    def out_name(station_id: str, name: str) -> str:
-        return f"{station_id}.{name}" if name in collisions else name
-
-    schema = []
-    for name, vtype in ds_a.schema:
-        schema.append((out_name(ds_a.station_id, name), vtype))
-    for name, vtype in ds_b.schema:
-        schema.append((out_name(ds_b.station_id, name), vtype))
+    cols_a, cols_b = to_columns(ds_a), to_columns(ds_b)
+    collisions = set(cols_a.variable_names()) & set(cols_b.variable_names())
+    schema = tuple(
+        (f"{cols.station_id}.{name}" if name in collisions else name, vtype)
+        for cols in (cols_a, cols_b)
+        for name, vtype in cols.schema
+    )
     out_names = [n for n, _ in schema]
     if len(out_names) != len(set(out_names)):
         raise SchemaCollision(f"merged schema still collides: {sorted(out_names)}")
 
-    rows = []
-    for i, j in result.pairs:
-        payload: dict[str, object] = {}
-        for name in names_a:
-            payload[out_name(ds_a.station_id, name)] = ds_a.rows[i].payload[name]
-        for name in names_b:
-            payload[out_name(ds_b.station_id, name)] = ds_b.rows[j].payload[name]
-        rows.append(Record(payload=payload))
-
-    merged = Dataset(
-        station_id=f"{ds_a.station_id}+{ds_b.station_id}",
-        schema=tuple(schema),
-        rows=rows,
-        descriptor=DatasetDescriptor(
-            source="merged",
-            extracted_at=max(
-                ds_a.descriptor.extracted_at, ds_b.descriptor.extracted_at
-            ),
-            row_count=len(rows),
-        ),
+    rows_a = [i for i, _ in result.pairs]
+    rows_b = [j for _, j in result.pairs]
+    extracted_at = max(cols_a.descriptor.extracted_at, cols_b.descriptor.extracted_at)
+    merged = Columns(
+        f"{cols_a.station_id}+{cols_b.station_id}",
+        schema,
+        DatasetDescriptor("merged", extracted_at, len(rows_a)),
+        [[column[i] for i in rows_a] for column in cols_a.payload]
+        + [[column[j] for j in rows_b] for column in cols_b.payload],
+        parts=(),
+        digests=np.empty((len(rows_a), 0), DIGEST_DTYPE),
     )
     merged.validate()
     return merged

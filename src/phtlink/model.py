@@ -15,7 +15,10 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
 schema, descriptor and one array per payload column, then the raw 64-byte
-digests of every row. In memory a digest stays a 128-character hex string.
+digests of every row. A data station holds Records, with QIDs, and a
+PseudonymVector's digests are 128-character hex strings. From the extract on,
+a pseudonymized dataset is held as Columns, in the body's own layout: one
+list per payload variable and the raw digests as one numpy S64 array.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .encoding import canonical_json_bytes
 from .errors import MalformedField
@@ -178,28 +183,71 @@ class Dataset:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.schema)
 
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
     def validate(self) -> None:
         """Check every row against the schema and the descriptor row count."""
         names = self.variable_names()
-        types = dict(self.schema)
-        for name, vtype in self.schema:
-            if vtype not in VARIABLE_TYPES:
-                raise ValueError(f"unknown variable type {vtype!r} for {name!r}")
         for i, row in enumerate(self.rows):
             if tuple(row.payload.keys()) != names:
                 raise ValueError(f"row {i} payload does not match schema {names}")
-            for name, value in row.payload.items():
-                if types[name] == "numeric" and not isinstance(value, (int, float)):
-                    raise ValueError(f"row {i} variable {name!r} is not numeric")
-                if types[name] in ("categorical", "date") and not isinstance(value, str):
-                    raise ValueError(f"row {i} variable {name!r} is not a string")
-        if self.descriptor.row_count != len(self.rows):
-            raise ValueError(
-                f"descriptor row_count {self.descriptor.row_count} != {len(self.rows)} rows"
-            )
+        _check_columns(self, [self.payload_column(name) for name in names])
 
     def payload_column(self, name: str) -> list:
         return [row.payload[name] for row in self.rows]
+
+
+def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
+    """Every value against its variable's type, and the descriptor row count."""
+    if len(columns) != len(ds.schema):
+        raise ValueError("payload columns do not match the schema")
+    for (name, vtype), column in zip(ds.schema, columns):
+        if vtype not in VARIABLE_TYPES:
+            raise ValueError(f"unknown variable type {vtype!r} for {name!r}")
+        wanted = (int, float) if vtype == "numeric" else str
+        if len(column) != ds.n_rows or not all(isinstance(v, wanted) for v in column):
+            raise ValueError(f"variable {name!r} does not hold one {vtype} value per row")
+    if ds.descriptor.row_count != ds.n_rows:
+        raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
+
+
+#: One raw digest: SHA-512 output as a fixed-width byte string.
+DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
+
+
+@dataclass(eq=False)
+class Columns:
+    """A pseudonymized dataset held column by column, in its body's layout.
+
+    ``payload`` holds one list per variable, in schema order. ``digests`` is
+    an (n_rows, width) DIGEST_DTYPE array: each row's composite first, then
+    its four per-field digests, as far as ``parts`` says they are present.
+    Read digests back with ``.tobytes()``, never as array items: numpy strips
+    the trailing NUL bytes of an S64 item, and about 1 digest in 256 ends in
+    one.
+    """
+
+    station_id: str
+    schema: tuple[tuple[str, str], ...]
+    descriptor: DatasetDescriptor
+    payload: list[list]
+    parts: tuple[str, ...]
+    digests: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.digests)
+
+    def variable_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.schema)
+
+    def payload_column(self, name: str) -> list:
+        return self.payload[self.variable_names().index(name)]
+
+    def validate(self) -> None:
+        _check_columns(self, self.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +256,6 @@ class Dataset:
 
 #: Digest parts a row may carry, in their order within a row's digest block.
 _DIGEST_PARTS = ("composite", "per_field")
-_DIGEST_BYTES = DIGEST_HEX_LENGTH // 2
 _BODY_LEN = struct.Struct(">I")
 
 
@@ -219,7 +266,55 @@ def _digest_parts(pseudonym: PseudonymVector | None) -> tuple[str, ...]:
     return parts + (("per_field",) if pseudonym.per_field else ())
 
 
-def dataset_to_bytes(ds: Dataset) -> bytes:
+def _width(parts: tuple[str, ...]) -> int:
+    return ("composite" in parts) + 4 * ("per_field" in parts)
+
+
+def make_columns(
+    station_id: str,
+    schema: tuple[tuple[str, str], ...],
+    descriptor: DatasetDescriptor,
+    payload: list[list],
+    vectors: Iterable[PseudonymVector | None],
+) -> Columns:
+    """Columns from payload columns and one pseudonym vector per row.
+
+    ``vectors`` is consumed once, so a data station can pass its per-row
+    pseudonymize calls as a generator and hold no vector past its row. Every
+    row must carry the same digest parts."""
+    hexes: list[str] = []
+    parts: tuple[str, ...] = ()
+    n_rows = 0
+    for n_rows, vector in enumerate(vectors, 1):
+        if n_rows == 1:
+            parts = _digest_parts(vector)
+        elif _digest_parts(vector) != parts:
+            raise ValueError("every row must carry the same pseudonym digest parts")
+        if vector is not None:
+            if vector.composite is not None:
+                hexes.append(vector.composite)
+            hexes.extend(vector.per_field)
+    digests = np.frombuffer(bytes.fromhex("".join(hexes)), dtype=DIGEST_DTYPE)
+    return Columns(station_id, tuple(schema), descriptor, payload, parts,
+                   digests.reshape(n_rows, _width(parts)))
+
+
+def to_columns(ds: Dataset | Columns) -> Columns:
+    """The columnar form of a pseudonymized dataset: the one way a Dataset of
+    Records reaches dataset_to_bytes, link and merge.
+
+    A dataset that still carries QIDs is refused: a raw identifier must never
+    get past the data station."""
+    if isinstance(ds, Columns):
+        return ds
+    if any(row.qid is not None for row in ds.rows):
+        raise ValueError("refusing a dataset that still carries QIDs")
+    payload = [ds.payload_column(name) for name in ds.variable_names()]
+    return make_columns(ds.station_id, ds.schema, ds.descriptor, payload,
+                        (row.pseudonym for row in ds.rows))
+
+
+def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """Columnar binary body for a pseudonymized dataset.
 
     Layout: a 4-byte big-endian length, then a canonical JSON header
@@ -227,44 +322,29 @@ def dataset_to_bytes(ds: Dataset) -> bytes:
     carries, and one array per payload column in schema order), then each
     row's raw 64-byte digests, concatenated row after row (composite first,
     then the four per-field digests, as far as present).
-
-    Only pseudonymized datasets travel, so QIDs are rejected here: a raw
-    identifier must never survive to the serialization boundary.
     """
-    parts = _digest_parts(ds.rows[0].pseudonym) if ds.rows else ()
-    hex_digests = []
-    for row in ds.rows:
-        if row.qid is not None:
-            raise ValueError("refusing to serialize a dataset that still carries QIDs")
-        pseudonym = row.pseudonym
-        if _digest_parts(pseudonym) != parts:
-            raise ValueError("every row must carry the same pseudonym digest parts")
-        if pseudonym is not None:
-            if pseudonym.composite is not None:
-                hex_digests.append(pseudonym.composite)
-            hex_digests.extend(pseudonym.per_field)
+    cols = to_columns(ds)
     header = canonical_json_bytes(
         {
-            "station_id": ds.station_id,
-            "schema": [list(pair) for pair in ds.schema],
+            "station_id": cols.station_id,
+            "schema": [list(pair) for pair in cols.schema],
             "descriptor": {
-                "source": ds.descriptor.source,
-                "extracted_at": ds.descriptor.extracted_at,
-                "row_count": ds.descriptor.row_count,
+                "source": cols.descriptor.source,
+                "extracted_at": cols.descriptor.extracted_at,
+                "row_count": cols.descriptor.row_count,
             },
-            "row_count": len(ds.rows),
-            "digests": list(parts),
-            "columns": [[row.payload[name] for row in ds.rows] for name, _ in ds.schema],
+            "row_count": cols.n_rows,
+            "digests": list(cols.parts),
+            "columns": cols.payload,
         }
     )
-    return b"".join(
-        (_BODY_LEN.pack(len(header)), header, bytes.fromhex("".join(hex_digests)))
-    )
+    return b"".join((_BODY_LEN.pack(len(header)), header, cols.digests.tobytes()))
 
 
-def dataset_from_bytes(data: bytes) -> Dataset:
+def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
-    lengths or header do not fit together raises ValueError."""
+    lengths or header do not fit together raises ValueError. The digests
+    are a read-only view into ``data``."""
     try:
         (header_len,) = _BODY_LEN.unpack_from(data)
         start = _BODY_LEN.size + header_len
@@ -272,60 +352,27 @@ def dataset_from_bytes(data: bytes) -> Dataset:
             raise ValueError(f"header length {header_len} overruns a {len(data)}-byte body")
         doc = json.loads(bytes(data[_BODY_LEN.size : start]).decode("utf-8"))
         schema = tuple((str(n), str(t)) for n, t in doc["schema"])
-        names = [n for n, _ in schema]
         n_rows, parts, columns = doc["row_count"], tuple(doc["digests"]), doc["columns"]
         if type(n_rows) is not int or n_rows < 0:
             raise ValueError(f"bad row_count {n_rows!r}")
         if parts not in ((), ("composite",), ("per_field",), _DIGEST_PARTS):
             raise ValueError(f"unknown digest parts {list(parts)}")
-        if len(columns) != len(names) or any(len(c) != n_rows for c in columns):
-            raise ValueError("payload columns do not match schema and row_count")
-        width = (1 if "composite" in parts else 0) + (4 if "per_field" in parts else 0)
-        if len(data) - start != n_rows * width * _DIGEST_BYTES:
+        if type(columns) is not list or any(type(c) is not list for c in columns):
+            raise ValueError("payload columns must be arrays")
+        width = _width(parts)
+        if len(data) - start != n_rows * width * DIGEST_DTYPE.itemsize:
             raise ValueError(
                 f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests"
             )
-        station_id = doc["station_id"]
         desc = doc["descriptor"]
-        descriptor = DatasetDescriptor(
-            source=desc["source"],
-            extracted_at=desc["extracted_at"],
-            row_count=desc["row_count"],
-        )
+        descriptor = DatasetDescriptor(desc["source"], desc["extracted_at"], desc["row_count"])
+        digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
+        cols = Columns(doc["station_id"], schema, descriptor, columns, parts,
+                       digests.reshape(n_rows, width))
     except (struct.error, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise ValueError(f"bad dataset body: {exc!r}") from None
-
-    # filled column by column: no per-row tuple or iterator for the collector
-    payloads: list[dict] = [{} for _ in range(n_rows)]
-    for name, column in zip(names, columns):
-        for payload, value in zip(payloads, column):
-            payload[name] = value
-    pseudonyms = _pseudonyms_from_hex(memoryview(data)[start:].hex(), n_rows, parts, width)
-    ds = Dataset(
-        station_id=station_id,
-        schema=schema,
-        rows=[Record(payload=p, pseudonym=v) for p, v in zip(payloads, pseudonyms)],
-        descriptor=descriptor,
-    )
-    ds.validate()
-    return ds
-
-
-def _pseudonyms_from_hex(
-    hexed: str, n_rows: int, parts: tuple[str, ...], width: int
-) -> list[PseudonymVector | None]:
-    """Cut one hex string of row-after-row digests back into vectors."""
-    if not parts:
-        return [None] * n_rows
-    h = DIGEST_HEX_LENGTH
-    digests = [hexed[i : i + h] for i in range(0, len(hexed), h)]
-    composites = digests[0::width] if "composite" in parts else [None] * n_rows
-    if "per_field" in parts:
-        first = width - 4
-        per_field = zip(*(digests[first + i :: width] for i in range(4)))
-    else:
-        per_field = [()] * n_rows
-    return [PseudonymVector(c, f) for c, f in zip(composites, per_field)]
+    cols.validate()
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .envelope import (
 from .errors import PhtError, StorageWiped
 from .linkage import link, merge
 from .manifest import TrainManifest, validate_train
-from .model import Dataset, Record, dataset_from_bytes, dataset_to_bytes
+from .model import Columns, Dataset, Record, dataset_from_bytes, dataset_to_bytes, make_columns
 from .pseudonym import Salt, generate_salt, pseudonymize
 from .wire import (
     Abort,
@@ -376,28 +376,21 @@ class DataStationActor(_SequencedActor):
             return self.abort(f"UnknownVariable({missing[0]})")
 
         kept = apply_pool_filter(dataset.rows, request.pool)
-        schema = tuple(
-            (name, dict(dataset.schema)[name]) for name in request.variables
-        )
-        rows = [
-            Record(
-                payload={name: row.payload[name] for name in request.variables},
-                pseudonym=pseudonymize(row.qid, self._salt, manifest.linkage.mode),
-            )
-            for row in kept
-        ]
-        extract = Dataset(
-            station_id=self.station_id,
-            schema=schema,
-            rows=rows,
-            descriptor=replace(dataset.descriptor, row_count=len(rows)),
+        types = dict(dataset.schema)
+        # columns straight from the kept rows: no per-row object outlives its row
+        extract = make_columns(
+            self.station_id,
+            tuple((name, types[name]) for name in request.variables),
+            replace(dataset.descriptor, row_count=len(kept)),
+            [[row.payload[name] for row in kept] for name in request.variables],
+            (pseudonymize(row.qid, self._salt, manifest.linkage.mode) for row in kept),
         )
         payload = dataset_to_bytes(extract)
         self.audit.log(
             self._run_id,
             self.phase,
             "extract_prepared",
-            f"{len(rows)}/{len(dataset.rows)} rows",
+            f"{len(kept)}/{len(dataset.rows)} rows",
         )
 
         if self.config.fault == FAULT_NO_SEND:
@@ -533,9 +526,12 @@ class TseActor(_SequencedActor):
             # the salt exchange is station-to-station; it must never be here
             return self.abort("SaltOfferAtTse")
         if isinstance(msg, Abort):
-            self.audit.log(msg.run_id, self.phase, "station_abort", msg.reason)
+            # a station's refusal or the researcher's cancel: the sender
+            # already knows the run is over, so nothing goes back
             if self.phase != WIPED:
-                self.wipe("after station abort")
+                self.wipe()
+                detail = f"{msg.sender}: {msg.reason}"
+                self.audit.log(msg.run_id, self.phase, "abort_wiped", detail)
             return []
         return self.abort(f"UnexpectedMessage({message_type_name(msg)})")
 
@@ -581,7 +577,7 @@ class TseActor(_SequencedActor):
 
     def _process(self) -> list[Outgoing]:
         manifest = self._manifest
-        datasets: list[Dataset] = []
+        datasets: list[Columns] = []
         for sid in self._expected:
             try:
                 plaintext = open_package(
@@ -615,7 +611,7 @@ class TseActor(_SequencedActor):
 
         validated.audit["run"] = {
             "run_id": self._run_id,
-            "records_received": {ds.station_id: len(ds.rows) for ds in datasets},
+            "records_received": {ds.station_id: ds.n_rows for ds in datasets},
             "records_linked": len(result.pairs),
             "linkage": result.audit,
         }

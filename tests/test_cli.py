@@ -574,6 +574,37 @@ class TestLogging:
         logging.root.setLevel(logging.WARNING)
 
 
+# a JSON file the commands must refuse: its top level is not an object, or
+# it is not JSON at all
+NOT_AN_OBJECT = ["[1, 2]", '["x"]', "null", "{not json"]
+
+
+class TestJsonTopLevel:
+    """Each command that reads a JSON file exits 2 with its named reason when
+    the file's top level is not an object, instead of a traceback."""
+
+    @pytest.mark.parametrize("text", NOT_AN_OBJECT)
+    @pytest.mark.parametrize("command, reason", [
+        (["synth"], "InvalidSpec"),
+        (["report"], "BadConfig"),
+        (["submit", "--timeout", "1"], "BadDraft"),
+        (["station", "--config"], "BadConfig"),
+        (["tse", "--config"], "BadConfig"),
+    ])
+    def test_refused_with_named_reason(self, tmp_path, text, command, reason):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        args = [*command, str(path)]
+        if command[0] == "submit":
+            (tmp_path / "anchor.pem").write_text("unused")
+            args += ["--anchor-key", str(tmp_path / "anchor.pem"), "--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert f"error: {reason}" in result.output
+        assert not (tmp_path / "out").exists()
+
+
 class TestDaemonConfigErrors:
     def test_missing_anchor_key_refuses_to_start(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -314,15 +314,15 @@ class TestMerge:
         ds_b = make_dataset("B", (("income", "numeric"),),
                             [Record(payload={"income": 30000}, pseudonym=va)])
         merged = merge(LinkResult(((0, 0),), (), ()), ds_a, ds_b)
-        assert merged.rows[0].payload == {"age": 52, "income": 30000}
+        assert merged.payload == [[52], [30000]]
         assert merged.variable_names() == ("age", "income")
-        assert merged.rows[0].pseudonym is None and merged.rows[0].qid is None
+        assert merged.parts == () and merged.digests.shape == (1, 0)
 
     def test_empty_result_keeps_full_schema(self):
         ds_a = pseudo_dataset("A", [fake_vec()])
         ds_b = pseudo_dataset("B", [fake_vec()], variable="income")
         merged = merge(LinkResult((), (0,), (0,)), ds_a, ds_b)
-        assert merged.rows == []
+        assert merged.n_rows == 0 and merged.payload == [[], []]
         assert merged.variable_names() == ("age", "income")
 
     def test_collision_prefixed_with_station_ids(self):
@@ -333,7 +333,7 @@ class TestMerge:
                             [Record(payload={"status": "y"}, pseudonym=va)])
         merged = merge(LinkResult(((0, 0),), (), ()), ds_a, ds_b)
         assert merged.variable_names() == ("A.status", "B.status")
-        assert merged.rows[0].payload == {"A.status": "x", "B.status": "y"}
+        assert merged.payload == [["x"], ["y"]]
 
     def test_unresolvable_collision_raises(self):
         va = fake_vec()

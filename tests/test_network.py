@@ -408,6 +408,38 @@ class TestNodeSurvives:
         assert threading.active_count() <= baseline
 
 
+class TestAbortReceivedAtTse:
+    """A received Abort, a station's refusal or the researcher's cancel,
+    wipes the TSE and is audited once as abort_wiped, naming its sender and
+    reason. Nothing goes back: the sender already knows."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_station_refusal_logs_one_abort_wiped(self, transport):
+        scn = demo_scenario(allowed_b=())
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "UnauthorizedVariable")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        events = [(e["event"], e["detail"]) for e in out.audit_logs["TSE"]]
+        wiped = [detail for event, detail in events if event in ("abort_wiped", "wiped")]
+        # over TCP, B's Abort can reach the TSE before its dispatch and be dropped
+        assert wiped in (["B: UnauthorizedVariable"], ["researcher: UnauthorizedVariable"])
+        assert [event for event, _ in events].count("abort_wiped") == 1
+        assert [t[0] for t in out.traces[("TSE", "researcher")]] == ["Ack"]
+
+    def test_second_abort_after_the_wipe_is_not_audited_again(self):
+        scn = demo_scenario(allowed_b=())
+        tse = TseActor(scn.setup.tse)
+        run_id = scn.manifest.run_id
+        assert tse.handle(_dispatch(scn, run_id))[0].message.status == "OK"
+        assert tse.handle(Abort(run_id, 1, "B", "UnauthorizedVariable")) == []
+        assert tse.phase == WIPED and tse.storage.wiped
+        assert tse.handle(Abort(run_id, 2, "researcher", "UnauthorizedVariable")) == []
+        assert [(e["event"], e["detail"]) for e in tse.audit.events[-2:]] == [
+            ("awaiting_data", "A,B"),
+            ("abort_wiped", "B: UnauthorizedVariable"),
+        ]
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("boom")
 

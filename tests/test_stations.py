@@ -102,7 +102,9 @@ class TestDataStationHappyPath:
         )
         extract = dataset_from_bytes(plaintext)
         assert extract.variable_names() == ("age",)
-        assert all(r.pseudonym is not None and r.qid is None for r in extract.rows)
+        # every row carries its composite; Columns hold no QIDs at all
+        assert extract.parts == ("composite",)
+        assert extract.digests.shape == (len(scn.ds_a.rows), 1)
 
     def test_pool_filter_drops_out_of_range_rows(self):
         scn = scenario(pool_a=PoolFilter(age_min=50, age_max=60, as_of="2026-01-01"))
@@ -114,8 +116,8 @@ class TestDataStationHappyPath:
             expected_run_id=scn.manifest.run_id,
         )
         extract = dataset_from_bytes(plaintext)
-        assert 0 < len(extract.rows) < len(scn.ds_a.rows)
-        assert all(50 <= r.payload["age"] <= 60 for r in extract.rows)
+        assert 0 < extract.n_rows < len(scn.ds_a.rows)
+        assert all(50 <= age <= 60 for age in extract.payload_column("age"))
 
 
 class TestDataStationFailures:
@@ -218,11 +220,13 @@ class TestTse:
                 transfer_a.package, scn.setup.tse.enc_keys,
                 scn.manifest.verification_key_for("A"), expected_run_id=scn.manifest.run_id,
             )
-            vectors = [r.pseudonym for r in dataset_from_bytes(plaintext).rows]
+            extract = dataset_from_bytes(plaintext)
             if mode == "exact":
-                assert all(v.composite and v.per_field == () for v in vectors)
+                assert extract.parts == ("composite",)
+                assert extract.digests.shape == (extract.n_rows, 1)
             else:
-                assert all(v.composite is None and len(v.per_field) == 4 for v in vectors)
+                assert extract.parts == ("per_field",)
+                assert extract.digests.shape == (extract.n_rows, 4)
 
     def test_post_wipe_reads_fail(self):
         scn = scenario()

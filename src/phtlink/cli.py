@@ -195,11 +195,12 @@ def synth(spec_file: Path, out_dir: Path):
     try:
         if variant == "vertical_demo":
             # the variant fixes overlap and perturbation: every B row has an
-            # unperturbed counterpart in A, so those two keys are not read
-            spec = block_from_dict(
-                SyntheticPopulationSpec,
-                {"overlap_fraction": 1.0, "perturbation_rate": 0.0, **doc},
-            )
+            # unperturbed counterpart in A, so a spec may not set them
+            fixed = {"overlap_fraction": 1.0, "perturbation_rate": 0.0}
+            given = sorted(fixed.keys() & doc.keys())
+            if given:
+                raise InvalidSpec(f"unknown vertical_demo key {given[0]!r}")
+            spec = block_from_dict(SyntheticPopulationSpec, {**fixed, **doc})
             ds_a, ds_b, truth = generate_vertical_demo(
                 spec.n_large, spec.n_small, spec.seed, spec.age_range,
                 spec.region_zip_prefixes, spec.as_of,
@@ -249,20 +250,16 @@ def _serve(cfg: dict, listen: tuple[str, int], new_actor, timeout_s: float | Non
     except OSError as exc:
         _fail("BindError", str(exc))
     stop = threading.Event()
-
-    def _terminate(signum, frame):
-        if wipe_on_exit:
-            for actor in list(router.actors.values()):
-                actor.wipe("terminated")
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _terminate)
-    signal.signal(signal.SIGINT, _terminate)
+    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+    signal.signal(signal.SIGINT, lambda signum, frame: stop.set())
     node.start()
     click.echo(f"listening on {node.address}")
     sys.stdout.flush()
     stop.wait()
-    node.stop()
+    node.stop()  # its worker has ended: the router's actors are ours now
+    if wipe_on_exit:
+        for actor in router.actors.values():
+            actor.wipe("terminated")
 
 
 @main.command()
@@ -394,9 +391,9 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     endpoints[manifest.researcher_id] = node.address
     researcher = ResearcherActor(manifest.researcher_id, manifest, endpoints)
     done = router.add(manifest.run_id, researcher)
+    node.post(researcher.start())  # before the worker runs
     node.start()
     try:
-        node.post(researcher.start())
         done.wait(timeout_s)
     finally:
         node.stop()
@@ -442,27 +439,43 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     sys.exit(1)
 
 
+def _report_value(doc: dict, key: str, kind, required: bool = False):
+    """``doc[key]`` if it is a ``kind``, or absent or null and not required."""
+    value = doc.get(key)
+    if not (isinstance(value, kind) or value is None and not required):
+        raise BadConfig(f"run report key {key!r} is missing or has the wrong type")
+    return value
+
+
 @main.command()
 @click.argument("report_file", type=click.Path(exists=True, path_type=Path))
 def report(report_file: Path):
     """Pretty-print RUN_REPORT.json."""
     try:
         doc = _load_json(report_file)
+        run_id = _report_value(doc, "run_id", str, required=True)
+        outcome = _report_value(doc, "outcome", str, required=True)
+        reason = _report_value(doc, "reason", str)
+        summary = _report_value(doc, "audit_summary", dict) or {}
+        acks = _report_value(summary, "acks", list)
+        linked = _report_value(summary, "records_linked", int)
+        suppressed = _report_value(summary, "cells_suppressed", int)
+        timings = _report_value(summary, "timings", dict) or {}
+        total_s = _report_value(timings, "total_s", (int, float))
+        files = _report_value(doc, "result_files", list) or []
     except BadConfig as exc:
         _fail("BadConfig", str(exc))
-    click.echo(f"run      {doc['run_id']}")
-    click.echo(f"outcome  {doc['outcome']}" + (f" ({doc['reason']})" if doc.get("reason") else ""))
-    summary = doc.get("audit_summary", {})
-    if summary.get("acks"):
-        click.echo(f"acks     {', '.join(summary['acks'])}")
-    if summary.get("records_linked") is not None:
-        click.echo(f"linked   {summary['records_linked']} records")
-    if summary.get("cells_suppressed") is not None:
-        click.echo(f"suppressed cells  {summary['cells_suppressed']}")
-    timings = summary.get("timings", {})
+    click.echo(f"run      {run_id}")
+    click.echo(f"outcome  {outcome}" + (f" ({reason})" if reason else ""))
+    if acks:
+        click.echo(f"acks     {', '.join(map(str, acks))}")
+    if linked is not None:
+        click.echo(f"linked   {linked} records")
+    if suppressed is not None:
+        click.echo(f"suppressed cells  {suppressed}")
     if timings:
-        click.echo(f"total    {timings.get('total_s', 0):.3f}s")
-    for path in doc.get("result_files", []):
+        click.echo(f"total    {total_s or 0:.3f}s")
+    for path in files:
         click.echo(f"file     {path}")
 
 

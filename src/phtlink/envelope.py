@@ -137,12 +137,8 @@ class SealedPackage:
     outer_auth_tag: bytes
 
     def header(self) -> dict:
-        return {
-            "sender_station_id": self.sender_station_id,
-            "run_id": self.run_id,
-            "key_ids": list(self.key_ids),
-            "algorithms": ALGORITHMS,
-        }
+        """The authenticated header: its canonical JSON is the AEAD's AAD."""
+        return _header(self.sender_station_id, self.run_id, self.key_ids)
 
     def to_bytes(self) -> bytes:
         header = canonical_json_bytes(self.header())
@@ -199,6 +195,11 @@ class SealedPackage:
             ciphertext=bytes(view[offset:]),
             outer_auth_tag=bytes(tag),
         )
+
+
+def _header(sender_station_id: str, run_id: str, key_ids: tuple[str, str]) -> dict:
+    return {"sender_station_id": sender_station_id, "run_id": run_id,
+            "key_ids": list(key_ids), "algorithms": ALGORITHMS}
 
 
 def generate_encryption_keypair(run_id: str | None = None) -> KeyPair:
@@ -291,13 +292,8 @@ def seal(
     )
     inner = plaintext + inner_sig
 
-    header = {
-        "sender_station_id": sender_id,
-        "run_id": run_id,
-        "key_ids": [recipient_pub.key_id, signer.key_id],
-        "algorithms": ALGORITHMS,
-    }
-    aad = canonical_json_bytes(header)
+    key_ids = (recipient_pub.key_id, signer.key_id)
+    aad = canonical_json_bytes(_header(sender_id, run_id, key_ids))
 
     content_key = _random_bytes(32)
     data_nonce = _random_bytes(_GCM_NONCE_LEN)
@@ -315,7 +311,7 @@ def seal(
     return SealedPackage(
         sender_station_id=sender_id,
         run_id=run_id,
-        key_ids=(recipient_pub.key_id, signer.key_id),
+        key_ids=key_ids,
         wrapped_content_key=ephemeral_pub + wrap_nonce + wrapped,
         ciphertext=ciphertext,
         outer_auth_tag=tag,

@@ -9,11 +9,12 @@ message trace, every raw frame each endpoint received (for privacy
 byte-scans), all audit logs and the TSE storage handle (for deletion checks).
 
 Per-sender message order is preserved by construction: the in-process engine
-uses FIFO queues, the TCP transport keeps one long-lived connection per
-(sender, destination) pair. Cross-sender interleaving is unspecified, so
-traces are compared per channel, never globally; the researcher dispatches
-the salt initiator last (see ResearcherActor), so a run's outcome does not
-depend on that interleaving.
+uses FIFO queues; over TCP one worker thread per node does all its sending,
+in inbox order, over one long-lived connection per destination, so the
+researcher's cancel follows its dispatch. Cross-sender interleaving is
+unspecified, so traces are compared per channel, never globally; the
+researcher dispatches the salt initiator last (see ResearcherActor), so a
+run's outcome does not depend on that interleaving.
 """
 
 from __future__ import annotations
@@ -294,10 +295,10 @@ def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:
     nodes = {aid: TcpNode(aid, router, address_book) for aid, router in routers.items()}
     address_book.update({aid: node.address for aid, node in nodes.items()})
     researcher.endpoints = dict(address_book)
+    nodes[researcher.station_id].post(researcher.start())  # before any worker runs
     for node in nodes.values():
         node.start()
     try:
-        nodes[researcher.station_id].post(researcher.start())
         ledger.wait_settled(done.is_set, run_timeout)
     finally:
         for node in nodes.values():
@@ -314,7 +315,9 @@ class TcpNode:
     and one persistent client connection per destination.
 
     ``handler`` is called with each decoded message and returns the messages
-    to send; a Router also supplies the node's deadlines and ledger."""
+    to send; a Router also supplies the node's deadlines and ledger. Only
+    the worker calls the handler or writes a socket; readers and `post` put
+    on the inbox, so the node sends in the order its inbox was handled."""
 
     def __init__(
         self,
@@ -333,7 +336,6 @@ class TcpNode:
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         # per-destination connection, with the address it was opened to
         self._conns: dict[str, tuple[str, socket.socket]] = {}
-        self._send_lock = threading.Lock()  # guards _conns
         self._lock = threading.Lock()  # guards _stopped and _readers
         self._stopped = False
         self._readers: dict[threading.Thread, socket.socket] = {}
@@ -371,16 +373,18 @@ class TcpNode:
 
     def _worker_loop(self) -> None:
         while True:
-            self.post(self.router.expire(time.monotonic()))
+            self._send_all(self.router.expire(time.monotonic()))
             deadline = self.router.next_deadline()
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                frame = self._inbox.get(timeout=wait)
+                item = self._inbox.get(timeout=wait)
             except queue.Empty:
                 continue
-            if frame is None:  # stop() was called
+            if item is None:  # stop() was called
                 return
-            self.post(_receive(self.node_id, self.handler, frame, self.router.ledger))
+            if not isinstance(item, list):  # a frame, not a post()
+                item = _receive(self.node_id, self.handler, item, self.router.ledger)
+            self._send_all(item)
             self._in_flight(-1)
 
     def _in_flight(self, n: int) -> None:
@@ -388,12 +392,16 @@ class TcpNode:
             self.router.ledger.add_in_flight(n)
 
     def post(self, outgoing: list[Outgoing]) -> None:
-        """Encode and send each message; safe to call from any thread."""
+        """Queue messages for the worker to send; safe from any thread."""
+        self._in_flight(1)  # like a frame, counted until the worker handled it
+        self._inbox.put(list(outgoing))
+
+    def _send_all(self, outgoing: list[Outgoing]) -> None:
+        """Encode and send each message; called on the worker thread only."""
         for out in outgoing:
             frame = encode(out.message)
             self._in_flight(1)  # counted before it can arrive, so never below zero
-            with self._send_lock:
-                error = self._send(out.dest, frame)
+            error = self._send(out.dest, frame)
             if error is not None:
                 _drop(out.message.run_id, self.node_id, f"send to {out.dest!r} failed: {error}")
                 self._in_flight(-1)
@@ -439,6 +447,5 @@ class TcpNode:
         for thread in (self._accept, *readers, self._worker):
             if thread.is_alive():
                 thread.join()
-        with self._send_lock:
-            for dest in list(self._conns):
-                self._drop_conn(dest)
+        for dest in list(self._conns):  # the worker that used them has ended
+            self._drop_conn(dest)

@@ -206,7 +206,6 @@ class DataStationActor(_SequencedActor):
         self._manifest: TrainManifest | None = None
         self._salt: Salt | None = None
         self._run_id: str | None = None
-        self._seen_runs: set[str] = set()
 
     @property
     def terminal(self) -> bool:
@@ -232,12 +231,8 @@ class DataStationActor(_SequencedActor):
             targets = [self._manifest.researcher_id, self._manifest.tse_station_id]
         else:
             targets = [fallback_dest] if fallback_dest else []
-        out = []
-        for dest in targets:
-            out.append(
-                Outgoing(dest, Abort(run, self.next_seq(), self.station_id, reason))
-            )
-        return out
+        return [Outgoing(dest, Abort(run, self.next_seq(), self.station_id, reason))
+                for dest in targets]
 
     # -- message handling ---------------------------------------------------
 
@@ -259,11 +254,10 @@ class DataStationActor(_SequencedActor):
         )
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
-        if msg.run_id in self._seen_runs:
+        if msg.run_id == self._run_id:
             return self.abort("DuplicateRun", msg.run_id)
         if self.phase != IDLE:
             return self.abort(f"UnexpectedMessage(TrainDispatch in {self.phase})")
-        self._seen_runs.add(msg.run_id)
         self._manifest = msg.manifest
         self._run_id = msg.run_id
 
@@ -432,18 +426,19 @@ class DataStationActor(_SequencedActor):
 class TseStorage:
     """In-memory run storage with an auditable wipe.
 
-    Wiping overwrites every held buffer with zeros before releasing it;
-    afterwards the inventory is empty and reads fail with StorageWiped.
+    Wiping zeroes every held buffer, and so every view ``put_bytes`` returned,
+    then drops it: the inventory is empty and reads raise StorageWiped.
     """
 
     def __init__(self):
         self._items: dict[str, bytearray] = {}
         self.wiped = False
 
-    def put_bytes(self, name: str, data: bytes) -> None:
+    def put_bytes(self, name: str, data: bytes) -> memoryview:
         if self.wiped:
             raise StorageWiped("storage already wiped")
-        self._items[name] = bytearray(data)
+        buf = self._items[name] = bytearray(data)
+        return memoryview(buf).toreadonly()
 
     def read(self, name: str) -> bytes:
         if self.wiped:
@@ -480,8 +475,6 @@ class TseActor(_SequencedActor):
         self._run_id: str | None = None
         self._packages: dict[str, SealedPackage] = {}
         self._expected: tuple[str, ...] = ()
-        self._terminal_sent = False
-        self._seen_runs: set[str] = set()
 
     @property
     def terminal(self) -> bool:
@@ -497,13 +490,13 @@ class TseActor(_SequencedActor):
             self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
 
     def abort(self, reason: str) -> list[Outgoing]:
-        """Wipe, and tell the researcher why (once per run)."""
+        """Wipe, and tell the researcher why unless the run already ended here."""
+        ended = self.phase == WIPED
         self.wipe()
         run = self._run_id or "?"
         self.audit.log(run, self.phase, "abort_wiped", reason)
-        if self._terminal_sent or self._manifest is None:
+        if ended or self._manifest is None:
             return []
-        self._terminal_sent = True
         return [
             Outgoing(
                 self._manifest.researcher_id,
@@ -536,9 +529,8 @@ class TseActor(_SequencedActor):
         return self.abort(f"UnexpectedMessage({message_type_name(msg)})")
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
-        if msg.run_id in self._seen_runs or self.phase != IDLE:
+        if self.phase != IDLE:
             return self.abort("DuplicateRun")
-        self._seen_runs.add(msg.run_id)
         self._manifest = msg.manifest
         self._run_id = msg.run_id
         verdict = validate_train(
@@ -588,10 +580,11 @@ class TseActor(_SequencedActor):
                 )
             except PhtError as exc:
                 return self.abort(f"{type(exc).__name__}@{sid}")
-            self.storage.put_bytes(f"dataset:{sid}", plaintext)
+            # linked in place, so the wipe zeroes the digests link reads
+            body = self.storage.put_bytes(f"dataset:{sid}", plaintext)
             self.audit.log(self._run_id, self.phase, "package_opened", sid)
             try:
-                datasets.append(dataset_from_bytes(plaintext))
+                datasets.append(dataset_from_bytes(body))
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
 
@@ -599,7 +592,6 @@ class TseActor(_SequencedActor):
         self.audit.log(self._run_id, self.phase, "linking")
         result = link(datasets[0], datasets[1], manifest.linkage)
         merged = merge(result, datasets[0], datasets[1])
-        self.storage.put_bytes("merged", dataset_to_bytes(merged))
 
         self.phase = ANALYZING
         self.audit.log(self._run_id, self.phase, "analyzing", manifest.analysis.kind)
@@ -615,23 +607,15 @@ class TseActor(_SequencedActor):
             "records_linked": len(result.pairs),
             "linkage": result.audit,
         }
-        self.storage.put_bytes("result", validated.to_canonical_json())
 
-        out = []
-        if not self._terminal_sent:
-            self._terminal_sent = True
-            out.append(
-                Outgoing(
-                    manifest.researcher_id,
-                    ResultReturn(
-                        self._run_id, self.next_seq(), self.station_id, validated
-                    ),
-                )
-            )
+        out = Outgoing(
+            manifest.researcher_id,
+            ResultReturn(self._run_id, self.next_seq(), self.station_id, validated),
+        )
         self.phase = RETURNED
         self.audit.log(self._run_id, self.phase, "result_returned")
         self.wipe("all run data deleted")
-        return out
+        return [out]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .manifest import TrainManifest, manifest_from_dict, manifest_to_dict
 MAGIC = b"PHT1"
 VERSION = 0x02
 HEADER_LEN = 10
-MAX_PAYLOAD_DEFAULT = 256 * 1024 * 1024
+MAX_PAYLOAD = 256 * 1024 * 1024
 
 TYPE_TRAIN_DISPATCH = 0x01
 TYPE_ACK = 0x02
@@ -173,7 +173,7 @@ def encode(msg: Message) -> bytes:
     )
 
 
-def check_header(header: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> tuple[int, int]:
+def check_header(header: bytes) -> tuple[int, int]:
     """Validate a 10-byte frame header; returns (type byte, payload length)."""
     if len(header) < HEADER_LEN:
         raise DecodeError(len(header), "truncated header")
@@ -185,13 +185,13 @@ def check_header(header: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> tuple
     if type_byte not in _TYPE_BY_CLASS.values():
         raise DecodeError(5, f"unknown type byte 0x{type_byte:02x}")
     (length,) = _U32.unpack_from(header, 6)
-    if length > max_payload:
-        raise DecodeError(6, f"payload length {length} exceeds limit {max_payload}")
+    if length > MAX_PAYLOAD:
+        raise DecodeError(6, f"payload length {length} exceeds limit {MAX_PAYLOAD}")
     return type_byte, length
 
 
-def decode(frame: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> Message:
-    type_byte, length = check_header(frame[:HEADER_LEN], max_payload)
+def decode(frame: bytes) -> Message:
+    type_byte, length = check_header(frame[:HEADER_LEN])
     if len(frame) < HEADER_LEN + length:
         raise DecodeError(len(frame), "truncated payload")
     if len(frame) > HEADER_LEN + length:
@@ -219,7 +219,7 @@ def decode(frame: bytes, max_payload: int = MAX_PAYLOAD_DEFAULT) -> Message:
         raise DecodeError(json_at, f"bad payload: {exc}") from exc
 
 
-def read_frame(stream, max_payload: int = MAX_PAYLOAD_DEFAULT) -> bytearray | None:
+def read_frame(stream) -> bytearray | None:
     """Read one whole frame from a socket-like file object; None on EOF.
 
     The length check happens on the header alone, so an oversized frame is
@@ -232,7 +232,7 @@ def read_frame(stream, max_payload: int = MAX_PAYLOAD_DEFAULT) -> bytearray | No
         return None
     if got < HEADER_LEN:
         raise DecodeError(got, "truncated header")
-    _, length = check_header(header, max_payload)
+    _, length = check_header(header)
     frame = bytearray(HEADER_LEN + length)
     frame[:HEADER_LEN] = header
     got = _read_into(stream, memoryview(frame)[HEADER_LEN:])

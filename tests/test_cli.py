@@ -76,10 +76,10 @@ class TestKeygen:
 
 class TestSynth:
     def spec_file(self, tmp_path, **overrides):
-        doc = dict(
-            n_large=60, n_small=20, overlap_fraction=0.8,
-            perturbation_rate=0.05, seed=5,
-        )
+        doc = dict(n_large=60, n_small=20, seed=5)
+        if overrides.get("variant") != "vertical_demo":
+            # the vertical_demo variant fixes these two and refuses them
+            doc.update(overlap_fraction=0.8, perturbation_rate=0.05)
         doc.update(overrides)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
@@ -124,6 +124,15 @@ class TestSynth:
         assert result.exit_code == 2
         assert "InvalidSpec" in result.output and "sead" in result.output
         assert not (tmp_path / "d" / "station_a.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("overlap_fraction", 0.5),
+                                            ("perturbation_rate", 0.1)])
+    def test_vertical_demo_refuses_the_keys_it_fixes(self, tmp_path, key, value):
+        spec = self.spec_file(tmp_path, variant="vertical_demo", **{key: value})
+        result = CliRunner().invoke(main, ["synth", str(spec), "--out", str(tmp_path / "d")])
+        assert result.exit_code == 2
+        assert "InvalidSpec" in result.output and key in result.output
+        assert not list((tmp_path / "d").glob("*.csv"))
 
     def test_vertical_demo_honours_zip_prefixes(self, tmp_path):
         spec = self.spec_file(tmp_path, variant="vertical_demo", region_zip_prefixes=["9999"])
@@ -603,6 +612,20 @@ class TestJsonTopLevel:
         assert result.exit_code == 2, result.output
         assert f"error: {reason}" in result.output
         assert not (tmp_path / "out").exists()
+
+
+class TestReport:
+    @pytest.mark.parametrize("doc, key", [
+        ({}, "run_id"),
+        ({"run_id": "run-1", "outcome": "Completed", "audit_summary": []}, "audit_summary"),
+    ])
+    def test_missing_or_ill_typed_key_is_bad_config(self, tmp_path, doc, key):
+        path = tmp_path / "run_report.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and repr(key) in result.output
 
 
 class TestDaemonConfigErrors:

@@ -408,6 +408,45 @@ class TestNodeSurvives:
         assert threading.active_count() <= baseline
 
 
+class TestOneOwner:
+    def test_every_frame_leaves_from_its_nodes_worker_thread(self, monkeypatch):
+        # a frame sent from another thread could overtake one its worker sent
+        sent = []
+        send = TcpNode._send
+
+        def spy(node, dest, frame):
+            sent.append((node.node_id, threading.current_thread() is node._worker))
+            return send(node, dest, frame)
+
+        monkeypatch.setattr(TcpNode, "_send", spy)
+        out = run_network(demo_scenario().setup, transport="tcp",
+                          tse_timeout=5.0, run_timeout=30.0)
+        assert out.completed
+        assert {node for node, _ in sent} == {"researcher", "A", "B", "TSE"}
+        assert [node for node, on_worker in sent if not on_worker] == []
+
+    def test_tse_links_on_the_buffers_it_wipes(self, monkeypatch):
+        linked, held = [], []
+        link, wipe = stations.link, stations.TseStorage.wipe
+
+        def spy_link(a, b, params):
+            linked.extend((a, b))
+            return link(a, b, params)
+
+        def spy_wipe(storage):
+            held.append(storage.inventory())
+            wipe(storage)
+
+        monkeypatch.setattr(stations, "link", spy_link)
+        monkeypatch.setattr(stations.TseStorage, "wipe", spy_wipe)
+        out = run_network(demo_scenario().setup)
+        assert out.completed
+        assert held == [("dataset:A", "dataset:B")]
+        for columns in linked:
+            digests = columns.digests.tobytes()
+            assert digests and digests == bytes(len(digests)), columns.station_id
+
+
 class TestAbortReceivedAtTse:
     """A received Abort, a station's refusal or the researcher's cancel,
     wipes the TSE and is audited once as abort_wiped, naming its sender and

@@ -140,7 +140,7 @@ class TestDecodeErrors:
     def test_oversized_length_rejected_from_header(self):
         header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 2**31)
         with pytest.raises(DecodeError) as err:
-            decode(header, max_payload=1024)
+            decode(header)
         assert err.value.offset == 6
 
     def test_dispatch_with_an_unknown_block_key_is_a_decode_error(self):
@@ -184,7 +184,7 @@ class TestReadFrame:
         header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 2**30)
         stream = io.BytesIO(header + b"\x00" * 100)
         with pytest.raises(DecodeError):
-            read_frame(stream, max_payload=1000)
+            read_frame(stream)
         # nothing past the header was consumed
         assert stream.tell() == HEADER_LEN
 

@@ -56,6 +56,15 @@ class DegenerateParams(PhtError):
     """Linkage parameters have m <= u on some field."""
 
 
+class CandidateBudgetExceeded(PhtError):
+    """Blocking leaves more candidate pairs than one linkage pass may score."""
+
+    def __init__(self, candidates: int, limit: int):
+        self.candidates = candidates
+        self.limit = limit
+        super().__init__(f"{candidates} candidate pairs exceed the limit of {limit}")
+
+
 class SchemaCollision(PhtError):
     """Merged schema still collides after station-id prefixing."""
 

@@ -9,8 +9,13 @@ Two modes:
   A pair's log2 likelihood-ratio weight, from per-field agreement
   probabilities m (among true matches) and u (among non-matches), depends
   only on which fields agree, so each of the 16 agreement patterns is
-  weighed and classified against two thresholds once per call and every
-  candidate pair looks its pattern up. Only Match-class pairs are kept, so
+  weighed and classified against two thresholds once per call. Rows get a
+  block id from their blocking-field codes; with B sorted by block, each A
+  row's candidates are one range of B, so the candidate count is known
+  before any pair is built. Past MAX_CANDIDATES link raises
+  CandidateBudgetExceeded. Otherwise candidates are scored as numpy arrays,
+  CHUNK_CANDIDATES at a time: the four field comparisons form a pattern
+  index into the 16-entry tables. Only Match-class pairs are kept, so
   memory grows with them rather than with the candidates; they are reduced
   to a one-to-one assignment greedily in descending weight.
 
@@ -37,11 +42,23 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .encoding import is_number, require_strings
-from .errors import DegenerateParams, MissingPseudonyms, SchemaCollision
+from .errors import (
+    CandidateBudgetExceeded,
+    DegenerateParams,
+    MissingPseudonyms,
+    SchemaCollision,
+)
 from .model import DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, DatasetDescriptor, to_columns
 from .pseudonym import LINKAGE_MODES, PseudonymVector
 
 U_CLAMP = 1e-9
+
+#: Candidate pairs scored per array pass. It bounds the scorer's temporaries,
+#: so memory stays flat however many candidates blocking leaves.
+CHUNK_CANDIDATES = 2**12
+#: Most candidate pairs one probabilistic link scores, about 7 s of scoring;
+#: past it link raises CandidateBudgetExceeded before it builds any pair.
+MAX_CANDIDATES = 10**8
 
 MATCH = "Match"
 POSSIBLE = "Possible"
@@ -118,15 +135,15 @@ def _digests(cols: Columns, mode: str) -> np.ndarray:
     return np.empty((0,) if mode == "exact" else (0, 4), DIGEST_DTYPE)
 
 
-def _field_codes(per_field_a: np.ndarray, per_field_b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-field integer codes, (rows, 4) on each side: two digests of a field
-    get equal codes exactly when they are equal."""
-    n_a = len(per_field_a)
-    codes = np.empty((n_a + len(per_field_b), 4), dtype=np.int64)
+def _field_codes(per_field_a: np.ndarray, per_field_b: np.ndarray) -> np.ndarray:
+    """Per-field integer codes, (4, rows of A then rows of B): two digests of
+    a field get equal codes exactly when they are equal. A field's codes are
+    one contiguous row, so gathering them by candidate stays cheap."""
+    codes = np.empty((4, len(per_field_a) + len(per_field_b)), dtype=np.int64)
     for k in range(4):
         both = np.concatenate((per_field_a[:, k], per_field_b[:, k]))
-        codes[:, k] = np.unique(both, return_inverse=True)[1]
-    return codes[:n_a], codes[n_a:]
+        codes[k] = np.unique(both, return_inverse=True)[1]
+    return codes
 
 
 def estimate_u(
@@ -198,6 +215,31 @@ def score_pair(
     return ScoredPair(index_a, index_b, agreement, weight, match_class)
 
 
+def _pattern_table(params: LinkageParams) -> tuple[np.ndarray, list[str]]:
+    """Weight and class of each of the 16 agreement patterns. Field k adds
+    2**(3 - k) to a pattern's index when it agrees, the order of
+    itertools.product. Each pattern is weighed by _weigh, as score_pair weighs
+    one pair, so a candidate's weight is bit-identical to score_pair's."""
+    weights = field_weights(params)
+    table = [
+        _weigh(bits, params, weights) for bits in itertools.product((False, True), repeat=4)
+    ]
+    return np.array([weight for weight, _ in table]), [c for _, c in table]
+
+
+def _block_ids(codes: np.ndarray, blocking: list[int]) -> np.ndarray:
+    """Dense block id for each row (each column of ``codes``): equal exactly
+    when the rows agree on every blocking field. Without blocking fields every
+    row is in block 0."""
+    ids = np.zeros(codes.shape[1], np.int64)
+    for k in blocking:
+        column = codes[k]
+        # ids and codes are below the row count, so the pair key stays below
+        # its square; re-densifying after each field keeps it there
+        ids = np.unique(ids * (int(column.max()) + 1) + column, return_inverse=True)[1]
+    return ids
+
+
 def _link_exact(comp_a: np.ndarray, comp_b: np.ndarray) -> tuple[list[tuple[int, int]], dict]:
     keys_a, first_a, count_a = np.unique(comp_a, return_index=True, return_counts=True)
     keys_b, first_b, count_b = np.unique(comp_b, return_index=True, return_counts=True)
@@ -219,14 +261,16 @@ def _link_exact(comp_a: np.ndarray, comp_b: np.ndarray) -> tuple[list[tuple[int,
 def _link_probabilistic(
     per_field_a: np.ndarray, per_field_b: np.ndarray, params: LinkageParams
 ) -> tuple[list[tuple[int, int]], dict]:
+    n_a = len(per_field_a)
     counts = dict.fromkeys((MATCH, POSSIBLE, NON_MATCH), 0)
     pairs: list[tuple[int, int]] = []
     resolved, estimated = params, False
     # with an empty side there is nothing to estimate u from, or to score
-    if len(per_field_a) and len(per_field_b):
-        codes_a, codes_b = _field_codes(per_field_a, per_field_b)
+    if n_a and len(per_field_b):
+        codes = _field_codes(per_field_a, per_field_b)
+        codes_a, codes_b = codes[:, :n_a], codes[:, n_a:]
         if params.u is None:
-            u = _estimate_u(codes_a.T.tolist(), codes_b.T.tolist())
+            u = _estimate_u(codes_a.tolist(), codes_b.tolist())
             resolved, estimated = replace(params, u=u), True
         for i in range(4):
             if resolved.m[i] <= resolved.u[i]:
@@ -234,35 +278,58 @@ def _link_probabilistic(
                     f"m <= u on field {QID_FIELDS[i]} "
                     f"({resolved.m[i]} <= {resolved.u[i]})"
                 )
-        # a pair's weight depends only on its agreement vector: 16 of them
-        weights = field_weights(resolved)
-        table = {
-            bits: _weigh(bits, resolved, weights)
-            for bits in itertools.product((False, True), repeat=4)
-        }
-        blocking = tuple(QID_FIELDS.index(f) for f in params.blocking_fields)
-        buckets: dict[tuple, list[tuple]] = {}
-        for j, p in enumerate(codes_b.tolist()):
-            buckets.setdefault(tuple(p[k] for k in blocking), []).append((j, *p))
+        weights, classes = _pattern_table(resolved)
+        is_match = np.array([c == MATCH for c in classes])
 
-        match_pairs: list[tuple[float, int, int]] = []
-        for i, p in enumerate(codes_a.tolist()):
-            f0, f1, f2, f3 = p
-            for j, g0, g1, g2, g3 in buckets.get(tuple(p[k] for k in blocking), ()):
-                weight, match_class = table[f0 == g0, f1 == g1, f2 == g2, f3 == g3]
-                counts[match_class] += 1
-                if match_class == MATCH:
-                    match_pairs.append((-weight, i, j))
+        # B in block order: A row r's candidates are B's [lo[r], lo[r] + sizes[r])
+        blocks = _block_ids(codes, [QID_FIELDS.index(f) for f in params.blocking_fields])
+        block_a, block_b = blocks[:n_a], blocks[n_a:]
+        order_b = np.argsort(block_b)
+        codes_b, block_b = codes_b[:, order_b], block_b[order_b]
+        lo = np.searchsorted(block_b, block_a, "left")
+        sizes = np.searchsorted(block_b, block_a, "right") - lo
+        total = int(sizes.sum())
+        if total > MAX_CANDIDATES:
+            raise CandidateBudgetExceeded(total, MAX_CANDIDATES)
 
-        match_pairs.sort()
+        # candidates in A-row order are numbered 0..total-1; A row r holds
+        # [starts[r], starts[r] + sizes[r]), scored CHUNK_CANDIDATES at a time
+        starts = np.cumsum(sizes) - sizes
+        pattern_counts = np.zeros(16, np.int64)
+        # (weight, A row, B row) per Match-class candidate, one entry per chunk;
+        # the empty first entry lets the concatenation below see no matches
+        matches = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
+        for first in range(0, total, CHUNK_CANDIDATES):
+            last = min(first + CHUNK_CANDIDATES, total)
+            rows = np.arange(
+                np.searchsorted(starts, first, "right") - 1,
+                np.searchsorted(starts, last, "left"),
+            )
+            take = np.minimum(starts[rows] + sizes[rows], last) - np.maximum(starts[rows], first)
+            pos = np.arange(first, last) + np.repeat(lo[rows] - starts[rows], take)
+            # field 0 ends in the pattern's high bit, as in _pattern_table
+            pattern = np.zeros(last - first, np.uint8)
+            for k in range(4):
+                pattern <<= 1
+                pattern |= np.repeat(codes_a[k, rows], take) == codes_b[k, pos]
+            pattern_counts += np.bincount(pattern, minlength=16)
+            keep = is_match[pattern]
+            matches.append(
+                (weights[pattern[keep]], np.repeat(rows, take)[keep], order_b[pos[keep]])
+            )
+        for match_class, count in zip(classes, pattern_counts.tolist()):
+            counts[match_class] += count
+
+        w, i, j = (np.concatenate(part) for part in zip(*matches))
+        order = np.lexsort((j, i, -w))
         used_a: set[int] = set()
         used_b: set[int] = set()
-        for _, i, j in match_pairs:
-            if i in used_a or j in used_b:
+        for a, b in zip(i[order].tolist(), j[order].tolist()):
+            if a in used_a or b in used_b:
                 continue
-            used_a.add(i)
-            used_b.add(j)
-            pairs.append((i, j))
+            used_a.add(a)
+            used_b.add(b)
+            pairs.append((a, b))
         pairs.sort()
     audit = {
         "mode": "probabilistic",

@@ -475,16 +475,23 @@ class TseActor(_SequencedActor):
         self._run_id: str | None = None
         self._packages: dict[str, SealedPackage] = {}
         self._expected: tuple[str, ...] = ()
+        # the decoded and merged datasets, whose payload lists the wipe empties
+        self._held: list[Columns] = []
 
     @property
     def terminal(self) -> bool:
         return self.phase == WIPED
 
     def wipe(self, detail: str | None = None) -> None:
-        """Delete everything the run left here: storage and sealed packages.
-        A ``detail`` is audited as the reason."""
+        """Delete everything the run left here: storage, sealed packages and
+        the payload values decoded from them. A ``detail`` is audited as the
+        reason."""
         self.storage.wipe()
         self._packages.clear()
+        for cols in self._held:
+            for column in cols.payload:
+                column.clear()
+        self._held.clear()
         self.phase = WIPED
         if detail is not None:
             self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
@@ -587,11 +594,13 @@ class TseActor(_SequencedActor):
                 datasets.append(dataset_from_bytes(body))
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
+            self._held.append(datasets[-1])
 
         self.phase = LINKING
         self.audit.log(self._run_id, self.phase, "linking")
         result = link(datasets[0], datasets[1], manifest.linkage)
         merged = merge(result, datasets[0], datasets[1])
+        self._held.append(merged)
 
         self.phase = ANALYZING
         self.audit.log(self._run_id, self.phase, "analyzing", manifest.analysis.kind)

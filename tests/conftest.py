@@ -10,7 +10,7 @@ from phtlink.analysis import AnalysisSpec, DisclosurePolicy, ResultTable
 from phtlink.envelope import generate_encryption_keypair, generate_signing_keys
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import DataRequest, PoolFilter, TrainManifest, sign_manifest
-from phtlink.model import Dataset, Record
+from phtlink.model import QID_FIELDS, Dataset, Record
 from phtlink.network import RunSetup
 from phtlink.pseudonym import Salt, pseudonymize
 from phtlink.stations import DataStationConfig, TseConfig
@@ -129,13 +129,18 @@ def make_scenario(
 # Independent brute-force linkage oracle
 # ---------------------------------------------------------------------------
 
-def oracle_link(pseudos_a, pseudos_b, params: LinkageParams):
+def oracle_link(pseudos_a, pseudos_b, params: LinkageParams, blocking_fields=()):
     """All-pairs Fellegi-Sunter scorer and greedy one-to-one assigner,
-    written independently of the library's candidate/blocking machinery."""
+    written independently of the library's candidate/blocking machinery.
+    Only pairs whose digests agree on every one of ``blocking_fields`` are
+    scored."""
     assert params.u is not None
+    blocking = [QID_FIELDS.index(name) for name in blocking_fields]
     scored = []
     for i, pa in enumerate(pseudos_a):
         for j, pb in enumerate(pseudos_b):
+            if any(pa.per_field[k] != pb.per_field[k] for k in blocking):
+                continue
             weight = 0.0
             for k in range(4):
                 if pa.per_field[k] == pb.per_field[k]:

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_u, oracle_link, pseudonymized
-from phtlink.errors import DegenerateParams, MissingPseudonyms, SchemaCollision
+from phtlink import linkage
+from phtlink.errors import (
+    CandidateBudgetExceeded,
+    DegenerateParams,
+    MissingPseudonyms,
+    SchemaCollision,
+)
 from phtlink.linkage import (
     LinkageParams,
     LinkResult,
@@ -21,7 +27,7 @@ from phtlink.linkage import (
     merge,
     score_pair,
 )
-from phtlink.model import Record, dataset_from_bytes, dataset_to_bytes, make_dataset
+from phtlink.model import QID_FIELDS, Record, dataset_from_bytes, dataset_to_bytes, make_dataset
 from phtlink.pseudonym import PseudonymVector, Salt, generate_salt
 from phtlink.synth import SyntheticPopulationSpec, generate_population
 
@@ -246,6 +252,70 @@ class TestLinkProbabilistic:
         assert result.audit["u_estimated"] is True
         assert len(result.audit["u"]) == 4
         assert set(result.audit["class_counts"]) == {"match", "possible", "non_match"}
+
+
+# rows of per-field labels from a 2- or 3-letter alphabet: many agreements,
+# tied weights and repeated blocks
+_small_labels = st.integers(2, 3).flatmap(
+    lambda size: st.lists(
+        st.tuples(*[st.sampled_from("abc"[:size])] * 4), min_size=1, max_size=7
+    )
+)
+
+
+class TestChunkedScoring:
+    """The array scorer, with chunks small enough that a block spans several
+    chunks, chunks start inside a block and some blocks hold no B rows, still
+    gives the oracle's pairs and class counts."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, linkage.CHUNK_CANDIDATES])
+    @given(
+        labels_a=_small_labels,
+        labels_b=_small_labels,
+        blocking=st.lists(st.sampled_from(QID_FIELDS), unique=True, max_size=4),
+        u=st.tuples(*[st.floats(0.01, 0.9)] * 4),
+        t_upper=st.floats(-4.0, 12.0),
+        gap=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_blocked_pairs(self, chunk, labels_a, labels_b, blocking,
+                                             u, t_upper, gap):
+        vecs_a = [fake_vec(*row) for row in labels_a]
+        vecs_b = [fake_vec(*row) for row in labels_b]
+        params = LinkageParams(u=u, t_upper=t_upper, t_lower=t_upper - gap,
+                               blocking_fields=tuple(blocking))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkage, "CHUNK_CANDIDATES", chunk)
+            result = link(pseudo_dataset("A", vecs_a),
+                          pseudo_dataset("B", vecs_b, "income"), params)
+        assert list(result.pairs) == oracle_link(vecs_a, vecs_b, params, blocking)
+
+        blocking_idx = [QID_FIELDS.index(name) for name in blocking]
+        names = {"Match": "match", "Possible": "possible", "NonMatch": "non_match"}
+        expected = {"match": 0, "possible": 0, "non_match": 0}
+        for va in vecs_a:
+            for vb in vecs_b:
+                if all(va.per_field[k] == vb.per_field[k] for k in blocking_idx):
+                    expected[names[score_pair(va, vb, params).match_class]] += 1
+        assert result.audit["class_counts"] == expected
+        assert result.audit["n_candidates"] == sum(expected.values())
+
+
+class TestCandidateBudget:
+    """Past MAX_CANDIDATES link refuses before it scores a pair."""
+
+    def test_over_budget_raises_naming_count_and_limit(self, monkeypatch):
+        ds_a, ds_b = synthetic_pair(2)
+        params = LinkageParams(blocking_fields=())
+        n_candidates = len(ds_a.rows) * len(ds_b.rows)
+        monkeypatch.setattr(linkage, "MAX_CANDIDATES", n_candidates)
+        assert link(ds_a, ds_b, params).audit["n_candidates"] == n_candidates
+        monkeypatch.setattr(linkage, "MAX_CANDIDATES", n_candidates - 1)
+        with pytest.raises(CandidateBudgetExceeded) as caught:
+            link(ds_a, ds_b, params)
+        assert (caught.value.candidates, caught.value.limit) == (n_candidates, n_candidates - 1)
+        assert str(n_candidates) in str(caught.value)
+        assert str(n_candidates - 1) in str(caught.value)
 
 
 class TestModeScopedInput:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_scenario
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
-from phtlink import network, stations
+from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
@@ -221,6 +221,19 @@ class TestProbabilisticEndToEnd:
         assert out.completed
         linked = out.result.audit["run"]["records_linked"]
         assert linked >= int(0.8 * len(truth))
+
+
+class TestCandidateBudgetAtTse:
+    def test_over_budget_linkage_aborts_and_wipes(self, monkeypatch):
+        monkeypatch.setattr(linkage, "MAX_CANDIDATES", 1)
+        scn = demo_scenario(linkage=LinkageParams(mode="probabilistic",
+                                                  blocking_fields=("gender",)))
+        out = run_network(scn.setup, transport="inproc")
+        assert out.outcome == "aborted"
+        assert out.reason.startswith("CandidateBudgetExceeded")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        events = [e["event"] for e in out.audit_logs["TSE"]]
+        assert events.count("abort_wiped") == 1
 
 
 class TestInvalidManifest:
@@ -445,6 +458,44 @@ class TestOneOwner:
         for columns in linked:
             digests = columns.digests.tobytes()
             assert digests and digests == bytes(len(digests)), columns.station_id
+
+
+class TestWipeEmptiesDecodedPayloads:
+    """Payload values decoded at the TSE are Python lists, which the buffer
+    wipe cannot reach; the TSE's wipe empties them on every exit path."""
+
+    @pytest.mark.parametrize("fail_at", [None, "link", "run_analysis"])
+    def test_payload_lists_are_empty_after_the_run(self, monkeypatch, fail_at):
+        seen = {}
+        for name in ("link", "run_analysis"):
+            def spy(*args, name=name, real=getattr(stations, name)):
+                seen[name] = args
+                if name == fail_at:
+                    raise RuntimeError("boom")
+                return real(*args)
+
+            monkeypatch.setattr(stations, name, spy)
+        out = run_network(demo_scenario().setup)
+        assert out.completed == (fail_at is None)
+        held = list(seen["link"][:2]) + list(seen.get("run_analysis", ())[:1])
+        assert len(held) == (2 if fail_at == "link" else 3)
+        for columns in held:
+            assert columns.payload, columns.station_id
+            assert all(column == [] for column in columns.payload), columns.station_id
+
+    def test_payload_decoded_before_a_bad_dataset_is_emptied(self, monkeypatch):
+        decoded, real = [], stations.dataset_from_bytes
+
+        def second_fails(body):
+            if decoded:
+                raise ValueError("bad body")
+            decoded.append(real(body))
+            return decoded[-1]
+
+        monkeypatch.setattr(stations, "dataset_from_bytes", second_fails)
+        out = run_network(demo_scenario().setup)
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@")
+        assert decoded[0].payload and all(column == [] for column in decoded[0].payload)
 
 
 class TestAbortReceivedAtTse:

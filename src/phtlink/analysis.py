@@ -15,9 +15,9 @@ import bisect
 import copy
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .encoding import canonical_json_bytes, is_int, is_number, require_strings
+from .encoding import block_from_dict, canonical_json_bytes, is_int, is_number, require_strings
 from .errors import TypeMismatch, UnknownVariable
 from .model import Columns, Dataset
 
@@ -91,23 +91,7 @@ class ResultTable:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "key_fields": list(self.key_fields),
-            "value_fields": list(self.value_fields),
-            "rows": self.rows,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ResultTable":
-        return cls(
-            name=doc["name"],
-            key_fields=tuple(doc["key_fields"]),
-            value_fields=tuple(doc["value_fields"]),
-            rows=doc["rows"],
-            meta=doc["meta"],
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -122,16 +106,16 @@ class ValidatedResult:
     audit: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"tables": [t.to_dict() for t in self.tables], "audit": self.audit}
+        return asdict(self)
 
     def to_canonical_json(self) -> bytes:
         return canonical_json_bytes(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ValidatedResult":
-        return cls(
-            tables=[ResultTable.from_dict(t) for t in doc["tables"]],
-            audit=doc["audit"],
+        """Strict inverse of to_dict: an unknown or missing key is a ValueError."""
+        return block_from_dict(
+            cls, doc, tables=lambda tables: [block_from_dict(ResultTable, t) for t in tables]
         )
 
 

@@ -15,7 +15,6 @@ descriptor. PHT_LOG selects log verbosity (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
 import json
 import logging
 import os
@@ -33,6 +32,7 @@ from .envelope import (
     KeyPair,
     PublicEncryptionKey,
     SigningKeys,
+    derive_key_id,
     encryption_keypair_from_pem,
     encryption_keypair_to_pem,
     generate_encryption_keypair,
@@ -62,10 +62,6 @@ def _fail(reason: str, detail: str = "", code: int = 2):
     line = f"error: {reason}" + (f": {detail}" if detail else "")
     click.echo(line, err=True)
     sys.exit(code)
-
-
-def _derived_key_id(kind: str, public_raw: bytes) -> str:
-    return f"static:{kind}:{hashlib.sha256(public_raw).hexdigest()[:8]}"
 
 
 def _write_private(path: Path, data: bytes, force: bool = False) -> None:
@@ -155,21 +151,11 @@ def keygen(out_dir: Path, force: bool):
 
 
 def _load_encryption_keys(path: Path) -> KeyPair:
-    kp = encryption_keypair_from_pem(path.read_bytes(), key_id="")
-    return KeyPair(
-        public_encryption_key=kp.public_encryption_key,
-        private_decryption_key=kp.private_decryption_key,
-        key_id=_derived_key_id("enc", kp.public_encryption_key),
-    )
+    return encryption_keypair_from_pem(path.read_bytes())
 
 
 def _load_signing_keys(path: Path) -> SigningKeys:
-    sk = signing_keys_from_pem(path.read_bytes(), key_id="")
-    return SigningKeys(
-        signing_key=sk.signing_key,
-        verification_key=sk.verification_key,
-        key_id=_derived_key_id("sig", sk.verification_key),
-    )
+    return signing_keys_from_pem(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +269,7 @@ def station(config_path: Path):
         peer_keys = {}
         for sid, path in cfg.get("peer_encryption_public_keys", {}).items():
             raw = public_key_from_pem(_resolve(base, path).read_bytes())
-            peer_keys[sid] = PublicEncryptionKey(raw, _derived_key_id("enc", raw))
+            peer_keys[sid] = PublicEncryptionKey(raw, derive_key_id(raw, "enc"))
         listen = _parse_listen(cfg["listen"])
         config = DataStationConfig(
             station_id=cfg["station_id"],
@@ -358,7 +344,7 @@ def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
         researcher_id=doc.get("researcher_id", "researcher"),
         tse_station_id=doc["tse_station_id"],
         tse_public_encryption_key=tse_pub,
-        tse_encryption_key_id=_derived_key_id("enc", tse_pub),
+        tse_encryption_key_id=derive_key_id(tse_pub, "enc"),
         station_verification_keys=tuple(sorted(verification.items())),
         expiry=expiry,
     )

@@ -17,7 +17,12 @@ ciphertext is intact.
 On the wire (SealedPackage.to_bytes) a package is binary: a 4-byte length
 and the canonical header JSON (the very bytes used as associated data), a
 2-byte length and the wrapped key, a 2-byte length and the tag, then the
-ciphertext up to the end of the buffer.
+ciphertext up to the end of the buffer. Every length-prefixed field is
+written and read by encoding.write_field and encoding.read_field.
+
+A key id is ``scope:kind:`` and the first 8 hex digits of SHA-256 over the
+raw public key (derive_key_id); the scope is the run a key is bound to, or
+"static" for a key read from a file.
 
 Opening runs the three phases in order and attributes failures to the phase
 that rejected: outer integrity (tampered ciphertext, tag, or header), content
@@ -27,6 +32,7 @@ key unwrap / decryption (wrong private key, tampered wrap), inner signature
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .encoding import canonical_json_bytes, from_json_bytes
+from .encoding import canonical_json_bytes, from_json_bytes, read_field, write_field
 from .errors import (
     DecodeError,
     DecryptionFailure,
@@ -65,6 +71,7 @@ _GCM_NONCE_LEN = 12
 _SIG_LEN = 64
 # ephemeral X25519 public key + wrap nonce + wrapped (content key + data nonce) + tag
 _WRAPPED_KEY_LEN = 32 + _GCM_NONCE_LEN + 32 + _GCM_NONCE_LEN + _GCM_TAG_LEN
+_U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _KEK_INFO = b"phtlink-envelope-kek"
@@ -79,8 +86,9 @@ def _random_bytes(n: int) -> bytes:
         raise EntropyUnavailable(str(exc)) from exc
 
 
-def _new_key_id(run_id: str | None, kind: str) -> str:
-    return f"{run_id or STATIC_SCOPE}:{kind}:{_random_bytes(4).hex()}"
+def derive_key_id(public: bytes, kind: str, run_id: str | None = None) -> str:
+    """The key id of a raw public key, bound to ``run_id`` or static."""
+    return f"{run_id or STATIC_SCOPE}:{kind}:{hashlib.sha256(public).hexdigest()[:8]}"
 
 
 def _scope_of(key_id: str) -> str:
@@ -141,15 +149,11 @@ class SealedPackage:
         return _header(self.sender_station_id, self.run_id, self.key_ids)
 
     def to_bytes(self) -> bytes:
-        header = canonical_json_bytes(self.header())
         return b"".join(
             (
-                _U32.pack(len(header)),
-                header,
-                _U16.pack(len(self.wrapped_content_key)),
-                self.wrapped_content_key,
-                _U16.pack(len(self.outer_auth_tag)),
-                self.outer_auth_tag,
+                *write_field(_U32, canonical_json_bytes(self.header())),
+                *write_field(_U16, self.wrapped_content_key),
+                *write_field(_U16, self.outer_auth_tag),
                 self.ciphertext,
             )
         )
@@ -160,23 +164,9 @@ class SealedPackage:
         a key or tag length other than the algorithms fix, is a DecodeError
         at the offset of the bad field."""
         view = memoryview(data)
-        offset = 0
-
-        def take(size: struct.Struct, expected: int | None = None) -> memoryview:
-            nonlocal offset
-            if offset + size.size > len(view):
-                raise DecodeError(offset, "truncated sealed package")
-            (length,) = size.unpack_from(view, offset)
-            if expected is not None and length != expected:
-                raise DecodeError(offset, f"length {length}, expected {expected}")
-            if offset + size.size + length > len(view):
-                raise DecodeError(offset, f"length {length} overruns the package")
-            offset += size.size + length
-            return view[offset - length : offset]
-
-        header_bytes = take(_U32)
-        wrapped = take(_U16, _WRAPPED_KEY_LEN)
-        tag = take(_U16, _GCM_TAG_LEN)
+        header_bytes, offset = read_field(view, 0, _U32)
+        wrapped, offset = read_field(view, offset, _U16, _WRAPPED_KEY_LEN)
+        tag, offset = read_field(view, offset, _U16, _GCM_TAG_LEN)
         try:
             header = from_json_bytes(bytes(header_bytes))
             key_ids = header["key_ids"]
@@ -204,22 +194,22 @@ def _header(sender_station_id: str, run_id: str, key_ids: tuple[str, str]) -> di
 
 def generate_encryption_keypair(run_id: str | None = None) -> KeyPair:
     """Fresh X25519 keypair, optionally bound to one run via its key id."""
-    private = X25519PrivateKey.generate()
-    return KeyPair(
-        public_encryption_key=_raw_public(private.public_key()),
-        private_decryption_key=_raw_private(private),
-        key_id=_new_key_id(run_id, "enc"),
-    )
+    return _encryption_keypair(X25519PrivateKey.generate(), run_id)
 
 
 def generate_signing_keys(run_id: str | None = None) -> SigningKeys:
     """Fresh Ed25519 pair, optionally bound to one run via its key id."""
-    private = Ed25519PrivateKey.generate()
-    return SigningKeys(
-        signing_key=_raw_private(private),
-        verification_key=_raw_public(private.public_key()),
-        key_id=_new_key_id(run_id, "sig"),
-    )
+    return _signing_keys(Ed25519PrivateKey.generate(), run_id)
+
+
+def _encryption_keypair(private: X25519PrivateKey, run_id: str | None) -> KeyPair:
+    public = _raw_public(private.public_key())
+    return KeyPair(public, _raw_private(private), derive_key_id(public, "enc", run_id))
+
+
+def _signing_keys(private: Ed25519PrivateKey, run_id: str | None) -> SigningKeys:
+    public = _raw_public(private.public_key())
+    return SigningKeys(_raw_private(private), public, derive_key_id(public, "sig", run_id))
 
 
 def _raw_private(key) -> bytes:
@@ -237,15 +227,12 @@ def _raw_public(key) -> bytes:
 
 
 def _inner_signed_payload(plaintext: bytes, run_id: str, sender_id: str) -> bytes:
-    run = run_id.encode("utf-8")
-    sender = sender_id.encode("utf-8")
-    return (
-        struct.pack(">Q", len(plaintext))
-        + plaintext
-        + struct.pack(">H", len(run))
-        + run
-        + struct.pack(">H", len(sender))
-        + sender
+    return b"".join(
+        (
+            *write_field(_U64, plaintext),
+            *write_field(_U16, run_id.encode("utf-8")),
+            *write_field(_U16, sender_id.encode("utf-8")),
+        )
     )
 
 
@@ -387,26 +374,20 @@ def signing_keys_to_pem(sk: SigningKeys) -> tuple[bytes, bytes]:
     return _private_pem(private), _public_pem(private.public_key())
 
 
-def encryption_keypair_from_pem(private_pem: bytes, key_id: str) -> KeyPair:
+def encryption_keypair_from_pem(private_pem: bytes) -> KeyPair:
+    """A static keypair from its private key PEM, with its derived key id."""
     key = serialization.load_pem_private_key(private_pem, password=None)
     if not isinstance(key, X25519PrivateKey):
         raise ValueError("expected an X25519 private key")
-    return KeyPair(
-        public_encryption_key=_raw_public(key.public_key()),
-        private_decryption_key=_raw_private(key),
-        key_id=key_id,
-    )
+    return _encryption_keypair(key, None)
 
 
-def signing_keys_from_pem(private_pem: bytes, key_id: str) -> SigningKeys:
+def signing_keys_from_pem(private_pem: bytes) -> SigningKeys:
+    """A static signing pair from its private key PEM, with its derived key id."""
     key = serialization.load_pem_private_key(private_pem, password=None)
     if not isinstance(key, Ed25519PrivateKey):
         raise ValueError("expected an Ed25519 private key")
-    return SigningKeys(
-        signing_key=_raw_private(key),
-        verification_key=_raw_public(key.public_key()),
-        key_id=key_id,
-    )
+    return _signing_keys(key, None)
 
 
 def public_key_from_pem(pem: bytes) -> bytes:

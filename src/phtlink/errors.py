@@ -77,8 +77,10 @@ class TypeMismatch(PhtError):
     """Analysis applies a numeric statistic to a non-numeric variable."""
 
 
-class DecodeError(PhtError):
-    """A wire frame could not be decoded."""
+class DecodeError(PhtError, ValueError):
+    """Received bytes could not be decoded: a wire frame, a sealed package,
+    a dataset body, or a JSON document inside one. It is a ValueError, like
+    every other rejected value, so one ``except ValueError`` fails it closed."""
 
     def __init__(self, offset: int, cause: str):
         self.offset = offset

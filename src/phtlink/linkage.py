@@ -13,7 +13,7 @@ Two modes:
   block id from their blocking-field codes; with B sorted by block, each A
   row's candidates are one range of B, so the candidate count is known
   before any pair is built. Past MAX_CANDIDATES link raises
-  CandidateBudgetExceeded. Otherwise candidates are scored as numpy arrays,
+  CandidateBudgetExceeded, before it estimates u. Otherwise candidates are scored as numpy arrays,
   CHUNK_CANDIDATES at a time: the four field comparisons form a pattern
   index into the 16-entry tables. Only Match-class pairs are kept, so
   memory grows with them rather than with the candidates; they are reduced
@@ -269,6 +269,16 @@ def _link_probabilistic(
     if n_a and len(per_field_b):
         codes = _field_codes(per_field_a, per_field_b)
         codes_a, codes_b = codes[:, :n_a], codes[:, n_a:]
+        # B in block order: A row r's candidates are B's [lo[r], lo[r] + sizes[r])
+        blocks = _block_ids(codes, [QID_FIELDS.index(f) for f in params.blocking_fields])
+        block_a, block_b = blocks[:n_a], blocks[n_a:]
+        order_b = np.argsort(block_b)
+        block_b = block_b[order_b]
+        lo = np.searchsorted(block_b, block_a, "left")
+        sizes = np.searchsorted(block_b, block_a, "right") - lo
+        total = int(sizes.sum())
+        if total > MAX_CANDIDATES:
+            raise CandidateBudgetExceeded(total, MAX_CANDIDATES)
         if params.u is None:
             u = _estimate_u(codes_a.tolist(), codes_b.tolist())
             resolved, estimated = replace(params, u=u), True
@@ -280,17 +290,7 @@ def _link_probabilistic(
                 )
         weights, classes = _pattern_table(resolved)
         is_match = np.array([c == MATCH for c in classes])
-
-        # B in block order: A row r's candidates are B's [lo[r], lo[r] + sizes[r])
-        blocks = _block_ids(codes, [QID_FIELDS.index(f) for f in params.blocking_fields])
-        block_a, block_b = blocks[:n_a], blocks[n_a:]
-        order_b = np.argsort(block_b)
-        codes_b, block_b = codes_b[:, order_b], block_b[order_b]
-        lo = np.searchsorted(block_b, block_a, "left")
-        sizes = np.searchsorted(block_b, block_a, "right") - lo
-        total = int(sizes.sum())
-        if total > MAX_CANDIDATES:
-            raise CandidateBudgetExceeded(total, MAX_CANDIDATES)
+        codes_b = codes_b[:, order_b]
 
         # candidates in A-row order are numbered 0..total-1; A row r holds
         # [starts[r], starts[r] + sizes[r]), scored CHUNK_CANDIDATES at a time

@@ -11,10 +11,13 @@ signature, the expiry, and its own authorization before acting.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from .analysis import AnalysisSpec, DisclosurePolicy
-from .encoding import b64decode, b64encode, canonical_json_bytes, is_int, require_strings
+from .encoding import (
+    b64decode, b64encode, block_from_dict, canonical_json_bytes, is_int, require_strings,
+)
 from .envelope import SigningKeys, sign_payload, verify_payload
 from .linkage import LinkageParams
 
@@ -168,83 +171,50 @@ def validate_train(
 # Dict / JSON conversion (wire format and draft files)
 # ---------------------------------------------------------------------------
 
-def block_from_dict(cls, doc):
-    """Read one parameter block, a dataclass, from its JSON object.
+def _pool_from_dict(doc) -> PoolFilter | None:
+    return None if doc is None else block_from_dict(PoolFilter, doc)
 
-    An absent key takes the dataclass default and a JSON array becomes a
-    tuple. An unknown key, or an absent one without a default, raises
-    ValueError naming it: a misspelt key fails closed instead of quietly
-    leaving a restriction at its default."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
-    declared = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in declared:
-            raise ValueError(f"unknown {cls.__name__} key {key!r}")
-    for name, f in declared.items():
-        if name not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"missing {cls.__name__} key {name!r}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+#: readers of a manifest's data requests and parameter blocks
+_BLOCK_READERS = {
+    "data_requests": lambda items: tuple(
+        block_from_dict(DataRequest, item, pool=_pool_from_dict) for item in items
+    ),
+    "analysis": partial(block_from_dict, AnalysisSpec),
+    "disclosure": partial(block_from_dict, DisclosurePolicy),
+    "linkage": partial(block_from_dict, LinkageParams),
+}
 
 
 def parameters_from_dict(doc: dict) -> dict:
-    """A manifest's data requests and parameter blocks, as TrainManifest
-    keyword arguments, from a manifest or a draft; an absent disclosure or
-    linkage block takes its defaults."""
-    requests = []
-    for item in doc["data_requests"]:
-        request = block_from_dict(DataRequest, item)
-        if request.pool is not None:
-            request = replace(request, pool=block_from_dict(PoolFilter, request.pool))
-        requests.append(request)
-    return {
-        "data_requests": tuple(requests),
-        "analysis": block_from_dict(AnalysisSpec, doc["analysis"]),
-        "disclosure": block_from_dict(DisclosurePolicy, doc.get("disclosure", {})),
-        "linkage": block_from_dict(LinkageParams, doc.get("linkage", {})),
-    }
+    """A draft's data requests and parameter blocks, as TrainManifest
+    keyword arguments; an absent disclosure or linkage block takes its
+    defaults."""
+    doc = {"disclosure": {}, "linkage": {}, **doc}
+    return {name: read(doc[name]) for name, read in _BLOCK_READERS.items()}
 
 
 def manifest_to_dict(manifest: TrainManifest) -> dict:
+    """asdict, with the key bytes and the signature in base64."""
+    signature = manifest.credential_signature
     return {
-        "train_id": manifest.train_id,
-        "run_id": manifest.run_id,
-        "researcher_id": manifest.researcher_id,
-        "tse_station_id": manifest.tse_station_id,
-        "data_requests": [asdict(req) for req in manifest.data_requests],
-        "analysis": asdict(manifest.analysis),
-        "disclosure": asdict(manifest.disclosure),
-        "linkage": asdict(manifest.linkage),
+        **asdict(manifest),
         "tse_public_encryption_key": b64encode(manifest.tse_public_encryption_key),
-        "tse_encryption_key_id": manifest.tse_encryption_key_id,
         "station_verification_keys": {
             sid: b64encode(key) for sid, key in manifest.station_verification_keys
         },
-        "expiry": manifest.expiry,
-        "credential_signature": (
-            b64encode(manifest.credential_signature)
-            if manifest.credential_signature is not None
-            else None
-        ),
+        "credential_signature": None if signature is None else b64encode(signature),
     }
 
 
 def manifest_from_dict(doc: dict) -> TrainManifest:
-    signature = doc.get("credential_signature")
-    return TrainManifest(
-        **parameters_from_dict(doc),
-        train_id=doc["train_id"],
-        run_id=doc["run_id"],
-        researcher_id=doc["researcher_id"],
-        tse_station_id=doc["tse_station_id"],
-        tse_public_encryption_key=b64decode(doc["tse_public_encryption_key"]),
-        tse_encryption_key_id=doc["tse_encryption_key_id"],
-        station_verification_keys=tuple(
-            sorted(
-                (sid, b64decode(key))
-                for sid, key in doc["station_verification_keys"].items()
-            )
+    """Strict inverse of manifest_to_dict: an unknown or missing key, at the
+    top or in any block, raises ValueError."""
+    return block_from_dict(
+        TrainManifest, doc, **_BLOCK_READERS,
+        tse_public_encryption_key=b64decode,
+        station_verification_keys=lambda keys: tuple(
+            sorted((sid, b64decode(key)) for sid, key in keys.items())
         ),
-        expiry=doc["expiry"],
-        credential_signature=b64decode(signature) if signature else None,
+        credential_signature=lambda signature: b64decode(signature) if signature else None,
     )

@@ -15,10 +15,12 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
 schema, descriptor and one array per payload column, then the raw 64-byte
-digests of every row. A data station holds Records, with QIDs, and a
-PseudonymVector's digests are 128-character hex strings. From the extract on,
-a pseudonymized dataset is held as Columns, in the body's own layout: one
-list per payload variable and the raw digests as one numpy S64 array.
+digests of every row. The header is written and read by encoding.write_field
+and encoding.read_field, the helpers every length-prefixed field uses. A data
+station holds Records, with QIDs, and a PseudonymVector's digests are
+128-character hex strings. From the extract on, a pseudonymized dataset is
+held as Columns, in the body's own layout: one list per payload variable and
+the raw digests as one numpy S64 array.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ import datetime as dt
 import json
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .encoding import canonical_json_bytes
+from .encoding import block_from_dict, canonical_json_bytes, read_field, write_field
 from .errors import MalformedField
 from .pseudonym import DIGEST_HEX_LENGTH, PseudonymVector
 
@@ -256,7 +258,7 @@ class Columns:
 
 #: Digest parts a row may carry, in their order within a row's digest block.
 _DIGEST_PARTS = ("composite", "per_field")
-_BODY_LEN = struct.Struct(">I")
+_U32 = struct.Struct(">I")
 
 
 def _digest_parts(pseudonym: PseudonymVector | None) -> tuple[str, ...]:
@@ -328,29 +330,22 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
         {
             "station_id": cols.station_id,
             "schema": [list(pair) for pair in cols.schema],
-            "descriptor": {
-                "source": cols.descriptor.source,
-                "extracted_at": cols.descriptor.extracted_at,
-                "row_count": cols.descriptor.row_count,
-            },
+            "descriptor": asdict(cols.descriptor),
             "row_count": cols.n_rows,
             "digests": list(cols.parts),
             "columns": cols.payload,
         }
     )
-    return b"".join((_BODY_LEN.pack(len(header)), header, cols.digests.tobytes()))
+    return b"".join((*write_field(_U32, header), cols.digests.tobytes()))
 
 
 def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
     lengths or header do not fit together raises ValueError. The digests
     are a read-only view into ``data``."""
+    header, start = read_field(memoryview(data), 0, _U32)
     try:
-        (header_len,) = _BODY_LEN.unpack_from(data)
-        start = _BODY_LEN.size + header_len
-        if start > len(data):
-            raise ValueError(f"header length {header_len} overruns a {len(data)}-byte body")
-        doc = json.loads(bytes(data[_BODY_LEN.size : start]).decode("utf-8"))
+        doc = json.loads(bytes(header).decode("utf-8"))
         schema = tuple((str(n), str(t)) for n, t in doc["schema"])
         n_rows, parts, columns = doc["row_count"], tuple(doc["digests"]), doc["columns"]
         if type(n_rows) is not int or n_rows < 0:
@@ -364,12 +359,11 @@ def dataset_from_bytes(data: bytes) -> Columns:
             raise ValueError(
                 f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests"
             )
-        desc = doc["descriptor"]
-        descriptor = DatasetDescriptor(desc["source"], desc["extracted_at"], desc["row_count"])
+        descriptor = block_from_dict(DatasetDescriptor, doc["descriptor"])
         digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
         cols = Columns(doc["station_id"], schema, descriptor, columns, parts,
                        digests.reshape(n_rows, width))
-    except (struct.error, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (KeyError, TypeError, UnicodeDecodeError) as exc:
         raise ValueError(f"bad dataset body: {exc!r}") from None
     cols.validate()
     return cols
@@ -386,15 +380,12 @@ def write_dataset_csv(ds: Dataset, csv_path: str | Path, descriptor_path: str | 
     columns are payload variables in schema order.
     """
     csv_path = Path(csv_path)
-    has_qids = any(row.qid is not None for row in ds.rows)
-    header = (list(QID_FIELDS) if has_qids else []) + list(ds.variable_names())
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        names = ds.variable_names()
+        writer.writerow(QID_FIELDS + names)
         for row in ds.rows:
-            cells = list(row.qid.as_tuple()) if has_qids else []
-            cells += [row.payload[name] for name in ds.variable_names()]
-            writer.writerow(cells)
+            writer.writerow(row.qid.as_tuple() + tuple(row.payload[name] for name in names))
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
     Path(descriptor_path).write_bytes(
@@ -411,25 +402,23 @@ def write_dataset_csv(ds: Dataset, csv_path: str | Path, descriptor_path: str | 
 
 
 def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = None) -> Dataset:
-    """Read a station CSV, canonicalizing linkage fields when present."""
+    """Read a station CSV; every row's linkage fields are canonicalized, and
+    a CSV without one of the QID_FIELDS columns raises MalformedField."""
     csv_path = Path(csv_path)
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
     meta = json.loads(Path(descriptor_path).read_text(encoding="utf-8"))
     schema = tuple((str(n), str(t)) for n, t in meta["schema"])
-    types = dict(schema)
 
     rows: list[Record] = []
     with csv_path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        fieldnames = reader.fieldnames or []
-        has_qids = all(name in fieldnames for name in QID_FIELDS)
+        missing = [name for name in QID_FIELDS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedField(missing[0], None, f"no such column in {csv_path}")
         for raw in reader:
-            qid = canonicalize({k: raw[k] for k in QID_FIELDS}) if has_qids else None
-            payload: dict[str, object] = {}
-            for name, _ in schema:
-                cell = raw[name]
-                payload[name] = _parse_cell(cell, types[name])
+            qid = canonicalize({k: raw[k] for k in QID_FIELDS})
+            payload = {name: _parse_cell(raw[name], vtype) for name, vtype in schema}
             rows.append(Record(payload=payload, qid=qid))
     ds = Dataset(
         station_id=meta["station_id"],

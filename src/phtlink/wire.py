@@ -16,18 +16,21 @@ SealedPackage.to_bytes lays it out. There is no reader for version 1.
 
 Every message carries run_id, a per-sender monotonically increasing sequence
 number, and the sender id. Oversized lengths are rejected from the header
-alone, before any payload is read; every length inside a payload is checked
-against the frame, and whatever does not fit raises DecodeError.
+alone, before any payload is read; every length inside a payload is read by
+encoding.read_field, and whatever does not fit raises DecodeError. The JSON
+holds a message's dataclass fields and is read back by
+encoding.block_from_dict, so an unknown or missing key, in the message, the
+manifest or the result, is a DecodeError too.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .analysis import ValidatedResult
-from .encoding import canonical_json_bytes
+from .encoding import block_from_dict, canonical_json_bytes, read_field, write_field
 from .envelope import SealedPackage
 from .errors import DecodeError
 from .manifest import TrainManifest, manifest_from_dict, manifest_to_dict
@@ -53,7 +56,7 @@ class TrainDispatch:
     seq: int
     sender: str
     manifest: TrainManifest
-    endpoints: tuple[tuple[str, str], ...] = ()  # (actor id, address), sorted
+    endpoints: tuple[tuple[str, str], ...]  # (actor id, address), sorted
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class Ack:
     run_id: str
     seq: int
     sender: str
-    status: str = ACK_OK
+    status: str
 
 
 @dataclass(frozen=True)
@@ -110,52 +113,22 @@ _TYPE_BY_CLASS = {
     ResultReturn: TYPE_RESULT_RETURN,
     Abort: TYPE_ABORT,
 }
-# types whose payload is a JSON header followed by a sealed package
-_BINARY_TYPES = (TYPE_SALT_OFFER, TYPE_DATA_TRANSFER)
+_CLASS_BY_TYPE = {type_byte: cls for cls, type_byte in _TYPE_BY_CLASS.items()}
+#: the field of a binary type that travels as a sealed package, after the JSON
+_PACKAGE_FIELD = {SaltOffer: "sealed_salt", DataTransfer: "package"}
+# fields whose JSON value is not the field's own
+_WRITERS = {"manifest": manifest_to_dict, "endpoints": dict, "result": ValidatedResult.to_dict}
+_READERS = {"manifest": manifest_from_dict, "result": ValidatedResult.from_dict,
+            "endpoints": lambda endpoints: tuple(sorted(endpoints.items()))}
 
 
 def _payload_dict(msg: Message) -> dict:
-    common = {"run_id": msg.run_id, "seq": msg.seq, "sender": msg.sender}
-    if isinstance(msg, TrainDispatch):
-        return {
-            **common,
-            "manifest": manifest_to_dict(msg.manifest),
-            "endpoints": {k: v for k, v in msg.endpoints},
-        }
-    if isinstance(msg, Ack):
-        return {**common, "status": msg.status}
-    if isinstance(msg, SaltOffer):
-        return {**common, "from_station": msg.from_station, "to_station": msg.to_station}
-    if isinstance(msg, DataTransfer):
-        return common
-    if isinstance(msg, ResultReturn):
-        return {**common, "result": msg.result.to_dict()}
-    if isinstance(msg, Abort):
-        return {**common, "reason": msg.reason}
-    raise TypeError(f"not a message: {msg!r}")
-
-
-def _message_from_payload(type_byte: int, doc: dict, package: SealedPackage | None) -> Message:
-    run_id, seq, sender = doc["run_id"], doc["seq"], doc["sender"]
-    if type_byte == TYPE_TRAIN_DISPATCH:
-        return TrainDispatch(
-            run_id,
-            seq,
-            sender,
-            manifest_from_dict(doc["manifest"]),
-            tuple(sorted(doc["endpoints"].items())),
-        )
-    if type_byte == TYPE_ACK:
-        return Ack(run_id, seq, sender, doc["status"])
-    if type_byte == TYPE_SALT_OFFER:
-        return SaltOffer(run_id, seq, sender, doc["from_station"], doc["to_station"], package)
-    if type_byte == TYPE_DATA_TRANSFER:
-        return DataTransfer(run_id, seq, sender, package)
-    if type_byte == TYPE_RESULT_RETURN:
-        return ResultReturn(run_id, seq, sender, ValidatedResult.from_dict(doc["result"]))
-    if type_byte == TYPE_ABORT:
-        return Abort(run_id, seq, sender, doc["reason"])
-    raise DecodeError(5, f"unknown type byte 0x{type_byte:02x}")
+    """Every field of ``msg`` but its package, as JSON values."""
+    doc = {f.name: getattr(msg, f.name) for f in fields(msg)}
+    doc.pop(_PACKAGE_FIELD.get(type(msg)), None)
+    for name in _WRITERS.keys() & doc.keys():
+        doc[name] = _WRITERS[name](doc[name])
+    return doc
 
 
 def message_type_name(msg: Message) -> str:
@@ -164,9 +137,9 @@ def message_type_name(msg: Message) -> str:
 
 def encode(msg: Message) -> bytes:
     payload = [canonical_json_bytes(_payload_dict(msg))]
-    if isinstance(msg, (SaltOffer, DataTransfer)):
-        package = msg.sealed_salt if isinstance(msg, SaltOffer) else msg.package
-        payload = [_U32.pack(len(payload[0])), payload[0], package.to_bytes()]
+    if type(msg) in _PACKAGE_FIELD:
+        package = getattr(msg, _PACKAGE_FIELD[type(msg)])
+        payload = [*write_field(_U32, payload[0]), package.to_bytes()]
     length = sum(len(part) for part in payload)
     return b"".join(
         [MAGIC, bytes([VERSION, _TYPE_BY_CLASS[type(msg)]]), _U32.pack(length), *payload]
@@ -182,7 +155,7 @@ def check_header(header: bytes) -> tuple[int, int]:
     if header[4] != VERSION:
         raise DecodeError(4, f"unsupported version 0x{header[4]:02x}")
     type_byte = header[5]
-    if type_byte not in _TYPE_BY_CLASS.values():
+    if type_byte not in _CLASS_BY_TYPE:
         raise DecodeError(5, f"unknown type byte 0x{type_byte:02x}")
     (length,) = _U32.unpack_from(header, 6)
     if length > MAX_PAYLOAD:
@@ -197,24 +170,20 @@ def decode(frame: bytes) -> Message:
     if len(frame) > HEADER_LEN + length:
         raise DecodeError(HEADER_LEN + length, "trailing bytes after frame")
     view = memoryview(frame)
-    json_at, json_end, package = HEADER_LEN, len(frame), None
-    if type_byte in _BINARY_TYPES:
+    cls = _CLASS_BY_TYPE[type_byte]
+    json_at, doc_bytes, given = HEADER_LEN, view[HEADER_LEN:], None
+    if cls in _PACKAGE_FIELD:
         json_at = HEADER_LEN + _U32.size
-        if json_at > len(frame):
-            raise DecodeError(HEADER_LEN, "truncated payload header length")
-        (json_len,) = _U32.unpack_from(view, HEADER_LEN)
-        json_end = json_at + json_len
-        if json_end > len(frame):
-            raise DecodeError(HEADER_LEN, f"payload header length {json_len} overruns the frame")
+        doc_bytes, json_end = read_field(view, HEADER_LEN, _U32)
         try:
-            package = SealedPackage.from_bytes(view[json_end:])
+            given = {_PACKAGE_FIELD[cls]: SealedPackage.from_bytes(view[json_end:])}
         except DecodeError as exc:
             raise DecodeError(json_end + exc.offset, exc.cause) from None
     try:
-        doc = json.loads(bytes(view[json_at:json_end]).decode("utf-8"))
-        return _message_from_payload(type_byte, doc, package)
-    except DecodeError:
-        raise
+        # strict: an unknown or missing key, here or in a manifest or result,
+        # is a ValueError
+        doc = json.loads(bytes(doc_bytes).decode("utf-8"))
+        return block_from_dict(cls, doc, given, **_READERS)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DecodeError(json_at, f"bad payload: {exc}") from exc
 

@@ -8,6 +8,7 @@ from phtlink.analysis import (
     AnalysisSpec,
     DisclosurePolicy,
     RawResult,
+    ValidatedResult,
     run_analysis,
     table_to_csv,
     validate,
@@ -225,3 +226,30 @@ class TestCsvRendering:
         lines = text.strip().splitlines()
         assert lines[0] == "bin,count,mean_income"
         assert lines[1] == '"[40,50)",*,*'
+
+
+class TestResultDict:
+    """ValidatedResult.from_dict is the strict inverse of to_dict."""
+
+    def result(self):
+        return validate(binned_raw([1, 12]), DisclosurePolicy(k_min=5))
+
+    def test_roundtrip_keeps_rows_a_list(self):
+        result = self.result()
+        back = ValidatedResult.from_dict(result.to_dict())
+        assert back == result
+        assert isinstance(back.tables[0].rows, list)
+        assert back.tables[0].key_fields == ("bin",)
+
+    @pytest.mark.parametrize("where", ["result", "table"])
+    def test_unknown_key_raises_value_error(self, where):
+        doc = self.result().to_dict()
+        (doc if where == "result" else doc["tables"][0])["x"] = 1
+        with pytest.raises(ValueError, match="'x'"):
+            ValidatedResult.from_dict(doc)
+
+    def test_missing_table_key_raises_value_error(self):
+        doc = self.result().to_dict()
+        del doc["tables"][0]["name"]
+        with pytest.raises(ValueError, match="name"):
+            ValidatedResult.from_dict(doc)

@@ -657,3 +657,31 @@ class TestDaemonConfigErrors:
         blocker.close()
         assert result.exit_code == 2
         assert "BindError" in result.output
+
+
+class TestStationCsvWithoutQids:
+    def test_csv_without_gender_refuses_to_start(self, tmp_path):
+        runner = CliRunner()
+        assert runner.invoke(main, ["keygen", str(tmp_path / "k")]).exit_code == 0
+        (tmp_path / "a.csv").write_text(
+            "zip_code,house_number,date_of_birth,age\n6211AB,12,1960-03-15,66\n"
+        )
+        (tmp_path / "a.descriptor.json").write_text(json.dumps({
+            "station_id": "A", "extracted_at": "2026-01-01T00:00:00Z", "row_count": 1,
+            "schema": [["age", "numeric"]],
+        }))
+        # a busy port: a station that got past its dataset would fail to bind
+        blocker = socket.create_server(("127.0.0.1", 0))
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({
+            "station_id": "A", "role": "data",
+            "listen": f"127.0.0.1:{blocker.getsockname()[1]}",
+            "dataset_csv": "a.csv",
+            "trust_anchor_verify_key": "k/anchor_verify.pem",
+            "encryption_private_key": "k/enc_private.pem",
+            "signing_private_key": "k/sign_private.pem",
+        }))
+        with blocker:
+            result = runner.invoke(main, ["station", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and "gender" in result.output

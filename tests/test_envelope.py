@@ -219,3 +219,31 @@ class TestPackageEncoding:
             body = len(header).to_bytes(4, "big") + header + data[4 + header_len :]
             with pytest.raises(DecodeError):
                 SealedPackage.from_bytes(body)
+
+
+class TestKeyIds:
+    """Every key id is scope:kind: and the first 8 hex digits of SHA-256
+    over the public key, so a key read back from its PEM keeps its id."""
+
+    def test_id_is_derived_from_the_public_key(self):
+        import hashlib
+
+        kp, sk = generate_encryption_keypair("r1"), generate_signing_keys()
+        assert kp.key_id == "r1:enc:" + hashlib.sha256(kp.public_encryption_key).hexdigest()[:8]
+        assert sk.key_id == "static:sig:" + hashlib.sha256(sk.verification_key).hexdigest()[:8]
+
+    def test_pem_roundtrip_keeps_the_static_key_id(self):
+        from phtlink.envelope import (
+            derive_key_id,
+            encryption_keypair_from_pem,
+            encryption_keypair_to_pem,
+            public_key_from_pem,
+            signing_keys_from_pem,
+            signing_keys_to_pem,
+        )
+
+        kp, sk = generate_encryption_keypair(), generate_signing_keys()
+        enc_private, enc_public = encryption_keypair_to_pem(kp)
+        assert encryption_keypair_from_pem(enc_private) == kp
+        assert derive_key_id(public_key_from_pem(enc_public), "enc") == kp.key_id
+        assert signing_keys_from_pem(signing_keys_to_pem(sk)[0]) == sk

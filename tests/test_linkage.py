@@ -560,3 +560,17 @@ class TestLinkAfterBodyRoundTrip:
         result = link(*decoded, params)
         assert result.pairs
         assert result == link(ds_a, ds_b, params)
+
+
+class TestBudgetBeforeEstimate:
+    def test_refused_run_never_estimates_u(self, monkeypatch):
+        ds_a, ds_b = synthetic_pair(2)
+        params = LinkageParams(blocking_fields=())
+        calls, real = [], linkage._estimate_u
+        monkeypatch.setattr(linkage, "_estimate_u", lambda *a: calls.append(1) or real(*a))
+        link(ds_a, ds_b, params)
+        assert calls == [1]  # the spy sees the estimate an accepted run makes
+        monkeypatch.setattr(linkage, "MAX_CANDIDATES", 1)
+        with pytest.raises(CandidateBudgetExceeded):
+            link(ds_a, ds_b, params)
+        assert calls == [1]

@@ -224,3 +224,53 @@ class TestBlockValidation:
         )), anchor)
         verdict = validate_train(bad, anchor.verification_key, NOW)
         assert (verdict.accepted, verdict.reason) == (False, "InvalidManifest")
+
+
+class TestStrictManifest:
+    @pytest.mark.parametrize("key", ["note", "credential"])
+    def test_unknown_top_level_key_is_named(self, key):
+        manifest, _ = build_manifest()
+        doc = {**manifest_to_dict(manifest), key: "x"}
+        with pytest.raises(ValueError, match=key):
+            manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["expiry", "linkage", "station_verification_keys"])
+    def test_missing_key_without_default_is_named(self, key):
+        manifest, _ = build_manifest()
+        doc = manifest_to_dict(manifest)
+        del doc[key]
+        with pytest.raises(ValueError, match=key):
+            manifest_from_dict(doc)
+
+
+class TestBlockFromDictTypes:
+    def test_only_tuple_fields_become_tuples(self):
+        from phtlink.analysis import ResultTable
+
+        table = block_from_dict(ResultTable, {
+            "name": "t", "key_fields": ["bin"], "value_fields": ["count"],
+            "rows": [{"bin": "[0,1)", "count": 5}],
+        })
+        assert table.key_fields == ("bin",) and table.value_fields == ("count",)
+        assert table.rows == [{"bin": "[0,1)", "count": 5}]
+        assert isinstance(table.rows, list)
+        assert table.meta == {}
+
+    def test_a_string_field_given_an_array_keeps_it(self):
+        block = block_from_dict(DisclosurePolicy, {"suppress_marker": ["*"]})
+        assert block.suppress_marker == ["*"]
+        with pytest.raises(ValueError):
+            block.validate()
+
+    def test_readers_convert_their_field(self):
+        block = block_from_dict(LinkageParams, {"mode": "EXACT"}, mode=str.lower)
+        assert block == LinkageParams(mode="exact")
+
+    @pytest.mark.parametrize("doc", [{}, {"mode": "exact"}])
+    def test_given_fields_fill_in_and_may_not_be_repeated(self, doc):
+        given = {"mode": "probabilistic"}
+        if doc:
+            with pytest.raises(ValueError, match="mode"):
+                block_from_dict(LinkageParams, doc, given)
+        else:
+            assert block_from_dict(LinkageParams, doc, given) == LinkageParams()

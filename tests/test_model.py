@@ -350,3 +350,18 @@ class TestBodyPinned:
     def test_empty_body_pinned(self):
         body = dataset_to_bytes(make_dataset("A", (("age", "numeric"),), []))
         assert hashlib.sha256(body).hexdigest() == PINNED_BODIES["empty"]
+
+
+class TestCsvWithoutQids:
+    @pytest.mark.parametrize("dropped", QID_FIELDS)
+    def test_missing_qid_column_is_refused(self, tmp_path, dropped):
+        write_dataset_csv(make_dataset(
+            "A", (("age", "numeric"),), [Record(payload={"age": 50}, qid=canonicalize(raw()))]
+        ), tmp_path / "a.csv")
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        at = QID_FIELDS.index(dropped)
+        kept = [",".join(c for k, c in enumerate(line.split(",")) if k != at) for line in lines]
+        (tmp_path / "a.csv").write_text("\n".join(kept) + "\n")
+        with pytest.raises(MalformedField) as err:
+            read_dataset_csv(tmp_path / "a.csv")
+        assert err.value.field == dropped

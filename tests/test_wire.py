@@ -278,3 +278,68 @@ class TestBinaryFrames:
         assert decode(read_frame(stream)) == ack()
         assert read_frame(stream) is None
 
+
+
+def _json_frame(type_byte, doc):
+    payload = json.dumps(doc).encode()
+    return MAGIC + bytes([VERSION, type_byte]) + struct.pack(">I", len(payload)) + payload
+
+
+def _payload(msg):
+    return json.loads(encode(msg)[HEADER_LEN:])
+
+
+def _dispatch():
+    ds_a, ds_b, _ = generate_vertical_demo(5, 2, seed=1)
+    return TrainDispatch("run-0001", 1, "researcher", make_scenario(ds_a, ds_b).manifest,
+                         (("A", "127.0.0.1:1"),))
+
+
+def _result_return():
+    table = ResultTable("t", ("bin",), ("count",), [{"bin": "[0,1)", "count": 5}], {})
+    return ResultReturn("run-1", 4, "TSE", ValidatedResult([table], {"k": 1}))
+
+
+class TestStrictPayloads:
+    """Every JSON payload is read strictly: a key the message, its manifest
+    or its result does not declare, or a declared key without a default
+    that is absent, is a DecodeError at the payload."""
+
+    def _mutated(self, msg, mutate):
+        doc = _payload(msg)
+        mutate(doc)
+        return _json_frame(encode(msg)[5], doc)
+
+    @pytest.mark.parametrize("msg, mutate", [
+        (ack(), lambda doc: doc.update(extra=1)),
+        (Abort("run-1", 9, "TSE", "Timeout"), lambda doc: doc.update(extra=1)),
+        (_dispatch(), lambda doc: doc["manifest"].update(note="hi")),
+        (_dispatch(), lambda doc: doc.update(extra=1)),
+        (_result_return(), lambda doc: doc["result"].update(x=1)),
+        (_result_return(), lambda doc: doc["result"]["tables"][0].update(x=1)),
+    ], ids=["ack", "abort", "manifest", "dispatch", "result", "result-table"])
+    def test_unknown_key_is_a_decode_error(self, msg, mutate):
+        with pytest.raises(DecodeError, match="unknown") as err:
+            decode(self._mutated(msg, mutate))
+        assert err.value.offset == HEADER_LEN
+
+    @pytest.mark.parametrize("msg, key", [
+        (ack(), "status"),
+        (Abort("run-1", 9, "TSE", "Timeout"), "reason"),
+        (_dispatch(), "endpoints"),
+        (_result_return(), "result"),
+    ])
+    def test_missing_key_is_a_decode_error(self, msg, key):
+        with pytest.raises(DecodeError, match=key):
+            decode(self._mutated(msg, lambda doc: doc.pop(key)))
+
+    def test_binary_header_may_not_name_its_package(self):
+        frame = encode(_transfer())
+        (json_len,) = struct.unpack(">I", frame[10:14])
+        header = json.loads(frame[14 : 14 + json_len])
+        header["package"] = "x"
+        doc = json.dumps(header).encode()
+        payload = struct.pack(">I", len(doc)) + doc + frame[14 + json_len :]
+        mangled = MAGIC + bytes([VERSION, 0x04]) + struct.pack(">I", len(payload)) + payload
+        with pytest.raises(DecodeError, match="package"):
+            decode(mangled)

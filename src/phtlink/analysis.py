@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import asdict, dataclass, field
 
-from .encoding import block_from_dict, canonical_json_bytes, is_int, is_number, require_strings
+from .encoding import block_from_dict, canonical_json_bytes, check_types
 from .errors import TypeMismatch, UnknownVariable
 from .model import Columns, Dataset
 
@@ -38,15 +38,9 @@ class AnalysisSpec:
     bin_edges: tuple[float, ...] | None = None
 
     def validate(self) -> None:
+        check_types(self)
         if self.kind not in (KIND_DESCRIPTIVE, KIND_CROSSTAB, KIND_BINNED):
             raise ValueError(f"unknown analysis kind {self.kind!r}")
-        require_strings("analysis variables", self.variables)
-        if self.bin_width is not None and not is_number(self.bin_width):
-            raise ValueError(f"bin_width must be a number, not {self.bin_width!r}")
-        if self.bin_edges is not None and not (
-            isinstance(self.bin_edges, tuple) and all(map(is_number, self.bin_edges))
-        ):
-            raise ValueError(f"bin_edges must be a list of numbers, not {self.bin_edges!r}")
         if not 1 <= len(self.variables) <= 2:
             raise ValueError("analysis takes 1 or 2 variables")
         if self.kind in (KIND_CROSSTAB, KIND_BINNED) and len(self.variables) != 2:
@@ -69,13 +63,12 @@ class DisclosurePolicy:
     suppress_marker: str = "*"
 
     def validate(self) -> None:
-        if not is_int(self.k_min) or self.k_min < 1:
-            raise ValueError(f"k_min must be an integer >= 1, not {self.k_min!r}")
+        check_types(self)
+        if self.k_min < 1:
+            raise ValueError(f"k_min must be >= 1, not {self.k_min}")
         # a released cell is told from a suppressed one by its type
-        if not isinstance(self.suppress_marker, str) or not self.suppress_marker:
-            raise ValueError(
-                f"suppress_marker must be a non-empty string, not {self.suppress_marker!r}"
-            )
+        if not self.suppress_marker:
+            raise ValueError("suppress_marker must not be empty")
 
 
 @dataclass
@@ -113,10 +106,11 @@ class ValidatedResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ValidatedResult":
-        """Strict inverse of to_dict: an unknown or missing key is a ValueError."""
-        return block_from_dict(
-            cls, doc, tables=lambda tables: [block_from_dict(ResultTable, t) for t in tables]
-        )
+        """Strict inverse of to_dict: an unknown or missing key, or a table
+        field of the wrong type, is a ValueError."""
+        return block_from_dict(cls, doc, tables=lambda tables: [
+            check_types(block_from_dict(ResultTable, t)) for t in tables
+        ])
 
 
 def _require_numeric(types: dict[str, str], name: str) -> None:

@@ -22,12 +22,13 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 
 from .analysis import table_to_csv
-from .encoding import canonical_json_bytes
+from .encoding import canonical_json_bytes, check_types
 from .envelope import (
     KeyPair,
     PublicEncryptionKey,
@@ -42,7 +43,7 @@ from .envelope import (
     signing_keys_to_pem,
 )
 from .errors import BadConfig, InvalidSpec, PhtError
-from .manifest import TrainManifest, block_from_dict, parameters_from_dict, sign_manifest
+from .manifest import TrainManifest, block_from_dict, sign_manifest
 from .model import read_dataset_csv, write_dataset_csv
 from .network import Router, TcpNode, researcher_verdict
 from .stations import (
@@ -216,15 +217,67 @@ def synth(spec_file: Path, out_dir: Path):
 # daemons
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class StationConfigFile:
+    """A data station's config file; paths resolve relative to the file."""
+
+    station_id: str
+    role: str
+    listen: str  # host:port
+    dataset_csv: str
+    trust_anchor_verify_key: str
+    encryption_private_key: str
+    signing_private_key: str
+    allow_variables: tuple[str, ...] = ()
+    peer_encryption_public_keys: tuple[tuple[str, str], ...] = ()  # (station id, PEM path)
+    descriptor: str | None = None
+    endpoints: tuple[tuple[str, str], ...] = ()  # (actor id, address)
+    audit_log: str | None = None
+
+
+@dataclass(frozen=True)
+class TseConfigFile:
+    """The analysis station's config file; paths resolve relative to the file."""
+
+    station_id: str
+    role: str
+    listen: str  # host:port
+    trust_anchor_verify_key: str
+    encryption_private_key: str
+    endpoints: tuple[tuple[str, str], ...] = ()  # (actor id, address)
+    audit_log: str | None = None
+    timeout_s: float = 60.0
+
+
+def _pairs(value):
+    """A JSON object as the tuple of its (key, value) pairs."""
+    return tuple(value.items()) if isinstance(value, dict) else value
+
+
+def _read_config(path: Path, cls, role: str):
+    """A daemon config: only the keys ``cls`` declares, each of its declared
+    type, so a misspelt key fails instead of leaving a setting at its
+    default."""
+    doc = _load_json(path)
+    if doc.get("role") != role:
+        raise BadConfig(f"{path}: role must be {role!r}")
+    try:
+        return check_types(
+            block_from_dict(cls, doc, peer_encryption_public_keys=_pairs, endpoints=_pairs)
+        )
+    except ValueError as exc:
+        raise BadConfig(f"{path}: {exc}") from None
+
+
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
     return host or "127.0.0.1", int(port)
 
 
-def _serve(cfg: dict, listen: tuple[str, int], new_actor, timeout_s: float | None = None,
-           wipe_on_exit: bool = False):
+def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_actor,
+           timeout_s: float | None = None, wipe_on_exit: bool = False):
     """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run."""
-    address_book: dict[str, str] = dict(cfg.get("endpoints", {}))
+    address_book: dict[str, str] = dict(cfg.endpoints)
 
     def factory(dispatch: TrainDispatch):
         address_book.update(dispatch.endpoints)  # where this run's parties listen
@@ -232,7 +285,7 @@ def _serve(cfg: dict, listen: tuple[str, int], new_actor, timeout_s: float | Non
 
     router = Router(factory, timeout_s)
     try:
-        node = TcpNode(cfg["station_id"], router, address_book, host=listen[0], port=listen[1])
+        node = TcpNode(cfg.station_id, router, address_book, host=listen[0], port=listen[1])
     except OSError as exc:
         _fail("BindError", str(exc))
     stop = threading.Event()
@@ -248,38 +301,40 @@ def _serve(cfg: dict, listen: tuple[str, int], new_actor, timeout_s: float | Non
             actor.wipe("terminated")
 
 
+def _audit_path(base: Path, audit_log: str | None) -> str | None:
+    return None if audit_log is None else str(_resolve(base, audit_log))
+
+
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, path_type=Path))
 def station(config_path: Path):
     """Run a data-station daemon; serves runs until terminated."""
     base = config_path.parent
     try:
-        cfg = _load_json(config_path)
-        if cfg.get("role") != "data":
-            raise BadConfig(f"{config_path}: role must be 'data'")
+        cfg = _read_config(config_path, StationConfigFile, "data")
         dataset = read_dataset_csv(
-            _resolve(base, cfg["dataset_csv"]),
-            _resolve(base, cfg["descriptor"]) if "descriptor" in cfg else None,
+            _resolve(base, cfg.dataset_csv),
+            None if cfg.descriptor is None else _resolve(base, cfg.descriptor),
         )
         anchor_verify = public_key_from_pem(
-            _resolve(base, cfg["trust_anchor_verify_key"]).read_bytes()
+            _resolve(base, cfg.trust_anchor_verify_key).read_bytes()
         )
-        enc_keys = _load_encryption_keys(_resolve(base, cfg["encryption_private_key"]))
-        sign_keys = _load_signing_keys(_resolve(base, cfg["signing_private_key"]))
+        enc_keys = _load_encryption_keys(_resolve(base, cfg.encryption_private_key))
+        sign_keys = _load_signing_keys(_resolve(base, cfg.signing_private_key))
         peer_keys = {}
-        for sid, path in cfg.get("peer_encryption_public_keys", {}).items():
+        for sid, path in cfg.peer_encryption_public_keys:
             raw = public_key_from_pem(_resolve(base, path).read_bytes())
             peer_keys[sid] = PublicEncryptionKey(raw, derive_key_id(raw, "enc"))
-        listen = _parse_listen(cfg["listen"])
+        listen = _parse_listen(cfg.listen)
         config = DataStationConfig(
-            station_id=cfg["station_id"],
+            station_id=cfg.station_id,
             dataset=dataset,
-            allowed_variables=tuple(cfg.get("allow_variables", ())),
+            allowed_variables=cfg.allow_variables,
             trust_anchor_verify=anchor_verify,
             enc_keys=enc_keys,
             sign_keys=sign_keys,
             peer_encryption_keys=peer_keys,
-            audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
+            audit_path=_audit_path(base, cfg.audit_log),
         )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
@@ -292,34 +347,32 @@ def tse(config_path: Path):
     """Run the analysis-station daemon; serves runs until terminated."""
     base = config_path.parent
     try:
-        cfg = _load_json(config_path)
-        if cfg.get("role") != "tse":
-            raise BadConfig(f"{config_path}: role must be 'tse'")
+        cfg = _read_config(config_path, TseConfigFile, "tse")
         anchor_verify = public_key_from_pem(
-            _resolve(base, cfg["trust_anchor_verify_key"]).read_bytes()
+            _resolve(base, cfg.trust_anchor_verify_key).read_bytes()
         )
-        enc_keys = _load_encryption_keys(_resolve(base, cfg["encryption_private_key"]))
-        listen = _parse_listen(cfg["listen"])
-        timeout_s = float(cfg.get("timeout_s", 60.0))
+        enc_keys = _load_encryption_keys(_resolve(base, cfg.encryption_private_key))
+        listen = _parse_listen(cfg.listen)
         config = TseConfig(
-            station_id=cfg["station_id"],
+            station_id=cfg.station_id,
             trust_anchor_verify=anchor_verify,
             enc_keys=enc_keys,
-            audit_path=str(_resolve(base, cfg["audit_log"])) if "audit_log" in cfg else None,
+            audit_path=_audit_path(base, cfg.audit_log),
         )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-    _serve(cfg, listen, lambda: TseActor(config), timeout_s, wipe_on_exit=True)
+    _serve(cfg, listen, lambda: TseActor(config), cfg.timeout_s, wipe_on_exit=True)
 
 
 # ---------------------------------------------------------------------------
 # submit / report
 # ---------------------------------------------------------------------------
 
+#: draft keys that are read as the manifest fields of the same name
+DRAFT_BLOCKS = ("data_requests", "analysis", "disclosure", "linkage")
 DRAFT_KEYS = frozenset({
-    "train_id", "run_id", "researcher_id", "tse_station_id", "data_requests", "analysis",
-    "disclosure", "linkage", "expiry", "tse_public_encryption_key_file",
-    "station_verification_key_files", "endpoints",
+    *DRAFT_BLOCKS, "train_id", "run_id", "researcher_id", "tse_station_id", "expiry",
+    "tse_public_encryption_key_file", "station_verification_key_files", "endpoints",
 })
 
 
@@ -337,8 +390,10 @@ def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
     expiry = doc.get("expiry") or (
         dt.datetime.now(dt.timezone.utc) + dt.timedelta(hours=1)
     ).isoformat()
-    return TrainManifest(
-        **parameters_from_dict(doc),
+    # read as a manifest on the wire; an absent disclosure or linkage block
+    # takes its defaults
+    blocks = {"disclosure": {}, "linkage": {}, **{k: doc[k] for k in DRAFT_BLOCKS if k in doc}}
+    return block_from_dict(TrainManifest, blocks, dict(
         train_id=doc["train_id"],
         run_id=doc.get("run_id") or f"run-{os.urandom(6).hex()}",
         researcher_id=doc.get("researcher_id", "researcher"),
@@ -347,7 +402,16 @@ def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
         tse_encryption_key_id=derive_key_id(tse_pub, "enc"),
         station_verification_keys=tuple(sorted(verification.items())),
         expiry=expiry,
-    )
+    ))
+
+
+def _address_book(value) -> dict[str, str]:
+    """A draft's endpoints: a JSON object of actor id to "host:port"."""
+    if not isinstance(value, dict) or not all(
+        isinstance(item, str) for pair in value.items() for item in pair
+    ):
+        raise ValueError(f"endpoints must map actor ids to host:port strings, not {value!r}")
+    return dict(value)
 
 
 @main.command()
@@ -365,14 +429,16 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     base = draft_file.parent
     try:
         doc = _load_json(draft_file)
-        endpoints = dict(doc["endpoints"])
+        endpoints = _address_book(doc["endpoints"])
         anchor = _load_signing_keys(anchor_key)
         manifest = sign_manifest(_manifest_from_draft(doc, base), anchor)
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadDraft", str(exc))
 
     started = time.perf_counter()
-    router = Router()
+    # at the deadline the researcher aborts with Timeout and cancels the run
+    # at every party it dispatched
+    router = Router(timeout_s=timeout_s)
     node = TcpNode(manifest.researcher_id, router, endpoints)
     endpoints[manifest.researcher_id] = node.address
     researcher = ResearcherActor(manifest.researcher_id, manifest, endpoints)
@@ -380,7 +446,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     node.post(researcher.start())  # before the worker runs
     node.start()
     try:
-        done.wait(timeout_s)
+        done.wait()  # the deadline ends the run; no shorter timer may stop the cancels
     finally:
         node.stop()
 

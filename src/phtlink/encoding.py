@@ -3,9 +3,10 @@
 Canonical JSON: UTF-8, sorted keys, compact separators, no NaN/Infinity.
 Two parties serializing the same logical value must produce identical bytes,
 since signatures and AEAD associated data are computed over these encodings.
-block_from_dict reads a JSON object into its dataclass, strictly. Binary
-payloads, sealed packages and dataset bodies are laid out from fields of a
-big-endian length then that many bytes (write_field, read_field).
+block_from_dict reads a JSON object into its dataclass, strictly, and
+check_types checks each field against the type its dataclass declares.
+Binary payloads, sealed packages and dataset bodies are laid out from
+fields of a big-endian length then that many bytes (write_field, read_field).
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from dataclasses import MISSING, fields
-from typing import Any, Callable
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from .errors import DecodeError
 
@@ -62,12 +65,14 @@ def read_field(
 def block_from_dict(cls, doc: Any, given: dict | None = None, **readers: Callable):
     """Read one dataclass from its JSON object.
 
-    ``readers`` convert the value of the field they are named after; a JSON
-    array becomes a tuple only where the field is declared a tuple. ``given``
-    holds fields that travel outside the object and may not appear in it.
-    An absent key takes the dataclass default. An unknown key, or an absent
-    one without a default, raises ValueError naming it: a misspelt key fails
-    closed instead of quietly leaving a restriction at its default."""
+    ``readers`` convert the value of the field they are named after. Any
+    other value is read as its field's type declares: an array as a tuple
+    and an object as a dataclass (by block_from_dict) where one is declared,
+    and as itself elsewhere. ``given`` holds fields that travel outside the
+    object and may not appear in it. An absent key takes the dataclass
+    default. An unknown key, or an absent one without a default, raises
+    ValueError naming it: a misspelt key fails closed instead of quietly
+    leaving a restriction at its default."""
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
     values = dict(given or {})
@@ -78,30 +83,56 @@ def block_from_dict(cls, doc: Any, given: dict | None = None, **readers: Callabl
     for name, f in declared.items():
         if name in doc:
             value = doc[name]
-            if name in readers:
-                value = readers[name](value)
-            elif isinstance(value, list) and str(f.type).startswith("tuple"):
-                value = tuple(value)
-            values[name] = value
+            read = readers.get(name)
+            values[name] = read(value) if read else _read_as(value, _hints(cls)[name])
         elif name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing {cls.__name__} key {name!r}")
     return cls(**values)
 
 
-# Type checks for values read from JSON: a wrong type is a ValueError, like
-# any other invalid value, so one ``except ValueError`` fails it closed.
+def _read_as(value: Any, hint) -> Any:
+    """``value``, as JSON or asdict gives it, read as ``hint`` declares it."""
+    for arm in get_args(hint) if get_origin(hint) in _UNIONS else (hint,):
+        if is_dataclass(arm) and value is not None:
+            return block_from_dict(arm, value)
+        if isinstance(value, (list, tuple)) and get_origin(arm) is tuple:
+            items = _items(arm, value)
+            return tuple(value if items is None else map(_read_as, value, items))
+    return value
 
-def is_int(value: Any) -> bool:
-    """An int that is not a bool: JSON ``true`` is no count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+
+def check_types(block):
+    """Check each field of the dataclass ``block`` against its declared type,
+    as JSON delivers values, and return ``block``: a bool is no int, an int
+    is also a float, a tuple is checked item by item, and a nested
+    dataclass, a list or a dict by its own type only. A mismatch is a
+    ValueError naming the field."""
+    for name, hint in _hints(type(block)).items():
+        value = getattr(block, name)
+        if not _is_a(value, hint):
+            wanted = hint if get_origin(hint) else hint.__name__
+            raise ValueError(f"{type(block).__name__} {name!r} must be {wanted}, not {value!r}")
+    return block
 
 
-def is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+#: the declared type of each field of a dataclass
+_hints = cache(get_type_hints)
+_UNIONS = (Union, UnionType)
 
 
-def require_strings(name: str, value: Any) -> None:
-    """``value`` must be a tuple of strings: a bare string would be iterated
-    one character at a time."""
-    if not isinstance(value, tuple) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{name} must be a list of strings, not {value!r}")
+def _items(hint, value: tuple | list) -> tuple | None:
+    """Each item's type under the tuple type ``hint``; None for a wrong length."""
+    args = get_args(hint)
+    items = args[:1] * len(value) if args[1:] == (...,) else args
+    return items if len(items) == len(value) else None
+
+
+def _is_a(value: Any, hint) -> bool:
+    if get_origin(hint) in _UNIONS:
+        return any(_is_a(value, arm) for arm in get_args(hint))
+    if get_origin(hint) is tuple:
+        items = _items(hint, value) if isinstance(value, tuple) else None
+        return items is not None and all(map(_is_a, value, items))
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    return isinstance(value, get_origin(hint) or hint)

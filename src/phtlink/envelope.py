@@ -19,6 +19,10 @@ and the canonical header JSON (the very bytes used as associated data), a
 2-byte length and the wrapped key, a 2-byte length and the tag, then the
 ciphertext up to the end of the buffer. Every length-prefixed field is
 written and read by encoding.write_field and encoding.read_field.
+SealedPackage.from_bytes reads the header strictly (encoding.block_from_dict
+and check_types) and accepts it only if it is byte for byte the header seal
+writes for those fields, so the AAD open_package authenticates is exactly
+the header received.
 
 A key id is ``scope:kind:`` and the first 8 hex digits of SHA-256 over the
 raw public key (derive_key_id); the scope is the run a key is bound to, or
@@ -50,7 +54,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .encoding import canonical_json_bytes, from_json_bytes, read_field, write_field
+from .encoding import (
+    block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
+)
 from .errors import (
     DecodeError,
     DecryptionFailure,
@@ -162,29 +168,24 @@ class SealedPackage:
     def from_bytes(cls, data: bytes) -> "SealedPackage":
         """Parse to_bytes output; any length that does not fit the buffer, or
         a key or tag length other than the algorithms fix, is a DecodeError
-        at the offset of the bad field."""
+        at the offset of the bad field. So is a header that is not exactly
+        the canonical header seal writes for its fields."""
         view = memoryview(data)
-        header_bytes, offset = read_field(view, 0, _U32)
+        header, offset = read_field(view, 0, _U32)
         wrapped, offset = read_field(view, offset, _U16, _WRAPPED_KEY_LEN)
         tag, offset = read_field(view, offset, _U16, _GCM_TAG_LEN)
+        given = dict(wrapped_content_key=bytes(wrapped), ciphertext=bytes(view[offset:]),
+                     outer_auth_tag=bytes(tag))
         try:
-            header = from_json_bytes(bytes(header_bytes))
-            key_ids = header["key_ids"]
-            if not isinstance(key_ids, list):
-                raise TypeError("key_ids must be a list")
-            fields = (header["sender_station_id"], header["run_id"], *key_ids)
-            if len(key_ids) != 2 or not all(isinstance(f, str) for f in fields):
-                raise ValueError("sender, run and two key ids must be strings")
-        except (KeyError, TypeError, ValueError) as exc:
+            doc = from_json_bytes(bytes(header))
+            # the algorithms are fixed: the byte comparison holds them to ALGORITHMS
+            doc = {key: value for key, value in doc.items() if key != "algorithms"}
+            pkg = check_types(block_from_dict(cls, doc, given))
+            if canonical_json_bytes(pkg.header()) != header:
+                raise ValueError("not the canonical header of its fields")
+        except (AttributeError, ValueError) as exc:
             raise DecodeError(_U32.size, f"bad sealed package header: {exc}") from None
-        return cls(
-            sender_station_id=fields[0],
-            run_id=fields[1],
-            key_ids=(fields[2], fields[3]),
-            wrapped_content_key=bytes(wrapped),
-            ciphertext=bytes(view[offset:]),
-            outer_auth_tag=bytes(tag),
-        )
+        return pkg
 
 
 def _header(sender_station_id: str, run_id: str, key_ids: tuple[str, str]) -> dict:

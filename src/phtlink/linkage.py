@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoding import is_number, require_strings
+from .encoding import check_types
 from .errors import (
     CandidateBudgetExceeded,
     DegenerateParams,
@@ -83,25 +83,16 @@ class LinkageParams:
     blocking_fields: tuple[str, ...] = ("date_of_birth",)
 
     def validate(self) -> None:
+        check_types(self)
         if self.mode not in LINKAGE_MODES:
             raise ValueError(f"unknown linkage mode {self.mode!r}")
         # Fellegi-Sunter log weights need 0 < m, u < 1
         for name in ("m", "u") if self.u is not None else ("m",):
             probs = getattr(self, name)
-            if not (
-                isinstance(probs, tuple)
-                and len(probs) == len(QID_FIELDS)
-                and all(is_number(p) and 0 < p < 1 for p in probs)
-            ):
-                raise ValueError(
-                    f"{name} must be {len(QID_FIELDS)} numbers strictly between 0 and 1, "
-                    f"not {probs!r}"
-                )
-        if not (is_number(self.t_upper) and is_number(self.t_lower)):
-            raise ValueError("t_upper and t_lower must be numbers")
+            if not all(0 < p < 1 for p in probs):
+                raise ValueError(f"{name} must lie strictly between 0 and 1, not {probs!r}")
         if self.t_upper < self.t_lower:
             raise ValueError("t_upper must be >= t_lower")
-        require_strings("blocking_fields", self.blocking_fields)
         for name in self.blocking_fields:
             if name not in QID_FIELDS:
                 raise ValueError(f"unknown blocking field {name!r}")

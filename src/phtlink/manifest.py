@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 from .analysis import AnalysisSpec, DisclosurePolicy
-from .encoding import (
-    b64decode, b64encode, block_from_dict, canonical_json_bytes, is_int, require_strings,
-)
+from .encoding import b64decode, b64encode, block_from_dict, canonical_json_bytes, check_types
 from .envelope import SigningKeys, sign_payload, verify_payload
 from .linkage import LinkageParams
 
@@ -39,16 +36,16 @@ class PoolFilter:
     as_of: str = "2026-01-01"
 
     def validate(self) -> None:
+        check_types(self)
         for name in ("age_min", "age_max"):
             age = getattr(self, name)
-            if age is not None and not (is_int(age) and age >= 0):
-                raise ValueError(f"pool {name} must be a non-negative integer, not {age!r}")
+            if age is not None and age < 0:
+                raise ValueError(f"pool {name} must not be negative, not {age}")
         if None not in (self.age_min, self.age_max) and self.age_min > self.age_max:
             raise ValueError("pool age_min must be <= age_max")
-        require_strings("pool zip_prefixes", self.zip_prefixes)
         try:
             dt.date.fromisoformat(self.as_of)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(f"pool as_of must be an ISO date, not {self.as_of!r}") from None
 
 
@@ -128,24 +125,26 @@ def validate_train(
     station_id: str | None = None,
     allowed_variables: tuple[str, ...] | None = None,
 ) -> Validation:
-    """Accept iff the credential signature verifies, the manifest has not
-    expired, its analysis, disclosure policy, linkage parameters, requests
-    and pool filters are well-typed and in range, and (for a data station)
-    the request touches only variables the station is configured to
-    release. A signature vouches for who wrote a manifest, not for what it
-    asks, so the contents are checked before any data moves."""
+    """Accept iff the credential signature verifies, every field is of its
+    declared type, the manifest has not expired, its analysis, disclosure
+    policy, linkage parameters, requests and pool filters are well-typed
+    and in range, and (for a data station) the request touches only
+    variables the station is configured to release. A signature vouches for
+    who wrote a manifest, not for what it asks, so the contents are checked
+    before any data moves."""
     if manifest.credential_signature is None or not verify_payload(
         trust_anchor_verify, manifest.signable_bytes(), manifest.credential_signature
     ):
         return Validation(False, REASON_BAD_SIGNATURE, "credential signature rejected")
-    if _parse_when(manifest.expiry) <= _parse_when(now):
-        return Validation(False, REASON_EXPIRED, f"expired at {manifest.expiry}")
     try:
+        check_types(manifest)
+        if _parse_when(manifest.expiry) <= _parse_when(now):
+            return Validation(False, REASON_EXPIRED, f"expired at {manifest.expiry}")
         manifest.analysis.validate()
         manifest.disclosure.validate()
         manifest.linkage.validate()
         for request in manifest.data_requests:
-            require_strings(f"{request.station_id} variables", request.variables)
+            check_types(request)
             if request.pool is not None:
                 request.pool.validate()
     except ValueError as exc:
@@ -171,29 +170,6 @@ def validate_train(
 # Dict / JSON conversion (wire format and draft files)
 # ---------------------------------------------------------------------------
 
-def _pool_from_dict(doc) -> PoolFilter | None:
-    return None if doc is None else block_from_dict(PoolFilter, doc)
-
-
-#: readers of a manifest's data requests and parameter blocks
-_BLOCK_READERS = {
-    "data_requests": lambda items: tuple(
-        block_from_dict(DataRequest, item, pool=_pool_from_dict) for item in items
-    ),
-    "analysis": partial(block_from_dict, AnalysisSpec),
-    "disclosure": partial(block_from_dict, DisclosurePolicy),
-    "linkage": partial(block_from_dict, LinkageParams),
-}
-
-
-def parameters_from_dict(doc: dict) -> dict:
-    """A draft's data requests and parameter blocks, as TrainManifest
-    keyword arguments; an absent disclosure or linkage block takes its
-    defaults."""
-    doc = {"disclosure": {}, "linkage": {}, **doc}
-    return {name: read(doc[name]) for name, read in _BLOCK_READERS.items()}
-
-
 def manifest_to_dict(manifest: TrainManifest) -> dict:
     """asdict, with the key bytes and the signature in base64."""
     signature = manifest.credential_signature
@@ -211,7 +187,7 @@ def manifest_from_dict(doc: dict) -> TrainManifest:
     """Strict inverse of manifest_to_dict: an unknown or missing key, at the
     top or in any block, raises ValueError."""
     return block_from_dict(
-        TrainManifest, doc, **_BLOCK_READERS,
+        TrainManifest, doc,
         tse_public_encryption_key=b64decode,
         station_verification_keys=lambda keys: tuple(
             sorted((sid, b64decode(key)) for sid, key in keys.items())

@@ -36,7 +36,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .encoding import block_from_dict, canonical_json_bytes, read_field, write_field
+from .encoding import (
+    block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
+)
 from .errors import MalformedField
 from .pseudonym import DIGEST_HEX_LENGTH, PseudonymVector
 
@@ -209,7 +211,8 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
         if vtype not in VARIABLE_TYPES:
             raise ValueError(f"unknown variable type {vtype!r} for {name!r}")
         wanted = (int, float) if vtype == "numeric" else str
-        if len(column) != ds.n_rows or not all(isinstance(v, wanted) for v in column):
+        held = isinstance(column, list) and all(isinstance(v, wanted) for v in column)
+        if not held or len(column) != ds.n_rows:
             raise ValueError(f"variable {name!r} does not hold one {vtype} value per row")
     if ds.descriptor.row_count != ds.n_rows:
         raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
@@ -316,55 +319,51 @@ def to_columns(ds: Dataset | Columns) -> Columns:
                         (row.pseudonym for row in ds.rows))
 
 
+@dataclass
+class _BodyHeader:
+    """The JSON header of a dataset body."""
+
+    station_id: str
+    schema: tuple[tuple[str, str], ...]
+    descriptor: DatasetDescriptor
+    row_count: int
+    digests: tuple[str, ...]  # the digest parts every row carries
+    columns: list  # one array per payload variable, in schema order
+
+
 def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """Columnar binary body for a pseudonymized dataset.
 
-    Layout: a 4-byte big-endian length, then a canonical JSON header
-    (station_id, schema, descriptor, row_count, the digest parts every row
-    carries, and one array per payload column in schema order), then each
-    row's raw 64-byte digests, concatenated row after row (composite first,
-    then the four per-field digests, as far as present).
+    Layout: a 4-byte big-endian length, then the canonical JSON of a
+    _BodyHeader, then each row's raw 64-byte digests, concatenated row after
+    row (composite first, then the four per-field digests, as far as
+    present).
     """
     cols = to_columns(ds)
-    header = canonical_json_bytes(
-        {
-            "station_id": cols.station_id,
-            "schema": [list(pair) for pair in cols.schema],
-            "descriptor": asdict(cols.descriptor),
-            "row_count": cols.n_rows,
-            "digests": list(cols.parts),
-            "columns": cols.payload,
-        }
-    )
-    return b"".join((*write_field(_U32, header), cols.digests.tobytes()))
+    header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
+                         cols.parts, cols.payload)
+    doc = canonical_json_bytes({**vars(header), "descriptor": asdict(cols.descriptor)})
+    return b"".join((*write_field(_U32, doc), cols.digests.tobytes()))
 
 
 def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
     lengths or header do not fit together raises ValueError. The digests
     are a read-only view into ``data``."""
-    header, start = read_field(memoryview(data), 0, _U32)
-    try:
-        doc = json.loads(bytes(header).decode("utf-8"))
-        schema = tuple((str(n), str(t)) for n, t in doc["schema"])
-        n_rows, parts, columns = doc["row_count"], tuple(doc["digests"]), doc["columns"]
-        if type(n_rows) is not int or n_rows < 0:
-            raise ValueError(f"bad row_count {n_rows!r}")
-        if parts not in ((), ("composite",), ("per_field",), _DIGEST_PARTS):
-            raise ValueError(f"unknown digest parts {list(parts)}")
-        if type(columns) is not list or any(type(c) is not list for c in columns):
-            raise ValueError("payload columns must be arrays")
-        width = _width(parts)
-        if len(data) - start != n_rows * width * DIGEST_DTYPE.itemsize:
-            raise ValueError(
-                f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests"
-            )
-        descriptor = block_from_dict(DatasetDescriptor, doc["descriptor"])
-        digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
-        cols = Columns(doc["station_id"], schema, descriptor, columns, parts,
-                       digests.reshape(n_rows, width))
-    except (KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"bad dataset body: {exc!r}") from None
+    doc, start = read_field(memoryview(data), 0, _U32)
+    header = check_types(block_from_dict(_BodyHeader, from_json_bytes(bytes(doc))))
+    n_rows, parts = header.row_count, header.digests
+    check_types(header.descriptor)
+    if n_rows < 0:
+        raise ValueError(f"bad row_count {n_rows}")
+    if parts not in ((), ("composite",), ("per_field",), _DIGEST_PARTS):
+        raise ValueError(f"unknown digest parts {list(parts)}")
+    width = _width(parts)
+    if len(data) - start != n_rows * width * DIGEST_DTYPE.itemsize:
+        raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests")
+    digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
+    cols = Columns(header.station_id, header.schema, header.descriptor, header.columns, parts,
+                   digests.reshape(n_rows, width))
     cols.validate()
     return cols
 

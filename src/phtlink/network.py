@@ -426,7 +426,7 @@ class TcpNode:
                     cached = self._conns[dest] = (address, conn)
                 cached[1].sendall(frame)
                 return None
-            except OSError as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a malformed address
                 self._drop_conn(dest)
                 error = str(exc)
         return error

@@ -633,7 +633,8 @@ class TseActor(_SequencedActor):
 
 class ResearcherActor(_SequencedActor):
     """Fourth endpoint: dispatches the train, then only ever sees Ack,
-    ResultReturn and Abort.
+    ResultReturn and Abort. A run deadline (TimeoutExpired) aborts the run
+    with "Timeout" unless it already ended, and ends the actor either way.
 
     The salt-initiating station is dispatched last, once every other party
     has acknowledged its own dispatch, and not at all if the run aborts
@@ -660,6 +661,7 @@ class ResearcherActor(_SequencedActor):
         self._initiator: str | None = None
         # parties whose dispatch Ack the initiator's dispatch still waits for
         self._awaiting_acks: set[str] = set()
+        self._expired = False
 
     def _dispatch(self, dest: str) -> Outgoing:
         self._dispatched.append(dest)
@@ -684,7 +686,10 @@ class ResearcherActor(_SequencedActor):
         self._awaiting_acks = set(first)
         return [self._dispatch(dest) for dest in first]
 
-    def handle(self, msg: Message) -> list[Outgoing]:
+    def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
+        if isinstance(msg, TimeoutExpired):
+            self._expired = True
+            return self.abort("Timeout")
         if not self.in_order(msg):
             self.audit.log(msg.run_id, "Receive", "out_of_order_dropped", msg.sender)
             return []
@@ -739,12 +744,12 @@ class ResearcherActor(_SequencedActor):
 
     @property
     def terminal(self) -> bool:
-        """Done, and after a result also holding each station's second Ack:
-        a station sends it with the data the result was computed from, but
-        over TCP it can arrive after the result."""
+        """Done, and after a result also holding each station's second Ack
+        until the deadline: a station sends it with the data the result was
+        computed from, but over TCP it can arrive after the result."""
         if self.outcome is None:
             return False
-        if self.outcome[0] == "aborted":
+        if self.outcome[0] == "aborted" or self._expired:
             return True
         senders = [sender for sender, _ in self.acks]
         return all(senders.count(s) >= 2 for s in self.manifest.data_station_ids())

@@ -178,8 +178,9 @@ def _child_env() -> dict[str, str]:
 
 
 @contextlib.contextmanager
-def _deploy(tmp_path, tse_timeout_s):
-    """keygen for every party, synthetic data, configs, running daemons.
+def _deploy(tmp_path, tse_timeout_s, start=("A", "B", "TSE")):
+    """keygen for every party, synthetic data, configs, and a running daemon
+    for each party in ``start``.
 
     Yields the endpoints, the config paths and ``spawn(command, cfg)``,
     which starts one more daemon and returns its address."""
@@ -245,13 +246,13 @@ def _deploy(tmp_path, tse_timeout_s):
 
     # every daemon started is stopped again, also when a later one fails to start
     try:
+        configs = {"A": cfg_a, "B": cfg_b, "TSE": cfg_tse}
         endpoints = {
-            "A": spawn("station", cfg_a),
-            "B": spawn("station", cfg_b),
-            "TSE": spawn("tse", cfg_tse),
+            party: spawn("tse" if party == "TSE" else "station", configs[party])
+            for party in start
         }
         yield dict(tmp_path=tmp_path, endpoints=endpoints, anchor_dir=anchor_dir, procs=procs,
-                   configs={"A": cfg_a, "B": cfg_b, "TSE": cfg_tse}, spawn=spawn)
+                   configs=configs, spawn=spawn)
     finally:
         for proc in procs:
             if proc.poll() is None:
@@ -352,6 +353,19 @@ class TestBadDraft:
             assert key in result.output
 
 
+    @pytest.mark.parametrize("endpoints", [{"A": 7101}, [["A", "127.0.0.1:7101"]], 7101])
+    def test_ill_typed_endpoints_fail_before_any_frame_is_sent(self, tmp_path, endpoints):
+        draft = _draft(dict(tmp_path=tmp_path, endpoints=endpoints), "run-cli-bad-endpoints")
+        (tmp_path / "anchor.pem").write_text("unused")
+        result = CliRunner().invoke(main, [
+            "submit", str(draft), "--anchor-key", str(tmp_path / "anchor.pem"),
+            "--out", str(tmp_path / "out"), "--timeout", "5",
+        ])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert "error: BadDraft" in result.output and "endpoints" in result.output
+
+
 class TestSubmitEndToEnd:
     def test_demo_run_produces_result_tables(self, deployment):
         draft = _draft(deployment, "run-cli-1")
@@ -409,6 +423,32 @@ class TestSubmitEndToEnd:
         ])
         assert result.exit_code == 1
         assert "aborted: UnauthorizedVariable" in result.output
+
+
+class TestSubmitTimeout:
+    def test_submit_cancels_the_run_at_its_deadline(self, tmp_path):
+        """With no TSE listening the run cannot finish: at --timeout submit
+        aborts with Timeout and cancels the run at the station it reached."""
+        with _deploy(tmp_path, tse_timeout_s=30, start=("A", "B")) as deploy:
+            with socket.create_server(("127.0.0.1", 0)) as unused:
+                deploy["endpoints"]["TSE"] = "{}:{}".format(*unused.getsockname())
+            result = CliRunner().invoke(main, [
+                "submit", str(_draft(deploy, "run-cli-timeout")),
+                "--anchor-key", str(deploy["anchor_dir"] / "anchor_private.pem"),
+                "--out", str(tmp_path / "out"), "--timeout", "3",
+            ])
+            assert result.exit_code == 1, result.output
+            assert "aborted: Timeout" in result.output
+
+            def b_events():
+                lines = (tmp_path / "audit_b.jsonl").read_text().splitlines()
+                return [e["event"] for e in map(json.loads, lines)
+                        if e["run_id"] == "run-cli-timeout"]
+
+            deadline = time.monotonic() + 10.0
+            while "peer_abort" not in b_events() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert b_events() == ["train_validated", "peer_abort"]
 
 
 class TestDaemonLifecycle:
@@ -657,6 +697,34 @@ class TestDaemonConfigErrors:
         blocker.close()
         assert result.exit_code == 2
         assert "BindError" in result.output
+
+
+    @pytest.mark.parametrize("command, changes, key", [
+        ("station", {"listen": 7101}, "listen"),
+        ("station", {"allow_variables": "age"}, "allow_variables"),
+        ("station", {"peer_encryption_public_keys": {"B": 1}}, "peer_encryption_public_keys"),
+        ("station", {"audit": "a.jsonl"}, "audit"),
+        ("tse", {"audit_lg": "a.jsonl"}, "audit_lg"),
+        ("tse", {"timeout": 5}, "timeout"),
+        ("tse", {"timeout_s": "5"}, "timeout_s"),
+        ("tse", {"endpoints": [["A", "127.0.0.1:1"]]}, "endpoints"),
+    ])
+    def test_unknown_or_ill_typed_key_is_bad_config_naming_it(self, tmp_path, command,
+                                                              changes, key):
+        doc = {
+            "station_id": "X", "role": "data" if command == "station" else "tse",
+            "listen": "127.0.0.1:0",
+            "trust_anchor_verify_key": "k/anchor_verify.pem",
+            "encryption_private_key": "k/enc_private.pem",
+        }
+        if command == "station":
+            doc.update(dataset_csv="a.csv", signing_private_key="k/sign_private.pem")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**doc, **changes}))
+        result = CliRunner().invoke(main, [command, "--config", str(cfg)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and repr(key) in result.output
 
 
 class TestStationCsvWithoutQids:

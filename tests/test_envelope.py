@@ -221,6 +221,36 @@ class TestPackageEncoding:
                 SealedPackage.from_bytes(body)
 
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda header: {**header, "algorithms": {**header["algorithms"], "aead": "ROT13"}},
+        lambda header: {**header, "note": "x"},
+        lambda header: {key: header[key] for key in header if key != "algorithms"},
+    ], ids=["rot13", "extra-key", "no-algorithms"])
+    def test_header_other_than_the_sealed_one_is_a_decode_error(self, keys, rewrite):
+        import json
+
+        from phtlink.encoding import canonical_json_bytes
+
+        data = sealed(keys).to_bytes()
+        header_len = int.from_bytes(data[:4], "big")
+        header = canonical_json_bytes(rewrite(json.loads(data[4 : 4 + header_len])))
+        with pytest.raises(DecodeError):
+            SealedPackage.from_bytes(len(header).to_bytes(4, "big") + header
+                                     + data[4 + header_len :])
+
+    def test_non_canonical_header_spacing_is_a_decode_error(self, keys):
+        """The header bytes are the AAD: they must be the very bytes seal wrote."""
+        import json
+
+        data = sealed(keys).to_bytes()
+        header_len = int.from_bytes(data[:4], "big")
+        spaced = json.dumps(json.loads(data[4 : 4 + header_len]), sort_keys=True).encode()
+        assert spaced != data[4 : 4 + header_len]
+        with pytest.raises(DecodeError):
+            SealedPackage.from_bytes(len(spaced).to_bytes(4, "big") + spaced
+                                     + data[4 + header_len :])
+
+
 class TestKeyIds:
     """Every key id is scope:kind: and the first 8 hex digits of SHA-256
     over the public key, so a key read back from its PEM keeps its id."""

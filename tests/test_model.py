@@ -292,6 +292,22 @@ class TestColumnarBody:
             with pytest.raises(ValueError):
                 dataset_from_bytes(bad)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("extra", "x", "extra"),  # a key the header does not declare
+        ("row_count", True, "row_count"),
+        ("schema", [["age", 1], ["status", "categorical"], ["score", "numeric"]], "schema"),
+        ("digests", "composite", "digests"),
+        ("descriptor", {"source": "s", "extracted_at": "t", "row_count": 3.0}, "row_count"),
+        ("columns", ["abc", ["s0", "s1", "s2"], [0.0, 0.5, 1.0]], "age"),
+    ])
+    def test_header_of_the_wrong_shape_rejected(self, key, value, named):
+        body = dataset_to_bytes(self._dataset("exact"))
+        header_len = int.from_bytes(body[:4], "big")
+        header = {**json.loads(body[4 : 4 + header_len]), key: value}
+        doc = json.dumps(header).encode()
+        with pytest.raises(ValueError, match=named):
+            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :])
+
     @given(cut=st.integers(0, 400), flip=st.integers(0, 8 * 400 - 1))
     @settings(max_examples=100, deadline=None)
     def test_mangled_body_raises_only_value_error(self, cut, flip):

@@ -27,6 +27,7 @@ from phtlink.stations import (
     VALIDATED,
     WIPED,
     DataStationActor,
+    Outgoing,
     ResearcherActor,
     TseActor,
     flip_bit,
@@ -253,9 +254,11 @@ class TestInvalidManifest:
         dict(linkage=LinkageParams(mode="probabilistic", m=(1.0, 0.95, 0.98, 0.97))),
         dict(pool_a=PoolFilter(age_min=40, as_of="garbage")),
         dict(pool_a=PoolFilter(zip_prefixes="6211")),
+        # a top-level field of the wrong type, once an AttributeError
+        dict(expiry=4102444800),
     ], ids=["k_min_0", "unknown_kind", "t_upper_below_t_lower", "unknown_blocking_field",
             "k_min_str", "bin_width_str", "marker_not_str", "m_is_1", "pool_as_of_garbage",
-            "pool_zip_prefixes_str"])
+            "pool_zip_prefixes_str", "expiry_int"])
     def test_aborts_with_invalid_manifest_and_wipes(self, transport, invalid):
         scn = demo_scenario(**invalid)
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
@@ -393,6 +396,25 @@ class TestNodeSurvives:
         assert [m.seq for m in seen] == [1, 2]
         assert any("ValueError" in r.message and "run_id=run-1" in r.message
                    for r in caplog.records)
+
+    def test_malformed_address_is_a_failed_send(self):
+        """A send to an address that does not parse is dropped like one that
+        is refused; the worker goes on sending."""
+        seen = []
+        node = TcpNode("X", lambda msg: seen.append(msg) or [],
+                       {"A": "127.0.0.1:abc", "B": "no-port"})
+        node.address_book["X"] = node.address
+        node.start()
+        try:
+            node.post([Outgoing(dest, Ack("run-1", seq, "X", "OK"))
+                       for seq, dest in enumerate(("A", "B", "X"), 1)])
+            deadline = time.monotonic() + 5.0
+            while not seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert node._worker.is_alive()
+        finally:
+            node.stop()
+        assert [m.seq for m in seen] == [3]
 
     @pytest.mark.parametrize("refusing_b", [False, True], ids=["completes", "b_refuses"])
     def test_tcp_run_waits_for_every_frame_under_fast_thread_switching(self, refusing_b):

@@ -333,6 +333,38 @@ class TestStrictPayloads:
         with pytest.raises(DecodeError, match=key):
             decode(self._mutated(msg, lambda doc: doc.pop(key)))
 
+    def _mutated_binary(self, msg, mutate):
+        frame = encode(msg)
+        (json_len,) = struct.unpack(">I", frame[10:14])
+        header = json.loads(frame[14 : 14 + json_len])
+        mutate(header)
+        doc = json.dumps(header).encode()
+        payload = struct.pack(">I", len(doc)) + doc + frame[14 + json_len :]
+        return MAGIC + bytes([VERSION, frame[5]]) + struct.pack(">I", len(payload)) + payload
+
+    @pytest.mark.parametrize("msg, key, value", [
+        (ack(), "seq", "7"),
+        (Abort("run-1", 9, "TSE", "Timeout"), "sender", ["A"]),
+        (_dispatch(), "seq", True),
+        (_dispatch(), "endpoints", {"A": 1}),
+        (_result_return(), "run_id", 5),
+        (SaltOffer("run-1", 2, "A", "A", "B", _transfer().package), "to_station", None),
+        (_transfer(), "seq", 3.0),
+    ], ids=["ack", "abort", "dispatch", "dispatch-endpoints", "result", "salt-offer", "transfer"])
+    def test_wrong_json_type_is_a_decode_error(self, msg, key, value):
+        mutated = (self._mutated_binary if isinstance(msg, (SaltOffer, DataTransfer))
+                   else self._mutated)(msg, lambda doc: doc.update({key: value}))
+        with pytest.raises(DecodeError, match=key) as err:
+            decode(mutated)
+        assert err.value.offset == HEADER_LEN + 4 * isinstance(msg, (SaltOffer, DataTransfer))
+
+    def test_wrong_json_type_in_a_result_table_is_a_decode_error(self):
+        mutated = self._mutated(
+            _result_return(), lambda doc: doc["result"]["tables"][0].update(key_fields="bin")
+        )
+        with pytest.raises(DecodeError, match="key_fields"):
+            decode(mutated)
+
     def test_binary_header_may_not_name_its_package(self):
         frame = encode(_transfer())
         (json_len,) = struct.unpack(">I", frame[10:14])

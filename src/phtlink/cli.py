@@ -8,27 +8,28 @@ Commands:
     submit   sign a manifest draft, dispatch the run, collect the result
     report   pretty-print a run report
 
-Everything file-shaped is JSON; dataset files are CSV with a sidecar
-descriptor. PHT_LOG selects log verbosity (DEBUG/INFO/WARNING/ERROR).
+Everything file-shaped is JSON, read strictly into one dataclass per kind of
+file: StationConfigFile, TseConfigFile, Draft, RunReport, and model.Sidecar
+for a dataset CSV's descriptor. PHT_LOG selects log verbosity
+(DEBUG/INFO/WARNING/ERROR).
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import json
 import logging
 import os
 import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import click
 
-from .analysis import table_to_csv
-from .encoding import canonical_json_bytes, check_types
+from .analysis import AnalysisSpec, DisclosurePolicy, table_to_csv
+from .encoding import canonical_json_bytes, check_types, from_json_bytes
 from .envelope import (
     KeyPair,
     PublicEncryptionKey,
@@ -43,7 +44,8 @@ from .envelope import (
     signing_keys_to_pem,
 )
 from .errors import BadConfig, InvalidSpec, PhtError
-from .manifest import TrainManifest, block_from_dict, sign_manifest
+from .linkage import LinkageParams
+from .manifest import DataRequest, TrainManifest, block_from_dict, sign_manifest
 from .model import read_dataset_csv, write_dataset_csv
 from .network import Router, TcpNode, researcher_verdict
 from .stations import (
@@ -78,7 +80,7 @@ def _write_private(path: Path, data: bytes, force: bool = False) -> None:
 def _load_json(path: Path) -> dict:
     """A JSON file whose top level is an object; anything else is BadConfig."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = from_json_bytes(path.read_bytes())
     except (OSError, ValueError) as exc:
         raise BadConfig(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -184,17 +186,14 @@ def synth(spec_file: Path, out_dir: Path):
             # the variant fixes overlap and perturbation: every B row has an
             # unperturbed counterpart in A, so a spec may not set them
             fixed = {"overlap_fraction": 1.0, "perturbation_rate": 0.0}
-            given = sorted(fixed.keys() & doc.keys())
-            if given:
-                raise InvalidSpec(f"unknown vertical_demo key {given[0]!r}")
-            spec = block_from_dict(SyntheticPopulationSpec, {**fixed, **doc})
+            spec = check_types(block_from_dict(SyntheticPopulationSpec, doc, fixed))
             ds_a, ds_b, truth = generate_vertical_demo(
                 spec.n_large, spec.n_small, spec.seed, spec.age_range,
                 spec.region_zip_prefixes, spec.as_of,
             )
             names = ("station_a", "station_b")
         elif variant == "population":
-            spec = block_from_dict(SyntheticPopulationSpec, doc)
+            spec = check_types(block_from_dict(SyntheticPopulationSpec, doc))
             ds_a, ds_b, truth = generate_population(spec)
             names = ("large", "small")
         else:
@@ -229,9 +228,9 @@ class StationConfigFile:
     encryption_private_key: str
     signing_private_key: str
     allow_variables: tuple[str, ...] = ()
-    peer_encryption_public_keys: tuple[tuple[str, str], ...] = ()  # (station id, PEM path)
+    peer_encryption_public_keys: dict[str, str] = field(default_factory=dict)  # id -> PEM
     descriptor: str | None = None
-    endpoints: tuple[tuple[str, str], ...] = ()  # (actor id, address)
+    endpoints: dict[str, str] = field(default_factory=dict)  # actor id -> address
     audit_log: str | None = None
 
 
@@ -244,14 +243,9 @@ class TseConfigFile:
     listen: str  # host:port
     trust_anchor_verify_key: str
     encryption_private_key: str
-    endpoints: tuple[tuple[str, str], ...] = ()  # (actor id, address)
+    endpoints: dict[str, str] = field(default_factory=dict)  # actor id -> address
     audit_log: str | None = None
     timeout_s: float = 60.0
-
-
-def _pairs(value):
-    """A JSON object as the tuple of its (key, value) pairs."""
-    return tuple(value.items()) if isinstance(value, dict) else value
 
 
 def _read_config(path: Path, cls, role: str):
@@ -262,9 +256,7 @@ def _read_config(path: Path, cls, role: str):
     if doc.get("role") != role:
         raise BadConfig(f"{path}: role must be {role!r}")
     try:
-        return check_types(
-            block_from_dict(cls, doc, peer_encryption_public_keys=_pairs, endpoints=_pairs)
-        )
+        return check_types(block_from_dict(cls, doc))
     except ValueError as exc:
         raise BadConfig(f"{path}: {exc}") from None
 
@@ -322,7 +314,7 @@ def station(config_path: Path):
         enc_keys = _load_encryption_keys(_resolve(base, cfg.encryption_private_key))
         sign_keys = _load_signing_keys(_resolve(base, cfg.signing_private_key))
         peer_keys = {}
-        for sid, path in cfg.peer_encryption_public_keys:
+        for sid, path in cfg.peer_encryption_public_keys.items():
             raw = public_key_from_pem(_resolve(base, path).read_bytes())
             peer_keys[sid] = PublicEncryptionKey(raw, derive_key_id(raw, "enc"))
         listen = _parse_listen(cfg.listen)
@@ -368,50 +360,68 @@ def tse(config_path: Path):
 # submit / report
 # ---------------------------------------------------------------------------
 
-#: draft keys that are read as the manifest fields of the same name
-DRAFT_BLOCKS = ("data_requests", "analysis", "disclosure", "linkage")
-DRAFT_KEYS = frozenset({
-    *DRAFT_BLOCKS, "train_id", "run_id", "researcher_id", "tse_station_id", "expiry",
-    "tse_public_encryption_key_file", "station_verification_key_files", "endpoints",
-})
+@dataclass(frozen=True)
+class Draft:
+    """A manifest draft, with key files in place of keys, and where the
+    parties listen; paths resolve relative to the file."""
+
+    train_id: str
+    tse_station_id: str
+    data_requests: tuple[DataRequest, ...]
+    analysis: AnalysisSpec
+    tse_public_encryption_key_file: str
+    station_verification_key_files: dict[str, str]  # station id -> PEM path
+    endpoints: dict[str, str]  # actor id -> host:port
+    disclosure: DisclosurePolicy = field(default_factory=DisclosurePolicy)
+    linkage: LinkageParams = field(default_factory=LinkageParams)
+    run_id: str | None = None  # a fresh one if absent
+    researcher_id: str = "researcher"
+    expiry: str | None = None  # an hour from now if absent
 
 
-def _manifest_from_draft(doc: dict, base: Path) -> TrainManifest:
-    # a misspelt block would otherwise be signed with its defaults
-    unknown = sorted(set(doc) - DRAFT_KEYS)
-    if unknown:
-        raise ValueError(f"unknown draft keys {unknown}")
+def _manifest_from_draft(doc: dict | Draft, base: Path) -> TrainManifest:
+    """The unsigned manifest a draft, or its JSON object, describes."""
+    draft = doc if isinstance(doc, Draft) else check_types(block_from_dict(Draft, doc))
     tse_pub = public_key_from_pem(
-        _resolve(base, doc["tse_public_encryption_key_file"]).read_bytes()
+        _resolve(base, draft.tse_public_encryption_key_file).read_bytes()
     )
-    verification = {}
-    for sid, path in doc["station_verification_key_files"].items():
-        verification[sid] = public_key_from_pem(_resolve(base, path).read_bytes())
-    expiry = doc.get("expiry") or (
+    verification = tuple(sorted(
+        (sid, public_key_from_pem(_resolve(base, path).read_bytes()))
+        for sid, path in draft.station_verification_key_files.items()
+    ))
+    expiry = draft.expiry or (
         dt.datetime.now(dt.timezone.utc) + dt.timedelta(hours=1)
     ).isoformat()
-    # read as a manifest on the wire; an absent disclosure or linkage block
-    # takes its defaults
-    blocks = {"disclosure": {}, "linkage": {}, **{k: doc[k] for k in DRAFT_BLOCKS if k in doc}}
-    return block_from_dict(TrainManifest, blocks, dict(
-        train_id=doc["train_id"],
-        run_id=doc.get("run_id") or f"run-{os.urandom(6).hex()}",
-        researcher_id=doc.get("researcher_id", "researcher"),
-        tse_station_id=doc["tse_station_id"],
-        tse_public_encryption_key=tse_pub,
-        tse_encryption_key_id=derive_key_id(tse_pub, "enc"),
-        station_verification_keys=tuple(sorted(verification.items())),
-        expiry=expiry,
-    ))
+    return TrainManifest(
+        train_id=draft.train_id, run_id=draft.run_id or f"run-{os.urandom(6).hex()}",
+        researcher_id=draft.researcher_id, tse_station_id=draft.tse_station_id,
+        data_requests=draft.data_requests, analysis=draft.analysis,
+        disclosure=draft.disclosure, linkage=draft.linkage,
+        tse_public_encryption_key=tse_pub, tse_encryption_key_id=derive_key_id(tse_pub, "enc"),
+        station_verification_keys=verification, expiry=expiry,
+    )
 
 
-def _address_book(value) -> dict[str, str]:
-    """A draft's endpoints: a JSON object of actor id to "host:port"."""
-    if not isinstance(value, dict) or not all(
-        isinstance(item, str) for pair in value.items() for item in pair
-    ):
-        raise ValueError(f"endpoints must map actor ids to host:port strings, not {value!r}")
-    return dict(value)
+@dataclass
+class AuditSummary:
+    """A run report's audit summary; the counts only after a result."""
+
+    acks: tuple[str, ...]  # "sender:status"
+    timings: dict[str, float]
+    linkage_class_counts: dict[str, int] | None = None
+    records_linked: int | None = None
+    cells_suppressed: int | None = None
+
+
+@dataclass
+class RunReport:
+    """run_report.json, as `pht submit` writes it and `pht report` reads it."""
+
+    run_id: str
+    outcome: str
+    audit_summary: AuditSummary
+    reason: str | None = None
+    result_files: tuple[str, ...] = ()
 
 
 @main.command()
@@ -426,14 +436,13 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     Exits 0 only when the run completes; the validated tables and a run
     report land in --out.
     """
-    base = draft_file.parent
     try:
-        doc = _load_json(draft_file)
-        endpoints = _address_book(doc["endpoints"])
-        anchor = _load_signing_keys(anchor_key)
-        manifest = sign_manifest(_manifest_from_draft(doc, base), anchor)
-    except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
+        draft = check_types(block_from_dict(Draft, _load_json(draft_file)))
+        manifest = _manifest_from_draft(draft, draft_file.parent)
+        manifest = sign_manifest(manifest, _load_signing_keys(anchor_key))
+    except (BadConfig, PhtError, OSError, ValueError) as exc:
         _fail("BadDraft", str(exc))
+    endpoints = dict(draft.endpoints)
 
     started = time.perf_counter()
     # at the deadline the researcher aborts with Timeout and cancels the run
@@ -455,7 +464,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     outcome, reason, result = researcher_verdict(researcher, silent="Timeout")
 
     result_files = []
-    audit_summary: dict = {"acks": [f"{s}:{st}" for s, st in researcher.acks]}
+    summary = AuditSummary(tuple(f"{s}:{st}" for s, st in researcher.acks), {"total_s": elapsed})
     if result is not None:
         result_path = out_dir / "result.json"
         result_path.write_bytes(result.to_canonical_json() + b"\n")
@@ -465,24 +474,16 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
             table_path.write_text(table_to_csv(table), encoding="utf-8")
             result_files.append(str(table_path))
         run_block = result.audit.get("run", {})
-        audit_summary["linkage_class_counts"] = run_block.get("linkage", {}).get(
-            "class_counts"
-        )
-        audit_summary["records_linked"] = run_block.get("records_linked")
-        audit_summary["cells_suppressed"] = len(
+        summary.linkage_class_counts = run_block.get("linkage", {}).get("class_counts")
+        summary.records_linked = run_block.get("records_linked")
+        summary.cells_suppressed = len(
             result.audit.get("disclosure", {}).get("suppressed_cells", [])
         )
-    audit_summary["timings"] = {"total_s": elapsed}
 
-    report_doc = {
-        "run_id": manifest.run_id,
-        "outcome": outcome.capitalize(),
-        "reason": reason,
-        "result_files": result_files,
-        "audit_summary": audit_summary,
-    }
+    report_doc = RunReport(manifest.run_id, outcome.capitalize(), summary, reason,
+                           tuple(result_files))
     report_path = out_dir / "run_report.json"
-    report_path.write_bytes(canonical_json_bytes(report_doc) + b"\n")
+    report_path.write_bytes(canonical_json_bytes(asdict(report_doc)) + b"\n")
 
     if outcome == "completed":
         click.echo(f"completed: {manifest.run_id} report={report_path}")
@@ -491,43 +492,26 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     sys.exit(1)
 
 
-def _report_value(doc: dict, key: str, kind, required: bool = False):
-    """``doc[key]`` if it is a ``kind``, or absent or null and not required."""
-    value = doc.get(key)
-    if not (isinstance(value, kind) or value is None and not required):
-        raise BadConfig(f"run report key {key!r} is missing or has the wrong type")
-    return value
-
-
 @main.command()
 @click.argument("report_file", type=click.Path(exists=True, path_type=Path))
 def report(report_file: Path):
     """Pretty-print RUN_REPORT.json."""
     try:
-        doc = _load_json(report_file)
-        run_id = _report_value(doc, "run_id", str, required=True)
-        outcome = _report_value(doc, "outcome", str, required=True)
-        reason = _report_value(doc, "reason", str)
-        summary = _report_value(doc, "audit_summary", dict) or {}
-        acks = _report_value(summary, "acks", list)
-        linked = _report_value(summary, "records_linked", int)
-        suppressed = _report_value(summary, "cells_suppressed", int)
-        timings = _report_value(summary, "timings", dict) or {}
-        total_s = _report_value(timings, "total_s", (int, float))
-        files = _report_value(doc, "result_files", list) or []
-    except BadConfig as exc:
+        run = check_types(block_from_dict(RunReport, _load_json(report_file)))
+        summary = check_types(run.audit_summary)
+    except (BadConfig, ValueError) as exc:
         _fail("BadConfig", str(exc))
-    click.echo(f"run      {run_id}")
-    click.echo(f"outcome  {outcome}" + (f" ({reason})" if reason else ""))
-    if acks:
-        click.echo(f"acks     {', '.join(map(str, acks))}")
-    if linked is not None:
-        click.echo(f"linked   {linked} records")
-    if suppressed is not None:
-        click.echo(f"suppressed cells  {suppressed}")
-    if timings:
-        click.echo(f"total    {total_s or 0:.3f}s")
-    for path in files:
+    click.echo(f"run      {run.run_id}")
+    click.echo(f"outcome  {run.outcome}" + (f" ({run.reason})" if run.reason else ""))
+    if summary.acks:
+        click.echo(f"acks     {', '.join(summary.acks)}")
+    if summary.records_linked is not None:
+        click.echo(f"linked   {summary.records_linked} records")
+    if summary.cells_suppressed is not None:
+        click.echo(f"suppressed cells  {summary.cells_suppressed}")
+    if summary.timings:
+        click.echo(f"total    {summary.timings.get('total_s') or 0:.3f}s")
+    for path in run.result_files:
         click.echo(f"file     {path}")
 
 

@@ -3,8 +3,11 @@
 Canonical JSON: UTF-8, sorted keys, compact separators, no NaN/Infinity.
 Two parties serializing the same logical value must produce identical bytes,
 since signatures and AEAD associated data are computed over these encodings.
-block_from_dict reads a JSON object into its dataclass, strictly, and
-check_types checks each field against the type its dataclass declares.
+from_json_bytes is the package's one JSON parser, for frames and files
+alike; it refuses what canonical_json_bytes cannot write, so no document
+carries a non-finite number. block_from_dict reads a JSON object into its
+dataclass, strictly, and check_types checks each field against the type its
+dataclass declares.
 Binary payloads, sealed packages and dataset bodies are laid out from
 fields of a big-endian length then that many bytes (write_field, read_field).
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import struct
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
@@ -29,7 +33,21 @@ def canonical_json_bytes(obj: Any) -> bytes:
 
 
 def from_json_bytes(data: bytes) -> Any:
-    return json.loads(data.decode("utf-8"))
+    """The JSON value ``data`` holds, as UTF-8. The NaN, Infinity and
+    -Infinity literals, and a number that overflows a float (1e999), raise
+    ValueError, as canonical_json_bytes would on writing them."""
+    return json.loads(data.decode("utf-8"), parse_constant=_non_finite, parse_float=_finite)
+
+
+def _non_finite(literal: str):
+    raise ValueError(f"non-finite number {literal} is not JSON")
+
+
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        _non_finite(literal)
+    return value
 
 
 def b64encode(data: bytes) -> str:
@@ -72,19 +90,23 @@ def block_from_dict(cls, doc: Any, given: dict | None = None, **readers: Callabl
     object and may not appear in it. An absent key takes the dataclass
     default. An unknown key, or an absent one without a default, raises
     ValueError naming it: a misspelt key fails closed instead of quietly
-    leaving a restriction at its default."""
+    leaving a restriction at its default. Every unknown key is named, and
+    an error reading a field's value is prefixed with the field's name."""
     if not isinstance(doc, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
     values = dict(given or {})
     declared = {f.name: f for f in fields(cls)}
-    for key in doc:
-        if key not in declared or key in values:
-            raise ValueError(f"unknown {cls.__name__} key {key!r}")
+    unknown = sorted(key for key in doc if key not in declared or key in values)
+    if unknown:
+        named = f"key {unknown[0]!r}" if len(unknown) == 1 else f"keys {unknown}"
+        raise ValueError(f"unknown {cls.__name__} {named}")
     for name, f in declared.items():
         if name in doc:
-            value = doc[name]
-            read = readers.get(name)
-            values[name] = read(value) if read else _read_as(value, _hints(cls)[name])
+            value, read = doc[name], readers.get(name)
+            try:
+                values[name] = read(value) if read else _read_as(value, _hints(cls)[name])
+            except ValueError as exc:
+                raise ValueError(f"{name!r}: {exc}") from None
         elif name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing {cls.__name__} key {name!r}")
     return cls(**values)
@@ -104,9 +126,10 @@ def _read_as(value: Any, hint) -> Any:
 def check_types(block):
     """Check each field of the dataclass ``block`` against its declared type,
     as JSON delivers values, and return ``block``: a bool is no int, an int
-    is also a float, a tuple is checked item by item, and a nested
-    dataclass, a list or a dict by its own type only. A mismatch is a
-    ValueError naming the field."""
+    is also a float, a tuple is checked item by item, so are the keys and
+    values of a ``dict[K, V]``, and a nested dataclass, a list or a bare
+    dict by its own type only. A mismatch is a ValueError naming the
+    field."""
     for name, hint in _hints(type(block)).items():
         value = getattr(block, name)
         if not _is_a(value, hint):
@@ -133,6 +156,11 @@ def _is_a(value: Any, hint) -> bool:
     if get_origin(hint) is tuple:
         items = _items(hint, value) if isinstance(value, tuple) else None
         return items is not None and all(map(_is_a, value, items))
+    if get_origin(hint) is dict:
+        key, item = get_args(hint)
+        return isinstance(value, dict) and all(
+            _is_a(k, key) and _is_a(v, item) for k, v in value.items()
+        )
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     return isinstance(value, get_origin(hint) or hint)

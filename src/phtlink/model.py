@@ -21,13 +21,16 @@ station holds Records, with QIDs, and a PseudonymVector's digests are
 128-character hex strings. From the extract on, a pseudonymized dataset is
 held as Columns, in the body's own layout: one list per payload variable and
 the raw digests as one numpy S64 array.
+
+A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
+strictly; a fault is a ValueError naming the file, and the line for a row.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
+import math
 import re
 import struct
 from dataclasses import asdict, dataclass, field
@@ -372,6 +375,17 @@ def dataset_from_bytes(data: bytes) -> Columns:
 # CSV + sidecar descriptor interchange (station-side, QIDs present)
 # ---------------------------------------------------------------------------
 
+@dataclass
+class Sidecar:
+    """A station CSV's JSON descriptor; an absent ``source`` is the CSV's path."""
+
+    station_id: str
+    schema: tuple[tuple[str, str], ...]
+    extracted_at: str
+    row_count: int
+    source: str | None = None
+
+
 def write_dataset_csv(ds: Dataset, csv_path: str | Path, descriptor_path: str | Path | None = None) -> None:
     """Write a dataset as UTF-8 CSV plus a canonical JSON sidecar descriptor.
 
@@ -387,27 +401,25 @@ def write_dataset_csv(ds: Dataset, csv_path: str | Path, descriptor_path: str | 
             writer.writerow(row.qid.as_tuple() + tuple(row.payload[name] for name in names))
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
-    Path(descriptor_path).write_bytes(
-        canonical_json_bytes(
-            {
-                "station_id": ds.station_id,
-                "extracted_at": ds.descriptor.extracted_at,
-                "row_count": ds.descriptor.row_count,
-                "schema": [list(pair) for pair in ds.schema],
-            }
-        )
-        + b"\n"
-    )
+    sidecar = Sidecar(ds.station_id, ds.schema, ds.descriptor.extracted_at,
+                      ds.descriptor.row_count)
+    doc = {name: value for name, value in asdict(sidecar).items() if value is not None}
+    Path(descriptor_path).write_bytes(canonical_json_bytes(doc) + b"\n")
 
 
 def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = None) -> Dataset:
     """Read a station CSV; every row's linkage fields are canonicalized, and
-    a CSV without one of the QID_FIELDS columns raises MalformedField."""
+    a CSV without one of the QID_FIELDS columns raises MalformedField. An
+    unknown or ill-typed sidecar key, a row whose cell count differs from
+    the header's, or a numeric cell that is not finite, raises ValueError."""
     csv_path = Path(csv_path)
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
-    meta = json.loads(Path(descriptor_path).read_text(encoding="utf-8"))
-    schema = tuple((str(n), str(t)) for n, t in meta["schema"])
+    try:
+        doc = from_json_bytes(Path(descriptor_path).read_bytes())
+        meta = check_types(block_from_dict(Sidecar, doc))
+    except ValueError as exc:
+        raise ValueError(f"{descriptor_path}: {exc}") from None
 
     rows: list[Record] = []
     with csv_path.open(newline="", encoding="utf-8") as fh:
@@ -416,19 +428,19 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
         if missing:
             raise MalformedField(missing[0], None, f"no such column in {csv_path}")
         for raw in reader:
+            try:
+                # DictReader files a long row's extra cells under None and
+                # fills a short row's missing ones with None
+                if None in raw or None in raw.values():
+                    raise ValueError(f"expected the header's {len(reader.fieldnames)} cells")
+                payload = {name: _parse_cell(raw[name], vtype) for name, vtype in meta.schema}
+            except ValueError as exc:
+                raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from None
             qid = canonicalize({k: raw[k] for k in QID_FIELDS})
-            payload = {name: _parse_cell(raw[name], vtype) for name, vtype in schema}
             rows.append(Record(payload=payload, qid=qid))
-    ds = Dataset(
-        station_id=meta["station_id"],
-        schema=schema,
-        rows=rows,
-        descriptor=DatasetDescriptor(
-            source=meta.get("source", str(csv_path)),
-            extracted_at=meta["extracted_at"],
-            row_count=meta["row_count"],
-        ),
-    )
+    source = str(csv_path) if meta.source is None else meta.source
+    descriptor = DatasetDescriptor(source, meta.extracted_at, meta.row_count)
+    ds = Dataset(meta.station_id, meta.schema, rows, descriptor)
     ds.validate()
     return ds
 
@@ -439,6 +451,8 @@ def _parse_cell(cell: str, vtype: str) -> object:
             return int(cell)  # exact at any size; float() rounds above 2**53
         except ValueError:
             value = float(cell)
+            if not math.isfinite(value):
+                raise ValueError(f"numeric cell {cell!r} is not a finite number") from None
             return int(value) if value.is_integer() else value
     return cell
 

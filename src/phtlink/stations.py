@@ -21,7 +21,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from .analysis import run_analysis, validate
 from .encoding import canonical_json_bytes
@@ -89,15 +88,13 @@ class TimeoutExpired:
 class AuditLog:
     """Line-delimited JSON event log for one station."""
 
-    def __init__(self, station_id: str, path=None, clock: Callable[[], dt.datetime] = utcnow):
-        self.station_id = station_id
+    def __init__(self, path=None):
         self.path = path
-        self.clock = clock
         self.events: list[dict] = []
 
     def log(self, run_id: str, phase: str, event: str, detail: str = "") -> None:
         entry = {
-            "timestamp": self.clock().isoformat(),
+            "timestamp": utcnow().isoformat(),
             "run_id": run_id,
             "phase": phase,
             "event": event,
@@ -107,6 +104,11 @@ class AuditLog:
         if self.path is not None:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+def _explained(reason: str, detail: str) -> str:
+    """An abort's audit detail: its reason, then why, if known."""
+    return f"{reason}: {detail}" if detail else reason
 
 
 def flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -187,7 +189,6 @@ class DataStationConfig:
     sign_keys: SigningKeys
     #: peer data-station encryption public keys, for sealing the salt offer
     peer_encryption_keys: dict[str, PublicEncryptionKey] = field(default_factory=dict)
-    clock: Callable[[], dt.datetime] = utcnow
     audit_path: str | None = None
     #: failure injection for tests: None, "no_send" (die after salt
     #: agreement) or "tamper" (flip a ciphertext bit before sending)
@@ -202,7 +203,7 @@ class DataStationActor(_SequencedActor):
         super().__init__(config.station_id)
         self.config = config
         self.phase = IDLE
-        self.audit = AuditLog(config.station_id, config.audit_path, config.clock)
+        self.audit = AuditLog(config.audit_path)
         self._manifest: TrainManifest | None = None
         self._salt: Salt | None = None
         self._run_id: str | None = None
@@ -221,12 +222,14 @@ class DataStationActor(_SequencedActor):
         )
 
     def abort(
-        self, reason: str, run_id: str | None = None, fallback_dest: str | None = None
+        self, reason: str, run_id: str | None = None, fallback_dest: str | None = None,
+        detail: str = "",
     ) -> list[Outgoing]:
-        """Give the run up and tell the researcher and the TSE why."""
+        """Give the run up and tell the researcher and the TSE why; a
+        ``detail`` is audited after the reason, never sent."""
         run = run_id or self._run_id or "?"
         self.phase = DONE
-        self.audit.log(run, self.phase, "abort", reason)
+        self.audit.log(run, self.phase, "abort", _explained(reason, detail))
         if self._manifest is not None:
             targets = [self._manifest.researcher_id, self._manifest.tse_station_id]
         else:
@@ -264,12 +267,12 @@ class DataStationActor(_SequencedActor):
         verdict = validate_train(
             msg.manifest,
             self.config.trust_anchor_verify,
-            self.config.clock(),
+            utcnow(),
             station_id=self.station_id,
             allowed_variables=self.config.allowed_variables,
         )
         if not verdict.accepted:
-            return self.abort(verdict.reason)
+            return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
         self.audit.log(self._run_id, self.phase, "train_validated")
         out = [self._ack(msg.manifest.researcher_id)]
@@ -460,7 +463,6 @@ class TseConfig:
     station_id: str
     trust_anchor_verify: bytes
     enc_keys: KeyPair
-    clock: Callable[[], dt.datetime] = utcnow
     audit_path: str | None = None
 
 
@@ -469,7 +471,7 @@ class TseActor(_SequencedActor):
         super().__init__(config.station_id)
         self.config = config
         self.phase = IDLE
-        self.audit = AuditLog(config.station_id, config.audit_path, config.clock)
+        self.audit = AuditLog(config.audit_path)
         self.storage = TseStorage()
         self._manifest: TrainManifest | None = None
         self._run_id: str | None = None
@@ -496,12 +498,13 @@ class TseActor(_SequencedActor):
         if detail is not None:
             self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
 
-    def abort(self, reason: str) -> list[Outgoing]:
-        """Wipe, and tell the researcher why unless the run already ended here."""
+    def abort(self, reason: str, detail: str = "") -> list[Outgoing]:
+        """Wipe, and tell the researcher why unless the run already ended
+        here; a ``detail`` is audited after the reason, never sent."""
         ended = self.phase == WIPED
         self.wipe()
         run = self._run_id or "?"
-        self.audit.log(run, self.phase, "abort_wiped", reason)
+        self.audit.log(run, self.phase, "abort_wiped", _explained(reason, detail))
         if ended or self._manifest is None:
             return []
         return [
@@ -540,11 +543,9 @@ class TseActor(_SequencedActor):
             return self.abort("DuplicateRun")
         self._manifest = msg.manifest
         self._run_id = msg.run_id
-        verdict = validate_train(
-            msg.manifest, self.config.trust_anchor_verify, self.config.clock()
-        )
+        verdict = validate_train(msg.manifest, self.config.trust_anchor_verify, utcnow())
         if not verdict.accepted:
-            return self.abort(verdict.reason)
+            return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
         self.audit.log(self._run_id, self.phase, "train_validated")
         self._expected = msg.manifest.data_station_ids()
@@ -616,6 +617,12 @@ class TseActor(_SequencedActor):
             "records_linked": len(result.pairs),
             "linkage": result.audit,
         }
+        try:
+            # a result JSON cannot carry, such as an overflowed mean, is
+            # refused here rather than by the transport that would send it
+            validated.to_canonical_json()
+        except ValueError as exc:
+            return self.abort("UnreleasableResult", detail=str(exc))
 
         out = Outgoing(
             manifest.researcher_id,
@@ -648,13 +655,12 @@ class ResearcherActor(_SequencedActor):
         researcher_id: str,
         manifest: TrainManifest,
         endpoints: dict[str, str],
-        clock: Callable[[], dt.datetime] = utcnow,
         audit_path: str | None = None,
     ):
         super().__init__(researcher_id)
         self.manifest = manifest
         self.endpoints = dict(endpoints)
-        self.audit = AuditLog(researcher_id, audit_path, clock)
+        self.audit = AuditLog(audit_path)
         self.acks: list[tuple[str, str]] = []
         self.outcome: tuple[str, object] | None = None
         self._dispatched: list[str] = []

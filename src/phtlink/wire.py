@@ -21,17 +21,19 @@ encoding.read_field, and whatever does not fit raises DecodeError. The JSON
 holds a message's dataclass fields and is read back by
 encoding.block_from_dict, so an unknown or missing key, in the message, the
 manifest or the result, is a DecodeError too; so is a message field whose
-JSON type is not the one its dataclass declares (encoding.check_types).
+JSON type is not the one its dataclass declares (encoding.check_types), and
+a non-finite number anywhere in the JSON (encoding.from_json_bytes).
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, fields
 
 from .analysis import ValidatedResult
-from .encoding import block_from_dict, canonical_json_bytes, check_types, read_field, write_field
+from .encoding import (
+    block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
+)
 from .envelope import SealedPackage
 from .errors import DecodeError
 from .manifest import TrainManifest, manifest_from_dict, manifest_to_dict
@@ -183,7 +185,7 @@ def decode(frame: bytes) -> Message:
     try:
         # strict: an unknown or missing key, here or in a manifest or result,
         # or a field of the wrong type, is a ValueError
-        doc = json.loads(bytes(doc_bytes).decode("utf-8"))
+        doc = from_json_bytes(bytes(doc_bytes))
         return check_types(block_from_dict(cls, doc, given, **_READERS))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DecodeError(json_at, f"bad payload: {exc}") from exc

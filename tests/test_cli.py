@@ -134,6 +134,16 @@ class TestSynth:
         assert "InvalidSpec" in result.output and key in result.output
         assert not list((tmp_path / "d").glob("*.csv"))
 
+    @pytest.mark.parametrize("variant", ["population", "vertical_demo"])
+    @pytest.mark.parametrize("key, value", [("n_large", True), ("n_small", 10.0),
+                                            ("seed", "7"), ("age_range", [40])])
+    def test_ill_typed_key_is_invalid_spec_naming_it(self, tmp_path, variant, key, value):
+        spec = self.spec_file(tmp_path, variant=variant, **{key: value})
+        result = CliRunner().invoke(main, ["synth", str(spec), "--out", str(tmp_path / "d")])
+        assert result.exit_code == 2
+        assert "InvalidSpec" in result.output and repr(key) in result.output
+        assert not list((tmp_path / "d").glob("*.csv"))
+
     def test_vertical_demo_honours_zip_prefixes(self, tmp_path):
         spec = self.spec_file(tmp_path, variant="vertical_demo", region_zip_prefixes=["9999"])
         result = run_cli("synth", spec, "--out", tmp_path / "demo")
@@ -654,10 +664,35 @@ class TestJsonTopLevel:
         assert not (tmp_path / "out").exists()
 
 
+#: run reports as earlier versions of `pht submit` wrote them, with no null
+#: counts, and what `pht report` prints for each
+PRINTED_REPORTS = [
+    ('{"audit_summary":{"acks":["B:OK","TSE:OK","A:OK","A:OK","B:OK"],"cells_suppressed":0,'
+     '"linkage_class_counts":{"match":120,"non_match":0,"possible":0},"records_linked":120,'
+     '"timings":{"total_s":1.2344}},"outcome":"Completed","reason":null,'
+     '"result_files":["out/result.json","out/binned.csv"],"run_id":"run-1"}',
+     "run      run-1\noutcome  Completed\nacks     B:OK, TSE:OK, A:OK, A:OK, B:OK\n"
+     "linked   120 records\nsuppressed cells  0\ntotal    1.234s\n"
+     "file     out/result.json\nfile     out/binned.csv\n"),
+    ('{"audit_summary":{"acks":["B:OK"],"timings":{"total_s":0.5}},"outcome":"Aborted",'
+     '"reason":"Expired","result_files":[],"run_id":"run-2"}',
+     "run      run-2\noutcome  Aborted (Expired)\nacks     B:OK\ntotal    0.500s\n"),
+]
+
+
 class TestReport:
     @pytest.mark.parametrize("doc, key", [
         ({}, "run_id"),
         ({"run_id": "run-1", "outcome": "Completed", "audit_summary": []}, "audit_summary"),
+        ({**json.loads(PRINTED_REPORTS[1][0]), "extra": 1}, "extra"),
+        ({**json.loads(PRINTED_REPORTS[1][0]), "result_files": "out/result.json"},
+         "result_files"),
+        ({"run_id": "run-1", "outcome": "Completed",
+          "audit_summary": {"acks": [], "timings": {}, "records_linkd": 3}}, "records_linkd"),
+        ({"run_id": "run-1", "outcome": "Completed",
+          "audit_summary": {"acks": [], "timings": {"total_s": "1"}}}, "timings"),
+        ({"run_id": "run-1", "outcome": "Completed",
+          "audit_summary": {"acks": [7], "timings": {}}}, "acks"),
     ])
     def test_missing_or_ill_typed_key_is_bad_config(self, tmp_path, doc, key):
         path = tmp_path / "run_report.json"
@@ -666,6 +701,21 @@ class TestReport:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.exit_code == 2, result.output
         assert "error: BadConfig" in result.output and repr(key) in result.output
+
+    @pytest.mark.parametrize("text, printed", PRINTED_REPORTS)
+    def test_earlier_reports_print_as_before(self, tmp_path, text, printed):
+        path = tmp_path / "run_report.json"
+        path.write_text(text + "\n")
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == printed
+
+    def test_non_finite_number_is_bad_config(self, tmp_path):
+        path = tmp_path / "run_report.json"
+        path.write_text(PRINTED_REPORTS[1][0].replace("0.5", "NaN"))
+        result = CliRunner().invoke(main, ["report", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and "non-finite" in result.output
 
 
 class TestDaemonConfigErrors:
@@ -753,3 +803,46 @@ class TestStationCsvWithoutQids:
             result = runner.invoke(main, ["station", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert "error: BadConfig" in result.output and "gender" in result.output
+
+
+class TestStationDatasetReadStrictly:
+    """A sidecar with an unknown or ill-typed key, and a CSV row with the
+    wrong cell count or a non-finite number, stop `pht station` at start-up
+    with BadConfig naming what is wrong, never a traceback."""
+
+    SIDECAR = {"station_id": "A", "extracted_at": "2026-01-01T00:00:00Z", "row_count": 1,
+               "schema": [["age", "numeric"]]}
+    CSV = "zip_code,house_number,gender,date_of_birth,age\n"
+
+    @pytest.mark.parametrize("row, sidecar, named", [
+        ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "sorce": "registry"}, "'sorce'"),
+        ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "station_id": 5}, "'station_id'"),
+        ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "row_count": 1.0}, "'row_count'"),
+        ("6211AB,12,F,1960-03-15,66", [1, 2], "Sidecar must be a JSON object"),
+        ("6211AB,12,F,1960-03-15", SIDECAR, "line 2"),
+        ("6211AB,12,F,1960-03-15,66,67", SIDECAR, "line 2"),
+        ("6211AB,12,F,1960-03-15,nan", SIDECAR, "line 2"),
+        ("6211AB,12,F,1960-03-15,1e999", SIDECAR, "line 2"),
+    ], ids=["unknown_key", "station_id_int", "row_count_float", "top_level_array",
+            "short_row", "long_row", "nan_cell", "overflowing_cell"])
+    def test_refuses_to_start(self, tmp_path, row, sidecar, named):
+        runner = CliRunner()
+        assert runner.invoke(main, ["keygen", str(tmp_path / "k")]).exit_code == 0
+        (tmp_path / "a.csv").write_text(self.CSV + row + "\n")
+        (tmp_path / "a.descriptor.json").write_text(json.dumps(sidecar))
+        # a busy port: a station that got past its dataset would fail to bind
+        blocker = socket.create_server(("127.0.0.1", 0))
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({
+            "station_id": "A", "role": "data",
+            "listen": f"127.0.0.1:{blocker.getsockname()[1]}",
+            "dataset_csv": "a.csv",
+            "trust_anchor_verify_key": "k/anchor_verify.pem",
+            "encryption_private_key": "k/enc_private.pem",
+            "signing_private_key": "k/sign_private.pem",
+        }))
+        with blocker:
+            result = runner.invoke(main, ["station", "--config", str(cfg)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and named in result.output

@@ -197,6 +197,70 @@ class TestCsvInterchange:
         assert doc["row_count"] == 2
 
 
+class TestCsvReadStrictly:
+    """A station's CSV and sidecar fail closed, naming the file and line,
+    instead of loading a dataset every run would abort on."""
+
+    HEADER = "zip_code,house_number,gender,date_of_birth,age"
+
+    def _files(self, tmp_path, *rows, **sidecar):
+        (tmp_path / "a.csv").write_text("\n".join((self.HEADER, *rows)) + "\n")
+        doc = {"station_id": "A", "extracted_at": "2026-01-01T00:00:00Z",
+               "row_count": len(rows), "schema": [["age", "numeric"]], **sidecar}
+        (tmp_path / "a.descriptor.json").write_text(json.dumps(doc))
+        return tmp_path / "a.csv"
+
+    @pytest.mark.parametrize("row", [
+        "6211AB,12,F,1960-03-15",  # short: the age cell is missing
+        "6211AB,12,F,1960-03-15,66,x",  # long: an extra cell
+        "6211AB,12,F",
+    ])
+    def test_row_with_the_wrong_cell_count_names_its_line(self, tmp_path, row):
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66", row)
+        with pytest.raises(ValueError, match="a.csv line 3: expected the header's 5 cells"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_numeric_cell_names_its_line(self, tmp_path, cell):
+        path = self._files(tmp_path, f"6211AB,12,F,1960-03-15,{cell}")
+        with pytest.raises(ValueError, match="a.csv line 2: .*not a finite number"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell, value", [("66", 66), ("66.0", 66), ("1e3", 1000),
+                                             ("66.5", 66.5), ("1e308", 1e308)])
+    def test_finite_numeric_cells_load(self, tmp_path, cell, value):
+        path = self._files(tmp_path, f"6211AB,12,F,1960-03-15,{cell}")
+        assert read_dataset_csv(path).rows[0].payload == {"age": value}
+
+    @pytest.mark.parametrize("sidecar, named", [
+        ({"sorce": "x"}, "unknown Sidecar key 'sorce'"),
+        ({"extra": 1, "sorce": "x"}, r"unknown Sidecar keys \['extra', 'sorce'\]"),
+        ({"station_id": 5}, "'station_id'"),
+        ({"row_count": 1.0}, "'row_count'"),
+        ({"row_count": "1"}, "'row_count'"),
+        ({"schema": [["age"]]}, "'schema'"),
+        ({"source": 7}, "'source'"),
+        ({"row_count": float("nan")}, "non-finite"),
+    ])
+    def test_sidecar_is_read_strictly(self, tmp_path, sidecar, named):
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66", **sidecar)
+        with pytest.raises(ValueError, match=f"a.descriptor.json: .*{named}"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", '"x"'])
+    def test_sidecar_must_be_an_object(self, tmp_path, text):
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66")
+        (tmp_path / "a.descriptor.json").write_text(text)
+        with pytest.raises(ValueError, match="Sidecar must be a JSON object"):
+            read_dataset_csv(path)
+
+    def test_sidecar_source_is_kept_and_defaults_to_the_csv_path(self, tmp_path):
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66", source="registry 2026")
+        assert read_dataset_csv(path).descriptor.source == "registry 2026"
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66")
+        assert read_dataset_csv(path).descriptor.source == str(path)
+
+
 class TestDatasetWireBytes:
     def test_refuses_raw_qids(self):
         ds = make_dataset("A", (("age", "numeric"),),

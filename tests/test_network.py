@@ -267,6 +267,45 @@ class TestInvalidManifest:
         assert not any(e[0] == "DataTransfer" for v in out.traces.values() for e in v)
 
 
+class TestRefusalIsAudited:
+    """Why a manifest was refused lands in the refusing party's audit; the
+    Abort it sends names the bare reason."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_k_min_0_is_named_in_the_refusal_events_of_b_and_the_tse(self, transport):
+        scn = demo_scenario(disclosure=DisclosurePolicy(k_min=0))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "InvalidManifest")
+        for party, event in (("B", "abort"), ("TSE", "abort_wiped")):
+            refusals = [e["detail"] for e in out.audit_logs[party] if e["event"] == event]
+            assert len(refusals) == 1 and refusals[0].startswith("InvalidManifest: "), refusals
+            assert "k_min" in refusals[0]
+
+
+class TestUnreleasableResult:
+    """A result JSON cannot carry, here a mean that overflows to inf, is
+    refused inside the TSE's handler: the run aborts with a named reason,
+    the TSE wipes, and no thread and no caller sees an exception."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_overflowed_mean_aborts_and_wipes(self, monkeypatch, transport):
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        ds_a, ds_b, truth = generate_vertical_demo(60, 20, seed=3)
+        for row in ds_b.rows:
+            row.payload["income"] = 1e308
+        scn = make_scenario(ds_a, ds_b, truth,
+                            analysis=AnalysisSpec("descriptive", ("income",)))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "UnreleasableResult")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert [e["detail"] for e in out.audit_logs["TSE"] if e["event"] == "abort_wiped"] == [
+            "UnreleasableResult: Out of range float values are not JSON compliant"
+        ]
+        assert not any(e[0] == "ResultReturn" for v in out.traces.values() for e in v)
+        assert raised == []
+
+
 def _tse_router(scn, timeout_s=60.0):
     built = []
 

@@ -358,6 +358,22 @@ class TestStrictPayloads:
             decode(mutated)
         assert err.value.offset == HEADER_LEN + 4 * isinstance(msg, (SaltOffer, DataTransfer))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_non_finite_number_in_a_manifest_is_a_decode_error(self, literal):
+        """JSON that canonical_json_bytes could not have written is refused
+        at the frame, before any signature check sees the manifest."""
+        doc = _payload(_dispatch())
+        doc["manifest"]["linkage"]["t_upper"] = "LITERAL"
+
+        def frame(text):
+            payload = json.dumps(doc).replace('"LITERAL"', text).encode()
+            return MAGIC + bytes([VERSION, 0x01]) + struct.pack(">I", len(payload)) + payload
+
+        assert decode(frame("8.5")).manifest.linkage.t_upper == 8.5
+        with pytest.raises(DecodeError, match="non-finite") as err:
+            decode(frame(literal))
+        assert err.value.offset == HEADER_LEN
+
     def test_wrong_json_type_in_a_result_table_is_a_decode_error(self):
         mutated = self._mutated(
             _result_return(), lambda doc: doc["result"]["tables"][0].update(key_fields="bin")

@@ -47,7 +47,7 @@ from .errors import BadConfig, InvalidSpec, PhtError
 from .linkage import LinkageParams
 from .manifest import DataRequest, TrainManifest, block_from_dict, sign_manifest
 from .model import read_dataset_csv, write_dataset_csv
-from .network import Router, TcpNode, researcher_verdict
+from .network import DEFAULT_TSE_TIMEOUT, Router, TcpNode, researcher_verdict
 from .stations import (
     DataStationActor,
     DataStationConfig,
@@ -267,8 +267,9 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_actor,
-           timeout_s: float | None = None, wipe_on_exit: bool = False):
-    """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run."""
+           timeout_s: float, wipe_on_exit: bool = False):
+    """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run;
+    a run still live ``timeout_s`` after its dispatch is ended here."""
     address_book: dict[str, str] = dict(cfg.endpoints)
 
     def factory(dispatch: TrainDispatch):
@@ -330,7 +331,7 @@ def station(config_path: Path):
         )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-    _serve(cfg, listen, lambda: DataStationActor(config))
+    _serve(cfg, listen, lambda: DataStationActor(config), DEFAULT_TSE_TIMEOUT)
 
 
 @main.command()

@@ -375,9 +375,18 @@ def signing_keys_to_pem(sk: SigningKeys) -> tuple[bytes, bytes]:
     return _private_pem(private), _public_pem(private.public_key())
 
 
+def _private_key_from_pem(private_pem: bytes):
+    """An unencrypted private key PEM's key; an encrypted one raises
+    ValueError, like any other key file that cannot be used."""
+    try:
+        return serialization.load_pem_private_key(private_pem, password=None)
+    except TypeError:  # what cryptography raises for a missing password
+        raise ValueError("encrypted private keys are not supported") from None
+
+
 def encryption_keypair_from_pem(private_pem: bytes) -> KeyPair:
     """A static keypair from its private key PEM, with its derived key id."""
-    key = serialization.load_pem_private_key(private_pem, password=None)
+    key = _private_key_from_pem(private_pem)
     if not isinstance(key, X25519PrivateKey):
         raise ValueError("expected an X25519 private key")
     return _encryption_keypair(key, None)
@@ -385,7 +394,7 @@ def encryption_keypair_from_pem(private_pem: bytes) -> KeyPair:
 
 def signing_keys_from_pem(private_pem: bytes) -> SigningKeys:
     """A static signing pair from its private key PEM, with its derived key id."""
-    key = serialization.load_pem_private_key(private_pem, password=None)
+    key = _private_key_from_pem(private_pem)
     if not isinstance(key, Ed25519PrivateKey):
         raise ValueError("expected an Ed25519 private key")
     return _signing_keys(key, None)

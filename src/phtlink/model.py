@@ -422,7 +422,9 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
         raise ValueError(f"{descriptor_path}: {exc}") from None
 
     rows: list[Record] = []
-    with csv_path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not
+    # part of the first column's name
+    with csv_path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in QID_FIELDS if name not in (reader.fieldnames or ())]
         if missing:

@@ -164,16 +164,18 @@ class Router:
         return self._deadlines[0][0] if self._deadlines else None
 
     def expire(self, now: float = math.inf) -> list[Outgoing]:
-        """Deliver every deadline due by ``now`` to its run's live actor."""
+        """Deliver every deadline due by ``now`` to its run's live actor, and
+        evict that actor: a deadline ends its run here, whatever the actor
+        was still waiting for."""
         out = []
         while self._deadlines and self._deadlines[0][0] <= now:
             _, run_id = heapq.heappop(self._deadlines)
             actor = self.actors.get(run_id)
             if actor is not None:
-                out += self._handle(run_id, actor, TimeoutExpired(run_id))
+                out += self._handle(run_id, actor, TimeoutExpired(run_id), evict=True)
         return out
 
-    def _handle(self, run_id: str, actor, msg) -> list[Outgoing]:
+    def _handle(self, run_id: str, actor, msg, evict: bool = False) -> list[Outgoing]:
         """Run the actor's handler; one that raises fails its run closed:
         the actor aborts with the exception as its reason and is evicted."""
         raised = False
@@ -185,7 +187,7 @@ class Router:
                   f"handler raised {type(exc).__name__}: {exc}", exc_info=True)
             return actor.abort(f"{type(exc).__name__}: {exc}")
         finally:
-            if raised or actor.terminal:
+            if evict or raised or actor.terminal:
                 del self.actors[run_id]
                 self.finished.add(run_id)
                 self._done.pop(run_id).set()
@@ -230,10 +232,10 @@ def run_network(
     actors: dict[str, object] = {cfg.station_id: DataStationActor(cfg) for cfg in setup.stations}
     tse = actors[setup.tse.station_id] = TseActor(setup.tse)
     ledger = Ledger()
-    # each prebuilt actor is installed by its router at its own dispatch
+    # each prebuilt actor is installed by its router at its own dispatch;
+    # every party but the researcher ends the run at the TSE's deadline
     routers = {
-        aid: Router(lambda msg, actor=actor: actor,
-                    tse_timeout if actor is tse else None, ledger)
+        aid: Router(lambda msg, actor=actor: actor, tse_timeout, ledger)
         for aid, actor in actors.items()
     }
     researcher = actors[manifest.researcher_id] = ResearcherActor(

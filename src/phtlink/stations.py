@@ -1,8 +1,11 @@
 """Station state machines: data stations, the analysis-side TSE, researcher.
 
-Each station is a single logical actor: it consumes one message at a time
+Each party is a single logical actor: it consumes one message at a time
 and returns the messages to emit. Actors never touch a transport, so the
-same code runs over in-process queues and TCP sockets.
+same code runs over in-process queues and TCP sockets. All three share one
+base, `_Party`, which stamps every message header, writes every audit entry,
+checks per-sender order and ends the run at its deadline; a subclass gives
+only its steps, one per message type, and its answer to a bad message.
 
 Data station phases:  Idle -> Validated -> SaltAgreed -> Sent (Done on failure)
 TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
@@ -23,7 +26,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .analysis import run_analysis, validate
-from .encoding import canonical_json_bytes
 from .envelope import (
     KeyPair,
     PublicEncryptionKey,
@@ -155,24 +157,50 @@ def apply_pool_filter(rows: list[Record], pool) -> list[Record]:
     return kept
 
 
-class _SequencedActor:
-    """Shared sequencing: outgoing seq numbers and per-sender order checks."""
+class _Party:
+    """One run party. ``handle`` ends the run with "Timeout" at its deadline
+    unless the party is already terminal, hands a message whose seq is not
+    above its sender's last to ``_out_of_order``, and any other to the step
+    ``_steps`` maps its type to, or to ``_unexpected``. A subclass gives the
+    steps, ``abort`` and ``terminal``."""
 
-    def __init__(self, station_id: str):
+    #: message type -> the step that handles it
+    _steps: dict = {}
+
+    def __init__(self, station_id: str, audit_path: str | None, run_id: str | None = None):
         self.station_id = station_id
+        self.phase = IDLE
+        self.audit = AuditLog(audit_path)
+        self._run_id = run_id  # a station or TSE learns it from its dispatch
         self._seq = 0
         self._last_seen: dict[str, int] = {}
 
-    def next_seq(self) -> int:
+    def _send(self, dest: str, cls, *fields) -> Outgoing:
+        """The next message of this party's run to ``dest``: a ``cls`` with
+        ``fields`` after the header; "?" stands for a run not yet known."""
         self._seq += 1
-        return self._seq
+        return Outgoing(dest, cls(self._run_id or "?", self._seq, self.station_id, *fields))
 
-    def in_order(self, msg: Message) -> bool:
-        last = self._last_seen.get(msg.sender, 0)
-        if msg.seq <= last:
-            return False
+    def _log(self, event: str, detail: str = "", phase: str | None = None) -> None:
+        """Audit ``event`` under this party's run, in ``phase`` or the current one."""
+        self.audit.log(self._run_id or "?", phase or self.phase, event, detail)
+
+    def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
+        if isinstance(msg, TimeoutExpired):
+            return [] if self.terminal else self.abort("Timeout")
+        if msg.seq <= self._last_seen.get(msg.sender, 0):
+            return self._out_of_order(msg)
         self._last_seen[msg.sender] = msg.seq
-        return True
+        step = self._steps.get(type(msg))
+        if step is None:
+            return self._unexpected(msg)
+        return step(self, msg)
+
+    def _out_of_order(self, msg: Message) -> list[Outgoing]:
+        return self.abort(f"OutOfOrder({msg.sender})")
+
+    def _unexpected(self, msg: Message) -> list[Outgoing]:
+        return self.abort(f"UnexpectedMessage({message_type_name(msg)})")
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +226,12 @@ class DataStationConfig:
     reuse_salt: Salt | None = None
 
 
-class DataStationActor(_SequencedActor):
+class DataStationActor(_Party):
     def __init__(self, config: DataStationConfig):
-        super().__init__(config.station_id)
+        super().__init__(config.station_id, config.audit_path)
         self.config = config
-        self.phase = IDLE
-        self.audit = AuditLog(config.audit_path)
         self._manifest: TrainManifest | None = None
         self._salt: Salt | None = None
-        self._run_id: str | None = None
 
     @property
     def terminal(self) -> bool:
@@ -214,51 +239,37 @@ class DataStationActor(_SequencedActor):
         station has given up."""
         return self.phase in (SENT, DONE)
 
-    # -- helpers -----------------------------------------------------------
-
-    def _ack(self, dest: str) -> Outgoing:
-        return Outgoing(
-            dest, Ack(self._run_id, self.next_seq(), self.station_id, ACK_OK)
-        )
-
     def abort(
-        self, reason: str, run_id: str | None = None, fallback_dest: str | None = None,
-        detail: str = "",
+        self, reason: str, fallback_dest: str | None = None, detail: str = ""
     ) -> list[Outgoing]:
         """Give the run up and tell the researcher and the TSE why; a
         ``detail`` is audited after the reason, never sent."""
-        run = run_id or self._run_id or "?"
         self.phase = DONE
-        self.audit.log(run, self.phase, "abort", _explained(reason, detail))
+        self._log("abort", _explained(reason, detail))
         if self._manifest is not None:
             targets = [self._manifest.researcher_id, self._manifest.tse_station_id]
         else:
             targets = [fallback_dest] if fallback_dest else []
-        return [Outgoing(dest, Abort(run, self.next_seq(), self.station_id, reason))
-                for dest in targets]
+        return [self._send(dest, Abort, reason) for dest in targets]
 
     # -- message handling ---------------------------------------------------
 
-    def handle(self, msg: Message) -> list[Outgoing]:
-        if not self.in_order(msg):
-            return self.abort(f"OutOfOrder({msg.sender})", fallback_dest=msg.sender)
-        if isinstance(msg, TrainDispatch):
-            return self._on_dispatch(msg)
-        if isinstance(msg, SaltOffer):
-            return self._on_salt_offer(msg)
-        if isinstance(msg, Ack):
-            return self._on_ack(msg)
-        if isinstance(msg, Abort):
-            self.audit.log(msg.run_id, self.phase, "peer_abort", msg.reason)
-            self.phase = DONE
-            return []
+    def _out_of_order(self, msg: Message) -> list[Outgoing]:
+        return self.abort(f"OutOfOrder({msg.sender})", fallback_dest=msg.sender)
+
+    def _unexpected(self, msg: Message) -> list[Outgoing]:
         return self.abort(
             f"UnexpectedMessage({message_type_name(msg)})", fallback_dest=msg.sender
         )
 
+    def _on_abort(self, msg: Abort) -> list[Outgoing]:
+        self._log("peer_abort", msg.reason)
+        self.phase = DONE
+        return []
+
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
         if msg.run_id == self._run_id:
-            return self.abort("DuplicateRun", msg.run_id)
+            return self.abort("DuplicateRun")
         if self.phase != IDLE:
             return self.abort(f"UnexpectedMessage(TrainDispatch in {self.phase})")
         self._manifest = msg.manifest
@@ -274,8 +285,8 @@ class DataStationActor(_SequencedActor):
         if not verdict.accepted:
             return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
-        self.audit.log(self._run_id, self.phase, "train_validated")
-        out = [self._ack(msg.manifest.researcher_id)]
+        self._log("train_validated")
+        out = [self._send(msg.manifest.researcher_id, Ack, ACK_OK)]
 
         if msg.manifest.salt_initiator_id() == self.station_id:
             out.extend(self._offer_salt())
@@ -301,27 +312,13 @@ class DataStationActor(_SequencedActor):
             )
         except PhtError as exc:
             return self.abort(type(exc).__name__)
-        self.audit.log(self._run_id, self.phase, "salt_offered", peer)
-        return [
-            Outgoing(
-                peer,
-                SaltOffer(
-                    self._run_id,
-                    self.next_seq(),
-                    self.station_id,
-                    from_station=self.station_id,
-                    to_station=peer,
-                    sealed_salt=sealed,
-                ),
-            )
-        ]
+        self._log("salt_offered", peer)
+        return [self._send(peer, SaltOffer, self.station_id, peer, sealed)]
 
     def _on_salt_offer(self, msg: SaltOffer) -> list[Outgoing]:
         if self.phase != VALIDATED or msg.run_id != self._run_id:
             return self.abort(
-                f"UnexpectedMessage(SaltOffer in {self.phase})",
-                run_id=msg.run_id,
-                fallback_dest=msg.sender,
+                f"UnexpectedMessage(SaltOffer in {self.phase})", fallback_dest=msg.sender
             )
         if msg.to_station != self.station_id:
             return self.abort("MisroutedSaltOffer")
@@ -338,8 +335,8 @@ class DataStationActor(_SequencedActor):
         except PhtError as exc:
             return self.abort(type(exc).__name__)
         self._salt = Salt(bytes=salt_bytes, run_id=self._run_id)
-        self.audit.log(self._run_id, self.phase, "salt_accepted", msg.from_station)
-        out = [self._ack(msg.from_station)]
+        self._log("salt_accepted", msg.from_station)
+        out = [self._send(msg.from_station, Ack, ACK_OK)]
         out.extend(self._prepare_and_send())
         return out
 
@@ -353,14 +350,14 @@ class DataStationActor(_SequencedActor):
             and self._salt is not None
             and msg.run_id == self._run_id
         ):
-            self.audit.log(self._run_id, self.phase, "salt_agreed", msg.sender)
+            self._log("salt_agreed", msg.sender)
             return self._prepare_and_send()
         return self.abort(f"UnexpectedMessage(Ack from {msg.sender} in {self.phase})")
 
     def _prepare_and_send(self) -> list[Outgoing]:
         manifest = self._manifest
         self.phase = SALT_AGREED
-        self.audit.log(self._run_id, self.phase, "salt_agreed")
+        self._log("salt_agreed")
 
         # a salt is good for exactly one run; enforced here, at seal time
         if self._salt.run_id != self._run_id:
@@ -383,16 +380,11 @@ class DataStationActor(_SequencedActor):
             (pseudonymize(row.qid, self._salt, manifest.linkage.mode) for row in kept),
         )
         payload = dataset_to_bytes(extract)
-        self.audit.log(
-            self._run_id,
-            self.phase,
-            "extract_prepared",
-            f"{len(kept)}/{len(dataset.rows)} rows",
-        )
+        self._log("extract_prepared", f"{len(kept)}/{len(dataset.rows)} rows")
 
         if self.config.fault == FAULT_NO_SEND:
-            self.audit.log(self._run_id, DONE, "fault", "no_send")
             self.phase = DONE
+            self._log("fault", "no_send")
             return []
 
         try:
@@ -409,17 +401,17 @@ class DataStationActor(_SequencedActor):
             return self.abort(type(exc).__name__)
         if self.config.fault == FAULT_TAMPER:
             package = replace(package, ciphertext=flip_bit(package.ciphertext, 7))
-            self.audit.log(self._run_id, self.phase, "fault", "tamper")
+            self._log("fault", "tamper")
 
         self.phase = SENT
-        self.audit.log(self._run_id, self.phase, "data_sent", manifest.tse_station_id)
+        self._log("data_sent", manifest.tse_station_id)
         return [
-            Outgoing(
-                manifest.tse_station_id,
-                DataTransfer(self._run_id, self.next_seq(), self.station_id, package),
-            ),
-            self._ack(manifest.researcher_id),
+            self._send(manifest.tse_station_id, DataTransfer, package),
+            self._send(manifest.researcher_id, Ack, ACK_OK),
         ]
+
+    _steps = {TrainDispatch: _on_dispatch, SaltOffer: _on_salt_offer, Ack: _on_ack,
+              Abort: _on_abort}
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +458,12 @@ class TseConfig:
     audit_path: str | None = None
 
 
-class TseActor(_SequencedActor):
+class TseActor(_Party):
     def __init__(self, config: TseConfig):
-        super().__init__(config.station_id)
+        super().__init__(config.station_id, config.audit_path)
         self.config = config
-        self.phase = IDLE
-        self.audit = AuditLog(config.audit_path)
         self.storage = TseStorage()
         self._manifest: TrainManifest | None = None
-        self._run_id: str | None = None
         self._packages: dict[str, SealedPackage] = {}
         self._expected: tuple[str, ...] = ()
         # the decoded and merged datasets, whose payload lists the wipe empties
@@ -496,47 +485,29 @@ class TseActor(_SequencedActor):
         self._held.clear()
         self.phase = WIPED
         if detail is not None:
-            self.audit.log(self._run_id or "?", self.phase, "wiped", detail)
+            self._log("wiped", detail)
 
     def abort(self, reason: str, detail: str = "") -> list[Outgoing]:
         """Wipe, and tell the researcher why unless the run already ended
         here; a ``detail`` is audited after the reason, never sent."""
         ended = self.phase == WIPED
         self.wipe()
-        run = self._run_id or "?"
-        self.audit.log(run, self.phase, "abort_wiped", _explained(reason, detail))
+        self._log("abort_wiped", _explained(reason, detail))
         if ended or self._manifest is None:
             return []
-        return [
-            Outgoing(
-                self._manifest.researcher_id,
-                Abort(run, self.next_seq(), self.station_id, reason),
-            )
-        ]
+        return [self._send(self._manifest.researcher_id, Abort, reason)]
 
-    def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
-        if isinstance(msg, TimeoutExpired):
-            if self.phase == AWAITING_DATA:
-                return self.abort("Timeout")
-            return []
-        if not self.in_order(msg):
-            return self.abort(f"OutOfOrder({msg.sender})")
-        if isinstance(msg, TrainDispatch):
-            return self._on_dispatch(msg)
-        if isinstance(msg, DataTransfer):
-            return self._on_data(msg)
-        if isinstance(msg, SaltOffer):
-            # the salt exchange is station-to-station; it must never be here
-            return self.abort("SaltOfferAtTse")
-        if isinstance(msg, Abort):
-            # a station's refusal or the researcher's cancel: the sender
-            # already knows the run is over, so nothing goes back
-            if self.phase != WIPED:
-                self.wipe()
-                detail = f"{msg.sender}: {msg.reason}"
-                self.audit.log(msg.run_id, self.phase, "abort_wiped", detail)
-            return []
-        return self.abort(f"UnexpectedMessage({message_type_name(msg)})")
+    def _on_salt_offer(self, msg: SaltOffer) -> list[Outgoing]:
+        # the salt exchange is station-to-station; it must never be here
+        return self.abort("SaltOfferAtTse")
+
+    def _on_abort(self, msg: Abort) -> list[Outgoing]:
+        # a station's refusal or the researcher's cancel: the sender
+        # already knows the run is over, so nothing goes back
+        if self.phase != WIPED:
+            self.wipe()
+            self._log("abort_wiped", f"{msg.sender}: {msg.reason}")
+        return []
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
         if self.phase != IDLE:
@@ -547,20 +518,15 @@ class TseActor(_SequencedActor):
         if not verdict.accepted:
             return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
-        self.audit.log(self._run_id, self.phase, "train_validated")
+        self._log("train_validated")
         self._expected = msg.manifest.data_station_ids()
         # pairwise linkage only: reject wider topologies instead of silently
         # dropping a station's data
         if len(self._expected) != 2:
             return self.abort(f"UnsupportedTopology({len(self._expected)} stations)")
         self.phase = AWAITING_DATA
-        self.audit.log(self._run_id, self.phase, "awaiting_data", ",".join(self._expected))
-        return [
-            Outgoing(
-                msg.manifest.researcher_id,
-                Ack(self._run_id, self.next_seq(), self.station_id, ACK_OK),
-            )
-        ]
+        self._log("awaiting_data", ",".join(self._expected))
+        return [self._send(msg.manifest.researcher_id, Ack, ACK_OK)]
 
     def _on_data(self, msg: DataTransfer) -> list[Outgoing]:
         if self.phase != AWAITING_DATA or msg.run_id != self._run_id:
@@ -570,7 +536,7 @@ class TseActor(_SequencedActor):
         if msg.sender in self._packages:
             return self.abort(f"DuplicateTransfer({msg.sender})")
         self._packages[msg.sender] = msg.package
-        self.audit.log(self._run_id, self.phase, "data_received", msg.sender)
+        self._log("data_received", msg.sender)
         if set(self._packages) != set(self._expected):
             return []
         return self._process()
@@ -590,7 +556,7 @@ class TseActor(_SequencedActor):
                 return self.abort(f"{type(exc).__name__}@{sid}")
             # linked in place, so the wipe zeroes the digests link reads
             body = self.storage.put_bytes(f"dataset:{sid}", plaintext)
-            self.audit.log(self._run_id, self.phase, "package_opened", sid)
+            self._log("package_opened", sid)
             try:
                 datasets.append(dataset_from_bytes(body))
             except (PhtError, ValueError, KeyError) as exc:
@@ -598,17 +564,17 @@ class TseActor(_SequencedActor):
             self._held.append(datasets[-1])
 
         self.phase = LINKING
-        self.audit.log(self._run_id, self.phase, "linking")
+        self._log("linking")
         result = link(datasets[0], datasets[1], manifest.linkage)
         merged = merge(result, datasets[0], datasets[1])
         self._held.append(merged)
 
         self.phase = ANALYZING
-        self.audit.log(self._run_id, self.phase, "analyzing", manifest.analysis.kind)
+        self._log("analyzing", manifest.analysis.kind)
         raw = run_analysis(merged, manifest.analysis)
 
         self.phase = VALIDATING
-        self.audit.log(self._run_id, self.phase, "validating")
+        self._log("validating")
         validated = validate(raw, manifest.disclosure)
 
         validated.audit["run"] = {
@@ -624,24 +590,26 @@ class TseActor(_SequencedActor):
         except ValueError as exc:
             return self.abort("UnreleasableResult", detail=str(exc))
 
-        out = Outgoing(
-            manifest.researcher_id,
-            ResultReturn(self._run_id, self.next_seq(), self.station_id, validated),
-        )
+        out = self._send(manifest.researcher_id, ResultReturn, validated)
         self.phase = RETURNED
-        self.audit.log(self._run_id, self.phase, "result_returned")
+        self._log("result_returned")
         self.wipe("all run data deleted")
         return [out]
+
+    _steps = {TrainDispatch: _on_dispatch, DataTransfer: _on_data, SaltOffer: _on_salt_offer,
+              Abort: _on_abort}
 
 
 # ---------------------------------------------------------------------------
 # Researcher endpoint
 # ---------------------------------------------------------------------------
 
-class ResearcherActor(_SequencedActor):
+class ResearcherActor(_Party):
     """Fourth endpoint: dispatches the train, then only ever sees Ack,
-    ResultReturn and Abort. A run deadline (TimeoutExpired) aborts the run
-    with "Timeout" unless it already ended, and ends the actor either way.
+    ResultReturn and Abort; it drops anything else, and anything out of
+    order, and goes on waiting. A run deadline aborts the run with
+    "Timeout" unless it already ended, and the router that delivered it
+    evicts the actor either way.
 
     The salt-initiating station is dispatched last, once every other party
     has acknowledged its own dispatch, and not at all if the run aborts
@@ -657,33 +625,24 @@ class ResearcherActor(_SequencedActor):
         endpoints: dict[str, str],
         audit_path: str | None = None,
     ):
-        super().__init__(researcher_id)
+        super().__init__(researcher_id, audit_path, manifest.run_id)
         self.manifest = manifest
         self.endpoints = dict(endpoints)
-        self.audit = AuditLog(audit_path)
         self.acks: list[tuple[str, str]] = []
         self.outcome: tuple[str, object] | None = None
         self._dispatched: list[str] = []
         self._initiator: str | None = None
         # parties whose dispatch Ack the initiator's dispatch still waits for
         self._awaiting_acks: set[str] = set()
-        self._expired = False
 
     def _dispatch(self, dest: str) -> Outgoing:
         self._dispatched.append(dest)
-        return Outgoing(
-            dest,
-            TrainDispatch(
-                self.manifest.run_id,
-                self.next_seq(),
-                self.station_id,
-                self.manifest,
-                tuple(sorted(self.endpoints.items())),
-            ),
+        return self._send(
+            dest, TrainDispatch, self.manifest, tuple(sorted(self.endpoints.items()))
         )
 
     def start(self) -> list[Outgoing]:
-        self.audit.log(self.manifest.run_id, "Dispatch", "train_dispatched")
+        self._log("train_dispatched", phase="Dispatch")
         stations = self.manifest.data_station_ids()
         # with no data station the TSE alone is dispatched, and rejects the run
         self._initiator = self.manifest.salt_initiator_id() if stations else None
@@ -692,25 +651,12 @@ class ResearcherActor(_SequencedActor):
         self._awaiting_acks = set(first)
         return [self._dispatch(dest) for dest in first]
 
-    def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
-        if isinstance(msg, TimeoutExpired):
-            self._expired = True
-            return self.abort("Timeout")
-        if not self.in_order(msg):
-            self.audit.log(msg.run_id, "Receive", "out_of_order_dropped", msg.sender)
-            return []
-        if isinstance(msg, Ack):
-            self.acks.append((msg.sender, msg.status))
-            self.audit.log(msg.run_id, "Receive", "ack", f"{msg.sender}:{msg.status}")
-            return self._on_ack(msg)
-        if isinstance(msg, ResultReturn):
-            if self.outcome is None:
-                self.outcome = ("completed", msg.result)
-                self.audit.log(msg.run_id, "Receive", "result_returned", msg.sender)
-        elif isinstance(msg, Abort):
-            return self.abort(msg.reason, msg.sender)
-        else:
-            self.audit.log(msg.run_id, "Receive", "unexpected_dropped", message_type_name(msg))
+    def _out_of_order(self, msg: Message) -> list[Outgoing]:
+        self._log("out_of_order_dropped", msg.sender, phase="Receive")
+        return []
+
+    def _unexpected(self, msg: Message) -> list[Outgoing]:
+        self._log("unexpected_dropped", message_type_name(msg), phase="Receive")
         return []
 
     def abort(self, reason: str, sender: str | None = None) -> list[Outgoing]:
@@ -720,18 +666,25 @@ class ResearcherActor(_SequencedActor):
         each party after that party's dispatch."""
         if self.outcome is not None:
             return []
-        run = self.manifest.run_id
         self.outcome = ("aborted", reason)
-        self.audit.log(run, "Receive", "aborted", reason)
+        self._log("aborted", reason, phase="Receive")
         cancel = [dest for dest in self._dispatched if dest != sender]
         if cancel:
-            self.audit.log(run, "Dispatch", "cancelled", ",".join(cancel))
-        return [
-            Outgoing(dest, Abort(run, self.next_seq(), self.station_id, reason))
-            for dest in cancel
-        ]
+            self._log("cancelled", ",".join(cancel), phase="Dispatch")
+        return [self._send(dest, Abort, reason) for dest in cancel]
+
+    def _on_abort(self, msg: Abort) -> list[Outgoing]:
+        return self.abort(msg.reason, msg.sender)
+
+    def _on_result(self, msg: ResultReturn) -> list[Outgoing]:
+        if self.outcome is None:
+            self.outcome = ("completed", msg.result)
+            self._log("result_returned", msg.sender, phase="Receive")
+        return []
 
     def _on_ack(self, msg: Ack) -> list[Outgoing]:
+        self.acks.append((msg.sender, msg.status))
+        self._log("ack", f"{msg.sender}:{msg.status}", phase="Receive")
         if (
             self.outcome is not None
             or msg.run_id != self.manifest.run_id
@@ -741,8 +694,10 @@ class ResearcherActor(_SequencedActor):
         self._awaiting_acks.discard(msg.sender)
         if self._awaiting_acks or self._initiator is None:
             return []
-        self.audit.log(msg.run_id, "Dispatch", "initiator_dispatched", self._initiator)
+        self._log("initiator_dispatched", self._initiator, phase="Dispatch")
         return [self._dispatch(self._initiator)]
+
+    _steps = {Ack: _on_ack, ResultReturn: _on_result, Abort: _on_abort}
 
     @property
     def done(self) -> bool:
@@ -755,7 +710,7 @@ class ResearcherActor(_SequencedActor):
         computed from, but over TCP it can arrive after the result."""
         if self.outcome is None:
             return False
-        if self.outcome[0] == "aborted" or self._expired:
+        if self.outcome[0] == "aborted":
             return True
         senders = [sender for sender, _ in self.acks]
         return all(senders.count(s) >= 2 for s in self.manifest.data_station_ids())

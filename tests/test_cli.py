@@ -511,26 +511,39 @@ class TestDaemonLifecycle:
         )
 
 
-def _threads(pid: int) -> int:
+def _proc_status(pid: int, key: str) -> int:
+    """The first number on the ``key:`` line of /proc/<pid>/status."""
     for line in Path(f"/proc/{pid}/status").read_text().splitlines():
-        if line.startswith("Threads:"):
+        if line.startswith(f"{key}:"):
             return int(line.split()[1])
-    raise AssertionError(f"no Threads: line for pid {pid}")
+    raise AssertionError(f"no {key}: line for pid {pid}")
+
+
+def _threads(pid: int) -> int:
+    return _proc_status(pid, "Threads")
 
 
 class TestDaemonSoak:
     """Many runs against one set of long-lived daemons: completed runs,
-    manifests the TSE refuses, and a run whose station B is SIGKILLed
-    mid-run and restarted. Every broken run is wiped at the TSE, the next
-    run completes, and the TSE holds no more threads at the end than after
-    its first run."""
+    manifests the TSE refuses, a run station B refuses, and a run whose
+    station B is SIGKILLed mid-run and restarted. Every broken run is wiped
+    at the TSE, the next run completes, and at the end the TSE holds no more
+    threads than after its first run, and at most RSS_GROWTH_KB more
+    resident memory."""
 
     TSE_TIMEOUT_S = 2.0
+    # growth over the whole plan measured about 0.2 MB (2-core VM, Python 3.11)
+    RSS_GROWTH_KB = 4 * 1024
     # manifests every party, the TSE included, refuses at dispatch
     REFUSED = {
         "expired": {"expiry": "2000-01-01T00:00:00Z"},
         "foreign_anchor": {"anchor": "a"},  # signed by a key no station trusts
     }
+    # a manifest the TSE accepts and B refuses: B does not release "age"
+    B_REFUSES = {"data_requests": [
+        {"station_id": "A", "variables": ["age"]},
+        {"station_id": "B", "variables": ["income", "age"]},
+    ]}
 
     @pytest.fixture
     def soak(self, tmp_path):
@@ -587,20 +600,30 @@ class TestDaemonSoak:
         tse_pid = soak["procs"][2].pid
         soak["b_proc"] = soak["procs"][1]
         plan = [
-            "ok", "expired", "ok", "foreign_anchor", "ok", "kill_b", "ok",
-            "expired", "ok", "kill_b", "ok", "foreign_anchor", "ok", "ok",
+            "ok", "expired", "ok", "foreign_anchor", "ok", "kill_b", "ok", "b_refuses",
+            "expired", "ok", "kill_b", "ok", "foreign_anchor", "ok", "b_refuses", "ok",
         ]
-        baseline = None
+        baseline = rss_baseline = None
         for n, kind in enumerate(plan):
             run_id = f"run-soak-{n:02d}-{kind}"
             if kind == "kill_b":
                 self.kill_b_mid_run(soak, run_id)
             else:
-                result = self.submit(soak, run_id, **self.REFUSED.get(kind, {}))
+                overrides = self.B_REFUSES if kind == "b_refuses" else self.REFUSED.get(kind, {})
+                result = self.submit(soak, run_id, **overrides)
                 assert result.exit_code == (0 if kind == "ok" else 1), (run_id, result.output)
             if kind == "ok":
                 events = [e["event"] for e in self.tse_events(soak, run_id)]
                 assert "result_returned" in events and "abort_wiped" not in events, events
+            elif kind == "b_refuses":
+                assert "aborted: UnauthorizedVariable" in result.output, result.output
+                # B's Abort can reach the TSE before the TSE's own dispatch
+                # and be dropped; the researcher's cancel then wipes it
+                assert self.wait_for(lambda: [
+                    e["detail"] for e in self.tse_events(soak, run_id)
+                    if e["event"] in ("abort_wiped", "wiped")
+                ] in (["B: UnauthorizedVariable"], ["researcher: UnauthorizedVariable"])), (
+                    run_id, self.tse_events(soak, run_id))
             else:
                 # the researcher may hear B's refusal before the TSE has
                 # refused the dispatch it was sent first
@@ -615,9 +638,12 @@ class TestDaemonSoak:
                     counts.append(_threads(tse_pid))
                     time.sleep(0.02)
                 baseline = min(counts)
+                rss_baseline = _proc_status(tse_pid, "VmRSS")
         assert self.wait_for(lambda: _threads(tse_pid) <= baseline, timeout=5.0), (
             f"TSE threads grew from {baseline} to {_threads(tse_pid)}"
         )
+        rss = _proc_status(tse_pid, "VmRSS")
+        assert rss - rss_baseline <= self.RSS_GROWTH_KB, (rss_baseline, rss)
 
 
 class TestLogging:
@@ -748,6 +774,32 @@ class TestDaemonConfigErrors:
         assert result.exit_code == 2
         assert "BindError" in result.output
 
+
+    def test_encrypted_private_key_is_bad_config(self, tmp_path):
+        from cryptography.hazmat.primitives import serialization
+
+        runner = CliRunner()
+        assert runner.invoke(main, ["keygen", str(tmp_path / "k")]).exit_code == 0
+        key_path = tmp_path / "k" / "enc_private.pem"
+        key = serialization.load_pem_private_key(key_path.read_bytes(), password=None)
+        key_path.write_bytes(key.private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.BestAvailableEncryption(b"secret"),
+        ))
+        # a busy port: a TSE that got past its key would fail to bind
+        blocker = socket.create_server(("127.0.0.1", 0))
+        cfg = tmp_path / "tse.json"
+        cfg.write_text(json.dumps({
+            "station_id": "TSE", "role": "tse",
+            "listen": f"127.0.0.1:{blocker.getsockname()[1]}",
+            "trust_anchor_verify_key": "k/anchor_verify.pem",
+            "encryption_private_key": "k/enc_private.pem",
+        }))
+        with blocker:
+            result = runner.invoke(main, ["tse", "--config", str(cfg)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2, result.output
+        assert "error: BadConfig" in result.output and "encrypted" in result.output
 
     @pytest.mark.parametrize("command, changes, key", [
         ("station", {"listen": 7101}, "listen"),

@@ -277,3 +277,27 @@ class TestKeyIds:
         assert encryption_keypair_from_pem(enc_private) == kp
         assert derive_key_id(public_key_from_pem(enc_public), "enc") == kp.key_id
         assert signing_keys_from_pem(signing_keys_to_pem(sk)[0]) == sk
+
+    @pytest.mark.parametrize("kind", ["encryption", "signing"])
+    def test_encrypted_private_key_pem_is_refused_as_a_bad_key(self, kind):
+        from cryptography.hazmat.primitives import serialization
+
+        from phtlink.envelope import (
+            encryption_keypair_from_pem,
+            encryption_keypair_to_pem,
+            signing_keys_from_pem,
+            signing_keys_to_pem,
+        )
+
+        if kind == "encryption":
+            plain = encryption_keypair_to_pem(generate_encryption_keypair())[0]
+            load = encryption_keypair_from_pem
+        else:
+            plain = signing_keys_to_pem(generate_signing_keys())[0]
+            load = signing_keys_from_pem
+        encrypted = serialization.load_pem_private_key(plain, password=None).private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.BestAvailableEncryption(b"secret"),
+        )
+        with pytest.raises(ValueError, match="encrypted private keys are not supported"):
+            load(encrypted)

@@ -185,6 +185,14 @@ class TestCsvInterchange:
         write_dataset_csv(ds, tmp_path / "a.csv")
         assert read_dataset_csv(tmp_path / "a.csv").rows[0].payload == {"count": big}
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        # spreadsheet exports often start a UTF-8 CSV with EF BB BF
+        csv_path = tmp_path / "a.csv"
+        write_dataset_csv(self._dataset(), csv_path)
+        plain = read_dataset_csv(csv_path)
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        assert read_dataset_csv(csv_path) == plain
+
     def test_header_has_exact_linkage_field_names(self, tmp_path):
         write_dataset_csv(self._dataset(), tmp_path / "a.csv")
         header = (tmp_path / "a.csv").read_text().splitlines()[0]

@@ -8,6 +8,7 @@ import struct
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,7 +33,16 @@ from phtlink.stations import (
     TseActor,
     flip_bit,
 )
-from phtlink.wire import TYPE_DATA_TRANSFER, Abort, Ack, DataTransfer, TrainDispatch, encode
+from phtlink.wire import (
+    TYPE_DATA_TRANSFER,
+    Abort,
+    Ack,
+    DataTransfer,
+    ResultReturn,
+    TrainDispatch,
+    encode,
+    message_type_name,
+)
 from phtlink.synth import generate_population, generate_vertical_demo, SyntheticPopulationSpec
 
 
@@ -369,6 +379,36 @@ class TestRouter:
         router(cancels[0].message)
         assert built[0].storage.wiped and router.actors == {}
 
+    def test_station_deadline_ends_a_station_left_waiting(self):
+        """The TSE's dispatch was lost: B acked its own and waits in
+        Validated for a salt offer that never comes. At the deadline it
+        aborts with Timeout, tells the researcher and the TSE, and is
+        evicted."""
+        scn = demo_scenario()
+        b = DataStationActor(scn.setup.stations[1])
+        router = Router(lambda dispatch: b, 60.0)
+        run_id = scn.manifest.run_id
+        router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
+        assert b.phase == VALIDATED and router.actors == {run_id: b}
+        out = router.expire()
+        assert [(o.dest, type(o.message), o.message.reason) for o in out] == [
+            ("researcher", Abort, "Timeout"), ("TSE", Abort, "Timeout"),
+        ]
+        assert (b.audit.events[-1]["event"], b.audit.events[-1]["detail"]) == ("abort", "Timeout")
+        assert router.actors == {} and router.finished == {run_id}
+
+    def test_researcher_holding_late_acks_is_evicted_at_its_deadline(self):
+        scn = demo_scenario()
+        researcher = ResearcherActor("researcher", scn.manifest, {})
+        router = Router(timeout_s=60.0)
+        run_id = scn.manifest.run_id
+        router.add(run_id, researcher)
+        researcher.start()
+        router(ResultReturn(run_id, 1, "TSE", None))
+        assert researcher.done and not researcher.terminal and router.actors
+        assert router.expire() == []
+        assert router.actors == {} and researcher.outcome == ("completed", None)
+
     def test_frame_for_unknown_run_is_dropped_and_logged(self, caplog):
         scn = demo_scenario()
         router, built = _tse_router(scn)
@@ -625,6 +665,118 @@ class TestHandlerRaises:
         assert {(o.dest, o.message.reason) for o in out} >= {("researcher", "RuntimeError: boom")}
         assert router.actors == {} and router.finished == {run_id}
         assert any("RuntimeError: boom" in r.message for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# Every frame of a run lost, duplicated or delayed
+# ---------------------------------------------------------------------------
+
+#: the frames an in-process run sends, in order, as (destination, type)
+RUN_FRAMES = [
+    ("B", "TrainDispatch"), ("TSE", "TrainDispatch"),
+    ("researcher", "Ack"), ("researcher", "Ack"),  # B's, then the TSE's
+    ("A", "TrainDispatch"), ("researcher", "Ack"),
+    ("B", "SaltOffer"), ("A", "Ack"),
+    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # B's data
+    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # A's data
+    ("researcher", "ResultReturn"),
+]
+
+
+class _FaultyPump:
+    """`network._pump_inproc` with one fault on the ``k``-th frame sent:
+    "drop" loses it, "duplicate" delivers it twice, "delay" delivers it
+    after the next frame to the same destination, or once the run has
+    nothing else left to deliver. It keeps the routers, to count the
+    actors left in them."""
+
+    def __init__(self, fault: str | None = None, k: int = -1):
+        self.fault, self.k = fault, k
+        self.sent: list[tuple[str, str]] = []
+        self.routers: dict[str, Router] = {}
+
+    def __call__(self, routers, researcher, ledger) -> None:
+        self.routers = routers
+        queues = {aid: deque() for aid in routers}
+        held: dict[str, bytes] = {}
+        researcher.endpoints = {aid: f"inproc:{aid}" for aid in routers}
+
+        def post(outgoing):
+            for out in outgoing:
+                frame = encode(out.message)
+                copies = [frame]
+                if len(self.sent) == self.k:
+                    copies = [frame, frame] if self.fault == "duplicate" else []
+                    if self.fault == "delay":
+                        held[out.dest] = frame
+                elif out.dest in held:
+                    copies.append(held.pop(out.dest))
+                self.sent.append((out.dest, message_type_name(out.message)))
+                queues[out.dest].extend(copies)
+
+        post(researcher.start())
+        while True:
+            progress = False
+            for aid in sorted(routers):
+                if queues[aid]:
+                    post(network._receive(aid, routers[aid], queues[aid].popleft(), ledger))
+                    progress = True
+            if progress:
+                continue
+            if held:
+                for dest in list(held):
+                    queues[dest].append(held.pop(dest))
+                continue
+            for router in routers.values():
+                post(router.expire())
+            if not any(queues.values()):
+                return
+
+
+class TestFaultMatrix:
+    """Each of a run's 13 frames is dropped, duplicated or delayed in turn,
+    in both linkage modes. Every run ends with a result or a named reason;
+    a TSE that was dispatched is wiped and empty; at most one result is
+    accepted; and no data station or TSE is left live in its router, since
+    each ends the run at its deadline.
+
+    The researcher alone may be left live, and only when the lost frame was
+    addressed to it: `run_network` gives it no deadline. A lost station Ack
+    (frames 5, 9 and 11) leaves a completed run waiting for that Ack; a lost
+    ResultReturn (frame 12) ends the run "Stalled", with the TSE wiped."""
+
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_fault_free_run_sends_the_listed_frames(self, monkeypatch, mode):
+        pump = _FaultyPump()
+        monkeypatch.setattr(network, "_pump_inproc", pump)
+        scn = make_scenario(*generate_vertical_demo(60, 20, seed=3),
+                            linkage=LinkageParams(mode=mode))
+        assert run_network(scn.setup).completed
+        assert pump.sent == RUN_FRAMES
+
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    @pytest.mark.parametrize("fault", ["drop", "duplicate", "delay"])
+    @pytest.mark.parametrize("k", range(len(RUN_FRAMES)))
+    def test_every_party_ends_the_run(self, monkeypatch, mode, fault, k):
+        pump = _FaultyPump(fault, k)
+        monkeypatch.setattr(network, "_pump_inproc", pump)
+        scn = make_scenario(*generate_vertical_demo(60, 20, seed=3),
+                            linkage=LinkageParams(mode=mode))
+        out = run_network(scn.setup)
+
+        assert out.completed or out.reason, (out.outcome, out.reason)
+        if out.audit_logs["TSE"]:  # the TSE was dispatched
+            assert out.storage.wiped
+        assert out.storage.inventory() == ()
+        accepted = [e for e in out.audit_logs["researcher"] if e["event"] == "result_returned"]
+        assert len(accepted) <= 1
+        assert {aid: list(router.actors) for aid, router in pump.routers.items()
+                if aid != "researcher"} == {"A": [], "B": [], "TSE": []}
+        if pump.routers["researcher"].actors:
+            assert fault == "drop" and RUN_FRAMES[k][0] == "researcher", out.reason
+        if (fault, k) == ("drop", 12):
+            assert (out.outcome, out.reason) == ("aborted", "Stalled")
+            assert out.storage.wiped
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .stations import (
     TseConfig,
 )
 from .synth import SyntheticPopulationSpec, generate_population, generate_vertical_demo
-from .wire import TrainDispatch
 
 PRIVATE_MODE = 0o600
 
@@ -230,7 +229,6 @@ class StationConfigFile:
     allow_variables: tuple[str, ...] = ()
     peer_encryption_public_keys: dict[str, str] = field(default_factory=dict)  # id -> PEM
     descriptor: str | None = None
-    endpoints: dict[str, str] = field(default_factory=dict)  # actor id -> address
     audit_log: str | None = None
 
 
@@ -243,7 +241,6 @@ class TseConfigFile:
     listen: str  # host:port
     trust_anchor_verify_key: str
     encryption_private_key: str
-    endpoints: dict[str, str] = field(default_factory=dict)  # actor id -> address
     audit_log: str | None = None
     timeout_s: float = 60.0
 
@@ -268,17 +265,12 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_actor,
            timeout_s: float, wipe_on_exit: bool = False):
-    """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run;
-    a run still live ``timeout_s`` after its dispatch is ended here."""
-    address_book: dict[str, str] = dict(cfg.endpoints)
-
-    def factory(dispatch: TrainDispatch):
-        address_book.update(dispatch.endpoints)  # where this run's parties listen
-        return new_actor()
-
-    router = Router(factory, timeout_s)
+    """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run,
+    which answers the run's parties at the addresses its dispatch names; a
+    run still live ``timeout_s`` after its dispatch is ended here."""
+    router = Router(lambda dispatch: new_actor(), timeout_s)
     try:
-        node = TcpNode(cfg.station_id, router, address_book, host=listen[0], port=listen[1])
+        node = TcpNode(cfg.station_id, router, host=listen[0], port=listen[1])
     except OSError as exc:
         _fail("BindError", str(exc))
     stop = threading.Event()
@@ -443,14 +435,13 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
         manifest = sign_manifest(manifest, _load_signing_keys(anchor_key))
     except (BadConfig, PhtError, OSError, ValueError) as exc:
         _fail("BadDraft", str(exc))
-    endpoints = dict(draft.endpoints)
 
     started = time.perf_counter()
     # at the deadline the researcher aborts with Timeout and cancels the run
     # at every party it dispatched
     router = Router(timeout_s=timeout_s)
-    node = TcpNode(manifest.researcher_id, router, endpoints)
-    endpoints[manifest.researcher_id] = node.address
+    node = TcpNode(manifest.researcher_id, router)
+    endpoints = {**draft.endpoints, manifest.researcher_id: node.address}
     researcher = ResearcherActor(manifest.researcher_id, manifest, endpoints)
     done = router.add(manifest.run_id, researcher)
     node.post(researcher.start())  # before the worker runs

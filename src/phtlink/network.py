@@ -10,7 +10,8 @@ byte-scans), all audit logs and the TSE storage handle (for deletion checks).
 
 Per-sender message order is preserved by construction: the in-process engine
 uses FIFO queues; over TCP one worker thread per node does all its sending,
-in inbox order, over one long-lived connection per destination, so the
+in inbox order, over one long-lived connection per destination, to the
+address the run's dispatch named (`Outgoing.address`), so the
 researcher's cancel follows its dispatch. Cross-sender interleaving is
 unspecified, so traces are compared per channel, never globally; the
 researcher dispatches the salt initiator last (see ResearcherActor), so a
@@ -42,15 +43,15 @@ from .stations import (
     TseConfig,
     TseStorage,
 )
-from .wire import TrainDispatch, decode, encode, message_type_name, read_frame
+from .wire import Abort, TrainDispatch, decode, encode, message_type_name, read_frame
 
 DEFAULT_TSE_TIMEOUT = 60.0
 
 log = logging.getLogger("phtlink")
 
 
-def _drop(run_id: str, sender: str, reason: str, **kwargs) -> None:
-    log.warning("dropped: run_id=%s sender=%s reason=%s", run_id, sender, reason, **kwargs)
+def _drop(run_id: str, sender: str, reason: str, level=logging.WARNING, **kwargs) -> None:
+    log.log(level, "dropped: run_id=%s sender=%s reason=%s", run_id, sender, reason, **kwargs)
 
 
 @dataclass
@@ -121,7 +122,10 @@ class Router:
     """Routes each message to its run's actor, one actor per run.
 
     ``factory`` builds the actor when the run's TrainDispatch arrives; a
-    frame for a run without an actor is dropped and logged. An actor is
+    frame for a run without an actor is dropped and logged, at INFO where a
+    run's end makes it expected (anything but a dispatch for a finished run,
+    or an Abort that overtook its run's dispatch) and at WARNING otherwise
+    (a replayed dispatch, any other frame for an unknown run). An actor is
     evicted once terminal and only its run id is kept, so a replayed dispatch
     starts nothing. With ``timeout_s`` set, each run gets a deadline that many
     seconds after its dispatch, delivered to its actor as TimeoutExpired: a
@@ -151,10 +155,12 @@ class Router:
         """Hand ``msg`` to its run's actor; returns the messages to send."""
         actor = self.actors.get(msg.run_id)
         if actor is None:
-            finished = msg.run_id in self.finished
-            if finished or self.factory is None or not isinstance(msg, TrainDispatch):
+            finished, dispatch = msg.run_id in self.finished, isinstance(msg, TrainDispatch)
+            if finished or self.factory is None or not dispatch:
                 state = "a finished" if finished else "an unknown"
-                _drop(msg.run_id, msg.sender, f"{message_type_name(msg)} for {state} run")
+                late = not dispatch if finished else isinstance(msg, Abort)
+                _drop(msg.run_id, msg.sender, f"{message_type_name(msg)} for {state} run",
+                      logging.INFO if late else logging.WARNING)
                 return []
             actor = self.factory(msg)
             self.add(msg.run_id, actor)
@@ -233,7 +239,7 @@ def run_network(
     tse = actors[setup.tse.station_id] = TseActor(setup.tse)
     ledger = Ledger()
     # each prebuilt actor is installed by its router at its own dispatch;
-    # every party but the researcher ends the run at the TSE's deadline
+    # every party ends the run at the TSE's deadline
     routers = {
         aid: Router(lambda msg, actor=actor: actor, tse_timeout, ledger)
         for aid, actor in actors.items()
@@ -241,7 +247,7 @@ def run_network(
     researcher = actors[manifest.researcher_id] = ResearcherActor(
         manifest.researcher_id, manifest, {}
     )
-    routers[manifest.researcher_id] = Router(ledger=ledger)
+    routers[manifest.researcher_id] = Router(timeout_s=tse_timeout, ledger=ledger)
     done = routers[manifest.researcher_id].add(manifest.run_id, researcher)
 
     if transport == "inproc":
@@ -293,10 +299,8 @@ def _pump_inproc(routers: dict[str, Router], researcher, ledger) -> None:
 
 
 def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:
-    address_book: dict[str, str] = {}
-    nodes = {aid: TcpNode(aid, router, address_book) for aid, router in routers.items()}
-    address_book.update({aid: node.address for aid, node in nodes.items()})
-    researcher.endpoints = dict(address_book)
+    nodes = {aid: TcpNode(aid, router) for aid, router in routers.items()}
+    researcher.endpoints = {aid: node.address for aid, node in nodes.items()}
     nodes[researcher.station_id].post(researcher.start())  # before any worker runs
     for node in nodes.values():
         node.start()
@@ -321,18 +325,10 @@ class TcpNode:
     the worker calls the handler or writes a socket; readers and `post` put
     on the inbox, so the node sends in the order its inbox was handled."""
 
-    def __init__(
-        self,
-        node_id: str,
-        handler,
-        address_book: dict[str, str],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
+    def __init__(self, node_id: str, handler, host: str = "127.0.0.1", port: int = 0):
         self.node_id = node_id
         self.handler = handler
         self.router = handler if isinstance(handler, Router) else Router()
-        self.address_book = address_book
         self._server = socket.create_server((host, port))
         self.address = "{}:{}".format(*self._server.getsockname())
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
@@ -375,7 +371,10 @@ class TcpNode:
 
     def _worker_loop(self) -> None:
         while True:
+            # counted like a frame: a deadline ends its run before its aborts leave
+            self._in_flight(1)
             self._send_all(self.router.expire(time.monotonic()))
+            self._in_flight(-1)
             deadline = self.router.next_deadline()
             wait = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
@@ -403,7 +402,7 @@ class TcpNode:
         for out in outgoing:
             frame = encode(out.message)
             self._in_flight(1)  # counted before it can arrive, so never below zero
-            error = self._send(out.dest, frame)
+            error = self._send(out, frame)
             if error is not None:
                 _drop(out.message.run_id, self.node_id, f"send to {out.dest!r} failed: {error}")
                 self._in_flight(-1)
@@ -413,16 +412,16 @@ class TcpNode:
         if cached is not None:
             cached[1].close()
 
-    def _send(self, dest: str, frame: bytes) -> str | None:
-        """Send one frame; returns why it could not be sent, or None."""
-        address = self.address_book.get(dest)
+    def _send(self, out: Outgoing, frame: bytes) -> str | None:
+        """Send ``out``, encoded as ``frame``; returns why it could not be sent, or None."""
+        dest, address = out.dest, out.address
         if address is None:
             return "unroutable destination"
         for _ in range(2):  # one reconnect retry on a dead cached connection
             cached = self._conns.get(dest)
             try:
                 if cached is None or cached[0] != address:
-                    self._drop_conn(dest)  # a peer that reappears elsewhere
+                    self._drop_conn(dest)  # the peer moved, or it is another run's
                     host, port = address.rsplit(":", 1)
                     conn = socket.create_connection((host, int(port)), timeout=5.0)
                     cached = self._conns[dest] = (address, conn)

@@ -5,7 +5,8 @@ and returns the messages to emit. Actors never touch a transport, so the
 same code runs over in-process queues and TCP sockets. All three share one
 base, `_Party`, which stamps every message header, writes every audit entry,
 checks per-sender order and ends the run at its deadline; a subclass gives
-only its steps, one per message type, and its answer to a bad message.
+only its steps, one per message type, and its answer to a bad message. A
+party sends to the addresses its run's dispatch named, and to no others.
 
 Data station phases:  Idle -> Validated -> SaltAgreed -> Sent (Done on failure)
 TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
@@ -78,6 +79,7 @@ def utcnow() -> dt.datetime:
 class Outgoing:
     dest: str
     message: Message
+    address: str | None  # where the run's dispatch says ``dest`` listens
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,8 @@ class _Party:
     unless the party is already terminal, hands a message whose seq is not
     above its sender's last to ``_out_of_order``, and any other to the step
     ``_steps`` maps its type to, or to ``_unexpected``. A subclass gives the
-    steps, ``abort`` and ``terminal``."""
+    steps, ``abort`` and ``terminal``. ``endpoints`` maps each party of the
+    run to its address: a station or TSE takes it from its dispatch."""
 
     #: message type -> the step that handles it
     _steps: dict = {}
@@ -172,6 +175,7 @@ class _Party:
         self.phase = IDLE
         self.audit = AuditLog(audit_path)
         self._run_id = run_id  # a station or TSE learns it from its dispatch
+        self.endpoints: dict[str, str] = {}
         self._seq = 0
         self._last_seen: dict[str, int] = {}
 
@@ -179,7 +183,8 @@ class _Party:
         """The next message of this party's run to ``dest``: a ``cls`` with
         ``fields`` after the header; "?" stands for a run not yet known."""
         self._seq += 1
-        return Outgoing(dest, cls(self._run_id or "?", self._seq, self.station_id, *fields))
+        message = cls(self._run_id or "?", self._seq, self.station_id, *fields)
+        return Outgoing(dest, message, self.endpoints.get(dest))
 
     def _log(self, event: str, detail: str = "", phase: str | None = None) -> None:
         """Audit ``event`` under this party's run, in ``phase`` or the current one."""
@@ -274,6 +279,7 @@ class DataStationActor(_Party):
             return self.abort(f"UnexpectedMessage(TrainDispatch in {self.phase})")
         self._manifest = msg.manifest
         self._run_id = msg.run_id
+        self.endpoints = dict(msg.endpoints)
 
         verdict = validate_train(
             msg.manifest,
@@ -514,6 +520,7 @@ class TseActor(_Party):
             return self.abort("DuplicateRun")
         self._manifest = msg.manifest
         self._run_id = msg.run_id
+        self.endpoints = dict(msg.endpoints)
         verdict = validate_train(msg.manifest, self.config.trust_anchor_verify, utcnow())
         if not verdict.accepted:
             return self.abort(verdict.reason, detail=verdict.detail)

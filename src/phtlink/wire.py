@@ -16,7 +16,8 @@ SealedPackage.to_bytes lays it out. There is no reader for version 1.
 
 Every message carries run_id, a per-sender monotonically increasing sequence
 number, and the sender id. Oversized lengths are rejected from the header
-alone, before any payload is read; every length inside a payload is read by
+alone, before any payload is read, and a frame read off a stream grows only
+with the bytes that have arrived; every length inside a payload is read by
 encoding.read_field, and whatever does not fit raises DecodeError. The JSON
 holds a message's dataclass fields and is read back by
 encoding.block_from_dict, so an unknown or missing key, in the message, the
@@ -42,6 +43,7 @@ MAGIC = b"PHT1"
 VERSION = 0x02
 HEADER_LEN = 10
 MAX_PAYLOAD = 256 * 1024 * 1024
+READ_CHUNK = 64 * 1024  # the most read_frame allocates ahead of what arrived
 
 TYPE_TRAIN_DISPATCH = 0x01
 TYPE_ACK = 0x02
@@ -195,30 +197,28 @@ def read_frame(stream) -> bytearray | None:
     """Read one whole frame from a socket-like file object; None on EOF.
 
     The length check happens on the header alone, so an oversized frame is
-    rejected before its payload is pulled off the wire. The payload is read
-    straight into the one buffer the frame is returned in.
+    rejected before its payload is pulled off the wire. The frame then grows
+    by what the stream delivers, at most READ_CHUNK bytes at a time, so a
+    header that claims more than its sender sends holds no memory for the
+    rest.
     """
-    header = bytearray(HEADER_LEN)
-    got = _read_into(stream, memoryview(header))
-    if got == 0:
+    frame = bytearray()
+    _read_until(stream, frame, HEADER_LEN)
+    if not frame:
         return None
-    if got < HEADER_LEN:
-        raise DecodeError(got, "truncated header")
-    _, length = check_header(header)
-    frame = bytearray(HEADER_LEN + length)
-    frame[:HEADER_LEN] = header
-    got = _read_into(stream, memoryview(frame)[HEADER_LEN:])
-    if got < length:
-        raise DecodeError(HEADER_LEN + got, "truncated payload")
+    _, length = check_header(frame)  # a short header is truncated
+    _read_until(stream, frame, HEADER_LEN + length)
+    if len(frame) < HEADER_LEN + length:
+        raise DecodeError(len(frame), "truncated payload")
     return frame
 
 
-def _read_into(stream, buf: memoryview) -> int:
-    """Fill ``buf`` from ``stream``; returns the byte count, short only at EOF."""
-    got = 0
-    while got < len(buf):
-        n = stream.readinto(buf[got:])
+def _read_until(stream, frame: bytearray, size: int) -> None:
+    """Append what ``stream`` delivers to ``frame`` until it holds ``size``
+    bytes or the stream ends."""
+    chunk = memoryview(bytearray(min(READ_CHUNK, size - len(frame))))
+    while len(frame) < size:
+        n = stream.readinto(chunk[:size - len(frame)])
         if not n:
-            break
-        got += n
-    return got
+            return
+        frame += chunk[:n]

@@ -3,6 +3,7 @@
 import io
 import json
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +188,17 @@ class TestReadFrame:
             read_frame(stream)
         # nothing past the header was consumed
         assert stream.tell() == HEADER_LEN
+
+    def test_claimed_length_is_not_allocated_before_it_arrives(self):
+        header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 100 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="truncated payload"):
+                read_frame(io.BytesIO(header))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _transfer(plaintext=b"\x05" * 300):

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .encoding import block_from_dict, canonical_json_bytes, check_types
-from .errors import TypeMismatch, UnknownVariable
+from .errors import BinBudgetExceeded, TypeMismatch, UnknownVariable
 from .model import Columns, Dataset
 
 TOTAL_LABEL = "(all)"
@@ -26,6 +26,9 @@ TOTAL_LABEL = "(all)"
 KIND_DESCRIPTIVE = "descriptive"
 KIND_CROSSTAB = "crosstab"
 KIND_BINNED = "binned_association"
+#: Most bins a binned association's bin_width may ask for; past it the
+#: analysis raises BinBudgetExceeded before it builds any edge.
+MAX_BINS = 10**5
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,14 @@ def _edges_for(values: list[float], spec: AnalysisSpec) -> list[float]:
     if not values:
         return []
     width = float(spec.bin_width)
-    start = math.floor(min(values) / width) * width
+    low, high = min(values), max(values)
+    # a width under twice the float spacing at the values could leave an
+    # edge where it is, so the loop below would never reach the top
+    if (high - low) / width > MAX_BINS or width < 2 * math.ulp(max(abs(low), abs(high))):
+        raise BinBudgetExceeded(width, MAX_BINS)
+    start = math.floor(low / width) * width
     edges = [start]
-    while edges[-1] <= max(values):
+    while edges[-1] <= high:
         edges.append(edges[-1] + width)
     return edges
 

@@ -65,6 +65,13 @@ class CandidateBudgetExceeded(PhtError):
         super().__init__(f"{candidates} candidate pairs exceed the limit of {limit}")
 
 
+class BinBudgetExceeded(PhtError):
+    """A bin_width asks for more bins than one binned association may build."""
+
+    def __init__(self, width: float, limit: int):
+        super().__init__(f"bin_width {width} asks for more than {limit} bins")
+
+
 class SchemaCollision(PhtError):
     """Merged schema still collides after station-id prefixing."""
 

@@ -9,13 +9,11 @@ message trace, every raw frame each endpoint received (for privacy
 byte-scans), all audit logs and the TSE storage handle (for deletion checks).
 
 Per-sender message order is preserved by construction: the in-process engine
-uses FIFO queues; over TCP one worker thread per node does all its sending,
-in inbox order, over one long-lived connection per destination, to the
-address the run's dispatch named (`Outgoing.address`), so the
-researcher's cancel follows its dispatch. Cross-sender interleaving is
-unspecified, so traces are compared per channel, never globally; the
-researcher dispatches the salt initiator last (see ResearcherActor), so a
-run's outcome does not depend on that interleaving.
+uses FIFO queues, and a TCP node sends over one connection per address (see
+TcpNode), so the researcher's cancel follows its dispatch. Cross-sender
+interleaving is unspecified, so traces are compared per channel, never
+globally; the researcher dispatches the salt initiator last (see
+ResearcherActor), so a run's outcome does not depend on that interleaving.
 """
 
 from __future__ import annotations
@@ -23,12 +21,12 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import queue
 import socket
 import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 
 from .analysis import ValidatedResult
 from .errors import DecodeError
@@ -43,7 +41,7 @@ from .stations import (
     TseConfig,
     TseStorage,
 )
-from .wire import Abort, TrainDispatch, decode, encode, message_type_name, read_frame
+from .wire import Abort, TrainDispatch, decode, encode, message_type_name, take_frame
 
 DEFAULT_TSE_TIMEOUT = 60.0
 
@@ -129,10 +127,10 @@ class Router:
     evicted once terminal and only its run id is kept, so a replayed dispatch
     starts nothing. With ``timeout_s`` set, each run gets a deadline that many
     seconds after its dispatch, delivered to its actor as TimeoutExpired: a
-    TCP worker waits on its inbox only until the next deadline, the
-    in-process transport lets every deadline fall due once the run is
-    quiescent. ``ledger``, shared by the nodes of one `run_network` run,
-    records what they received."""
+    TCP node's loop sleeps only until the next deadline, the in-process
+    transport lets every deadline fall due once the run is quiescent.
+    ``ledger``, shared by the nodes of one `run_network` run, records what
+    they received."""
 
     def __init__(self, factory=None, timeout_s: float | None = None, ledger: Ledger | None = None):
         self.factory = factory
@@ -301,7 +299,7 @@ def _pump_inproc(routers: dict[str, Router], researcher, ledger) -> None:
 def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:
     nodes = {aid: TcpNode(aid, router) for aid, router in routers.items()}
     researcher.endpoints = {aid: node.address for aid, node in nodes.items()}
-    nodes[researcher.station_id].post(researcher.start())  # before any worker runs
+    nodes[researcher.station_id].post(researcher.start())  # before any loop runs
     for node in nodes.values():
         node.start()
     try:
@@ -315,138 +313,176 @@ def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:
 # TCP transport
 # ---------------------------------------------------------------------------
 
-class TcpNode:
-    """One endpoint: a listening socket, a reader thread per inbound
-    connection, a single worker thread handling the inbox in arrival order,
-    and one persistent client connection per destination.
+#: A peer that takes no owed byte for this long loses its connection: a run's default
+#: deadline, far longer than one handler may keep a peer from reading (about 7 s at most)
+SEND_TIMEOUT_S = DEFAULT_TSE_TIMEOUT
+ACCEPT_PAUSE_S = 0.1  # after a failed accept, the node stops accepting for this long
+READ_CHUNK = 64 * 1024  # the most one read takes off a socket
 
-    ``handler`` is called with each decoded message and returns the messages
-    to send; a Router also supplies the node's deadlines and ledger. Only
-    the worker calls the handler or writes a socket; readers and `post` put
-    on the inbox, so the node sends in the order its inbox was handled."""
+
+class _Conn:
+    """A socket the loop serves, the bytes read of its next frame and the frames it owes."""
+
+    def __init__(self, sock: socket.socket, address: str | None, selector):
+        sock.setblocking(False)
+        selector.register(sock, EVENT_READ, self)
+        self.sock, self.address, self.buf, self.taken_at = sock, address, bytearray(), 0.0
+        self.owed: deque[tuple[Outgoing, memoryview]] = deque()  # oldest first
+
+
+class TcpNode:
+    """One endpoint on one thread: a `selectors` loop that accepts, reads and
+    writes every socket without blocking, hands each whole frame's message to
+    ``handler`` (a Router also supplies deadlines and a ledger) in arrival
+    order, and sends what it returns on one connection per address as that
+    socket takes it, so frames to one address keep their order."""
 
     def __init__(self, node_id: str, handler, host: str = "127.0.0.1", port: int = 0):
-        self.node_id = node_id
-        self.handler = handler
+        self.node_id, self.handler = node_id, handler
         self.router = handler if isinstance(handler, Router) else Router()
-        self._server = socket.create_server((host, port))
+        self._server = socket.create_server((host, port))  # first: a BindError leaks nothing
         self.address = "{}:{}".format(*self._server.getsockname())
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        # per-destination connection, with the address it was opened to
-        self._conns: dict[str, tuple[str, socket.socket]] = {}
-        self._lock = threading.Lock()  # guards _stopped and _readers
-        self._stopped = False
-        self._readers: dict[threading.Thread, socket.socket] = {}
-        self._accept = threading.Thread(target=self._accept_loop, daemon=True)
+        self._wake_r, self._wake = socket.socketpair()  # post() writes a byte, stop() closes
+        self._selector = DefaultSelector()
+        for sock in (self._server, self._wake_r):
+            sock.setblocking(False)
+            self._selector.register(sock, EVENT_READ)
+        self._accept_at = math.inf  # when to accept again after an accept failed
+        self._conns: dict[str, _Conn] = {}  # the connections it opened, by address
+        self._posted: deque[list[Outgoing]] = deque()
         self._worker = threading.Thread(target=self._worker_loop, daemon=True)
 
     def start(self) -> None:
-        self._accept.start()
         self._worker.start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                return  # stop() shut the listening socket down
-            with self._lock:
-                if self._stopped:
-                    conn.close()
-                    return
-                reader = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
-                self._readers[reader] = conn
-                reader.start()
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        try:
-            with conn, conn.makefile("rb") as stream:
-                while (frame := read_frame(stream)) is not None:
-                    self._inbox.put(frame)
-        except (DecodeError, OSError) as exc:
-            _drop("?", "?", f"connection to {self.node_id} dropped: {exc}")
-        finally:
-            with self._lock:
-                self._readers.pop(threading.current_thread(), None)
 
     def _worker_loop(self) -> None:
         while True:
-            # counted like a frame: a deadline ends its run before its aborts leave
-            self._in_flight(1)
-            self._send_all(self.router.expire(time.monotonic()))
-            self._in_flight(-1)
-            deadline = self.router.next_deadline()
-            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-            try:
-                item = self._inbox.get(timeout=wait)
-            except queue.Empty:
-                continue
-            if item is None:  # stop() was called
-                return
-            if not isinstance(item, list):  # a frame, not a post()
-                item = _receive(self.node_id, self.handler, item, self.router.ledger)
-            self._send_all(item)
-            self._in_flight(-1)
+            self._in_flight(1)  # like a frame: counted while a deadline ends a run and sends
+            self._settle(self.router.expire(time.monotonic()))
+            while self._posted:  # each post wrote a byte after it, to wake this loop
+                self._settle(self._posted.popleft())
+            now = time.monotonic()
+            if self._accept_at <= now:
+                self._selector.register(self._server, EVENT_READ)
+                self._accept_at = math.inf
+            wake = min(self.router.next_deadline() or math.inf, self._accept_at)
+            for conn in [conn for conn in self._conns.values() if conn.owed]:
+                if conn.taken_at + SEND_TIMEOUT_S <= now:
+                    self._flush(conn)  # the peer may have taken bytes while a handler ran
+                if conn.owed and conn.taken_at + SEND_TIMEOUT_S <= now:
+                    self._close(conn, "timed out")
+                elif conn.owed:
+                    wake = min(wake, conn.taken_at + SEND_TIMEOUT_S)
+            if self._wake_r.fileno() < 0 and not any(c.owed for c in self._conns.values()):
+                return  # stopped, and every frame owed has left or failed
+            timeout = None if wake == math.inf else max(0.0, wake - now)
+            for key, events in self._selector.select(timeout):
+                if key.fileobj is self._server:
+                    try:
+                        _Conn(self._server.accept()[0], None, self._selector)
+                    except OSError:  # out of descriptors, say: the socket stays readable
+                        self._selector.unregister(self._server)
+                        self._accept_at = time.monotonic() + ACCEPT_PAUSE_S
+                elif key.fileobj is self._wake_r:
+                    if not self._wake_r.recv(READ_CHUNK):  # stop() closed the other end:
+                        self._selector.unregister(self._wake_r)  # serve until nothing is owed
+                        self._wake_r.close()
+                elif key.fileobj.fileno() >= 0:  # not closed earlier in this batch
+                    if events & EVENT_WRITE:
+                        self._flush(key.data)
+                    if events & EVENT_READ and key.fileobj.fileno() >= 0:
+                        self._read(key.data)
 
     def _in_flight(self, n: int) -> None:
         if self.router.ledger is not None:
             self.router.ledger.add_in_flight(n)
 
     def post(self, outgoing: list[Outgoing]) -> None:
-        """Queue messages for the worker to send; safe from any thread."""
-        self._in_flight(1)  # like a frame, counted until the worker handled it
-        self._inbox.put(list(outgoing))
+        """Hand messages to the loop to send; safe from any thread."""
+        self._in_flight(1)  # like a frame, counted until the loop handled it
+        self._posted.append(list(outgoing))
+        self._wake.send(b"\0")
 
-    def _send_all(self, outgoing: list[Outgoing]) -> None:
-        """Encode and send each message; called on the worker thread only."""
+    def _read(self, conn: _Conn) -> None:
+        """Read what arrived on ``conn`` and handle each frame it completes."""
+        try:
+            data = conn.sock.recv(READ_CHUNK)
+        except OSError as exc:
+            return self._close(conn, str(exc))
+        if not data:  # the peer closed, in the middle of a frame if bytes are left
+            return self._close(conn, "closed by peer" if conn.buf or conn.owed else None)
+        conn.buf += data
+        try:
+            while (frame := take_frame(conn.buf)) is not None:
+                self._settle(_receive(self.node_id, self.handler, frame, self.router.ledger))
+        except DecodeError as exc:
+            self._close(conn, str(exc))
+
+    def _settle(self, outgoing: list[Outgoing]) -> None:
+        """Send what one frame, post or deadline gave, and count that one handled."""
         for out in outgoing:
-            frame = encode(out.message)
             self._in_flight(1)  # counted before it can arrive, so never below zero
-            error = self._send(out, frame)
-            if error is not None:
-                _drop(out.message.run_id, self.node_id, f"send to {out.dest!r} failed: {error}")
-                self._in_flight(-1)
+            self._send(out, encode(out.message))
+        self._in_flight(-1)
 
-    def _drop_conn(self, dest: str) -> None:
-        cached = self._conns.pop(dest, None)
-        if cached is not None:
-            cached[1].close()
+    def _failed(self, out: Outgoing, error: str) -> None:
+        _drop(out.message.run_id, self.node_id, f"send to {out.dest!r} failed: {error}")
+        self._in_flight(-1)
 
-    def _send(self, out: Outgoing, frame: bytes) -> str | None:
-        """Send ``out``, encoded as ``frame``; returns why it could not be sent, or None."""
-        dest, address = out.dest, out.address
-        if address is None:
-            return "unroutable destination"
-        for _ in range(2):  # one reconnect retry on a dead cached connection
-            cached = self._conns.get(dest)
+    def _send(self, out: Outgoing, frame: bytes) -> None:
+        """Owe ``frame`` to ``out.address``'s connection, opened by the first frame to it."""
+        if out.address is None:
+            return self._failed(out, "unroutable destination")
+        conn = self._conns.get(out.address)
+        if conn is None:
             try:
-                if cached is None or cached[0] != address:
-                    self._drop_conn(dest)  # the peer moved, or it is another run's
-                    host, port = address.rsplit(":", 1)
-                    conn = socket.create_connection((host, int(port)), timeout=5.0)
-                    cached = self._conns[dest] = (address, conn)
-                cached[1].sendall(frame)
-                return None
+                host, port = out.address.rsplit(":", 1)
+                family, kind, proto, _, sockaddr = socket.getaddrinfo(
+                    host, int(port), type=socket.SOCK_STREAM)[0]
+                conn = _Conn(socket.socket(family, kind, proto), out.address, self._selector)
             except (OSError, ValueError) as exc:  # ValueError: a malformed address
-                self._drop_conn(dest)
-                error = str(exc)
-        return error
+                return self._failed(out, str(exc))
+            self._conns[out.address] = conn
+            conn.sock.connect_ex(sockaddr)  # the first write or read tells how it ended
+        if not conn.owed:
+            conn.taken_at = time.monotonic()
+        conn.owed.append((out, memoryview(frame)))
+        self._flush(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        """Write what the socket takes of the frames ``conn`` owes."""
+        try:
+            while conn.owed:
+                out, view = conn.owed[0]
+                sent = conn.sock.send(view)
+                conn.taken_at = time.monotonic()
+                if sent < len(view):
+                    conn.owed[0] = (out, view[sent:])
+                    break
+                conn.owed.popleft()
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            return self._close(conn, str(exc))
+        self._selector.modify(conn.sock, EVENT_READ | (EVENT_WRITE if conn.owed else 0), conn)
+
+    def _close(self, conn: _Conn, error: str | None) -> None:
+        """Close ``conn``; each frame it still owed is a failed send."""
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        self._conns.pop(conn.address, None)
+        if error is not None and not conn.owed:
+            _drop("?", "?", f"connection at {self.node_id} dropped: {error}")
+        while conn.owed:
+            self._failed(conn.owed.popleft()[0], error)
 
     def stop(self) -> None:
-        """Stop serving and release every thread and socket the node holds."""
-        with self._lock:
-            self._stopped = True  # from here on no reader thread is added
-            readers = dict(self._readers)
-        # shutdown() wakes a thread blocked in accept() or recv(); close() does not
-        for sock in (self._server, *readers.values()):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._server.close()
-        self._inbox.put(None)
-        for thread in (self._accept, *readers, self._worker):
-            if thread.is_alive():
-                thread.join()
-        for dest in list(self._conns):  # the worker that used them has ended
-            self._drop_conn(dest)
+        """Stop serving once each frame owed has left or failed, and release
+        the node's thread and every socket it holds."""
+        self._wake.close()
+        if self._worker.is_alive():
+            self._worker.join()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._server.close()  # not in the selector while accepting is paused
+        self._selector.close()

@@ -15,11 +15,10 @@ to_station for a SaltOffer), followed by the sealed package exactly as
 SealedPackage.to_bytes lays it out. There is no reader for version 1.
 
 Every message carries run_id, a per-sender monotonically increasing sequence
-number, and the sender id. Oversized lengths are rejected from the header
-alone, before any payload is read, and a frame read off a stream grows only
-with the bytes that have arrived; every length inside a payload is read by
-encoding.read_field, and whatever does not fit raises DecodeError. The JSON
-holds a message's dataclass fields and is read back by
+number, and the sender id. take_frame cuts a stream's bytes into frames and
+rejects an oversized length from the header alone; every length inside a
+payload is read by encoding.read_field, and whatever does not fit raises
+DecodeError. The JSON holds a message's dataclass fields and is read back by
 encoding.block_from_dict, so an unknown or missing key, in the message, the
 manifest or the result, is a DecodeError too; so is a message field whose
 JSON type is not the one its dataclass declares (encoding.check_types), and
@@ -43,7 +42,6 @@ MAGIC = b"PHT1"
 VERSION = 0x02
 HEADER_LEN = 10
 MAX_PAYLOAD = 256 * 1024 * 1024
-READ_CHUNK = 64 * 1024  # the most read_frame allocates ahead of what arrived
 
 TYPE_TRAIN_DISPATCH = 0x01
 TYPE_ACK = 0x02
@@ -193,32 +191,14 @@ def decode(frame: bytes) -> Message:
         raise DecodeError(json_at, f"bad payload: {exc}") from exc
 
 
-def read_frame(stream) -> bytearray | None:
-    """Read one whole frame from a socket-like file object; None on EOF.
-
-    The length check happens on the header alone, so an oversized frame is
-    rejected before its payload is pulled off the wire. The frame then grows
-    by what the stream delivers, at most READ_CHUNK bytes at a time, so a
-    header that claims more than its sender sends holds no memory for the
-    rest.
-    """
-    frame = bytearray()
-    _read_until(stream, frame, HEADER_LEN)
-    if not frame:
+def take_frame(buf: bytearray) -> bytearray | None:
+    """Take the first whole frame off ``buf``, the bytes a stream delivered so
+    far; None until it is all in. A bad header raises as soon as it is in."""
+    if len(buf) < HEADER_LEN:
         return None
-    _, length = check_header(frame)  # a short header is truncated
-    _read_until(stream, frame, HEADER_LEN + length)
-    if len(frame) < HEADER_LEN + length:
-        raise DecodeError(len(frame), "truncated payload")
+    _, length = check_header(buf[:HEADER_LEN])
+    if len(buf) < HEADER_LEN + length:
+        return None
+    frame = buf[:HEADER_LEN + length]
+    del buf[:HEADER_LEN + length]
     return frame
-
-
-def _read_until(stream, frame: bytearray, size: int) -> None:
-    """Append what ``stream`` delivers to ``frame`` until it holds ``size``
-    bytes or the stream ends."""
-    chunk = memoryview(bytearray(min(READ_CHUNK, size - len(frame))))
-    while len(frame) < size:
-        n = stream.readinto(chunk[:size - len(frame)])
-        if not n:
-            return
-        frame += chunk[:n]

@@ -13,7 +13,7 @@ from phtlink.analysis import (
     table_to_csv,
     validate,
 )
-from phtlink.errors import TypeMismatch, UnknownVariable
+from phtlink.errors import BinBudgetExceeded, TypeMismatch, UnknownVariable
 from phtlink.model import Record, make_dataset
 
 
@@ -39,6 +39,26 @@ class TestRunAnalysis:
         assert rows["[50,60)"]["mean_income"] == 32000
         assert table.meta["bin_edges"] == [50, 60]
         assert table.meta["x"] == "age" and table.meta["y"] == "income"
+
+    @pytest.mark.parametrize("ages, width", [
+        ((40,), 1e-300),  # 40 + 1e-300 == 40: an edge that never moves
+        ((0, 100), 1e-300),
+        ((0, 100), 1e-6),  # 10^8 edges
+    ])
+    def test_bin_width_past_the_bin_budget_is_refused(self, ages, width):
+        merged = merged_dataset([{"age": a, "income": 1} for a in ages])
+        spec = AnalysisSpec("binned_association", ("age", "income"), bin_width=width)
+        spec.validate()
+        with pytest.raises(BinBudgetExceeded):
+            run_analysis(merged, spec)
+
+    def test_bin_budget_keeps_the_widths_it_allows(self):
+        merged = merged_dataset([{"age": a, "income": 1} for a in (0.0, 99.9)])
+        spec = AnalysisSpec("binned_association", ("age", "income"), bin_width=0.001)
+        expected = [0.0]  # each edge is the last plus the width, as before the budget
+        while expected[-1] <= 99.9:
+            expected.append(expected[-1] + 0.001)
+        assert run_analysis(merged, spec).tables[0].meta["bin_edges"] == expected
 
     def test_binned_explicit_edges_and_out_of_range(self):
         merged = merged_dataset(

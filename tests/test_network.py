@@ -2,12 +2,14 @@
 
 import dataclasses
 import datetime as dt
+import errno
 import logging
 import socket
 import struct
 import sys
 import threading
 import time
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -17,6 +19,7 @@ from conftest import make_scenario
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
+from phtlink.envelope import SealedPackage
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
 from phtlink.model import QID_FIELDS
@@ -34,7 +37,10 @@ from phtlink.stations import (
     flip_bit,
 )
 from phtlink.wire import (
+    HEADER_LEN,
+    MAGIC,
     TYPE_DATA_TRANSFER,
+    VERSION,
     Abort,
     Ack,
     DataTransfer,
@@ -242,6 +248,21 @@ class TestCandidateBudgetAtTse:
         out = run_network(scn.setup, transport="inproc")
         assert out.outcome == "aborted"
         assert out.reason.startswith("CandidateBudgetExceeded")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        events = [e["event"] for e in out.audit_logs["TSE"]]
+        assert events.count("abort_wiped") == 1
+
+
+class TestBinBudgetAtTse:
+    def test_bin_width_past_the_budget_aborts_and_wipes(self):
+        # with no budget, edge-building never ended and the TSE never answered
+        scn = demo_scenario(analysis=AnalysisSpec("binned_association", ("age", "income"),
+                                                  bin_width=1e-300))
+        started = time.monotonic()
+        out = run_network(scn.setup, transport="inproc")
+        assert time.monotonic() - started < 5.0
+        assert out.outcome == "aborted"
+        assert out.reason.startswith("BinBudgetExceeded")
         assert out.storage.wiped and out.storage.inventory() == ()
         events = [e["event"] for e in out.audit_logs["TSE"]]
         assert events.count("abort_wiped") == 1
@@ -517,6 +538,39 @@ class TestAddressesFromDispatch:
                 ("Abort", run_id), ("Ack", run_id),
             ]
 
+    def test_frames_to_one_address_keep_their_order_across_alternation(self, monkeypatch):
+        """Two researchers share an id at two addresses; the TSE's frames to
+        each travel on one connection, so they arrive in the order sent."""
+        accepted = []
+        accept = socket.socket.accept
+
+        def counting_accept(sock):
+            pair = accept(sock)
+            accepted.append(pair[1])
+            return pair
+
+        monkeypatch.setattr(socket.socket, "accept", counting_accept)
+        seqs = ([], [])
+        researchers = [TcpNode("researcher", lambda msg, got=got: got.append(msg.seq) or [])
+                       for got in seqs]
+        tse = TcpNode("TSE", lambda msg: [])
+        nodes = [tse, *researchers]
+        for node in nodes:
+            node.start()
+        try:
+            tse.post([Outgoing("researcher", Ack("run-0001", seq, "TSE", "OK"), node.address)
+                      for seq in range(1, 21) for node in researchers])
+            _wait_until(lambda: all(len(got) == 20 for got in seqs))
+        finally:
+            for node in nodes:
+                node.stop()
+        assert seqs == (list(range(1, 21)), list(range(1, 21)))
+        assert len(accepted) == 2  # one connection per address
+
+
+def _no_descriptors(*args, **kwargs):
+    raise OSError(errno.EMFILE, "Too many open files")
+
 
 class TestNodeSurvives:
     def test_handler_exception_does_not_stop_the_node(self, caplog):
@@ -563,6 +617,25 @@ class TestNodeSurvives:
             node.stop()
         assert [m.seq for m in seen] == [3]
 
+    def test_socket_that_cannot_be_opened_is_a_failed_send(self, monkeypatch, caplog):
+        """Out of descriptors, a connection cannot be opened: that frame is a
+        failed send, and the loop goes on serving."""
+        seen = []
+        node = TcpNode("X", lambda msg: seen.append(msg) or [])
+        node.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="phtlink"):
+                with monkeypatch.context() as patched:
+                    patched.setattr(socket, "socket", _no_descriptors)
+                    node.post([Outgoing("A", Ack("run-1", 1, "X", "OK"), "127.0.0.1:9")])
+                    _wait_until(lambda: "send to 'A' failed" in caplog.text)
+                node.post([Outgoing("X", Ack("run-1", 2, "X", "OK"), node.address)])
+                _wait_until(lambda: seen)
+        finally:
+            node.stop()
+        assert "Too many open files" in caplog.text
+        assert [m.seq for m in seen] == [2]
+
     @pytest.mark.parametrize("refusing_b", [False, True], ids=["completes", "b_refuses"])
     def test_tcp_run_waits_for_every_frame_under_fast_thread_switching(self, refusing_b):
         # a run that ended while frames were still in flight (B's Abort to
@@ -588,6 +661,254 @@ class TestNodeSurvives:
             out = run_network(scn.setup, transport="tcp", tse_timeout=5.0, run_timeout=30.0)
             assert out.completed
         assert threading.active_count() <= baseline
+
+
+def _big_package() -> SealedPackage:
+    """A package far larger than a loopback connection's socket buffers."""
+    return SealedPackage("TSE", "run-1", ("k", "s"), bytes(104), bytes(32 * 2**20), bytes(16))
+
+
+def _host_port(node: TcpNode) -> tuple[str, int]:
+    host, port = node.address.rsplit(":", 1)
+    return host, int(port)
+
+
+class TestOneLoop:
+    """A node is one thread: a peer that reads nothing holds up no other,
+    and connections, idle or to peers that went away, cost no thread."""
+
+    def test_stuck_peer_holds_up_no_other(self, monkeypatch, caplog):
+        monkeypatch.setattr(network, "SEND_TIMEOUT_S", 0.75)
+        arrived = []
+        healthy = TcpNode("healthy", lambda msg: arrived.append(time.monotonic()) or [])
+        node = TcpNode("TSE", lambda msg: [])
+        stuck = socket.create_server(("127.0.0.1", 0))  # accepts, and never reads
+        stuck.settimeout(5.0)
+        stuck_address = "{}:{}".format(*stuck.getsockname())
+        big = _big_package()
+        healthy.start()
+        node.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="phtlink"):
+                node.post([Outgoing("stuck", DataTransfer("run-1", 1, "TSE", big), stuck_address)])
+                with stuck.accept()[0]:
+                    time.sleep(0.1)  # the socket buffers fill, and the rest waits
+                    sent = time.monotonic()
+                    node.post([Outgoing("healthy", Abort("run-2", 1, "TSE", "Cancel"),
+                                        healthy.address)])
+                    _wait_until(lambda: arrived)
+                    still_owed = "'stuck'" not in caplog.text
+                    _wait_until(lambda: "'stuck'" in caplog.text)
+        finally:
+            node.stop()
+            healthy.stop()
+            stuck.close()
+        assert arrived and arrived[0] - sent < 0.5 and still_owed
+        assert stuck_address not in node._conns
+        assert [r.message for r in caplog.records if "'stuck'" in r.message] == [
+            "dropped: run_id=run-1 sender=TSE reason=send to 'stuck' failed: timed out"]
+
+    def test_idle_inbound_connections_start_no_thread(self):
+        seen = []
+        node = TcpNode("TSE", lambda msg: seen.append(msg) or [])
+        node.start()
+        threads = threading.active_count()
+        host, port = node.address.rsplit(":", 1)
+        conns = []
+        try:
+            conns.extend(socket.create_connection((host, int(port))) for _ in range(50))
+            conns[-1].sendall(encode(Ack("run-1", 1, "Y", "OK")))  # accepted after the rest
+            _wait_until(lambda: seen)
+            assert seen and threading.active_count() == threads
+        finally:
+            for conn in conns:
+                conn.close()
+            node.stop()
+
+    def test_connections_to_stopped_peers_are_closed(self):
+        got = []
+        researchers = [TcpNode("researcher", lambda msg: got.append(msg) or [])
+                       for _ in range(5)]
+        tse = TcpNode("TSE", lambda msg: [])
+        tse.start()
+        try:
+            for node in researchers:
+                node.start()
+            try:
+                tse.post([Outgoing("researcher", Ack(f"run-{i}", 1, "TSE", "OK"), node.address)
+                          for i, node in enumerate(researchers)])
+                _wait_until(lambda: len(got) == 5)
+            finally:
+                for node in researchers:
+                    node.stop()
+            _wait_until(lambda: not tse._conns)
+            assert len(got) == 5 and not tse._conns
+        finally:
+            tse.stop()
+
+    def test_posts_from_many_threads_all_leave_in_order(self):
+        got = []
+        receiver = TcpNode("R", lambda msg: got.append((msg.sender, msg.seq)) or [])
+        node = TcpNode("X", lambda msg: [])
+        senders = [f"T{i}" for i in range(4)]  # more threads than cores
+
+        def post_all(sender):
+            for seq in range(1, 51):
+                node.post([Outgoing("R", Ack("run-1", seq, sender, "OK"), receiver.address)])
+
+        threads = [threading.Thread(target=post_all, args=(sender,)) for sender in senders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        receiver.start()
+        node.start()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            _wait_until(lambda: len(got) == 200, timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+            node.stop()
+            receiver.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        for sender in senders:
+            assert [seq for who, seq in got if who == sender] == list(range(1, 51))
+
+    def test_busy_receiver_still_gets_a_frame_larger_than_the_socket_buffers(self, caplog):
+        # the receiver reads nothing for 6 s while its handler runs, as a TSE
+        # scoring a full candidate budget does; its sender waits for it
+        got = []
+        receiver = TcpNode("TSE", lambda msg: time.sleep(6.0) if msg.seq == 1 else got.append(msg))
+        node = TcpNode("A", lambda msg: [])
+        receiver.start()
+        node.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="phtlink"):
+                node.post([Outgoing("TSE", Ack("run-1", 1, "A", "OK"), receiver.address),
+                           Outgoing("TSE", DataTransfer("run-1", 2, "A", _big_package()),
+                                    receiver.address)])
+                _wait_until(lambda: got, timeout=15.0)
+        finally:
+            node.stop()
+            receiver.stop()
+        assert [m.seq for m in got] == [2] and "failed" not in caplog.text
+
+    def test_peer_that_drained_while_a_handler_ran_keeps_its_connection(
+            self, monkeypatch, caplog):
+        # the node owes bytes, then runs a handler past SEND_TIMEOUT_S; the
+        # peer takes everything meanwhile, so nothing times out
+        monkeypatch.setattr(network, "SEND_TIMEOUT_S", 0.5)
+        busy = threading.Event()
+        node = TcpNode("A", lambda msg: busy.set() or time.sleep(1.0) or [])
+        peer = socket.create_server(("127.0.0.1", 0))
+        peer.settimeout(5.0)
+        msg = DataTransfer("run-1", 1, "A", _big_package())
+        frame = encode(msg)
+        read = []
+
+        def read_once_busy(conn):
+            busy.wait(timeout=5.0)
+            while sum(map(len, read)) < len(frame) and (data := conn.recv(2**20)):
+                read.append(data)
+
+        node.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="phtlink"):
+                node.post([Outgoing("peer", msg, "{}:{}".format(*peer.getsockname()))])
+                with peer.accept()[0] as conn:
+                    conn.settimeout(10.0)
+                    reader = threading.Thread(target=read_once_busy, args=(conn,))
+                    reader.start()
+                    time.sleep(0.1)  # the socket buffers fill, and the rest waits
+                    with socket.create_connection(_host_port(node)) as client:
+                        client.sendall(encode(Ack("run-1", 1, "B", "OK")))
+                        reader.join(timeout=15.0)
+        finally:
+            node.stop()
+            peer.close()
+        assert busy.is_set() and b"".join(read) == frame and "failed" not in caplog.text
+
+    def test_stop_sends_what_is_owed_first(self):
+        got = []
+        receiver = TcpNode("TSE", lambda msg: got.append(msg) or [])
+        node = TcpNode("A", lambda msg: [])
+        receiver.start()
+        node.start()
+        try:
+            node.post([Outgoing("TSE", DataTransfer("run-1", 1, "A", _big_package()),
+                                receiver.address)])
+        finally:
+            node.stop()  # the frame cannot have left yet
+        try:
+            _wait_until(lambda: got)
+        finally:
+            receiver.stop()
+        assert [m.seq for m in got] == [1]
+
+    def test_stop_fails_what_a_stuck_peer_is_owed(self, monkeypatch, caplog):
+        monkeypatch.setattr(network, "SEND_TIMEOUT_S", 0.5)
+        stuck = socket.create_server(("127.0.0.1", 0))  # accepts, and never reads
+        node = TcpNode("A", lambda msg: [])
+        node.start()
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            node.post([Outgoing("stuck", DataTransfer("run-1", 1, "A", _big_package()),
+                                "{}:{}".format(*stuck.getsockname()))])
+            with stuck.accept()[0]:
+                started = time.monotonic()
+                node.stop()
+                stopped = time.monotonic() - started
+        stuck.close()
+        assert 0.4 < stopped < 3.0 and "send to 'stuck' failed: timed out" in caplog.text
+
+    def test_out_of_descriptors_pauses_accepting(self, monkeypatch):
+        # the listening socket stays readable while accept() fails, so a
+        # node that retried at once would spin a core
+        seen, calls, out_of_descriptors = [], [], threading.Event()
+        node = TcpNode("TSE", lambda msg: seen.append(msg) or [])
+        accept = socket.socket.accept
+
+        def failing_accept(sock):
+            if sock is node._server and out_of_descriptors.is_set():
+                calls.append(time.monotonic())
+                raise OSError(errno.EMFILE, "Too many open files")
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", failing_accept)
+        out_of_descriptors.set()
+        node.start()
+        try:
+            with socket.create_connection(_host_port(node)) as client:
+                client.sendall(encode(Ack("run-1", 1, "B", "OK")))
+                time.sleep(0.5)
+                out_of_descriptors.clear()
+                _wait_until(lambda: seen)
+        finally:
+            node.stop()
+        assert 2 <= len(calls) <= 10  # about one try per ACCEPT_PAUSE_S, not thousands
+        assert [m.seq for m in seen] == [1]
+
+    def test_claimed_lengths_are_not_allocated_before_they_arrive(self):
+        node = TcpNode("TSE", lambda msg: [])
+        node.start()
+        header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 200 * 2**20)
+        host, port = node.address.rsplit(":", 1)
+        tracemalloc.start()
+        conns = []
+        try:
+            conns.extend(socket.create_connection((host, int(port))) for _ in range(3))
+            for conn in conns:
+                conn.sendall(header)  # and then stall
+            time.sleep(0.3)
+            _, peak = tracemalloc.get_traced_memory()
+            read = [len(key.data.buf) for key in list(node._selector.get_map().values())
+                    if key.data is not None]
+        finally:
+            tracemalloc.stop()
+            for conn in conns:
+                conn.close()
+            node.stop()
+        assert read == [HEADER_LEN] * 3 and peak < 2**20
 
 
 class TestOneOwner:

@@ -1,9 +1,7 @@
 """Framing codec: exact frame layout, roundtrips, decode error offsets."""
 
-import io
 import json
 import struct
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,7 @@ from phtlink.wire import (
     VERSION,
     decode,
     encode,
-    read_frame,
+    take_frame,
 )
 
 
@@ -162,43 +160,36 @@ class TestDecodeErrors:
         assert err.value.offset == HEADER_LEN
 
 
-class TestReadFrame:
-    def test_reads_one_frame_from_stream(self):
+class TestTakeFrame:
+    def test_takes_whole_frames_one_at_a_time(self):
         frame = encode(ack())
-        stream = io.BytesIO(frame + encode(ack(seq=4)))
-        assert read_frame(stream) == frame
-        assert decode(read_frame(stream)).seq == 4
+        buf = bytearray(frame + encode(ack(seq=4)))
+        assert take_frame(buf) == frame
+        assert decode(take_frame(buf)).seq == 4
+        assert take_frame(buf) is None and buf == b""
 
-    def test_eof_returns_none(self):
-        assert read_frame(io.BytesIO(b"")) is None
+    def test_empty_buffer_gives_none(self):
+        assert take_frame(bytearray()) is None
 
-    def test_partial_header_is_error(self):
+    def test_partial_header_waits(self):
+        buf = bytearray(b"PHT1\x02")
+        assert take_frame(buf) is None and buf == b"PHT1\x02"
+
+    def test_bad_header_is_error_once_it_is_in(self):
         with pytest.raises(DecodeError):
-            read_frame(io.BytesIO(b"PHT1\x01"))
+            take_frame(bytearray(b"PHT1\x01\x02\x00\x00\x00\x00"))
 
-    def test_cut_payload_is_error(self):
+    def test_cut_payload_waits(self):
         frame = encode(ack())
-        with pytest.raises(DecodeError):
-            read_frame(io.BytesIO(frame[:-3]))
+        buf = bytearray(frame[:-3])
+        assert take_frame(buf) is None and buf == frame[:-3]
+        buf += frame[-3:]
+        assert take_frame(buf) == frame
 
-    def test_oversized_frame_rejected_before_payload_read(self):
+    def test_oversized_frame_rejected_from_header_alone(self):
         header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 2**30)
-        stream = io.BytesIO(header + b"\x00" * 100)
         with pytest.raises(DecodeError):
-            read_frame(stream)
-        # nothing past the header was consumed
-        assert stream.tell() == HEADER_LEN
-
-    def test_claimed_length_is_not_allocated_before_it_arrives(self):
-        header = MAGIC + bytes([VERSION, 0x02]) + struct.pack(">I", 100 * 2**20)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DecodeError, match="truncated payload"):
-                read_frame(io.BytesIO(header))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+            take_frame(bytearray(header))
 
 
 def _transfer(plaintext=b"\x05" * 300):
@@ -278,17 +269,15 @@ class TestBinaryFrames:
         except DecodeError:
             pass
 
-    def test_read_frame_fills_one_buffer_from_short_reads(self):
+    def test_take_frame_grows_a_frame_from_short_reads(self):
         frame = encode(_transfer(b"\x07" * 100_000))
-
-        class Trickle(io.BytesIO):
-            def readinto(self, buf):
-                return super().readinto(memoryview(buf)[:777])
-
-        stream = Trickle(frame + encode(ack()))
-        assert read_frame(stream) == frame
-        assert decode(read_frame(stream)) == ack()
-        assert read_frame(stream) is None
+        stream, buf, taken = frame + encode(ack()), bytearray(), []
+        for at in range(0, len(stream), 777):
+            buf += stream[at:at + 777]
+            while (got := take_frame(buf)) is not None:
+                taken.append(got)
+        assert taken[0] == frame and decode(taken[1]) == ack()
+        assert len(taken) == 2 and buf == b""
 
 
 

@@ -395,7 +395,6 @@ def merge(result: LinkResult, ds_a: Dataset | Columns, ds_b: Dataset | Columns) 
         DatasetDescriptor("merged", extracted_at, len(rows_a)),
         [[column[i] for i in rows_a] for column in cols_a.payload]
         + [[column[j] for j in rows_b] for column in cols_b.payload],
-        parts=(),
         digests=np.empty((len(rows_a), 0), DIGEST_DTYPE),
     )
     merged.validate()

@@ -17,10 +17,12 @@ body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
 schema, descriptor and one array per payload column, then the raw 64-byte
 digests of every row. The header is written and read by encoding.write_field
 and encoding.read_field, the helpers every length-prefixed field uses. A data
-station holds Records, with QIDs, and a PseudonymVector's digests are
-128-character hex strings. From the extract on, a pseudonymized dataset is
-held as Columns, in the body's own layout: one list per payload variable and
-the raw digests as one numpy S64 array.
+station holds Records, with QIDs. From the extract on, a pseudonymized
+dataset is held as Columns, in the body's own layout: one list per payload
+variable and the raw digests as one numpy S64 array, which a station's one
+pseudonymize_columns call writes directly. A Dataset of Records carrying
+PseudonymVectors, whose digests are hex strings, reaches that form through
+to_columns.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError naming the file, and the line for a row.
@@ -43,7 +45,7 @@ from .encoding import (
     block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
 )
 from .errors import MalformedField
-from .pseudonym import DIGEST_HEX_LENGTH, PseudonymVector
+from .pseudonym import DIGEST_DTYPE, PseudonymVector
 
 #: Order of the linkage fields everywhere in the package: CSV columns,
 #: pseudonym per-field digests, agreement vectors, m/u parameter vectors.
@@ -221,32 +223,31 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
         raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
 
 
-#: One raw digest: SHA-512 output as a fixed-width byte string.
-DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
-
-
 @dataclass(eq=False)
 class Columns:
     """A pseudonymized dataset held column by column, in its body's layout.
 
     ``payload`` holds one list per variable, in schema order. ``digests`` is
     an (n_rows, width) DIGEST_DTYPE array: each row's composite first, then
-    its four per-field digests, as far as ``parts`` says they are present.
-    Read digests back with ``.tobytes()``, never as array items: numpy strips
-    the trailing NUL bytes of an S64 item, and about 1 digest in 256 ends in
-    one.
+    its four per-field digests, as far as present; ``parts`` names them, from
+    the width. Read digests back with ``.tobytes()``, never as array items:
+    numpy strips the trailing NUL bytes of an S64 item, and about 1 digest in
+    256 ends in one.
     """
 
     station_id: str
     schema: tuple[tuple[str, str], ...]
     descriptor: DatasetDescriptor
     payload: list[list]
-    parts: tuple[str, ...]
     digests: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return len(self.digests)
+
+    @property
+    def parts(self) -> tuple[str, ...]:
+        return _PARTS[self.digests.shape[1]]
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.schema)
@@ -262,8 +263,10 @@ class Columns:
 # Wire encoding of pseudonymized datasets (carried inside sealed packages)
 # ---------------------------------------------------------------------------
 
-#: Digest parts a row may carry, in their order within a row's digest block.
-_DIGEST_PARTS = ("composite", "per_field")
+#: The digest parts a row may carry, in their order within a row's digest
+#: block, and the width of that block.
+_WIDTH = {(): 0, ("composite",): 1, ("per_field",): 4, ("composite", "per_field"): 5}
+_PARTS = {width: parts for parts, width in _WIDTH.items()}
 _U32 = struct.Struct(">I")
 
 
@@ -274,52 +277,26 @@ def _digest_parts(pseudonym: PseudonymVector | None) -> tuple[str, ...]:
     return parts + (("per_field",) if pseudonym.per_field else ())
 
 
-def _width(parts: tuple[str, ...]) -> int:
-    return ("composite" in parts) + 4 * ("per_field" in parts)
-
-
-def make_columns(
-    station_id: str,
-    schema: tuple[tuple[str, str], ...],
-    descriptor: DatasetDescriptor,
-    payload: list[list],
-    vectors: Iterable[PseudonymVector | None],
-) -> Columns:
-    """Columns from payload columns and one pseudonym vector per row.
-
-    ``vectors`` is consumed once, so a data station can pass its per-row
-    pseudonymize calls as a generator and hold no vector past its row. Every
-    row must carry the same digest parts."""
-    hexes: list[str] = []
-    parts: tuple[str, ...] = ()
-    n_rows = 0
-    for n_rows, vector in enumerate(vectors, 1):
-        if n_rows == 1:
-            parts = _digest_parts(vector)
-        elif _digest_parts(vector) != parts:
-            raise ValueError("every row must carry the same pseudonym digest parts")
-        if vector is not None:
-            if vector.composite is not None:
-                hexes.append(vector.composite)
-            hexes.extend(vector.per_field)
-    digests = np.frombuffer(bytes.fromhex("".join(hexes)), dtype=DIGEST_DTYPE)
-    return Columns(station_id, tuple(schema), descriptor, payload, parts,
-                   digests.reshape(n_rows, _width(parts)))
-
-
 def to_columns(ds: Dataset | Columns) -> Columns:
     """The columnar form of a pseudonymized dataset: the one way a Dataset of
     Records reaches dataset_to_bytes, link and merge.
 
     A dataset that still carries QIDs is refused: a raw identifier must never
-    get past the data station."""
+    get past the data station. Every row must carry the same digest parts."""
     if isinstance(ds, Columns):
         return ds
     if any(row.qid is not None for row in ds.rows):
         raise ValueError("refusing a dataset that still carries QIDs")
+    vectors = [row.pseudonym for row in ds.rows]
+    parts = _digest_parts(vectors[0]) if vectors else ()
+    if any(_digest_parts(vector) != parts for vector in vectors):
+        raise ValueError("every row must carry the same pseudonym digest parts")
+    hexes = [digest for vector in vectors if vector is not None
+             for digest in (vector.composite, *vector.per_field) if digest is not None]
+    digests = np.frombuffer(bytes.fromhex("".join(hexes)), DIGEST_DTYPE)
     payload = [ds.payload_column(name) for name in ds.variable_names()]
-    return make_columns(ds.station_id, ds.schema, ds.descriptor, payload,
-                        (row.pseudonym for row in ds.rows))
+    return Columns(ds.station_id, ds.schema, ds.descriptor, payload,
+                   digests.reshape(len(vectors), _WIDTH[parts]))
 
 
 @dataclass
@@ -359,13 +336,13 @@ def dataset_from_bytes(data: bytes) -> Columns:
     check_types(header.descriptor)
     if n_rows < 0:
         raise ValueError(f"bad row_count {n_rows}")
-    if parts not in ((), ("composite",), ("per_field",), _DIGEST_PARTS):
+    if parts not in _WIDTH:
         raise ValueError(f"unknown digest parts {list(parts)}")
-    width = _width(parts)
+    width = _WIDTH[parts]
     if len(data) - start != n_rows * width * DIGEST_DTYPE.itemsize:
         raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests")
     digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
-    cols = Columns(header.station_id, header.schema, header.descriptor, header.columns, parts,
+    cols = Columns(header.station_id, header.schema, header.descriptor, header.columns,
                    digests.reshape(n_rows, width))
     cols.validate()
     return cols

@@ -20,6 +20,16 @@ linkage joins on the composite alone, probabilistic linkage scores the four
 per-field digests alone. The analysis side therefore never learns per-field
 agreement patterns in exact mode, nor the composite in probabilistic mode.
 Without a mode, both parts are computed.
+
+A data station hashes its whole extract in one pseudonymize_columns call,
+which writes raw digests straight into one array. In probabilistic mode that
+call hashes each field's distinct values once and reuses the digest for
+every other row carrying the same value. The memo is safe: its output is
+byte for byte what hashing every row would give; it holds the raw values
+only in station memory, which already holds them; and it is a local of the
+one call, under the one salt, so nothing of it outlives the call or reaches
+another run. pseudonymize, one QID set at a time with hex digests, is the
+reference the batch output is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +37,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .errors import EntropyUnavailable
 
@@ -36,6 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SALT_LENGTH = 32
 DIGEST_HEX_LENGTH = 128  # SHA-512
+
+#: One raw digest: SHA-512 output as a fixed-width byte string.
+DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
 
 COMPOSITE_PREFIX = b"PHT-COMPOSITE|"
 FIELD_PREFIX_TEMPLATE = "PHT-FIELD-{index}|"
@@ -123,3 +138,37 @@ def pseudonymize(
             for i, value in enumerate(values)
         )
     return PseudonymVector(composite=composite, per_field=per_field)
+
+
+def pseudonymize_columns(
+    qids: Sequence["QuasiIdentifierSet"], salt: Salt, mode: str
+) -> np.ndarray:
+    """Hash a whole extract's canonical QID sets under a shared salt.
+
+    Returns an (len(qids), width) DIGEST_DTYPE array of raw digests, with the
+    preimages pseudonymize uses: width 1, each row's composite, in "exact"
+    mode; width 4, each row's per-field digests, in "probabilistic" mode.
+    Read it back with ``.tobytes()`` (see model.Columns).
+    """
+    if mode not in LINKAGE_MODES:
+        raise ValueError(f"unknown linkage mode {mode!r}")
+    sha512 = hashlib.sha512
+    tail = b"|" + salt.bytes
+    if mode == "exact":
+        width = 1
+        digests = [
+            sha512(COMPOSITE_PREFIX + "|".join(qid.as_tuple()).encode("utf-8") + tail).digest()
+            for qid in qids
+        ]
+    else:
+        width = 4
+        prefixes = [FIELD_PREFIX_TEMPLATE.format(index=i).encode("utf-8") for i in range(width)]
+        memos: list[dict[str, bytes]] = [{} for _ in range(width)]
+        digests = []
+        for qid in qids:
+            for prefix, memo, value in zip(prefixes, memos, qid.as_tuple()):
+                digest = memo.get(value)
+                if digest is None:
+                    digest = memo[value] = sha512(prefix + value.encode("utf-8") + tail).digest()
+                digests.append(digest)
+    return np.frombuffer(b"".join(digests), DIGEST_DTYPE).reshape(len(qids), width)

@@ -38,8 +38,9 @@ from .envelope import (
 from .errors import PhtError, StorageWiped
 from .linkage import link, merge
 from .manifest import TrainManifest, validate_train
-from .model import Columns, Dataset, Record, dataset_from_bytes, dataset_to_bytes, make_columns
-from .pseudonym import Salt, generate_salt, pseudonymize
+from .model import Columns, Dataset, Record, dataset_from_bytes, dataset_to_bytes
+# imported as pseudonymize: bench/layers.py wraps that name to time the layer
+from .pseudonym import Salt, generate_salt, pseudonymize_columns as pseudonymize
 from .wire import (
     Abort,
     Ack,
@@ -377,13 +378,13 @@ class DataStationActor(_Party):
 
         kept = apply_pool_filter(dataset.rows, request.pool)
         types = dict(dataset.schema)
-        # columns straight from the kept rows: no per-row object outlives its row
-        extract = make_columns(
+        # columns straight from the kept rows, the digests from one batch call
+        extract = Columns(
             self.station_id,
             tuple((name, types[name]) for name in request.variables),
             replace(dataset.descriptor, row_count=len(kept)),
             [[row.payload[name] for row in kept] for name in request.variables],
-            (pseudonymize(row.qid, self._salt, manifest.linkage.mode) for row in kept),
+            pseudonymize([row.qid for row in kept], self._salt, manifest.linkage.mode),
         )
         payload = dataset_to_bytes(extract)
         self._log("extract_prepared", f"{len(kept)}/{len(dataset.rows)} rows")

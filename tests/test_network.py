@@ -22,9 +22,9 @@ from phtlink.encoding import b64encode
 from phtlink.envelope import SealedPackage
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
-from phtlink.model import QID_FIELDS
+from phtlink.model import QID_FIELDS, dataset_from_bytes
 from phtlink.network import Router, TcpNode, run_network
-from phtlink.pseudonym import Salt, pseudonymize
+from phtlink.pseudonym import Salt, pseudonymize, pseudonymize_columns
 from phtlink.stations import (
     AWAITING_DATA,
     IDLE,
@@ -1325,11 +1325,26 @@ class TestDataMinimisation:
     ):
         # a station that hashed for exact linkage although the manifest says otherwise
         monkeypatch.setattr(stations, "pseudonymize",
-                            lambda qid, salt, mode=None: pseudonymize(qid, salt, "exact"))
+                            lambda qids, salt, mode: pseudonymize_columns(qids, salt, "exact"))
         scn = demo_scenario(linkage=LinkageParams(mode="probabilistic"))
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("MissingPseudonyms")
         assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_pool_that_keeps_no_row_sends_an_empty_extract(self, monkeypatch, mode):
+        scn = demo_scenario(pool_a=PoolFilter(age_min=120, as_of="2026-01-01"),
+                            linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        opened = _opened_plaintexts(monkeypatch, scn.setup.tse.enc_keys)
+        out = run_network(scn.setup, transport="inproc")
+        assert out.completed
+        assert out.result.audit["run"]["records_received"] == {"A": 0, "B": 25}
+        assert out.storage.wiped and out.storage.inventory() == ()
+        extract_a = next(cols for cols in map(dataset_from_bytes, opened)
+                         if cols.station_id == "A")
+        # an empty extract still names the part its mode links on
+        assert extract_a.parts == (("composite",) if mode == "exact" else ("per_field",))
+        assert extract_a.n_rows == 0
 
 
 class TestCorruptPackageBody:

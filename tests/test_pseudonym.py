@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 from phtlink.model import QuasiIdentifierSet
 from phtlink.pseudonym import (
     DIGEST_HEX_LENGTH,
+    LINKAGE_MODES,
     SALT_LENGTH,
     PseudonymVector,
     Salt,
     generate_salt,
     pseudonymize,
+    pseudonymize_columns,
 )
 
 QID = QuasiIdentifierSet("6211AB", "12", "F", "1960-03-15")
@@ -180,3 +182,36 @@ class TestModeScopedPseudonyms:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             pseudonymize(QID, ZERO_SALT, "fuzzy")
+
+
+@st.composite
+def _repetitive_qids(draw):
+    """QID lists whose fields each take one of a few values, so most rows
+    repeat a value an earlier row already carried."""
+    pools = [draw(st.lists(st.text(max_size=6), min_size=1, max_size=3, unique=True))
+             for _ in range(4)]
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=40))
+    return [QuasiIdentifierSet(*row) for row in rows]
+
+
+class TestBatchPseudonyms:
+    @settings(max_examples=100, deadline=None)
+    @given(qids=_repetitive_qids(), salt=st.binary(min_size=16, max_size=48),
+           mode=st.sampled_from(LINKAGE_MODES))
+    def test_batch_digests_are_the_per_row_reference_digests(self, qids, salt, mode):
+        salt = Salt(salt, "run-1")
+        vectors = [pseudonymize(qid, salt, mode) for qid in qids]
+        hexes = ([vec.composite for vec in vectors] if mode == "exact"
+                 else [digest for vec in vectors for digest in vec.per_field])
+        digests = pseudonymize_columns(qids, salt, mode)
+        assert digests.shape == (len(qids), 1 if mode == "exact" else 4)
+        assert digests.tobytes() == bytes.fromhex("".join(hexes))
+
+    @pytest.mark.parametrize("mode, width", [("exact", 1), ("probabilistic", 4)])
+    def test_zero_rows_give_an_empty_array_of_the_mode_width(self, mode, width):
+        assert pseudonymize_columns([], ZERO_SALT, mode).shape == (0, width)
+
+    @pytest.mark.parametrize("mode", ["fuzzy", None])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError):
+            pseudonymize_columns([QID], ZERO_SALT, mode)

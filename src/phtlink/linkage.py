@@ -9,24 +9,30 @@ Two modes:
   A pair's log2 likelihood-ratio weight, from per-field agreement
   probabilities m (among true matches) and u (among non-matches), depends
   only on which fields agree, so each of the 16 agreement patterns is
-  weighed and classified against two thresholds once per call. Rows get a
-  block id from their blocking-field codes; with B sorted by block, each A
-  row's candidates are one range of B, so the candidate count is known
-  before any pair is built. Past MAX_CANDIDATES link raises
-  CandidateBudgetExceeded, before it estimates u. Otherwise candidates are scored as numpy arrays,
-  CHUNK_CANDIDATES at a time: the four field comparisons form a pattern
-  index into the 16-entry tables. Only Match-class pairs are kept, so
-  memory grows with them rather than with the candidates; they are reduced
-  to a one-to-one assignment greedily in descending weight.
+  weighed and classified against two thresholds once per call. A join on
+  the blocking fields sorts B by key, so each A row's candidates are one
+  range of B and the candidate count is known before any pair is built.
+  Past MAX_CANDIDATES link raises CandidateBudgetExceeded, before it
+  estimates u. Otherwise only the candidates that can be Match or Possible
+  are scored. Each minimal field set that such a pattern agrees on is a
+  pass: a join of A to B on that set, which holds the blocking fields. A
+  candidate is counted in the first pass whose set it agrees on, and the
+  blocking candidates no pass counted are NonMatch. A pass is scored as
+  numpy arrays, CHUNK_CANDIDATES at a time: the four field comparisons form
+  a pattern index into the 16-entry tables. Only Match-class pairs are
+  kept, so memory grows with them rather than with the candidates; they
+  are reduced to a one-to-one assignment greedily in descending weight.
 
 u can be supplied or estimated from the data as the chance-agreement rate
 of a random cross pair, computed from per-field digest frequencies.
 
 link and merge read datasets as Columns (a Dataset of Records is converted
-first): the exact join sorts the composite digest column, and probabilistic
-linkage codes each per-field digest column as integers, equal where the
-digests are equal. Each mode reads only its own digest part, and a dataset
-whose rows lack that part raises MissingPseudonyms.
+first). Each mode codes its digest columns as integers, equal where the
+digests are equal, by sorting the digests' first 8 bytes as one integer:
+the exact join counts the composite codes per side, and probabilistic
+linkage joins and compares the per-field codes. Each mode reads only its
+own digest part, and a dataset whose rows lack that part raises
+MissingPseudonyms.
 
 Everything here is deterministic: ties break on (index_a, index_b), so a
 fixed pair of datasets and params always yields the same LinkResult.
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,11 +58,14 @@ from .pseudonym import LINKAGE_MODES, PseudonymVector
 
 U_CLAMP = 1e-9
 
-#: Candidate pairs scored per array pass. It bounds the scorer's temporaries,
-#: so memory stays flat however many candidates blocking leaves.
+#: Candidates a pass scores per array step. It bounds the scorer's
+#: temporaries, so memory stays flat however many candidates a pass joins.
 CHUNK_CANDIDATES = 2**12
-#: Most candidate pairs one probabilistic link scores, about 7 s of scoring;
-#: past it link raises CandidateBudgetExceeded before it builds any pair.
+#: Most candidate pairs blocking may leave in one probabilistic link; past
+#: it link raises CandidateBudgetExceeded before it estimates u or builds a
+#: pair. It bounds the blocking count, not the pairs the passes score; all
+#: of them are scored only when a pattern agreeing on nothing but the
+#: blocking fields is Possible.
 MAX_CANDIDATES = 10**8
 
 MATCH = "Match"
@@ -126,14 +134,37 @@ def _digests(cols: Columns, mode: str) -> np.ndarray:
     return np.empty((0,) if mode == "exact" else (0, 4), DIGEST_DTYPE)
 
 
+def _codes(digests: np.ndarray) -> np.ndarray:
+    """Integer code per digest of a (rows,) S64 column: equal exactly when
+    the digests are equal, and numbered in order of each digest's first row.
+    Rows are sorted by their first 8 bytes as one integer, and neighbours
+    that tie there must hold equal digests; if two unequal digests share
+    those 8 bytes, the whole digests are sorted instead."""
+    if not len(digests):
+        return np.empty(0, np.int64)
+    words = np.ascontiguousarray(digests).view(">u8").reshape(len(digests), 8)
+    order = np.argsort(words[:, 0].astype(np.uint64))
+    prefix = words[order, 0]
+    same = prefix[1:] == prefix[:-1]
+    if (words[order[1:][same]] != words[order[:-1][same]]).any():
+        order = np.argsort(digests)
+        same = digests[order[1:]] == digests[order[:-1]]
+    # groups of equal digests in sorted order, ranked by their first row
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    rank = np.empty(len(starts), np.int64)
+    rank[np.argsort(np.minimum.reduceat(order, starts))] = np.arange(len(starts))
+    codes = np.empty(len(order), np.int64)
+    codes[order] = np.repeat(rank, np.diff(starts, append=len(order)))
+    return codes
+
+
 def _field_codes(per_field_a: np.ndarray, per_field_b: np.ndarray) -> np.ndarray:
     """Per-field integer codes, (4, rows of A then rows of B): two digests of
     a field get equal codes exactly when they are equal. A field's codes are
     one contiguous row, so gathering them by candidate stays cheap."""
     codes = np.empty((4, len(per_field_a) + len(per_field_b)), dtype=np.int64)
     for k in range(4):
-        both = np.concatenate((per_field_a[:, k], per_field_b[:, k]))
-        codes[k] = np.unique(both, return_inverse=True)[1]
+        codes[k] = _codes(np.concatenate((per_field_a[:, k], per_field_b[:, k])))
     return codes
 
 
@@ -148,21 +179,28 @@ def estimate_u(
     """
     if not pseudos_a or not pseudos_b:
         raise ValueError("u estimation needs non-empty datasets on both sides")
-    fields = [list(zip(*(p.per_field for p in side))) for side in (pseudos_a, pseudos_b)]
-    return _estimate_u(*fields)
+    per_field = [
+        np.frombuffer(bytes.fromhex("".join(h for p in side for h in p.per_field)),
+                      DIGEST_DTYPE).reshape(len(side), 4)
+        for side in (pseudos_a, pseudos_b)
+    ]
+    codes = _field_codes(*per_field)
+    return _estimate_u(codes[:, :len(pseudos_a)], codes[:, len(pseudos_a):])
 
 
-def _estimate_u(fields_a: list, fields_b: list) -> tuple[float, float, float, float]:
-    """estimate_u over the four per-field value columns of each side."""
-    n_a, n_b = len(fields_a[0]), len(fields_b[0])
+def _estimate_u(codes_a: np.ndarray, codes_b: np.ndarray) -> tuple[float, float, float, float]:
+    """estimate_u over the (4, rows) field codes of each side. _field_codes
+    numbers a field's values by first row, A's rows first, so summing the
+    terms by ascending code sums them in the order A's values first occur:
+    the order, and so the last bit, of a sum over a Counter of A's values."""
+    n_a, n_b = codes_a.shape[1], codes_b.shape[1]
     out = []
-    for column_a, column_b in zip(fields_a, fields_b):
-        freq_a, freq_b = Counter(column_a), Counter(column_b)
-        u_i = sum(
-            (count_a / n_a) * (freq_b[value] / n_b)
-            for value, count_a in freq_a.items()
-            if value in freq_b
-        )
+    for column_a, column_b in zip(codes_a, codes_b):
+        size = int(max(column_a.max(), column_b.max())) + 1
+        count_a = np.bincount(column_a, minlength=size)
+        count_b = np.bincount(column_b, minlength=size)
+        both = (count_a > 0) & (count_b > 0)
+        u_i = sum(((count_a[both] / n_a) * (count_b[both] / n_b)).tolist())
         out.append(min(max(u_i, U_CLAMP), 1.0 - U_CLAMP))
     return tuple(out)
 
@@ -218,27 +256,57 @@ def _pattern_table(params: LinkageParams) -> tuple[np.ndarray, list[str]]:
     return np.array([weight for weight, _ in table]), [c for _, c in table]
 
 
-def _block_ids(codes: np.ndarray, blocking: list[int]) -> np.ndarray:
-    """Dense block id for each row (each column of ``codes``): equal exactly
-    when the rows agree on every blocking field. Without blocking fields every
-    row is in block 0."""
-    ids = np.zeros(codes.shape[1], np.int64)
-    for k in blocking:
-        column = codes[k]
-        # ids and codes are below the row count, so the pair key stays below
-        # its square; re-densifying after each field keeps it there
-        ids = np.unique(ids * (int(column.max()) + 1) + column, return_inverse=True)[1]
-    return ids
+def _join_key(codes: np.ndarray, fields) -> np.ndarray:
+    """One int64 key per row (per column of ``codes``, whose codes are >= 0),
+    equal exactly when the rows agree on every field in ``fields``. The key is
+    the rows' codes read as digits, each in base its field's largest code + 1,
+    so it sorts like the codes. It is re-densified before a digit more could
+    overflow int64, which keeps it exact while the row count times a field's
+    largest code stays below 2**63, as it does for _field_codes's codes.
+    Without fields every row has key 0."""
+    key = np.zeros(codes.shape[1], np.int64)
+    bound = 1  # every key lies in [0, bound)
+    for k in sorted(fields):
+        radix = int(codes[k].max()) + 1
+        if bound * radix > 2**63:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            bound = int(key.max()) + 1
+        key = key * radix + codes[k]
+        bound *= radix
+    return key
+
+
+def _join(codes: np.ndarray, n_a: int, fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, sizes, order_b): with B in ``order_b``, A row r's partners, the B
+    rows that agree with it on every field in ``fields``, are B's
+    [lo[r], lo[r] + sizes[r])."""
+    key = _join_key(codes, fields)
+    key_a, key_b = key[:n_a], key[n_a:]
+    order_b = np.argsort(key_b)
+    key_b = key_b[order_b]
+    # searchsorted is several times faster when the keys it looks up are sorted
+    order_a = np.argsort(key_a)
+    lo, hi = np.empty(n_a, np.intp), np.empty(n_a, np.intp)
+    lo[order_a] = np.searchsorted(key_b, key_a[order_a], "left")
+    hi[order_a] = np.searchsorted(key_b, key_a[order_a], "right")
+    return lo, hi - lo, order_b
 
 
 def _link_exact(comp_a: np.ndarray, comp_b: np.ndarray) -> tuple[list[tuple[int, int]], dict]:
-    keys_a, first_a, count_a = np.unique(comp_a, return_index=True, return_counts=True)
-    keys_b, first_b, count_b = np.unique(comp_b, return_index=True, return_counts=True)
-    _, in_a, in_b = np.intersect1d(keys_a, keys_b, assume_unique=True, return_indices=True)
+    n_a = len(comp_a)
+    codes = _codes(np.concatenate((comp_a, comp_b)))
+    size = int(codes.max()) + 1 if len(codes) else 0
+    count_a = np.bincount(codes[:n_a], minlength=size)
+    count_b = np.bincount(codes[n_a:], minlength=size)
+    # the one B row of each composite that occurs once in B
+    row_b = np.zeros(size, np.int64)
+    row_b[codes[n_a:]] = np.arange(len(comp_b))
     # a composite in both, but repeated on either side, excludes all its records
-    unique = (count_a[in_a] == 1) & (count_b[in_b] == 1)
-    pairs = sorted(zip(first_a[in_a[unique]].tolist(), first_b[in_b[unique]].tolist()))
-    excluded = count_a[in_a[~unique]].sum() + count_b[in_b[~unique]].sum()
+    both = (count_a > 0) & (count_b > 0)
+    unique = both & (count_a == 1) & (count_b == 1)
+    rows_a = np.flatnonzero(unique[codes[:n_a]])
+    pairs = list(zip(rows_a.tolist(), row_b[codes[rows_a]].tolist()))
+    excluded = (count_a + count_b)[both & ~unique].sum()
     audit = {
         "mode": "exact",
         "composite_collisions_a": int((count_a > 1).sum()),
@@ -247,6 +315,47 @@ def _link_exact(comp_a: np.ndarray, comp_b: np.ndarray) -> tuple[list[tuple[int,
         "class_counts": {"match": len(pairs), "possible": 0, "non_match": 0},
     }
     return pairs, audit
+
+
+#: The fields each of the 16 agreement patterns agrees on: field k is bit
+#: 3 - k of a pattern, as in _pattern_table.
+_AGREED = tuple(frozenset(k for k in range(4) if p >> (3 - k) & 1) for p in range(16))
+
+
+def _passes(classes: list[str], blocking: frozenset[int]) -> list[frozenset[int]]:
+    """The field sets that candidates able to be Match or Possible agree on,
+    minimal under inclusion. A candidate agrees on every blocking field, so
+    each set holds them, and every candidate whose class is not NonMatch
+    agrees on at least one set."""
+    sets = {
+        _AGREED[p] for p in range(16) if classes[p] != NON_MATCH and blocking <= _AGREED[p]
+    }
+    return sorted((s for s in sets if not any(t < s for t in sets)), key=sorted)
+
+
+def _score(codes_a: np.ndarray, codes_b: np.ndarray, join):
+    """(A rows, B rows, agreement pattern) of a join's candidates, in A-row
+    order, CHUNK_CANDIDATES candidates at a time."""
+    lo, sizes, order_b = join
+    codes_b = codes_b[:, order_b]
+    # candidates are numbered 0..total-1; A row r holds [starts[r], starts[r] + sizes[r])
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    for first in range(0, total, CHUNK_CANDIDATES):
+        last = min(first + CHUNK_CANDIDATES, total)
+        rows = np.arange(
+            np.searchsorted(starts, first, "right") - 1,
+            np.searchsorted(starts, last, "left"),
+        )
+        take = np.minimum(starts[rows] + sizes[rows], last) - np.maximum(starts[rows], first)
+        rows_a = np.repeat(rows, take)
+        pos = np.arange(first, last) + np.repeat(lo[rows] - starts[rows], take)
+        # field 0 ends in the pattern's high bit, as in _pattern_table
+        pattern = np.zeros(last - first, np.uint8)
+        for k in range(4):
+            pattern <<= 1
+            pattern |= codes_a[k, rows_a] == codes_b[k, pos]
+        yield rows_a, order_b[pos], pattern
 
 
 def _link_probabilistic(
@@ -260,18 +369,13 @@ def _link_probabilistic(
     if n_a and len(per_field_b):
         codes = _field_codes(per_field_a, per_field_b)
         codes_a, codes_b = codes[:, :n_a], codes[:, n_a:]
-        # B in block order: A row r's candidates are B's [lo[r], lo[r] + sizes[r])
-        blocks = _block_ids(codes, [QID_FIELDS.index(f) for f in params.blocking_fields])
-        block_a, block_b = blocks[:n_a], blocks[n_a:]
-        order_b = np.argsort(block_b)
-        block_b = block_b[order_b]
-        lo = np.searchsorted(block_b, block_a, "left")
-        sizes = np.searchsorted(block_b, block_a, "right") - lo
-        total = int(sizes.sum())
+        blocking = frozenset(QID_FIELDS.index(f) for f in params.blocking_fields)
+        blocked = _join(codes, n_a, blocking)
+        total = int(blocked[1].sum())
         if total > MAX_CANDIDATES:
             raise CandidateBudgetExceeded(total, MAX_CANDIDATES)
         if params.u is None:
-            u = _estimate_u(codes_a.tolist(), codes_b.tolist())
+            u = _estimate_u(codes_a, codes_b)
             resolved, estimated = replace(params, u=u), True
         for i in range(4):
             if resolved.m[i] <= resolved.u[i]:
@@ -281,35 +385,29 @@ def _link_probabilistic(
                 )
         weights, classes = _pattern_table(resolved)
         is_match = np.array([c == MATCH for c in classes])
-        codes_b = codes_b[:, order_b]
 
-        # candidates in A-row order are numbered 0..total-1; A row r holds
-        # [starts[r], starts[r] + sizes[r]), scored CHUNK_CANDIDATES at a time
-        starts = np.cumsum(sizes) - sizes
+        # each pass joins A to B on one of the sets; a candidate is counted,
+        # and kept if it is a Match, in the first pass whose set it agrees on
+        passes = _passes(classes, blocking)
         pattern_counts = np.zeros(16, np.int64)
         # (weight, A row, B row) per Match-class candidate, one entry per chunk;
         # the empty first entry lets the concatenation below see no matches
         matches = [(np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))]
-        for first in range(0, total, CHUNK_CANDIDATES):
-            last = min(first + CHUNK_CANDIDATES, total)
-            rows = np.arange(
-                np.searchsorted(starts, first, "right") - 1,
-                np.searchsorted(starts, last, "left"),
-            )
-            take = np.minimum(starts[rows] + sizes[rows], last) - np.maximum(starts[rows], first)
-            pos = np.arange(first, last) + np.repeat(lo[rows] - starts[rows], take)
-            # field 0 ends in the pattern's high bit, as in _pattern_table
-            pattern = np.zeros(last - first, np.uint8)
-            for k in range(4):
-                pattern <<= 1
-                pattern |= np.repeat(codes_a[k, rows], take) == codes_b[k, pos]
-            pattern_counts += np.bincount(pattern, minlength=16)
-            keep = is_match[pattern]
-            matches.append(
-                (weights[pattern[keep]], np.repeat(rows, take)[keep], order_b[pos[keep]])
-            )
+        for index, fields in enumerate(passes):
+            owns = np.array([
+                fields <= agreed and not any(e <= agreed for e in passes[:index])
+                for agreed in _AGREED
+            ])
+            join = blocked if fields == blocking else _join(codes, n_a, fields)
+            for rows_a, rows_b, pattern in _score(codes_a, codes_b, join):
+                counted = owns[pattern]
+                pattern_counts += np.bincount(pattern[counted], minlength=16)
+                keep = counted & is_match[pattern]
+                matches.append((weights[pattern[keep]], rows_a[keep], rows_b[keep]))
         for match_class, count in zip(classes, pattern_counts.tolist()):
             counts[match_class] += count
+        # a NonMatch candidate is scored only where a pass happens to join it
+        counts[NON_MATCH] = total - counts[MATCH] - counts[POSSIBLE]
 
         w, i, j = (np.concatenate(part) for part in zip(*matches))
         order = np.lexsort((j, i, -w))

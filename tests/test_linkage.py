@@ -7,7 +7,9 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -574,3 +576,208 @@ class TestBudgetBeforeEstimate:
         with pytest.raises(CandidateBudgetExceeded):
             link(ds_a, ds_b, params)
         assert calls == [1]
+
+
+def _class_counts(vecs_a, vecs_b, params, blocking):
+    """Class counts over every cross pair that agrees on the blocking fields,
+    each pair scored alone by score_pair."""
+    blocking_idx = [QID_FIELDS.index(name) for name in blocking]
+    names = {"Match": "match", "Possible": "possible", "NonMatch": "non_match"}
+    counts = {"match": 0, "possible": 0, "non_match": 0}
+    for va in vecs_a:
+        for vb in vecs_b:
+            if all(va.per_field[k] == vb.per_field[k] for k in blocking_idx):
+                counts[names[score_pair(va, vb, params).match_class]] += 1
+    return counts
+
+
+class TestPasses:
+    """Only candidates that can be Match or Possible are scored, one join per
+    minimal field set; NonMatch is what the passes leave of the blocking
+    count."""
+
+    def test_all_non_match_scores_nothing(self, monkeypatch):
+        ds_a, ds_b = synthetic_pair(17, n_large=600, n_small=60, overlap=0.5,
+                                    perturbation=0.05)
+        params = LinkageParams(t_upper=1000.0, t_lower=1000.0, blocking_fields=("gender",))
+        scored = []
+        real = linkage._score
+        monkeypatch.setattr(linkage, "_score", lambda *a: scored.append(1) or real(*a))
+        result = link(ds_a, ds_b, params)
+        assert scored == []
+        n_candidates = result.audit["n_candidates"]
+        assert n_candidates == sum(
+            ra.pseudonym.per_field[2] == rb.pseudonym.per_field[2]
+            for ra in ds_a.rows for rb in ds_b.rows
+        )
+        assert result.pairs == ()
+        assert result.audit["class_counts"] == {
+            "match": 0, "possible": 0, "non_match": n_candidates,
+        }
+
+    def test_blocking_only_pattern_possible_is_one_blocking_pass(self):
+        ds_a, ds_b = synthetic_pair(5, n_large=80, n_small=50, perturbation=0.15)
+        vecs_a = [r.pseudonym for r in ds_a.rows]
+        vecs_b = [r.pseudonym for r in ds_b.rows]
+        blocking = ("gender",)
+        params = LinkageParams(u=estimate_u(vecs_a, vecs_b), t_upper=6.0, t_lower=-100.0,
+                               blocking_fields=blocking)
+        _, classes = linkage._pattern_table(params)
+        assert classes[0b0010] == "Possible"  # agrees on gender alone
+        assert linkage._passes(classes, frozenset({2})) == [frozenset({2})]
+        result = link(ds_a, ds_b, params)
+        assert list(result.pairs) == oracle_link(vecs_a, vecs_b, params, blocking)
+        assert result.audit["class_counts"] == _class_counts(vecs_a, vecs_b, params, blocking)
+
+    @pytest.mark.parametrize("chunk", [1, linkage.CHUNK_CANDIDATES])
+    @given(
+        labels_a=_small_labels,
+        labels_b=_small_labels,
+        blocking=st.lists(st.sampled_from(QID_FIELDS), unique=True, max_size=4),
+        m=st.tuples(*[st.floats(0.3, 0.999)] * 4),
+        u=st.tuples(*[st.floats(0.001, 0.7)] * 4),
+        t_upper=st.floats(-4.0, 16.0),
+        gap=st.floats(0.0, 12.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_as_m_and_u_vary(self, chunk, labels_a, labels_b, blocking,
+                                            m, u, t_upper, gap):
+        vecs_a = [fake_vec(*row) for row in labels_a]
+        vecs_b = [fake_vec(*row) for row in labels_b]
+        params = LinkageParams(m=m, u=u, t_upper=t_upper, t_lower=t_upper - gap,
+                               blocking_fields=tuple(blocking))
+        ds_a, ds_b = pseudo_dataset("A", vecs_a), pseudo_dataset("B", vecs_b, "income")
+        if any(mi <= ui for mi, ui in zip(m, u)):
+            with pytest.raises(DegenerateParams):
+                link(ds_a, ds_b, params)
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkage, "CHUNK_CANDIDATES", chunk)
+            result = link(ds_a, ds_b, params)
+        assert list(result.pairs) == oracle_link(vecs_a, vecs_b, params, blocking)
+        expected = _class_counts(vecs_a, vecs_b, params, blocking)
+        assert result.audit["class_counts"] == expected
+        assert result.audit["n_candidates"] == sum(expected.values())
+
+
+class TestJoinKey:
+    """A pass's arithmetic key stays exact where the product of its fields'
+    radices passes what int64 holds."""
+
+    # largest code per field; the radix is one more
+    @pytest.mark.parametrize("maxima", [
+        (2**31, 2**31 + 7),  # product just past 2**62, still fits
+        (2**21 - 1, 2**21 - 1, 2**21 - 1),  # product exactly 2**63, fits
+        (2**40, 2**40, 2**40, 2**40),  # re-densified at every field after the first
+        (2**62, 2, 2**40),  # the first field alone nearly fills int64
+    ])
+    def test_key_agrees_with_densified_join(self, maxima):
+        rng = np.random.default_rng(len(maxima))
+        n_a, n_b = 40, 30
+        fields = list(range(len(maxima)))
+        codes = np.zeros((4, n_a + n_b), np.int64)
+        for k, top in enumerate(maxima):
+            # three values per field, so rows agree on some fields and not others
+            codes[k] = rng.choice(np.array([0, top // 2, top], np.int64), n_a + n_b)
+            codes[k, 0] = top
+        assert math.prod(top + 1 for top in maxima) > 2**62
+        key = linkage._join_key(codes, fields)
+        dense = np.unique(codes[fields].T, axis=0, return_inverse=True)[1].ravel()
+        # the key sorts like the fields' codes, so it densifies to np.unique's rows
+        assert np.array_equal(np.unique(key, return_inverse=True)[1].ravel(), dense)
+
+        lo, sizes, order_b = linkage._join(codes, n_a, fields)
+        joined = {
+            (a, int(b))
+            for a in range(n_a)
+            for b in order_b[lo[a]:lo[a] + sizes[a]]
+        }
+        assert joined == {
+            (a, b) for a in range(n_a) for b in range(n_b) if dense[a] == dense[n_a + b]
+        }
+
+
+class TestDigestPrefixCodes:
+    """Digests are coded by their first 8 bytes; unequal digests that share
+    those bytes still get distinct codes."""
+
+    @staticmethod
+    def _digest(prefix: bytes, label: str) -> str:
+        return (prefix + hashlib.sha512(label.encode()).digest()[8:]).hex()
+
+    def test_codes_split_a_shared_prefix(self):
+        shared, other = b"\xab" * 8, b"\x01" * 8
+        digests = np.array([bytes.fromhex(self._digest(p, label)) for p, label in
+                            [(shared, "x"), (shared, "y"), (other, "z"), (shared, "x")]],
+                           dtype="S64")
+        assert linkage._codes(digests).tolist() == [0, 1, 2, 0]
+
+    def test_probabilistic_mode_never_agrees_on_a_shared_prefix(self):
+        prefix = b"\xcd" * 8
+
+        def vec(*labels):
+            return PseudonymVector(None, tuple(self._digest(prefix, f"{k}|{label}")
+                                               for k, label in enumerate(labels)))
+
+        vecs_a = [vec("a", "a", "a", "a"), vec("b", "a", "b", "a")]
+        vecs_b = [vec("a", "b", "a", "a"), vec("c", "a", "b", "a"), vec("a", "a", "a", "a")]
+        per_field = [np.frombuffer(bytes.fromhex("".join(h for v in vecs for h in v.per_field)),
+                                   "S64").reshape(len(vecs), 4) for vecs in (vecs_a, vecs_b)]
+        codes = linkage._field_codes(*per_field)
+        # field 0 holds a, b | a, c, a: three digests, all sharing their first 8 bytes
+        assert codes[0].tolist() == [0, 1, 0, 2, 0]
+        # only all four fields agreeing is a Match: B row 1 would be one if b and c merged
+        params = LinkageParams(m=(0.9,) * 4, u=(0.1,) * 4, t_upper=10.0, t_lower=-1.0,
+                               blocking_fields=())
+        result = link(pseudo_dataset("A", vecs_a), pseudo_dataset("B", vecs_b, "income"), params)
+        assert list(result.pairs) == oracle_link(vecs_a, vecs_b, params) == [(0, 2)]
+        assert result.audit["class_counts"] == _class_counts(vecs_a, vecs_b, params, ())
+
+    def test_exact_mode_pairs_only_equal_composites(self):
+        prefix = b"\x00" * 8
+
+        def vec(label):
+            return PseudonymVector(self._digest(prefix, label))
+
+        result = link(pseudo_dataset("A", [vec("x"), vec("y")]),
+                      pseudo_dataset("B", [vec("z"), vec("y"), vec("w")], "income"),
+                      LinkageParams(mode="exact"))
+        assert result.pairs == ((1, 1),)
+        assert result.audit["composite_collisions_a"] == 0
+        assert result.audit["composite_collisions_b"] == 0
+        assert result.audit["records_excluded_by_collision"] == 0
+
+
+def _counter_u(pseudos_a, pseudos_b):
+    """u as a Counter over each side's per-field digests, summed in the order
+    A's values first occur: the reference estimate_u must equal bit for bit."""
+    out = []
+    for k in range(4):
+        freq_a = Counter(p.per_field[k] for p in pseudos_a)
+        freq_b = Counter(p.per_field[k] for p in pseudos_b)
+        u_k = sum(
+            (count_a / len(pseudos_a)) * (freq_b[value] / len(pseudos_b))
+            for value, count_a in freq_a.items()
+            if value in freq_b
+        )
+        out.append(min(max(u_k, linkage.U_CLAMP), 1.0 - linkage.U_CLAMP))
+    return tuple(out)
+
+
+class TestEstimateUBitIdentical:
+    @given(
+        labels_a=st.lists(st.tuples(*[st.sampled_from("abcdefg")] * 4), min_size=1, max_size=40),
+        labels_b=st.lists(st.tuples(*[st.sampled_from("abcdefg")] * 4), min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_counter_reference(self, labels_a, labels_b):
+        vecs_a = [fake_vec(*row) for row in labels_a]
+        vecs_b = [fake_vec(*row) for row in labels_b]
+        assert estimate_u(vecs_a, vecs_b) == _counter_u(vecs_a, vecs_b)
+
+    def test_equals_counter_reference_on_population(self):
+        ds_a, ds_b = synthetic_pair(17, n_large=600, n_small=60, overlap=0.5,
+                                    perturbation=0.05)
+        vecs_a = [r.pseudonym for r in ds_a.rows]
+        vecs_b = [r.pseudonym for r in ds_b.rows]
+        assert estimate_u(vecs_a, vecs_b) == _counter_u(vecs_a, vecs_b)

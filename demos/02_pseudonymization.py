@@ -1,9 +1,10 @@
 """Salt-keyed pseudonyms: equal people hash equal, different salts share
 nothing.
 
-Both stations apply SHA-512 over domain-separated preimages with one shared
-secret salt. The analysis side sees only the digests; without the salt it
-cannot re-derive them from the small space of real-world identifiers.
+Both stations apply SHA-512, cut to its first 32 bytes, over
+domain-separated preimages with one shared secret salt. The analysis side
+sees only the digests; without the salt it cannot re-derive them from the
+small space of real-world identifiers.
 """
 
 from phtlink import canonicalize, generate_salt, pseudonymize

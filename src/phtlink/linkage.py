@@ -135,14 +135,17 @@ def _digests(cols: Columns, mode: str) -> np.ndarray:
 
 
 def _codes(digests: np.ndarray) -> np.ndarray:
-    """Integer code per digest of a (rows,) S64 column: equal exactly when
-    the digests are equal, and numbered in order of each digest's first row.
-    Rows are sorted by their first 8 bytes as one integer, and neighbours
-    that tie there must hold equal digests; if two unequal digests share
-    those 8 bytes, the whole digests are sorted instead."""
+    """Integer code per digest of a (rows,) DIGEST_DTYPE column: equal
+    exactly when the digests are equal, and numbered in order of each
+    digest's first row. Each digest is read as big-endian 8-byte words, as
+    many as its dtype holds (4 for a 32-byte digest). Rows are sorted by
+    their first word, and neighbours that tie there must hold equal
+    digests; if two unequal digests share that word, the whole digests are
+    sorted instead."""
     if not len(digests):
         return np.empty(0, np.int64)
-    words = np.ascontiguousarray(digests).view(">u8").reshape(len(digests), 8)
+    n_words = digests.dtype.itemsize // 8
+    words = np.ascontiguousarray(digests).view(">u8").reshape(len(digests), n_words)
     order = np.argsort(words[:, 0].astype(np.uint64))
     prefix = words[order, 0]
     same = prefix[1:] == prefix[:-1]

@@ -14,15 +14,15 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
-schema, descriptor and one array per payload column, then the raw 64-byte
-digests of every row. The header is written and read by encoding.write_field
-and encoding.read_field, the helpers every length-prefixed field uses. A data
-station holds Records, with QIDs. From the extract on, a pseudonymized
-dataset is held as Columns, in the body's own layout: one list per payload
-variable and the raw digests as one numpy S64 array, which a station's one
-pseudonymize_columns call writes directly. A Dataset of Records carrying
-PseudonymVectors, whose digests are hex strings, reaches that form through
-to_columns.
+schema, descriptor and one array per payload column, then the raw 32-byte
+digests (pseudonym.DIGEST_DTYPE) of every row. The header is written and
+read by encoding.write_field and encoding.read_field, the helpers every
+length-prefixed field uses. A data station holds Records, with QIDs. From
+the extract on, a pseudonymized dataset is held as Columns, in the body's
+own layout: one list per payload variable and the raw digests as one numpy
+S32 array, which a station's one pseudonymize_columns call writes directly.
+A Dataset of Records carrying PseudonymVectors, whose digests are hex
+strings, reaches that form through to_columns.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError naming the file, and the line for a row.
@@ -231,7 +231,7 @@ class Columns:
     an (n_rows, width) DIGEST_DTYPE array: each row's composite first, then
     its four per-field digests, as far as present; ``parts`` names them, from
     the width. Read digests back with ``.tobytes()``, never as array items:
-    numpy strips the trailing NUL bytes of an S64 item, and about 1 digest in
+    numpy strips the trailing NUL bytes of an S32 item, and about 1 digest in
     256 ends in one.
     """
 
@@ -315,9 +315,9 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """Columnar binary body for a pseudonymized dataset.
 
     Layout: a 4-byte big-endian length, then the canonical JSON of a
-    _BodyHeader, then each row's raw 64-byte digests, concatenated row after
-    row (composite first, then the four per-field digests, as far as
-    present).
+    _BodyHeader, then each row's raw 32-byte digests (DIGEST_DTYPE),
+    concatenated row after row (composite first, then the four per-field
+    digests, as far as present).
     """
     cols = to_columns(ds)
     header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
@@ -328,8 +328,9 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
 
 def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
-    lengths or header do not fit together raises ValueError. The digests
-    are a read-only view into ``data``."""
+    lengths or header do not fit together raises ValueError, one whose
+    digests are whole 64-byte SHA-512 outputs among them. The digests are a
+    read-only view into ``data``."""
     doc, start = read_field(memoryview(data), 0, _U32)
     header = check_types(block_from_dict(_BodyHeader, from_json_bytes(bytes(doc))))
     n_rows, parts = header.row_count, header.digests

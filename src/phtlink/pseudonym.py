@@ -8,12 +8,18 @@ blocked.
 
 Preimage layout (bit-exact interchange contract, UTF-8, "|" separators):
 
-    composite    SHA-512("PHT-COMPOSITE|" zip "|" house "|" gender "|" dob "|" salt)
-    per_field[i] SHA-512("PHT-FIELD-i|" value_i "|" salt)        i = 0..3
+    composite    SHA-512("PHT-COMPOSITE|" zip "|" house "|" gender "|" dob "|" salt)[:32]
+    per_field[i] SHA-512("PHT-FIELD-i|" value_i "|" salt)[:32]        i = 0..3
 
 Field order is zip_code, house_number, gender, date_of_birth. The distinct
 prefixes separate hashing domains: equal strings in different fields (or in
 the composite) can never produce equal digests.
+
+A digest is the first 32 bytes of the SHA-512 output (64 hex characters).
+Linkage needs only digest equality, and a 256-bit prefix of SHA-512 keeps
+128-bit collision resistance (NIST SP 800-107 Rev. 1, section 5.1, approves
+truncated SHA-512 output); the other 32 bytes would only be more bytes to
+seal, send, open, store and wipe.
 
 A station computes only the digests the manifest's linkage mode uses: exact
 linkage joins on the composite alone, probabilistic linkage scores the four
@@ -47,10 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import QuasiIdentifierSet
 
 SALT_LENGTH = 32
-DIGEST_HEX_LENGTH = 128  # SHA-512
+DIGEST_HEX_LENGTH = 64  # SHA-512 cut to its first 32 bytes
 
-#: One raw digest: SHA-512 output as a fixed-width byte string.
+#: One raw digest: the first 32 bytes of SHA-512 output, fixed width.
 DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
+_DIGEST_LENGTH = DIGEST_DTYPE.itemsize
 
 COMPOSITE_PREFIX = b"PHT-COMPOSITE|"
 FIELD_PREFIX_TEMPLATE = "PHT-FIELD-{index}|"
@@ -87,12 +94,14 @@ class PseudonymVector:
         if self.composite is None and not self.per_field:
             raise ValueError("a pseudonym vector needs a composite or per-field digests")
         if self.composite is not None and len(self.composite) != DIGEST_HEX_LENGTH:
-            raise ValueError("composite digest must be 128 hex characters")
+            raise ValueError(f"composite digest must be {DIGEST_HEX_LENGTH} hex characters")
         if self.per_field and (
             len(self.per_field) != 4
             or any(len(d) != DIGEST_HEX_LENGTH for d in self.per_field)
         ):
-            raise ValueError("expected four 128-hex-character per-field digests")
+            raise ValueError(
+                f"expected four {DIGEST_HEX_LENGTH}-hex-character per-field digests"
+            )
 
 
 def generate_salt(run_id: str) -> Salt:
@@ -126,7 +135,7 @@ def pseudonymize(
             + b"|"
             + salt.bytes
         )
-        composite = hashlib.sha512(composite_preimage).hexdigest()
+        composite = hashlib.sha512(composite_preimage).hexdigest()[:DIGEST_HEX_LENGTH]
     if mode != "exact":
         per_field = tuple(
             hashlib.sha512(
@@ -134,7 +143,7 @@ def pseudonymize(
                 + value.encode("utf-8")
                 + b"|"
                 + salt.bytes
-            ).hexdigest()
+            ).hexdigest()[:DIGEST_HEX_LENGTH]
             for i, value in enumerate(values)
         )
     return PseudonymVector(composite=composite, per_field=per_field)
@@ -157,7 +166,8 @@ def pseudonymize_columns(
     if mode == "exact":
         width = 1
         digests = [
-            sha512(COMPOSITE_PREFIX + "|".join(qid.as_tuple()).encode("utf-8") + tail).digest()
+            sha512(COMPOSITE_PREFIX + "|".join(qid.as_tuple()).encode("utf-8") + tail)
+            .digest()[:_DIGEST_LENGTH]
             for qid in qids
         ]
     else:
@@ -169,6 +179,8 @@ def pseudonymize_columns(
             for prefix, memo, value in zip(prefixes, memos, qid.as_tuple()):
                 digest = memo.get(value)
                 if digest is None:
-                    digest = memo[value] = sha512(prefix + value.encode("utf-8") + tail).digest()
+                    digest = memo[value] = sha512(
+                        prefix + value.encode("utf-8") + tail
+                    ).digest()[:_DIGEST_LENGTH]
                 digests.append(digest)
     return np.frombuffer(b"".join(digests), DIGEST_DTYPE).reshape(len(qids), width)

@@ -30,7 +30,9 @@ from phtlink.linkage import (
     score_pair,
 )
 from phtlink.model import QID_FIELDS, Record, dataset_from_bytes, dataset_to_bytes, make_dataset
-from phtlink.pseudonym import PseudonymVector, Salt, generate_salt
+from phtlink.pseudonym import (
+    DIGEST_DTYPE, DIGEST_HEX_LENGTH, PseudonymVector, Salt, generate_salt,
+)
 from phtlink.synth import SyntheticPopulationSpec, generate_population
 
 # frozen hand-derived weights for m=0.9, u=0.1
@@ -40,9 +42,10 @@ THREE_AGREE_WEIGHT = 6.339850002884624  # 3 * log2(9) + log2(1/9)
 
 def fake_vec(zip_v="z1", house_v="h1", gender_v="F", dob_v="d1"):
     """Pseudonym vector with digests derived from short labels; equal labels
-    give equal digests, which is all linkage looks at."""
+    give equal digests, which is all linkage looks at. A digest is the last
+    32 bytes of a SHA-512, so it ends where the SHA-512 does."""
     def digest(prefix, value):
-        return hashlib.sha512(f"{prefix}|{value}".encode()).hexdigest()
+        return hashlib.sha512(f"{prefix}|{value}".encode()).hexdigest()[-DIGEST_HEX_LENGTH:]
 
     return PseudonymVector(
         composite=digest("comp", f"{zip_v}{house_v}{gender_v}{dob_v}"),
@@ -703,13 +706,13 @@ class TestDigestPrefixCodes:
 
     @staticmethod
     def _digest(prefix: bytes, label: str) -> str:
-        return (prefix + hashlib.sha512(label.encode()).digest()[8:]).hex()
+        return (prefix + hashlib.sha512(label.encode()).digest()[8:DIGEST_DTYPE.itemsize]).hex()
 
     def test_codes_split_a_shared_prefix(self):
         shared, other = b"\xab" * 8, b"\x01" * 8
         digests = np.array([bytes.fromhex(self._digest(p, label)) for p, label in
                             [(shared, "x"), (shared, "y"), (other, "z"), (shared, "x")]],
-                           dtype="S64")
+                           dtype=DIGEST_DTYPE)
         assert linkage._codes(digests).tolist() == [0, 1, 2, 0]
 
     def test_probabilistic_mode_never_agrees_on_a_shared_prefix(self):
@@ -722,7 +725,7 @@ class TestDigestPrefixCodes:
         vecs_a = [vec("a", "a", "a", "a"), vec("b", "a", "b", "a")]
         vecs_b = [vec("a", "b", "a", "a"), vec("c", "a", "b", "a"), vec("a", "a", "a", "a")]
         per_field = [np.frombuffer(bytes.fromhex("".join(h for v in vecs for h in v.per_field)),
-                                   "S64").reshape(len(vecs), 4) for vecs in (vecs_a, vecs_b)]
+                                   DIGEST_DTYPE).reshape(len(vecs), 4) for vecs in (vecs_a, vecs_b)]
         codes = linkage._field_codes(*per_field)
         # field 0 holds a, b | a, c, a: three digests, all sharing their first 8 bytes
         assert codes[0].tolist() == [0, 1, 0, 2, 0]

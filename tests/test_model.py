@@ -353,9 +353,12 @@ class TestColumnarBody:
     def test_corrupt_lengths_rejected(self):
         body = dataset_to_bytes(self._dataset(None))
         header_len = int.from_bytes(body[:4], "big")
+        digests = body[4 + header_len :]
+        whole = b"".join(digests[i : i + 32] + b"\xee" * 32 for i in range(0, len(digests), 32))
         for bad in (
             body[:-1],  # one digest byte short
             body + b"\x00",  # one digest byte too many
+            body[: 4 + header_len] + whole,  # 64-byte digests, as whole SHA-512 output
             (header_len + 1).to_bytes(4, "big") + body[4:],  # header swallows a byte
             (header_len - 1).to_bytes(4, "big") + body[4:],  # header cut short
             (2**32 - 1).to_bytes(4, "big") + body[4:],  # header overruns the body
@@ -391,11 +394,14 @@ class TestColumnarBody:
             pass
 
 
-# SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23)
+# SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23). The
+# three pseudonymized pins were derived from the bodies of whole 64-byte
+# SHA-512 digests, with each digest cut to its first 32 bytes and the header
+# left as it was.
 PINNED_BODIES = {
-    None: "6fca79a15223719ea0caa488cebd1f45e48ba7d4298b95bc238d5fdc27e96b3e",
-    "exact": "067a9f22a997aef6f88a77b67aa9599b2568ab7ac1a8629115a80b2f4849e5f3",
-    "probabilistic": "ea09d95959e8982acc8d42307f95ebc33a2c95fac7922036efa9760b685807d5",
+    None: "545c9206eab6e9c900ab70aac1eccbfb7e61d64f9fb3caf2a0813a0533c8054f",
+    "exact": "0eb43e7ee2130654ba511b1e9e70bd25ce14e812902f6ac68a0cdd9df6c65ecb",
+    "probabilistic": "3cb9056b1bf80e378d02144beea2db266c5cf030e56c3ed902b6712262d49285",
     "payload_only": "a7cb6150840d122f0370db514590d376b063bf6973f9979f5162c81c75e777a7",
     "empty": "6bd1668e64bccb7dffb2537382b5dfaabedc18f64a1d735bf7866e3dda4d678c",
 }
@@ -421,7 +427,7 @@ class TestBodyPinned:
             for r in large.rows
         ]
         digests = [d for r in rows for d in (r.pseudonym.composite, *r.pseudonym.per_field) if d]
-        # numpy strips a trailing NUL from an S64 item: the pin must cover one
+        # numpy strips a trailing NUL from an S32 item: the pin must cover one
         assert any(d.endswith("00") for d in digests)
         body = dataset_to_bytes(dataclasses.replace(large, rows=rows))
         assert hashlib.sha256(body).hexdigest() == PINNED_BODIES[mode]

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import errno
+import hashlib
 import logging
 import socket
 import struct
@@ -12,6 +13,7 @@ import time
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -1294,6 +1296,16 @@ def _opened_plaintexts(monkeypatch, tse_keys) -> list[bytes]:
     return opened
 
 
+def _whole_digests(qid, salt) -> list[bytes]:
+    """The whole 64-byte SHA-512 of each of a QID set's documented preimages,
+    composite first, then the four fields; a pseudonym is the first 32 bytes
+    of each."""
+    values, tail = qid.as_tuple(), b"|" + salt.bytes
+    preimages = [b"PHT-COMPOSITE|" + "|".join(values).encode() + tail] + [
+        f"PHT-FIELD-{i}|{value}".encode() + tail for i, value in enumerate(values)]
+    return [hashlib.sha512(preimage).digest() for preimage in preimages]
+
+
 class TestDataMinimisation:
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -1305,18 +1317,17 @@ class TestDataMinimisation:
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.completed and len(opened) == 2
 
-        full = [pseudonymize(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
-        used = [v.composite for v in full] if mode == "exact" else [
-            d for v in full for d in v.per_field]
-        unused = [d for v in full for d in v.per_field] if mode == "exact" else [
-            v.composite for v in full]
+        whole = [_whole_digests(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
+        used = [w[0] for w in whole] if mode == "exact" else [d for w in whole for d in w[1:]]
+        unused = [d for w in whole for d in w[1:]] if mode == "exact" else [w[0] for w in whole]
         plaintext = b"".join(opened)
-        # the digests the mode links on travel raw inside the sealed extracts ...
-        assert all(bytes.fromhex(d) in plaintext for d in used)
-        # ... and the others travel nowhere, neither raw nor as hex
+        # the 32-byte prefixes the mode links on travel raw inside the sealed extracts ...
+        assert all(d[:32] in plaintext for d in used)
+        # ... the others travel nowhere, neither raw nor as hex, and no
+        # digest's last 32 bytes travel at all
         seen = [plaintext, *out.received_bytes["TSE"]]
-        for digest in unused:
-            for needle in (bytes.fromhex(digest), digest.encode()):
+        for part in [d[:32] for d in unused] + [d[32:] for w in whole for d in w]:
+            for needle in (part, part.hex().encode()):
                 assert not any(needle in blob for blob in seen), mode
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
@@ -1329,6 +1340,29 @@ class TestDataMinimisation:
         scn = demo_scenario(linkage=LinkageParams(mode="probabilistic"))
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("MissingPseudonyms")
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_station_sending_whole_sha512_digests_aborts_and_wipes(
+        self, monkeypatch, transport, mode
+    ):
+        # A hashes as stations did before digests were cut to 32 bytes; B as now
+        scn = demo_scenario(linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        qids_a = [row.qid for row in scn.ds_a.rows]
+
+        def mixed(qids, salt, mode):
+            if qids != qids_a:
+                return pseudonymize_columns(qids, salt, mode)
+            whole = [_whole_digests(qid, salt) for qid in qids]
+            parts = [w[:1] if mode == "exact" else w[1:] for w in whole]
+            return np.frombuffer(b"".join(d for p in parts for d in p), "S64").reshape(
+                len(qids), -1)
+
+        monkeypatch.setattr(stations, "pseudonymize", mixed)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
+        assert "digest bytes" in out.reason
         assert out.storage.wiped and out.storage.inventory() == ()
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])

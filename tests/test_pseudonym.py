@@ -21,17 +21,11 @@ from phtlink.pseudonym import (
 QID = QuasiIdentifierSet("6211AB", "12", "F", "1960-03-15")
 ZERO_SALT = Salt(b"\x00" * 32, "run-zero")
 
-# Frozen oracle values, computed with a standalone SHA-512 run over the
-# documented preimages "PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + 32 zero
+# Frozen oracle values: the first 32 bytes of a standalone SHA-512 run over
+# the documented preimages "PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + 32 zero
 # bytes and "PHT-FIELD-0|6211AB|" + 32 zero bytes.
-ORACLE_COMPOSITE_ZERO_SALT = (
-    "c64b0fdb1e6b78e52a1f0fdb0848ef657b572f47950a9e0f6d7688f7dc3a4b8a"
-    "7d1ee0e1617a3b006661d43dfcededd57ff15eae2b933c16b672d1f778a14104"
-)
-ORACLE_FIELD0_ZERO_SALT = (
-    "a6c9c405526e3f139f7dd59b2b2f80a96935451d07703d3568742802ab80fe5f"
-    "206507a9df35da482117d831b901dfd7c1a05e78ad4a500755cc5b7ce4a90fee"
-)
+ORACLE_COMPOSITE_ZERO_SALT = "c64b0fdb1e6b78e52a1f0fdb0848ef657b572f47950a9e0f6d7688f7dc3a4b8a"
+ORACLE_FIELD0_ZERO_SALT = "a6c9c405526e3f139f7dd59b2b2f80a96935451d07703d3568742802ab80fe5f"
 
 
 def qids(n, seed=0):
@@ -88,7 +82,7 @@ class TestPseudonymize:
         for salt, vec in ((salt_a, va), (salt_b, vb)):
             expected = hashlib.sha512(
                 b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + salt.bytes
-            ).hexdigest()
+            ).hexdigest()[:64]
             assert vec.composite == expected
 
     def test_avalanche_per_field(self):
@@ -111,8 +105,8 @@ class TestPseudonymize:
         # equal value strings in different field positions can never collide
         salt = b"\x07" * 32
         assert (
-            hashlib.sha512(b"PHT-FIELD-0|12|" + salt).hexdigest()
-            != hashlib.sha512(b"PHT-FIELD-1|12|" + salt).hexdigest()
+            hashlib.sha512(b"PHT-FIELD-0|12|" + salt).hexdigest()[:64]
+            != hashlib.sha512(b"PHT-FIELD-1|12|" + salt).hexdigest()[:64]
         )
 
     def test_per_field_digests_pairwise_distinct(self):
@@ -136,14 +130,21 @@ class TestPseudonymVector:
             PseudonymVector(composite="ab", per_field=("ab",) * 4)
 
     def test_wrong_arity_rejected(self):
-        good = "0" * 128
+        good = "0" * DIGEST_HEX_LENGTH
         with pytest.raises(ValueError):
             PseudonymVector(composite=good, per_field=(good,) * 3)
 
     def test_per_field_only_and_composite_only_accepted(self):
-        good = "0" * 128
+        good = "0" * DIGEST_HEX_LENGTH
         assert PseudonymVector(good).per_field == ()
         assert PseudonymVector(None, (good,) * 4).composite is None
+
+    def test_whole_sha512_hex_digest_rejected(self):
+        whole = hashlib.sha512(b"PHT-COMPOSITE|").hexdigest()
+        with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH} hex"):
+            PseudonymVector(whole)
+        with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH}-hex"):
+            PseudonymVector(None, (whole,) * 4)
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -152,11 +153,12 @@ class TestPseudonymVector:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_per_field_arity_other_than_four_rejected_without_composite(self, n):
         with pytest.raises(ValueError):
-            PseudonymVector(None, ("0" * 128,) * n)
+            PseudonymVector(None, ("0" * DIGEST_HEX_LENGTH,) * n)
 
     def test_short_per_field_digest_rejected_without_composite(self):
+        good = "0" * DIGEST_HEX_LENGTH
         with pytest.raises(ValueError):
-            PseudonymVector(None, ("0" * 128,) * 3 + ("0" * 127,))
+            PseudonymVector(None, (good,) * 3 + (good[1:],))
 
 
 class TestModeScopedPseudonyms:

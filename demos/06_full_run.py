@@ -2,10 +2,13 @@
 
 Station A holds identifiers with age for 10^4 people; station B holds
 identifiers with income for 10^3 of the same people. A signed train manifest
-authorizes one analysis. The stations agree a salt (sealed so the analysis
-station cannot read it), pseudonymize, seal, and send; the analysis station
-verifies, decrypts, verifies, links, analyzes, validates, answers the
-researcher, and deletes everything it held.
+authorizes one analysis. Each station derives the run's salt from its own
+key and the other station's public key, so no salt travels and the analysis
+station cannot compute it; each then pseudonymizes, seals, and sends. The
+analysis station verifies, decrypts, verifies, checks that both stations
+hashed under the same salt, links, analyzes, validates, answers the
+researcher, and deletes everything it held. The stations never message each
+other.
 """
 
 import time

@@ -2,10 +2,11 @@
 partitioned data across train/station endpoints.
 
 Data-provider stations canonicalize and pseudonymize quasi-identifiers under
-a shared secret salt, seal their extracts in sign-then-encrypt envelopes, and
-ship them to an isolated analysis station that links (exactly or with
-Fellegi-Sunter scoring), runs the authorized analysis, applies disclosure
-control, returns only the validated tables, and deletes everything it held.
+a secret salt each derives from its own and its peer's keys, seal their
+extracts in sign-then-encrypt envelopes, and ship them to an isolated
+analysis station that links (exactly or with Fellegi-Sunter scoring), runs
+the authorized analysis, applies disclosure control, returns only the
+validated tables, and deletes everything it held.
 """
 
 from .analysis import (

@@ -28,6 +28,10 @@ A key id is ``scope:kind:`` and the first 8 hex digits of SHA-256 over the
 raw public key (derive_key_id); the scope is the run a key is bound to, or
 "static" for a key read from a file.
 
+derive_salt gives the two data stations of a run the salt they hash
+under, from the same static X25519 keys: each computes it from its own
+private key and the other's public key, so the salt never travels.
+
 Opening runs the three phases in order and attributes failures to the phase
 that rejected: outer integrity (tampered ciphertext, tag, or header), content
 key unwrap / decryption (wrong private key, tampered wrap), inner signature
@@ -65,6 +69,7 @@ from .errors import (
     OuterIntegrityFailure,
     RunMismatch,
 )
+from .pseudonym import SALT_LENGTH, Salt
 
 ALGORITHMS = {
     "kem": "X25519-HKDF-SHA256",
@@ -81,6 +86,7 @@ _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _KEK_INFO = b"phtlink-envelope-kek"
+_SALT_INFO = b"PHT-SALT|"
 
 STATIC_SCOPE = "static"
 
@@ -249,19 +255,41 @@ def verify_payload(verification_key: bytes, payload: bytes, signature: bytes) ->
         return False
 
 
+def _hkdf(shared: bytes, info: bytes, length: int = 32) -> bytes:
+    return HKDF(algorithm=hashes.SHA256(), length=length, salt=None, info=info).derive(shared)
+
+
 def _derive_kek(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(),
-        length=32,
-        salt=None,
-        info=_KEK_INFO + ephemeral_pub + recipient_pub,
-    ).derive(shared)
+    return _hkdf(shared, _KEK_INFO + ephemeral_pub + recipient_pub)
 
 
 def _check_run_scope(key_id: str, run_id: str) -> None:
     scope = _scope_of(key_id)
     if scope != STATIC_SCOPE and scope != run_id:
         raise RunMismatch(f"key {key_id} is bound to run {scope!r}, not {run_id!r}")
+
+
+def derive_salt(
+    own: KeyPair, peer: PublicEncryptionKey, run_id: str, manifest_bytes: bytes
+) -> Salt:
+    """The run's salt, which each data station computes on its own.
+
+    HKDF-SHA-256 over the X25519 secret of the station's own static key and
+    its peer's public key (static-static key agreement, NIST SP 800-56A
+    Rev. 3, section 6.3), with info "PHT-SALT|" + run_id + SHA-256 of the
+    signed manifest's ``manifest_bytes``. Both stations of a run get the
+    same salt; a party that holds neither private key cannot compute it.
+    A key bound to another run raises RunMismatch, as in seal."""
+    _check_run_scope(own.key_id, run_id)
+    _check_run_scope(peer.key_id, run_id)
+    try:
+        shared = X25519PrivateKey.from_private_bytes(own.private_decryption_key).exchange(
+            X25519PublicKey.from_public_bytes(peer.public_encryption_key)
+        )
+    except ValueError as exc:
+        raise DecryptionFailure(f"salt key agreement failed: {exc}") from None
+    info = _SALT_INFO + run_id.encode("utf-8") + hashlib.sha256(manifest_bytes).digest()
+    return Salt(_hkdf(shared, info, SALT_LENGTH), run_id)
 
 
 def seal(

@@ -87,10 +87,6 @@ class TrainManifest:
                 return key
         return None
 
-    def salt_initiator_id(self) -> str:
-        # deterministic designation: lowest data-station id starts the salt exchange
-        return min(self.data_station_ids())
-
     def signable_bytes(self) -> bytes:
         doc = manifest_to_dict(self)
         doc.pop("credential_signature", None)

@@ -14,15 +14,16 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
-schema, descriptor and one array per payload column, then the raw 32-byte
-digests (pseudonym.DIGEST_DTYPE) of every row. The header is written and
-read by encoding.write_field and encoding.read_field, the helpers every
-length-prefixed field uses. A data station holds Records, with QIDs. From
-the extract on, a pseudonymized dataset is held as Columns, in the body's
-own layout: one list per payload variable and the raw digests as one numpy
-S32 array, which a station's one pseudonymize_columns call writes directly.
-A Dataset of Records carrying PseudonymVectors, whose digests are hex
-strings, reaches that form through to_columns.
+schema, descriptor, one array per payload column and the Salt.check of the
+salt the digests were made under (empty where no station set it), then the
+raw 32-byte digests (pseudonym.DIGEST_DTYPE) of every row. The header is
+written and read by encoding.write_field and encoding.read_field, the
+helpers every length-prefixed field uses. A data station holds Records,
+with QIDs. From the extract on, a pseudonymized dataset is held as Columns,
+in the body's own layout: one list per payload variable and the raw
+digests as one numpy S32 array, which a station's one pseudonymize_columns
+call writes directly. A Dataset of Records carrying PseudonymVectors, whose
+digests are hex strings, reaches that form through to_columns.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError naming the file, and the line for a row.
@@ -240,6 +241,7 @@ class Columns:
     descriptor: DatasetDescriptor
     payload: list[list]
     digests: np.ndarray
+    salt_check: str = ""  # Salt.check of the salt the digests were made under
 
     @property
     def n_rows(self) -> int:
@@ -309,6 +311,7 @@ class _BodyHeader:
     row_count: int
     digests: tuple[str, ...]  # the digest parts every row carries
     columns: list  # one array per payload variable, in schema order
+    salt_check: str
 
 
 def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
@@ -321,7 +324,7 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """
     cols = to_columns(ds)
     header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
-                         cols.parts, cols.payload)
+                         cols.parts, cols.payload, cols.salt_check)
     doc = canonical_json_bytes({**vars(header), "descriptor": asdict(cols.descriptor)})
     return b"".join((*write_field(_U32, doc), cols.digests.tobytes()))
 
@@ -344,7 +347,7 @@ def dataset_from_bytes(data: bytes) -> Columns:
         raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests")
     digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
     cols = Columns(header.station_id, header.schema, header.descriptor, header.columns,
-                   digests.reshape(n_rows, width))
+                   digests.reshape(n_rows, width), header.salt_check)
     cols.validate()
     return cols
 

@@ -12,8 +12,10 @@ Per-sender message order is preserved by construction: the in-process engine
 uses FIFO queues, and a TCP node sends over one connection per address (see
 TcpNode), so the researcher's cancel follows its dispatch. Cross-sender
 interleaving is unspecified, so traces are compared per channel, never
-globally; the researcher dispatches the salt initiator last (see
-ResearcherActor), so a run's outcome does not depend on that interleaving.
+globally; the researcher dispatches the data stations only once the TSE has
+acknowledged its own dispatch (see ResearcherActor), so a run's outcome
+does not depend on that interleaving. Data stations never message each
+other: each derives the run's salt itself.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Both data stations hash the same canonical fields with the same shared salt,
 so equal people yield equal digests without any party revealing raw values.
 The analysis side never holds the salt, which is what makes the digests
 one-way there: without it, dictionary attacks over the small QID space are
-blocked.
+blocked. The stations derive the salt from their own keys
+(envelope.derive_salt), and each sends only its Salt.check, from which the
+analysis side learns whether the two salts are equal and nothing more.
 
 Preimage layout (bit-exact interchange contract, UTF-8, "|" separators):
 
@@ -60,6 +62,7 @@ DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
 _DIGEST_LENGTH = DIGEST_DTYPE.itemsize
 
 COMPOSITE_PREFIX = b"PHT-COMPOSITE|"
+SALT_CHECK_PREFIX = b"PHT-SALT-CHECK|"
 FIELD_PREFIX_TEMPLATE = "PHT-FIELD-{index}|"
 
 LINKAGE_MODES = ("exact", "probabilistic")
@@ -77,6 +80,13 @@ class Salt:
             raise ValueError("salt must be at least 16 bytes")
         if not self.run_id:
             raise ValueError("salt requires a run_id")
+
+    @property
+    def check(self) -> str:
+        """A one-way fingerprint: the first 16 bytes of
+        SHA-256("PHT-SALT-CHECK|" + salt), in hex. Equal salts give equal
+        checks; a check gives nothing else of its salt."""
+        return hashlib.sha256(SALT_CHECK_PREFIX + self.bytes).hexdigest()[:32]
 
 
 @dataclass(frozen=True)

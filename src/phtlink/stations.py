@@ -8,16 +8,18 @@ checks per-sender order and ends the run at its deadline; a subclass gives
 only its steps, one per message type, and its answer to a bad message. A
 party sends to the addresses its run's dispatch named, and to no others.
 
-Data station phases:  Idle -> Validated -> SaltAgreed -> Sent (Done on failure)
+Data station phases:  Idle -> Validated -> Sent (Done on failure)
 TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
                       Analyzing -> Validating -> Returned -> Wiped
 
-Privacy-critical structure: the salt exchange is sealed station-to-station,
-so the TSE never receives salt bytes in any form; raw QIDs are dropped at
-pseudonymization time and never serialize; a station sends only the digests
-the manifest's linkage mode uses; the TSE wipes its storage on
-every terminal path, success or failure, and emits at most one result per
-run.
+Privacy-critical structure: each data station derives the run's salt from
+its own key and its peer's public key (envelope.derive_salt), so no salt
+travels and stations never message each other; the TSE receives only each
+salt's one-way Salt.check, and aborts "SaltMismatch" if the two differ;
+raw QIDs are dropped at pseudonymization time and never serialize; a
+station sends only the digests the manifest's linkage mode uses; the TSE
+wipes its storage on every terminal path, success or failure, and emits at
+most one result per run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .envelope import (
     PublicEncryptionKey,
     SealedPackage,
     SigningKeys,
+    derive_salt,
     open_package,
     seal,
 )
@@ -40,7 +43,7 @@ from .linkage import link, merge
 from .manifest import TrainManifest, validate_train
 from .model import Columns, Dataset, Record, dataset_from_bytes, dataset_to_bytes
 # imported as pseudonymize: bench/layers.py wraps that name to time the layer
-from .pseudonym import Salt, generate_salt, pseudonymize_columns as pseudonymize
+from .pseudonym import Salt, pseudonymize_columns as pseudonymize
 from .wire import (
     Abort,
     Ack,
@@ -48,7 +51,6 @@ from .wire import (
     DataTransfer,
     Message,
     ResultReturn,
-    SaltOffer,
     TrainDispatch,
     message_type_name,
 )
@@ -56,7 +58,6 @@ from .wire import (
 # data station phases
 IDLE = "Idle"
 VALIDATED = "Validated"
-SALT_AGREED = "SaltAgreed"
 SENT = "Sent"
 DONE = "Done"
 
@@ -221,14 +222,14 @@ class DataStationConfig:
     trust_anchor_verify: bytes
     enc_keys: KeyPair
     sign_keys: SigningKeys
-    #: peer data-station encryption public keys, for sealing the salt offer
+    #: peer data-station encryption public keys, to derive the run's salt with
     peer_encryption_keys: dict[str, PublicEncryptionKey] = field(default_factory=dict)
     audit_path: str | None = None
-    #: failure injection for tests: None, "no_send" (die after salt
-    #: agreement) or "tamper" (flip a ciphertext bit before sending)
+    #: failure injection for tests: None, "no_send" (die once the extract
+    #: is prepared) or "tamper" (flip a ciphertext bit before sending)
     fault: str | None = None
-    #: test hook: a salt carried over from a previous run, to exercise the
-    #: seal-time run binding check
+    #: test hook: a salt used instead of the derived one, to plant a known
+    #: salt or exercise the seal-time run binding check
     reuse_salt: Salt | None = None
 
 
@@ -237,7 +238,6 @@ class DataStationActor(_Party):
         super().__init__(config.station_id, config.audit_path)
         self.config = config
         self._manifest: TrainManifest | None = None
-        self._salt: Salt | None = None
 
     @property
     def terminal(self) -> bool:
@@ -293,82 +293,26 @@ class DataStationActor(_Party):
             return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
         self._log("train_validated")
-        out = [self._send(msg.manifest.researcher_id, Ack, ACK_OK)]
+        return [self._send(msg.manifest.researcher_id, Ack, ACK_OK), *self._prepare_and_send()]
 
-        if msg.manifest.salt_initiator_id() == self.station_id:
-            out.extend(self._offer_salt())
-        return out
-
-    def _offer_salt(self) -> list[Outgoing]:
+    def _prepare_and_send(self) -> list[Outgoing]:
         manifest = self._manifest
         peers = [s for s in manifest.data_station_ids() if s != self.station_id]
         if len(peers) != 1:
             return self.abort(f"BadTopology({len(peers)} peers)")
-        peer = peers[0]
-        peer_key = self.config.peer_encryption_keys.get(peer)
+        peer_key = self.config.peer_encryption_keys.get(peers[0])
         if peer_key is None:
-            return self.abort(f"MissingPeerKey({peer})")
-        self._salt = self.config.reuse_salt or generate_salt(self._run_id)
+            return self.abort(f"MissingPeerKey({peers[0]})")
         try:
-            sealed = seal(
-                self._salt.bytes,
-                self._run_id,
-                self.station_id,
-                peer_key,
-                self.config.sign_keys,
+            salt = self.config.reuse_salt or derive_salt(
+                self.config.enc_keys, peer_key, self._run_id, manifest.signable_bytes()
             )
         except PhtError as exc:
             return self.abort(type(exc).__name__)
-        self._log("salt_offered", peer)
-        return [self._send(peer, SaltOffer, self.station_id, peer, sealed)]
-
-    def _on_salt_offer(self, msg: SaltOffer) -> list[Outgoing]:
-        if self.phase != VALIDATED or msg.run_id != self._run_id:
-            return self.abort(
-                f"UnexpectedMessage(SaltOffer in {self.phase})", fallback_dest=msg.sender
-            )
-        if msg.to_station != self.station_id:
-            return self.abort("MisroutedSaltOffer")
-        verifier = self._manifest.verification_key_for(msg.from_station)
-        if verifier is None:
-            return self.abort(f"UnknownStation({msg.from_station})")
-        try:
-            salt_bytes = open_package(
-                msg.sealed_salt,
-                self.config.enc_keys,
-                verifier,
-                expected_run_id=self._run_id,
-            )
-        except PhtError as exc:
-            return self.abort(type(exc).__name__)
-        self._salt = Salt(bytes=salt_bytes, run_id=self._run_id)
-        self._log("salt_accepted", msg.from_station)
-        out = [self._send(msg.from_station, Ack, ACK_OK)]
-        out.extend(self._prepare_and_send())
-        return out
-
-    def _on_ack(self, msg: Ack) -> list[Outgoing]:
-        # the initiator's salt offer is acknowledged by the peer station
-        if (
-            self.phase == VALIDATED
-            and self._manifest is not None
-            and self._manifest.salt_initiator_id() == self.station_id
-            and msg.sender in self._manifest.data_station_ids()
-            and self._salt is not None
-            and msg.run_id == self._run_id
-        ):
-            self._log("salt_agreed", msg.sender)
-            return self._prepare_and_send()
-        return self.abort(f"UnexpectedMessage(Ack from {msg.sender} in {self.phase})")
-
-    def _prepare_and_send(self) -> list[Outgoing]:
-        manifest = self._manifest
-        self.phase = SALT_AGREED
-        self._log("salt_agreed")
-
         # a salt is good for exactly one run; enforced here, at seal time
-        if self._salt.run_id != self._run_id:
+        if salt.run_id != self._run_id:
             return self.abort("RunMismatch(salt)")
+        self._log("salt_derived", peers[0])
 
         request = manifest.request_for(self.station_id)
         dataset = self.config.dataset
@@ -384,7 +328,8 @@ class DataStationActor(_Party):
             tuple((name, types[name]) for name in request.variables),
             replace(dataset.descriptor, row_count=len(kept)),
             [[row.payload[name] for row in kept] for name in request.variables],
-            pseudonymize([row.qid for row in kept], self._salt, manifest.linkage.mode),
+            pseudonymize([row.qid for row in kept], salt, manifest.linkage.mode),
+            salt.check,
         )
         payload = dataset_to_bytes(extract)
         self._log("extract_prepared", f"{len(kept)}/{len(dataset.rows)} rows")
@@ -417,8 +362,7 @@ class DataStationActor(_Party):
             self._send(manifest.researcher_id, Ack, ACK_OK),
         ]
 
-    _steps = {TrainDispatch: _on_dispatch, SaltOffer: _on_salt_offer, Ack: _on_ack,
-              Abort: _on_abort}
+    _steps = {TrainDispatch: _on_dispatch, Abort: _on_abort}
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +448,6 @@ class TseActor(_Party):
             return []
         return [self._send(self._manifest.researcher_id, Abort, reason)]
 
-    def _on_salt_offer(self, msg: SaltOffer) -> list[Outgoing]:
-        # the salt exchange is station-to-station; it must never be here
-        return self.abort("SaltOfferAtTse")
-
     def _on_abort(self, msg: Abort) -> list[Outgoing]:
         # a station's refusal or the researcher's cancel: the sender
         # already knows the run is over, so nothing goes back
@@ -570,6 +510,10 @@ class TseActor(_Party):
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
             self._held.append(datasets[-1])
+        # a station that derived another salt, as with a wrong peer key,
+        # made digests that link nothing: fail closed rather than report that
+        if datasets[0].salt_check != datasets[1].salt_check:
+            return self.abort("SaltMismatch")
 
         self.phase = LINKING
         self._log("linking")
@@ -604,8 +548,7 @@ class TseActor(_Party):
         self.wipe("all run data deleted")
         return [out]
 
-    _steps = {TrainDispatch: _on_dispatch, DataTransfer: _on_data, SaltOffer: _on_salt_offer,
-              Abort: _on_abort}
+    _steps = {TrainDispatch: _on_dispatch, DataTransfer: _on_data, Abort: _on_abort}
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +562,12 @@ class ResearcherActor(_Party):
     "Timeout" unless it already ended, and the router that delivered it
     evicts the actor either way.
 
-    The salt-initiating station is dispatched last, once every other party
-    has acknowledged its own dispatch, and not at all if the run aborts
-    first. Its SaltOffer, and every DataTransfer, then reaches a party only
-    after that party's TrainDispatch, however a transport interleaves
-    messages from different senders. On the first Abort it hears of, it
-    cancels the run at every other party it has dispatched."""
+    The TSE is dispatched first, and the data stations once the TSE has
+    acknowledged its dispatch, or not at all if the run aborts first. Every
+    DataTransfer then reaches the TSE only after its TrainDispatch, however
+    a transport interleaves messages from different senders. On the first
+    Abort it hears of, it cancels the run at every other party it has
+    dispatched."""
 
     def __init__(
         self,
@@ -639,9 +582,6 @@ class ResearcherActor(_Party):
         self.acks: list[tuple[str, str]] = []
         self.outcome: tuple[str, object] | None = None
         self._dispatched: list[str] = []
-        self._initiator: str | None = None
-        # parties whose dispatch Ack the initiator's dispatch still waits for
-        self._awaiting_acks: set[str] = set()
 
     def _dispatch(self, dest: str) -> Outgoing:
         self._dispatched.append(dest)
@@ -651,13 +591,7 @@ class ResearcherActor(_Party):
 
     def start(self) -> list[Outgoing]:
         self._log("train_dispatched", phase="Dispatch")
-        stations = self.manifest.data_station_ids()
-        # with no data station the TSE alone is dispatched, and rejects the run
-        self._initiator = self.manifest.salt_initiator_id() if stations else None
-        first = [s for s in stations if s != self._initiator]
-        first.append(self.manifest.tse_station_id)
-        self._awaiting_acks = set(first)
-        return [self._dispatch(dest) for dest in first]
+        return [self._dispatch(self.manifest.tse_station_id)]
 
     def _out_of_order(self, msg: Message) -> list[Outgoing]:
         self._log("out_of_order_dropped", msg.sender, phase="Receive")
@@ -693,17 +627,17 @@ class ResearcherActor(_Party):
     def _on_ack(self, msg: Ack) -> list[Outgoing]:
         self.acks.append((msg.sender, msg.status))
         self._log("ack", f"{msg.sender}:{msg.status}", phase="Receive")
+        # the Ack of the TSE, while it is the one party dispatched, and no
+        # other, dispatches the data stations
         if (
             self.outcome is not None
             or msg.run_id != self.manifest.run_id
-            or msg.sender not in self._awaiting_acks
+            or self._dispatched != [msg.sender]
         ):
             return []
-        self._awaiting_acks.discard(msg.sender)
-        if self._awaiting_acks or self._initiator is None:
-            return []
-        self._log("initiator_dispatched", self._initiator, phase="Dispatch")
-        return [self._dispatch(self._initiator)]
+        stations = self.manifest.data_station_ids()
+        self._log("stations_dispatched", ",".join(stations), phase="Dispatch")
+        return [self._dispatch(dest) for dest in stations]
 
     _steps = {Ack: _on_ack, ResultReturn: _on_result, Abort: _on_abort}
 

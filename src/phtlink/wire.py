@@ -9,10 +9,12 @@ Frame layout (version 2), all integers big-endian:
     payload
 
 The payload of TrainDispatch, Ack, ResultReturn and Abort is canonical JSON,
-UTF-8. The payload of SaltOffer and DataTransfer is binary: a 4-byte length
-and a canonical JSON header (run_id, seq, sender, plus from_station and
-to_station for a SaltOffer), followed by the sealed package exactly as
-SealedPackage.to_bytes lays it out. There is no reader for version 1.
+UTF-8. The payload of DataTransfer is binary: a 4-byte length and a
+canonical JSON header (run_id, seq, sender), followed by the sealed package
+exactly as SealedPackage.to_bytes lays it out. There is no reader for
+version 1. Type byte 0x03 is unassigned: it carried the station-to-station
+salt offer, which is gone now that each data station derives the run's salt
+itself, so such a frame is refused as an unknown type.
 
 Every message carries run_id, a per-sender monotonically increasing sequence
 number, and the sender id. take_frame cuts a stream's bytes into frames and
@@ -45,7 +47,6 @@ MAX_PAYLOAD = 256 * 1024 * 1024
 
 TYPE_TRAIN_DISPATCH = 0x01
 TYPE_ACK = 0x02
-TYPE_SALT_OFFER = 0x03
 TYPE_DATA_TRANSFER = 0x04
 TYPE_RESULT_RETURN = 0x05
 TYPE_ABORT = 0x06
@@ -60,16 +61,6 @@ class TrainDispatch:
     sender: str
     manifest: TrainManifest
     endpoints: tuple[tuple[str, str], ...]  # (actor id, address), sorted
-
-
-@dataclass(frozen=True)
-class SaltOffer:
-    run_id: str
-    seq: int
-    sender: str
-    from_station: str
-    to_station: str
-    sealed_salt: SealedPackage
 
 
 @dataclass(frozen=True)
@@ -104,21 +95,18 @@ class Abort:
     reason: str
 
 
-Message = TrainDispatch | SaltOffer | Ack | DataTransfer | ResultReturn | Abort
+Message = TrainDispatch | Ack | DataTransfer | ResultReturn | Abort
 
 _U32 = struct.Struct(">I")
 
 _TYPE_BY_CLASS = {
     TrainDispatch: TYPE_TRAIN_DISPATCH,
     Ack: TYPE_ACK,
-    SaltOffer: TYPE_SALT_OFFER,
     DataTransfer: TYPE_DATA_TRANSFER,
     ResultReturn: TYPE_RESULT_RETURN,
     Abort: TYPE_ABORT,
 }
 _CLASS_BY_TYPE = {type_byte: cls for cls, type_byte in _TYPE_BY_CLASS.items()}
-#: the field of a binary type that travels as a sealed package, after the JSON
-_PACKAGE_FIELD = {SaltOffer: "sealed_salt", DataTransfer: "package"}
 # fields whose JSON value is not the field's own
 _WRITERS = {"manifest": manifest_to_dict, "endpoints": dict, "result": ValidatedResult.to_dict}
 _READERS = {"manifest": manifest_from_dict, "result": ValidatedResult.from_dict,
@@ -126,9 +114,9 @@ _READERS = {"manifest": manifest_from_dict, "result": ValidatedResult.from_dict,
 
 
 def _payload_dict(msg: Message) -> dict:
-    """Every field of ``msg`` but its package, as JSON values."""
+    """Every field of ``msg`` but a DataTransfer's package, as JSON values."""
     doc = {f.name: getattr(msg, f.name) for f in fields(msg)}
-    doc.pop(_PACKAGE_FIELD.get(type(msg)), None)
+    doc.pop("package", None)
     for name in _WRITERS.keys() & doc.keys():
         doc[name] = _WRITERS[name](doc[name])
     return doc
@@ -140,9 +128,8 @@ def message_type_name(msg: Message) -> str:
 
 def encode(msg: Message) -> bytes:
     payload = [canonical_json_bytes(_payload_dict(msg))]
-    if type(msg) in _PACKAGE_FIELD:
-        package = getattr(msg, _PACKAGE_FIELD[type(msg)])
-        payload = [*write_field(_U32, payload[0]), package.to_bytes()]
+    if isinstance(msg, DataTransfer):
+        payload = [*write_field(_U32, payload[0]), msg.package.to_bytes()]
     length = sum(len(part) for part in payload)
     return b"".join(
         [MAGIC, bytes([VERSION, _TYPE_BY_CLASS[type(msg)]]), _U32.pack(length), *payload]
@@ -175,11 +162,11 @@ def decode(frame: bytes) -> Message:
     view = memoryview(frame)
     cls = _CLASS_BY_TYPE[type_byte]
     json_at, doc_bytes, given = HEADER_LEN, view[HEADER_LEN:], None
-    if cls in _PACKAGE_FIELD:
+    if cls is DataTransfer:
         json_at = HEADER_LEN + _U32.size
         doc_bytes, json_end = read_field(view, HEADER_LEN, _U32)
         try:
-            given = {_PACKAGE_FIELD[cls]: SealedPackage.from_bytes(view[json_end:])}
+            given = {"package": SealedPackage.from_bytes(view[json_end:])}
         except DecodeError as exc:
             raise DecodeError(json_end + exc.offset, exc.cause) from None
     try:

@@ -56,7 +56,10 @@ def make_scenario(
     allowed_a: tuple[str, ...] | None = None,
     allowed_b: tuple[str, ...] | None = None,
 ) -> Scenario:
-    """Wire up a complete two-station + TSE + researcher run."""
+    """Wire up a complete two-station + TSE + researcher run.
+
+    ``reuse_salt_a`` is a salt both stations use instead of the one they
+    would derive."""
     anchor = generate_signing_keys()
     tse_enc = generate_encryption_keypair(run_id)
     a_enc = generate_encryption_keypair(run_id)
@@ -114,6 +117,7 @@ def make_scenario(
                 sign_keys=b_sign,
                 peer_encryption_keys={"A": a_enc.public_only()},
                 fault=fault_b,
+                reuse_salt=reuse_salt_a,
             ),
         ],
         tse=TseConfig(

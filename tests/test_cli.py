@@ -437,11 +437,12 @@ class TestSubmitEndToEnd:
 
 class TestSubmitTimeout:
     def test_submit_cancels_the_run_at_its_deadline(self, tmp_path):
-        """With no TSE listening the run cannot finish: at --timeout submit
-        aborts with Timeout and cancels the run at the station it reached."""
-        with _deploy(tmp_path, tse_timeout_s=30, start=("A", "B")) as deploy:
+        """With station B not listening the run cannot finish: at --timeout
+        submit aborts with Timeout and cancels the run at the TSE, which
+        still awaits B's data."""
+        with _deploy(tmp_path, tse_timeout_s=30, start=("A", "TSE")) as deploy:
             with socket.create_server(("127.0.0.1", 0)) as unused:
-                deploy["endpoints"]["TSE"] = "{}:{}".format(*unused.getsockname())
+                deploy["endpoints"]["B"] = "{}:{}".format(*unused.getsockname())
             result = CliRunner().invoke(main, [
                 "submit", str(_draft(deploy, "run-cli-timeout")),
                 "--anchor-key", str(deploy["anchor_dir"] / "anchor_private.pem"),
@@ -450,15 +451,19 @@ class TestSubmitTimeout:
             assert result.exit_code == 1, result.output
             assert "aborted: Timeout" in result.output
 
-            def b_events():
-                lines = (tmp_path / "audit_b.jsonl").read_text().splitlines()
-                return [e["event"] for e in map(json.loads, lines)
+            def tse_events():
+                lines = (tmp_path / "audit_tse.jsonl").read_text().splitlines()
+                return [(e["event"], e["detail"]) for e in map(json.loads, lines)
                         if e["run_id"] == "run-cli-timeout"]
 
             deadline = time.monotonic() + 10.0
-            while "peer_abort" not in b_events() and time.monotonic() < deadline:
+            while ("abort_wiped", "researcher: Timeout") not in tse_events() \
+                    and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert b_events() == ["train_validated", "peer_abort"]
+            assert [event for event, _ in tse_events()] == [
+                "train_validated", "awaiting_data", "data_received", "abort_wiped",
+            ]
+            assert tse_events()[-1] == ("abort_wiped", "researcher: Timeout")
 
 
 class TestDaemonLifecycle:

@@ -6,8 +6,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_scenario
+from phtlink.analysis import table_to_csv
+from phtlink.encoding import b64encode
 from phtlink.envelope import (
     SealedPackage,
+    derive_salt,
     generate_encryption_keypair,
     generate_signing_keys,
     open_package,
@@ -21,7 +25,11 @@ from phtlink.errors import (
     PhtError,
     RunMismatch,
 )
+from phtlink.manifest import sign_manifest
+from phtlink.network import run_network
+from phtlink.pseudonym import SALT_LENGTH
 from phtlink.stations import flip_bit
+from phtlink.synth import generate_vertical_demo
 
 RUN = "run-0001"
 
@@ -301,3 +309,59 @@ class TestKeyIds:
         )
         with pytest.raises(ValueError, match="encrypted private keys are not supported"):
             load(encrypted)
+
+
+class TestDerivedSalt:
+    """Each data station derives the run's salt from its own key and its
+    peer's public key; the salt itself never travels."""
+
+    @staticmethod
+    def scenario():
+        return make_scenario(*generate_vertical_demo(60, 20, seed=5))
+
+    @staticmethod
+    def derived(scn, station=0, manifest=None):
+        """The salt station ``station`` of ``scn`` derives for ``manifest``."""
+        manifest = manifest or scn.manifest
+        config = scn.setup.stations[station]
+        (peer_key,) = config.peer_encryption_keys.values()
+        return derive_salt(config.enc_keys, peer_key, manifest.run_id, manifest.signable_bytes())
+
+    def test_both_stations_derive_the_same_salt(self):
+        scn = self.scenario()
+        salt_a, salt_b = self.derived(scn, 0), self.derived(scn, 1)
+        assert salt_a == salt_b
+        assert len(salt_a.bytes) == SALT_LENGTH and salt_a.run_id == scn.manifest.run_id
+        assert salt_a.check == salt_b.check and salt_a.check not in salt_a.bytes.hex()
+
+    def test_salt_changes_with_the_run_id(self):
+        one, two = generate_encryption_keypair(), generate_encryption_keypair()
+        manifest = b"the same signed manifest"
+        salts = {derive_salt(one, two.public_only(), run, manifest).bytes for run in ("r1", "r2")}
+        assert len(salts) == 2
+
+    def test_salt_changes_with_a_signed_manifest_field(self):
+        scn = self.scenario()
+        later = sign_manifest(replace(scn.manifest, expiry="2098-01-01T00:00:00Z"), scn.anchor)
+        assert self.derived(scn).bytes != self.derived(scn, manifest=later).bytes
+        assert self.derived(scn, 1, later) == self.derived(scn, 0, later)
+
+    def test_key_bound_to_another_run_is_refused(self):
+        bound, static = generate_encryption_keypair("run-other"), generate_encryption_keypair()
+        for own, peer in ((bound, static), (static, bound)):
+            with pytest.raises(RunMismatch):
+                derive_salt(own, peer.public_only(), RUN, b"manifest")
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_salt_never_reaches_the_tse_or_a_result_file(self, tmp_path, transport):
+        scn = self.scenario()
+        salt = self.derived(scn).bytes
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.completed
+        (tmp_path / "result.json").write_bytes(out.result_bytes)
+        for t, table in enumerate(out.result.tables):
+            (tmp_path / f"table_{t}.csv").write_text(table_to_csv(table))
+        blobs = [*out.received_bytes["TSE"], *(f.read_bytes() for f in tmp_path.iterdir())]
+        assert len(blobs) >= 4
+        for needle in (salt, b64encode(salt).encode(), salt.hex().encode()):
+            assert not any(needle in blob for blob in blobs)

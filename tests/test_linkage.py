@@ -533,10 +533,13 @@ class TestExactLinkPinned:
         )
 
 
-# SHA-256 of the merged body after linking TestLinkPinned's populations
+# SHA-256 of the merged body after linking TestLinkPinned's populations. The
+# pins moved once, when the body header gained its "salt_check" key: the
+# bodies are the earlier ones with exactly ',"salt_check":""' added to the
+# header JSON and its length prefix.
 PINNED_MERGED_BODIES = {
-    "exact": "e7c1c7ba5d4c34667736cdce56df4b81ebcbd8e70080d461d69ec21d2e95fd35",
-    "probabilistic": "46002e4c59e02691c590f606473af185a021ae0f0960f67624da71769608bc39",
+    "exact": "bf9fdeff8c3730b4b002b25ff864d5d6c195080ad8759040cc9d279a2419b9e9",
+    "probabilistic": "1f7d32563ae6d378a32c9606f3d75e1aa8ac9523178ea8161d3e7e663233fa93",
 }
 
 

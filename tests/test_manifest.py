@@ -115,10 +115,6 @@ class TestManifestEncoding:
         back = manifest_from_dict(manifest_to_dict(manifest))
         assert validate_train(back, anchor.verification_key, NOW).accepted
 
-    def test_salt_initiator_is_lowest_station_id(self):
-        manifest, _ = build_manifest()
-        assert manifest.salt_initiator_id() == "A"
-
 
 def _fixed_manifest(**blocks) -> TrainManifest:
     """A manifest built from fixed key bytes only, so its bytes never vary."""

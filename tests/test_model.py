@@ -21,6 +21,7 @@ from phtlink.model import (
     dataset_to_bytes,
     make_dataset,
     read_dataset_csv,
+    to_columns,
     write_dataset_csv,
 )
 from phtlink.pseudonym import Salt, pseudonymize
@@ -343,6 +344,18 @@ class TestColumnarBody:
         assert raw_digests == b"".join(bytes.fromhex(r.pseudonym.composite) for r in ds.rows)
         assert ds.rows[0].pseudonym.composite.encode() not in body
 
+    def test_salt_check_travels_and_is_required(self):
+        cols = to_columns(self._dataset("exact"))
+        cols.salt_check = Salt(b"\x03" * 32, "run-x").check
+        body = dataset_to_bytes(cols)
+        assert dataset_from_bytes(body).salt_check == cols.salt_check
+        header_len = int.from_bytes(body[:4], "big")
+        header = json.loads(body[4 : 4 + header_len])
+        del header["salt_check"]
+        doc = json.dumps(header).encode()
+        with pytest.raises(ValueError, match="salt_check"):
+            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :])
+
     def test_rows_with_different_digest_parts_refused(self):
         ds = self._dataset("exact")
         other = self._dataset("probabilistic")
@@ -374,6 +387,7 @@ class TestColumnarBody:
         ("digests", "composite", "digests"),
         ("descriptor", {"source": "s", "extracted_at": "t", "row_count": 3.0}, "row_count"),
         ("columns", ["abc", ["s0", "s1", "s2"], [0.0, 0.5, 1.0]], "age"),
+        ("salt_check", 7, "salt_check"),
     ])
     def test_header_of_the_wrong_shape_rejected(self, key, value, named):
         body = dataset_to_bytes(self._dataset("exact"))
@@ -397,13 +411,15 @@ class TestColumnarBody:
 # SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23). The
 # three pseudonymized pins were derived from the bodies of whole 64-byte
 # SHA-512 digests, with each digest cut to its first 32 bytes and the header
-# left as it was.
+# left as it was. Every pin was then moved once more, when the header gained
+# its "salt_check" key: the bodies are the earlier ones with exactly
+# ',"salt_check":""' added to the header JSON and its length prefix.
 PINNED_BODIES = {
-    None: "545c9206eab6e9c900ab70aac1eccbfb7e61d64f9fb3caf2a0813a0533c8054f",
-    "exact": "0eb43e7ee2130654ba511b1e9e70bd25ce14e812902f6ac68a0cdd9df6c65ecb",
-    "probabilistic": "3cb9056b1bf80e378d02144beea2db266c5cf030e56c3ed902b6712262d49285",
-    "payload_only": "a7cb6150840d122f0370db514590d376b063bf6973f9979f5162c81c75e777a7",
-    "empty": "6bd1668e64bccb7dffb2537382b5dfaabedc18f64a1d735bf7866e3dda4d678c",
+    None: "e825c7439d2260b1579003cebd48338c99c46af81addaeb28097835b29c59b27",
+    "exact": "e377cdd03775bd90f4ab8782a8b34030b49e9927a43c3627335204886e0fe8fd",
+    "probabilistic": "1873f4be8307aa47fc8e96d14da974bcc4a3a19c092447b9f54b289d46549c06",
+    "payload_only": "a8db844bb7d26de8c7c088ce6bc0f364c90e4dfd22c5ea3e043ee4edf40a62b5",
+    "empty": "57fdad54cbd20ce0f2f3ef5beb8c57e2e74c36d74897ea6a8095c98685281241",
 }
 
 

@@ -21,7 +21,7 @@ from conftest import make_scenario
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
-from phtlink.envelope import SealedPackage
+from phtlink.envelope import SealedPackage, generate_encryption_keypair
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
 from phtlink.model import QID_FIELDS, dataset_from_bytes
@@ -30,7 +30,7 @@ from phtlink.pseudonym import Salt, pseudonymize, pseudonymize_columns
 from phtlink.stations import (
     AWAITING_DATA,
     IDLE,
-    VALIDATED,
+    SENT,
     WIPED,
     DataStationActor,
     Outgoing,
@@ -87,8 +87,8 @@ class TestInProcess:
         assert types[("researcher", "A")] == ["TrainDispatch"]
         assert types[("researcher", "B")] == ["TrainDispatch"]
         assert types[("researcher", "TSE")] == ["TrainDispatch"]
-        assert types[("A", "B")] == ["SaltOffer"]
-        assert types[("B", "A")] == ["Ack"]
+        # each station derives the salt itself: stations never message each other
+        assert ("A", "B") not in types and ("B", "A") not in types
         assert types[("A", "TSE")] == ["DataTransfer"]
         assert types[("B", "TSE")] == ["DataTransfer"]
         assert types[("TSE", "researcher")][-1] == "ResultReturn"
@@ -169,6 +169,36 @@ class TestPartyIsolation:
         blob = b"".join(out.received_bytes["TSE"])
         for canary in canaries:
             assert canary not in blob
+
+
+class TestSaltAgreement:
+    """Each station derives the salt on its own; the TSE compares the two
+    salt checks and fails closed where they differ."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_wrong_peer_key_aborts_with_salt_mismatch(self, transport):
+        scn = demo_scenario()
+        wrong = generate_encryption_keypair(scn.manifest.run_id).public_only()
+        scn.setup.stations[0].peer_encryption_keys = {"B": wrong}
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "SaltMismatch")
+        assert out.result is None and out.result_bytes is None
+        assert not any(e[0] == "ResultReturn" for v in out.traces.values() for e in v)
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    def test_mixed_version_run_ends_timeout_with_the_tse_wiped(self, caplog):
+        """A station of the earlier protocol sends its peer a salt offer,
+        type byte 0x03, and sends no data before the peer acknowledges it.
+        This version refuses that frame as undecodable, so the old station
+        never sends its data and the run ends "Timeout", the TSE wiped."""
+        offer = MAGIC + bytes([VERSION, 0x03]) + struct.pack(">I", 2) + b"{}"
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            assert network._receive("B", Router(), offer, None) == []
+        assert "unknown type byte 0x03" in caplog.text
+        scn = demo_scenario(fault_a="no_send")  # the old station's data never comes
+        out = run_network(scn.setup, transport="inproc")
+        assert (out.outcome, out.reason) == ("aborted", "Timeout")
+        assert out.storage.wiped and out.storage.inventory() == ()
 
 
 class TestTcp:
@@ -302,17 +332,27 @@ class TestInvalidManifest:
 
 class TestRefusalIsAudited:
     """Why a manifest was refused lands in the refusing party's audit; the
-    Abort it sends names the bare reason."""
+    Abort it sends names the bare reason. The TSE is dispatched first, so a
+    manifest it refuses never reaches a data station."""
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
-    def test_k_min_0_is_named_in_the_refusal_events_of_b_and_the_tse(self, transport):
+    def test_k_min_0_is_named_in_the_refusal_event_of_the_tse(self, transport):
         scn = demo_scenario(disclosure=DisclosurePolicy(k_min=0))
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert (out.outcome, out.reason) == ("aborted", "InvalidManifest")
-        for party, event in (("B", "abort"), ("TSE", "abort_wiped")):
-            refusals = [e["detail"] for e in out.audit_logs[party] if e["event"] == event]
-            assert len(refusals) == 1 and refusals[0].startswith("InvalidManifest: "), refusals
-            assert "k_min" in refusals[0]
+        refusals = [e["detail"] for e in out.audit_logs["TSE"] if e["event"] == "abort_wiped"]
+        assert len(refusals) == 1 and refusals[0].startswith("InvalidManifest: "), refusals
+        assert "k_min" in refusals[0]
+        assert out.audit_logs["A"] == out.audit_logs["B"] == []
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_unreleased_variable_is_named_in_the_refusal_event_of_b(self, transport):
+        scn = demo_scenario(allowed_b=())
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "UnauthorizedVariable")
+        refusals = [e["detail"] for e in out.audit_logs["B"] if e["event"] == "abort"]
+        assert refusals == ["UnauthorizedVariable: B does not release ['income']"]
+        assert out.storage.wiped and out.storage.inventory() == ()
 
 
 class TestUnreleasableResult:
@@ -375,50 +415,51 @@ class TestRouter:
     def test_stray_message_before_dispatch_leaves_the_actor_idle(self):
         # run_network installs its prebuilt actors at their own dispatch
         scn = demo_scenario()
-        a, b = (DataStationActor(cfg) for cfg in scn.setup.stations)
-        router_b = Router(lambda dispatch: b)
+        a, tse = DataStationActor(scn.setup.stations[0]), TseActor(scn.setup.tse)
+        router_tse = Router(lambda dispatch: tse)
         run_id = scn.manifest.run_id
-        offer = a.handle(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))[1]
-        assert offer.dest == "B"
-        assert router_b(offer.message) == []
-        assert b.phase == IDLE and router_b.actors == {}
-        router_b(TrainDispatch(run_id, 2, "researcher", scn.manifest, ()))
-        assert b.phase == VALIDATED
+        transfer = a.handle(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))[1]
+        assert transfer.dest == "TSE"
+        assert router_tse(transfer.message) == []
+        assert tse.phase == IDLE and router_tse.actors == {}
+        router_tse(TrainDispatch(run_id, 2, "researcher", scn.manifest, ()))
+        assert tse.phase == AWAITING_DATA
 
     def test_researcher_cancel_wipes_a_tse_that_missed_the_station_abort(self):
-        # over TCP a refusing station's Abort can reach the TSE before the
-        # TSE's own dispatch; the researcher's cancel follows that dispatch
+        # a refusing station's Abort to the TSE is lost on the way; the
+        # researcher's cancel still ends the run there
         scn = demo_scenario(allowed_b=())
         router, built = _tse_router(scn)
         researcher = ResearcherActor("researcher", scn.manifest, {})
-        dispatches = {o.dest: o.message for o in researcher.start()}
+        (tse_dispatch,) = researcher.start()
+        (ack,) = router(tse_dispatch.message)
+        dispatches = {o.dest: o.message for o in researcher.handle(ack.message)}
+        assert built[0].phase == AWAITING_DATA
         refusal = {o.dest: o.message
                    for o in DataStationActor(scn.setup.stations[1]).handle(dispatches["B"])}
-        assert router(refusal["TSE"]) == []  # a frame for an unknown run
-        router(dispatches["TSE"])
-        assert built[0].phase == AWAITING_DATA
+        assert set(refusal) == {"researcher", "TSE"}
         cancels = researcher.handle(refusal["researcher"])
-        assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "UnauthorizedVariable")]
+        assert [(o.dest, o.message.reason) for o in cancels] == [
+            ("TSE", "UnauthorizedVariable"), ("A", "UnauthorizedVariable"),
+        ]
         router(cancels[0].message)
         assert built[0].storage.wiped and router.actors == {}
 
-    def test_station_deadline_ends_a_station_left_waiting(self):
-        """The TSE's dispatch was lost: B acked its own and waits in
-        Validated for a salt offer that never comes. At the deadline it
-        aborts with Timeout, tells the researcher and the TSE, and is
-        evicted."""
+    def test_station_is_evicted_once_its_extract_is_sent(self):
+        """A station derives the salt and sends its extract within the
+        dispatch's step, so it never waits on a peer: it is terminal, and
+        evicted, as soon as that step returns."""
         scn = demo_scenario()
         b = DataStationActor(scn.setup.stations[1])
         router = Router(lambda dispatch: b, 60.0)
         run_id = scn.manifest.run_id
-        router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
-        assert b.phase == VALIDATED and router.actors == {run_id: b}
-        out = router.expire()
-        assert [(o.dest, type(o.message), o.message.reason) for o in out] == [
-            ("researcher", Abort, "Timeout"), ("TSE", Abort, "Timeout"),
+        out = router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
+        assert [(o.dest, message_type_name(o.message)) for o in out] == [
+            ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),
         ]
-        assert (b.audit.events[-1]["event"], b.audit.events[-1]["detail"]) == ("abort", "Timeout")
+        assert b.phase == SENT and b.terminal
         assert router.actors == {} and router.finished == {run_id}
+        assert router.expire() == []
 
     def test_researcher_holding_late_acks_is_evicted_at_its_deadline(self):
         scn = demo_scenario()
@@ -506,11 +547,12 @@ class TestAddressesFromDispatch:
     def test_station_answers_at_the_addresses_its_dispatch_named(self):
         scn = demo_scenario()
         a = DataStationActor(scn.setup.stations[0])
-        endpoints = (("B", "10.0.0.2:7002"), ("researcher", "10.0.0.9:7009"))
+        endpoints = (("TSE", "10.0.0.3:7003"), ("researcher", "10.0.0.9:7009"))
         out = a.handle(TrainDispatch(scn.manifest.run_id, 1, "researcher", scn.manifest,
                                      endpoints))
         assert [(o.dest, o.address) for o in out] == [
-            ("researcher", "10.0.0.9:7009"), ("B", "10.0.0.2:7002"),
+            ("researcher", "10.0.0.9:7009"), ("TSE", "10.0.0.3:7003"),
+            ("researcher", "10.0.0.9:7009"),
         ]
 
     def test_one_tse_serves_two_runs_whose_researchers_share_an_id(self):
@@ -1064,12 +1106,10 @@ class TestHandlerRaises:
 
 #: the frames an in-process run sends, in order, as (destination, type)
 RUN_FRAMES = [
-    ("B", "TrainDispatch"), ("TSE", "TrainDispatch"),
-    ("researcher", "Ack"), ("researcher", "Ack"),  # B's, then the TSE's
-    ("A", "TrainDispatch"), ("researcher", "Ack"),
-    ("B", "SaltOffer"), ("A", "Ack"),
-    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # B's data
-    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # A's data
+    ("TSE", "TrainDispatch"), ("researcher", "Ack"),  # the TSE's Ack
+    ("A", "TrainDispatch"), ("B", "TrainDispatch"),
+    ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),  # A's
+    ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),  # B's
     ("researcher", "ResultReturn"),
 ]
 
@@ -1125,17 +1165,20 @@ class _FaultyPump:
 
 
 class TestFaultMatrix:
-    """Each of a run's 13 frames is dropped, duplicated or delayed in turn,
+    """Each of a run's 11 frames is dropped, duplicated or delayed in turn,
     in both linkage modes. Every run ends with a result or a named reason;
     a TSE that was dispatched is wiped and empty; at most one result is
     accepted; and no party, the researcher included, is left live in its
     router, since each ends the run at its deadline. A lost station Ack
-    (frames 5, 9 and 11) leaves the run completed; a lost ResultReturn
-    (frame 12) ends it "Timeout" at the researcher, with the TSE wiped.
+    (frames 4, 6, 7 and 9) leaves the run completed; a lost ResultReturn
+    (frame 10) ends it "Timeout" at the researcher, with the TSE wiped.
 
     The frames a fault leaves late, such as the aborts parties send to
     others that already ended the run, are expected, so no router logs a
-    warning for them."""
+    warning for them. A station ends its run within its dispatch's step, so
+    the second copy of a duplicated station dispatch (frames 2 and 3) is a
+    replayed dispatch for a finished run: the router refuses it with the one
+    warning it gives a replay, and nothing else."""
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
     def test_fault_free_run_sends_the_listed_frames(self, monkeypatch, mode):
@@ -1165,10 +1208,15 @@ class TestFaultMatrix:
         assert len(accepted) <= 1
         assert {aid: list(router.actors) for aid, router in pump.routers.items()} == {
             "A": [], "B": [], "TSE": [], "researcher": []}
-        if (fault, k) == ("drop", 12):
+        if fault == "drop" and k in (4, 6, 7, 9):
+            assert out.completed
+        if (fault, k) == ("drop", 10):
             assert (out.outcome, out.reason) == ("aborted", "Timeout")
             assert out.storage.wiped
-        assert [r.message for r in caplog.records if r.levelno >= logging.WARNING] == []
+        replayed = [f"dropped: run_id={scn.manifest.run_id} sender=researcher "
+                    "reason=TrainDispatch for a finished run"]
+        assert [r.message for r in caplog.records if r.levelno >= logging.WARNING] == (
+            replayed if fault == "duplicate" and k in (2, 3) else [])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from phtlink.errors import StorageWiped
 from phtlink.manifest import PoolFilter
 from phtlink.model import QuasiIdentifierSet, Record, age_on, dataset_from_bytes
 from phtlink.pseudonym import Salt
-from phtlink.envelope import open_package
+from phtlink.envelope import generate_encryption_keypair, open_package
 from phtlink.stations import (
     AWAITING_DATA,
     DONE,
@@ -32,7 +32,6 @@ from phtlink.wire import (
     Ack,
     DataTransfer,
     ResultReturn,
-    SaltOffer,
     TrainDispatch,
 )
 
@@ -59,41 +58,47 @@ def types_by_dest(outgoing):
     return [(o.dest, type(o.message).__name__) for o in outgoing]
 
 
-def run_salt_exchange(scn, a, b):
-    """Drive both stations through dispatch and salt agreement; returns the
-    DataTransfer messages produced by each."""
-    outs_a = a.handle(dispatch(scn.manifest))
-    assert types_by_dest(outs_a) == [("researcher", "Ack"), ("B", "SaltOffer")]
-    offer = outs_a[1].message
+STATION_FRAMES = [("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack")]
 
-    outs_b = b.handle(dispatch(scn.manifest))
-    assert types_by_dest(outs_b) == [("researcher", "Ack")]
-    outs_b = b.handle(offer)
-    assert types_by_dest(outs_b) == [
-        ("A", "Ack"),
-        ("TSE", "DataTransfer"),
-        ("researcher", "Ack"),
-    ]
-    salt_ack, transfer_b = outs_b[0].message, outs_b[1].message
 
-    outs_a = a.handle(salt_ack)
-    assert types_by_dest(outs_a) == [("TSE", "DataTransfer"), ("researcher", "Ack")]
-    return outs_a[0].message, transfer_b
+def run_stations(scn, a, b):
+    """Dispatch both stations, each of which derives the salt and sends its
+    extract at once; returns the DataTransfer messages produced by each."""
+    transfers = []
+    for station in (a, b):
+        outs = station.handle(dispatch(scn.manifest))
+        assert types_by_dest(outs) == STATION_FRAMES
+        transfers.append(outs[1].message)
+    return tuple(transfers)
+
+
+def opened(scn, transfer):
+    plaintext = open_package(
+        transfer.package, scn.setup.tse.enc_keys,
+        scn.manifest.verification_key_for(transfer.sender), expected_run_id=scn.manifest.run_id,
+    )
+    return dataset_from_bytes(plaintext)
 
 
 class TestDataStationHappyPath:
     def test_full_exchange_reaches_sent(self):
         scn = scenario()
         a, b, _ = actors(scn)
-        transfer_a, transfer_b = run_salt_exchange(scn, a, b)
+        transfer_a, transfer_b = run_stations(scn, a, b)
         assert a.phase == SENT and b.phase == SENT
         assert transfer_a.package.sender_station_id == "A"
         assert transfer_b.package.sender_station_id == "B"
 
+    def test_both_stations_send_the_same_salt_check(self):
+        scn = scenario()
+        transfer_a, transfer_b = run_stations(scn, *actors(scn)[:2])
+        check = opened(scn, transfer_a).salt_check
+        assert len(check) == 32 and opened(scn, transfer_b).salt_check == check
+
     def test_extract_has_pseudonyms_and_requested_variables_only(self):
         scn = scenario()
         a, b, _ = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         plaintext = open_package(
             transfer_a.package,
             scn.setup.tse.enc_keys,
@@ -109,7 +114,7 @@ class TestDataStationHappyPath:
     def test_pool_filter_drops_out_of_range_rows(self):
         scn = scenario(pool_a=PoolFilter(age_min=50, age_max=60, as_of="2026-01-01"))
         a, b, _ = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         plaintext = open_package(
             transfer_a.package, scn.setup.tse.enc_keys,
             scn.manifest.verification_key_for("A"),
@@ -142,7 +147,7 @@ class TestDataStationFailures:
     def test_duplicate_dispatch_after_sent_aborts(self):
         scn = scenario()
         a, b, _ = actors(scn)
-        run_salt_exchange(scn, a, b)
+        run_stations(scn, a, b)
         outs = a.handle(dispatch(scn.manifest, seq=2))
         assert a.phase == DONE
         assert any(
@@ -150,14 +155,23 @@ class TestDataStationFailures:
             for o in outs
         )
 
-    def test_salt_offer_in_idle_aborts(self):
+    def test_ack_at_a_station_aborts(self):
+        # stations never message each other, so nothing but the researcher's
+        # dispatch and cancel is addressed to one
         scn = scenario()
-        a, b, _ = actors(scn)
-        outs_a = a.handle(dispatch(scn.manifest))
-        offer = outs_a[1].message
-        outs = b.handle(offer)  # B never validated the train
+        _, b, _ = actors(scn)
+        outs = b.handle(Ack(scn.manifest.run_id, 1, "A", "OK"))
         assert b.phase == DONE
-        assert any(isinstance(o.message, Abort) for o in outs)
+        assert [(o.dest, o.message.reason) for o in outs] == [("A", "UnexpectedMessage(Ack)")]
+
+    def test_missing_peer_key_aborts(self):
+        scn = scenario()
+        scn.setup.stations[1].peer_encryption_keys = {}
+        _, b, _ = actors(scn)
+        outs = b.handle(dispatch(scn.manifest))
+        assert b.phase == DONE
+        reasons = [o.message.reason for o in outs if isinstance(o.message, Abort)]
+        assert reasons == ["MissingPeerKey(A)", "MissingPeerKey(A)"]
 
     def test_out_of_order_sequence_aborts(self):
         scn = scenario()
@@ -169,12 +183,8 @@ class TestDataStationFailures:
     def test_stale_salt_rejected_at_seal_time(self):
         stale = Salt(b"\x05" * 32, "run-older")
         scn = scenario(reuse_salt_a=stale)
-        a, b, _ = actors(scn)
-        outs_a = a.handle(dispatch(scn.manifest))
-        offer = outs_a[1].message
-        outs_b = b.handle(dispatch(scn.manifest))
-        salt_ack = b.handle(offer)[0].message
-        outs = a.handle(salt_ack)
+        a, _, _ = actors(scn)
+        outs = a.handle(dispatch(scn.manifest))
         assert a.phase == DONE
         reasons = [o.message.reason for o in outs if isinstance(o.message, Abort)]
         assert reasons and all(r == "RunMismatch(salt)" for r in reasons)
@@ -183,7 +193,7 @@ class TestDataStationFailures:
 class TestTse:
     def drive_happy(self, scn):
         a, b, tse = actors(scn)
-        transfer_a, transfer_b = run_salt_exchange(scn, a, b)
+        transfer_a, transfer_b = run_stations(scn, a, b)
         outs = tse.handle(dispatch(scn.manifest))
         assert types_by_dest(outs) == [("researcher", "Ack")]
         assert tse.phase == AWAITING_DATA
@@ -202,7 +212,7 @@ class TestTse:
     def test_received_package_is_held_but_not_copied_into_storage(self):
         scn = scenario()
         a, b, tse = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         tse.handle(dispatch(scn.manifest))
         assert tse.handle(transfer_a) == []
         assert tse.storage.inventory() == ()
@@ -215,7 +225,7 @@ class TestTse:
 
         for mode in ("exact", "probabilistic"):
             scn = scenario(linkage=LinkageParams(mode=mode))
-            transfer_a, _ = run_salt_exchange(scn, *actors(scn)[:2])
+            transfer_a, _ = run_stations(scn, *actors(scn)[:2])
             plaintext = open_package(
                 transfer_a.package, scn.setup.tse.enc_keys,
                 scn.manifest.verification_key_for("A"), expected_run_id=scn.manifest.run_id,
@@ -237,7 +247,7 @@ class TestTse:
     def test_at_most_one_result_per_run(self):
         scn = scenario()
         tse, outs = self.drive_happy(scn)
-        _, transfer_b = run_salt_exchange(scn, *actors(scn)[:2])
+        _, transfer_b = run_stations(scn, *actors(scn)[:2])
         late = tse.handle(dataclasses.replace(transfer_b, seq=99))
         terminal = [
             o for o in late if isinstance(o.message, (ResultReturn, Abort))
@@ -247,7 +257,7 @@ class TestTse:
     def test_tampered_package_aborts_with_station_attribution(self):
         scn = scenario(fault_b="tamper")
         a, b, tse = actors(scn)
-        transfer_a, transfer_b = run_salt_exchange(scn, a, b)
+        transfer_a, transfer_b = run_stations(scn, a, b)
         tse.handle(dispatch(scn.manifest))
         tse.handle(transfer_a)
         outs = tse.handle(transfer_b)
@@ -271,7 +281,7 @@ class TestTse:
     def test_unexpected_station_aborts(self):
         scn = scenario()
         a, b, tse = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         tse.handle(dispatch(scn.manifest))
         rogue = dataclasses.replace(
             transfer_a, sender="C", seq=1, package=transfer_a.package
@@ -285,7 +295,7 @@ class TestTse:
     def test_duplicate_transfer_aborts(self):
         scn = scenario()
         a, b, tse = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         tse.handle(dispatch(scn.manifest))
         tse.handle(transfer_a)
         outs = tse.handle(dataclasses.replace(transfer_a, seq=transfer_a.seq + 1))
@@ -294,18 +304,19 @@ class TestTse:
             for o in outs
         )
 
-    def test_salt_offer_at_tse_aborts(self):
+    def test_salt_mismatch_aborts_and_wipes(self):
         scn = scenario()
-        a, _, tse = actors(scn)
-        outs_a = a.handle(dispatch(scn.manifest))
-        offer = outs_a[1].message
+        # A holds another key pair's public half for B: the two salts differ
+        wrong = generate_encryption_keypair(scn.manifest.run_id).public_only()
+        scn.setup.stations[0].peer_encryption_keys = {"B": wrong}
+        a, b, tse = actors(scn)
+        transfer_a, transfer_b = run_stations(scn, a, b)
+        assert opened(scn, transfer_a).salt_check != opened(scn, transfer_b).salt_check
         tse.handle(dispatch(scn.manifest))
-        outs = tse.handle(offer)
-        assert any(
-            isinstance(o.message, Abort) and o.message.reason == "SaltOfferAtTse"
-            for o in outs
-        )
-        assert tse.phase == WIPED
+        tse.handle(transfer_a)
+        outs = tse.handle(transfer_b)
+        assert [(o.dest, o.message.reason) for o in outs] == [("researcher", "SaltMismatch")]
+        assert tse.phase == WIPED and tse.storage.inventory() == () and tse._held == []
 
     def test_three_station_manifest_rejected(self):
         import dataclasses as dc
@@ -331,26 +342,26 @@ class TestTse:
     def test_data_before_dispatch_aborts_without_messages(self):
         scn = scenario()
         a, b, tse = actors(scn)
-        transfer_a, _ = run_salt_exchange(scn, a, b)
+        transfer_a, _ = run_stations(scn, a, b)
         outs = tse.handle(transfer_a)
         assert outs == []  # no manifest yet, nobody to notify
         assert tse.phase == WIPED
 
 
 class TestResearcherDispatchOrder:
-    """The salt initiator (A) is dispatched only after B and the TSE have
-    acknowledged theirs, so A's SaltOffer and DataTransfer can never reach
-    a party that has not yet seen its own TrainDispatch."""
+    """The TSE is dispatched first and the data stations only on the TSE's
+    Ack, so no DataTransfer can reach a TSE that has not yet seen its own
+    TrainDispatch; stations never message each other, so their dispatch
+    order does not matter."""
 
     def start(self, scn):
         researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
         return researcher, researcher.start()
 
-    def test_start_does_not_dispatch_the_salt_initiator(self):
+    def test_start_dispatches_the_tse_alone(self):
         scn = scenario()
-        assert scn.manifest.salt_initiator_id() == "A"
         _, outs = self.start(scn)
-        assert types_by_dest(outs) == [("B", "TrainDispatch"), ("TSE", "TrainDispatch")]
+        assert types_by_dest(outs) == [("TSE", "TrainDispatch")]
 
     def test_no_data_station_dispatches_the_tse_alone(self):
         scn = scenario()
@@ -358,55 +369,59 @@ class TestResearcherDispatchOrder:
         researcher = ResearcherActor("researcher", empty, dict(ENDPOINTS))
         assert types_by_dest(researcher.start()) == [("TSE", "TrainDispatch")]
 
-    @pytest.mark.parametrize("ack_order", [("B", "TSE"), ("TSE", "B")])
-    def test_initiator_dispatched_after_peer_and_tse_ack(self, ack_order):
+    def test_stations_dispatched_on_the_tse_ack(self):
         scn = scenario()
         a, b, tse = actors(scn)
         researcher, outs = self.start(scn)
-        sent = {o.dest: o.message for o in outs}
-        acks = {
-            "B": b.handle(sent["B"])[0].message,
-            "TSE": tse.handle(sent["TSE"])[0].message,
-        }
-        assert researcher.handle(acks[ack_order[0]]) == []
-        outs = researcher.handle(acks[ack_order[1]])
-        assert types_by_dest(outs) == [("A", "TrainDispatch")]
+        tse_ack = tse.handle(outs[0].message)[0].message
+        outs = researcher.handle(tse_ack)
+        assert types_by_dest(outs) == [("A", "TrainDispatch"), ("B", "TrainDispatch")]
 
-        # B is already validated when A's salt offer arrives, and the TSE
-        # is already awaiting data when both transfers arrive
-        outs_a = a.handle(outs[0].message)
-        assert types_by_dest(outs_a) == [("researcher", "Ack"), ("B", "SaltOffer")]
-        outs_b = b.handle(outs_a[1].message)
-        assert types_by_dest(outs_b) == [
-            ("A", "Ack"),
-            ("TSE", "DataTransfer"),
-            ("researcher", "Ack"),
-        ]
+        # the TSE is already awaiting data when both transfers arrive
         assert tse.phase == AWAITING_DATA
-        # later acks never dispatch the initiator a second time
-        assert researcher.handle(outs_a[0].message) == []
-        assert researcher.handle(outs_b[2].message) == []
+        station_outs = [a.handle(outs[0].message), b.handle(outs[1].message)]
+        assert [types_by_dest(o) for o in station_outs] == [STATION_FRAMES, STATION_FRAMES]
+        assert tse.handle(station_outs[0][1].message) == []
+        result = tse.handle(station_outs[1][1].message)
+        assert types_by_dest(result) == [("researcher", "ResultReturn")]
 
-    def test_abort_before_acks_means_initiator_never_dispatched(self):
+        # later acks never dispatch the stations a second time
+        for o in station_outs:
+            assert researcher.handle(o[0].message) == []
+            assert researcher.handle(o[2].message) == []
+        assert researcher.handle(dataclasses.replace(tse_ack, seq=tse_ack.seq + 1)) == []
+        assert researcher._dispatched == ["TSE", "A", "B"]
+
+    def test_station_ack_before_the_tse_ack_dispatches_nothing(self):
+        scn = scenario()
+        researcher, _ = self.start(scn)
+        assert researcher.handle(Ack(scn.manifest.run_id, 1, "A", "OK")) == []
+        assert researcher._dispatched == ["TSE"]
+
+    @pytest.mark.parametrize("abort", ["tse", "deadline"])
+    def test_abort_before_the_tse_ack_dispatches_no_station(self, abort):
         scn = scenario()
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
-        # the abort is cancelled at every other party dispatched: the TSE
-        cancels = researcher.handle(Abort(run_id, 1, "B", "Expired"))
-        assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "Expired")]
-        assert researcher.handle(Ack(run_id, 1, "TSE", "OK")) == []
-        assert researcher.outcome == ("aborted", "Expired")
+        if abort == "tse":
+            # the TSE refused the run: it knows, so nobody is cancelled
+            assert researcher.handle(Abort(run_id, 1, "TSE", "Expired")) == []
+        else:
+            cancels = researcher.handle(TimeoutExpired(run_id))
+            assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "Timeout")]
+        assert researcher.handle(Ack(run_id, 2, "TSE", "OK")) == []
+        assert researcher.outcome[0] == "aborted"
+        assert researcher._dispatched == ["TSE"]
 
-    def test_abort_between_acks_means_initiator_never_dispatched(self):
-        # the TSE's data deadline can pass before the peer station acks
+    def test_abort_after_the_tse_ack_cancels_every_other_party(self):
         scn = scenario()
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
-        assert researcher.handle(Ack(run_id, 1, "TSE", "OK")) == []
-        cancels = researcher.handle(Abort(run_id, 2, "TSE", "Timeout"))
-        assert [(o.dest, o.message.reason) for o in cancels] == [("B", "Timeout")]
-        assert researcher.handle(Ack(run_id, 1, "B", "OK")) == []
-        assert researcher.outcome == ("aborted", "Timeout")
+        researcher.handle(Ack(run_id, 1, "TSE", "OK"))
+        cancels = researcher.handle(Abort(run_id, 1, "A", "UnauthorizedVariable"))
+        assert [(o.dest, o.message.reason) for o in cancels] == [
+            ("TSE", "UnauthorizedVariable"), ("B", "UnauthorizedVariable"),
+        ]
 
 
 class TestResearcherTerminal:

@@ -19,9 +19,9 @@ from phtlink.wire import (
     HEADER_LEN,
     MAGIC,
     ResultReturn,
-    SaltOffer,
     TrainDispatch,
     VERSION,
+    check_header,
     decode,
     encode,
     take_frame,
@@ -49,7 +49,6 @@ class TestFrameLayout:
 
         assert wire.TYPE_TRAIN_DISPATCH == 0x01
         assert wire.TYPE_ACK == 0x02
-        assert wire.TYPE_SALT_OFFER == 0x03
         assert wire.TYPE_DATA_TRANSFER == 0x04
         assert wire.TYPE_RESULT_RETURN == 0x05
         assert wire.TYPE_ABORT == 0x06
@@ -82,11 +81,9 @@ class TestRoundtrip:
         )
         assert decode(encode(msg)) == msg
 
-    def test_salt_offer_and_data_transfer_roundtrip(self):
+    def test_data_transfer_roundtrip(self):
         kp, sk = generate_encryption_keypair(), generate_signing_keys()
         pkg = seal(b"\x01\x02", "run-1", "A", kp.public_only(), sk)
-        offer = SaltOffer("run-1", 2, "A", "A", "B", pkg)
-        assert decode(encode(offer)) == offer
         transfer = DataTransfer("run-1", 3, "A", pkg)
         assert decode(encode(transfer)) == transfer
 
@@ -113,9 +110,14 @@ class TestDecodeErrors:
             decode(bytes(frame))
         assert err.value.offset == 4
 
-    def test_unknown_type(self):
+    # 0x03 was the station-to-station salt offer, which no party sends now
+    @pytest.mark.parametrize("type_byte", [0x03, 0x7F])
+    def test_unknown_type(self, type_byte):
         frame = bytearray(encode(ack()))
-        frame[5] = 0x7F
+        frame[5] = type_byte
+        with pytest.raises(DecodeError, match=f"unknown type byte 0x{type_byte:02x}") as err:
+            check_header(bytes(frame[:HEADER_LEN]))
+        assert err.value.offset == 5
         with pytest.raises(DecodeError) as err:
             decode(bytes(frame))
         assert err.value.offset == 5
@@ -218,15 +220,6 @@ class TestBinaryFrames:
         (json_len,) = struct.unpack(">I", frame[10:14])
         assert json.loads(frame[14 : 14 + json_len]) == {"run_id": "run-1", "seq": 3, "sender": "A"}
         assert frame[14 + json_len :] == msg.package.to_bytes()
-
-    def test_salt_offer_header_names_both_stations(self):
-        pkg = _transfer().package
-        frame = encode(SaltOffer("run-1", 2, "A", "A", "B", pkg))
-        (json_len,) = struct.unpack(">I", frame[10:14])
-        header = json.loads(frame[14 : 14 + json_len])
-        assert header == {"run_id": "run-1", "seq": 2, "sender": "A",
-                          "from_station": "A", "to_station": "B"}
-        assert frame[14 + json_len :] == pkg.to_bytes()
 
     @pytest.mark.parametrize("payload", [b"", b"\x00\x00", b"\x00\x00\x00\x09{}"])
     def test_payload_too_short_for_its_header_is_a_decode_error(self, payload):
@@ -349,15 +342,14 @@ class TestStrictPayloads:
         (_dispatch(), "seq", True),
         (_dispatch(), "endpoints", {"A": 1}),
         (_result_return(), "run_id", 5),
-        (SaltOffer("run-1", 2, "A", "A", "B", _transfer().package), "to_station", None),
         (_transfer(), "seq", 3.0),
-    ], ids=["ack", "abort", "dispatch", "dispatch-endpoints", "result", "salt-offer", "transfer"])
+    ], ids=["ack", "abort", "dispatch", "dispatch-endpoints", "result", "transfer"])
     def test_wrong_json_type_is_a_decode_error(self, msg, key, value):
-        mutated = (self._mutated_binary if isinstance(msg, (SaltOffer, DataTransfer))
+        mutated = (self._mutated_binary if isinstance(msg, DataTransfer)
                    else self._mutated)(msg, lambda doc: doc.update({key: value}))
         with pytest.raises(DecodeError, match=key) as err:
             decode(mutated)
-        assert err.value.offset == HEADER_LEN + 4 * isinstance(msg, (SaltOffer, DataTransfer))
+        assert err.value.offset == HEADER_LEN + 4 * isinstance(msg, DataTransfer)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
     def test_non_finite_number_in_a_manifest_is_a_decode_error(self, literal):

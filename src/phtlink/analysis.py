@@ -3,10 +3,10 @@
 Results never leave as row-level data: the supported analyses are grouped
 aggregates (descriptive statistics, crosstabs, binned associations), and
 every table passes through validate() before release. Validation suppresses
-any cell computed from fewer than k_min records, additionally suppresses
-min/max for groups too small for extremes to be safe, and applies secondary
+any cell computed from fewer than k_min records and applies secondary
 suppression to crosstabs so a suppressed cell cannot be recovered from
-released marginals by subtraction.
+released marginals by subtraction. Descriptive statistics release no
+minimum or maximum: each is one record's exact value.
 """
 
 from __future__ import annotations
@@ -139,12 +139,10 @@ def _descriptive(merged: Dataset | Columns, spec: AnalysisSpec) -> ResultTable:
         n = len(values)
         row: dict = {"variable": name, "count": n}
         if n == 0:
-            row.update({"mean": None, "min": None, "max": None, "stddev": None})
+            row.update({"mean": None, "stddev": None})
         else:
             mean = sum(values) / n
             row["mean"] = mean
-            row["min"] = min(values)
-            row["max"] = max(values)
             row["stddev"] = (
                 math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
                 if n > 1
@@ -154,7 +152,7 @@ def _descriptive(merged: Dataset | Columns, spec: AnalysisSpec) -> ResultTable:
     return ResultTable(
         name="descriptive",
         key_fields=("variable",),
-        value_fields=("count", "mean", "min", "max", "stddev"),
+        value_fields=("count", "mean", "stddev"),
         rows=rows,
         meta={"kind": KIND_DESCRIPTIVE},
     )
@@ -351,10 +349,8 @@ def validate(raw: RawResult, policy: DisclosurePolicy) -> ValidatedResult:
     """Apply the disclosure policy; always succeeds by suppressing.
 
     Any group with fewer than k_min underlying records loses all its
-    statistics (the count included). min/max go as well whenever the count is
-    below max(k_min, 2), a single record's value being the extreme otherwise.
-    Cells already carrying a marker are left alone, so validation is
-    idempotent.
+    statistics (the count included). Cells already carrying a marker are
+    left alone, so validation is idempotent.
     """
     policy.validate()
     marker = policy.suppress_marker
@@ -363,15 +359,8 @@ def validate(raw: RawResult, policy: DisclosurePolicy) -> ValidatedResult:
     for table in tables:
         for row in table.rows:
             count = row["count"]
-            if _is_suppressed(count):
-                continue
-            if count < policy.k_min:
+            if not _is_suppressed(count) and count < policy.k_min:
                 _suppress_row(row, table.value_fields, marker)
-                continue
-            if count < max(policy.k_min, 2):
-                for name in ("min", "max"):
-                    if name in table.value_fields:
-                        row[name] = marker
         if table.meta.get("kind") == KIND_CROSSTAB:
             _secondary_suppress_crosstab(table, marker)
 

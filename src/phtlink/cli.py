@@ -399,7 +399,9 @@ def _manifest_from_draft(doc: dict | Draft, base: Path) -> TrainManifest:
 class AuditSummary:
     """A run report's audit summary; the counts only after a result."""
 
-    acks: tuple[str, ...]  # "sender:status"
+    #: the sender of each Ack the researcher received; older reports hold
+    #: "sender:OK" strings here, which load and print as they are
+    acks: tuple[str, ...]
     timings: dict[str, float]
     linkage_class_counts: dict[str, int] | None = None
     records_linked: int | None = None
@@ -456,7 +458,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     outcome, reason, result = researcher_verdict(researcher, silent="Timeout")
 
     result_files = []
-    summary = AuditSummary(tuple(f"{s}:{st}" for s, st in researcher.acks), {"total_s": elapsed})
+    summary = AuditSummary(tuple(researcher.acks), {"total_s": elapsed})
     if result is not None:
         result_path = out_dir / "result.json"
         result_path.write_bytes(result.to_canonical_json() + b"\n")

@@ -12,6 +12,11 @@ Data station phases:  Idle -> Validated -> Sent (Done on failure)
 TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
                       Analyzing -> Validating -> Returned -> Wiped
 
+A data station does its whole run in its dispatch's one step and answers
+with its DataTransfer to the TSE and one Ack to the researcher, or with an
+Abort to each if it refuses; with the TSE's dispatch and Ack, the station
+dispatches and the result, a run sends 9 frames.
+
 Privacy-critical structure: each data station derives the run's salt from
 its own key and its peer's public key (envelope.derive_salt), so no salt
 travels and stations never message each other; the TSE receives only each
@@ -47,7 +52,6 @@ from .pseudonym import Salt, pseudonymize_columns as pseudonymize
 from .wire import (
     Abort,
     Ack,
-    ACK_OK,
     DataTransfer,
     Message,
     ResultReturn,
@@ -234,6 +238,11 @@ class DataStationConfig:
 
 
 class DataStationActor(_Party):
+    """A data station's run: its dispatch is the one message a router hands
+    it, since the station is terminal once that step returns. A message
+    handed to it directly before its dispatch aborts it through ``_Party``,
+    telling no one, as it knows no manifest yet."""
+
     def __init__(self, config: DataStationConfig):
         super().__init__(config.station_id, config.audit_path)
         self.config = config
@@ -245,33 +254,18 @@ class DataStationActor(_Party):
         station has given up."""
         return self.phase in (SENT, DONE)
 
-    def abort(
-        self, reason: str, fallback_dest: str | None = None, detail: str = ""
-    ) -> list[Outgoing]:
-        """Give the run up and tell the researcher and the TSE why; a
-        ``detail`` is audited after the reason, never sent."""
+    def abort(self, reason: str, detail: str = "") -> list[Outgoing]:
+        """Give the run up and tell the researcher and the TSE why, once a
+        dispatch has named them; a ``detail`` is audited after the reason,
+        never sent."""
         self.phase = DONE
         self._log("abort", _explained(reason, detail))
-        if self._manifest is not None:
-            targets = [self._manifest.researcher_id, self._manifest.tse_station_id]
-        else:
-            targets = [fallback_dest] if fallback_dest else []
-        return [self._send(dest, Abort, reason) for dest in targets]
-
-    # -- message handling ---------------------------------------------------
-
-    def _out_of_order(self, msg: Message) -> list[Outgoing]:
-        return self.abort(f"OutOfOrder({msg.sender})", fallback_dest=msg.sender)
-
-    def _unexpected(self, msg: Message) -> list[Outgoing]:
-        return self.abort(
-            f"UnexpectedMessage({message_type_name(msg)})", fallback_dest=msg.sender
-        )
-
-    def _on_abort(self, msg: Abort) -> list[Outgoing]:
-        self._log("peer_abort", msg.reason)
-        self.phase = DONE
-        return []
+        if self._manifest is None:
+            return []
+        return [
+            self._send(dest, Abort, reason)
+            for dest in (self._manifest.researcher_id, self._manifest.tse_station_id)
+        ]
 
     def _on_dispatch(self, msg: TrainDispatch) -> list[Outgoing]:
         if msg.run_id == self._run_id:
@@ -293,7 +287,7 @@ class DataStationActor(_Party):
             return self.abort(verdict.reason, detail=verdict.detail)
         self.phase = VALIDATED
         self._log("train_validated")
-        return [self._send(msg.manifest.researcher_id, Ack, ACK_OK), *self._prepare_and_send()]
+        return self._prepare_and_send()
 
     def _prepare_and_send(self) -> list[Outgoing]:
         manifest = self._manifest
@@ -359,10 +353,10 @@ class DataStationActor(_Party):
         self._log("data_sent", manifest.tse_station_id)
         return [
             self._send(manifest.tse_station_id, DataTransfer, package),
-            self._send(manifest.researcher_id, Ack, ACK_OK),
+            self._send(manifest.researcher_id, Ack),
         ]
 
-    _steps = {TrainDispatch: _on_dispatch, Abort: _on_abort}
+    _steps = {TrainDispatch: _on_dispatch}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +468,7 @@ class TseActor(_Party):
             return self.abort(f"UnsupportedTopology({len(self._expected)} stations)")
         self.phase = AWAITING_DATA
         self._log("awaiting_data", ",".join(self._expected))
-        return [self._send(msg.manifest.researcher_id, Ack, ACK_OK)]
+        return [self._send(msg.manifest.researcher_id, Ack)]
 
     def _on_data(self, msg: DataTransfer) -> list[Outgoing]:
         if self.phase != AWAITING_DATA or msg.run_id != self._run_id:
@@ -565,9 +559,10 @@ class ResearcherActor(_Party):
     The TSE is dispatched first, and the data stations once the TSE has
     acknowledged its dispatch, or not at all if the run aborts first. Every
     DataTransfer then reaches the TSE only after its TrainDispatch, however
-    a transport interleaves messages from different senders. On the first
-    Abort it hears of, it cancels the run at every other party it has
-    dispatched."""
+    a transport interleaves messages from different senders. Each data
+    station that sends its extract then sends one Ack, and the TSE its
+    result. On the first Abort it hears of, it cancels the run at every
+    other party it has dispatched."""
 
     def __init__(
         self,
@@ -579,7 +574,7 @@ class ResearcherActor(_Party):
         super().__init__(researcher_id, audit_path, manifest.run_id)
         self.manifest = manifest
         self.endpoints = dict(endpoints)
-        self.acks: list[tuple[str, str]] = []
+        self.acks: list[str] = []  # the sender of each Ack, in arrival order
         self.outcome: tuple[str, object] | None = None
         self._dispatched: list[str] = []
 
@@ -625,8 +620,8 @@ class ResearcherActor(_Party):
         return []
 
     def _on_ack(self, msg: Ack) -> list[Outgoing]:
-        self.acks.append((msg.sender, msg.status))
-        self._log("ack", f"{msg.sender}:{msg.status}", phase="Receive")
+        self.acks.append(msg.sender)
+        self._log("ack", msg.sender, phase="Receive")
         # the Ack of the TSE, while it is the one party dispatched, and no
         # other, dispatches the data stations
         if (
@@ -647,12 +642,11 @@ class ResearcherActor(_Party):
 
     @property
     def terminal(self) -> bool:
-        """Done, and after a result also holding each station's second Ack
+        """Done, and after a result also holding each data station's Ack
         until the deadline: a station sends it with the data the result was
         computed from, but over TCP it can arrive after the result."""
         if self.outcome is None:
             return False
         if self.outcome[0] == "aborted":
             return True
-        senders = [sender for sender, _ in self.acks]
-        return all(senders.count(s) >= 2 for s in self.manifest.data_station_ids())
+        return set(self.manifest.data_station_ids()) <= set(self.acks)

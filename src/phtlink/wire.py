@@ -51,8 +51,6 @@ TYPE_DATA_TRANSFER = 0x04
 TYPE_RESULT_RETURN = 0x05
 TYPE_ABORT = 0x06
 
-ACK_OK = "OK"
-
 
 @dataclass(frozen=True)
 class TrainDispatch:
@@ -65,10 +63,12 @@ class TrainDispatch:
 
 @dataclass(frozen=True)
 class Ack:
+    """The TSE's "dispatch accepted", or a data station's "extract sent";
+    a refusal travels as an Abort, so an Ack carries nothing but its header."""
+
     run_id: str
     seq: int
     sender: str
-    status: str
 
 
 @dataclass(frozen=True)

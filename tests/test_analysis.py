@@ -1,5 +1,5 @@
-"""Analysis kinds and disclosure control: suppression floor, min/max rule,
-secondary suppression, idempotence."""
+"""Analysis kinds and disclosure control: suppression floor, no released
+extremes, secondary suppression, idempotence."""
 
 import pytest
 
@@ -82,9 +82,9 @@ class TestRunAnalysis:
             [{"age": a, "income": 0} for a in (40, 50, 60)]
         )
         row = run_analysis(merged, AnalysisSpec("descriptive", ("age",))).tables[0].rows[0]
-        assert row["count"] == 3 and row["mean"] == 50
-        assert row["min"] == 40 and row["max"] == 60
-        assert row["stddev"] == 10
+        assert row == {"variable": "age", "count": 3, "mean": 50, "stddev": 10}
+        # a minimum or maximum is one record's exact value: never computed
+        assert "min" not in row and "max" not in row
 
     def test_descriptive_of_categorical_rejected(self):
         merged = categorical_dataset([{"gender_like": "F", "status": "low"}])
@@ -170,12 +170,13 @@ class TestValidate:
                 assert all(c >= k for c in released_counts(table))
 
     def test_min_max_suppressed_for_single_record_groups(self):
+        # descriptive releases no extremes at all, whatever the group's size
         merged = merged_dataset([{"age": 77, "income": 1}])
         raw = run_analysis(merged, AnalysisSpec("descriptive", ("age",)))
         out = validate(raw, DisclosurePolicy(k_min=1))
-        row = out.tables[0].rows[0]
-        assert row["count"] == 1 and row["mean"] == 77
-        assert row["min"] == "*" and row["max"] == "*"
+        table = out.tables[0]
+        assert table.value_fields == ("count", "mean", "stddev")
+        assert table.rows[0] == {"variable": "age", "count": 1, "mean": 77, "stddev": None}
 
     def test_idempotent(self):
         raw = binned_raw([3, 4, 12, 20])

@@ -392,6 +392,8 @@ class TestSubmitEndToEnd:
         report = json.loads((out_dir / "run_report.json").read_text())
         assert report["outcome"] == "Completed"
         assert report["audit_summary"]["records_linked"] == 120
+        # one Ack from the TSE and one from each station, by sender id
+        assert sorted(report["audit_summary"]["acks"]) == ["A", "B", "TSE"]
 
         result_doc = json.loads((out_dir / "result.json").read_text())
         table = result_doc["tables"][0]
@@ -696,7 +698,8 @@ class TestJsonTopLevel:
 
 
 #: run reports as earlier versions of `pht submit` wrote them, with no null
-#: counts, and what `pht report` prints for each
+#: counts and each Ack as "sender:status", then one listing Acks by sender
+#: as `pht submit` writes it now, and what `pht report` prints for each
 PRINTED_REPORTS = [
     ('{"audit_summary":{"acks":["B:OK","TSE:OK","A:OK","A:OK","B:OK"],"cells_suppressed":0,'
      '"linkage_class_counts":{"match":120,"non_match":0,"possible":0},"records_linked":120,'
@@ -708,6 +711,10 @@ PRINTED_REPORTS = [
     ('{"audit_summary":{"acks":["B:OK"],"timings":{"total_s":0.5}},"outcome":"Aborted",'
      '"reason":"Expired","result_files":[],"run_id":"run-2"}',
      "run      run-2\noutcome  Aborted (Expired)\nacks     B:OK\ntotal    0.500s\n"),
+    ('{"audit_summary":{"acks":["TSE","A"],"cells_suppressed":null,"linkage_class_counts":null,'
+     '"records_linked":null,"timings":{"total_s":0.25}},"outcome":"Aborted",'
+     '"reason":"MissingPeerKey(A)","result_files":[],"run_id":"run-3"}',
+     "run      run-3\noutcome  Aborted (MissingPeerKey(A))\nacks     TSE, A\ntotal    0.250s\n"),
 ]
 
 

@@ -79,20 +79,52 @@ class TestInProcess:
         assert len(returns) == 1
 
     def test_happy_path_message_arrows(self):
+        """Every channel carries exactly these frames on both transports, so
+        an extra frame fails as a missing one does. Each station derives the
+        salt itself, so stations never message each other."""
+        for transport in ("inproc", "tcp"):
+            scn = demo_scenario()
+            out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+            types = {
+                channel: [e[0] for e in entries] for channel, entries in out.traces.items()
+            }
+            assert types == {
+                ("researcher", "TSE"): ["TrainDispatch"],
+                ("researcher", "A"): ["TrainDispatch"],
+                ("researcher", "B"): ["TrainDispatch"],
+                ("TSE", "researcher"): ["Ack", "ResultReturn"],
+                ("A", "TSE"): ["DataTransfer"],
+                ("B", "TSE"): ["DataTransfer"],
+                ("A", "researcher"): ["Ack"],
+                ("B", "researcher"): ["Ack"],
+            }, transport
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("refusal", ["MissingPeerKey(A)", "UnknownVariable(income)"])
+    def test_station_refusing_after_validation_sends_no_ack(self, refusal, transport):
         scn = demo_scenario()
-        out = run_network(scn.setup, transport="inproc")
-        types = {
-            channel: [e[0] for e in entries] for channel, entries in out.traces.items()
-        }
-        assert types[("researcher", "A")] == ["TrainDispatch"]
-        assert types[("researcher", "B")] == ["TrainDispatch"]
-        assert types[("researcher", "TSE")] == ["TrainDispatch"]
-        # each station derives the salt itself: stations never message each other
-        assert ("A", "B") not in types and ("B", "A") not in types
-        assert types[("A", "TSE")] == ["DataTransfer"]
-        assert types[("B", "TSE")] == ["DataTransfer"]
-        assert types[("TSE", "researcher")][-1] == "ResultReturn"
-        assert "Ack" in types[("A", "researcher")]
+        config = scn.setup.stations[1]
+        if refusal.startswith("MissingPeerKey"):
+            config.peer_encryption_keys = {}
+        else:
+            config.dataset = dataclasses.replace(config.dataset, schema=(("height", "numeric"),))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", refusal)
+        assert [t[0] for t in out.traces[("B", "researcher")]] == ["Abort"]
+        acks = [e["detail"] for e in out.audit_logs["researcher"] if e["event"] == "ack"]
+        assert "B" not in acks and "TSE" in acks
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_descriptive_run_releases_no_extremes(self, transport):
+        # a released max was the exact income of the richest linked person
+        ds_a, ds_b, truth = generate_vertical_demo(300, 100, seed=5)
+        scn = make_scenario(ds_a, ds_b, truth, disclosure=DisclosurePolicy(k_min=10),
+                            analysis=AnalysisSpec("descriptive", ("income",)))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        (table,) = out.result.tables
+        assert table.value_fields == ("count", "mean", "stddev")
+        incomes = {row.payload["income"] for row in ds_b.rows}
+        assert not incomes & {v for row in table.rows for v in row.values()}
 
     def test_per_sender_sequence_numbers_increase(self):
         scn = demo_scenario()
@@ -241,14 +273,14 @@ class TestTcp:
             junk.close()
 
             good = socket.create_connection((host, int(port)))
-            good.sendall(encode(Ack("run-1", 1, "Y", "OK")))
+            good.sendall(encode(Ack("run-1", 1, "Y")))
             good.close()
             deadline = time.monotonic() + 5.0
             while not seen and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             node.stop()
-        assert len(seen) == 1 and seen[0].status == "OK"
+        assert seen == [Ack("run-1", 1, "Y")]
 
 
 class TestProbabilisticEndToEnd:
@@ -418,7 +450,7 @@ class TestRouter:
         a, tse = DataStationActor(scn.setup.stations[0]), TseActor(scn.setup.tse)
         router_tse = Router(lambda dispatch: tse)
         run_id = scn.manifest.run_id
-        transfer = a.handle(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))[1]
+        transfer = a.handle(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))[0]
         assert transfer.dest == "TSE"
         assert router_tse(transfer.message) == []
         assert tse.phase == IDLE and router_tse.actors == {}
@@ -455,11 +487,29 @@ class TestRouter:
         run_id = scn.manifest.run_id
         out = router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
         assert [(o.dest, message_type_name(o.message)) for o in out] == [
-            ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),
+            ("TSE", "DataTransfer"), ("researcher", "Ack"),
         ]
         assert b.phase == SENT and b.terminal
         assert router.actors == {} and router.finished == {run_id}
         assert router.expire() == []
+
+    def test_station_router_drops_the_cancels_around_its_dispatch(self, caplog):
+        """A station's router installs its actor at the dispatch and evicts it
+        when that step returns, so no cancel ever reaches the actor: one
+        that overtook the dispatch, or one that came after it, is dropped."""
+        scn = demo_scenario()
+        b = DataStationActor(scn.setup.stations[1])
+        router = Router(lambda dispatch: b, 60.0)
+        run_id = scn.manifest.run_id
+        with caplog.at_level(logging.INFO, logger="phtlink"):
+            assert router(Abort(run_id, 2, "researcher", "Timeout")) == []
+            out = router(TrainDispatch(run_id, 1, "researcher", scn.manifest, ()))
+            assert router(Abort(run_id, 3, "researcher", "Timeout")) == []
+        assert [message_type_name(o.message) for o in out] == ["DataTransfer", "Ack"]
+        assert [(r.levelname, r.message.split("reason=")[1]) for r in caplog.records] == [
+            ("INFO", "Abort for an unknown run"), ("INFO", "Abort for a finished run"),
+        ]
+        assert b.phase == SENT and b.audit.events[-1]["event"] == "data_sent"
 
     def test_researcher_holding_late_acks_is_evicted_at_its_deadline(self):
         scn = demo_scenario()
@@ -481,10 +531,10 @@ class TestRouter:
         router(Abort("run-0001", 1, "A", "NoData"))
         with caplog.at_level(logging.INFO, logger="phtlink"):
             router(Abort("run-0001", 2, "B", "Timeout"))  # a peer's deadline, after ours
-            router(Ack("run-0001", 3, "B", "OK"))
+            router(Ack("run-0001", 3, "B"))
             router(Abort("run-0002", 1, "researcher", "Cancel"))  # overtook its dispatch
             router(first)  # a replayed dispatch
-            router(Ack("run-0003", 1, "A", "OK"))
+            router(Ack("run-0003", 1, "A"))
         assert [(r.levelname, r.message.split("reason=")[1]) for r in caplog.records] == [
             ("INFO", "Abort for a finished run"),
             ("INFO", "Ack for a finished run"),
@@ -497,7 +547,7 @@ class TestRouter:
         scn = demo_scenario()
         router, built = _tse_router(scn)
         with caplog.at_level(logging.WARNING, logger="phtlink"):
-            assert router(Ack("run-9999", 1, "A", "OK")) == []
+            assert router(Ack("run-9999", 1, "A")) == []
         assert built == []
         assert any(
             "run_id=run-9999" in r.message and "sender=A" in r.message
@@ -520,7 +570,7 @@ class TestRouter:
                 seq = 0
                 while time.monotonic() - started < 1.5 and not (built and built[0].terminal):
                     seq += 1
-                    conn.sendall(encode(Ack("run-other", seq, "A", "OK")))
+                    conn.sendall(encode(Ack("run-other", seq, "A")))
                     time.sleep(0.2)
             assert built and built[0].phase == WIPED, "parked run never timed out"
             assert built[0].storage.wiped and built[0].storage.inventory() == ()
@@ -551,8 +601,7 @@ class TestAddressesFromDispatch:
         out = a.handle(TrainDispatch(scn.manifest.run_id, 1, "researcher", scn.manifest,
                                      endpoints))
         assert [(o.dest, o.address) for o in out] == [
-            ("researcher", "10.0.0.9:7009"), ("TSE", "10.0.0.3:7003"),
-            ("researcher", "10.0.0.9:7009"),
+            ("TSE", "10.0.0.3:7003"), ("researcher", "10.0.0.9:7009"),
         ]
 
     def test_one_tse_serves_two_runs_whose_researchers_share_an_id(self):
@@ -602,7 +651,7 @@ class TestAddressesFromDispatch:
         for node in nodes:
             node.start()
         try:
-            tse.post([Outgoing("researcher", Ack("run-0001", seq, "TSE", "OK"), node.address)
+            tse.post([Outgoing("researcher", Ack("run-0001", seq, "TSE"), node.address)
                       for seq in range(1, 21) for node in researchers])
             _wait_until(lambda: all(len(got) == 20 for got in seqs))
         finally:
@@ -632,8 +681,8 @@ class TestNodeSurvives:
             host, port = node.address.rsplit(":", 1)
             with caplog.at_level(logging.WARNING, logger="phtlink"):
                 with socket.create_connection((host, int(port))) as conn:
-                    conn.sendall(encode(Ack("run-1", 1, "Y", "OK")))
-                    conn.sendall(encode(Ack("run-1", 2, "Y", "OK")))
+                    conn.sendall(encode(Ack("run-1", 1, "Y")))
+                    conn.sendall(encode(Ack("run-1", 2, "Y")))
                 deadline = time.monotonic() + 5.0
                 while len(seen) < 2 and time.monotonic() < deadline:
                     time.sleep(0.01)
@@ -651,7 +700,7 @@ class TestNodeSurvives:
         addresses = {"A": "127.0.0.1:abc", "B": "no-port", "X": node.address}
         node.start()
         try:
-            node.post([Outgoing(dest, Ack("run-1", seq, "X", "OK"), addresses[dest])
+            node.post([Outgoing(dest, Ack("run-1", seq, "X"), addresses[dest])
                        for seq, dest in enumerate(("A", "B", "X"), 1)])
             deadline = time.monotonic() + 5.0
             while not seen and time.monotonic() < deadline:
@@ -671,9 +720,9 @@ class TestNodeSurvives:
             with caplog.at_level(logging.WARNING, logger="phtlink"):
                 with monkeypatch.context() as patched:
                     patched.setattr(socket, "socket", _no_descriptors)
-                    node.post([Outgoing("A", Ack("run-1", 1, "X", "OK"), "127.0.0.1:9")])
+                    node.post([Outgoing("A", Ack("run-1", 1, "X"), "127.0.0.1:9")])
                     _wait_until(lambda: "send to 'A' failed" in caplog.text)
-                node.post([Outgoing("X", Ack("run-1", 2, "X", "OK"), node.address)])
+                node.post([Outgoing("X", Ack("run-1", 2, "X"), node.address)])
                 _wait_until(lambda: seen)
         finally:
             node.stop()
@@ -761,7 +810,7 @@ class TestOneLoop:
         conns = []
         try:
             conns.extend(socket.create_connection((host, int(port))) for _ in range(50))
-            conns[-1].sendall(encode(Ack("run-1", 1, "Y", "OK")))  # accepted after the rest
+            conns[-1].sendall(encode(Ack("run-1", 1, "Y")))  # accepted after the rest
             _wait_until(lambda: seen)
             assert seen and threading.active_count() == threads
         finally:
@@ -779,7 +828,7 @@ class TestOneLoop:
             for node in researchers:
                 node.start()
             try:
-                tse.post([Outgoing("researcher", Ack(f"run-{i}", 1, "TSE", "OK"), node.address)
+                tse.post([Outgoing("researcher", Ack(f"run-{i}", 1, "TSE"), node.address)
                           for i, node in enumerate(researchers)])
                 _wait_until(lambda: len(got) == 5)
             finally:
@@ -798,7 +847,7 @@ class TestOneLoop:
 
         def post_all(sender):
             for seq in range(1, 51):
-                node.post([Outgoing("R", Ack("run-1", seq, sender, "OK"), receiver.address)])
+                node.post([Outgoing("R", Ack("run-1", seq, sender), receiver.address)])
 
         threads = [threading.Thread(target=post_all, args=(sender,)) for sender in senders]
         interval = sys.getswitchinterval()
@@ -829,7 +878,7 @@ class TestOneLoop:
         node.start()
         try:
             with caplog.at_level(logging.WARNING, logger="phtlink"):
-                node.post([Outgoing("TSE", Ack("run-1", 1, "A", "OK"), receiver.address),
+                node.post([Outgoing("TSE", Ack("run-1", 1, "A"), receiver.address),
                            Outgoing("TSE", DataTransfer("run-1", 2, "A", _big_package()),
                                     receiver.address)])
                 _wait_until(lambda: got, timeout=15.0)
@@ -866,7 +915,7 @@ class TestOneLoop:
                     reader.start()
                     time.sleep(0.1)  # the socket buffers fill, and the rest waits
                     with socket.create_connection(_host_port(node)) as client:
-                        client.sendall(encode(Ack("run-1", 1, "B", "OK")))
+                        client.sendall(encode(Ack("run-1", 1, "B")))
                         reader.join(timeout=15.0)
         finally:
             node.stop()
@@ -923,7 +972,7 @@ class TestOneLoop:
         node.start()
         try:
             with socket.create_connection(_host_port(node)) as client:
-                client.sendall(encode(Ack("run-1", 1, "B", "OK")))
+                client.sendall(encode(Ack("run-1", 1, "B")))
                 time.sleep(0.5)
                 out_of_descriptors.clear()
                 _wait_until(lambda: seen)
@@ -1054,7 +1103,7 @@ class TestAbortReceivedAtTse:
         scn = demo_scenario(allowed_b=())
         tse = TseActor(scn.setup.tse)
         run_id = scn.manifest.run_id
-        assert tse.handle(_dispatch(scn, run_id))[0].message.status == "OK"
+        assert tse.handle(_dispatch(scn, run_id))[0].message == Ack(run_id, 1, "TSE")
         assert tse.handle(Abort(run_id, 1, "B", "UnauthorizedVariable")) == []
         assert tse.phase == WIPED and tse.storage.wiped
         assert tse.handle(Abort(run_id, 2, "researcher", "UnauthorizedVariable")) == []
@@ -1108,8 +1157,8 @@ class TestHandlerRaises:
 RUN_FRAMES = [
     ("TSE", "TrainDispatch"), ("researcher", "Ack"),  # the TSE's Ack
     ("A", "TrainDispatch"), ("B", "TrainDispatch"),
-    ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),  # A's
-    ("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack"),  # B's
+    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # A's
+    ("TSE", "DataTransfer"), ("researcher", "Ack"),  # B's
     ("researcher", "ResultReturn"),
 ]
 
@@ -1165,13 +1214,13 @@ class _FaultyPump:
 
 
 class TestFaultMatrix:
-    """Each of a run's 11 frames is dropped, duplicated or delayed in turn,
+    """Each of a run's 9 frames is dropped, duplicated or delayed in turn,
     in both linkage modes. Every run ends with a result or a named reason;
     a TSE that was dispatched is wiped and empty; at most one result is
     accepted; and no party, the researcher included, is left live in its
     router, since each ends the run at its deadline. A lost station Ack
-    (frames 4, 6, 7 and 9) leaves the run completed; a lost ResultReturn
-    (frame 10) ends it "Timeout" at the researcher, with the TSE wiped.
+    (frames 5 and 7) leaves the run completed; a lost ResultReturn (frame
+    8) ends it "Timeout" at the researcher, with the TSE wiped.
 
     The frames a fault leaves late, such as the aborts parties send to
     others that already ended the run, are expected, so no router logs a
@@ -1208,9 +1257,9 @@ class TestFaultMatrix:
         assert len(accepted) <= 1
         assert {aid: list(router.actors) for aid, router in pump.routers.items()} == {
             "A": [], "B": [], "TSE": [], "researcher": []}
-        if fault == "drop" and k in (4, 6, 7, 9):
+        if fault == "drop" and k in (5, 7):
             assert out.completed
-        if (fault, k) == ("drop", 10):
+        if (fault, k) == ("drop", 8):
             assert (out.outcome, out.reason) == ("aborted", "Timeout")
             assert out.storage.wiped
         replayed = [f"dropped: run_id={scn.manifest.run_id} sender=researcher "

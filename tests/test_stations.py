@@ -58,7 +58,7 @@ def types_by_dest(outgoing):
     return [(o.dest, type(o.message).__name__) for o in outgoing]
 
 
-STATION_FRAMES = [("researcher", "Ack"), ("TSE", "DataTransfer"), ("researcher", "Ack")]
+STATION_FRAMES = [("TSE", "DataTransfer"), ("researcher", "Ack")]
 
 
 def run_stations(scn, a, b):
@@ -68,7 +68,7 @@ def run_stations(scn, a, b):
     for station in (a, b):
         outs = station.handle(dispatch(scn.manifest))
         assert types_by_dest(outs) == STATION_FRAMES
-        transfers.append(outs[1].message)
+        transfers.append(outs[0].message)
     return tuple(transfers)
 
 
@@ -157,12 +157,22 @@ class TestDataStationFailures:
 
     def test_ack_at_a_station_aborts(self):
         # stations never message each other, so nothing but the researcher's
-        # dispatch and cancel is addressed to one
+        # dispatch is addressed to one; before it, the station knows no one
+        # to tell
         scn = scenario()
         _, b, _ = actors(scn)
-        outs = b.handle(Ack(scn.manifest.run_id, 1, "A", "OK"))
+        assert b.handle(Ack(scn.manifest.run_id, 1, "A")) == []
         assert b.phase == DONE
-        assert [(o.dest, o.message.reason) for o in outs] == [("A", "UnexpectedMessage(Ack)")]
+        assert [(e["event"], e["detail"]) for e in b.audit.events] == [
+            ("abort", "UnexpectedMessage(Ack)"),
+        ]
+
+    def test_cancel_at_a_station_before_its_dispatch_tells_no_one(self):
+        scn = scenario()
+        _, b, _ = actors(scn)
+        assert b.handle(Abort(scn.manifest.run_id, 1, "researcher", "Timeout")) == []
+        assert b.phase == DONE and b.terminal
+        assert [e["detail"] for e in b.audit.events] == ["UnexpectedMessage(Abort)"]
 
     def test_missing_peer_key_aborts(self):
         scn = scenario()
@@ -172,6 +182,26 @@ class TestDataStationFailures:
         assert b.phase == DONE
         reasons = [o.message.reason for o in outs if isinstance(o.message, Abort)]
         assert reasons == ["MissingPeerKey(A)", "MissingPeerKey(A)"]
+
+    @pytest.mark.parametrize("refusal", ["MissingPeerKey(A)", "UnknownVariable(income)"])
+    def test_refusal_after_validating_sends_its_two_aborts_and_no_ack(self, refusal):
+        """The manifest validates, then the station refuses: it sends an
+        Abort to the researcher and the TSE and nothing else, so no Ack
+        reports a refusing station as OK."""
+        scn = scenario()
+        config = scn.setup.stations[1]
+        if refusal.startswith("MissingPeerKey"):
+            config.peer_encryption_keys = {}
+        else:
+            # B's extract holds no "income", though the manifest asks for it
+            config.dataset = dataclasses.replace(config.dataset, schema=(("height", "numeric"),))
+        b = DataStationActor(config)
+        outs = b.handle(dispatch(scn.manifest))
+        assert [(o.dest, type(o.message).__name__, o.message.reason) for o in outs] == [
+            ("researcher", "Abort", refusal), ("TSE", "Abort", refusal),
+        ]
+        events = [e["event"] for e in b.audit.events]
+        assert events[0] == "train_validated" and events[-1] == "abort"
 
     def test_out_of_order_sequence_aborts(self):
         scn = scenario()
@@ -381,21 +411,20 @@ class TestResearcherDispatchOrder:
         assert tse.phase == AWAITING_DATA
         station_outs = [a.handle(outs[0].message), b.handle(outs[1].message)]
         assert [types_by_dest(o) for o in station_outs] == [STATION_FRAMES, STATION_FRAMES]
-        assert tse.handle(station_outs[0][1].message) == []
-        result = tse.handle(station_outs[1][1].message)
+        assert tse.handle(station_outs[0][0].message) == []
+        result = tse.handle(station_outs[1][0].message)
         assert types_by_dest(result) == [("researcher", "ResultReturn")]
 
         # later acks never dispatch the stations a second time
         for o in station_outs:
-            assert researcher.handle(o[0].message) == []
-            assert researcher.handle(o[2].message) == []
+            assert researcher.handle(o[1].message) == []
         assert researcher.handle(dataclasses.replace(tse_ack, seq=tse_ack.seq + 1)) == []
         assert researcher._dispatched == ["TSE", "A", "B"]
 
     def test_station_ack_before_the_tse_ack_dispatches_nothing(self):
         scn = scenario()
         researcher, _ = self.start(scn)
-        assert researcher.handle(Ack(scn.manifest.run_id, 1, "A", "OK")) == []
+        assert researcher.handle(Ack(scn.manifest.run_id, 1, "A")) == []
         assert researcher._dispatched == ["TSE"]
 
     @pytest.mark.parametrize("abort", ["tse", "deadline"])
@@ -409,7 +438,7 @@ class TestResearcherDispatchOrder:
         else:
             cancels = researcher.handle(TimeoutExpired(run_id))
             assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "Timeout")]
-        assert researcher.handle(Ack(run_id, 2, "TSE", "OK")) == []
+        assert researcher.handle(Ack(run_id, 2, "TSE")) == []
         assert researcher.outcome[0] == "aborted"
         assert researcher._dispatched == ["TSE"]
 
@@ -417,7 +446,7 @@ class TestResearcherDispatchOrder:
         scn = scenario()
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
-        researcher.handle(Ack(run_id, 1, "TSE", "OK"))
+        researcher.handle(Ack(run_id, 1, "TSE"))
         cancels = researcher.handle(Abort(run_id, 1, "A", "UnauthorizedVariable"))
         assert [(o.dest, o.message.reason) for o in cancels] == [
             ("TSE", "UnauthorizedVariable"), ("B", "UnauthorizedVariable"),
@@ -426,7 +455,7 @@ class TestResearcherDispatchOrder:
 
 class TestResearcherTerminal:
     """A router evicts the researcher once it is terminal. After a result it
-    still waits for each station's second Ack, sent with the station's data,
+    still waits for each station's Ack, sent with the station's data,
     because over TCP that Ack can arrive after the result."""
 
     def test_completed_run_is_terminal_after_the_late_acks(self):
@@ -434,14 +463,22 @@ class TestResearcherTerminal:
         researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
         researcher.start()
         run_id = scn.manifest.run_id
-        for sender in ("TSE", "B", "A"):
-            researcher.handle(Ack(run_id, 1, sender, "OK"))
+        researcher.handle(Ack(run_id, 1, "TSE"))
         researcher.handle(ResultReturn(run_id, 2, "TSE", None))
         assert researcher.done and not researcher.terminal
-        researcher.handle(Ack(run_id, 2, "B", "OK"))
+        researcher.handle(Ack(run_id, 1, "B"))
         assert not researcher.terminal
-        researcher.handle(Ack(run_id, 2, "A", "OK"))
+        researcher.handle(Ack(run_id, 1, "A"))
         assert researcher.terminal
+        assert researcher.acks == ["TSE", "B", "A"]
+
+    def test_acks_alone_never_end_the_run(self):
+        scn = scenario()
+        researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
+        researcher.start()
+        for sender in ("TSE", "A", "B"):
+            researcher.handle(Ack(scn.manifest.run_id, 1, sender))
+        assert not researcher.done and not researcher.terminal
 
     def test_aborted_run_is_terminal_at_once(self):
         scn = scenario()

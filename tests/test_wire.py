@@ -28,8 +28,8 @@ from phtlink.wire import (
 )
 
 
-def ack(run="run-1", seq=3, sender="A", status="OK"):
-    return Ack(run, seq, sender, status)
+def ack(run="run-1", seq=3, sender="A"):
+    return Ack(run, seq, sender)
 
 
 class TestFrameLayout:
@@ -41,7 +41,7 @@ class TestFrameLayout:
         (length,) = struct.unpack(">I", frame[6:10])
         payload = frame[10:]
         assert len(payload) == length
-        assert payload == b'{"run_id":"run-1","sender":"A","seq":3,"status":"OK"}'
+        assert payload == b'{"run_id":"run-1","sender":"A","seq":3}'
 
     def test_type_bytes_are_stable(self):
         # wire compatibility: these values are part of the format
@@ -59,11 +59,10 @@ class TestRoundtrip:
         run=st.text(min_size=1, max_size=20),
         seq=st.integers(1, 2**31),
         sender=st.text(min_size=1, max_size=10),
-        status=st.sampled_from(["OK", "error: no", "weird état"]),
     )
     @settings(max_examples=50)
-    def test_ack_roundtrip(self, run, seq, sender, status):
-        msg = Ack(run, seq, sender, status)
+    def test_ack_roundtrip(self, run, seq, sender):
+        msg = Ack(run, seq, sender)
         assert decode(encode(msg)) == msg
 
     @given(reason=st.text(max_size=50))
@@ -306,19 +305,20 @@ class TestStrictPayloads:
 
     @pytest.mark.parametrize("msg, mutate", [
         (ack(), lambda doc: doc.update(extra=1)),
+        (ack(), lambda doc: doc.update(status="OK")),
         (Abort("run-1", 9, "TSE", "Timeout"), lambda doc: doc.update(extra=1)),
         (_dispatch(), lambda doc: doc["manifest"].update(note="hi")),
         (_dispatch(), lambda doc: doc.update(extra=1)),
         (_result_return(), lambda doc: doc["result"].update(x=1)),
         (_result_return(), lambda doc: doc["result"]["tables"][0].update(x=1)),
-    ], ids=["ack", "abort", "manifest", "dispatch", "result", "result-table"])
+    ], ids=["ack", "ack-status", "abort", "manifest", "dispatch", "result", "result-table"])
     def test_unknown_key_is_a_decode_error(self, msg, mutate):
         with pytest.raises(DecodeError, match="unknown") as err:
             decode(self._mutated(msg, mutate))
         assert err.value.offset == HEADER_LEN
 
     @pytest.mark.parametrize("msg, key", [
-        (ack(), "status"),
+        (ack(), "sender"),
         (Abort("run-1", 9, "TSE", "Timeout"), "reason"),
         (_dispatch(), "endpoints"),
         (_result_return(), "result"),

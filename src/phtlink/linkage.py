@@ -27,12 +27,13 @@ u can be supplied or estimated from the data as the chance-agreement rate
 of a random cross pair, computed from per-field digest frequencies.
 
 link and merge read datasets as Columns (a Dataset of Records is converted
-first). Each mode codes its digest columns as integers, equal where the
-digests are equal, by sorting the digests' first 8 bytes as one integer:
-the exact join counts the composite codes per side, and probabilistic
-linkage joins and compares the per-field codes. Each mode reads only its
-own digest part, and a dataset whose rows lack that part raises
-MissingPseudonyms.
+first). Each mode codes its digests as integers, equal where the digests
+are equal, by sorting the digests' first 8 bytes as one integer: the exact
+join codes the composite column and counts the codes per side, and
+probabilistic linkage codes each field over A's and B's dictionaries alone
+(model.FieldCodes), gathers the row codes through the indexes, and joins
+and compares those. Each mode reads only its own digest part, and a
+dataset whose rows lack that part raises MissingPseudonyms.
 
 Everything here is deterministic: ties break on (index_a, index_b), so a
 fixed pair of datasets and params always yields the same LinkResult.
@@ -53,7 +54,10 @@ from .errors import (
     MissingPseudonyms,
     SchemaCollision,
 )
-from .model import DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, DatasetDescriptor, to_columns
+from .model import (
+    DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, DatasetDescriptor, FieldCodes,
+    hex_field_codes, to_columns,
+)
 from .pseudonym import LINKAGE_MODES, PseudonymVector
 
 U_CLAMP = 1e-9
@@ -123,15 +127,18 @@ class LinkResult:
     audit: dict = field(default_factory=dict)
 
 
-def _digests(cols: Columns, mode: str) -> np.ndarray:
+def _digests(cols: Columns, mode: str) -> np.ndarray | FieldCodes:
     """The digest part ``mode`` links on: composites (rows,) for exact
-    linkage, per-field digests (rows, 4) for probabilistic linkage."""
-    part = "composite" if mode == "exact" else "per_field"
-    if part in cols.parts:
-        return cols.digests[:, 0] if mode == "exact" else cols.digests[:, -4:]
+    linkage, the dictionary-coded per-field digests for probabilistic
+    linkage."""
+    if mode == "exact" and "composite" in cols.parts:
+        return cols.digests[:, 0]
+    if mode != "exact" and cols.fields is not None:
+        return cols.fields
     if cols.n_rows:
+        part = "composite" if mode == "exact" else "per-field digests"
         raise MissingPseudonyms(f"{cols.station_id} rows have no {part} for {mode} linkage")
-    return np.empty((0,) if mode == "exact" else (0, 4), DIGEST_DTYPE)
+    return np.empty(0, DIGEST_DTYPE) if mode == "exact" else hex_field_codes([])
 
 
 def _codes(digests: np.ndarray) -> np.ndarray:
@@ -161,13 +168,20 @@ def _codes(digests: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _field_codes(per_field_a: np.ndarray, per_field_b: np.ndarray) -> np.ndarray:
+def _field_codes(fields_a: FieldCodes, fields_b: FieldCodes) -> np.ndarray:
     """Per-field integer codes, (4, rows of A then rows of B): two digests of
-    a field get equal codes exactly when they are equal. A field's codes are
-    one contiguous row, so gathering them by candidate stays cheap."""
-    codes = np.empty((4, len(per_field_a) + len(per_field_b)), dtype=np.int64)
-    for k in range(4):
-        codes[k] = _codes(np.concatenate((per_field_a[:, k], per_field_b[:, k])))
+    a field get equal codes exactly when they are equal. A field is coded
+    over A's dictionary then B's, and each row takes its entry's code. A
+    dictionary is in first-row order, so the codes number a field's digests
+    by first row, A's rows first, as _codes over the rows themselves would.
+    A field's codes are one contiguous row, so gathering them by candidate
+    stays cheap."""
+    n_a = fields_a.n_rows
+    codes = np.empty((4, n_a + fields_b.n_rows), dtype=np.int64)
+    for k, (dict_a, dict_b) in enumerate(zip(fields_a.dictionaries, fields_b.dictionaries)):
+        entry_codes = _codes(np.concatenate((dict_a, dict_b)))
+        codes[k, :n_a] = entry_codes[:len(dict_a)][fields_a.index[k]]
+        codes[k, n_a:] = entry_codes[len(dict_a):][fields_b.index[k]]
     return codes
 
 
@@ -182,12 +196,8 @@ def estimate_u(
     """
     if not pseudos_a or not pseudos_b:
         raise ValueError("u estimation needs non-empty datasets on both sides")
-    per_field = [
-        np.frombuffer(bytes.fromhex("".join(h for p in side for h in p.per_field)),
-                      DIGEST_DTYPE).reshape(len(side), 4)
-        for side in (pseudos_a, pseudos_b)
-    ]
-    codes = _field_codes(*per_field)
+    codes = _field_codes(*(hex_field_codes([p.per_field for p in side])
+                           for side in (pseudos_a, pseudos_b)))
     return _estimate_u(codes[:, :len(pseudos_a)], codes[:, len(pseudos_a):])
 
 
@@ -362,15 +372,15 @@ def _score(codes_a: np.ndarray, codes_b: np.ndarray, join):
 
 
 def _link_probabilistic(
-    per_field_a: np.ndarray, per_field_b: np.ndarray, params: LinkageParams
+    fields_a: FieldCodes, fields_b: FieldCodes, params: LinkageParams
 ) -> tuple[list[tuple[int, int]], dict]:
-    n_a = len(per_field_a)
+    n_a = fields_a.n_rows
     counts = dict.fromkeys((MATCH, POSSIBLE, NON_MATCH), 0)
     pairs: list[tuple[int, int]] = []
     resolved, estimated = params, False
     # with an empty side there is nothing to estimate u from, or to score
-    if n_a and len(per_field_b):
-        codes = _field_codes(per_field_a, per_field_b)
+    if n_a and fields_b.n_rows:
+        codes = _field_codes(fields_a, fields_b)
         codes_a, codes_b = codes[:, :n_a], codes[:, n_a:]
         blocking = frozenset(QID_FIELDS.index(f) for f in params.blocking_fields)
         blocked = _join(codes, n_a, blocking)

@@ -14,16 +14,27 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
-schema, descriptor, one array per payload column and the Salt.check of the
-salt the digests were made under (empty where no station set it), then the
-raw 32-byte digests (pseudonym.DIGEST_DTYPE) of every row. The header is
-written and read by encoding.write_field and encoding.read_field, the
-helpers every length-prefixed field uses. A data station holds Records,
-with QIDs. From the extract on, a pseudonymized dataset is held as Columns,
-in the body's own layout: one list per payload variable and the raw
-digests as one numpy S32 array, which a station's one pseudonymize_columns
-call writes directly. A Dataset of Records carrying PseudonymVectors, whose
-digests are hex strings, reaches that form through to_columns.
+schema, descriptor, one array per payload column, the digest parts and the
+Salt.check of the salt the digests were made under (empty where no station
+set it), then the digests, raw 32-byte values (pseudonym.DIGEST_DTYPE). The
+composite travels once per row. The four per-field digests travel
+dictionary coded (FieldCodes): each field's distinct digests once, in the
+order of the row where each first occurs, and one little-endian uint32 per
+row and field indexing into them. Most per-field digests repeat, since a
+field such as gender has a few values, so this sends about half the bytes
+of one digest per row and field. First-row order, never the order of the
+raw values, keeps the coding a mere re-encoding of the per-row digests.
+The header is written and
+read by encoding.write_field and encoding.read_field, the helpers every
+length-prefixed field uses.
+
+A data station holds Records, with QIDs. From the extract on, a
+pseudonymized dataset is held as Columns, in the body's own layout: one list
+per payload variable, the composites as one numpy S32 array and the per-field
+digests as FieldCodes, which a station's one pseudonymize_columns call
+writes directly. A Dataset of Records carrying PseudonymVectors, whose
+digests are hex strings, reaches that form through to_columns. code_fields
+is the one builder of the coded form.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError naming the file, and the line for a row.
@@ -38,7 +49,7 @@ import re
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -224,16 +235,88 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
         raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
 
 
+#: One entry of a field's index: a little-endian uint32, fixed width.
+INDEX_DTYPE = np.dtype("<u4")
+_WORDS = DIGEST_DTYPE.itemsize // 8  # 8-byte words per digest
+
+
+@dataclass(frozen=True, eq=False)
+class FieldCodes:
+    """The four per-field digest columns of a dataset, dictionary coded.
+
+    ``dictionaries[k]`` holds field k's distinct digests (DIGEST_DTYPE), once
+    each, in the order of the row where each first occurs; ``index`` is a
+    (4, n_rows) INDEX_DTYPE array, and ``index[k, r]`` is row r's position in
+    field k's dictionary. Row r's digest of field k is therefore
+    ``dictionaries[k][index[k, r]]``. That form is canonical: every entry is
+    used, none repeats, and a row never skips past an entry no earlier row
+    used; dataset_from_bytes refuses any other.
+    """
+
+    dictionaries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    index: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.index.shape[1]
+
+
+def code_fields(rows: Sequence[Sequence], digest: Callable[[int, object], bytes]) -> FieldCodes:
+    """Dictionary code the four fields of ``rows``, four keys per row: each
+    field's distinct keys in the order of the row where each first occurs,
+    mapped to their raw digest by ``digest(field, key)`` once each, and each
+    row's position among them."""
+    index = np.empty((4, len(rows)), INDEX_DTYPE)
+    dictionaries = []
+    for k in range(4):
+        positions: dict = {}
+        index[k] = [positions.setdefault(row[k], len(positions)) for row in rows]
+        raw = b"".join(digest(k, key) for key in positions)
+        dictionaries.append(np.frombuffer(raw, DIGEST_DTYPE))
+    return FieldCodes(tuple(dictionaries), index)
+
+
+def hex_field_codes(per_field: Sequence[Sequence[str]]) -> FieldCodes:
+    """code_fields over rows of four hex per-field digests, as a
+    PseudonymVector's ``per_field`` holds them."""
+    return code_fields(per_field, lambda _field, digest: bytes.fromhex(digest))
+
+
+def _check_field_codes(fields: FieldCodes, n_rows: int) -> None:
+    """Refuse per-field codes that are not in FieldCodes's canonical form,
+    with a ValueError naming the field and its fault."""
+    if fields.index.shape != (4, n_rows):
+        raise ValueError(f"per-field codes do not index {n_rows} rows")
+    for name, dictionary, index in zip(QID_FIELDS, fields.dictionaries, fields.index):
+        size = len(dictionary)
+        # the largest entry any row up to this one used
+        seen = np.maximum.accumulate(index)
+        top = int(seen[-1]) if n_rows else -1
+        if top >= size:
+            raise ValueError(f"{name}: index {top} past its dictionary of {size} digests")
+        # each row uses an entry an earlier row used, or else the next one
+        if n_rows and (index[0] != 0 or (index[1:] > seen[:-1] + 1).any()):
+            raise ValueError(f"{name}: dictionary entries out of first-row order")
+        if top + 1 < size:
+            raise ValueError(f"{name}: dictionary entry {top + 1} of {size} unused")
+        # entries that differ in their first 8 bytes differ; only if two
+        # share those are the whole digests sorted
+        first = np.sort(np.ascontiguousarray(dictionary).view(">u8")[::_WORDS])
+        ordered = np.sort(dictionary) if (first[1:] == first[:-1]).any() else first
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError(f"{name}: duplicate dictionary entry")
+
+
 @dataclass(eq=False)
 class Columns:
     """A pseudonymized dataset held column by column, in its body's layout.
 
     ``payload`` holds one list per variable, in schema order. ``digests`` is
-    an (n_rows, width) DIGEST_DTYPE array: each row's composite first, then
-    its four per-field digests, as far as present; ``parts`` names them, from
-    the width. Read digests back with ``.tobytes()``, never as array items:
-    numpy strips the trailing NUL bytes of an S32 item, and about 1 digest in
-    256 ends in one.
+    an (n_rows, 1) DIGEST_DTYPE array of each row's composite, or (n_rows, 0)
+    without one; ``fields`` holds the four per-field digests, dictionary
+    coded, or None. ``parts`` names the digest parts present. Read digests
+    back with ``.tobytes()``, never as array items: numpy strips the
+    trailing NUL bytes of an S32 item, and about 1 digest in 256 ends in one.
     """
 
     station_id: str
@@ -241,6 +324,7 @@ class Columns:
     descriptor: DatasetDescriptor
     payload: list[list]
     digests: np.ndarray
+    fields: FieldCodes | None = None
     salt_check: str = ""  # Salt.check of the salt the digests were made under
 
     @property
@@ -249,7 +333,8 @@ class Columns:
 
     @property
     def parts(self) -> tuple[str, ...]:
-        return _PARTS[self.digests.shape[1]]
+        return (("composite",) if self.digests.shape[1] else ()) + (
+            ("field_codes",) if self.fields is not None else ())
 
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.schema)
@@ -259,16 +344,16 @@ class Columns:
 
     def validate(self) -> None:
         _check_columns(self, self.payload)
+        if self.fields is not None:
+            _check_field_codes(self.fields, self.n_rows)
 
 
 # ---------------------------------------------------------------------------
 # Wire encoding of pseudonymized datasets (carried inside sealed packages)
 # ---------------------------------------------------------------------------
 
-#: The digest parts a row may carry, in their order within a row's digest
-#: block, and the width of that block.
-_WIDTH = {(): 0, ("composite",): 1, ("per_field",): 4, ("composite", "per_field"): 5}
-_PARTS = {width: parts for parts, width in _WIDTH.items()}
+#: The digest parts a body may carry, in their order within the body.
+_PARTS = ((), ("composite",), ("field_codes",), ("composite", "field_codes"))
 _U32 = struct.Struct(">I")
 
 
@@ -276,7 +361,7 @@ def _digest_parts(pseudonym: PseudonymVector | None) -> tuple[str, ...]:
     if pseudonym is None:
         return ()
     parts = ("composite",) if pseudonym.composite is not None else ()
-    return parts + (("per_field",) if pseudonym.per_field else ())
+    return parts + (("field_codes",) if pseudonym.per_field else ())
 
 
 def to_columns(ds: Dataset | Columns) -> Columns:
@@ -293,12 +378,13 @@ def to_columns(ds: Dataset | Columns) -> Columns:
     parts = _digest_parts(vectors[0]) if vectors else ()
     if any(_digest_parts(vector) != parts for vector in vectors):
         raise ValueError("every row must carry the same pseudonym digest parts")
-    hexes = [digest for vector in vectors if vector is not None
-             for digest in (vector.composite, *vector.per_field) if digest is not None]
-    digests = np.frombuffer(bytes.fromhex("".join(hexes)), DIGEST_DTYPE)
+    composites = "".join(vector.composite for vector in vectors) if "composite" in parts else ""
+    digests = np.frombuffer(bytes.fromhex(composites), DIGEST_DTYPE)
+    fields = (hex_field_codes([vector.per_field for vector in vectors])
+              if "field_codes" in parts else None)
     payload = [ds.payload_column(name) for name in ds.variable_names()]
     return Columns(ds.station_id, ds.schema, ds.descriptor, payload,
-                   digests.reshape(len(vectors), _WIDTH[parts]))
+                   digests.reshape(len(vectors), int("composite" in parts)), fields)
 
 
 @dataclass
@@ -309,7 +395,7 @@ class _BodyHeader:
     schema: tuple[tuple[str, str], ...]
     descriptor: DatasetDescriptor
     row_count: int
-    digests: tuple[str, ...]  # the digest parts every row carries
+    digests: tuple[str, ...]  # the digest parts the body carries, as in _PARTS
     columns: list  # one array per payload variable, in schema order
     salt_check: str
 
@@ -318,36 +404,63 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """Columnar binary body for a pseudonymized dataset.
 
     Layout: a 4-byte big-endian length, then the canonical JSON of a
-    _BodyHeader, then each row's raw 32-byte digests (DIGEST_DTYPE),
-    concatenated row after row (composite first, then the four per-field
-    digests, as far as present).
+    _BodyHeader, then each row's raw 32-byte composite (DIGEST_DTYPE) where
+    the body carries composites. Where it carries per-field codes, the four
+    dictionaries' lengths follow as INDEX_DTYPE, then the four dictionaries'
+    raw digests, then the index, field by field, as INDEX_DTYPE.
     """
     cols = to_columns(ds)
     header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
                          cols.parts, cols.payload, cols.salt_check)
     doc = canonical_json_bytes({**vars(header), "descriptor": asdict(cols.descriptor)})
-    return b"".join((*write_field(_U32, doc), cols.digests.tobytes()))
+    chunks = [*write_field(_U32, doc), cols.digests.tobytes()]
+    if cols.fields is not None:
+        dictionaries = cols.fields.dictionaries
+        chunks.append(np.array([len(d) for d in dictionaries], INDEX_DTYPE).tobytes())
+        chunks += [dictionary.tobytes() for dictionary in dictionaries]
+        chunks.append(cols.fields.index.tobytes())
+    return b"".join(chunks)
+
+
+def _take(data, at: int, dtype: np.dtype, count: int) -> tuple[np.ndarray, int]:
+    """``count`` items of ``dtype`` from byte ``at`` of ``data``, as a view,
+    and the byte after them."""
+    end = at + count * dtype.itemsize
+    if end > len(data):
+        raise ValueError(f"{count} items of {dtype.itemsize} bytes from byte {at} "
+                         f"overrun a body of {len(data)} bytes")
+    return np.frombuffer(data, dtype, count, at), end
 
 
 def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
     lengths or header do not fit together raises ValueError, one whose
-    digests are whole 64-byte SHA-512 outputs among them. The digests are a
-    read-only view into ``data``."""
+    digests are whole 64-byte SHA-512 outputs among them, and so does
+    per-field codes out of their canonical form (see FieldCodes). The
+    digests, dictionaries and index are read-only views into ``data``."""
     doc, start = read_field(memoryview(data), 0, _U32)
     header = check_types(block_from_dict(_BodyHeader, from_json_bytes(bytes(doc))))
     n_rows, parts = header.row_count, header.digests
     check_types(header.descriptor)
     if n_rows < 0:
         raise ValueError(f"bad row_count {n_rows}")
-    if parts not in _WIDTH:
+    if parts not in _PARTS:
         raise ValueError(f"unknown digest parts {list(parts)}")
-    width = _WIDTH[parts]
-    if len(data) - start != n_rows * width * DIGEST_DTYPE.itemsize:
-        raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {width} digests")
-    digests = np.frombuffer(data, DIGEST_DTYPE, n_rows * width, start)
+    composite = int("composite" in parts)
+    digests, at = _take(data, start, DIGEST_DTYPE, n_rows * composite)
+    fields = None
+    if "field_codes" in parts:
+        lengths, at = _take(data, at, INDEX_DTYPE, 4)
+        dictionaries = []
+        for size in lengths.tolist():
+            dictionary, at = _take(data, at, DIGEST_DTYPE, size)
+            dictionaries.append(dictionary)
+        index, at = _take(data, at, INDEX_DTYPE, 4 * n_rows)
+        fields = FieldCodes(tuple(dictionaries), index.reshape(4, n_rows))
+    if at != len(data):
+        raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {list(parts)}")
     cols = Columns(header.station_id, header.schema, header.descriptor, header.columns,
-                   digests.reshape(n_rows, width), header.salt_check)
+                   digests.reshape(n_rows, composite), fields, header.salt_check)
     cols.validate()
     return cols
 

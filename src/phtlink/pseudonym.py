@@ -30,14 +30,17 @@ agreement patterns in exact mode, nor the composite in probabilistic mode.
 Without a mode, both parts are computed.
 
 A data station hashes its whole extract in one pseudonymize_columns call,
-which writes raw digests straight into one array. In probabilistic mode that
-call hashes each field's distinct values once and reuses the digest for
-every other row carrying the same value. The memo is safe: its output is
-byte for byte what hashing every row would give; it holds the raw values
-only in station memory, which already holds them; and it is a local of the
-one call, under the one salt, so nothing of it outlives the call or reaches
-another run. pseudonymize, one QID set at a time with hex digests, is the
-reference the batch output is tested against.
+which writes raw digests straight into arrays. In probabilistic mode that
+call returns the per-field digests dictionary coded (model.FieldCodes): it
+hashes each field's distinct values once, in the order of the row where
+each first occurs, and indexes every row into them. The dictionary is safe:
+expanded through its index it is byte for byte what hashing every row
+would give; it holds the raw values only in station memory, which already
+holds them; it is a local of the one call, under the one salt, so nothing
+of it outlives the call or reaches another run; and its order is first-row
+order, never the order of the raw values, so the digests that travel say
+nothing of how, say, dates of birth sort. pseudonymize, one QID set at a
+time with hex digests, is the reference the batch output is tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from .errors import EntropyUnavailable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import QuasiIdentifierSet
+    from .model import FieldCodes, QuasiIdentifierSet
 
 SALT_LENGTH = 32
 DIGEST_HEX_LENGTH = 64  # SHA-512 cut to its first 32 bytes
@@ -161,36 +164,32 @@ def pseudonymize(
 
 def pseudonymize_columns(
     qids: Sequence["QuasiIdentifierSet"], salt: Salt, mode: str
-) -> np.ndarray:
+) -> tuple[np.ndarray, "FieldCodes | None"]:
     """Hash a whole extract's canonical QID sets under a shared salt.
 
-    Returns an (len(qids), width) DIGEST_DTYPE array of raw digests, with the
-    preimages pseudonymize uses: width 1, each row's composite, in "exact"
-    mode; width 4, each row's per-field digests, in "probabilistic" mode.
-    Read it back with ``.tobytes()`` (see model.Columns).
+    Returns the digest parts of a model.Columns, with the preimages
+    pseudonymize uses: in "exact" mode an (len(qids), 1) DIGEST_DTYPE array
+    of each row's composite, and no per-field codes; in "probabilistic"
+    mode an (len(qids), 0) array and the four per-field digests, dictionary
+    coded. Read the arrays back with ``.tobytes()`` (see model.Columns).
     """
+    from .model import code_fields  # here, since model imports this module
+
     if mode not in LINKAGE_MODES:
         raise ValueError(f"unknown linkage mode {mode!r}")
     sha512 = hashlib.sha512
     tail = b"|" + salt.bytes
     if mode == "exact":
-        width = 1
-        digests = [
+        composites = [
             sha512(COMPOSITE_PREFIX + "|".join(qid.as_tuple()).encode("utf-8") + tail)
             .digest()[:_DIGEST_LENGTH]
             for qid in qids
         ]
-    else:
-        width = 4
-        prefixes = [FIELD_PREFIX_TEMPLATE.format(index=i).encode("utf-8") for i in range(width)]
-        memos: list[dict[str, bytes]] = [{} for _ in range(width)]
-        digests = []
-        for qid in qids:
-            for prefix, memo, value in zip(prefixes, memos, qid.as_tuple()):
-                digest = memo.get(value)
-                if digest is None:
-                    digest = memo[value] = sha512(
-                        prefix + value.encode("utf-8") + tail
-                    ).digest()[:_DIGEST_LENGTH]
-                digests.append(digest)
-    return np.frombuffer(b"".join(digests), DIGEST_DTYPE).reshape(len(qids), width)
+        return np.frombuffer(b"".join(composites), DIGEST_DTYPE).reshape(len(qids), 1), None
+    prefixes = [FIELD_PREFIX_TEMPLATE.format(index=i).encode("utf-8") for i in range(4)]
+
+    def digest(field: int, value: str) -> bytes:
+        return sha512(prefixes[field] + value.encode("utf-8") + tail).digest()[:_DIGEST_LENGTH]
+
+    fields = code_fields([qid.as_tuple() for qid in qids], digest)
+    return np.empty((len(qids), 0), DIGEST_DTYPE), fields

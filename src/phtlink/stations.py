@@ -322,7 +322,7 @@ class DataStationActor(_Party):
             tuple((name, types[name]) for name in request.variables),
             replace(dataset.descriptor, row_count=len(kept)),
             [[row.payload[name] for row in kept] for name in request.variables],
-            pseudonymize([row.qid for row in kept], salt, manifest.linkage.mode),
+            *pseudonymize([row.qid for row in kept], salt, manifest.linkage.mode),
             salt.check,
         )
         payload = dataset_to_bytes(extract)

@@ -1,16 +1,21 @@
-"""Shared test helpers: scenario builder, pseudonymization shortcut, and the
-independent brute-force linkage oracle used to check link() output."""
+"""Shared test helpers: scenario builder, pseudonymization shortcut, the
+row-major form of dictionary-coded per-field digests, and the independent
+brute-force linkage oracle used to check link() output."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
+import numpy as np
+
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy, ResultTable
+from phtlink.encoding import canonical_json_bytes
 from phtlink.envelope import generate_encryption_keypair, generate_signing_keys
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import DataRequest, PoolFilter, TrainManifest, sign_manifest
-from phtlink.model import QID_FIELDS, Dataset, Record
+from phtlink.model import QID_FIELDS, Dataset, FieldCodes, Record, dataset_from_bytes
 from phtlink.network import RunSetup
 from phtlink.pseudonym import Salt, pseudonymize
 from phtlink.stations import DataStationConfig, TseConfig
@@ -24,6 +29,25 @@ def pseudonymized(ds: Dataset, salt: Salt) -> Dataset:
         for r in ds.rows
     ]
     return dataclasses.replace(ds, rows=rows)
+
+
+def per_row_digests(fields: FieldCodes) -> np.ndarray:
+    """The per-field digests of each row, (rows, 4): every field's
+    dictionary expanded through its index. Read back with ``.tobytes()``."""
+    return np.stack([d[i] for d, i in zip(fields.dictionaries, fields.index)], axis=1)
+
+
+def row_major_body(body: bytes) -> bytes:
+    """A dataset body as stations sent it before per-field digests were
+    dictionary coded: the header names the part "per_field", and each row's
+    composite and four per-field digests follow, row after row."""
+    cols = dataset_from_bytes(body)
+    header_len = int.from_bytes(body[:4], "big")
+    header = json.loads(body[4 : 4 + header_len])
+    header["digests"] = ["per_field" if p == "field_codes" else p for p in header["digests"]]
+    doc = canonical_json_bytes(header)
+    rows = np.concatenate((cols.digests, per_row_digests(cols.fields)), axis=1)
+    return len(doc).to_bytes(4, "big") + doc + rows.tobytes()
 
 
 @dataclasses.dataclass

@@ -29,7 +29,9 @@ from phtlink.linkage import (
     merge,
     score_pair,
 )
-from phtlink.model import QID_FIELDS, Record, dataset_from_bytes, dataset_to_bytes, make_dataset
+from phtlink.model import (
+    QID_FIELDS, Record, dataset_from_bytes, dataset_to_bytes, hex_field_codes, make_dataset,
+)
 from phtlink.pseudonym import (
     DIGEST_DTYPE, DIGEST_HEX_LENGTH, PseudonymVector, Salt, generate_salt,
 )
@@ -727,9 +729,8 @@ class TestDigestPrefixCodes:
 
         vecs_a = [vec("a", "a", "a", "a"), vec("b", "a", "b", "a")]
         vecs_b = [vec("a", "b", "a", "a"), vec("c", "a", "b", "a"), vec("a", "a", "a", "a")]
-        per_field = [np.frombuffer(bytes.fromhex("".join(h for v in vecs for h in v.per_field)),
-                                   DIGEST_DTYPE).reshape(len(vecs), 4) for vecs in (vecs_a, vecs_b)]
-        codes = linkage._field_codes(*per_field)
+        codes = linkage._field_codes(*(hex_field_codes([v.per_field for v in vecs])
+                                       for vecs in (vecs_a, vecs_b)))
         # field 0 holds a, b | a, c, a: three digests, all sharing their first 8 bytes
         assert codes[0].tolist() == [0, 1, 0, 2, 0]
         # only all four fields agreeing is a Match: B row 1 would be one if b and c merged

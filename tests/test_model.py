@@ -5,14 +5,18 @@ import datetime as dt
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_row_digests, row_major_body
 from phtlink.errors import MalformedField
 from phtlink.model import (
+    INDEX_DTYPE,
     QID_FIELDS,
     Dataset,
     DatasetDescriptor,
+    FieldCodes,
     QuasiIdentifierSet,
     Record,
     age_on,
@@ -24,7 +28,7 @@ from phtlink.model import (
     to_columns,
     write_dataset_csv,
 )
-from phtlink.pseudonym import Salt, pseudonymize
+from phtlink.pseudonym import DIGEST_DTYPE, Salt, pseudonymize
 from phtlink.synth import SyntheticPopulationSpec, generate_population
 
 
@@ -283,8 +287,9 @@ class TestDatasetWireBytes:
         ds = make_dataset("A", (("age", "numeric"),),
                           [Record(payload={"age": 40}, pseudonym=vec)])
         back = dataset_from_bytes(dataset_to_bytes(ds))
-        assert back.parts == ("composite", "per_field")
-        assert back.digests.tobytes() == bytes.fromhex(vec.composite + "".join(vec.per_field))
+        assert back.parts == ("composite", "field_codes")
+        assert back.digests.tobytes() == bytes.fromhex(vec.composite)
+        assert per_row_digests(back.fields).tobytes() == bytes.fromhex("".join(vec.per_field))
         assert back.payload_column("age") == [40]
         assert back.station_id == "A"
 
@@ -314,17 +319,22 @@ class TestColumnarBody:
         assert back.descriptor == ds.descriptor
         assert back.payload == [ds.payload_column(n) for n in ds.variable_names()]
         vectors = [r.pseudonym for r in ds.rows if r.pseudonym is not None]
-        hexes = [d for v in vectors for d in (v.composite, *v.per_field) if d is not None]
-        assert back.digests.tobytes() == bytes.fromhex("".join(hexes))
-        assert back.digests.shape == (len(ds.rows), len(hexes) // max(len(ds.rows), 1))
+        composites = [v.composite for v in vectors if v.composite is not None]
+        assert back.digests.tobytes() == bytes.fromhex("".join(composites))
+        assert back.digests.shape == (len(ds.rows), len(composites) // max(len(ds.rows), 1))
+        per_field = [d for v in vectors for d in v.per_field]
+        if per_field:
+            assert per_row_digests(back.fields).tobytes() == bytes.fromhex("".join(per_field))
+        else:
+            assert back.fields is None
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic", None])
     def test_roundtrip_per_mode(self, mode):
         ds = self._dataset(mode)
         back = dataset_from_bytes(dataset_to_bytes(ds))
         self._assert_same(back, ds)
-        assert back.parts == {"exact": ("composite",), "probabilistic": ("per_field",),
-                              None: ("composite", "per_field")}[mode]
+        assert back.parts == {"exact": ("composite",), "probabilistic": ("field_codes",),
+                              None: ("composite", "field_codes")}[mode]
 
     def test_roundtrip_without_pseudonyms_or_rows(self):
         merged = make_dataset("A+B", (("age", "numeric"),), [Record(payload={"age": 1})])
@@ -366,19 +376,79 @@ class TestColumnarBody:
     def test_corrupt_lengths_rejected(self):
         body = dataset_to_bytes(self._dataset(None))
         header_len = int.from_bytes(body[:4], "big")
-        digests = body[4 + header_len :]
-        whole = b"".join(digests[i : i + 32] + b"\xee" * 32 for i in range(0, len(digests), 32))
+        composites = body[4 + header_len : 4 + header_len + 3 * 32]
+        whole = b"".join(composites[i : i + 32] + b"\xee" * 32 for i in range(0, 3 * 32, 32))
+        lengths_at = 4 + header_len + 3 * 32
         for bad in (
-            body[:-1],  # one digest byte short
-            body + b"\x00",  # one digest byte too many
-            body[: 4 + header_len] + whole,  # 64-byte digests, as whole SHA-512 output
+            body[:-1],  # one index byte short
+            body + b"\x00",  # one byte too many
+            body[: 4 + header_len] + whole + body[lengths_at:],  # 64-byte composites
             (header_len + 1).to_bytes(4, "big") + body[4:],  # header swallows a byte
             (header_len - 1).to_bytes(4, "big") + body[4:],  # header cut short
             (2**32 - 1).to_bytes(4, "big") + body[4:],  # header overruns the body
             body[:3],  # no room for the length itself
+            body[:lengths_at + 15],  # no room for the dictionary lengths
         ):
             with pytest.raises(ValueError):
                 dataset_from_bytes(bad)
+
+    @pytest.mark.parametrize("length, named", [
+        (4, "overrun"),  # a dictionary one digest longer than it is
+        (2, "digest bytes"),  # one digest shorter
+        (2**32 - 1, "overrun"),  # far past the body
+    ])
+    def test_dictionary_length_that_does_not_fit_rejected(self, length, named):
+        body = bytearray(dataset_to_bytes(self._dataset("probabilistic")))
+        lengths_at = 4 + int.from_bytes(body[:4], "big")
+        lengths = np.frombuffer(body, INDEX_DTYPE, 4, lengths_at).copy()
+        assert lengths.tolist() == [1, 3, 1, 1]  # the rows differ in house number only
+        lengths[1] = length
+        body[lengths_at : lengths_at + 16] = lengths.tobytes()
+        with pytest.raises(ValueError, match=named):
+            dataset_from_bytes(bytes(body))
+
+    @staticmethod
+    def _house_numbers_coded(dictionary, index):
+        """A probabilistic body whose house-number field carries ``dictionary``,
+        built from the three distinct house-number digests by position, and
+        ``index``: dataset_to_bytes writes any codes it is given."""
+        cols = to_columns(TestColumnarBody._dataset("probabilistic"))
+        fields = list(cols.fields.dictionaries)
+        fields[1] = np.concatenate((fields[1], [b"\x07" * 32]))[dictionary]
+        codes = np.array(cols.fields.index)
+        codes[1] = index
+        coded = FieldCodes(tuple(fields), codes)
+        return dataset_to_bytes(dataclasses.replace(cols, fields=coded))
+
+    def test_canonical_codes_accepted(self):
+        assert dataset_from_bytes(self._house_numbers_coded([0, 1, 2], [0, 1, 2])).n_rows == 3
+
+    def test_entries_that_share_their_first_bytes_are_no_duplicates(self):
+        cols = to_columns(self._dataset("probabilistic"))
+        shared = np.array([b"\xab" * 8 + bytes([i]) * 24 for i in range(3)], DIGEST_DTYPE)
+        dictionaries = list(cols.fields.dictionaries)
+        dictionaries[1] = shared
+        coded = FieldCodes(tuple(dictionaries), cols.fields.index)
+        back = dataset_from_bytes(dataset_to_bytes(dataclasses.replace(cols, fields=coded)))
+        assert back.fields.dictionaries[1].tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("dictionary, index, named", [
+        ([0, 1, 2], [0, 1, 3], "house_number: index 3 past its dictionary of 3 digests"),
+        ([0, 1, 0], [0, 1, 2], "house_number: duplicate dictionary entry"),
+        ([0, 1, 2, 3], [0, 1, 2], "house_number: dictionary entry 3 of 4 unused"),
+        ([1, 0, 2], [1, 0, 2], "house_number: dictionary entries out of first-row order"),
+        ([0, 1, 2], [0, 2, 1], "house_number: dictionary entries out of first-row order"),
+    ])
+    def test_codes_out_of_canonical_form_rejected(self, dictionary, index, named):
+        body = self._house_numbers_coded(dictionary, index)
+        with pytest.raises(ValueError, match=named):
+            dataset_from_bytes(body)
+
+    @pytest.mark.parametrize("mode", ["probabilistic", None])
+    def test_row_major_per_field_body_refused_by_name(self, mode):
+        body = row_major_body(dataset_to_bytes(self._dataset(mode)))
+        with pytest.raises(ValueError, match=r"unknown digest parts \[.*'per_field'\]"):
+            dataset_from_bytes(body)
 
     @pytest.mark.parametrize("key, value, named", [
         ("extra", "x", "extra"),  # a key the header does not declare
@@ -397,10 +467,11 @@ class TestColumnarBody:
         with pytest.raises(ValueError, match=named):
             dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :])
 
+    @pytest.mark.parametrize("mode", [None, "probabilistic"])
     @given(cut=st.integers(0, 400), flip=st.integers(0, 8 * 400 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_mangled_body_raises_only_value_error(self, cut, flip):
-        body = bytearray(dataset_to_bytes(self._dataset(None, n=1)))
+    def test_mangled_body_raises_only_value_error(self, mode, cut, flip):
+        body = bytearray(dataset_to_bytes(self._dataset(mode, n=2)))
         body[flip // 8 % len(body)] ^= 1 << (flip % 8)
         try:
             dataset_from_bytes(bytes(body[: len(body) - cut]))
@@ -413,13 +484,21 @@ class TestColumnarBody:
 # SHA-512 digests, with each digest cut to its first 32 bytes and the header
 # left as it was. Every pin was then moved once more, when the header gained
 # its "salt_check" key: the bodies are the earlier ones with exactly
-# ',"salt_check":""' added to the header JSON and its length prefix.
+# ',"salt_check":""' added to the header JSON and its length prefix. The
+# None and "probabilistic" pins moved when per-field digests became
+# dictionary coded; ROW_MAJOR_BODIES keeps their earlier values, which the
+# coded bodies still give once their dictionaries are expanded through their
+# index and the header names the part "per_field" again.
 PINNED_BODIES = {
-    None: "e825c7439d2260b1579003cebd48338c99c46af81addaeb28097835b29c59b27",
+    None: "5dc7cf6ec08de2cf5a7e85e6117df4477706a705b06b403dd6a5abce3f70d107",
     "exact": "e377cdd03775bd90f4ab8782a8b34030b49e9927a43c3627335204886e0fe8fd",
-    "probabilistic": "1873f4be8307aa47fc8e96d14da974bcc4a3a19c092447b9f54b289d46549c06",
+    "probabilistic": "e8564858c67707e2b2f5ee35ae5ab4b2ace2848826f09e875d29f33ccce664e2",
     "payload_only": "a8db844bb7d26de8c7c088ce6bc0f364c90e4dfd22c5ea3e043ee4edf40a62b5",
     "empty": "57fdad54cbd20ce0f2f3ef5beb8c57e2e74c36d74897ea6a8095c98685281241",
+}
+ROW_MAJOR_BODIES = {
+    None: "e825c7439d2260b1579003cebd48338c99c46af81addaeb28097835b29c59b27",
+    "probabilistic": "1873f4be8307aa47fc8e96d14da974bcc4a3a19c092447b9f54b289d46549c06",
 }
 
 
@@ -434,9 +513,9 @@ class TestBodyPinned:
         ))
         return large
 
-    @pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
-    def test_pseudonymized_body_pinned(self, mode):
-        large = self._population()
+    @classmethod
+    def _pseudonymized_body(cls, mode) -> bytes:
+        large = cls._population()
         salt = Salt(hashlib.sha512(b"pinned body").digest()[:32], "run-pin")
         rows = [
             Record(payload=dict(r.payload), pseudonym=pseudonymize(r.qid, salt, mode))
@@ -445,8 +524,17 @@ class TestBodyPinned:
         digests = [d for r in rows for d in (r.pseudonym.composite, *r.pseudonym.per_field) if d]
         # numpy strips a trailing NUL from an S32 item: the pin must cover one
         assert any(d.endswith("00") for d in digests)
-        body = dataset_to_bytes(dataclasses.replace(large, rows=rows))
+        return dataset_to_bytes(dataclasses.replace(large, rows=rows))
+
+    @pytest.mark.parametrize("mode", [None, "exact", "probabilistic"])
+    def test_pseudonymized_body_pinned(self, mode):
+        body = self._pseudonymized_body(mode)
         assert hashlib.sha256(body).hexdigest() == PINNED_BODIES[mode]
+
+    @pytest.mark.parametrize("mode", [None, "probabilistic"])
+    def test_coded_body_expands_to_the_row_major_body(self, mode):
+        body = row_major_body(self._pseudonymized_body(mode))
+        assert hashlib.sha256(body).hexdigest() == ROW_MAJOR_BODIES[mode]
 
     def test_payload_only_body_pinned(self):
         large = self._population()

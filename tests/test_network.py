@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_scenario
+from conftest import make_scenario, row_major_body
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
 from phtlink.envelope import SealedPackage, generate_encryption_keypair
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
-from phtlink.model import QID_FIELDS, dataset_from_bytes
+from phtlink.model import QID_FIELDS, FieldCodes, dataset_from_bytes
 from phtlink.network import Router, TcpNode, run_network
 from phtlink.pseudonym import Salt, pseudonymize, pseudonymize_columns
 from phtlink.stations import (
@@ -1021,7 +1021,8 @@ class TestOneOwner:
         assert {node for node, _ in sent} == {"researcher", "A", "B", "TSE"}
         assert [node for node, on_worker in sent if not on_worker] == []
 
-    def test_tse_links_on_the_buffers_it_wipes(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_tse_links_on_the_buffers_it_wipes(self, monkeypatch, mode):
         linked, held = [], []
         link, wipe = stations.link, stations.TseStorage.wipe
 
@@ -1035,12 +1036,17 @@ class TestOneOwner:
 
         monkeypatch.setattr(stations, "link", spy_link)
         monkeypatch.setattr(stations.TseStorage, "wipe", spy_wipe)
-        out = run_network(demo_scenario().setup)
+        scn = demo_scenario(linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        out = run_network(scn.setup)
         assert out.completed
         assert held == [("dataset:A", "dataset:B")]
         for columns in linked:
-            digests = columns.digests.tobytes()
-            assert digests and digests == bytes(len(digests)), columns.station_id
+            # what link read: the composites, or the dictionaries and the index
+            read = ([columns.digests] if mode == "exact"
+                    else [*columns.fields.dictionaries, columns.fields.index])
+            for array in read:
+                raw = array.tobytes()
+                assert raw and raw == bytes(len(raw)), columns.station_id
 
 
 class TestWipeEmptiesDecodedPayloads:
@@ -1452,14 +1458,38 @@ class TestDataMinimisation:
             if qids != qids_a:
                 return pseudonymize_columns(qids, salt, mode)
             whole = [_whole_digests(qid, salt) for qid in qids]
-            parts = [w[:1] if mode == "exact" else w[1:] for w in whole]
-            return np.frombuffer(b"".join(d for p in parts for d in p), "S64").reshape(
-                len(qids), -1)
+            if mode == "exact":
+                return np.frombuffer(b"".join(w[0] for w in whole), "S64").reshape(-1, 1), None
+            # the dictionaries hold 64-byte digests, the index is as a station makes it
+            fields = pseudonymize_columns(qids, salt, mode)[1]
+            dictionaries = tuple(
+                np.frombuffer(b"".join(dict.fromkeys(w[1 + k] for w in whole)), "S64")
+                for k in range(4))
+            return np.empty((len(qids), 0), "S64"), FieldCodes(dictionaries, fields.index)
 
         monkeypatch.setattr(stations, "pseudonymize", mixed)
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
         assert "digest bytes" in out.reason
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_station_sending_row_major_per_field_digests_aborts_and_wipes(
+        self, monkeypatch, transport
+    ):
+        # A sends its body as stations did before per-field digests were
+        # dictionary coded; B as now
+        original = stations.dataset_to_bytes
+
+        def row_major_at_a(cols):
+            body = original(cols)
+            return row_major_body(body) if cols.station_id == "A" else body
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", row_major_at_a)
+        scn = demo_scenario(linkage=LinkageParams(mode="probabilistic", blocking_fields=("gender",)))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
+        assert "unknown digest parts ['per_field']" in out.reason
         assert out.storage.wiped and out.storage.inventory() == ()
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -1474,7 +1504,7 @@ class TestDataMinimisation:
         extract_a = next(cols for cols in map(dataset_from_bytes, opened)
                          if cols.station_id == "A")
         # an empty extract still names the part its mode links on
-        assert extract_a.parts == (("composite",) if mode == "exact" else ("per_field",))
+        assert extract_a.parts == (("composite",) if mode == "exact" else ("field_codes",))
         assert extract_a.n_rows == 0
 
 

@@ -3,9 +3,12 @@ separation."""
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import per_row_digests
+from phtlink import linkage
 from phtlink.model import QuasiIdentifierSet
 from phtlink.pseudonym import (
     DIGEST_HEX_LENGTH,
@@ -198,20 +201,42 @@ def _repetitive_qids(draw):
 
 class TestBatchPseudonyms:
     @settings(max_examples=100, deadline=None)
-    @given(qids=_repetitive_qids(), salt=st.binary(min_size=16, max_size=48),
-           mode=st.sampled_from(LINKAGE_MODES))
-    def test_batch_digests_are_the_per_row_reference_digests(self, qids, salt, mode):
+    @given(qids=_repetitive_qids(), salt=st.binary(min_size=16, max_size=48))
+    def test_batch_composites_are_the_per_row_reference_composites(self, qids, salt):
         salt = Salt(salt, "run-1")
-        vectors = [pseudonymize(qid, salt, mode) for qid in qids]
-        hexes = ([vec.composite for vec in vectors] if mode == "exact"
-                 else [digest for vec in vectors for digest in vec.per_field])
-        digests = pseudonymize_columns(qids, salt, mode)
-        assert digests.shape == (len(qids), 1 if mode == "exact" else 4)
+        digests, fields = pseudonymize_columns(qids, salt, "exact")
+        assert fields is None and digests.shape == (len(qids), 1)
+        hexes = [pseudonymize(qid, salt, "exact").composite for qid in qids]
         assert digests.tobytes() == bytes.fromhex("".join(hexes))
 
-    @pytest.mark.parametrize("mode, width", [("exact", 1), ("probabilistic", 4)])
-    def test_zero_rows_give_an_empty_array_of_the_mode_width(self, mode, width):
-        assert pseudonymize_columns([], ZERO_SALT, mode).shape == (0, width)
+    @settings(max_examples=100, deadline=None)
+    @given(qids=_repetitive_qids(), salt=st.binary(min_size=16, max_size=48), data=st.data())
+    def test_batch_field_codes_are_the_per_row_reference_digests(self, qids, salt, data):
+        salt = Salt(salt, "run-1")
+        vectors = [pseudonymize(qid, salt, "probabilistic") for qid in qids]
+        digests, fields = pseudonymize_columns(qids, salt, "probabilistic")
+        assert digests.shape == (len(qids), 0)
+        # expanded through its index, each dictionary gives every row's reference digest
+        rows = per_row_digests(fields)
+        assert rows.tobytes() == bytes.fromhex("".join(d for vec in vectors for d in vec.per_field))
+        # a dictionary is the distinct reference digests, in first-row order
+        for k, dictionary in enumerate(fields.dictionaries):
+            distinct = dict.fromkeys(vec.per_field[k] for vec in vectors)
+            assert dictionary.tobytes() == bytes.fromhex("".join(distinct))
+        # split into two sides, the codes are those _codes gives over the rows
+        # themselves, A's rows first, as linkage coded per-row digest columns
+        cut = data.draw(st.integers(0, len(qids)))
+        fields_a = pseudonymize_columns(qids[:cut], salt, "probabilistic")[1]
+        fields_b = pseudonymize_columns(qids[cut:], salt, "probabilistic")[1]
+        oracle = np.stack([linkage._codes(rows[:, k]) for k in range(4)])
+        assert np.array_equal(linkage._field_codes(fields_a, fields_b), oracle)
+
+    def test_zero_rows_give_empty_digest_parts(self):
+        digests, fields = pseudonymize_columns([], ZERO_SALT, "exact")
+        assert digests.shape == (0, 1) and fields is None
+        digests, fields = pseudonymize_columns([], ZERO_SALT, "probabilistic")
+        assert digests.shape == (0, 0) and fields.index.shape == (4, 0)
+        assert [len(d) for d in fields.dictionaries] == [0] * 4
 
     @pytest.mark.parametrize("mode", ["fuzzy", None])
     def test_unknown_mode_rejected(self, mode):

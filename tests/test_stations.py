@@ -265,8 +265,9 @@ class TestTse:
                 assert extract.parts == ("composite",)
                 assert extract.digests.shape == (extract.n_rows, 1)
             else:
-                assert extract.parts == ("per_field",)
-                assert extract.digests.shape == (extract.n_rows, 4)
+                assert extract.parts == ("field_codes",)
+                assert extract.digests.shape == (extract.n_rows, 0)
+                assert extract.fields.index.shape == (4, extract.n_rows)
 
     def test_post_wipe_reads_fail(self):
         scn = scenario()

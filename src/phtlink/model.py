@@ -227,8 +227,13 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
     for (name, vtype), column in zip(ds.schema, columns):
         if vtype not in VARIABLE_TYPES:
             raise ValueError(f"unknown variable type {vtype!r} for {name!r}")
-        wanted = (int, float) if vtype == "numeric" else str
-        held = isinstance(column, list) and all(isinstance(v, wanted) for v in column)
+        wanted = (int, float) if vtype == "numeric" else (str,)
+        # the exact types first, in C; a subclass such as bool or np.float64
+        # falls back to the walk value by value, so the verdict is the same
+        held = isinstance(column, list) and (
+            set(map(type, column)).issubset(wanted)
+            or all(isinstance(v, wanted) for v in column)
+        )
         if not held or len(column) != ds.n_rows:
             raise ValueError(f"variable {name!r} does not hold one {vtype} value per row")
     if ds.descriptor.row_count != ds.n_rows:
@@ -261,25 +266,28 @@ class FieldCodes:
         return self.index.shape[1]
 
 
-def code_fields(rows: Sequence[Sequence], digest: Callable[[int, object], bytes]) -> FieldCodes:
+def code_fields(
+    rows: Sequence[Sequence], digests: Callable[[int, list], np.ndarray]
+) -> FieldCodes:
     """Dictionary code the four fields of ``rows``, four keys per row: each
     field's distinct keys in the order of the row where each first occurs,
-    mapped to their raw digest by ``digest(field, key)`` once each, and each
-    row's position among them."""
+    mapped to their raw digests by ``digests(field, keys)``, a DIGEST_DTYPE
+    array with one digest per key, and each row's position among them."""
     index = np.empty((4, len(rows)), INDEX_DTYPE)
     dictionaries = []
     for k in range(4):
         positions: dict = {}
         index[k] = [positions.setdefault(row[k], len(positions)) for row in rows]
-        raw = b"".join(digest(k, key) for key in positions)
-        dictionaries.append(np.frombuffer(raw, DIGEST_DTYPE))
+        dictionaries.append(digests(k, list(positions)))
     return FieldCodes(tuple(dictionaries), index)
 
 
 def hex_field_codes(per_field: Sequence[Sequence[str]]) -> FieldCodes:
     """code_fields over rows of four hex per-field digests, as a
     PseudonymVector's ``per_field`` holds them."""
-    return code_fields(per_field, lambda _field, digest: bytes.fromhex(digest))
+    return code_fields(
+        per_field, lambda _field, keys: np.frombuffer(bytes.fromhex("".join(keys)), DIGEST_DTYPE)
+    )
 
 
 def _check_field_codes(fields: FieldCodes, n_rows: int) -> None:

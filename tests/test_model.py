@@ -14,6 +14,7 @@ from phtlink.errors import MalformedField
 from phtlink.model import (
     INDEX_DTYPE,
     QID_FIELDS,
+    VARIABLE_TYPES,
     Dataset,
     DatasetDescriptor,
     FieldCodes,
@@ -30,6 +31,14 @@ from phtlink.model import (
 )
 from phtlink.pseudonym import DIGEST_DTYPE, Salt, pseudonymize
 from phtlink.synth import SyntheticPopulationSpec, generate_population
+
+
+class _IntSubclass(int):
+    pass
+
+
+class _StrSubclass(str):
+    pass
 
 
 def raw(zip_code="6211AB", house="12", gender="F", dob="1960-03-15"):
@@ -157,6 +166,28 @@ class TestRecordAndDataset:
                      DatasetDescriptor("t", "2026-01-01T00:00:00Z", 1))
         with pytest.raises(ValueError):
             ds.validate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vtype=st.sampled_from(VARIABLE_TYPES),
+        column=st.lists(st.one_of(
+            st.integers(), st.floats(), st.text(max_size=3), st.booleans(), st.none(),
+            st.builds(np.float64, st.floats()), st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+            st.builds(_IntSubclass, st.integers()), st.builds(_StrSubclass, st.text(max_size=3)),
+        ), max_size=8),
+    )
+    def test_type_check_agrees_with_a_walk_value_by_value(self, vtype, column):
+        """The exact-type check refuses what an isinstance walk over every
+        value refuses, subclasses such as bool and np.float64 included."""
+        wanted = (int, float) if vtype == "numeric" else str
+        walk_holds = all(isinstance(v, wanted) for v in column)
+        ds = Dataset("A", (("v", vtype),), [Record(payload={"v": v}) for v in column],
+                     DatasetDescriptor("t", "2026-01-01T00:00:00Z", len(column)))
+        if walk_holds:
+            ds.validate()
+        else:
+            with pytest.raises(ValueError, match="does not hold"):
+                ds.validate()
 
 
 class TestCsvInterchange:

@@ -2,15 +2,17 @@
 separation."""
 
 import hashlib
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_row_digests
-from phtlink import linkage
+from phtlink import linkage, pseudonym
 from phtlink.model import QuasiIdentifierSet
 from phtlink.pseudonym import (
+    CHUNK_ROWS,
     DIGEST_HEX_LENGTH,
     LINKAGE_MODES,
     SALT_LENGTH,
@@ -242,3 +244,59 @@ class TestBatchPseudonyms:
     def test_unknown_mode_rejected(self, mode):
         with pytest.raises(ValueError):
             pseudonymize_columns([QID], ZERO_SALT, mode)
+
+
+def _distinct_qids(n):
+    """n QID sets whose zip code, house number and date of birth are each
+    distinct, so those fields' dictionaries hold n entries."""
+    return [QuasiIdentifierSet(f"Z{i}", str(i), "FM"[i % 2], f"D{i}") for i in range(n)]
+
+
+def _reference(qids, salt, mode):
+    """pseudonymize_columns's bytes, from the per-row reference on
+    hashlib.sha512: the composites, or each row's four per-field digests."""
+    vectors = [pseudonymize(qid, salt, mode) for qid in qids]
+    if mode == "exact":
+        return bytes.fromhex("".join(vec.composite for vec in vectors))
+    return bytes.fromhex("".join(d for vec in vectors for d in vec.per_field))
+
+
+def _batch(qids, salt, mode):
+    digests, fields = pseudonymize_columns(qids, salt, mode)
+    return digests.tobytes() if mode == "exact" else per_row_digests(fields).tobytes()
+
+
+class TestBatchHashLoop:
+    """The batch hashes CHUNK_ROWS preimages at a time through the built-in
+    SHA-512 and cuts each chunk's digests in numpy."""
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("mode", LINKAGE_MODES)
+    def test_batch_is_the_reference_around_the_chunk_size(self, mode, n):
+        salt = Salt(bytes(range(32)), "run-1")
+        qids = _distinct_qids(n)
+        assert _batch(qids, salt, mode) == _reference(qids, salt, mode)
+
+    @pytest.mark.parametrize("mode", LINKAGE_MODES)
+    def test_hashlib_fallback_gives_the_same_bytes(self, mode, monkeypatch):
+        salt = Salt(b"\x09" * 32, "run-1")
+        n = CHUNK_ROWS + 1
+        qids = _distinct_qids(n)
+        built_in = _batch(qids, salt, mode)
+        calls = []
+
+        def openssl(preimage):
+            calls.append(preimage)
+            return hashlib.sha512(preimage)
+
+        monkeypatch.setattr(pseudonym, "BATCH_SHA512", openssl)
+        assert _batch(qids, salt, mode) == built_in
+        # one call per composite, or per distinct value of each field: n zip
+        # codes, house numbers and dates of birth, two genders
+        assert len(calls) == {"exact": n, "probabilistic": 3 * n + 2}[mode]
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython",
+                        reason="the built-in SHA-512 modules are CPython's")
+    def test_cpython_hashes_with_its_built_in_sha512(self):
+        # a silent fall back to hashlib.sha512 gives the same bytes, slower on 3.10 and 3.11
+        assert pseudonym.BATCH_SHA512.__module__ in ("_sha512", "_sha2")

@@ -19,14 +19,17 @@ Salt.check of the salt the digests were made under (empty where no station
 set it), then the digests, raw 32-byte values (pseudonym.DIGEST_DTYPE). The
 composite travels once per row. The four per-field digests travel
 dictionary coded (FieldCodes): each field's distinct digests once, in the
-order of the row where each first occurs, and one little-endian uint32 per
-row and field indexing into them. Most per-field digests repeat, since a
-field such as gender has a few values, so this sends about half the bytes
-of one digest per row and field. First-row order, never the order of the
-raw values, keeps the coding a mere re-encoding of the per-row digests.
-The header is written and
-read by encoding.write_field and encoding.read_field, the helpers every
-length-prefixed field uses.
+order of the row where each first occurs, and an index into them per row
+and field, an unsigned little-endian integer of the narrowest width that
+addresses the field's dictionary (index_dtype): 1 byte up to 256 entries,
+2 up to 65,536, 4 above. Most per-field digests repeat, since a field such
+as gender has a few values, so this sends about half the bytes of one
+digest per row and field. A row's index takes 6 bytes, not 16, where zip
+code and date of birth hold up to 65,536 distinct values each and house
+number and gender up to 256. First-row order, never the order of the raw
+values, keeps the coding a mere re-encoding of the per-row digests. The
+header is written and read by encoding.write_field and
+encoding.read_field, the helpers every length-prefixed field uses.
 
 A data station holds Records, with QIDs. From the extract on, a
 pseudonymized dataset is held as Columns, in the body's own layout: one list
@@ -77,9 +80,10 @@ _GENDER_MAP = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiIdentifierSet:
-    """The four linkage fields in canonical form."""
+    """The four linkage fields in canonical form. Slotted, as is Record: a
+    station holds one of each per row."""
 
     zip_code: str
     house_number: str
@@ -167,7 +171,7 @@ def age_on(date_of_birth: str, as_of: str) -> int:
     return years
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     """One row: an ordered payload plus either a QID set or a pseudonym.
 
@@ -240,9 +244,22 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
         raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
 
 
-#: One entry of a field's index: a little-endian uint32, fixed width.
-INDEX_DTYPE = np.dtype("<u4")
+#: A field dictionary's length in a body: a little-endian uint32.
+LENGTH_DTYPE = np.dtype("<u4")
+# the widths an index entry may take, narrowest first (see index_dtype)
+_INDEX_DTYPES = (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4"))
 _WORDS = DIGEST_DTYPE.itemsize // 8  # 8-byte words per digest
+
+
+def index_dtype(size: int) -> np.dtype:
+    """The dtype of an index into a dictionary of ``size`` entries: the
+    narrowest of _INDEX_DTYPES whose values address every entry; the widest
+    addresses any length a LENGTH_DTYPE can state. The body carries each
+    dictionary's length, so the width needs no field of its own."""
+    for dtype in _INDEX_DTYPES[:-1]:
+        if size <= 1 << 8 * dtype.itemsize:
+            return dtype
+    return _INDEX_DTYPES[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,20 +267,21 @@ class FieldCodes:
     """The four per-field digest columns of a dataset, dictionary coded.
 
     ``dictionaries[k]`` holds field k's distinct digests (DIGEST_DTYPE), once
-    each, in the order of the row where each first occurs; ``index`` is a
-    (4, n_rows) INDEX_DTYPE array, and ``index[k, r]`` is row r's position in
-    field k's dictionary. Row r's digest of field k is therefore
-    ``dictionaries[k][index[k, r]]``. That form is canonical: every entry is
-    used, none repeats, and a row never skips past an entry no earlier row
-    used; dataset_from_bytes refuses any other.
+    each, in the order of the row where each first occurs; ``index[k]`` is a
+    1-D array of n_rows entries of ``index_dtype(len(dictionaries[k]))``,
+    and ``index[k][r]`` is row r's position in field k's dictionary. Row r's
+    digest of field k is therefore ``dictionaries[k][index[k][r]]``. That
+    form is canonical: every entry is used, none repeats, and a row never
+    skips past an entry no earlier row used; dataset_from_bytes refuses any
+    other.
     """
 
     dictionaries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    index: np.ndarray
+    index: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def n_rows(self) -> int:
-        return self.index.shape[1]
+        return len(self.index[0])
 
 
 def code_fields(
@@ -272,14 +290,15 @@ def code_fields(
     """Dictionary code the four fields of ``rows``, four keys per row: each
     field's distinct keys in the order of the row where each first occurs,
     mapped to their raw digests by ``digests(field, keys)``, a DIGEST_DTYPE
-    array with one digest per key, and each row's position among them."""
-    index = np.empty((4, len(rows)), INDEX_DTYPE)
-    dictionaries = []
+    array with one digest per key, and each row's position among them, at
+    the width the field's dictionary needs."""
+    dictionaries, index = [], []
     for k in range(4):
         positions: dict = {}
-        index[k] = [positions.setdefault(row[k], len(positions)) for row in rows]
+        codes = [positions.setdefault(row[k], len(positions)) for row in rows]
+        index.append(np.array(codes, index_dtype(len(positions))))
         dictionaries.append(digests(k, list(positions)))
-    return FieldCodes(tuple(dictionaries), index)
+    return FieldCodes(tuple(dictionaries), tuple(index))
 
 
 def hex_field_codes(per_field: Sequence[Sequence[str]]) -> FieldCodes:
@@ -293,12 +312,13 @@ def hex_field_codes(per_field: Sequence[Sequence[str]]) -> FieldCodes:
 def _check_field_codes(fields: FieldCodes, n_rows: int) -> None:
     """Refuse per-field codes that are not in FieldCodes's canonical form,
     with a ValueError naming the field and its fault."""
-    if fields.index.shape != (4, n_rows):
+    if len(fields.index) != 4 or any(index.shape != (n_rows,) for index in fields.index):
         raise ValueError(f"per-field codes do not index {n_rows} rows")
     for name, dictionary, index in zip(QID_FIELDS, fields.dictionaries, fields.index):
         size = len(dictionary)
-        # the largest entry any row up to this one used
-        seen = np.maximum.accumulate(index)
+        # the largest entry any row up to this one used, widened so that
+        # adding 1 to the top value of a 1- or 2-byte index cannot wrap to 0
+        seen = np.maximum.accumulate(index).astype(np.int64)
         top = int(seen[-1]) if n_rows else -1
         if top >= size:
             raise ValueError(f"{name}: index {top} past its dictionary of {size} digests")
@@ -414,8 +434,9 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     Layout: a 4-byte big-endian length, then the canonical JSON of a
     _BodyHeader, then each row's raw 32-byte composite (DIGEST_DTYPE) where
     the body carries composites. Where it carries per-field codes, the four
-    dictionaries' lengths follow as INDEX_DTYPE, then the four dictionaries'
-    raw digests, then the index, field by field, as INDEX_DTYPE.
+    dictionaries' lengths follow as LENGTH_DTYPE, then the four dictionaries'
+    raw digests, then the index, field by field, each at the width of its
+    field's dictionary (index_dtype).
     """
     cols = to_columns(ds)
     header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
@@ -424,9 +445,9 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     chunks = [*write_field(_U32, doc), cols.digests.tobytes()]
     if cols.fields is not None:
         dictionaries = cols.fields.dictionaries
-        chunks.append(np.array([len(d) for d in dictionaries], INDEX_DTYPE).tobytes())
+        chunks.append(np.array([len(d) for d in dictionaries], LENGTH_DTYPE).tobytes())
         chunks += [dictionary.tobytes() for dictionary in dictionaries]
-        chunks.append(cols.fields.index.tobytes())
+        chunks += [index.tobytes() for index in cols.fields.index]
     return b"".join(chunks)
 
 
@@ -458,13 +479,16 @@ def dataset_from_bytes(data: bytes) -> Columns:
     digests, at = _take(data, start, DIGEST_DTYPE, n_rows * composite)
     fields = None
     if "field_codes" in parts:
-        lengths, at = _take(data, at, INDEX_DTYPE, 4)
-        dictionaries = []
-        for size in lengths.tolist():
+        lengths, at = _take(data, at, LENGTH_DTYPE, 4)
+        sizes = lengths.tolist()
+        dictionaries, index = [], []
+        for size in sizes:
             dictionary, at = _take(data, at, DIGEST_DTYPE, size)
             dictionaries.append(dictionary)
-        index, at = _take(data, at, INDEX_DTYPE, 4 * n_rows)
-        fields = FieldCodes(tuple(dictionaries), index.reshape(4, n_rows))
+        for size in sizes:
+            entries, at = _take(data, at, index_dtype(size), n_rows)
+            index.append(entries)
+        fields = FieldCodes(tuple(dictionaries), tuple(index))
     if at != len(data):
         raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {list(parts)}")
     cols = Columns(header.station_id, header.schema, header.descriptor, header.columns,

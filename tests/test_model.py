@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_row_digests, row_major_body
+from phtlink import linkage
 from phtlink.errors import MalformedField
 from phtlink.model import (
-    INDEX_DTYPE,
+    LENGTH_DTYPE,
     QID_FIELDS,
     VARIABLE_TYPES,
+    Columns,
     Dataset,
     DatasetDescriptor,
     FieldCodes,
@@ -24,6 +26,7 @@ from phtlink.model import (
     canonicalize,
     dataset_from_bytes,
     dataset_to_bytes,
+    index_dtype,
     make_dataset,
     read_dataset_csv,
     to_columns,
@@ -146,6 +149,12 @@ class TestRecordAndDataset:
         vec = pseudonymize(qid, Salt(b"\x01" * 32, "run-x"))
         with pytest.raises(ValueError):
             Record(payload={}, qid=qid, pseudonym=vec)
+
+    def test_station_rows_hold_no_instance_dict(self):
+        # a station holds a Record and a QuasiIdentifierSet per row: both slotted
+        qid = canonicalize(raw())
+        for row in (qid, Record(payload={"age": 40}, qid=qid)):
+            assert not hasattr(row, "__dict__"), type(row).__name__
 
     def test_schema_conformance_enforced(self):
         rows = [Record(payload={"age": 40})]
@@ -431,7 +440,7 @@ class TestColumnarBody:
     def test_dictionary_length_that_does_not_fit_rejected(self, length, named):
         body = bytearray(dataset_to_bytes(self._dataset("probabilistic")))
         lengths_at = 4 + int.from_bytes(body[:4], "big")
-        lengths = np.frombuffer(body, INDEX_DTYPE, 4, lengths_at).copy()
+        lengths = np.frombuffer(body, LENGTH_DTYPE, 4, lengths_at).copy()
         assert lengths.tolist() == [1, 3, 1, 1]  # the rows differ in house number only
         lengths[1] = length
         body[lengths_at : lengths_at + 16] = lengths.tobytes()
@@ -446,9 +455,9 @@ class TestColumnarBody:
         cols = to_columns(TestColumnarBody._dataset("probabilistic"))
         fields = list(cols.fields.dictionaries)
         fields[1] = np.concatenate((fields[1], [b"\x07" * 32]))[dictionary]
-        codes = np.array(cols.fields.index)
-        codes[1] = index
-        coded = FieldCodes(tuple(fields), codes)
+        codes = list(cols.fields.index)
+        codes[1] = np.array(index, index_dtype(len(fields[1])))
+        coded = FieldCodes(tuple(fields), tuple(codes))
         return dataset_to_bytes(dataclasses.replace(cols, fields=coded))
 
     def test_canonical_codes_accepted(self):
@@ -510,6 +519,81 @@ class TestColumnarBody:
             pass
 
 
+class TestIndexWidth:
+    """Each field's index travels at the narrowest width that addresses its
+    dictionary, on either side of each width's top value. Field 0's
+    dictionary holds ``size`` synthetic digests, used in order and then
+    again, the top entry among them; the other three hold one digest each."""
+
+    SIZES = [(255, 1), (256, 1), (257, 2), (65535, 2), (65536, 2), (65537, 4)]
+
+    @staticmethod
+    def _coded(size, first_uses=None, source="s") -> Columns:
+        rng = np.random.default_rng(size)
+        dictionary = np.frombuffer(rng.bytes(32 * size), DIGEST_DTYPE)
+        others = np.frombuffer(rng.bytes(32), DIGEST_DTYPE)
+        first_uses = np.arange(size) if first_uses is None else first_uses
+        codes = np.concatenate((first_uses, [size - 1, 0, 3, size - 1, 1]))
+        n = len(codes)
+        index = (codes.astype(index_dtype(size)), *[np.zeros(n, "u1")] * 3)
+        fields = FieldCodes((dictionary, others, others, others), index)
+        return Columns("A", (), DatasetDescriptor(source, "t", n), [],
+                       np.empty((n, 0), DIGEST_DTYPE), fields)
+
+    @staticmethod
+    def _as_uint32(fields: FieldCodes) -> FieldCodes:
+        return FieldCodes(fields.dictionaries, tuple(i.astype("<u4") for i in fields.index))
+
+    @pytest.mark.parametrize("size, width", SIZES)
+    def test_index_round_trips_at_its_width(self, size, width):
+        starts = set()
+        # a source one character longer moves the index one byte on, so
+        # each width is read as a view at an even and at an odd offset
+        for source in ("s", "ss"):
+            cols = self._coded(size, source=source)
+            body = dataset_to_bytes(cols)
+            back = dataset_from_bytes(body)
+            assert [i.dtype.itemsize for i in back.fields.index] == [width, 1, 1, 1]
+            # field 0's index, then the other three's, close the body
+            codes = cols.fields.index[0].astype(f"<u{width}")
+            assert body.endswith(codes.tobytes() + bytes(3 * cols.n_rows))
+            starts.add((len(body) - (width + 3) * cols.n_rows) % 2)
+            for got, sent in zip(back.fields.index, cols.fields.index):
+                assert np.array_equal(got, sent)
+            assert back.fields.dictionaries[0].tobytes() == cols.fields.dictionaries[0].tobytes()
+        assert starts == {0, 1}
+
+    @pytest.mark.parametrize("size, width", SIZES)
+    def test_field_codes_match_the_uint32_index(self, size, width):
+        fields_a = dataset_from_bytes(dataset_to_bytes(self._coded(size))).fields
+        # B holds A's top entry and its first, in that order, and a digest of its own
+        dictionary = fields_a.dictionaries[0]
+        fields_b = FieldCodes(
+            (np.concatenate((dictionary[[size - 1, 0]], [b"\x07" * 32])),
+             *fields_a.dictionaries[1:]),
+            (np.array([0, 1, 2, 0], "u1"), *[np.zeros(4, "u1")] * 3))
+        narrow = linkage._field_codes(fields_a, fields_b)
+        wide = linkage._field_codes(self._as_uint32(fields_a), self._as_uint32(fields_b))
+        assert np.array_equal(narrow, wide)
+        assert narrow[0, -4:].tolist() == [size - 1, 0, size, size - 1]
+
+    @pytest.mark.parametrize("size, width", SIZES)
+    def test_index_that_skips_an_entry_to_its_top_refused(self, size, width):
+        # the last entry is used before the one ahead of it: at 256 and
+        # 65,536 entries, a jump to the width's top value, 255 or 65,535
+        first_uses = np.concatenate((np.arange(size - 2), [size - 1, size - 2]))
+        body = dataset_to_bytes(self._coded(size, first_uses))
+        with pytest.raises(ValueError, match="zip_code: dictionary entries out of first-row order"):
+            dataset_from_bytes(body)
+
+    def test_uint32_index_of_a_small_dictionary_refused(self):
+        # a body from a station that still writes every index as a uint32
+        cols = self._coded(255)
+        body = dataset_to_bytes(dataclasses.replace(cols, fields=self._as_uint32(cols.fields)))
+        with pytest.raises(ValueError, match="digest bytes"):
+            dataset_from_bytes(body)
+
+
 # SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23). The
 # three pseudonymized pins were derived from the bodies of whole 64-byte
 # SHA-512 digests, with each digest cut to its first 32 bytes and the header
@@ -519,11 +603,14 @@ class TestColumnarBody:
 # None and "probabilistic" pins moved when per-field digests became
 # dictionary coded; ROW_MAJOR_BODIES keeps their earlier values, which the
 # coded bodies still give once their dictionaries are expanded through their
-# index and the header names the part "per_field" again.
+# index and the header names the part "per_field" again. The two coded pins
+# moved once more when each field's index narrowed from 4 bytes per row to
+# its dictionary's width: the bodies are the earlier ones with the index,
+# fields of 691, 196, 2 and 784 digests, rewritten at 2, 1, 1 and 2 bytes.
 PINNED_BODIES = {
-    None: "5dc7cf6ec08de2cf5a7e85e6117df4477706a705b06b403dd6a5abce3f70d107",
+    None: "9e35d1c6370a66733c76d236e17ebe307ebf2d4a68f52b2700c7cd367cd3bb1e",
     "exact": "e377cdd03775bd90f4ab8782a8b34030b49e9927a43c3627335204886e0fe8fd",
-    "probabilistic": "e8564858c67707e2b2f5ee35ae5ab4b2ace2848826f09e875d29f33ccce664e2",
+    "probabilistic": "54e73589b694e1a23e05215a17ae9d156cd64a166200897a9a49f532eb61070f",
     "payload_only": "a8db844bb7d26de8c7c088ce6bc0f364c90e4dfd22c5ea3e043ee4edf40a62b5",
     "empty": "57fdad54cbd20ce0f2f3ef5beb8c57e2e74c36d74897ea6a8095c98685281241",
 }

@@ -1043,7 +1043,7 @@ class TestOneOwner:
         for columns in linked:
             # what link read: the composites, or the dictionaries and the index
             read = ([columns.digests] if mode == "exact"
-                    else [*columns.fields.dictionaries, columns.fields.index])
+                    else [*columns.fields.dictionaries, *columns.fields.index])
             for array in read:
                 raw = array.tobytes()
                 assert raw and raw == bytes(len(raw)), columns.station_id
@@ -1490,6 +1490,26 @@ class TestDataMinimisation:
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
         assert "unknown digest parts ['per_field']" in out.reason
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_station_sending_uint32_indexes_aborts_and_wipes(self, monkeypatch, transport):
+        # A writes every field's index as a uint32, as stations did before
+        # each index took the width of its field's dictionary; B as now
+        original = stations.dataset_to_bytes
+
+        def uint32_at_a(cols):
+            if cols.station_id == "A":
+                wide = tuple(index.astype("<u4") for index in cols.fields.index)
+                cols = dataclasses.replace(
+                    cols, fields=FieldCodes(cols.fields.dictionaries, wide))
+            return original(cols)
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", uint32_at_a)
+        scn = demo_scenario(linkage=LinkageParams(mode="probabilistic", blocking_fields=("gender",)))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
+        assert "digest bytes" in out.reason
         assert out.storage.wiped and out.storage.inventory() == ()
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])

@@ -237,7 +237,7 @@ class TestBatchPseudonyms:
         digests, fields = pseudonymize_columns([], ZERO_SALT, "exact")
         assert digests.shape == (0, 1) and fields is None
         digests, fields = pseudonymize_columns([], ZERO_SALT, "probabilistic")
-        assert digests.shape == (0, 0) and fields.index.shape == (4, 0)
+        assert digests.shape == (0, 0) and [i.shape for i in fields.index] == [(0,)] * 4
         assert [len(d) for d in fields.dictionaries] == [0] * 4
 
     @pytest.mark.parametrize("mode", ["fuzzy", None])

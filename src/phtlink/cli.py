@@ -47,7 +47,7 @@ from .errors import BadConfig, InvalidSpec, PhtError
 from .linkage import LinkageParams
 from .manifest import DataRequest, TrainManifest, block_from_dict, sign_manifest
 from .model import read_dataset_csv, write_dataset_csv
-from .network import DEFAULT_TSE_TIMEOUT, Router, TcpNode, researcher_verdict
+from .network import Router, TcpNode, researcher_verdict
 from .stations import (
     DataStationActor,
     DataStationConfig,
@@ -264,10 +264,11 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_actor,
-           timeout_s: float, wipe_on_exit: bool = False):
+           timeout_s: float | None = None, wipe_on_exit: bool = False):
     """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run,
     which answers the run's parties at the addresses its dispatch names; a
-    run still live ``timeout_s`` after its dispatch is ended here."""
+    run still live ``timeout_s`` after its dispatch is ended here. A data
+    station takes none: its run ends in its dispatch's step."""
     router = Router(lambda dispatch: new_actor(), timeout_s)
     try:
         node = TcpNode(cfg.station_id, router, host=listen[0], port=listen[1])
@@ -323,7 +324,7 @@ def station(config_path: Path):
         )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-    _serve(cfg, listen, lambda: DataStationActor(config), DEFAULT_TSE_TIMEOUT)
+    _serve(cfg, listen, lambda: DataStationActor(config))
 
 
 @main.command()

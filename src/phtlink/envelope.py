@@ -3,9 +3,10 @@
 A SealedPackage carries a payload that only the intended recipient can read,
 and that the recipient can attribute to the sending station and to one run:
 
-    wrapped_content_key   fresh AES-256 content key (plus data nonce), wrapped
-                          under the recipient's public key via an X25519 KEM
-                          (ephemeral ECDH + HKDF-SHA256 + AES-GCM key wrap)
+    wrapped_content_key   fresh AES-256 content key (plus data nonce), sealed
+                          to the recipient's X25519 public key with HPKE
+                          (RFC 9180 base mode: DHKEM(X25519, HKDF-SHA256),
+                          HKDF-SHA256, AES-256-GCM), 92 bytes
     ciphertext            AES-256-GCM over (payload || inner signature), with
                           the canonical header JSON as associated data
     outer_auth_tag        the GCM tag over the ciphertext + header
@@ -46,7 +47,7 @@ import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes, hpke, serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -72,7 +73,7 @@ from .errors import (
 from .pseudonym import SALT_LENGTH, Salt
 
 ALGORITHMS = {
-    "kem": "X25519-HKDF-SHA256",
+    "kem": "HPKE-X25519-SHA256",
     "aead": "AES-256-GCM",
     "sig": "Ed25519",
 }
@@ -80,12 +81,15 @@ ALGORITHMS = {
 _GCM_TAG_LEN = 16
 _GCM_NONCE_LEN = 12
 _SIG_LEN = 64
-# ephemeral X25519 public key + wrap nonce + wrapped (content key + data nonce) + tag
-_WRAPPED_KEY_LEN = 32 + _GCM_NONCE_LEN + 32 + _GCM_NONCE_LEN + _GCM_TAG_LEN
+# HPKE encapsulated X25519 key + sealed (content key + data nonce) + tag
+_WRAPPED_KEY_LEN = 32 + 32 + _GCM_NONCE_LEN + _GCM_TAG_LEN
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
-_KEK_INFO = b"phtlink-envelope-kek"
+_HPKE = hpke.Suite(hpke.KEM.X25519, hpke.KDF.HKDF_SHA256, hpke.AEAD.AES_256_GCM)
+# a fixed label: the header is authenticated as the body's AAD, so a header
+# tamper stays an outer-integrity failure rather than a failed unwrap
+_WRAP_INFO = b"phtlink-envelope-key"
 _SALT_INFO = b"PHT-SALT|"
 
 STATIC_SCOPE = "static"
@@ -259,10 +263,6 @@ def _hkdf(shared: bytes, info: bytes, length: int = 32) -> bytes:
     return HKDF(algorithm=hashes.SHA256(), length=length, salt=None, info=info).derive(shared)
 
 
-def _derive_kek(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes) -> bytes:
-    return _hkdf(shared, _KEK_INFO + ephemeral_pub + recipient_pub)
-
-
 def _check_run_scope(key_id: str, run_id: str) -> None:
     scope = _scope_of(key_id)
     if scope != STATIC_SCOPE and scope != run_id:
@@ -316,19 +316,17 @@ def seal(
     sealed = AESGCM(content_key).encrypt(data_nonce, inner, aad)
     ciphertext, tag = sealed[:-_GCM_TAG_LEN], sealed[-_GCM_TAG_LEN:]
 
-    ephemeral = X25519PrivateKey.generate()
-    ephemeral_pub = _raw_public(ephemeral.public_key())
-    recipient_raw = recipient_pub.public_encryption_key
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_raw))
-    kek = _derive_kek(shared, ephemeral_pub, recipient_raw)
-    wrap_nonce = _random_bytes(_GCM_NONCE_LEN)
-    wrapped = AESGCM(kek).encrypt(wrap_nonce, content_key + data_nonce, ephemeral_pub)
+    wrapped = _HPKE.encrypt(
+        content_key + data_nonce,
+        X25519PublicKey.from_public_bytes(recipient_pub.public_encryption_key),
+        info=_WRAP_INFO,
+    )
 
     return SealedPackage(
         sender_station_id=sender_id,
         run_id=run_id,
         key_ids=key_ids,
-        wrapped_content_key=ephemeral_pub + wrap_nonce + wrapped,
+        wrapped_content_key=wrapped,
         ciphertext=ciphertext,
         outer_auth_tag=tag,
     )
@@ -348,20 +346,12 @@ def open_package(
     returned unless all three pass. Passing expected_run_id rejects packages
     signed for a different run.
     """
-    blob = pkg.wrapped_content_key
-    if len(blob) < 32 + _GCM_NONCE_LEN + _GCM_TAG_LEN:
-        raise DecryptionFailure("wrapped content key too short")
-    ephemeral_pub, wrap_nonce, wrapped = (
-        blob[:32],
-        blob[32 : 32 + _GCM_NONCE_LEN],
-        blob[32 + _GCM_NONCE_LEN :],
-    )
     try:
-        shared = X25519PrivateKey.from_private_bytes(
-            recipient_priv.private_decryption_key
-        ).exchange(X25519PublicKey.from_public_bytes(ephemeral_pub))
-        kek = _derive_kek(shared, ephemeral_pub, recipient_priv.public_encryption_key)
-        unwrapped = AESGCM(kek).decrypt(wrap_nonce, wrapped, ephemeral_pub)
+        unwrapped = _HPKE.decrypt(
+            pkg.wrapped_content_key,
+            X25519PrivateKey.from_private_bytes(recipient_priv.private_decryption_key),
+            info=_WRAP_INFO,
+        )
     except (InvalidTag, ValueError) as exc:
         raise DecryptionFailure(f"content key unwrap failed: {exc}") from None
     if len(unwrapped) != 32 + _GCM_NONCE_LEN:

@@ -238,10 +238,12 @@ def run_network(
     actors: dict[str, object] = {cfg.station_id: DataStationActor(cfg) for cfg in setup.stations}
     tse = actors[setup.tse.station_id] = TseActor(setup.tse)
     ledger = Ledger()
-    # each prebuilt actor is installed by its router at its own dispatch;
-    # every party ends the run at the TSE's deadline
+    # each prebuilt actor is installed by its router at its own dispatch; the
+    # TSE and the researcher end the run at the TSE's deadline, while a data
+    # station's run ends in its dispatch's step and needs none
     routers = {
-        aid: Router(lambda msg, actor=actor: actor, tse_timeout, ledger)
+        aid: Router(lambda msg, actor=actor: actor,
+                    tse_timeout if actor is tse else None, ledger)
         for aid, actor in actors.items()
     }
     researcher = actors[manifest.researcher_id] = ResearcherActor(

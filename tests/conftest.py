@@ -1,18 +1,26 @@
 """Shared test helpers: scenario builder, pseudonymization shortcut, the
-row-major form of dictionary-coded per-field digests, and the independent
-brute-force linkage oracle used to check link() output."""
+row-major form of dictionary-coded per-field digests, the content key wrap
+built from RFC 9180 alone and as the previous version wrapped it, and the
+independent brute-force linkage oracle used to check link() output."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
+from cryptography.hazmat.primitives import hashes, hpke
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy, ResultTable
 from phtlink.encoding import canonical_json_bytes
-from phtlink.envelope import generate_encryption_keypair, generate_signing_keys
+from phtlink.envelope import (
+    KeyPair, SealedPackage, generate_encryption_keypair, generate_signing_keys,
+)
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import DataRequest, PoolFilter, TrainManifest, sign_manifest
 from phtlink.model import QID_FIELDS, Dataset, FieldCodes, Record, dataset_from_bytes
@@ -48,6 +56,34 @@ def row_major_body(body: bytes) -> bytes:
     doc = canonical_json_bytes(header)
     rows = np.concatenate((cols.digests, per_row_digests(cols.fields)), axis=1)
     return len(doc).to_bytes(4, "big") + doc + rows.tobytes()
+
+
+#: the content key wrap as RFC 9180 defines it (base mode, single shot), built
+#: without phtlink.envelope, and the fixed ``info`` label a package's wrap uses
+HPKE = hpke.Suite(hpke.KEM.X25519, hpke.KDF.HKDF_SHA256, hpke.AEAD.AES_256_GCM)
+WRAP_INFO = b"phtlink-envelope-key"
+
+
+def unwrap_content_key(pkg: SealedPackage, recipient: KeyPair) -> bytes:
+    """A package's 32-byte content key and 12-byte data nonce, unwrapped by HPKE."""
+    private = X25519PrivateKey.from_private_bytes(recipient.private_decryption_key)
+    return HPKE.decrypt(pkg.wrapped_content_key, private, info=WRAP_INFO)
+
+
+def previous_format_package(pkg: SealedPackage, recipient: KeyPair) -> SealedPackage:
+    """``pkg`` with its content key wrapped as the previous version wrapped it,
+    in 104 bytes: an ephemeral X25519 public key, a 12-byte nonce, then
+    AES-GCM under HKDF-SHA256 of the ephemeral-static secret over the content
+    key and data nonce, with the ephemeral key as associated data."""
+    ephemeral = X25519PrivateKey.generate()
+    ephemeral_pub = ephemeral.public_key().public_bytes_raw()
+    recipient_pub = recipient.public_encryption_key
+    secret = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_pub))
+    info = b"phtlink-envelope-kek" + ephemeral_pub + recipient_pub
+    kek = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=info).derive(secret)
+    nonce = os.urandom(12)
+    wrapped = AESGCM(kek).encrypt(nonce, unwrap_content_key(pkg, recipient), ephemeral_pub)
+    return dataclasses.replace(pkg, wrapped_content_key=ephemeral_pub + nonce + wrapped)
 
 
 @dataclasses.dataclass

@@ -4,11 +4,13 @@ import os
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario
+from conftest import HPKE, WRAP_INFO, make_scenario, previous_format_package, unwrap_content_key
 from phtlink.analysis import table_to_csv
-from phtlink.encoding import b64encode
+from phtlink.encoding import b64encode, canonical_json_bytes
 from phtlink.envelope import (
     SealedPackage,
     derive_salt,
@@ -162,6 +164,37 @@ class TestFailureAttribution:
         assert failures == len(range(0, 512, 7))
 
 
+class TestHpkeWrap:
+    """The content key travels wrapped by standard HPKE (RFC 9180), so a
+    package opens with any implementation of it and AES-256-GCM."""
+
+    def test_standard_hpke_and_aes_gcm_open_a_package(self, keys):
+        kp, _ = keys
+        pkg = sealed(keys, b"interop")
+        assert len(pkg.wrapped_content_key) == 92
+        unwrapped = unwrap_content_key(pkg, kp)
+        content_key, data_nonce = unwrapped[:32], unwrapped[32:]
+        aad = canonical_json_bytes(pkg.header())
+        inner = AESGCM(content_key).decrypt(data_nonce, pkg.ciphertext + pkg.outer_auth_tag, aad)
+        assert inner[:-64] == b"interop"
+
+    def test_wrap_of_the_wrong_length_is_decryption_failure(self, keys):
+        """Anyone holding the recipient's public key can HPKE-seal anything
+        to it: a wrap of other than a 32-byte key and 12-byte nonce is refused."""
+        kp, sk = keys
+        public = X25519PublicKey.from_public_bytes(kp.public_encryption_key)
+        pkg = replace(sealed(keys), wrapped_content_key=HPKE.encrypt(bytes(40), public, WRAP_INFO))
+        with pytest.raises(DecryptionFailure, match="wrong length"):
+            open_package(pkg, kp, sk.verification_key)
+
+    def test_previous_format_package_is_a_decode_error(self, keys):
+        kp, _ = keys
+        old = previous_format_package(sealed(keys), kp)
+        assert len(old.wrapped_content_key) == 104
+        with pytest.raises(DecodeError):
+            SealedPackage.from_bytes(old.to_bytes())
+
+
 class TestPackageEncoding:
     def test_bytes_roundtrip(self, keys):
         pkg = sealed(keys)
@@ -204,7 +237,7 @@ class TestPackageEncoding:
         data = sealed(keys).to_bytes()
         header_len = int.from_bytes(data[:4], "big")
         # the ciphertext runs to the end of the buffer, so only cuts before it fail
-        for cut in range(4 + header_len + 2 + 104 + 2 + 16):
+        for cut in range(4 + header_len + 2 + 92 + 2 + 16):
             with pytest.raises(DecodeError):
                 SealedPackage.from_bytes(data[:cut])
 
@@ -212,7 +245,7 @@ class TestPackageEncoding:
         data = sealed(keys).to_bytes()
         header_len = int.from_bytes(data[:4], "big")
         key_at = 4 + header_len
-        tag_at = key_at + 2 + 104
+        tag_at = key_at + 2 + 92
         length_bits = [*range(0, 32), *range(key_at * 8, key_at * 8 + 16),
                        *range(tag_at * 8, tag_at * 8 + 16)]
         for bit in length_bits:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_scenario, row_major_body
+from conftest import make_scenario, previous_format_package, row_major_body
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
@@ -758,7 +758,7 @@ class TestNodeSurvives:
 
 def _big_package() -> SealedPackage:
     """A package far larger than a loopback connection's socket buffers."""
-    return SealedPackage("TSE", "run-1", ("k", "s"), bytes(104), bytes(32 * 2**20), bytes(16))
+    return SealedPackage("TSE", "run-1", ("k", "s"), bytes(92), bytes(32 * 2**20), bytes(16))
 
 
 def _host_port(node: TcpNode) -> tuple[str, int]:
@@ -1552,6 +1552,25 @@ class TestCorruptPackageBody:
         assert out.storage.wiped and out.storage.inventory() == ()
         tse_events = [(e["event"], e["detail"]) for e in out.audit_logs["TSE"]]
         assert ("data_received", "A") in tse_events
+        assert any("undecodable frame at TSE" in r.message for r in caplog.records)
+
+    def test_previous_format_package_fails_closed(self, monkeypatch, caplog):
+        """B seals as the previous version did, wrapping its content key in
+        104 bytes: the TSE drops B's DataTransfer as undecodable, aborts at
+        its deadline and wipes."""
+        scn = demo_scenario()
+        original = stations.seal
+
+        def previous_version(plaintext, run_id, sender_id, *args):
+            pkg = original(plaintext, run_id, sender_id, *args)
+            return previous_format_package(pkg, scn.tse_enc) if sender_id == "B" else pkg
+
+        monkeypatch.setattr(stations, "seal", previous_version)
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            out = run_network(scn.setup, transport="inproc")
+        assert out.outcome == "aborted" and out.reason == "Timeout"
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert ("data_received", "A") in [(e["event"], e["detail"]) for e in out.audit_logs["TSE"]]
         assert any("undecodable frame at TSE" in r.message for r in caplog.records)
 
     def test_corrupt_dataset_length_inside_the_seal_aborts_and_wipes(self, monkeypatch):

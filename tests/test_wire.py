@@ -245,7 +245,7 @@ class TestBinaryFrames:
         package_at = 14 + json_len
         (header_len,) = struct.unpack(">I", frame[package_at : package_at + 4])
         key_at = package_at + 4 + header_len
-        tag_at = key_at + 2 + 104
+        tag_at = key_at + 2 + 92
         fields = [(6, 4), (10, 4), (package_at, 4), (key_at, 2), (tag_at, 2)]
         for start, size in fields:
             for bit in range(start * 8, (start + size) * 8):

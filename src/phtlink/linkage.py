@@ -480,6 +480,14 @@ def link(ds_a: Dataset | Columns, ds_b: Dataset | Columns, params: LinkageParams
     )
 
 
+def _gather(column: list | np.ndarray, rows: list[int]) -> list:
+    """The values of ``column`` at ``rows``, as a list of Python values: a
+    coded column's are read out of its view with ``.tolist()``."""
+    if isinstance(column, np.ndarray):
+        return column[np.array(rows, np.intp)].tolist()
+    return [column[i] for i in rows]
+
+
 def merge(result: LinkResult, ds_a: Dataset | Columns, ds_b: Dataset | Columns) -> Columns:
     """One row per accepted pair with the union of payload variables.
 
@@ -504,8 +512,8 @@ def merge(result: LinkResult, ds_a: Dataset | Columns, ds_b: Dataset | Columns) 
         f"{cols_a.station_id}+{cols_b.station_id}",
         schema,
         DatasetDescriptor("merged", extracted_at, len(rows_a)),
-        [[column[i] for i in rows_a] for column in cols_a.payload]
-        + [[column[j] for j in rows_b] for column in cols_b.payload],
+        [_gather(column, rows_a) for column in cols_a.payload]
+        + [_gather(column, rows_b) for column in cols_b.payload],
         digests=np.empty((len(rows_a), 0), DIGEST_DTYPE),
     )
     merged.validate()

@@ -14,15 +14,15 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
-schema, descriptor, one array per payload column, the digest parts and the
+schema, descriptor, one entry per payload column, the digest parts and the
 Salt.check of the salt the digests were made under (empty where no station
-set it), then the digests, raw 32-byte values (pseudonym.DIGEST_DTYPE). The
-composite travels once per row. The four per-field digests travel
-dictionary coded (FieldCodes): each field's distinct digests once, in the
-order of the row where each first occurs, and an index into them per row
-and field, an unsigned little-endian integer of the narrowest width that
-addresses the field's dictionary (index_dtype): 1 byte up to 256 entries,
-2 up to 65,536, 4 above. Most per-field digests repeat, since a field such
+set it), then the digests, raw 32-byte values (pseudonym.DIGEST_DTYPE), then
+the coded payload columns. The composite travels once per row. The four
+per-field digests travel dictionary coded (FieldCodes): each field's
+distinct digests once, in the order of the row where each first occurs, and
+an index into them per row and field, an unsigned little-endian integer of
+the narrowest width that addresses the field's dictionary (index_dtype): 1
+byte up to 256 entries, 2 up to 65,536, 4 above. Most per-field digests repeat, since a field such
 as gender has a few values, so this sends about half the bytes of one
 digest per row and field. A row's index takes 6 bytes, not 16, where zip
 code and date of birth hold up to 65,536 distinct values each and house
@@ -31,13 +31,24 @@ values, keeps the coding a mere re-encoding of the per-row digests. The
 header is written and read by encoding.write_field and
 encoding.read_field, the helpers every length-prefixed field uses.
 
+A payload column that is non-empty, holds exact ints only (no bool, no
+numpy scalar) and fits 64 bits is coded: its header entry is a width marker
+(PAYLOAD_DTYPES), and its values follow the digests as one little-endian
+array of the narrowest width that holds its least and greatest value,
+unsigned where the least is 0 or more (_payload_marker). Every other column
+is a JSON array in the header. An age takes 1 byte per row, where its JSON
+took 3. That form is canonical too: dataset_from_bytes refuses a coded
+column wider than its values need, or of a type other than numeric, and a
+JSON column the rule would have coded.
+
 A data station holds Records, with QIDs. From the extract on, a
 pseudonymized dataset is held as Columns, in the body's own layout: one list
-per payload variable, the composites as one numpy S32 array and the per-field
-digests as FieldCodes, which a station's one pseudonymize_columns call
-writes directly. A Dataset of Records carrying PseudonymVectors, whose
-digests are hex strings, reaches that form through to_columns. code_fields
-is the one builder of the coded form.
+per payload variable, or a decoded body's integer array, the composites as
+one numpy S32 array and the per-field digests as FieldCodes, which a
+station's one pseudonymize_columns call writes directly. A Dataset of
+Records carrying PseudonymVectors, whose digests are hex strings, reaches
+that form through to_columns. code_fields is the one builder of the coded
+form.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError naming the file, and the line for a row.
@@ -224,7 +235,7 @@ class Dataset:
         return [row.payload[name] for row in self.rows]
 
 
-def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
+def _check_columns(ds: "Dataset | Columns", columns: list) -> None:
     """Every value against its variable's type, and the descriptor row count."""
     if len(columns) != len(ds.schema):
         raise ValueError("payload columns do not match the schema")
@@ -232,12 +243,17 @@ def _check_columns(ds: "Dataset | Columns", columns: list[list]) -> None:
         if vtype not in VARIABLE_TYPES:
             raise ValueError(f"unknown variable type {vtype!r} for {name!r}")
         wanted = (int, float) if vtype == "numeric" else (str,)
-        # the exact types first, in C; a subclass such as bool or np.float64
-        # falls back to the walk value by value, so the verdict is the same
-        held = isinstance(column, list) and (
-            set(map(type, column)).issubset(wanted)
-            or all(isinstance(v, wanted) for v in column)
-        )
+        if isinstance(column, np.ndarray):
+            # a coded column, as dataset_from_bytes reads it
+            held = vtype == "numeric" and column.dtype in PAYLOAD_DTYPES.values()
+        else:
+            # the exact types first, in C; a subclass such as bool or
+            # np.float64 falls back to the walk value by value, so the
+            # verdict is the same
+            held = isinstance(column, list) and (
+                set(map(type, column)).issubset(wanted)
+                or all(isinstance(v, wanted) for v in column)
+            )
         if not held or len(column) != ds.n_rows:
             raise ValueError(f"variable {name!r} does not hold one {vtype} value per row")
     if ds.descriptor.row_count != ds.n_rows:
@@ -249,6 +265,32 @@ LENGTH_DTYPE = np.dtype("<u4")
 # the widths an index entry may take, narrowest first (see index_dtype)
 _INDEX_DTYPES = (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4"))
 _WORDS = DIGEST_DTYPE.itemsize // 8  # 8-byte words per digest
+
+#: A coded payload column's width marker, as its body header names it, and
+#: the little-endian dtype its values travel as.
+PAYLOAD_DTYPES = {f"{kind}{size}": np.dtype(f"<{kind}{size}")
+                  for kind in "ui" for size in (1, 2, 4, 8)}
+
+
+def _payload_marker(lo: int, hi: int) -> str | None:
+    """The marker of the narrowest of PAYLOAD_DTYPES that holds every
+    integer from ``lo`` to ``hi``: unsigned where ``lo`` is 0 or more,
+    signed otherwise; None where none does."""
+    kind, bits = ("u", 0) if lo >= 0 else ("i", 1)
+    for size in (1, 2, 4, 8):
+        top = 1 << 8 * size - bits
+        if -top <= lo and hi < top:
+            return f"{kind}{size}"
+    return None
+
+
+def _coded_marker(column: list) -> str | None:
+    """The marker ``column`` travels under, or None where it travels as a
+    JSON array: only a non-empty column of exact ints that fits 64 bits is
+    coded, so a bool, a float or a numpy scalar keeps its type."""
+    if not column or set(map(type, column)) != {int}:
+        return None
+    return _payload_marker(min(column), max(column))
 
 
 def index_dtype(size: int) -> np.dtype:
@@ -339,8 +381,10 @@ def _check_field_codes(fields: FieldCodes, n_rows: int) -> None:
 class Columns:
     """A pseudonymized dataset held column by column, in its body's layout.
 
-    ``payload`` holds one list per variable, in schema order. ``digests`` is
-    an (n_rows, 1) DIGEST_DTYPE array of each row's composite, or (n_rows, 0)
+    ``payload`` holds one column per variable, in schema order: a list, or,
+    where dataset_from_bytes read a coded column, a read-only 1-D integer
+    array viewing the body (``.tolist()`` gives its Python ints).
+    ``digests`` is an (n_rows, 1) DIGEST_DTYPE array of each row's composite, or (n_rows, 0)
     without one; ``fields`` holds the four per-field digests, dictionary
     coded, or None. ``parts`` names the digest parts present. Read digests
     back with ``.tobytes()``, never as array items: numpy strips the
@@ -350,7 +394,7 @@ class Columns:
     station_id: str
     schema: tuple[tuple[str, str], ...]
     descriptor: DatasetDescriptor
-    payload: list[list]
+    payload: list[list | np.ndarray]
     digests: np.ndarray
     fields: FieldCodes | None = None
     salt_check: str = ""  # Salt.check of the salt the digests were made under
@@ -367,7 +411,7 @@ class Columns:
     def variable_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.schema)
 
-    def payload_column(self, name: str) -> list:
+    def payload_column(self, name: str) -> list | np.ndarray:
         return self.payload[self.variable_names().index(name)]
 
     def validate(self) -> None:
@@ -424,7 +468,9 @@ class _BodyHeader:
     descriptor: DatasetDescriptor
     row_count: int
     digests: tuple[str, ...]  # the digest parts the body carries, as in _PARTS
-    columns: list  # one array per payload variable, in schema order
+    # per payload variable, in schema order: a JSON array, or the width
+    # marker of a coded column (PAYLOAD_DTYPES)
+    columns: list
     salt_check: str
 
 
@@ -436,11 +482,15 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     the body carries composites. Where it carries per-field codes, the four
     dictionaries' lengths follow as LENGTH_DTYPE, then the four dictionaries'
     raw digests, then the index, field by field, each at the width of its
-    field's dictionary (index_dtype).
+    field's dictionary (index_dtype). Last, each coded payload column's
+    values, in schema order, at the width its header marker names.
     """
     cols = to_columns(ds)
+    payload = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.payload]
+    markers = [_coded_marker(column) for column in payload]
+    entries = [marker or column for column, marker in zip(payload, markers)]
     header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
-                         cols.parts, cols.payload, cols.salt_check)
+                         cols.parts, entries, cols.salt_check)
     doc = canonical_json_bytes({**vars(header), "descriptor": asdict(cols.descriptor)})
     chunks = [*write_field(_U32, doc), cols.digests.tobytes()]
     if cols.fields is not None:
@@ -448,6 +498,8 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
         chunks.append(np.array([len(d) for d in dictionaries], LENGTH_DTYPE).tobytes())
         chunks += [dictionary.tobytes() for dictionary in dictionaries]
         chunks += [index.tobytes() for index in cols.fields.index]
+    chunks += [np.array(column, PAYLOAD_DTYPES[marker]).tobytes()
+               for column, marker in zip(payload, markers) if marker]
     return b"".join(chunks)
 
 
@@ -461,12 +513,51 @@ def _take(data, at: int, dtype: np.dtype, count: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(data, dtype, count, at), end
 
 
+def _take_payload(data, at: int, header: _BodyHeader) -> tuple[list, int]:
+    """The payload columns of a body whose coded columns start at byte
+    ``at``: each JSON array as the header holds it, each coded column as a
+    view; and the byte after them."""
+    if len(header.columns) != len(header.schema):
+        raise ValueError("payload columns do not match the schema")
+    payload = []
+    for (name, vtype), column in zip(header.schema, header.columns):
+        if isinstance(column, str):
+            # a marker is looked up, never parsed: np.dtype would read
+            # "f8" or "S4" too, and raises TypeError on "abc"
+            dtype = PAYLOAD_DTYPES.get(column)
+            if dtype is None:
+                raise ValueError(f"variable {name!r}: unknown width marker {column!r}")
+            if vtype != "numeric":
+                raise ValueError(f"variable {name!r} of type {vtype} travels as {column}")
+            try:
+                column, at = _take(data, at, dtype, header.row_count)
+            except ValueError as exc:
+                raise ValueError(f"variable {name!r}: {exc}") from None
+        payload.append(column)
+    return payload, at
+
+
+def _check_payload_form(header: _BodyHeader, payload: list) -> None:
+    """Refuse a payload column not in the one form dataset_to_bytes gives
+    it, with a ValueError naming the variable."""
+    for (name, _), entry, column in zip(header.schema, header.columns, payload):
+        sent = entry if isinstance(entry, str) else None
+        if sent is None:
+            need = _coded_marker(column)
+        else:  # a view: its least and greatest value, read in numpy
+            need = _payload_marker(int(column.min()), int(column.max())) if len(column) else None
+        if sent != need:
+            raise ValueError(f"variable {name!r} travels as {sent or 'a JSON array'}, "
+                             f"where its values take {need or 'a JSON array'}")
+
+
 def dataset_from_bytes(data: bytes) -> Columns:
     """Inverse of dataset_to_bytes; validates the result. A body whose
     lengths or header do not fit together raises ValueError, one whose
     digests are whole 64-byte SHA-512 outputs among them, and so does
-    per-field codes out of their canonical form (see FieldCodes). The
-    digests, dictionaries and index are read-only views into ``data``."""
+    per-field codes or a payload column out of their canonical form (see
+    FieldCodes and _payload_marker). The digests, dictionaries, index and
+    coded payload columns are read-only views into ``data``."""
     doc, start = read_field(memoryview(data), 0, _U32)
     header = check_types(block_from_dict(_BodyHeader, from_json_bytes(bytes(doc))))
     n_rows, parts = header.row_count, header.digests
@@ -489,11 +580,13 @@ def dataset_from_bytes(data: bytes) -> Columns:
             entries, at = _take(data, at, index_dtype(size), n_rows)
             index.append(entries)
         fields = FieldCodes(tuple(dictionaries), tuple(index))
+    payload, at = _take_payload(data, at, header)
     if at != len(data):
         raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {list(parts)}")
-    cols = Columns(header.station_id, header.schema, header.descriptor, header.columns,
+    cols = Columns(header.station_id, header.schema, header.descriptor, payload,
                    digests.reshape(n_rows, composite), fields, header.salt_check)
     cols.validate()
+    _check_payload_form(header, payload)
     return cols
 
 

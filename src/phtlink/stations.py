@@ -411,7 +411,8 @@ class TseActor(_Party):
         self._manifest: TrainManifest | None = None
         self._packages: dict[str, SealedPackage] = {}
         self._expected: tuple[str, ...] = ()
-        # the decoded and merged datasets, whose payload lists the wipe empties
+        # the decoded and merged datasets, whose payload lists the wipe
+        # empties; a decoded coded column views storage, which it zeroes
         self._held: list[Columns] = []
 
     @property
@@ -426,7 +427,8 @@ class TseActor(_Party):
         self._packages.clear()
         for cols in self._held:
             for column in cols.payload:
-                column.clear()
+                if isinstance(column, list):
+                    column.clear()
         self._held.clear()
         self.phase = WIPED
         if detail is not None:
@@ -488,8 +490,9 @@ class TseActor(_Party):
         datasets: list[Columns] = []
         for sid in self._expected:
             try:
+                # dropped once opened, not held through link and analysis
                 plaintext = open_package(
-                    self._packages[sid],
+                    self._packages.pop(sid),
                     self.config.enc_keys,
                     manifest.verification_key_for(sid) or b"\x00" * 32,
                     expected_run_id=self._run_id,

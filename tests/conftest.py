@@ -1,5 +1,6 @@
 """Shared test helpers: scenario builder, pseudonymization shortcut, the
-row-major form of dictionary-coded per-field digests, the content key wrap
+row-major form of dictionary-coded per-field digests, a body header
+rewriter, the content key wrap
 built from RFC 9180 alone and as the previous version wrapped it, and the
 independent brute-force linkage oracle used to check link() output."""
 
@@ -47,15 +48,25 @@ def per_row_digests(fields: FieldCodes) -> np.ndarray:
 
 def row_major_body(body: bytes) -> bytes:
     """A dataset body as stations sent it before per-field digests were
-    dictionary coded: the header names the part "per_field", and each row's
-    composite and four per-field digests follow, row after row."""
+    dictionary coded: the header names the part "per_field" and holds every
+    payload column as a JSON array, and each row's composite and four
+    per-field digests follow, row after row."""
     cols = dataset_from_bytes(body)
     header_len = int.from_bytes(body[:4], "big")
     header = json.loads(body[4 : 4 + header_len])
     header["digests"] = ["per_field" if p == "field_codes" else p for p in header["digests"]]
+    header["columns"] = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.payload]
     doc = canonical_json_bytes(header)
     rows = np.concatenate((cols.digests, per_row_digests(cols.fields)), axis=1)
     return len(doc).to_bytes(4, "big") + doc + rows.tobytes()
+
+
+def with_header(body: bytes, **changes) -> bytes:
+    """A dataset body with its header's keys set as ``changes`` gives them,
+    and what follows the header unchanged."""
+    header_len = int.from_bytes(body[:4], "big")
+    doc = json.dumps({**json.loads(body[4 : 4 + header_len]), **changes}).encode()
+    return len(doc).to_bytes(4, "big") + doc + body[4 + header_len :]
 
 
 #: the content key wrap as RFC 9180 defines it (base mode, single shot), built

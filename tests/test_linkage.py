@@ -538,10 +538,14 @@ class TestExactLinkPinned:
 # SHA-256 of the merged body after linking TestLinkPinned's populations. The
 # pins moved once, when the body header gained its "salt_check" key: the
 # bodies are the earlier ones with exactly ',"salt_check":""' added to the
-# header JSON and its length prefix.
+# header JSON and its length prefix. They moved again when integer payload
+# columns became coded: the bodies are the earlier ones with the header's
+# age and income arrays replaced by the markers "u1" and "u2", and those
+# values appended as little-endian uint8 and uint16; activity, a float, and
+# status stay JSON arrays.
 PINNED_MERGED_BODIES = {
-    "exact": "bf9fdeff8c3730b4b002b25ff864d5d6c195080ad8759040cc9d279a2419b9e9",
-    "probabilistic": "1f7d32563ae6d378a32c9606f3d75e1aa8ac9523178ea8161d3e7e663233fa93",
+    "exact": "b9cdd26764d011bea82029dfb0864355a947027cfe0881051ed7ba6597ac7942",
+    "probabilistic": "c159e2177a046d4cf7b871e49d2802c2a4808eb2521f1c3f4f261fc94d7c571c",
 }
 
 

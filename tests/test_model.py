@@ -4,16 +4,18 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import per_row_digests, row_major_body
+from conftest import per_row_digests, row_major_body, with_header
 from phtlink import linkage
 from phtlink.errors import MalformedField
 from phtlink.model import (
     LENGTH_DTYPE,
+    PAYLOAD_DTYPES,
     QID_FIELDS,
     VARIABLE_TYPES,
     Columns,
@@ -38,6 +40,11 @@ from phtlink.synth import SyntheticPopulationSpec, generate_population
 
 class _IntSubclass(int):
     pass
+
+
+def _values(cols: Columns) -> list[list]:
+    """Each payload column of ``cols`` as a list of Python values."""
+    return [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.payload]
 
 
 class _StrSubclass(str):
@@ -357,7 +364,7 @@ class TestColumnarBody:
         assert back.station_id == ds.station_id
         assert back.schema == ds.schema
         assert back.descriptor == ds.descriptor
-        assert back.payload == [ds.payload_column(n) for n in ds.variable_names()]
+        assert _values(back) == [ds.payload_column(n) for n in ds.variable_names()]
         vectors = [r.pseudonym for r in ds.rows if r.pseudonym is not None]
         composites = [v.composite for v in vectors if v.composite is not None]
         assert back.digests.tobytes() == bytes.fromhex("".join(composites))
@@ -389,8 +396,11 @@ class TestColumnarBody:
         header = json.loads(body[4 : 4 + header_len])
         assert header["digests"] == ["composite"]
         assert header["row_count"] == 3
-        assert header["columns"][0] == [40, 41, 42]
-        raw_digests = body[4 + header_len :]
+        # the ages are coded, one byte each after the digests; the other
+        # columns travel in the header
+        assert header["columns"] == ["u1", ["s0", "s1", "s2"], [0.0, 1 / 3, 2 / 3]]
+        assert body.endswith(bytes([40, 41, 42]))
+        raw_digests = body[4 + header_len : -3]
         assert raw_digests == b"".join(bytes.fromhex(r.pseudonym.composite) for r in ds.rows)
         assert ds.rows[0].pseudonym.composite.encode() not in body
 
@@ -519,6 +529,139 @@ class TestColumnarBody:
             pass
 
 
+#: payload values at the edges of what a coded column holds, and past them
+_EDGE_INTS = [0, 1, -1, 255, 256, -128, -129, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1,
+              2**64 - 1, 2**64]
+_SCALARS = st.one_of(
+    st.integers(), st.sampled_from(_EDGE_INTS), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e308, 5e-324]),
+)
+
+
+class TestPayloadColumns:
+    """A non-empty column of exact ints that fits 64 bits travels as one
+    little-endian array at the narrowest width its values need; any other
+    column as a JSON array. Either way the values and their Python types
+    come back, and the TSE accepts only that one form."""
+
+    #: a column's values by kind; "str" is a categorical variable, the rest numeric
+    KINDS = {
+        "int": st.integers(), "edge": st.sampled_from(_EDGE_INTS), "bool": st.booleans(),
+        "float": st.sampled_from([-0.0, 0.0, 1e308, 5e-324, 0.5]),
+        "mixed": _SCALARS, "str": st.text(max_size=3),
+    }
+
+    @staticmethod
+    def _dataset(columns, source="s", types=None):
+        """A payload-only dataset of one variable per column, numeric
+        unless ``types`` says otherwise."""
+        n = len(columns[0]) if columns else 0
+        types = types or ["numeric"] * len(columns)
+        schema = tuple((f"v{k}", vtype) for k, vtype in enumerate(types))
+        rows = [Record(payload={name: column[r] for (name, _), column in zip(schema, columns)})
+                for r in range(n)]
+        return make_dataset("A", schema, rows, source=source)
+
+    @given(n=st.integers(0, 6), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_values_and_types_round_trip(self, n, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(self.KINDS)), min_size=1, max_size=3))
+        columns = [data.draw(st.lists(self.KINDS[kind], min_size=n, max_size=n)) for kind in kinds]
+        types = ["categorical" if kind == "str" else "numeric" for kind in kinds]
+        body = dataset_to_bytes(self._dataset(columns, types=types))
+        back = dataset_from_bytes(body)
+        assert dataset_to_bytes(back) == body  # views encode as the lists did
+        got = _values(back)
+        assert got == columns
+        assert [[type(v) for v in c] for c in got] == [[type(v) for v in c] for c in columns]
+        # -0.0 == 0.0, so the sign is checked apart
+        assert [[math.copysign(1, v) for v in c if type(v) is float] for c in got] == [
+            [math.copysign(1, v) for v in c if type(v) is float] for c in columns]
+
+    @pytest.mark.parametrize("column, vtype", [
+        ([], "numeric"), ([True, False], "numeric"), ([1, 2.5], "numeric"),
+        ([1.0, 2.0], "numeric"), (["1", "2"], "categorical"),
+    ])
+    def test_other_columns_travel_as_json_arrays(self, column, vtype):
+        body = dataset_to_bytes(self._dataset([column], types=[vtype]))
+        header_len = int.from_bytes(body[:4], "big")
+        assert json.loads(body[4 : 4 + header_len])["columns"] == [column]
+        assert len(body) == 4 + header_len
+
+    @pytest.mark.parametrize("values, marker", [
+        ([0, 255], "u1"), ([0, 256], "u2"), ([0, 65535], "u2"), ([0, 65536], "u4"),
+        ([0, 2**32 - 1], "u4"), ([0, 2**32], "u8"), ([0, 2**64 - 1], "u8"),
+        ([-128, 127], "i1"), ([-129, 0], "i2"), ([-1, 128], "i2"), ([-(2**31), 0], "i4"),
+        ([-(2**31) - 1, 0], "i8"), ([-(2**63), 2**63 - 1], "i8"),
+        ([-1, 2**63], None), ([0, 2**64], None), ([-(2**63) - 1, 0], None),
+    ])
+    def test_column_travels_at_the_narrowest_width(self, values, marker):
+        # a source one character longer moves the column one byte on, so
+        # each width is read as a view at an even and at an odd offset
+        starts = set()
+        column = values + values[::-1] + [values[0]]
+        for source in ("s", "ss"):
+            body = dataset_to_bytes(self._dataset([column], source))
+            header_len = int.from_bytes(body[:4], "big")
+            entry = json.loads(body[4 : 4 + header_len])["columns"][0]
+            back = dataset_from_bytes(body)
+            assert _values(back) == [column]
+            if marker is None:
+                assert entry == column and isinstance(back.payload[0], list)
+                continue
+            assert entry == marker
+            view = back.payload[0]
+            assert view.dtype == np.dtype(f"<{marker}") and not view.flags.writeable
+            assert body.endswith(np.array(column, f"<{marker}").tobytes())
+            starts.add((len(body) - view.nbytes) % 2)
+        assert starts == ({0, 1} if marker else set())
+
+    @pytest.mark.parametrize("sent, named", [
+        ("u2", "'v0' travels as u2, where its values take u1"),  # wider than needed
+        ("i1", "'v0' travels as i1, where its values take u1"),  # signed, though none is negative
+        ("u3", "'v0': unknown width marker 'u3'"),
+        ("f8", "'v0': unknown width marker 'f8'"),
+        ("abc", "'v0': unknown width marker 'abc'"),
+        ("<u1", "'v0': unknown width marker '<u1'"),
+    ])
+    def test_coded_column_out_of_canonical_form_refused(self, sent, named):
+        body = dataset_to_bytes(self._dataset([[1, 2, 3, 4]]))
+        values = np.array([1, 2, 3, 4], PAYLOAD_DTYPES.get(sent, "u1")).tobytes()
+        with pytest.raises(ValueError, match=named):
+            dataset_from_bytes(with_header(body[:-4] + values, columns=[sent]))
+
+    def test_json_column_the_rule_codes_refused(self):
+        # a body as stations wrote it before integer columns were coded
+        body = dataset_to_bytes(self._dataset([[1, 2, 3]]))
+        body = with_header(body[:-3], columns=[[1, 2, 3]])
+        named = "'v0' travels as a JSON array, where its values take u1"
+        with pytest.raises(ValueError, match=named):
+            dataset_from_bytes(body)
+
+    def test_coded_empty_column_refused(self):
+        body = with_header(dataset_to_bytes(self._dataset([[]])), columns=["u1"])
+        with pytest.raises(ValueError, match="'v0' travels as u1, where its values take a JSON"):
+            dataset_from_bytes(body)
+
+    def test_coded_column_of_another_type_refused(self):
+        body = dataset_to_bytes(self._dataset([["x"]], types=["categorical"]))
+        with pytest.raises(ValueError, match="'v0' of type categorical travels as u1"):
+            dataset_from_bytes(with_header(body + b"\x07", columns=["u1"]))
+
+    @pytest.mark.parametrize("cut, named", [(1, "v1"), (3, "v0")])
+    def test_coded_column_that_overruns_the_body_refused(self, cut, named):
+        body = dataset_to_bytes(self._dataset([[1, 300], [5, 6]]))
+        assert body.endswith(np.array([1, 300], "<u2").tobytes() + bytes([5, 6]))
+        with pytest.raises(ValueError, match=f"variable '{named}': .* overrun a body"):
+            dataset_from_bytes(body[:-cut])
+
+    def test_column_count_that_differs_from_the_schema_refused(self):
+        body = with_header(dataset_to_bytes(self._dataset([[1, 2]])), columns=["u1", "u1"])
+        with pytest.raises(ValueError, match="payload columns do not match the schema"):
+            dataset_from_bytes(body)
+
+
 class TestIndexWidth:
     """Each field's index travels at the narrowest width that addresses its
     dictionary, on either side of each width's top value. Field 0's
@@ -607,11 +750,17 @@ class TestIndexWidth:
 # moved once more when each field's index narrowed from 4 bytes per row to
 # its dictionary's width: the bodies are the earlier ones with the index,
 # fields of 691, 196, 2 and 784 digests, rewritten at 2, 1, 1 and 2 bytes.
+# All but the empty pin moved when integer payload columns became coded: the
+# bodies are the earlier ones with the header's age and income arrays
+# replaced by the markers "u1" and "u4", and those values appended after the
+# digests as little-endian uint8 and uint32, a rewrite checked with struct
+# and json alone. row_major_body writes the columns back as JSON arrays, so
+# ROW_MAJOR_BODIES did not move.
 PINNED_BODIES = {
-    None: "9e35d1c6370a66733c76d236e17ebe307ebf2d4a68f52b2700c7cd367cd3bb1e",
-    "exact": "e377cdd03775bd90f4ab8782a8b34030b49e9927a43c3627335204886e0fe8fd",
-    "probabilistic": "54e73589b694e1a23e05215a17ae9d156cd64a166200897a9a49f532eb61070f",
-    "payload_only": "a8db844bb7d26de8c7c088ce6bc0f364c90e4dfd22c5ea3e043ee4edf40a62b5",
+    None: "f5c1b5433a684a5cec6ab8b9192acc22a8bf9ea4d80d3cdafe1a847983d65114",
+    "exact": "bd8638239a16c30575bb006051d6d5f7441cea0d4f3e2692cd165cc9a91afb56",
+    "probabilistic": "4f9346d0f39ed9cad63f909529ea9aa205cd7a4ccb2a4ffac211fc6fb93f1ba8",
+    "payload_only": "f3847debb4209ccdf80e74866b82c3d98c97ea361f82694d4de4d81c02ded0ba",
     "empty": "57fdad54cbd20ce0f2f3ef5beb8c57e2e74c36d74897ea6a8095c98685281241",
 }
 ROW_MAJOR_BODIES = {

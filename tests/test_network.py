@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_scenario, previous_format_package, row_major_body
+from conftest import make_scenario, previous_format_package, row_major_body, with_header
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
@@ -1050,11 +1050,24 @@ class TestOneOwner:
 
 
 class TestWipeEmptiesDecodedPayloads:
-    """Payload values decoded at the TSE are Python lists, which the buffer
-    wipe cannot reach; the TSE's wipe empties them on every exit path."""
+    """A coded payload column decoded at the TSE is a view of the storage
+    buffer, which the wipe zeroes; a JSON column and every column of the
+    merged dataset are Python lists, which the wipe empties. Both hold on
+    every exit path."""
+
+    @staticmethod
+    def _assert_wiped(columns):
+        assert columns.payload, columns.station_id
+        for column in columns.payload:
+            if isinstance(column, np.ndarray):
+                # every row's value, linked or not
+                assert len(column) == columns.n_rows > 0, columns.station_id
+                assert column.tolist() == [0] * columns.n_rows, columns.station_id
+            else:
+                assert column == [], columns.station_id
 
     @pytest.mark.parametrize("fail_at", [None, "link", "run_analysis"])
-    def test_payload_lists_are_empty_after_the_run(self, monkeypatch, fail_at):
+    def test_payload_is_wiped_after_the_run(self, monkeypatch, fail_at):
         seen = {}
         for name in ("link", "run_analysis"):
             def spy(*args, name=name, real=getattr(stations, name)):
@@ -1066,13 +1079,16 @@ class TestWipeEmptiesDecodedPayloads:
             monkeypatch.setattr(stations, name, spy)
         out = run_network(demo_scenario().setup)
         assert out.completed == (fail_at is None)
-        held = list(seen["link"][:2]) + list(seen.get("run_analysis", ())[:1])
-        assert len(held) == (2 if fail_at == "link" else 3)
-        for columns in held:
-            assert columns.payload, columns.station_id
-            assert all(column == [] for column in columns.payload), columns.station_id
+        decoded = list(seen["link"][:2])
+        merged = list(seen.get("run_analysis", ())[:1])
+        assert len(decoded) + len(merged) == (2 if fail_at == "link" else 3)
+        # A's 80 ages and B's 25 incomes are coded; 25 rows link
+        assert [[type(c) for c in cols.payload] for cols in decoded] == [[np.ndarray]] * 2
+        assert [cols.n_rows for cols in decoded] == [80, 25]
+        for columns in decoded + merged:
+            self._assert_wiped(columns)
 
-    def test_payload_decoded_before_a_bad_dataset_is_emptied(self, monkeypatch):
+    def test_payload_decoded_before_a_bad_dataset_is_wiped(self, monkeypatch):
         decoded, real = [], stations.dataset_from_bytes
 
         def second_fails(body):
@@ -1084,7 +1100,27 @@ class TestWipeEmptiesDecodedPayloads:
         monkeypatch.setattr(stations, "dataset_from_bytes", second_fails)
         out = run_network(demo_scenario().setup)
         assert out.outcome == "aborted" and out.reason.startswith("BadDataset@")
-        assert decoded[0].payload and all(column == [] for column in decoded[0].payload)
+        self._assert_wiped(decoded[0])
+
+    def test_json_payload_column_is_emptied(self, monkeypatch):
+        # ages and incomes as floats travel as JSON arrays, decoded to lists
+        decoded, to_bytes, link = [], stations.dataset_to_bytes, stations.link
+
+        def as_floats(cols):
+            floats = [[float(v) for v in column] for column in cols.payload]
+            return to_bytes(dataclasses.replace(cols, payload=floats))
+
+        def spy_link(a, b, params):
+            decoded.extend((a, b))
+            return link(a, b, params)
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", as_floats)
+        monkeypatch.setattr(stations, "link", spy_link)
+        out = run_network(demo_scenario().setup)
+        assert out.completed
+        assert [type(cols.payload[0]) for cols in decoded] == [list, list]
+        for columns in decoded:
+            assert columns.n_rows and columns.payload == [[]]
 
 
 class TestAbortReceivedAtTse:
@@ -1510,6 +1546,34 @@ class TestDataMinimisation:
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
         assert "digest bytes" in out.reason
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("form", ["u2", "json"])
+    def test_station_sending_ages_out_of_canonical_form_aborts_and_wipes(
+        self, monkeypatch, transport, form
+    ):
+        # A sends its one-byte ages as a uint16 array, or as a JSON array as
+        # stations did before integer columns were coded; B as now
+        original = stations.dataset_to_bytes
+
+        def ages_at_a(cols):
+            body = original(cols)
+            if cols.station_id != "A":
+                return body
+            ages = body[-cols.n_rows :]
+            assert ages == np.array(cols.payload[0], "u1").tobytes()
+            if form == "u2":
+                wide = np.frombuffer(ages, "u1").astype("<u2").tobytes()
+                return with_header(body[: -cols.n_rows] + wide, columns=["u2"])
+            return with_header(body[: -cols.n_rows], columns=[list(ages)])
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", ages_at_a)
+        out = run_network(demo_scenario().setup, transport=transport,
+                          tse_timeout=5.0, run_timeout=30.0)
+        assert out.outcome == "aborted" and out.reason.startswith("BadDataset@A")
+        sent = "u2" if form == "u2" else "a JSON array"
+        assert f"variable 'age' travels as {sent}, where its values take u1" in out.reason
         assert out.storage.wiped and out.storage.inventory() == ()
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])

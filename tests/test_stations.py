@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
+from phtlink import stations
 from phtlink.errors import StorageWiped
 from phtlink.manifest import PoolFilter
 from phtlink.model import QuasiIdentifierSet, Record, age_on, dataset_from_bytes
@@ -238,6 +239,23 @@ class TestTse:
         assert tse.storage.inventory() == ()
         result = outs[0].message.result
         assert result.audit["run"]["records_linked"] == len(scn.truth)
+
+    def test_sealed_packages_are_dropped_once_opened(self, monkeypatch):
+        scn = scenario()
+        a, b, tse = actors(scn)
+        held, link = [], stations.link
+
+        def spy_link(*args):
+            held.append(dict(tse._packages))
+            return link(*args)
+
+        monkeypatch.setattr(stations, "link", spy_link)
+        transfer_a, transfer_b = run_stations(scn, a, b)
+        tse.handle(dispatch(scn.manifest))
+        tse.handle(transfer_a)
+        outs = tse.handle(transfer_b)
+        assert types_by_dest(outs) == [("researcher", "ResultReturn")]
+        assert held == [{}]
 
     def test_received_package_is_held_but_not_copied_into_storage(self):
         scn = scenario()

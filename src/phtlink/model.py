@@ -51,7 +51,8 @@ that form through to_columns. code_fields is the one builder of the coded
 form.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
-strictly; a fault is a ValueError naming the file, and the line for a row.
+strictly; a fault is a ValueError, or a MalformedField for a linkage field
+that cannot be canonicalized, naming the file, and the line for a row.
 """
 
 from __future__ import annotations
@@ -628,9 +629,11 @@ def write_dataset_csv(ds: Dataset, csv_path: str | Path, descriptor_path: str | 
 
 def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = None) -> Dataset:
     """Read a station CSV; every row's linkage fields are canonicalized, and
-    a CSV without one of the QID_FIELDS columns raises MalformedField. An
-    unknown or ill-typed sidecar key, a row whose cell count differs from
-    the header's, or a numeric cell that is not finite, raises ValueError."""
+    a CSV without one of the QID_FIELDS columns, or a row with a field that
+    cannot be canonicalized, raises MalformedField. An unknown or ill-typed
+    sidecar key, a row whose cell count differs from the header's, or a
+    numeric cell that is not finite, raises ValueError. Each names the file,
+    and the line for a row."""
     csv_path = Path(csv_path)
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
@@ -655,9 +658,11 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
                 if None in raw or None in raw.values():
                     raise ValueError(f"expected the header's {len(reader.fieldnames)} cells")
                 payload = {name: _parse_cell(raw[name], vtype) for name, vtype in meta.schema}
-            except ValueError as exc:
-                raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from None
-            qid = canonicalize({k: raw[k] for k in QID_FIELDS})
+                qid = canonicalize({k: raw[k] for k in QID_FIELDS})
+            except (ValueError, MalformedField) as exc:
+                # the same error, of the same type, prefixed with where it was found
+                exc.args = (f"{csv_path} line {reader.line_num}: {exc}",)
+                raise exc from None
             rows.append(Record(payload=payload, qid=qid))
     source = str(csv_path) if meta.source is None else meta.source
     descriptor = DatasetDescriptor(source, meta.extracted_at, meta.row_count)

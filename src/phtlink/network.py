@@ -8,9 +8,11 @@ returned RunOutcome carries the validated result, the per-channel logical
 message trace, every raw frame each endpoint received (for privacy
 byte-scans), all audit logs and the TSE storage handle (for deletion checks).
 
-Per-sender message order is preserved by construction: the in-process engine
-uses FIFO queues, and a TCP node sends over one connection per address (see
-TcpNode), so the researcher's cancel follows its dispatch. Cross-sender
+Per-channel message order is preserved by construction: by default the
+in-process engine delivers frames in send order, so each (sender, receiver)
+channel is FIFO, and lets deadlines fall due once nothing is in flight (see
+_pump_inproc); a TCP node sends over one connection per address (see
+TcpNode). So the researcher's cancel follows its dispatch. Cross-sender
 interleaving is unspecified, so traces are compared per channel, never
 globally; the researcher dispatches the data stations only once the TSE has
 acknowledged its own dispatch (see ResearcherActor), so a run's outcome
@@ -129,8 +131,9 @@ class Router:
     evicted once terminal and only its run id is kept, so a replayed dispatch
     starts nothing. With ``timeout_s`` set, each run gets a deadline that many
     seconds after its dispatch, delivered to its actor as TimeoutExpired: a
-    TCP node's loop sleeps only until the next deadline, the in-process
-    transport lets every deadline fall due once the run is quiescent.
+    TCP node's loop sleeps only until the next deadline. In-process
+    delivery is in send order, FIFO per channel, with every deadline
+    falling due once the run is quiescent, by default.
     ``ledger``, shared by the nodes of one `run_network` run, records what
     they received."""
 
@@ -271,33 +274,43 @@ def run_network(
     )
 
 
-def _pump_inproc(routers: dict[str, Router], researcher, ledger) -> None:
-    queues: dict[str, deque] = {aid: deque() for aid in routers}
+def _in_send_order(flight: list) -> int | None:
+    """The default schedule: the oldest frame in flight, and deadlines at quiescence."""
+    return 0 if flight else None
+
+
+def _pump_inproc(routers: dict[str, Router], researcher, ledger, schedule=_in_send_order) -> None:
+    """Deliver the run's frames until none is in flight and no deadline sends one.
+
+    ``flight`` holds each frame sent and not yet delivered, as (Outgoing,
+    frame), in send order. At each step ``schedule(flight)``, which may drop,
+    copy or add entries first, names what happens: an index, whose frame is
+    delivered; a party id, whose deadlines fall due; or None, when every
+    deadline falls due and the run ends if that sent nothing."""
+    flight: list[tuple[Outgoing, bytes]] = []
     researcher.endpoints = {aid: f"inproc:{aid}" for aid in routers}
 
     def post(outgoing: list[Outgoing]) -> None:
         for out in outgoing:
-            if out.dest in queues:
-                queues[out.dest].append(encode(out.message))
+            if out.dest in routers:
+                flight.append((out, encode(out.message)))
             else:
                 _drop(out.message.run_id, out.message.sender,
                       f"unroutable destination {out.dest!r}")
 
     post(researcher.start())
-    order = sorted(routers)
     while True:
-        progress = False
-        for aid in order:
-            if queues[aid]:
-                post(_receive(aid, routers[aid], queues[aid].popleft(), ledger))
-                progress = True
-        if progress:
-            continue
-        # quiescent: nothing else can happen before the pending deadlines
-        for router in routers.values():
-            post(router.expire())
-        if not any(queues.values()):
-            return
+        step = schedule(flight)
+        if isinstance(step, int):
+            out, frame = flight.pop(step)
+            post(_receive(out.dest, routers[out.dest], frame, ledger))
+        elif step is not None:
+            post(routers[step].expire())
+        else:
+            for router in routers.values():
+                post(router.expire())
+            if not flight:
+                return
 
 
 def _pump_tcp(routers, researcher, ledger, done, run_timeout: float) -> None:

@@ -507,6 +507,13 @@ class TseActor(_Party):
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
             self._held.append(datasets[-1])
+            # a station sends only the part its mode links on; a body without
+            # that part is left to link, which refuses it as MissingPseudonyms
+            if datasets[-1].parts == ("composite", "field_codes"):
+                mode = manifest.linkage.mode
+                unused = "per-field" if mode == "exact" else "composite"
+                return self.abort(
+                    f"BadDataset@{sid}: {unused} digests, which {mode} linkage does not use")
         # a station that derived another salt, as with a wrong peer key,
         # made digests that link nothing: fail closed rather than report that
         if datasets[0].salt_check != datasets[1].salt_check:

@@ -280,6 +280,14 @@ class TestCsvReadStrictly:
         with pytest.raises(ValueError, match="a.csv line 3: expected the header's 5 cells"):
             read_dataset_csv(path)
 
+    def test_malformed_identifier_names_its_line(self, tmp_path):
+        path = self._files(tmp_path, "6211AB,12,F,1960-03-15,66", "6211AB,12,F,1960-31-01,66")
+        with pytest.raises(MalformedField) as err:
+            read_dataset_csv(path)
+        assert err.value.field == "date_of_birth"
+        assert str(err.value) == (f"{path} line 3: malformed date_of_birth: '1960-31-01' "
+                                  "(month must be in 1..12)")
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e999"])
     def test_non_finite_numeric_cell_names_its_line(self, tmp_path, cell):
         path = self._files(tmp_path, f"6211AB,12,F,1960-03-15,{cell}")
@@ -337,7 +345,7 @@ class TestDatasetWireBytes:
         assert back.parts == ("composite", "field_codes")
         assert back.digests.tobytes() == bytes.fromhex(vec.composite)
         assert per_row_digests(back.fields).tobytes() == bytes.fromhex("".join(vec.per_field))
-        assert back.payload_column("age") == [40]
+        assert back.payload_column("age").tolist() == [40]
         assert back.station_id == "A"
 
 

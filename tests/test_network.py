@@ -11,7 +11,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -1191,6 +1190,29 @@ class TestHandlerRaises:
         assert any("RuntimeError: boom" in r.message for r in caplog.records)
 
 
+class TestUnroutableStation:
+    """A signed manifest may name a data station that no router serves.
+    Each frame to it is dropped with a warning, and the run aborts, since
+    the station named with it holds no key to derive a salt with it."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_run_aborts_and_each_frame_to_it_is_logged(self, caplog, transport):
+        scn = demo_scenario()
+        first, second = scn.manifest.data_requests
+        scn.setup.manifest = sign_manifest(dataclasses.replace(
+            scn.manifest, data_requests=(first, dataclasses.replace(second, station_id="C"))),
+            scn.anchor)
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "MissingPeerKey(C)")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        reason = ("unroutable destination 'C'" if transport == "inproc"
+                  else "send to 'C' failed: unroutable destination")
+        # the researcher's dispatch to C, then its cancel
+        assert [r.message for r in caplog.records if "'C'" in r.message] == [
+            f"dropped: run_id={scn.manifest.run_id} sender=researcher reason={reason}"] * 2
+
+
 # ---------------------------------------------------------------------------
 # Every frame of a run lost, duplicated or delayed
 # ---------------------------------------------------------------------------
@@ -1205,64 +1227,98 @@ RUN_FRAMES = [
 ]
 
 
-class _FaultyPump:
-    """`network._pump_inproc` with one fault on the ``k``-th frame sent:
-    "drop" loses it, "duplicate" delivers it twice, "delay" delivers it
-    after the next frame to the same destination, or once the run has
-    nothing else left to deliver. It keeps the routers, to count the
-    actors left in them."""
+_pump_inproc = network._pump_inproc  # the product's pump, which each schedule drives
+PARTIES = ("A", "B", "TSE", "researcher")
 
-    def __init__(self, fault: str | None = None, k: int = -1):
-        self.fault, self.k = fault, k
+
+def _channel(out: Outgoing) -> tuple[str, str]:
+    return out.message.sender, out.dest
+
+
+class _Schedule:
+    """A schedule for `network._pump_inproc`, installed in its place. It
+    sees each frame once, as it is sent, and keeps as many copies of it in
+    flight as ``copies`` says; ``next`` then picks the step. The base
+    delivers in send order. It records each frame sent as (destination,
+    type), and keeps the routers, to count the actors left in them."""
+
+    def __init__(self):
         self.sent: list[tuple[str, str]] = []
         self.routers: dict[str, Router] = {}
+        self._seen = 0  # the entries of the flight this schedule has seen
 
     def __call__(self, routers, researcher, ledger) -> None:
         self.routers = routers
-        queues = {aid: deque() for aid in routers}
-        held: dict[str, bytes] = {}
-        researcher.endpoints = {aid: f"inproc:{aid}" for aid in routers}
+        _pump_inproc(routers, researcher, ledger, self._pick)
 
-        def post(outgoing):
-            for out in outgoing:
-                frame = encode(out.message)
-                copies = [frame]
-                if len(self.sent) == self.k:
-                    copies = [frame, frame] if self.fault == "duplicate" else []
-                    if self.fault == "delay":
-                        held[out.dest] = frame
-                elif out.dest in held:
-                    copies.append(held.pop(out.dest))
-                self.sent.append((out.dest, message_type_name(out.message)))
-                queues[out.dest].extend(copies)
+    def _pick(self, flight: list) -> int | str | None:
+        new = flight[self._seen:]
+        del flight[self._seen:]
+        for entry in new:
+            flight += [entry] * self.copies(entry)
+            self.sent.append((entry[0].dest, message_type_name(entry[0].message)))
+        step = self.next(flight)
+        self._seen = len(flight) - isinstance(step, int)
+        return step
 
-        post(researcher.start())
-        while True:
-            progress = False
-            for aid in sorted(routers):
-                if queues[aid]:
-                    post(network._receive(aid, routers[aid], queues[aid].popleft(), ledger))
-                    progress = True
-            if progress:
-                continue
-            if held:
-                for dest in list(held):
-                    queues[dest].append(held.pop(dest))
-                continue
-            for router in routers.values():
-                post(router.expire())
-            if not any(queues.values()):
-                return
+    def copies(self, entry) -> int:
+        return 1
+
+    def next(self, flight: list) -> int | str | None:
+        return network._in_send_order(flight)
+
+
+class _OneFault(_Schedule):
+    """One fault on the ``k``-th frame sent: "drop" loses it, "duplicate"
+    delivers it twice, and "delay" holds it back, with the frames behind it
+    on its channel, while any other frame is in flight."""
+
+    def __init__(self, fault: str | None = None, k: int = -1):
+        super().__init__()
+        self.fault, self.k = fault, k
+        self.held: tuple[str, str] | None = None  # the delayed channel
+
+    def copies(self, entry) -> int:
+        if len(self.sent) != self.k:
+            return 1
+        if self.fault == "delay":
+            self.held = _channel(entry[0])
+        return {"drop": 0, "duplicate": 2}.get(self.fault, 1)
+
+    def next(self, flight: list) -> int | str | None:
+        ready = [i for i, (out, _) in enumerate(flight) if _channel(out) != self.held]
+        if ready:
+            return ready[0]
+        self.held = None
+        return super().next(flight)
+
+
+def _assert_every_party_ended(out, schedule: _Schedule) -> None:
+    """The run completed or names its reason; a TSE that was dispatched is
+    wiped and empty; at most one result is accepted; and no party, the
+    researcher included, is left live in its router."""
+    assert out.completed or out.reason, (out.outcome, out.reason)
+    if out.audit_logs["TSE"]:  # the TSE was dispatched
+        assert out.storage.wiped
+    assert out.storage.inventory() == ()
+    accepted = [e for e in out.audit_logs["researcher"] if e["event"] == "result_returned"]
+    assert len(accepted) <= 1
+    assert {aid: list(router.actors) for aid, router in schedule.routers.items()} == {
+        party: [] for party in PARTIES}
+
+
+def _fault_scenario(mode: str):
+    return make_scenario(*generate_vertical_demo(60, 20, seed=3),
+                         linkage=LinkageParams(mode=mode))
 
 
 class TestFaultMatrix:
     """Each of a run's 9 frames is dropped, duplicated or delayed in turn,
-    in both linkage modes. Every run ends with a result or a named reason;
-    a TSE that was dispatched is wiped and empty; at most one result is
-    accepted; and no party, the researcher included, is left live in its
-    router, since each ends the run at its deadline. A lost station Ack
-    (frames 5 and 7) leaves the run completed; a lost ResultReturn (frame
-    8) ends it "Timeout" at the researcher, with the TSE wiped.
+    in both linkage modes, by a schedule of the product's pump. Every run
+    ends as `_assert_every_party_ended` asks, since each party ends the run
+    at its deadline. A lost station Ack (frames 5 and 7) leaves the run
+    completed; a lost ResultReturn (frame 8) ends it "Timeout" at the
+    researcher, with the TSE wiped.
 
     The frames a fault leaves late, such as the aborts parties send to
     others that already ended the run, are expected, so no router logs a
@@ -1273,32 +1329,22 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
     def test_fault_free_run_sends_the_listed_frames(self, monkeypatch, mode):
-        pump = _FaultyPump()
-        monkeypatch.setattr(network, "_pump_inproc", pump)
-        scn = make_scenario(*generate_vertical_demo(60, 20, seed=3),
-                            linkage=LinkageParams(mode=mode))
-        assert run_network(scn.setup).completed
-        assert pump.sent == RUN_FRAMES
+        schedule = _Schedule()
+        monkeypatch.setattr(network, "_pump_inproc", schedule)
+        assert run_network(_fault_scenario(mode).setup).completed
+        assert schedule.sent == RUN_FRAMES
 
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
     @pytest.mark.parametrize("fault", ["drop", "duplicate", "delay"])
     @pytest.mark.parametrize("k", range(len(RUN_FRAMES)))
     def test_every_party_ends_the_run(self, monkeypatch, caplog, mode, fault, k):
-        pump = _FaultyPump(fault, k)
-        monkeypatch.setattr(network, "_pump_inproc", pump)
-        scn = make_scenario(*generate_vertical_demo(60, 20, seed=3),
-                            linkage=LinkageParams(mode=mode))
+        schedule = _OneFault(fault, k)
+        monkeypatch.setattr(network, "_pump_inproc", schedule)
+        scn = _fault_scenario(mode)
         with caplog.at_level(logging.INFO, logger="phtlink"):
             out = run_network(scn.setup)
 
-        assert out.completed or out.reason, (out.outcome, out.reason)
-        if out.audit_logs["TSE"]:  # the TSE was dispatched
-            assert out.storage.wiped
-        assert out.storage.inventory() == ()
-        accepted = [e for e in out.audit_logs["researcher"] if e["event"] == "result_returned"]
-        assert len(accepted) <= 1
-        assert {aid: list(router.actors) for aid, router in pump.routers.items()} == {
-            "A": [], "B": [], "TSE": [], "researcher": []}
+        _assert_every_party_ended(out, schedule)
         if fault == "drop" and k in (5, 7):
             assert out.completed
         if (fault, k) == ("drop", 8):
@@ -1308,6 +1354,76 @@ class TestFaultMatrix:
                     "reason=TrainDispatch for a finished run"]
         assert [r.message for r in caplog.records if r.levelno >= logging.WARNING] == (
             replayed if fault == "duplicate" and k in (2, 3) else [])
+
+
+class _Drawn(_Schedule):
+    """A schedule hypothesis draws step by step, for ``steps`` steps, and
+    send order after them. Each run first draws which faults it may do
+    (swarm testing), so that runs with few kinds of fault, each often, are
+    common. Each frame sent may be lost or delivered twice. Each step
+    delivers the oldest frame of any channel, lets the TSE's or the
+    researcher's deadlines fall due, or first adds a forged Abort to any
+    party or a replay of a dispatch already sent."""
+
+    FAULTS = ("drop", "copy", "deadline", "forge", "replay")
+
+    def __init__(self, data, run_id: str, steps: int = 30):
+        super().__init__()
+        self.data, self.run_id, self.steps = data, run_id, steps
+        self.faults = data.draw(st.sets(st.sampled_from(self.FAULTS)))
+        self.dispatches: list = []
+
+    def copies(self, entry) -> int:
+        if isinstance(entry[0].message, TrainDispatch):
+            self.dispatches.append(entry)
+        if not self.steps:
+            return 1
+        return self.data.draw(st.sampled_from(
+            (1, 1, 1, 1) + (0,) * ("drop" in self.faults) + (2,) * ("copy" in self.faults)))
+
+    def next(self, flight: list) -> int | str | None:
+        if not self.steps:
+            return super().next(flight)
+        self.steps -= 1
+        draw = self.data.draw
+        action = draw(st.sampled_from(("deliver",) * 8 + tuple(
+            fault for fault in ("deadline", "forge", "replay") if fault in self.faults)))
+        if action == "deadline":
+            return draw(st.sampled_from(("TSE", "researcher")))
+        if action == "forge":
+            forged = Abort(self.run_id, 1, draw(st.sampled_from(PARTIES)), "Forged")
+            flight.append((Outgoing(draw(st.sampled_from(PARTIES)), forged, None),
+                           encode(forged)))
+        elif action == "replay" and self.dispatches:
+            flight.append(draw(st.sampled_from(self.dispatches)))
+        heads: dict[tuple[str, str], int] = {}
+        for i, (out, _) in enumerate(flight):
+            heads.setdefault(_channel(out), i)
+        return draw(st.sampled_from(list(heads.values()))) if heads else None
+
+
+@pytest.fixture(scope="module", params=["exact", "probabilistic"])
+def fault_free(request):
+    """A fault-matrix scenario, which every run may reuse, and its result."""
+    scn = _fault_scenario(request.param)
+    return scn, run_network(scn.setup).result_bytes
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_drawn_schedules_keep_every_invariant(fault_free, data):
+    """Several faults in one run, on the product's pump: drops, copies,
+    cross-channel reorders, deadlines at any step and in either order, a
+    forged Abort and a replayed dispatch. Every run ends as the fault
+    matrix asks, and a run that completes releases the fault-free result."""
+    scn, expected = fault_free
+    schedule = _Drawn(data, scn.manifest.run_id)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_pump_inproc", schedule)
+        out = run_network(scn.setup)
+    _assert_every_party_ended(out, schedule)
+    if out.completed:
+        assert out.result_bytes == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1479,6 +1595,20 @@ class TestDataMinimisation:
         scn = demo_scenario(linkage=LinkageParams(mode="probabilistic"))
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.outcome == "aborted" and out.reason.startswith("MissingPseudonyms")
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_extract_with_both_digest_parts_aborts_and_wipes(self, monkeypatch, transport, mode):
+        # stations that hashed for both modes: one part is of no use to the TSE
+        monkeypatch.setattr(stations, "pseudonymize", lambda qids, salt, mode: (
+            pseudonymize_columns(qids, salt, "exact")[0],
+            pseudonymize_columns(qids, salt, "probabilistic")[1]))
+        scn = demo_scenario(linkage=LinkageParams(mode=mode))
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        unused = "per-field" if mode == "exact" else "composite"
+        assert (out.outcome, out.reason) == (
+            "aborted", f"BadDataset@A: {unused} digests, which {mode} linkage does not use")
         assert out.storage.wiped and out.storage.inventory() == ()
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])

@@ -264,7 +264,7 @@ def _parse_listen(value: str) -> tuple[str, int]:
 
 
 def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_actor,
-           timeout_s: float | None = None, wipe_on_exit: bool = False):
+           timeout_s: float | None = None):
     """Serve runs until SIGTERM/SIGINT, one ``new_actor()`` per dispatched run,
     which answers the run's parties at the addresses its dispatch names; a
     run still live ``timeout_s`` after its dispatch is ended here. A data
@@ -282,9 +282,9 @@ def _serve(cfg: StationConfigFile | TseConfigFile, listen: tuple[str, int], new_
     sys.stdout.flush()
     stop.wait()
     node.stop()  # its worker has ended: the router's actors are ours now
-    if wipe_on_exit:
-        for actor in router.actors.values():
-            actor.wipe("terminated")
+    # only a TSE holds a live run here: a data station's ends in its dispatch's step
+    for actor in router.actors.values():
+        actor.wipe("terminated")
 
 
 def _audit_path(base: Path, audit_log: str | None) -> str | None:
@@ -347,7 +347,7 @@ def tse(config_path: Path):
         )
     except (BadConfig, PhtError, OSError, ValueError, KeyError) as exc:
         _fail("BadConfig", str(exc))
-    _serve(cfg, listen, lambda: TseActor(config), cfg.timeout_s, wipe_on_exit=True)
+    _serve(cfg, listen, lambda: TseActor(config), cfg.timeout_s)
 
 
 # ---------------------------------------------------------------------------

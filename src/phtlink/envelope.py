@@ -15,11 +15,13 @@ The inner signature is Ed25519 over (payload, run_id, sender station id), so
 a package replayed into another run fails inner verification even though its
 ciphertext is intact.
 
-On the wire (SealedPackage.to_bytes) a package is binary: a 4-byte length
-and the canonical header JSON (the very bytes used as associated data), a
-2-byte length and the wrapped key, a 2-byte length and the tag, then the
-ciphertext up to the end of the buffer. Every length-prefixed field is
-written and read by encoding.write_field and encoding.read_field.
+The header holds the sender's station id, the run id and ALGORITHMS, and
+no key id. On the wire (SealedPackage.to_bytes) a package is binary: a
+4-byte length and the canonical header JSON (the very bytes used as
+associated data), a 2-byte length and the wrapped key, a 2-byte length and
+the tag, then the ciphertext up to the end of the buffer. Every
+length-prefixed field is written and read by encoding.write_field and
+encoding.read_field.
 SealedPackage.from_bytes reads the header strictly (encoding.block_from_dict
 and check_types) and accepts it only if it is byte for byte the header seal
 writes for those fields, so the AAD open_package authenticates is exactly
@@ -27,7 +29,8 @@ the header received.
 
 A key id is ``scope:kind:`` and the first 8 hex digits of SHA-256 over the
 raw public key (derive_key_id); the scope is the run a key is bound to, or
-"static" for a key read from a file.
+"static" for a key read from a file; seal and derive_salt refuse a key
+bound to another run.
 
 derive_salt gives the two data stations of a run the salt they hash
 under, from the same static X25519 keys: each computes it from its own
@@ -107,23 +110,8 @@ def derive_key_id(public: bytes, kind: str, run_id: str | None = None) -> str:
     return f"{run_id or STATIC_SCOPE}:{kind}:{hashlib.sha256(public).hexdigest()[:8]}"
 
 
-def _scope_of(key_id: str) -> str:
-    return key_id.split(":", 1)[0]
-
-
-class _RunScoped:
-    """The run a key is bound to, read from its key id (None if static)."""
-
-    key_id: str
-
-    @property
-    def run_scope(self) -> str | None:
-        scope = _scope_of(self.key_id)
-        return None if scope == STATIC_SCOPE else scope
-
-
 @dataclass(frozen=True)
-class KeyPair(_RunScoped):
+class KeyPair:
     """X25519 encryption keypair; the private half never enters a message."""
 
     public_encryption_key: bytes
@@ -135,7 +123,7 @@ class KeyPair(_RunScoped):
 
 
 @dataclass(frozen=True)
-class PublicEncryptionKey(_RunScoped):
+class PublicEncryptionKey:
     """Distributable half of a KeyPair."""
 
     public_encryption_key: bytes
@@ -143,7 +131,7 @@ class PublicEncryptionKey(_RunScoped):
 
 
 @dataclass(frozen=True)
-class SigningKeys(_RunScoped):
+class SigningKeys:
     """Ed25519 signature pair; the verification key alone cannot sign."""
 
     signing_key: bytes
@@ -153,16 +141,19 @@ class SigningKeys(_RunScoped):
 
 @dataclass(frozen=True)
 class SealedPackage:
+    """A sealed payload. Its header names the sender and the run, which the
+    inner signature is checked against, and no key: HPKE binds the wrap to
+    the recipient's key and the inner signature to the sender's."""
+
     sender_station_id: str
     run_id: str
-    key_ids: tuple[str, str]  # (encryption key id, signing key id)
     wrapped_content_key: bytes
     ciphertext: bytes
     outer_auth_tag: bytes
 
     def header(self) -> dict:
         """The authenticated header: its canonical JSON is the AEAD's AAD."""
-        return _header(self.sender_station_id, self.run_id, self.key_ids)
+        return _header(self.sender_station_id, self.run_id)
 
     def to_bytes(self) -> bytes:
         return b"".join(
@@ -198,9 +189,8 @@ class SealedPackage:
         return pkg
 
 
-def _header(sender_station_id: str, run_id: str, key_ids: tuple[str, str]) -> dict:
-    return {"sender_station_id": sender_station_id, "run_id": run_id,
-            "key_ids": list(key_ids), "algorithms": ALGORITHMS}
+def _header(sender_station_id: str, run_id: str) -> dict:
+    return {"sender_station_id": sender_station_id, "run_id": run_id, "algorithms": ALGORITHMS}
 
 
 def generate_encryption_keypair(run_id: str | None = None) -> KeyPair:
@@ -264,7 +254,7 @@ def _hkdf(shared: bytes, info: bytes, length: int = 32) -> bytes:
 
 
 def _check_run_scope(key_id: str, run_id: str) -> None:
-    scope = _scope_of(key_id)
+    scope = key_id.split(":", 1)[0]
     if scope != STATIC_SCOPE and scope != run_id:
         raise RunMismatch(f"key {key_id} is bound to run {scope!r}, not {run_id!r}")
 
@@ -308,8 +298,7 @@ def seal(
     )
     inner = plaintext + inner_sig
 
-    key_ids = (recipient_pub.key_id, signer.key_id)
-    aad = canonical_json_bytes(_header(sender_id, run_id, key_ids))
+    aad = canonical_json_bytes(_header(sender_id, run_id))
 
     content_key = _random_bytes(32)
     data_nonce = _random_bytes(_GCM_NONCE_LEN)
@@ -325,7 +314,6 @@ def seal(
     return SealedPackage(
         sender_station_id=sender_id,
         run_id=run_id,
-        key_ids=key_ids,
         wrapped_content_key=wrapped,
         ciphertext=ciphertext,
         outer_auth_tag=tag,

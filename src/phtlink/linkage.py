@@ -55,7 +55,7 @@ from .errors import (
     SchemaCollision,
 )
 from .model import (
-    DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, DatasetDescriptor, FieldCodes,
+    DIGEST_DTYPE, QID_FIELDS, Columns, Dataset, FieldCodes,
     hex_field_codes, to_columns,
 )
 from .pseudonym import LINKAGE_MODES, PseudonymVector
@@ -507,11 +507,9 @@ def merge(result: LinkResult, ds_a: Dataset | Columns, ds_b: Dataset | Columns) 
 
     rows_a = [i for i, _ in result.pairs]
     rows_b = [j for _, j in result.pairs]
-    extracted_at = max(cols_a.descriptor.extracted_at, cols_b.descriptor.extracted_at)
     merged = Columns(
         f"{cols_a.station_id}+{cols_b.station_id}",
         schema,
-        DatasetDescriptor("merged", extracted_at, len(rows_a)),
         [_gather(column, rows_a) for column in cols_a.payload]
         + [_gather(column, rows_b) for column in cols_b.payload],
         digests=np.empty((len(rows_a), 0), DIGEST_DTYPE),

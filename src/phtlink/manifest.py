@@ -122,12 +122,13 @@ def validate_train(
     allowed_variables: tuple[str, ...] | None = None,
 ) -> Validation:
     """Accept iff the credential signature verifies, every field is of its
-    declared type, the manifest has not expired, its analysis, disclosure
-    policy, linkage parameters, requests and pool filters are well-typed
-    and in range, and (for a data station) the request touches only
-    variables the station is configured to release. A signature vouches for
-    who wrote a manifest, not for what it asks, so the contents are checked
-    before any data moves."""
+    declared type, the manifest has not expired, it asks two distinct data
+    stations, neither the TSE nor the researcher, for data (linkage is
+    pairwise), its analysis, disclosure policy, linkage parameters,
+    requests and pool filters are well-typed and in range, and (for a data
+    station) the request touches only variables the station is configured
+    to release. A signature vouches for who wrote a manifest, not for what
+    it asks, so the contents are checked before any data moves."""
     if manifest.credential_signature is None or not verify_payload(
         trust_anchor_verify, manifest.signable_bytes(), manifest.credential_signature
     ):
@@ -136,6 +137,11 @@ def validate_train(
         check_types(manifest)
         if _parse_when(manifest.expiry) <= _parse_when(now):
             return Validation(False, REASON_EXPIRED, f"expired at {manifest.expiry}")
+        stations = manifest.data_station_ids()
+        roles = {manifest.tse_station_id, manifest.researcher_id}
+        if len(set(stations) - roles) != 2 or len(stations) != 2:
+            raise ValueError(f"a run links two distinct data stations, neither the TSE "
+                             f"nor the researcher, not {list(stations)}")
         manifest.analysis.validate()
         manifest.disclosure.validate()
         manifest.linkage.validate()

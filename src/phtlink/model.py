@@ -14,22 +14,24 @@ date_of_birth   ISO 8601 "YYYY-MM-DD", year between 1900 and the current year.
 
 A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
-schema, descriptor, one entry per payload column, the digest parts and the
-Salt.check of the salt the digests were made under (empty where no station
-set it), then the digests, raw 32-byte values (pseudonym.DIGEST_DTYPE), then
-the coded payload columns. The composite travels once per row. The four
-per-field digests travel dictionary coded (FieldCodes): each field's
-distinct digests once, in the order of the row where each first occurs, and
-an index into them per row and field, an unsigned little-endian integer of
-the narrowest width that addresses the field's dictionary (index_dtype): 1
-byte up to 256 entries, 2 up to 65,536, 4 above. Most per-field digests repeat, since a field such
-as gender has a few values, so this sends about half the bytes of one
-digest per row and field. A row's index takes 6 bytes, not 16, where zip
-code and date of birth hold up to 65,536 distinct values each and house
-number and gender up to 256. First-row order, never the order of the raw
-values, keeps the coding a mere re-encoding of the per-row digests. The
-header is written and read by encoding.write_field and
-encoding.read_field, the helpers every length-prefixed field uses.
+schema, the row count, one entry per payload column, the digest parts and
+the Salt.check of the salt the digests were made under (empty where no
+station set it), then the digests, raw 32-byte values
+(pseudonym.DIGEST_DTYPE), then the coded payload columns. The composite
+travels once per row. The four per-field digests travel dictionary coded
+(FieldCodes): each field's distinct digests once, in the order of the row
+where each first occurs, and an index into them per row and field, an
+unsigned little-endian integer of the narrowest width that addresses the
+field's dictionary (index_dtype): 1 byte up to 256 entries, 2 up to 65,536,
+4 above. Most per-field digests repeat, since a field such as gender has a
+few values, so this sends about half the bytes of one digest per row and
+field. A row's index takes 6 bytes, not 16, where zip code and date of
+birth hold up to 65,536 distinct values each and house number and gender up
+to 256. First-row order, never the order of the raw values, keeps the
+coding a mere re-encoding of the per-row digests. The header is written and
+read by encoding.write_field and encoding.read_field, the helpers every
+length-prefixed field uses. The body names no station, which the TSE takes
+from the sender it authenticated, and carries no provenance descriptor.
 
 A payload column that is non-empty, holds exact ints only (no bool, no
 numpy scalar) and fits 64 bits is coded: its header entry is a width marker
@@ -57,8 +59,10 @@ that cannot be canonicalized, naming the file, and the line for a row.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
+import io
 import math
 import re
 import struct
@@ -231,13 +235,15 @@ class Dataset:
             if tuple(row.payload.keys()) != names:
                 raise ValueError(f"row {i} payload does not match schema {names}")
         _check_columns(self, [self.payload_column(name) for name in names])
+        if self.descriptor.row_count != self.n_rows:
+            raise ValueError(f"descriptor row_count {self.descriptor.row_count} != {self.n_rows}")
 
     def payload_column(self, name: str) -> list:
         return [row.payload[name] for row in self.rows]
 
 
 def _check_columns(ds: "Dataset | Columns", columns: list) -> None:
-    """Every value against its variable's type, and the descriptor row count."""
+    """Every value against its variable's type, one per row."""
     if len(columns) != len(ds.schema):
         raise ValueError("payload columns do not match the schema")
     for (name, vtype), column in zip(ds.schema, columns):
@@ -257,14 +263,10 @@ def _check_columns(ds: "Dataset | Columns", columns: list) -> None:
             )
         if not held or len(column) != ds.n_rows:
             raise ValueError(f"variable {name!r} does not hold one {vtype} value per row")
-    if ds.descriptor.row_count != ds.n_rows:
-        raise ValueError(f"descriptor row_count {ds.descriptor.row_count} != {ds.n_rows} rows")
 
 
 #: A field dictionary's length in a body: a little-endian uint32.
 LENGTH_DTYPE = np.dtype("<u4")
-# the widths an index entry may take, narrowest first (see index_dtype)
-_INDEX_DTYPES = (np.dtype("u1"), np.dtype("<u2"), np.dtype("<u4"))
 _WORDS = DIGEST_DTYPE.itemsize // 8  # 8-byte words per digest
 
 #: A coded payload column's width marker, as its body header names it, and
@@ -296,13 +298,11 @@ def _coded_marker(column: list) -> str | None:
 
 def index_dtype(size: int) -> np.dtype:
     """The dtype of an index into a dictionary of ``size`` entries: the
-    narrowest of _INDEX_DTYPES whose values address every entry; the widest
-    addresses any length a LENGTH_DTYPE can state. The body carries each
-    dictionary's length, so the width needs no field of its own."""
-    for dtype in _INDEX_DTYPES[:-1]:
-        if size <= 1 << 8 * dtype.itemsize:
-            return dtype
-    return _INDEX_DTYPES[-1]
+    narrowest unsigned one of PAYLOAD_DTYPES whose values address every
+    entry, by the rule a coded payload column follows; 4 bytes address any
+    length a LENGTH_DTYPE can state. The body carries each dictionary's
+    length, so the width needs no field of its own."""
+    return PAYLOAD_DTYPES[_payload_marker(0, size - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +382,8 @@ def _check_field_codes(fields: FieldCodes, n_rows: int) -> None:
 class Columns:
     """A pseudonymized dataset held column by column, in its body's layout.
 
+    ``station_id`` names the station the rows came from; at the TSE, the
+    sender it authenticated, since a body does not carry it.
     ``payload`` holds one column per variable, in schema order: a list, or,
     where dataset_from_bytes read a coded column, a read-only 1-D integer
     array viewing the body (``.tolist()`` gives its Python ints).
@@ -394,7 +396,6 @@ class Columns:
 
     station_id: str
     schema: tuple[tuple[str, str], ...]
-    descriptor: DatasetDescriptor
     payload: list[list | np.ndarray]
     digests: np.ndarray
     fields: FieldCodes | None = None
@@ -456,17 +457,16 @@ def to_columns(ds: Dataset | Columns) -> Columns:
     fields = (hex_field_codes([vector.per_field for vector in vectors])
               if "field_codes" in parts else None)
     payload = [ds.payload_column(name) for name in ds.variable_names()]
-    return Columns(ds.station_id, ds.schema, ds.descriptor, payload,
+    return Columns(ds.station_id, ds.schema, payload,
                    digests.reshape(len(vectors), int("composite" in parts)), fields)
 
 
 @dataclass
 class _BodyHeader:
-    """The JSON header of a dataset body."""
+    """The JSON header of a dataset body: only what the TSE reads, so an
+    earlier header's ``station_id`` or ``descriptor`` is an unknown key."""
 
-    station_id: str
     schema: tuple[tuple[str, str], ...]
-    descriptor: DatasetDescriptor
     row_count: int
     digests: tuple[str, ...]  # the digest parts the body carries, as in _PARTS
     # per payload variable, in schema order: a JSON array, or the width
@@ -490,9 +490,8 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     payload = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.payload]
     markers = [_coded_marker(column) for column in payload]
     entries = [marker or column for column, marker in zip(payload, markers)]
-    header = _BodyHeader(cols.station_id, cols.schema, cols.descriptor, cols.n_rows,
-                         cols.parts, entries, cols.salt_check)
-    doc = canonical_json_bytes({**vars(header), "descriptor": asdict(cols.descriptor)})
+    header = _BodyHeader(cols.schema, cols.n_rows, cols.parts, entries, cols.salt_check)
+    doc = canonical_json_bytes(vars(header))
     chunks = [*write_field(_U32, doc), cols.digests.tobytes()]
     if cols.fields is not None:
         dictionaries = cols.fields.dictionaries
@@ -552,8 +551,9 @@ def _check_payload_form(header: _BodyHeader, payload: list) -> None:
                              f"where its values take {need or 'a JSON array'}")
 
 
-def dataset_from_bytes(data: bytes) -> Columns:
-    """Inverse of dataset_to_bytes; validates the result. A body whose
+def dataset_from_bytes(data: bytes, station_id: str) -> Columns:
+    """Inverse of dataset_to_bytes, for the rows of ``station_id``, which
+    the caller vouches for; validates the result. A body whose
     lengths or header do not fit together raises ValueError, one whose
     digests are whole 64-byte SHA-512 outputs among them, and so does
     per-field codes or a payload column out of their canonical form (see
@@ -562,7 +562,6 @@ def dataset_from_bytes(data: bytes) -> Columns:
     doc, start = read_field(memoryview(data), 0, _U32)
     header = check_types(block_from_dict(_BodyHeader, from_json_bytes(bytes(doc))))
     n_rows, parts = header.row_count, header.digests
-    check_types(header.descriptor)
     if n_rows < 0:
         raise ValueError(f"bad row_count {n_rows}")
     if parts not in _PARTS:
@@ -584,8 +583,8 @@ def dataset_from_bytes(data: bytes) -> Columns:
     payload, at = _take_payload(data, at, header)
     if at != len(data):
         raise ValueError(f"{len(data) - start} digest bytes for {n_rows} rows of {list(parts)}")
-    cols = Columns(header.station_id, header.schema, header.descriptor, payload,
-                   digests.reshape(n_rows, composite), fields, header.salt_check)
+    cols = Columns(station_id, header.schema, payload, digests.reshape(n_rows, composite),
+                   fields, header.salt_check)
     cols.validate()
     _check_payload_form(header, payload)
     return cols
@@ -631,9 +630,10 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
     """Read a station CSV; every row's linkage fields are canonicalized, and
     a CSV without one of the QID_FIELDS columns, or a row with a field that
     cannot be canonicalized, raises MalformedField. An unknown or ill-typed
-    sidecar key, a row whose cell count differs from the header's, or a
-    numeric cell that is not finite, raises ValueError. Each names the file,
-    and the line for a row."""
+    sidecar key, a byte that is not UTF-8, a fault of the CSV reader itself
+    (such as a cell past its size limit), a row whose cell count differs
+    from the header's, or a numeric cell that is not finite, raises
+    ValueError. Each names the file, and the line for a row."""
     csv_path = Path(csv_path)
     if descriptor_path is None:
         descriptor_path = csv_path.with_suffix(".descriptor.json")
@@ -643,11 +643,17 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
     except ValueError as exc:
         raise ValueError(f"{descriptor_path}: {exc}") from None
 
+    # a byte-order mark, as spreadsheet exports write, is no part of the first
+    # column's name; decoded whole, a byte that is not UTF-8 is found on its line
+    data = csv_path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line, byte = data.count(b"\n", 0, exc.start) + 1, data[exc.start]
+        raise ValueError(f"{csv_path} line {line}: byte {byte:#x} is not UTF-8") from None
     rows: list[Record] = []
-    # utf-8-sig: a byte-order mark, as spreadsheet exports write, is not
-    # part of the first column's name
-    with csv_path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         missing = [name for name in QID_FIELDS if name not in (reader.fieldnames or ())]
         if missing:
             raise MalformedField(missing[0], None, f"no such column in {csv_path}")
@@ -664,6 +670,8 @@ def read_dataset_csv(csv_path: str | Path, descriptor_path: str | Path | None = 
                 exc.args = (f"{csv_path} line {reader.line_num}: {exc}",)
                 raise exc from None
             rows.append(Record(payload=payload, qid=qid))
+    except csv.Error as exc:  # the reader's own; line_num counts only whole lines
+        raise ValueError(f"{csv_path} line {reader.line_num + 1}: {exc}") from None
     source = str(csv_path) if meta.source is None else meta.source
     descriptor = DatasetDescriptor(source, meta.extracted_at, meta.row_count)
     ds = Dataset(meta.station_id, meta.schema, rows, descriptor)

@@ -291,12 +291,11 @@ class DataStationActor(_Party):
 
     def _prepare_and_send(self) -> list[Outgoing]:
         manifest = self._manifest
-        peers = [s for s in manifest.data_station_ids() if s != self.station_id]
-        if len(peers) != 1:
-            return self.abort(f"BadTopology({len(peers)} peers)")
-        peer_key = self.config.peer_encryption_keys.get(peers[0])
+        # validate_train accepted two distinct data stations, this one among them
+        (peer,) = (s for s in manifest.data_station_ids() if s != self.station_id)
+        peer_key = self.config.peer_encryption_keys.get(peer)
         if peer_key is None:
-            return self.abort(f"MissingPeerKey({peers[0]})")
+            return self.abort(f"MissingPeerKey({peer})")
         try:
             salt = self.config.reuse_salt or derive_salt(
                 self.config.enc_keys, peer_key, self._run_id, manifest.signable_bytes()
@@ -306,7 +305,7 @@ class DataStationActor(_Party):
         # a salt is good for exactly one run; enforced here, at seal time
         if salt.run_id != self._run_id:
             return self.abort("RunMismatch(salt)")
-        self._log("salt_derived", peers[0])
+        self._log("salt_derived", peer)
 
         request = manifest.request_for(self.station_id)
         dataset = self.config.dataset
@@ -320,7 +319,6 @@ class DataStationActor(_Party):
         extract = Columns(
             self.station_id,
             tuple((name, types[name]) for name in request.variables),
-            replace(dataset.descriptor, row_count=len(kept)),
             [[row.payload[name] for row in kept] for name in request.variables],
             *pseudonymize([row.qid for row in kept], salt, manifest.linkage.mode),
             salt.check,
@@ -464,10 +462,6 @@ class TseActor(_Party):
         self.phase = VALIDATED
         self._log("train_validated")
         self._expected = msg.manifest.data_station_ids()
-        # pairwise linkage only: reject wider topologies instead of silently
-        # dropping a station's data
-        if len(self._expected) != 2:
-            return self.abort(f"UnsupportedTopology({len(self._expected)} stations)")
         self.phase = AWAITING_DATA
         self._log("awaiting_data", ",".join(self._expected))
         return [self._send(msg.manifest.researcher_id, Ack)]
@@ -503,7 +497,8 @@ class TseActor(_Party):
             body = self.storage.put_bytes(f"dataset:{sid}", plaintext)
             self._log("package_opened", sid)
             try:
-                datasets.append(dataset_from_bytes(body))
+                # named by the sender whose signature open_package checked
+                datasets.append(dataset_from_bytes(body, sid))
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
             self._held.append(datasets[-1])

@@ -1,7 +1,8 @@
 """Shared test helpers: scenario builder, pseudonymization shortcut, the
 row-major form of dictionary-coded per-field digests, a body header
 rewriter, the content key wrap
-built from RFC 9180 alone and as the previous version wrapped it, and the
+built from RFC 9180 alone and as the previous version wrapped it, a package
+sealed under the previous format's header, and the
 independent brute-force linkage oracle used to check link() output."""
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def row_major_body(body: bytes) -> bytes:
     dictionary coded: the header names the part "per_field" and holds every
     payload column as a JSON array, and each row's composite and four
     per-field digests follow, row after row."""
-    cols = dataset_from_bytes(body)
+    cols = dataset_from_bytes(body, "A")
     header_len = int.from_bytes(body[:4], "big")
     header = json.loads(body[4 : 4 + header_len])
     header["digests"] = ["per_field" if p == "field_codes" else p for p in header["digests"]]
@@ -95,6 +96,35 @@ def previous_format_package(pkg: SealedPackage, recipient: KeyPair) -> SealedPac
     nonce = os.urandom(12)
     wrapped = AESGCM(kek).encrypt(nonce, unwrap_content_key(pkg, recipient), ephemeral_pub)
     return dataclasses.replace(pkg, wrapped_content_key=ephemeral_pub + nonce + wrapped)
+
+
+@dataclasses.dataclass(frozen=True)
+class KeyIdsPackage(SealedPackage):
+    """A package of the previous format: its header, and so the AAD its
+    ciphertext is sealed under, also names the recipient's encryption key
+    id and the sender's signing key id."""
+
+    key_ids: tuple[str, str] = ("", "")
+
+    def header(self) -> dict:
+        return {**super().header(), "key_ids": list(self.key_ids)}
+
+
+def key_ids_package(pkg: SealedPackage, recipient: KeyPair,
+                    key_ids: tuple[str, str]) -> KeyIdsPackage:
+    """``pkg``'s signed plaintext sealed again as the previous format sealed
+    it, under a header that names ``key_ids``, with a fresh content key
+    wrapped to ``recipient``: a package that version would have opened."""
+    content = unwrap_content_key(pkg, recipient)
+    inner = AESGCM(content[:32]).decrypt(
+        content[32:], pkg.ciphertext + pkg.outer_auth_tag, canonical_json_bytes(pkg.header()))
+    old = KeyIdsPackage(**dataclasses.asdict(pkg), key_ids=key_ids)
+    key, nonce = os.urandom(32), os.urandom(12)
+    sealed = AESGCM(key).encrypt(nonce, inner, canonical_json_bytes(old.header()))
+    public = X25519PublicKey.from_public_bytes(recipient.public_encryption_key)
+    return dataclasses.replace(
+        old, wrapped_content_key=HPKE.encrypt(key + nonce, public, info=WRAP_INFO),
+        ciphertext=sealed[:-16], outer_auth_tag=sealed[-16:])
 
 
 @dataclasses.dataclass

@@ -887,8 +887,9 @@ class TestStationDatasetReadStrictly:
         ("6211AB,12,F,1960-03-15,66,67", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15,nan", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15,1e999", SIDECAR, "line 2"),
+        ("6211AB,12,F,1960-03-15," + "9" * 200_000, SIDECAR, "line 2: field larger"),
     ], ids=["unknown_key", "station_id_int", "row_count_float", "top_level_array",
-            "short_row", "long_row", "nan_cell", "overflowing_cell"])
+            "short_row", "long_row", "nan_cell", "overflowing_cell", "cell_past_csv_limit"])
     def test_refuses_to_start(self, tmp_path, row, sidecar, named):
         runner = CliRunner()
         assert runner.invoke(main, ["keygen", str(tmp_path / "k")]).exit_code == 0

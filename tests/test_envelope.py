@@ -8,7 +8,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
-from conftest import HPKE, WRAP_INFO, make_scenario, previous_format_package, unwrap_content_key
+from conftest import (
+    HPKE, WRAP_INFO, key_ids_package, make_scenario, previous_format_package, unwrap_content_key,
+)
 from phtlink.analysis import table_to_csv
 from phtlink.encoding import b64encode, canonical_json_bytes
 from phtlink.envelope import (
@@ -54,10 +56,6 @@ class TestKeyGeneration:
         s_one, s_two = generate_signing_keys("r1"), generate_signing_keys("r1")
         assert s_one.key_id != s_two.key_id
         assert s_one.verification_key != s_two.verification_key
-
-    def test_run_scope_parsing(self):
-        assert generate_encryption_keypair("r9").run_scope == "r9"
-        assert generate_encryption_keypair().run_scope is None
 
 
 class TestSealOpen:
@@ -290,6 +288,21 @@ class TestPackageEncoding:
         with pytest.raises(DecodeError):
             SealedPackage.from_bytes(len(spaced).to_bytes(4, "big") + spaced
                                      + data[4 + header_len :])
+
+    def test_header_holds_the_sender_the_run_and_the_algorithms_only(self, keys):
+        import json
+
+        data = sealed(keys).to_bytes()
+        header = json.loads(data[4 : 4 + int.from_bytes(data[:4], "big")])
+        assert sorted(header) == ["algorithms", "run_id", "sender_station_id"]
+
+    def test_previous_format_header_naming_key_ids_is_a_decode_error(self, keys):
+        kp, sk = keys
+        old = key_ids_package(sealed(keys), kp, (kp.key_id, sk.key_id))
+        # a package the previous format would open: its AAD names the key ids
+        assert open_package(old, kp, sk.verification_key) == b"payload bytes"
+        with pytest.raises(DecodeError, match="unknown SealedPackage key 'key_ids'"):
+            SealedPackage.from_bytes(old.to_bytes())
 
 
 class TestKeyIds:

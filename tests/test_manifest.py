@@ -105,6 +105,20 @@ class TestValidateTrain:
         assert verdict.reason == "UnauthorizedVariable"
 
 
+    @pytest.mark.parametrize("stations", [
+        (), ("A",), ("A", "B", "C"), ("A", "A"), ("A", "TSE"), ("researcher", "B"),
+    ], ids=["none", "one", "three", "one_twice", "tse", "researcher"])
+    def test_run_of_other_than_two_data_stations_rejected(self, stations):
+        manifest, anchor = build_manifest()
+        requests = tuple(DataRequest(sid, ("age",)) for sid in stations)
+        manifest = sign_manifest(dataclasses.replace(manifest, data_requests=requests), anchor)
+        for station_id in (None, *stations[:1]):
+            verdict = validate_train(manifest, anchor.verification_key, NOW,
+                                     station_id=station_id, allowed_variables=("age",))
+            assert (verdict.accepted, verdict.reason) == (False, "InvalidManifest")
+            assert "two distinct data stations" in verdict.detail
+
+
 class TestManifestEncoding:
     def test_dict_roundtrip_identity(self):
         manifest, _ = build_manifest()

@@ -294,6 +294,29 @@ class TestCsvReadStrictly:
         with pytest.raises(ValueError, match="a.csv line 2: .*not a finite number"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("header", [False, True])
+    def test_cell_past_the_reader_size_limit_names_its_line(self, tmp_path, header):
+        # csv raises its own csv.Error here, which is no ValueError
+        big = "9" * 200_000
+        rows = ["6211AB,12,F,1960-03-15,66", f"6211AB,12,F,1960-03-15,{big}"]
+        path = self._files(tmp_path, *rows)
+        if header:
+            path.write_text(f"{self.HEADER},{big}\n{rows[0]}\n")
+        with pytest.raises(ValueError, match=f"a.csv line {1 if header else 3}: "
+                                             "field larger than field limit"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("at", [1, 2, 400])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, at):
+        rows = ["6211AB,12,F,1960-03-15,66"] * 400
+        path = self._files(tmp_path, *rows)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[at - 1] = lines[at - 1].replace(b",", b"\xff,", 1)
+        # behind a byte-order mark, as spreadsheet exports write
+        path.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+        with pytest.raises(ValueError, match=f"a.csv line {at}: byte 0xff is not UTF-8"):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("cell, value", [("66", 66), ("66.0", 66), ("1e3", 1000),
                                              ("66.5", 66.5), ("1e308", 1e308)])
     def test_finite_numeric_cells_load(self, tmp_path, cell, value):
@@ -341,7 +364,7 @@ class TestDatasetWireBytes:
         vec = pseudonymize(canonicalize(raw()), salt)
         ds = make_dataset("A", (("age", "numeric"),),
                           [Record(payload={"age": 40}, pseudonym=vec)])
-        back = dataset_from_bytes(dataset_to_bytes(ds))
+        back = dataset_from_bytes(dataset_to_bytes(ds), "A")
         assert back.parts == ("composite", "field_codes")
         assert back.digests.tobytes() == bytes.fromhex(vec.composite)
         assert per_row_digests(back.fields).tobytes() == bytes.fromhex("".join(vec.per_field))
@@ -371,7 +394,6 @@ class TestColumnarBody:
         """The decoded columns hold everything the dataset held."""
         assert back.station_id == ds.station_id
         assert back.schema == ds.schema
-        assert back.descriptor == ds.descriptor
         assert _values(back) == [ds.payload_column(n) for n in ds.variable_names()]
         vectors = [r.pseudonym for r in ds.rows if r.pseudonym is not None]
         composites = [v.composite for v in vectors if v.composite is not None]
@@ -386,16 +408,16 @@ class TestColumnarBody:
     @pytest.mark.parametrize("mode", ["exact", "probabilistic", None])
     def test_roundtrip_per_mode(self, mode):
         ds = self._dataset(mode)
-        back = dataset_from_bytes(dataset_to_bytes(ds))
+        back = dataset_from_bytes(dataset_to_bytes(ds), "A")
         self._assert_same(back, ds)
         assert back.parts == {"exact": ("composite",), "probabilistic": ("field_codes",),
                               None: ("composite", "field_codes")}[mode]
 
     def test_roundtrip_without_pseudonyms_or_rows(self):
         merged = make_dataset("A+B", (("age", "numeric"),), [Record(payload={"age": 1})])
-        self._assert_same(dataset_from_bytes(dataset_to_bytes(merged)), merged)
+        self._assert_same(dataset_from_bytes(dataset_to_bytes(merged), "A+B"), merged)
         empty = make_dataset("A", (("age", "numeric"),), [])
-        self._assert_same(dataset_from_bytes(dataset_to_bytes(empty)), empty)
+        self._assert_same(dataset_from_bytes(dataset_to_bytes(empty), "A"), empty)
 
     def test_digests_travel_raw_after_a_length_prefixed_header(self):
         ds = self._dataset("exact")
@@ -416,13 +438,13 @@ class TestColumnarBody:
         cols = to_columns(self._dataset("exact"))
         cols.salt_check = Salt(b"\x03" * 32, "run-x").check
         body = dataset_to_bytes(cols)
-        assert dataset_from_bytes(body).salt_check == cols.salt_check
+        assert dataset_from_bytes(body, "A").salt_check == cols.salt_check
         header_len = int.from_bytes(body[:4], "big")
         header = json.loads(body[4 : 4 + header_len])
         del header["salt_check"]
         doc = json.dumps(header).encode()
         with pytest.raises(ValueError, match="salt_check"):
-            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :])
+            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :], "A")
 
     def test_rows_with_different_digest_parts_refused(self):
         ds = self._dataset("exact")
@@ -448,7 +470,7 @@ class TestColumnarBody:
             body[:lengths_at + 15],  # no room for the dictionary lengths
         ):
             with pytest.raises(ValueError):
-                dataset_from_bytes(bad)
+                dataset_from_bytes(bad, "A")
 
     @pytest.mark.parametrize("length, named", [
         (4, "overrun"),  # a dictionary one digest longer than it is
@@ -463,7 +485,7 @@ class TestColumnarBody:
         lengths[1] = length
         body[lengths_at : lengths_at + 16] = lengths.tobytes()
         with pytest.raises(ValueError, match=named):
-            dataset_from_bytes(bytes(body))
+            dataset_from_bytes(bytes(body), "A")
 
     @staticmethod
     def _house_numbers_coded(dictionary, index):
@@ -479,7 +501,7 @@ class TestColumnarBody:
         return dataset_to_bytes(dataclasses.replace(cols, fields=coded))
 
     def test_canonical_codes_accepted(self):
-        assert dataset_from_bytes(self._house_numbers_coded([0, 1, 2], [0, 1, 2])).n_rows == 3
+        assert dataset_from_bytes(self._house_numbers_coded([0, 1, 2], [0, 1, 2]), "A").n_rows == 3
 
     def test_entries_that_share_their_first_bytes_are_no_duplicates(self):
         cols = to_columns(self._dataset("probabilistic"))
@@ -487,7 +509,7 @@ class TestColumnarBody:
         dictionaries = list(cols.fields.dictionaries)
         dictionaries[1] = shared
         coded = FieldCodes(tuple(dictionaries), cols.fields.index)
-        back = dataset_from_bytes(dataset_to_bytes(dataclasses.replace(cols, fields=coded)))
+        back = dataset_from_bytes(dataset_to_bytes(dataclasses.replace(cols, fields=coded)), "A")
         assert back.fields.dictionaries[1].tobytes() == shared.tobytes()
 
     @pytest.mark.parametrize("dictionary, index, named", [
@@ -500,20 +522,23 @@ class TestColumnarBody:
     def test_codes_out_of_canonical_form_rejected(self, dictionary, index, named):
         body = self._house_numbers_coded(dictionary, index)
         with pytest.raises(ValueError, match=named):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
     @pytest.mark.parametrize("mode", ["probabilistic", None])
     def test_row_major_per_field_body_refused_by_name(self, mode):
         body = row_major_body(dataset_to_bytes(self._dataset(mode)))
         with pytest.raises(ValueError, match=r"unknown digest parts \[.*'per_field'\]"):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
     @pytest.mark.parametrize("key, value, named", [
         ("extra", "x", "extra"),  # a key the header does not declare
         ("row_count", True, "row_count"),
         ("schema", [["age", 1], ["status", "categorical"], ["score", "numeric"]], "schema"),
         ("digests", "composite", "digests"),
-        ("descriptor", {"source": "s", "extracted_at": "t", "row_count": 3.0}, "row_count"),
+        # keys of the previous format's header
+        ("descriptor", {"source": "s", "extracted_at": "t", "row_count": 3},
+         "unknown _BodyHeader key 'descriptor'"),
+        ("station_id", "A", "unknown _BodyHeader key 'station_id'"),
         ("columns", ["abc", ["s0", "s1", "s2"], [0.0, 0.5, 1.0]], "age"),
         ("salt_check", 7, "salt_check"),
     ])
@@ -523,7 +548,7 @@ class TestColumnarBody:
         header = {**json.loads(body[4 : 4 + header_len]), key: value}
         doc = json.dumps(header).encode()
         with pytest.raises(ValueError, match=named):
-            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :])
+            dataset_from_bytes(len(doc).to_bytes(4, "big") + doc + body[4 + header_len :], "A")
 
     @pytest.mark.parametrize("mode", [None, "probabilistic"])
     @given(cut=st.integers(0, 400), flip=st.integers(0, 8 * 400 - 1))
@@ -532,7 +557,7 @@ class TestColumnarBody:
         body = bytearray(dataset_to_bytes(self._dataset(mode, n=2)))
         body[flip // 8 % len(body)] ^= 1 << (flip % 8)
         try:
-            dataset_from_bytes(bytes(body[: len(body) - cut]))
+            dataset_from_bytes(bytes(body[: len(body) - cut]), "A")
         except ValueError:
             pass
 
@@ -561,7 +586,7 @@ class TestPayloadColumns:
     }
 
     @staticmethod
-    def _dataset(columns, source="s", types=None):
+    def _dataset(columns, salt_check="", types=None):
         """A payload-only dataset of one variable per column, numeric
         unless ``types`` says otherwise."""
         n = len(columns[0]) if columns else 0
@@ -569,7 +594,8 @@ class TestPayloadColumns:
         schema = tuple((f"v{k}", vtype) for k, vtype in enumerate(types))
         rows = [Record(payload={name: column[r] for (name, _), column in zip(schema, columns)})
                 for r in range(n)]
-        return make_dataset("A", schema, rows, source=source)
+        cols = to_columns(make_dataset("A", schema, rows))
+        return dataclasses.replace(cols, salt_check=salt_check)
 
     @given(n=st.integers(0, 6), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -578,7 +604,7 @@ class TestPayloadColumns:
         columns = [data.draw(st.lists(self.KINDS[kind], min_size=n, max_size=n)) for kind in kinds]
         types = ["categorical" if kind == "str" else "numeric" for kind in kinds]
         body = dataset_to_bytes(self._dataset(columns, types=types))
-        back = dataset_from_bytes(body)
+        back = dataset_from_bytes(body, "A")
         assert dataset_to_bytes(back) == body  # views encode as the lists did
         got = _values(back)
         assert got == columns
@@ -605,15 +631,15 @@ class TestPayloadColumns:
         ([-1, 2**63], None), ([0, 2**64], None), ([-(2**63) - 1, 0], None),
     ])
     def test_column_travels_at_the_narrowest_width(self, values, marker):
-        # a source one character longer moves the column one byte on, so
-        # each width is read as a view at an even and at an odd offset
+        # a salt check one character longer moves the column one byte on,
+        # so each width is read as a view at an even and at an odd offset
         starts = set()
         column = values + values[::-1] + [values[0]]
-        for source in ("s", "ss"):
-            body = dataset_to_bytes(self._dataset([column], source))
+        for salt_check in ("s", "ss"):
+            body = dataset_to_bytes(self._dataset([column], salt_check))
             header_len = int.from_bytes(body[:4], "big")
             entry = json.loads(body[4 : 4 + header_len])["columns"][0]
-            back = dataset_from_bytes(body)
+            back = dataset_from_bytes(body, "A")
             assert _values(back) == [column]
             if marker is None:
                 assert entry == column and isinstance(back.payload[0], list)
@@ -637,7 +663,7 @@ class TestPayloadColumns:
         body = dataset_to_bytes(self._dataset([[1, 2, 3, 4]]))
         values = np.array([1, 2, 3, 4], PAYLOAD_DTYPES.get(sent, "u1")).tobytes()
         with pytest.raises(ValueError, match=named):
-            dataset_from_bytes(with_header(body[:-4] + values, columns=[sent]))
+            dataset_from_bytes(with_header(body[:-4] + values, columns=[sent]), "A")
 
     def test_json_column_the_rule_codes_refused(self):
         # a body as stations wrote it before integer columns were coded
@@ -645,29 +671,29 @@ class TestPayloadColumns:
         body = with_header(body[:-3], columns=[[1, 2, 3]])
         named = "'v0' travels as a JSON array, where its values take u1"
         with pytest.raises(ValueError, match=named):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
     def test_coded_empty_column_refused(self):
         body = with_header(dataset_to_bytes(self._dataset([[]])), columns=["u1"])
         with pytest.raises(ValueError, match="'v0' travels as u1, where its values take a JSON"):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
     def test_coded_column_of_another_type_refused(self):
         body = dataset_to_bytes(self._dataset([["x"]], types=["categorical"]))
         with pytest.raises(ValueError, match="'v0' of type categorical travels as u1"):
-            dataset_from_bytes(with_header(body + b"\x07", columns=["u1"]))
+            dataset_from_bytes(with_header(body + b"\x07", columns=["u1"]), "A")
 
     @pytest.mark.parametrize("cut, named", [(1, "v1"), (3, "v0")])
     def test_coded_column_that_overruns_the_body_refused(self, cut, named):
         body = dataset_to_bytes(self._dataset([[1, 300], [5, 6]]))
         assert body.endswith(np.array([1, 300], "<u2").tobytes() + bytes([5, 6]))
         with pytest.raises(ValueError, match=f"variable '{named}': .* overrun a body"):
-            dataset_from_bytes(body[:-cut])
+            dataset_from_bytes(body[:-cut], "A")
 
     def test_column_count_that_differs_from_the_schema_refused(self):
         body = with_header(dataset_to_bytes(self._dataset([[1, 2]])), columns=["u1", "u1"])
         with pytest.raises(ValueError, match="payload columns do not match the schema"):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
 
 class TestIndexWidth:
@@ -679,7 +705,7 @@ class TestIndexWidth:
     SIZES = [(255, 1), (256, 1), (257, 2), (65535, 2), (65536, 2), (65537, 4)]
 
     @staticmethod
-    def _coded(size, first_uses=None, source="s") -> Columns:
+    def _coded(size, first_uses=None, salt_check="s") -> Columns:
         rng = np.random.default_rng(size)
         dictionary = np.frombuffer(rng.bytes(32 * size), DIGEST_DTYPE)
         others = np.frombuffer(rng.bytes(32), DIGEST_DTYPE)
@@ -688,8 +714,7 @@ class TestIndexWidth:
         n = len(codes)
         index = (codes.astype(index_dtype(size)), *[np.zeros(n, "u1")] * 3)
         fields = FieldCodes((dictionary, others, others, others), index)
-        return Columns("A", (), DatasetDescriptor(source, "t", n), [],
-                       np.empty((n, 0), DIGEST_DTYPE), fields)
+        return Columns("A", (), [], np.empty((n, 0), DIGEST_DTYPE), fields, salt_check)
 
     @staticmethod
     def _as_uint32(fields: FieldCodes) -> FieldCodes:
@@ -698,12 +723,12 @@ class TestIndexWidth:
     @pytest.mark.parametrize("size, width", SIZES)
     def test_index_round_trips_at_its_width(self, size, width):
         starts = set()
-        # a source one character longer moves the index one byte on, so
-        # each width is read as a view at an even and at an odd offset
-        for source in ("s", "ss"):
-            cols = self._coded(size, source=source)
+        # a salt check one character longer moves the index one byte on,
+        # so each width is read as a view at an even and at an odd offset
+        for salt_check in ("s", "ss"):
+            cols = self._coded(size, salt_check=salt_check)
             body = dataset_to_bytes(cols)
-            back = dataset_from_bytes(body)
+            back = dataset_from_bytes(body, "A")
             assert [i.dtype.itemsize for i in back.fields.index] == [width, 1, 1, 1]
             # field 0's index, then the other three's, close the body
             codes = cols.fields.index[0].astype(f"<u{width}")
@@ -716,7 +741,7 @@ class TestIndexWidth:
 
     @pytest.mark.parametrize("size, width", SIZES)
     def test_field_codes_match_the_uint32_index(self, size, width):
-        fields_a = dataset_from_bytes(dataset_to_bytes(self._coded(size))).fields
+        fields_a = dataset_from_bytes(dataset_to_bytes(self._coded(size)), "A").fields
         # B holds A's top entry and its first, in that order, and a digest of its own
         dictionary = fields_a.dictionaries[0]
         fields_b = FieldCodes(
@@ -735,14 +760,14 @@ class TestIndexWidth:
         first_uses = np.concatenate((np.arange(size - 2), [size - 1, size - 2]))
         body = dataset_to_bytes(self._coded(size, first_uses))
         with pytest.raises(ValueError, match="zip_code: dictionary entries out of first-row order"):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
     def test_uint32_index_of_a_small_dictionary_refused(self):
         # a body from a station that still writes every index as a uint32
         cols = self._coded(255)
         body = dataset_to_bytes(dataclasses.replace(cols, fields=self._as_uint32(cols.fields)))
         with pytest.raises(ValueError, match="digest bytes"):
-            dataset_from_bytes(body)
+            dataset_from_bytes(body, "A")
 
 
 # SHA-256 of dataset_to_bytes on an 800-row seeded population (seed 23). The
@@ -763,17 +788,21 @@ class TestIndexWidth:
 # replaced by the markers "u1" and "u4", and those values appended after the
 # digests as little-endian uint8 and uint32, a rewrite checked with struct
 # and json alone. row_major_body writes the columns back as JSON arrays, so
-# ROW_MAJOR_BODIES did not move.
+# ROW_MAJOR_BODIES did not move. Every pin, ROW_MAJOR_BODIES too, moved when
+# the header lost its "station_id" and "descriptor" keys: the bodies are the
+# earlier ones with those two keys deleted from the header JSON, which was
+# written again in canonical form, and its length prefix rewritten, a
+# rewrite done with struct and json alone.
 PINNED_BODIES = {
-    None: "f5c1b5433a684a5cec6ab8b9192acc22a8bf9ea4d80d3cdafe1a847983d65114",
-    "exact": "bd8638239a16c30575bb006051d6d5f7441cea0d4f3e2692cd165cc9a91afb56",
-    "probabilistic": "4f9346d0f39ed9cad63f909529ea9aa205cd7a4ccb2a4ffac211fc6fb93f1ba8",
-    "payload_only": "f3847debb4209ccdf80e74866b82c3d98c97ea361f82694d4de4d81c02ded0ba",
-    "empty": "57fdad54cbd20ce0f2f3ef5beb8c57e2e74c36d74897ea6a8095c98685281241",
+    None: "7d544dca44257dfec4c743b71b560c8aa6500c6da194654c16762005f7e5ff1b",
+    "exact": "f55b140f596f866cfe92496f13b7fe2637fea59ec11b7c427cb0ae1c38ed3a78",
+    "probabilistic": "84bf82a3f9de0ffc512d340749254351cb422d1490f50f113030bb3ddf815f3c",
+    "payload_only": "75b036059f9ffc31c3304de7b5c48d092a79fa9fa0c40ab9f3c3469ab0e7063a",
+    "empty": "655c3812a6154f27c13df6dad4c5dbff3559aaa138cf215f9f083aba7c0a214b",
 }
 ROW_MAJOR_BODIES = {
-    None: "e825c7439d2260b1579003cebd48338c99c46af81addaeb28097835b29c59b27",
-    "probabilistic": "1873f4be8307aa47fc8e96d14da974bcc4a3a19c092447b9f54b289d46549c06",
+    None: "ace3cd4096785a4b9372b979242612c6a3265c1d58db29b434d0d6cf8827fa6b",
+    "probabilistic": "41d77ad5bd88bd210b0cf82169fa069e53693a0e7275aaf1dcf5e8faeb940c2f",
 }
 
 

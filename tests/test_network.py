@@ -4,6 +4,7 @@ import dataclasses
 import datetime as dt
 import errno
 import hashlib
+import json
 import logging
 import socket
 import struct
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import make_scenario, previous_format_package, row_major_body, with_header
+from conftest import (
+    key_ids_package, make_scenario, previous_format_package, row_major_body, with_header,
+)
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
@@ -757,7 +760,7 @@ class TestNodeSurvives:
 
 def _big_package() -> SealedPackage:
     """A package far larger than a loopback connection's socket buffers."""
-    return SealedPackage("TSE", "run-1", ("k", "s"), bytes(92), bytes(32 * 2**20), bytes(16))
+    return SealedPackage("TSE", "run-1", bytes(92), bytes(32 * 2**20), bytes(16))
 
 
 def _host_port(node: TcpNode) -> tuple[str, int]:
@@ -1090,10 +1093,10 @@ class TestWipeEmptiesDecodedPayloads:
     def test_payload_decoded_before_a_bad_dataset_is_wiped(self, monkeypatch):
         decoded, real = [], stations.dataset_from_bytes
 
-        def second_fails(body):
+        def second_fails(body, station_id):
             if decoded:
                 raise ValueError("bad body")
-            decoded.append(real(body))
+            decoded.append(real(body, station_id))
             return decoded[-1]
 
         monkeypatch.setattr(stations, "dataset_from_bytes", second_fails)
@@ -1715,11 +1718,91 @@ class TestDataMinimisation:
         assert out.completed
         assert out.result.audit["run"]["records_received"] == {"A": 0, "B": 25}
         assert out.storage.wiped and out.storage.inventory() == ()
-        extract_a = next(cols for cols in map(dataset_from_bytes, opened)
-                         if cols.station_id == "A")
+        # the TSE opens the packages in the manifest's order, A's first
+        extract_a = dataset_from_bytes(opened[0], "A")
         # an empty extract still names the part its mode links on
         assert extract_a.parts == (("composite",) if mode == "exact" else ("field_codes",))
         assert extract_a.n_rows == 0
+
+
+class TestSealedExtractFormat:
+    """A sealed extract carries only what the TSE reads: its body names no
+    station and its package no key, and the TSE names each extract by the
+    sender whose package it opened. A body or a package of the previous
+    format fails closed."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_extract_and_package_hold_only_what_the_tse_reads(self, monkeypatch, transport):
+        scn = demo_scenario(seed=5, n_a=300, n_b=100)
+        opened = _opened_plaintexts(monkeypatch, scn.setup.tse.enc_keys)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.completed and len(opened) == 2
+        assert out.result.audit["run"]["records_received"] == {"A": 300, "B": 100}
+        for body in opened:
+            header = json.loads(body[4 : 4 + int.from_bytes(body[:4], "big")])
+            assert sorted(header) == ["columns", "digests", "row_count", "salt_check", "schema"]
+        transfers = [f for f in out.received_bytes["TSE"] if f[5] == TYPE_DATA_TRANSFER]
+        assert len(transfers) == 2
+        for frame in transfers:
+            (json_len,) = struct.unpack(">I", frame[10:14])
+            package = frame[14 + json_len :]
+            header = json.loads(package[4 : 4 + int.from_bytes(package[:4], "big")])
+            assert sorted(header) == ["algorithms", "run_id", "sender_station_id"]
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("named", ["A", "B"])
+    def test_body_that_names_a_station_aborts_and_wipes(self, monkeypatch, transport, named):
+        # A's body header names a station as the previous format's did: its
+        # own id, or its peer's, which the TSE once trusted over the sender
+        original = stations.dataset_to_bytes
+
+        def naming_at_a(cols):
+            body = original(cols)
+            return with_header(body, station_id=named) if cols.station_id == "A" else body
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", naming_at_a)
+        out = run_network(demo_scenario().setup, transport=transport,
+                          tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == (
+            "aborted", "BadDataset@A: unknown _BodyHeader key 'station_id'")
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_package_that_names_its_key_ids_fails_closed(self, monkeypatch, caplog, transport):
+        """B seals as the previous format did, naming its key ids in the
+        package header: the TSE drops B's DataTransfer as undecodable,
+        aborts at its deadline and wipes."""
+        scn = demo_scenario()
+        original = stations.seal
+
+        def previous_format(plaintext, run_id, sender_id, recipient, signer):
+            pkg = original(plaintext, run_id, sender_id, recipient, signer)
+            if sender_id != "B":
+                return pkg
+            return key_ids_package(pkg, scn.tse_enc, (recipient.key_id, signer.key_id))
+
+        monkeypatch.setattr(stations, "seal", previous_format)
+        with caplog.at_level(logging.WARNING, logger="phtlink"):
+            out = run_network(scn.setup, transport=transport, tse_timeout=1.0, run_timeout=15.0)
+        assert (out.outcome, out.reason) == ("aborted", "Timeout")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert ("data_received", "A") in [(e["event"], e["detail"]) for e in out.audit_logs["TSE"]]
+        assert "unknown SealedPackage key 'key_ids'" in caplog.text
+
+
+class TestTseKeyOfAnotherRun:
+    def test_station_refuses_to_seal_and_the_tse_wipes(self):
+        """A manifest whose TSE key id is bound to another run: each data
+        station's seal refuses it, and the run ends RunMismatch."""
+        scn = demo_scenario()
+        key_id = scn.manifest.tse_encryption_key_id.replace(scn.manifest.run_id, "run-other")
+        assert key_id.startswith("run-other:enc:")
+        scn.setup.manifest = sign_manifest(
+            dataclasses.replace(scn.manifest, tse_encryption_key_id=key_id), scn.anchor)
+        out = run_network(scn.setup, transport="inproc")
+        assert (out.outcome, out.reason) == ("aborted", "RunMismatch")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert not any(e[0] == "DataTransfer" for v in out.traces.values() for e in v)
 
 
 class TestCorruptPackageBody:

@@ -78,7 +78,7 @@ def opened(scn, transfer):
         transfer.package, scn.setup.tse.enc_keys,
         scn.manifest.verification_key_for(transfer.sender), expected_run_id=scn.manifest.run_id,
     )
-    return dataset_from_bytes(plaintext)
+    return dataset_from_bytes(plaintext, transfer.sender)
 
 
 class TestDataStationHappyPath:
@@ -106,7 +106,7 @@ class TestDataStationHappyPath:
             scn.manifest.verification_key_for("A"),
             expected_run_id=scn.manifest.run_id,
         )
-        extract = dataset_from_bytes(plaintext)
+        extract = dataset_from_bytes(plaintext, "A")
         assert extract.variable_names() == ("age",)
         # every row carries its composite; Columns hold no QIDs at all
         assert extract.parts == ("composite",)
@@ -121,7 +121,7 @@ class TestDataStationHappyPath:
             scn.manifest.verification_key_for("A"),
             expected_run_id=scn.manifest.run_id,
         )
-        extract = dataset_from_bytes(plaintext)
+        extract = dataset_from_bytes(plaintext, "A")
         assert 0 < extract.n_rows < len(scn.ds_a.rows)
         assert all(50 <= age <= 60 for age in extract.payload_column("age"))
 
@@ -278,7 +278,7 @@ class TestTse:
                 transfer_a.package, scn.setup.tse.enc_keys,
                 scn.manifest.verification_key_for("A"), expected_run_id=scn.manifest.run_id,
             )
-            extract = dataset_from_bytes(plaintext)
+            extract = dataset_from_bytes(plaintext, "A")
             if mode == "exact":
                 assert extract.parts == ("composite",)
                 assert extract.digests.shape == (extract.n_rows, 1)
@@ -367,7 +367,9 @@ class TestTse:
         assert [(o.dest, o.message.reason) for o in outs] == [("researcher", "SaltMismatch")]
         assert tse.phase == WIPED and tse.storage.inventory() == () and tse._held == []
 
-    def test_three_station_manifest_rejected(self):
+    @pytest.mark.parametrize("stations", [("A", "B", "C"), ("A", "A"), ("A", "TSE")],
+                             ids=["three", "one_twice", "tse"])
+    def test_three_station_manifest_rejected(self, stations):
         import dataclasses as dc
 
         from phtlink.manifest import DataRequest, sign_manifest
@@ -375,18 +377,24 @@ class TestTse:
         scn = scenario()
         wide = dc.replace(
             scn.manifest,
-            data_requests=scn.manifest.data_requests
-            + (DataRequest("C", ("age",)),),
+            data_requests=tuple(DataRequest(sid, ("age",)) for sid in stations),
             credential_signature=None,
         )
         wide = sign_manifest(wide, scn.anchor)
         tse = TseActor(scn.setup.tse)
         outs = tse.handle(dispatch(wide))
-        assert any(
-            isinstance(o.message, Abort) and "UnsupportedTopology" in o.message.reason
-            for o in outs
-        )
-        assert tse.phase == WIPED
+        assert [(o.dest, o.message.reason) for o in outs] == [("researcher", "InvalidManifest")]
+        assert tse.phase == WIPED and tse.storage.inventory() == ()
+
+    def test_second_dispatch_aborts_and_wipes(self):
+        scn = scenario()
+        a, b, tse = actors(scn)
+        transfer_a, _ = run_stations(scn, a, b)
+        tse.handle(dispatch(scn.manifest))
+        tse.handle(transfer_a)
+        outs = tse.handle(dispatch(scn.manifest, seq=2))
+        assert [(o.dest, o.message.reason) for o in outs] == [("researcher", "DuplicateRun")]
+        assert tse.phase == WIPED and tse.storage.inventory() == () and tse._packages == {}
 
     def test_data_before_dispatch_aborts_without_messages(self):
         scn = scenario()
@@ -470,6 +478,26 @@ class TestResearcherDispatchOrder:
         assert [(o.dest, o.message.reason) for o in cancels] == [
             ("TSE", "UnauthorizedVariable"), ("B", "UnauthorizedVariable"),
         ]
+
+
+class TestResearcherDropsUnexpected:
+    @pytest.mark.parametrize("kind", ["dispatch", "transfer"])
+    def test_dispatch_or_transfer_is_dropped_and_audited(self, kind):
+        scn = scenario()
+        researcher = ResearcherActor("researcher", scn.manifest, dict(ENDPOINTS))
+        researcher.start()
+        if kind == "dispatch":
+            msg = dispatch(scn.manifest)
+        else:
+            msg, _ = run_stations(scn, *actors(scn)[:2])
+        assert researcher.handle(msg) == []
+        assert not researcher.done and not researcher.terminal
+        dropped = [e["detail"] for e in researcher.audit.events
+                   if e["event"] == "unexpected_dropped"]
+        assert dropped == [type(msg).__name__]
+        # it keeps waiting: the TSE's Ack still dispatches the stations
+        outs = researcher.handle(Ack(scn.manifest.run_id, 1, "TSE"))
+        assert types_by_dest(outs) == [("A", "TrainDispatch"), ("B", "TrainDispatch")]
 
 
 class TestResearcherTerminal:

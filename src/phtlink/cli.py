@@ -302,6 +302,9 @@ def station(config_path: Path):
             _resolve(base, cfg.dataset_csv),
             None if cfg.descriptor is None else _resolve(base, cfg.descriptor),
         )
+        if dataset.station_id != cfg.station_id:
+            raise BadConfig(f"dataset of station {dataset.station_id!r}, "
+                            f"not of the configured station {cfg.station_id!r}")
         anchor_verify = public_key_from_pem(
             _resolve(base, cfg.trust_anchor_verify_key).read_bytes()
         )
@@ -441,7 +444,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
 
     started = time.perf_counter()
     # at the deadline the researcher aborts with Timeout and cancels the run
-    # at every party it dispatched
+    # at the TSE, the one party that still holds it
     router = Router(timeout_s=timeout_s)
     node = TcpNode(manifest.researcher_id, router)
     endpoints = {**draft.endpoints, manifest.researcher_id: node.address}
@@ -450,7 +453,7 @@ def submit(draft_file: Path, anchor_key: Path, out_dir: Path, timeout_s: float):
     node.post(researcher.start())  # before the worker runs
     node.start()
     try:
-        done.wait()  # the deadline ends the run; no shorter timer may stop the cancels
+        done.wait()  # the deadline ends the run; no shorter timer may stop the cancel
     finally:
         node.stop()
 

@@ -124,11 +124,12 @@ def validate_train(
     """Accept iff the credential signature verifies, every field is of its
     declared type, the manifest has not expired, it asks two distinct data
     stations, neither the TSE nor the researcher, for data (linkage is
-    pairwise), its analysis, disclosure policy, linkage parameters,
-    requests and pool filters are well-typed and in range, and (for a data
-    station) the request touches only variables the station is configured
-    to release. A signature vouches for who wrote a manifest, not for what
-    it asks, so the contents are checked before any data moves."""
+    pairwise) and holds each one's verification key, its analysis,
+    disclosure policy, linkage parameters, requests and pool filters are
+    well-typed and in range, and (for a data station) the request touches
+    only variables the station is configured to release. A signature
+    vouches for who wrote a manifest, not for what it asks, so the contents
+    are checked before any data moves."""
     if manifest.credential_signature is None or not verify_payload(
         trust_anchor_verify, manifest.signable_bytes(), manifest.credential_signature
     ):
@@ -142,6 +143,9 @@ def validate_train(
         if len(set(stations) - roles) != 2 or len(stations) != 2:
             raise ValueError(f"a run links two distinct data stations, neither the TSE "
                              f"nor the researcher, not {list(stations)}")
+        unkeyed = [sid for sid in stations if manifest.verification_key_for(sid) is None]
+        if unkeyed:
+            raise ValueError(f"no verification key for data station {unkeyed[0]!r}")
         manifest.analysis.validate()
         manifest.disclosure.validate()
         manifest.linkage.validate()

@@ -12,12 +12,13 @@ Per-channel message order is preserved by construction: by default the
 in-process engine delivers frames in send order, so each (sender, receiver)
 channel is FIFO, and lets deadlines fall due once nothing is in flight (see
 _pump_inproc); a TCP node sends over one connection per address (see
-TcpNode). So the researcher's cancel follows its dispatch. Cross-sender
-interleaving is unspecified, so traces are compared per channel, never
-globally; the researcher dispatches the data stations only once the TSE has
-acknowledged its own dispatch (see ResearcherActor), so a run's outcome
-does not depend on that interleaving. Data stations never message each
-other: each derives the run's salt itself.
+TcpNode). So the researcher's cancel, sent to the TSE alone, follows the
+TSE's dispatch; a deadline is no message but a call of the live actor's
+``abort("Timeout")``. Cross-sender interleaving is unspecified, so traces
+are compared per channel, never globally; the researcher dispatches the
+data stations only once the TSE has acknowledged its own dispatch (see
+ResearcherActor), so a run's outcome does not depend on that interleaving.
+Data stations never message each other: each derives the run's salt itself.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .stations import (
     DataStationConfig,
     Outgoing,
     ResearcherActor,
-    TimeoutExpired,
     TseActor,
     TseConfig,
     TseStorage,
@@ -130,8 +130,8 @@ class Router:
     (a replayed dispatch, any other frame for an unknown run). An actor is
     evicted once terminal and only its run id is kept, so a replayed dispatch
     starts nothing. With ``timeout_s`` set, each run gets a deadline that many
-    seconds after its dispatch, delivered to its actor as TimeoutExpired: a
-    TCP node's loop sleeps only until the next deadline. In-process
+    seconds after its dispatch, where its actor's ``abort("Timeout")`` ends
+    it: a TCP node's loop sleeps only until the next deadline. In-process
     delivery is in send order, FIFO per channel, with every deadline
     falling due once the run is quiescent, by default.
     ``ledger``, shared by the nodes of one `run_network` run, records what
@@ -173,30 +173,31 @@ class Router:
         return self._deadlines[0][0] if self._deadlines else None
 
     def expire(self, now: float = math.inf) -> list[Outgoing]:
-        """Deliver every deadline due by ``now`` to its run's live actor, and
-        evict that actor: a deadline ends its run here, whatever the actor
-        was still waiting for."""
+        """End each run whose deadline is due by ``now`` with its live actor's
+        ``abort("Timeout")``, and evict that actor: a deadline ends its run
+        here, whatever the actor was still waiting for."""
         out = []
         while self._deadlines and self._deadlines[0][0] <= now:
             _, run_id = heapq.heappop(self._deadlines)
             actor = self.actors.get(run_id)
             if actor is not None:
-                out += self._handle(run_id, actor, TimeoutExpired(run_id), evict=True)
+                out += self._handle(run_id, actor)
         return out
 
-    def _handle(self, run_id: str, actor, msg, evict: bool = False) -> list[Outgoing]:
-        """Run the actor's handler; one that raises fails its run closed:
-        the actor aborts with the exception as its reason and is evicted."""
+    def _handle(self, run_id: str, actor, msg=None) -> list[Outgoing]:
+        """Hand ``msg`` to the actor, or without one end its run at the
+        deadline; a step that raises fails its run closed: the actor aborts
+        with the exception as its reason and is evicted."""
         raised = False
         try:
-            return actor.handle(msg)
+            return actor.abort("Timeout") if msg is None else actor.handle(msg)
         except Exception as exc:
             raised = True
             _drop(run_id, getattr(msg, "sender", "?"),
                   f"handler raised {type(exc).__name__}: {exc}", exc_info=True)
             return actor.abort(f"{type(exc).__name__}: {exc}")
         finally:
-            if evict or raised or actor.terminal:
+            if msg is None or raised or actor.terminal:
                 del self.actors[run_id]
                 self.finished.add(run_id)
                 self._done.pop(run_id).set()

@@ -3,10 +3,10 @@
 Each party is a single logical actor: it consumes one message at a time
 and returns the messages to emit. Actors never touch a transport, so the
 same code runs over in-process queues and TCP sockets. All three share one
-base, `_Party`, which stamps every message header, writes every audit entry,
-checks per-sender order and ends the run at its deadline; a subclass gives
-only its steps, one per message type, and its answer to a bad message. A
-party sends to the addresses its run's dispatch named, and to no others.
+base, `_Party`, which stamps every message header, writes every audit entry
+and checks per-sender order; a subclass gives only its steps, one per
+message type, its answer to a bad message and its ``abort``. A party sends
+to the addresses its run's dispatch named, and to no others.
 
 Data station phases:  Idle -> Validated -> Sent (Done on failure)
 TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
@@ -15,7 +15,9 @@ TSE phases:           Idle -> Validated -> AwaitingData -> Linking ->
 A data station does its whole run in its dispatch's one step and answers
 with its DataTransfer to the TSE and one Ack to the researcher, or with an
 Abort to each if it refuses; with the TSE's dispatch and Ack, the station
-dispatches and the result, a run sends 9 frames.
+dispatches and the result, a run sends 9 frames. A station receives only
+its dispatch: only the TSE and the researcher hold a run past it, so the
+researcher cancels the TSE alone, and a deadline calls ``abort("Timeout")``.
 
 Privacy-critical structure: each data station derives the run's salt from
 its own key and its peer's public key (envelope.derive_salt), so no salt
@@ -86,13 +88,6 @@ class Outgoing:
     dest: str
     message: Message
     address: str | None  # where the run's dispatch says ``dest`` listens
-
-
-@dataclass(frozen=True)
-class TimeoutExpired:
-    """Local deadline event injected by the transport; never on the wire."""
-
-    run_id: str
 
 
 class AuditLog:
@@ -166,12 +161,12 @@ def apply_pool_filter(rows: list[Record], pool) -> list[Record]:
 
 
 class _Party:
-    """One run party. ``handle`` ends the run with "Timeout" at its deadline
-    unless the party is already terminal, hands a message whose seq is not
-    above its sender's last to ``_out_of_order``, and any other to the step
-    ``_steps`` maps its type to, or to ``_unexpected``. A subclass gives the
-    steps, ``abort`` and ``terminal``. ``endpoints`` maps each party of the
-    run to its address: a station or TSE takes it from its dispatch."""
+    """One run party. ``handle`` hands a message whose seq is not above its
+    sender's last to ``_out_of_order``, and any other to the step ``_steps``
+    maps its type to, or to ``_unexpected``. A subclass gives the steps,
+    ``abort``, which ends the run here for any cause, a deadline included,
+    and ``terminal``. ``endpoints`` maps each party of the run to its
+    address: a station or TSE takes it from its dispatch."""
 
     #: message type -> the step that handles it
     _steps: dict = {}
@@ -196,9 +191,7 @@ class _Party:
         """Audit ``event`` under this party's run, in ``phase`` or the current one."""
         self.audit.log(self._run_id or "?", phase or self.phase, event, detail)
 
-    def handle(self, msg: Message | TimeoutExpired) -> list[Outgoing]:
-        if isinstance(msg, TimeoutExpired):
-            return [] if self.terminal else self.abort("Timeout")
+    def handle(self, msg: Message) -> list[Outgoing]:
         if msg.seq <= self._last_seen.get(msg.sender, 0):
             return self._out_of_order(msg)
         self._last_seen[msg.sender] = msg.seq
@@ -488,7 +481,7 @@ class TseActor(_Party):
                 plaintext = open_package(
                     self._packages.pop(sid),
                     self.config.enc_keys,
-                    manifest.verification_key_for(sid) or b"\x00" * 32,
+                    manifest.verification_key_for(sid),
                     expected_run_id=self._run_id,
                 )
             except PhtError as exc:
@@ -498,13 +491,18 @@ class TseActor(_Party):
             self._log("package_opened", sid)
             try:
                 # named by the sender whose signature open_package checked
-                datasets.append(dataset_from_bytes(body, sid))
+                ds = dataset_from_bytes(body, sid)
             except (PhtError, ValueError, KeyError) as exc:
                 return self.abort(f"BadDataset@{sid}: {exc}")
-            self._held.append(datasets[-1])
+            datasets.append(ds)
+            self._held.append(ds)
+            names, requested = ds.variable_names(), manifest.request_for(sid).variables
+            if names != requested:
+                return self.abort(f"BadDataset@{sid}: variables {list(names)}, "
+                                  f"not the requested {list(requested)}")
             # a station sends only the part its mode links on; a body without
             # that part is left to link, which refuses it as MissingPseudonyms
-            if datasets[-1].parts == ("composite", "field_codes"):
+            if ds.parts == ("composite", "field_codes"):
                 mode = manifest.linkage.mode
                 unused = "per-field" if mode == "exact" else "composite"
                 return self.abort(
@@ -557,8 +555,8 @@ class TseActor(_Party):
 class ResearcherActor(_Party):
     """Fourth endpoint: dispatches the train, then only ever sees Ack,
     ResultReturn and Abort; it drops anything else, and anything out of
-    order, and goes on waiting. A run deadline aborts the run with
-    "Timeout" unless it already ended, and the router that delivered it
+    order, and goes on waiting. Its router calls ``abort("Timeout")`` at the
+    run's deadline, which records nothing if the run already ended, and
     evicts the actor either way.
 
     The TSE is dispatched first, and the data stations once the TSE has
@@ -566,8 +564,9 @@ class ResearcherActor(_Party):
     DataTransfer then reaches the TSE only after its TrainDispatch, however
     a transport interleaves messages from different senders. Each data
     station that sends its extract then sends one Ack, and the TSE its
-    result. On the first Abort it hears of, it cancels the run at every
-    other party it has dispatched."""
+    result. On the first Abort it hears of, or at its deadline, it cancels
+    the run at the TSE, the one other party still holding it: a data
+    station's run ends in its dispatch's step."""
 
     def __init__(
         self,
@@ -581,7 +580,7 @@ class ResearcherActor(_Party):
         self.endpoints = dict(endpoints)
         self.acks: list[str] = []  # the sender of each Ack, in arrival order
         self.outcome: tuple[str, object] | None = None
-        self._dispatched: list[str] = []
+        self._dispatched: list[str] = []  # the TSE, then the data stations once
 
     def _dispatch(self, dest: str) -> Outgoing:
         self._dispatched.append(dest)
@@ -603,17 +602,18 @@ class ResearcherActor(_Party):
 
     def abort(self, reason: str, sender: str | None = None) -> list[Outgoing]:
         """Record the run as aborted, unless it already ended, and cancel it
-        at every party dispatched so far except ``sender``, who reported
-        the abort. A cancel leaves on the dispatch's channel, so it reaches
-        each party after that party's dispatch."""
+        at the TSE if it was dispatched and is not ``sender``, who reported
+        the abort. The cancel leaves on the dispatch's channel, so it
+        reaches the TSE after its dispatch."""
         if self.outcome is not None:
             return []
         self.outcome = ("aborted", reason)
         self._log("aborted", reason, phase="Receive")
-        cancel = [dest for dest in self._dispatched if dest != sender]
-        if cancel:
-            self._log("cancelled", ",".join(cancel), phase="Dispatch")
-        return [self._send(dest, Abort, reason) for dest in cancel]
+        tse = self.manifest.tse_station_id
+        if tse not in self._dispatched or sender == tse:
+            return []
+        self._log("cancelled", tse, phase="Dispatch")
+        return [self._send(tse, Abort, reason)]
 
     def _on_abort(self, msg: Abort) -> list[Outgoing]:
         return self.abort(msg.reason, msg.sender)

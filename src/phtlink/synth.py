@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpec
-from .model import Dataset, DatasetDescriptor, QuasiIdentifierSet, Record
+from .model import Dataset, QuasiIdentifierSet, Record, make_dataset
 
 _LETTERS = string.ascii_uppercase
 
@@ -202,20 +202,10 @@ def generate_population(
         small_rows.append(Record(payload={"activity": activity, "status": status}, qid=qid))
 
     extracted_at = f"{spec.as_of}T00:00:00Z"
-    large = Dataset(
-        station_id="A",
-        schema=(("age", "numeric"), ("income", "numeric")),
-        rows=large_rows,
-        descriptor=DatasetDescriptor("synthetic", extracted_at, len(large_rows)),
-    )
-    small = Dataset(
-        station_id="B",
-        schema=(("activity", "numeric"), ("status", "categorical")),
-        rows=small_rows,
-        descriptor=DatasetDescriptor("synthetic", extracted_at, len(small_rows)),
-    )
-    large.validate()
-    small.validate()
+    large = make_dataset("A", (("age", "numeric"), ("income", "numeric")), large_rows,
+                         "synthetic", extracted_at)
+    small = make_dataset("B", (("activity", "numeric"), ("status", "categorical")), small_rows,
+                         "synthetic", extracted_at)
     return large, small, GroundTruth(pairs=tuple(pairs))
 
 
@@ -259,19 +249,12 @@ def generate_vertical_demo(
 
     chosen = sorted(int(i) for i in rng.choice(n_a, size=n_b, replace=False))
     extracted_at = f"{as_of}T00:00:00Z"
-    ds_a = Dataset(
-        station_id="A",
-        schema=(("age", "numeric"),),
-        rows=[Record(payload={"age": age}, qid=qid) for qid, age, _ in people],
-        descriptor=DatasetDescriptor("synthetic", extracted_at, n_a),
-    )
-    ds_b = Dataset(
-        station_id="B",
-        schema=(("income", "numeric"),),
-        rows=[Record(payload={"income": people[i][2]}, qid=people[i][0]) for i in chosen],
-        descriptor=DatasetDescriptor("synthetic", extracted_at, n_b),
-    )
-    ds_a.validate()
-    ds_b.validate()
+    ds_a = make_dataset("A", (("age", "numeric"),),
+                        [Record(payload={"age": age}, qid=qid) for qid, age, _ in people],
+                        "synthetic", extracted_at)
+    ds_b = make_dataset("B", (("income", "numeric"),),
+                        [Record(payload={"income": people[i][2]}, qid=people[i][0])
+                         for i in chosen],
+                        "synthetic", extracted_at)
     truth = GroundTruth(pairs=tuple((a, b) for b, a in enumerate(chosen)))
     return ds_a, ds_b, truth

@@ -23,8 +23,9 @@ payload is read by encoding.read_field, and whatever does not fit raises
 DecodeError. The JSON holds a message's dataclass fields and is read back by
 encoding.block_from_dict, so an unknown or missing key, in the message, the
 manifest or the result, is a DecodeError too; so is a message field whose
-JSON type is not the one its dataclass declares (encoding.check_types), and
-a non-finite number anywhere in the JSON (encoding.from_json_bytes).
+JSON type is not the one its dataclass declares (encoding.check_types), a
+non-finite number anywhere in the JSON (encoding.from_json_bytes), and a
+TrainDispatch whose run_id is not its manifest's.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class TrainDispatch:
     sender: str
     manifest: TrainManifest
     endpoints: tuple[tuple[str, str], ...]  # (actor id, address), sorted
+
+    def __post_init__(self):
+        if self.run_id != self.manifest.run_id:
+            raise ValueError(f"dispatch for run {self.run_id!r} carries the manifest "
+                             f"of run {self.manifest.run_id!r}")
 
 
 @dataclass(frozen=True)

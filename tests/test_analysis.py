@@ -228,6 +228,36 @@ class TestSecondarySuppression:
         assert cells[("F", "(all)")] == "*"
         assert_no_subtraction_recovery(table)
 
+    def test_cell_suppressed_to_protect_another_takes_its_row_total(self):
+        # r0 is below the floor; r1 goes down with it to protect r0 in the
+        # column, and then r1's row total would give r1 away, so it goes too
+        rows = [{"gender_like": g, "status": "only"}
+                for g, n in (("r0", 3), ("r1", 20), ("r2", 25)) for _ in range(n)]
+        table = self.crosstab_out(rows, k=5).tables[0]
+        cells = {(r["gender_like"], r["status"]): r["count"] for r in table.rows}
+        assert cells == {
+            ("r0", "only"): "*", ("r0", "(all)"): "*",
+            ("r1", "only"): "*", ("r1", "(all)"): "*",
+            ("r2", "only"): 25, ("r2", "(all)"): 25,
+            ("(all)", "only"): 48, ("(all)", "(all)"): 48,
+        }
+        assert_no_subtraction_recovery(table)
+
+    def test_line_whose_lone_cell_carries_a_marker_loses_its_total(self):
+        # validate leaves a marker it is given alone: r1's lone cell is
+        # suppressed, so its released row total would give the cell away
+        rows = [{"gender_like": g, "status": "only"}
+                for g, n in (("r1", 20), ("r2", 25)) for _ in range(n)]
+        raw = run_analysis(categorical_dataset(rows),
+                           AnalysisSpec("crosstab", ("gender_like", "status")))
+        (cell,) = [r for r in raw.tables[0].rows
+                   if (r["gender_like"], r["status"]) == ("r1", "only")]
+        cell["count"] = "*"
+        table = validate(raw, DisclosurePolicy(k_min=5)).tables[0]
+        cells = {(r["gender_like"], r["status"]): r["count"] for r in table.rows}
+        assert cells[("r1", "(all)")] == "*"
+        assert_no_subtraction_recovery(table)
+
     def test_zero_cells_are_suppressed_not_released(self):
         rows = (
             [{"gender_like": "F", "status": "low"}] * 5

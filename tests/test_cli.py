@@ -870,9 +870,10 @@ class TestStationCsvWithoutQids:
 
 
 class TestStationDatasetReadStrictly:
-    """A sidecar with an unknown or ill-typed key, and a CSV row with the
-    wrong cell count or a non-finite number, stop `pht station` at start-up
-    with BadConfig naming what is wrong, never a traceback."""
+    """A sidecar with an unknown or ill-typed key or of another station than
+    the config's, and a CSV row with the wrong cell count or a non-finite
+    number, stop `pht station` at start-up with BadConfig naming what is
+    wrong, never a traceback."""
 
     SIDECAR = {"station_id": "A", "extracted_at": "2026-01-01T00:00:00Z", "row_count": 1,
                "schema": [["age", "numeric"]]}
@@ -883,12 +884,15 @@ class TestStationDatasetReadStrictly:
         ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "station_id": 5}, "'station_id'"),
         ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "row_count": 1.0}, "'row_count'"),
         ("6211AB,12,F,1960-03-15,66", [1, 2], "Sidecar must be a JSON object"),
+        ("6211AB,12,F,1960-03-15,66", {**SIDECAR, "station_id": "B"},
+         "dataset of station 'B', not of the configured station 'A'"),
         ("6211AB,12,F,1960-03-15", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15,66,67", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15,nan", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15,1e999", SIDECAR, "line 2"),
         ("6211AB,12,F,1960-03-15," + "9" * 200_000, SIDECAR, "line 2: field larger"),
     ], ids=["unknown_key", "station_id_int", "row_count_float", "top_level_array",
+            "station_id_of_another_station",
             "short_row", "long_row", "nan_cell", "overflowing_cell", "cell_past_csv_limit"])
     def test_refuses_to_start(self, tmp_path, row, sidecar, named):
         runner = CliRunner()

@@ -118,6 +118,18 @@ class TestValidateTrain:
             assert (verdict.accepted, verdict.reason) == (False, "InvalidManifest")
             assert "two distinct data stations" in verdict.detail
 
+    @pytest.mark.parametrize("unkeyed", ["A", "B"])
+    def test_data_station_without_a_verification_key_rejected(self, unkeyed):
+        manifest, anchor = build_manifest()
+        keys = tuple(k for k in manifest.station_verification_keys if k[0] != unkeyed)
+        manifest = sign_manifest(
+            dataclasses.replace(manifest, station_verification_keys=keys), anchor)
+        for station_id in (None, "A"):
+            verdict = validate_train(manifest, anchor.verification_key, NOW,
+                                     station_id=station_id, allowed_variables=("age",))
+            assert (verdict.accepted, verdict.reason, verdict.detail) == (
+                False, "InvalidManifest", f"no verification key for data station {unkeyed!r}")
+
 
 class TestManifestEncoding:
     def test_dict_roundtrip_identity(self):

@@ -23,7 +23,7 @@ from conftest import (
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
 from phtlink import linkage, network, stations
 from phtlink.encoding import b64encode
-from phtlink.envelope import SealedPackage, generate_encryption_keypair
+from phtlink.envelope import SealedPackage, generate_encryption_keypair, generate_signing_keys
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
 from phtlink.model import QID_FIELDS, FieldCodes, dataset_from_bytes
@@ -363,6 +363,20 @@ class TestInvalidManifest:
         assert out.storage.wiped and out.storage.inventory() == ()
         assert not any(e[0] == "DataTransfer" for v in out.traces.values() for e in v)
 
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_manifest_without_a_stations_key_aborts_before_data_moves(self, transport):
+        """A signed manifest that holds no verification key for B is refused
+        by the TSE as InvalidManifest: the TSE receives only its dispatch."""
+        scn = demo_scenario()
+        scn.setup.manifest = sign_manifest(dataclasses.replace(
+            scn.manifest, station_verification_keys=scn.manifest.station_verification_keys[:1]),
+            scn.anchor)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "InvalidManifest")
+        assert out.storage.wiped and out.storage.inventory() == ()
+        assert [frame[5] for frame in out.received_bytes["TSE"]] == [0x01]
+        assert "A" not in out.received_bytes and "B" not in out.received_bytes
+
 
 class TestRefusalIsAudited:
     """Why a manifest was refused lands in the refusing party's audit; the
@@ -474,7 +488,7 @@ class TestRouter:
         assert set(refusal) == {"researcher", "TSE"}
         cancels = researcher.handle(refusal["researcher"])
         assert [(o.dest, o.message.reason) for o in cancels] == [
-            ("TSE", "UnauthorizedVariable"), ("A", "UnauthorizedVariable"),
+            ("TSE", "UnauthorizedVariable"),
         ]
         router(cancels[0].message)
         assert built[0].storage.wiped and router.actors == {}
@@ -1195,25 +1209,28 @@ class TestHandlerRaises:
 
 class TestUnroutableStation:
     """A signed manifest may name a data station that no router serves.
-    Each frame to it is dropped with a warning, and the run aborts, since
-    the station named with it holds no key to derive a salt with it."""
+    Its one frame, the dispatch, is dropped with a warning, and the run
+    aborts, since the station named with it holds no key to derive a salt
+    with it."""
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_run_aborts_and_each_frame_to_it_is_logged(self, caplog, transport):
         scn = demo_scenario()
         first, second = scn.manifest.data_requests
+        keys = (*scn.manifest.station_verification_keys,
+                ("C", generate_signing_keys().verification_key))
         scn.setup.manifest = sign_manifest(dataclasses.replace(
-            scn.manifest, data_requests=(first, dataclasses.replace(second, station_id="C"))),
-            scn.anchor)
+            scn.manifest, data_requests=(first, dataclasses.replace(second, station_id="C")),
+            station_verification_keys=keys), scn.anchor)
         with caplog.at_level(logging.WARNING, logger="phtlink"):
             out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert (out.outcome, out.reason) == ("aborted", "MissingPeerKey(C)")
         assert out.storage.wiped and out.storage.inventory() == ()
         reason = ("unroutable destination 'C'" if transport == "inproc"
                   else "send to 'C' failed: unroutable destination")
-        # the researcher's dispatch to C, then its cancel
+        # the researcher's dispatch to C, and no cancel
         assert [r.message for r in caplog.records if "'C'" in r.message] == [
-            f"dropped: run_id={scn.manifest.run_id} sender=researcher reason={reason}"] * 2
+            f"dropped: run_id={scn.manifest.run_id} sender=researcher reason={reason}"]
 
 
 # ---------------------------------------------------------------------------
@@ -1348,6 +1365,8 @@ class TestFaultMatrix:
             out = run_network(scn.setup)
 
         _assert_every_party_ended(out, schedule)
+        # a data station receives its dispatch and nothing else
+        assert all(kind == "TrainDispatch" for dest, kind in schedule.sent if dest in ("A", "B"))
         if fault == "drop" and k in (5, 7):
             assert out.completed
         if (fault, k) == ("drop", 8):
@@ -1803,6 +1822,84 @@ class TestTseKeyOfAnotherRun:
         assert (out.outcome, out.reason) == ("aborted", "RunMismatch")
         assert out.storage.wiped and out.storage.inventory() == ()
         assert not any(e[0] == "DataTransfer" for v in out.traces.values() for e in v)
+
+
+def _static_keys(scn):
+    """``scn`` with every party's keys bound to no run, as `pht keygen` writes
+    them, so no key's scope refuses a run of another id."""
+    tse_enc, a_enc, b_enc = (generate_encryption_keypair() for _ in range(3))
+    a_sign, b_sign = generate_signing_keys(), generate_signing_keys()
+    a, b = scn.setup.stations
+    a.enc_keys, a.sign_keys, a.peer_encryption_keys = a_enc, a_sign, {"B": b_enc.public_only()}
+    b.enc_keys, b.sign_keys, b.peer_encryption_keys = b_enc, b_sign, {"A": a_enc.public_only()}
+    scn.setup.tse.enc_keys = tse_enc
+    scn.manifest = scn.setup.manifest = sign_manifest(dataclasses.replace(
+        scn.manifest, tse_public_encryption_key=tse_enc.public_encryption_key,
+        tse_encryption_key_id=tse_enc.key_id,
+        station_verification_keys=(("A", a_sign.verification_key),
+                                   ("B", b_sign.verification_key))), scn.anchor)
+    return scn
+
+
+class TestDispatchRunIdIsTheManifests:
+    def test_signed_manifest_under_another_run_id_starts_nothing(self, caplog):
+        """A completed run's dispatch, replayed with another run id in its
+        frame, is refused as undecodable at the TSE and at a station, each
+        holding keys that no run's scope binds: no run starts."""
+        scn = _static_keys(demo_scenario())
+        out = run_network(scn.setup)
+        assert out.completed
+        new_actor = {"TSE": lambda: TseActor(scn.setup.tse),
+                     "A": lambda: DataStationActor(scn.setup.stations[0])}
+        for party in ("TSE", "A"):
+            frame = out.received_bytes[party][0]
+            assert frame[5] == 0x01  # the party's TrainDispatch
+            doc = json.loads(frame[HEADER_LEN:])
+            payload = json.dumps({**doc, "run_id": "run-REPLAY"}).encode()
+            replay = frame[:6] + struct.pack(">I", len(payload)) + payload
+            router = Router(lambda dispatch, party=party: new_actor[party](), 60.0)
+            with caplog.at_level(logging.WARNING, logger="phtlink"):
+                assert network._receive(party, router, replay, None) == []
+            assert router.actors == {} and router.finished == set()
+            # the frame as it was still starts a run: the keys refuse nothing
+            kinds = [message_type_name(o.message)
+                     for o in network._receive(party, router, bytes(frame), None)]
+            assert kinds == (["Ack"] if party == "TSE" else ["DataTransfer", "Ack"])
+        assert [r.message.split("reason=")[1] for r in caplog.records] == [
+            f"undecodable frame at {party}: decode error at offset {HEADER_LEN}: bad payload: "
+            "dispatch for run 'run-REPLAY' carries the manifest of run 'run-0001'"
+            for party in ("TSE", "A")]
+
+
+class TestUnrequestedVariables:
+    """The TSE takes from each station exactly the variables the manifest
+    requested of it, in order, whatever the body's own checks allow."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("change, names", [
+        ("extra", "['income', 'secret']"), ("renamed", "['salary']"),
+    ])
+    def test_body_with_other_variables_aborts_and_wipes(self, monkeypatch, transport,
+                                                        change, names):
+        original = stations.dataset_to_bytes
+
+        def other_variables_at_b(cols):
+            body = original(cols)
+            if cols.station_id != "B":
+                return body
+            header = json.loads(body[4 : 4 + int.from_bytes(body[:4], "big")])
+            if change == "renamed":
+                return with_header(body, schema=[["salary", "numeric"]])
+            # a categorical column travels as JSON, which the codec takes as it is
+            return with_header(body, schema=[*header["schema"], ["secret", "categorical"]],
+                               columns=[*header["columns"], ["s"] * cols.n_rows])
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", other_variables_at_b)
+        out = run_network(demo_scenario().setup, transport=transport,
+                          tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == (
+            "aborted", f"BadDataset@B: variables {names}, not the requested ['income']")
+        assert out.storage.wiped and out.storage.inventory() == ()
 
 
 class TestCorruptPackageBody:

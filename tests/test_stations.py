@@ -23,7 +23,6 @@ from phtlink.stations import (
     apply_pool_filter,
     DataStationActor,
     ResearcherActor,
-    TimeoutExpired,
     TseActor,
     TseStorage,
 )
@@ -135,6 +134,17 @@ class TestDataStationFailures:
         assert a.phase == DONE
         reasons = [o.message.reason for o in outs if isinstance(o.message, Abort)]
         assert reasons == ["BadSignature", "BadSignature"]
+
+    def test_peer_key_of_another_run_aborts_before_any_extract(self):
+        scn = scenario()
+        other = generate_encryption_keypair("run-other").public_only()
+        scn.setup.stations[0].peer_encryption_keys = {"B": other}
+        a, _, _ = actors(scn)
+        outs = a.handle(dispatch(scn.manifest))
+        assert [(o.dest, type(o.message).__name__, o.message.reason) for o in outs] == [
+            ("researcher", "Abort", "RunMismatch"), ("TSE", "Abort", "RunMismatch")]
+        assert a.phase == DONE
+        assert "salt_derived" not in [e["event"] for e in a.audit.events]
 
     def test_unauthorized_variable_aborts(self):
         scn = scenario(allowed_a=("height",))
@@ -265,7 +275,7 @@ class TestTse:
         assert tse.handle(transfer_a) == []
         assert tse.storage.inventory() == ()
         assert list(tse._packages) == ["A"]
-        tse.handle(TimeoutExpired(scn.manifest.run_id))
+        tse.abort("Timeout")
         assert tse._packages == {} and tse.storage.inventory() == ()
 
     def test_extract_carries_only_the_digests_of_the_linkage_mode(self):
@@ -318,14 +328,14 @@ class TestTse:
         scn = scenario()
         _, _, tse = actors(scn)
         tse.handle(dispatch(scn.manifest))
-        outs = tse.handle(TimeoutExpired(scn.manifest.run_id))
+        outs = tse.abort("Timeout")
         assert [o.message.reason for o in outs] == ["Timeout"]
         assert tse.phase == WIPED and tse.storage.wiped
 
     def test_timeout_after_terminal_is_noop(self):
         scn = scenario()
         tse, _ = self.drive_happy(scn)
-        assert tse.handle(TimeoutExpired(scn.manifest.run_id)) == []
+        assert tse.abort("Timeout") == []
 
     def test_unexpected_station_aborts(self):
         scn = scenario()
@@ -463,21 +473,29 @@ class TestResearcherDispatchOrder:
             # the TSE refused the run: it knows, so nobody is cancelled
             assert researcher.handle(Abort(run_id, 1, "TSE", "Expired")) == []
         else:
-            cancels = researcher.handle(TimeoutExpired(run_id))
+            cancels = researcher.abort("Timeout")
             assert [(o.dest, o.message.reason) for o in cancels] == [("TSE", "Timeout")]
         assert researcher.handle(Ack(run_id, 2, "TSE")) == []
         assert researcher.outcome[0] == "aborted"
         assert researcher._dispatched == ["TSE"]
 
-    def test_abort_after_the_tse_ack_cancels_every_other_party(self):
+    def test_abort_after_the_tse_ack_cancels_the_tse_alone(self):
+        """A data station's run ended in its dispatch's step, so a cancel to
+        one would only be dropped by its router: the TSE is the one party
+        the researcher cancels, and not when the TSE reported the abort."""
         scn = scenario()
         researcher, _ = self.start(scn)
         run_id = scn.manifest.run_id
         researcher.handle(Ack(run_id, 1, "TSE"))
         cancels = researcher.handle(Abort(run_id, 1, "A", "UnauthorizedVariable"))
         assert [(o.dest, o.message.reason) for o in cancels] == [
-            ("TSE", "UnauthorizedVariable"), ("B", "UnauthorizedVariable"),
+            ("TSE", "UnauthorizedVariable"),
         ]
+        # the TSE reported its own abort: nobody is cancelled
+        researcher, _ = self.start(scn)
+        researcher.handle(Ack(run_id, 1, "TSE"))
+        assert researcher.handle(Abort(run_id, 2, "TSE", "SaltMismatch")) == []
+        assert researcher.outcome == ("aborted", "SaltMismatch")
 
 
 class TestResearcherDropsUnexpected:

@@ -1,5 +1,6 @@
 """Framing codec: exact frame layout, roundtrips, decode error offsets."""
 
+import dataclasses
 import json
 import struct
 
@@ -151,6 +152,16 @@ class TestDecodeErrors:
         payload = json.dumps(doc).encode()
         frame = MAGIC + bytes([VERSION, 0x01]) + struct.pack(">I", len(payload)) + payload
         with pytest.raises(DecodeError, match="age_mn"):
+            decode(frame)
+
+    def test_dispatch_whose_run_id_is_not_its_manifests_is_a_decode_error(self):
+        msg = _dispatch()
+        with pytest.raises(ValueError, match="carries the manifest of run 'run-0001'"):
+            dataclasses.replace(msg, run_id="run-REPLAY")
+        payload = json.dumps({**_payload(msg), "run_id": "run-REPLAY"}).encode()
+        frame = MAGIC + bytes([VERSION, 0x01]) + struct.pack(">I", len(payload)) + payload
+        with pytest.raises(DecodeError, match="dispatch for run 'run-REPLAY' carries "
+                                              "the manifest of run 'run-0001'"):
             decode(frame)
 
     def test_garbage_payload(self):

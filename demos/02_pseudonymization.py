@@ -1,7 +1,7 @@
 """Salt-keyed pseudonyms: equal people hash equal, different salts share
 nothing.
 
-Both stations apply SHA-512, cut to its first 32 bytes, over
+Both stations apply SHA-512, cut to its first 16 bytes, over
 domain-separated preimages with one shared secret salt. The analysis side
 sees only the digests; without the salt it cannot re-derive them from the
 small space of real-world identifiers.
@@ -22,9 +22,9 @@ at_station_one = pseudonymize(alice, salt)
 at_station_two = pseudonymize(alice, Salt(salt.bytes, salt.run_id))
 print("\nstations agree on the composite digest:",
       at_station_one.composite == at_station_two.composite)
-print("composite:", at_station_one.composite[:48], "...")
+print("composite:", at_station_one.composite)
 for name, digest in zip(("zip", "house", "gender", "dob"), at_station_one.per_field):
-    print(f"  {name:6s} {digest[:48]} ...")
+    print(f"  {name:6s} {digest}")
 
 # a different run's salt produces unrelated digests for the same person
 other_salt = generate_salt(run_id="run-2026-002")

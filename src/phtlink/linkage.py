@@ -145,7 +145,7 @@ def _codes(digests: np.ndarray) -> np.ndarray:
     """Integer code per digest of a (rows,) DIGEST_DTYPE column: equal
     exactly when the digests are equal, and numbered in order of each
     digest's first row. Each digest is read as big-endian 8-byte words, as
-    many as its dtype holds (4 for a 32-byte digest). Rows are sorted by
+    many as its dtype holds (2 for a 16-byte digest). Rows are sorted by
     their first word, and neighbours that tie there must hold equal
     digests; if two unequal digests share that word, the whole digests are
     sorted instead."""

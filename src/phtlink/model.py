@@ -16,7 +16,7 @@ A pseudonymized dataset travels to the analysis station as a columnar binary
 body (dataset_to_bytes): a length-prefixed canonical JSON header holding the
 schema, the row count, one entry per payload column, the digest parts and
 the Salt.check of the salt the digests were made under (empty where no
-station set it), then the digests, raw 32-byte values
+station set it), then the digests, raw 16-byte values
 (pseudonym.DIGEST_DTYPE), then the coded payload columns. The composite
 travels once per row. The four per-field digests travel dictionary coded
 (FieldCodes): each field's distinct digests once, in the order of the row
@@ -46,7 +46,7 @@ JSON column the rule would have coded.
 A data station holds Records, with QIDs. From the extract on, a
 pseudonymized dataset is held as Columns, in the body's own layout: one list
 per payload variable, or a decoded body's integer array, the composites as
-one numpy S32 array and the per-field digests as FieldCodes, which a
+one numpy DIGEST_DTYPE array and the per-field digests as FieldCodes, which a
 station's one pseudonymize_columns call writes directly. A Dataset of
 Records carrying PseudonymVectors, whose digests are hex strings, reaches
 that form through to_columns. code_fields is the one builder of the coded
@@ -391,7 +391,7 @@ class Columns:
     without one; ``fields`` holds the four per-field digests, dictionary
     coded, or None. ``parts`` names the digest parts present. Read digests
     back with ``.tobytes()``, never as array items: numpy strips the
-    trailing NUL bytes of an S32 item, and about 1 digest in 256 ends in one.
+    trailing NUL bytes of an S16 item, and about 1 digest in 256 ends in one.
     """
 
     station_id: str
@@ -479,7 +479,7 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     """Columnar binary body for a pseudonymized dataset.
 
     Layout: a 4-byte big-endian length, then the canonical JSON of a
-    _BodyHeader, then each row's raw 32-byte composite (DIGEST_DTYPE) where
+    _BodyHeader, then each row's raw 16-byte composite (DIGEST_DTYPE) where
     the body carries composites. Where it carries per-field codes, the four
     dictionaries' lengths follow as LENGTH_DTYPE, then the four dictionaries'
     raw digests, then the index, field by field, each at the width of its
@@ -555,8 +555,9 @@ def dataset_from_bytes(data: bytes, station_id: str) -> Columns:
     """Inverse of dataset_to_bytes, for the rows of ``station_id``, which
     the caller vouches for; validates the result. A body whose
     lengths or header do not fit together raises ValueError, one whose
-    digests are whole 64-byte SHA-512 outputs among them, and so does
-    per-field codes or a payload column out of their canonical form (see
+    digests are wider than DIGEST_DTYPE among them (whole 64-byte SHA-512
+    outputs, or the 32-byte digests stations sent before), and so does one
+    with per-field codes or a payload column out of their canonical form (see
     FieldCodes and _payload_marker). The digests, dictionaries, index and
     coded payload columns are read-only views into ``data``."""
     doc, start = read_field(memoryview(data), 0, _U32)

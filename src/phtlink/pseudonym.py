@@ -10,18 +10,28 @@ analysis side learns whether the two salts are equal and nothing more.
 
 Preimage layout (bit-exact interchange contract, UTF-8, "|" separators):
 
-    composite    SHA-512("PHT-COMPOSITE|" zip "|" house "|" gender "|" dob "|" salt)[:32]
-    per_field[i] SHA-512("PHT-FIELD-i|" value_i "|" salt)[:32]        i = 0..3
+    composite    SHA-512("PHT-COMPOSITE|" zip "|" house "|" gender "|" dob "|" salt)[:16]
+    per_field[i] SHA-512("PHT-FIELD-i|" value_i "|" salt)[:16]        i = 0..3
 
 Field order is zip_code, house_number, gender, date_of_birth. The distinct
 prefixes separate hashing domains: equal strings in different fields (or in
 the composite) can never produce equal digests.
 
-A digest is the first 32 bytes of the SHA-512 output (64 hex characters).
-Linkage needs only digest equality, and a 256-bit prefix of SHA-512 keeps
-128-bit collision resistance (NIST SP 800-107 Rev. 1, section 5.1, approves
-truncated SHA-512 output); the other 32 bytes would only be more bytes to
-seal, send, open, store and wipe.
+A digest is the first 16 bytes of the SHA-512 output (32 hex characters);
+DIGEST_DTYPE is the one setting of that width, and everything that reads or
+writes digests takes it from there. Linkage relies on two properties of a
+digest, and both hold at 16 bytes. First, without the secret 256-bit salt
+no one can compute a digest or invert one: a 128-bit prefix of SHA-512
+keeps 128-bit preimage resistance (NIST SP 800-107 Rev. 1, section 5.1,
+approves truncated SHA-512 output), the level of the other primitives here
+(X25519, Ed25519, Salt.check). Second, two distinct people almost never
+share a digest: for n distinct preimages that chance is at most n^2/2^129,
+about 2^-80 for the 2*10^7 people of the Netherlands. Collision resistance,
+which a 16-byte prefix holds at only 64 bits, is not relied on: only the two
+stations hold the salt, so only they can compute digests, and they choose
+their inputs anyway; the analysis side holds no salt. The other 48 bytes of
+each SHA-512 output would only be more bytes to seal, send, open, store and
+wipe.
 
 A station computes only the digests the manifest's linkage mode uses: exact
 linkage joins on the composite alone, probabilistic linkage scores the four
@@ -59,10 +69,10 @@ hashlib. From 3.12 the built-in is HACL*'s and is no faster (seconds for
 
 The per-row reference pseudonymize stays on hashlib.sha512, so the batch
 tests compare two independent SHA-512 implementations. The batch hashes
-CHUNK_ROWS preimages at a time, and copies the first 32 bytes of each
-chunk's joined 64-byte digests into one preallocated array: one C call per
-row, no cut bytes object per row, and no more than a chunk of whole
-digests held at once.
+CHUNK_ROWS preimages at a time, and copies the first DIGEST_DTYPE.itemsize
+bytes of each chunk's joined 64-byte digests into one preallocated array:
+one C call per row, no cut bytes object per row, and no more than a chunk
+of whole digests held at once.
 """
 
 from __future__ import annotations
@@ -88,10 +98,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import FieldCodes, QuasiIdentifierSet
 
 SALT_LENGTH = 32
-DIGEST_HEX_LENGTH = 64  # SHA-512 cut to its first 32 bytes
 
-#: One raw digest: the first 32 bytes of SHA-512 output, fixed width.
-DIGEST_DTYPE = np.dtype(f"S{DIGEST_HEX_LENGTH // 2}")
+#: One raw digest: the first 16 bytes of SHA-512 output, fixed width. The
+#: one width setting: a digest's hex form and every body read it from here.
+DIGEST_DTYPE = np.dtype("S16")
+DIGEST_HEX_LENGTH = 2 * DIGEST_DTYPE.itemsize
 _DIGEST_LENGTH = DIGEST_DTYPE.itemsize
 _WHOLE_LENGTH = 64  # a whole SHA-512 digest
 
@@ -152,9 +163,8 @@ class PseudonymVector:
 
 
 def generate_salt(run_id: str) -> Salt:
-    """Fresh 32-byte salt from the OS randomness source."""
-    if not run_id:
-        raise ValueError("run_id must be non-empty")
+    """Fresh 32-byte salt from the OS randomness source; Salt refuses an
+    empty run_id."""
     try:
         material = os.urandom(SALT_LENGTH)
     except OSError as exc:  # pragma: no cover - platform failure
@@ -197,9 +207,9 @@ def pseudonymize(
 
 
 def _cut(n: int, hash_chunk: Callable[[int, int], list[bytes]]) -> np.ndarray:
-    """An (n, 1) DIGEST_DTYPE array of the first 32 bytes of n SHA-512
-    digests; ``hash_chunk(start, stop)`` gives the whole digests of rows
-    start to stop, CHUNK_ROWS at most."""
+    """An (n, 1) DIGEST_DTYPE array of the first DIGEST_DTYPE.itemsize
+    bytes of n SHA-512 digests; ``hash_chunk(start, stop)`` gives the whole
+    digests of rows start to stop, CHUNK_ROWS at most."""
     out = np.empty((n, _DIGEST_LENGTH), np.uint8)
     for start in range(0, n, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, n)

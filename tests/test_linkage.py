@@ -45,7 +45,7 @@ THREE_AGREE_WEIGHT = 6.339850002884624  # 3 * log2(9) + log2(1/9)
 def fake_vec(zip_v="z1", house_v="h1", gender_v="F", dob_v="d1"):
     """Pseudonym vector with digests derived from short labels; equal labels
     give equal digests, which is all linkage looks at. A digest is the last
-    32 bytes of a SHA-512, so it ends where the SHA-512 does."""
+    DIGEST_DTYPE.itemsize bytes of a SHA-512, so it ends where the SHA-512 does."""
     def digest(prefix, value):
         return hashlib.sha512(f"{prefix}|{value}".encode()).hexdigest()[-DIGEST_HEX_LENGTH:]
 
@@ -94,8 +94,10 @@ class TestEstimateU:
         assert u[0] == 1.0 - 1e-9
 
     def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_u([], [fake_vec()])
+        # the refusal itself, not a numpy reduction over an empty array
+        for side_a, side_b in (([], [fake_vec()]), ([fake_vec()], [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                estimate_u(side_a, side_b)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_brute_force_cross_pair_fraction(self, seed):

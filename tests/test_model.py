@@ -456,13 +456,15 @@ class TestColumnarBody:
     def test_corrupt_lengths_rejected(self):
         body = dataset_to_bytes(self._dataset(None))
         header_len = int.from_bytes(body[:4], "big")
-        composites = body[4 + header_len : 4 + header_len + 3 * 32]
-        whole = b"".join(composites[i : i + 32] + b"\xee" * 32 for i in range(0, 3 * 32, 32))
-        lengths_at = 4 + header_len + 3 * 32
+        width = DIGEST_DTYPE.itemsize
+        lengths_at = 4 + header_len + 3 * width
+        composites = body[4 + header_len : lengths_at]
+        wide = b"".join(composites[i : i + width] + b"\xee" * width
+                        for i in range(0, 3 * width, width))
         for bad in (
             body[:-1],  # one index byte short
             body + b"\x00",  # one byte too many
-            body[: 4 + header_len] + whole + body[lengths_at:],  # 64-byte composites
+            body[: 4 + header_len] + wide + body[lengths_at:],  # composites twice as wide
             (header_len + 1).to_bytes(4, "big") + body[4:],  # header swallows a byte
             (header_len - 1).to_bytes(4, "big") + body[4:],  # header cut short
             (2**32 - 1).to_bytes(4, "big") + body[4:],  # header overruns the body
@@ -494,7 +496,7 @@ class TestColumnarBody:
         ``index``: dataset_to_bytes writes any codes it is given."""
         cols = to_columns(TestColumnarBody._dataset("probabilistic"))
         fields = list(cols.fields.dictionaries)
-        fields[1] = np.concatenate((fields[1], [b"\x07" * 32]))[dictionary]
+        fields[1] = np.concatenate((fields[1], [b"\x07" * DIGEST_DTYPE.itemsize]))[dictionary]
         codes = list(cols.fields.index)
         codes[1] = np.array(index, index_dtype(len(fields[1])))
         coded = FieldCodes(tuple(fields), tuple(codes))
@@ -505,7 +507,8 @@ class TestColumnarBody:
 
     def test_entries_that_share_their_first_bytes_are_no_duplicates(self):
         cols = to_columns(self._dataset("probabilistic"))
-        shared = np.array([b"\xab" * 8 + bytes([i]) * 24 for i in range(3)], DIGEST_DTYPE)
+        shared = np.array([b"\xab" * 8 + bytes([i]) * (DIGEST_DTYPE.itemsize - 8)
+                           for i in range(3)], DIGEST_DTYPE)
         dictionaries = list(cols.fields.dictionaries)
         dictionaries[1] = shared
         coded = FieldCodes(tuple(dictionaries), cols.fields.index)
@@ -707,8 +710,8 @@ class TestIndexWidth:
     @staticmethod
     def _coded(size, first_uses=None, salt_check="s") -> Columns:
         rng = np.random.default_rng(size)
-        dictionary = np.frombuffer(rng.bytes(32 * size), DIGEST_DTYPE)
-        others = np.frombuffer(rng.bytes(32), DIGEST_DTYPE)
+        dictionary = np.frombuffer(rng.bytes(DIGEST_DTYPE.itemsize * size), DIGEST_DTYPE)
+        others = np.frombuffer(rng.bytes(DIGEST_DTYPE.itemsize), DIGEST_DTYPE)
         first_uses = np.arange(size) if first_uses is None else first_uses
         codes = np.concatenate((first_uses, [size - 1, 0, 3, size - 1, 1]))
         n = len(codes)
@@ -745,7 +748,7 @@ class TestIndexWidth:
         # B holds A's top entry and its first, in that order, and a digest of its own
         dictionary = fields_a.dictionaries[0]
         fields_b = FieldCodes(
-            (np.concatenate((dictionary[[size - 1, 0]], [b"\x07" * 32])),
+            (np.concatenate((dictionary[[size - 1, 0]], [b"\x07" * DIGEST_DTYPE.itemsize])),
              *fields_a.dictionaries[1:]),
             (np.array([0, 1, 2, 0], "u1"), *[np.zeros(4, "u1")] * 3))
         narrow = linkage._field_codes(fields_a, fields_b)
@@ -792,17 +795,21 @@ class TestIndexWidth:
 # the header lost its "station_id" and "descriptor" keys: the bodies are the
 # earlier ones with those two keys deleted from the header JSON, which was
 # written again in canonical form, and its length prefix rewritten, a
-# rewrite done with struct and json alone.
+# rewrite done with struct and json alone. The three pseudonymized pins and
+# both ROW_MAJOR_BODIES moved when digests were cut from 32 bytes to 16: the
+# bodies are the earlier ones with the last 16 bytes of every composite,
+# dictionary entry and row-major digest dropped, the header, lengths, index
+# and payload columns unchanged, a rewrite done with struct and json alone.
 PINNED_BODIES = {
-    None: "7d544dca44257dfec4c743b71b560c8aa6500c6da194654c16762005f7e5ff1b",
-    "exact": "f55b140f596f866cfe92496f13b7fe2637fea59ec11b7c427cb0ae1c38ed3a78",
-    "probabilistic": "84bf82a3f9de0ffc512d340749254351cb422d1490f50f113030bb3ddf815f3c",
+    None: "205e5d8e8afda13bda9ff21cc952c1b94f40c02ab2158b3092f30f580463d28c",
+    "exact": "299ef37308c87a64561c2b40e7573385da2fe546eb66eaf96fb8b9e1d3396a2c",
+    "probabilistic": "fc03e98118890a4a4ba8defa94e892eef629faaee0fc2da8790c5b41d29c9ac9",
     "payload_only": "75b036059f9ffc31c3304de7b5c48d092a79fa9fa0c40ab9f3c3469ab0e7063a",
     "empty": "655c3812a6154f27c13df6dad4c5dbff3559aaa138cf215f9f083aba7c0a214b",
 }
 ROW_MAJOR_BODIES = {
-    None: "ace3cd4096785a4b9372b979242612c6a3265c1d58db29b434d0d6cf8827fa6b",
-    "probabilistic": "41d77ad5bd88bd210b0cf82169fa069e53693a0e7275aaf1dcf5e8faeb940c2f",
+    None: "9d33ab661d75440bbdd66b307b90bc7f7f8cd1b1406bce7a0070f430627ae8a5",
+    "probabilistic": "52ab5ae692714e03a9dcfc73e7e8fa944f3540dc91cb9030ad3d89eb98b72869",
 }
 
 
@@ -826,7 +833,7 @@ class TestBodyPinned:
             for r in large.rows
         ]
         digests = [d for r in rows for d in (r.pseudonym.composite, *r.pseudonym.per_field) if d]
-        # numpy strips a trailing NUL from an S32 item: the pin must cover one
+        # numpy strips a trailing NUL from an S16 item: the pin must cover one
         assert any(d.endswith("00") for d in digests)
         return dataset_to_bytes(dataclasses.replace(large, rows=rows))
 

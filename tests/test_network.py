@@ -28,7 +28,7 @@ from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
 from phtlink.model import QID_FIELDS, FieldCodes, dataset_from_bytes
 from phtlink.network import Router, TcpNode, run_network
-from phtlink.pseudonym import Salt, pseudonymize, pseudonymize_columns
+from phtlink.pseudonym import DIGEST_DTYPE, Salt, pseudonymize, pseudonymize_columns
 from phtlink.stations import (
     AWAITING_DATA,
     IDLE,
@@ -1575,8 +1575,8 @@ def _opened_plaintexts(monkeypatch, tse_keys) -> list[bytes]:
 
 def _whole_digests(qid, salt) -> list[bytes]:
     """The whole 64-byte SHA-512 of each of a QID set's documented preimages,
-    composite first, then the four fields; a pseudonym is the first 32 bytes
-    of each."""
+    composite first, then the four fields; a pseudonym is the first
+    DIGEST_DTYPE.itemsize bytes of each."""
     values, tail = qid.as_tuple(), b"|" + salt.bytes
     preimages = [b"PHT-COMPOSITE|" + "|".join(values).encode() + tail] + [
         f"PHT-FIELD-{i}|{value}".encode() + tail for i, value in enumerate(values)]
@@ -1597,13 +1597,13 @@ class TestDataMinimisation:
         whole = [_whole_digests(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
         used = [w[0] for w in whole] if mode == "exact" else [d for w in whole for d in w[1:]]
         unused = [d for w in whole for d in w[1:]] if mode == "exact" else [w[0] for w in whole]
-        plaintext = b"".join(opened)
-        # the 32-byte prefixes the mode links on travel raw inside the sealed extracts ...
-        assert all(d[:32] in plaintext for d in used)
+        plaintext, width = b"".join(opened), DIGEST_DTYPE.itemsize
+        # the prefixes the mode links on travel raw inside the sealed extracts ...
+        assert all(d[:width] in plaintext for d in used)
         # ... the others travel nowhere, neither raw nor as hex, and no
-        # digest's last 32 bytes travel at all
+        # digest's bytes past the prefix travel at all
         seen = [plaintext, *out.received_bytes["TSE"]]
-        for part in [d[:32] for d in unused] + [d[32:] for w in whole for d in w]:
+        for part in [d[:width] for d in unused] + [d[width:] for w in whole for d in w]:
             for needle in (part, part.hex().encode()):
                 assert not any(needle in blob for blob in seen), mode
 
@@ -1635,25 +1635,28 @@ class TestDataMinimisation:
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
-    def test_station_sending_whole_sha512_digests_aborts_and_wipes(
-        self, monkeypatch, transport, mode
+    @pytest.mark.parametrize("width", [32, 64])
+    def test_station_sending_wider_digests_aborts_and_wipes(
+        self, monkeypatch, transport, mode, width
     ):
-        # A hashes as stations did before digests were cut to 32 bytes; B as now
+        # A cuts its digests as stations did before, to 32 bytes, or before
+        # they were cut at all; B as now
         scn = demo_scenario(linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
         qids_a = [row.qid for row in scn.ds_a.rows]
+        dtype = f"S{width}"
 
         def mixed(qids, salt, mode):
             if qids != qids_a:
                 return pseudonymize_columns(qids, salt, mode)
-            whole = [_whole_digests(qid, salt) for qid in qids]
+            cut = [[d[:width] for d in _whole_digests(qid, salt)] for qid in qids]
             if mode == "exact":
-                return np.frombuffer(b"".join(w[0] for w in whole), "S64").reshape(-1, 1), None
-            # the dictionaries hold 64-byte digests, the index is as a station makes it
+                return np.frombuffer(b"".join(c[0] for c in cut), dtype).reshape(-1, 1), None
+            # the dictionaries hold the wider digests, the index is as a station makes it
             fields = pseudonymize_columns(qids, salt, mode)[1]
             dictionaries = tuple(
-                np.frombuffer(b"".join(dict.fromkeys(w[1 + k] for w in whole)), "S64")
+                np.frombuffer(b"".join(dict.fromkeys(c[1 + k] for c in cut)), dtype)
                 for k in range(4))
-            return np.empty((len(qids), 0), "S64"), FieldCodes(dictionaries, fields.index)
+            return np.empty((len(qids), 0), dtype), FieldCodes(dictionaries, fields.index)
 
         monkeypatch.setattr(stations, "pseudonymize", mixed)
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)

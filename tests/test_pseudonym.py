@@ -26,11 +26,14 @@ from phtlink.pseudonym import (
 QID = QuasiIdentifierSet("6211AB", "12", "F", "1960-03-15")
 ZERO_SALT = Salt(b"\x00" * 32, "run-zero")
 
-# Frozen oracle values: the first 32 bytes of a standalone SHA-512 run over
+# Frozen oracle values: the first 16 bytes of a standalone SHA-512 run over
 # the documented preimages "PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + 32 zero
-# bytes and "PHT-FIELD-0|6211AB|" + 32 zero bytes.
-ORACLE_COMPOSITE_ZERO_SALT = "c64b0fdb1e6b78e52a1f0fdb0848ef657b572f47950a9e0f6d7688f7dc3a4b8a"
-ORACLE_FIELD0_ZERO_SALT = "a6c9c405526e3f139f7dd59b2b2f80a96935451d07703d3568742802ab80fe5f"
+# bytes and "PHT-FIELD-0|6211AB|" + 32 zero bytes. Each is the first 32 hex
+# characters of the value pinned when digests were 32 bytes,
+# c64b0fdb1e6b78e52a1f0fdb0848ef657b572f47950a9e0f6d7688f7dc3a4b8a and
+# a6c9c405526e3f139f7dd59b2b2f80a96935451d07703d3568742802ab80fe5f.
+ORACLE_COMPOSITE_ZERO_SALT = "c64b0fdb1e6b78e52a1f0fdb0848ef65"
+ORACLE_FIELD0_ZERO_SALT = "a6c9c405526e3f139f7dd59b2b2f80a9"
 
 
 def qids(n, seed=0):
@@ -87,7 +90,7 @@ class TestPseudonymize:
         for salt, vec in ((salt_a, va), (salt_b, vb)):
             expected = hashlib.sha512(
                 b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + salt.bytes
-            ).hexdigest()[:64]
+            ).hexdigest()[:DIGEST_HEX_LENGTH]
             assert vec.composite == expected
 
     def test_avalanche_per_field(self):
@@ -110,8 +113,8 @@ class TestPseudonymize:
         # equal value strings in different field positions can never collide
         salt = b"\x07" * 32
         assert (
-            hashlib.sha512(b"PHT-FIELD-0|12|" + salt).hexdigest()[:64]
-            != hashlib.sha512(b"PHT-FIELD-1|12|" + salt).hexdigest()[:64]
+            hashlib.sha512(b"PHT-FIELD-0|12|" + salt).hexdigest()[:DIGEST_HEX_LENGTH]
+            != hashlib.sha512(b"PHT-FIELD-1|12|" + salt).hexdigest()[:DIGEST_HEX_LENGTH]
         )
 
     def test_per_field_digests_pairwise_distinct(self):
@@ -146,10 +149,12 @@ class TestPseudonymVector:
 
     def test_whole_sha512_hex_digest_rejected(self):
         whole = hashlib.sha512(b"PHT-COMPOSITE|").hexdigest()
-        with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH} hex"):
-            PseudonymVector(whole)
-        with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH}-hex"):
-            PseudonymVector(None, (whole,) * 4)
+        # the whole digest, and its first 32 bytes as digests were before
+        for digest in (whole, whole[:64]):
+            with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH} hex"):
+                PseudonymVector(digest)
+            with pytest.raises(ValueError, match=f"{DIGEST_HEX_LENGTH}-hex"):
+                PseudonymVector(None, (digest,) * 4)
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Salt-keyed pseudonyms: equal people hash equal, different salts share
 nothing.
 
-Both stations apply SHA-512, cut to its first 16 bytes, over
-domain-separated preimages with one shared secret salt. The analysis side
-sees only the digests; without the salt it cannot re-derive them from the
-small space of real-world identifiers.
+Each station fingerprints domain-separated preimages with SHA-512, cut to
+its first 16 bytes and free of any salt, and keys the fingerprints with
+AES-256 under a key derived from one shared secret salt. The analysis side
+sees only the keyed digests; without the salt it cannot re-derive them from
+the small space of real-world identifiers.
 """
 
 from phtlink import canonicalize, generate_salt, pseudonymize

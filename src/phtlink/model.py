@@ -76,7 +76,7 @@ from .encoding import (
     block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
 )
 from .errors import MalformedField
-from .pseudonym import DIGEST_DTYPE, PseudonymVector
+from .pseudonym import DIGEST_DTYPE, PseudonymVector, composite_fingerprint
 
 #: Order of the linkage fields everywhere in the package: CSV columns,
 #: pseudonym per-field digests, agreement vectors, m/u parameter vectors.
@@ -99,12 +99,23 @@ _GENDER_MAP = {
 @dataclass(frozen=True, slots=True)
 class QuasiIdentifierSet:
     """The four linkage fields in canonical form. Slotted, as is Record: a
-    station holds one of each per row."""
+    station holds one of each per row.
+
+    ``fingerprint`` is the salt-free composite fingerprint of the four
+    (pseudonym.composite_fingerprint), computed once, when the set is
+    built: a station pays for it when it loads its data, and each run keys
+    it with one AES call. It stays in station memory, beside the raw values.
+    """
 
     zip_code: str
     house_number: str
     gender: str
     date_of_birth: str
+    fingerprint: bytes = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fingerprint", composite_fingerprint(
+            self.zip_code, self.house_number, self.gender, self.date_of_birth))
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.zip_code, self.house_number, self.gender, self.date_of_birth)

@@ -82,6 +82,21 @@ def unwrap_content_key(pkg: SealedPackage, recipient: KeyPair) -> bytes:
     return HPKE.decrypt(pkg.wrapped_content_key, private, info=WRAP_INFO)
 
 
+def forged_package(
+    inner: bytes, run_id: str, sender_id: str, recipient_public: bytes
+) -> SealedPackage:
+    """A package whose AES-GCM plaintext is exactly ``inner``, signed or
+    not, under a fresh content key HPKE-wrapped to ``recipient_public``: what
+    anyone holding the recipient's public key can build."""
+    key, nonce = os.urandom(32), os.urandom(12)
+    unsealed = SealedPackage(sender_id, run_id, b"", b"", b"")
+    sealed = AESGCM(key).encrypt(nonce, inner, canonical_json_bytes(unsealed.header()))
+    public = X25519PublicKey.from_public_bytes(recipient_public)
+    return dataclasses.replace(
+        unsealed, wrapped_content_key=HPKE.encrypt(key + nonce, public, info=WRAP_INFO),
+        ciphertext=sealed[:-16], outer_auth_tag=sealed[-16:])
+
+
 def previous_format_package(pkg: SealedPackage, recipient: KeyPair) -> SealedPackage:
     """``pkg`` with its content key wrapped as the previous version wrapped it,
     in 104 bytes: an ephemeral X25519 public key, a 12-byte nonce, then

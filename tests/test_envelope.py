@@ -9,8 +9,10 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    HPKE, WRAP_INFO, key_ids_package, make_scenario, previous_format_package, unwrap_content_key,
+    HPKE, WRAP_INFO, forged_package, key_ids_package, make_scenario, previous_format_package,
+    unwrap_content_key,
 )
+from phtlink import stations
 from phtlink.analysis import table_to_csv
 from phtlink.encoding import b64encode, canonical_json_bytes
 from phtlink.envelope import (
@@ -184,6 +186,30 @@ class TestHpkeWrap:
         pkg = replace(sealed(keys), wrapped_content_key=HPKE.encrypt(bytes(40), public, WRAP_INFO))
         with pytest.raises(DecryptionFailure, match="wrong length"):
             open_package(pkg, kp, sk.verification_key)
+
+    @pytest.mark.parametrize("length", [0, 63])
+    def test_inner_body_shorter_than_a_signature_is_inner_failure(self, keys, length):
+        """Anyone holding the recipient's public key can also HPKE-seal an
+        inner body too short to end in a 64-byte Ed25519 signature."""
+        kp, sk = keys
+        pkg = forged_package(bytes(length), RUN, "A", kp.public_encryption_key)
+        with pytest.raises(InnerSignatureFailure, match="payload too short to carry a signature"):
+            open_package(pkg, kp, sk.verification_key)
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_short_inner_body_at_the_tse_aborts_by_name_and_wipes(self, monkeypatch, transport):
+        scn = make_scenario(*generate_vertical_demo(40, 12, seed=9))
+        original = stations.seal
+
+        def forged_at_a(plaintext, run_id, sender_id, recipient, signer):
+            if sender_id != "A":
+                return original(plaintext, run_id, sender_id, recipient, signer)
+            return forged_package(bytes(10), run_id, sender_id, recipient.public_encryption_key)
+
+        monkeypatch.setattr(stations, "seal", forged_at_a)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "InnerSignatureFailure@A")
+        assert out.storage.wiped and out.storage.inventory() == ()
 
     def test_previous_format_package_is_a_decode_error(self, keys):
         kp, _ = keys

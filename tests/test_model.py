@@ -183,6 +183,15 @@ class TestRecordAndDataset:
         with pytest.raises(ValueError):
             ds.validate()
 
+    def test_unknown_variable_type_refused(self):
+        # a column of strings would pass as "blob" if only its values were checked
+        rows = [Record(payload={"note": "x"}), Record(payload={"note": "y"})]
+        with pytest.raises(ValueError, match="unknown variable type 'blob' for 'note'"):
+            make_dataset("A", (("note", "blob"),), rows)
+        body = dataset_to_bytes(make_dataset("A", (("note", "categorical"),), rows))
+        with pytest.raises(ValueError, match="unknown variable type 'blob' for 'note'"):
+            dataset_from_bytes(with_header(body, schema=[["note", "blob"]]), "A")
+
     @settings(max_examples=200, deadline=None)
     @given(
         vtype=st.sampled_from(VARIABLE_TYPES),
@@ -800,16 +809,22 @@ class TestIndexWidth:
 # bodies are the earlier ones with the last 16 bytes of every composite,
 # dictionary entry and row-major digest dropped, the header, lengths, index
 # and payload columns unchanged, a rewrite done with struct and json alone.
+# The same five pins moved when pseudonyms became AES-256-ECB, under
+# SHA-256("PHT-PSEUDONYM-KEY|" + salt), of salt-free SHA-512 fingerprints:
+# the bodies are the earlier ones with every composite and dictionary entry,
+# and every digest of a row-major body, replaced by the digest the new layout
+# gives the same preimage, each computed with hashlib and cryptography's AES
+# alone, the header, lengths, index and payload columns unchanged.
 PINNED_BODIES = {
-    None: "205e5d8e8afda13bda9ff21cc952c1b94f40c02ab2158b3092f30f580463d28c",
-    "exact": "299ef37308c87a64561c2b40e7573385da2fe546eb66eaf96fb8b9e1d3396a2c",
-    "probabilistic": "fc03e98118890a4a4ba8defa94e892eef629faaee0fc2da8790c5b41d29c9ac9",
+    None: "cc9badd7450506735575fc69976e999a575e46a0d6ba51c052554bb4f7eeb0db",
+    "exact": "9d0ecb32c771f40de796662375ab80961fb137941a40b8a18438b4a71d222032",
+    "probabilistic": "597cf93e4b475475995f9850bac3ea20d85c7c923a62cefcd3ba51c88e845355",
     "payload_only": "75b036059f9ffc31c3304de7b5c48d092a79fa9fa0c40ab9f3c3469ab0e7063a",
     "empty": "655c3812a6154f27c13df6dad4c5dbff3559aaa138cf215f9f083aba7c0a214b",
 }
 ROW_MAJOR_BODIES = {
-    None: "9d33ab661d75440bbdd66b307b90bc7f7f8cd1b1406bce7a0070f430627ae8a5",
-    "probabilistic": "52ab5ae692714e03a9dcfc73e7e8fa944f3540dc91cb9030ad3d89eb98b72869",
+    None: "c4962ccbe5b67f6e13526e647fab679f82e12e162b3d63e72a31bb9550decc94",
+    "probabilistic": "2f7f9b923a6c3f36c9a4e74249771bdc4e347cf3156dd236c8a4080985b453dd",
 }
 
 

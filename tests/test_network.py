@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
@@ -218,6 +219,43 @@ class TestSaltAgreement:
         assert (out.outcome, out.reason) == ("aborted", "SaltMismatch")
         assert out.result is None and out.result_bytes is None
         assert not any(e[0] == "ResultReturn" for v in out.traces.values() for e in v)
+        assert out.storage.wiped and out.storage.inventory() == ()
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_station_of_the_salted_sha512_construction_aborts_salt_mismatch(
+        self, monkeypatch, transport, mode
+    ):
+        """B pseudonymizes as stations did before pseudonyms were keyed AES
+        over fingerprints: salted SHA-512 cut to 16 bytes, its Salt.check
+        under the label "PHT-SALT-CHECK|". The body layout is the same, so
+        only the check tells the TSE that B's digests can never equal A's."""
+        salt = Salt(bytes(range(40, 72)), "run-0001")
+        scn = demo_scenario(reuse_salt_a=salt,
+                            linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        qids_b = [row.qid for row in scn.ds_b.rows]
+        width = DIGEST_DTYPE.itemsize
+        previous_check = hashlib.sha256(b"PHT-SALT-CHECK|" + salt.bytes).hexdigest()[:32]
+        original = stations.dataset_to_bytes
+
+        def previous_at_b(cols):
+            if cols.station_id != "B":
+                return original(cols)
+            cut = [[d[:width] for d in _whole_digests(qid, salt)] for qid in qids_b]
+            if mode == "exact":
+                digests = np.frombuffer(b"".join(c[0] for c in cut), DIGEST_DTYPE)
+                cols = dataclasses.replace(cols, digests=digests.reshape(-1, 1))
+            else:  # the same first-row order, so the same index
+                dictionaries = tuple(
+                    np.frombuffer(b"".join(dict.fromkeys(c[1 + k] for c in cut)), DIGEST_DTYPE)
+                    for k in range(4))
+                cols = dataclasses.replace(
+                    cols, fields=FieldCodes(dictionaries, cols.fields.index))
+            return original(dataclasses.replace(cols, salt_check=previous_check))
+
+        monkeypatch.setattr(stations, "dataset_to_bytes", previous_at_b)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert (out.outcome, out.reason) == ("aborted", "SaltMismatch")
         assert out.storage.wiped and out.storage.inventory() == ()
 
     def test_mixed_version_run_ends_timeout_with_the_tse_wiped(self, caplog):
@@ -1574,13 +1612,33 @@ def _opened_plaintexts(monkeypatch, tse_keys) -> list[bytes]:
 
 
 def _whole_digests(qid, salt) -> list[bytes]:
-    """The whole 64-byte SHA-512 of each of a QID set's documented preimages,
-    composite first, then the four fields; a pseudonym is the first
+    """The whole 64-byte salted SHA-512 of each of a QID set's preimages,
+    composite first, then the four fields, as stations hashed them before
+    pseudonyms were keyed AES over fingerprints; their pseudonym was the first
     DIGEST_DTYPE.itemsize bytes of each."""
     values, tail = qid.as_tuple(), b"|" + salt.bytes
     preimages = [b"PHT-COMPOSITE|" + "|".join(values).encode() + tail] + [
         f"PHT-FIELD-{i}|{value}".encode() + tail for i, value in enumerate(values)]
     return [hashlib.sha512(preimage).digest() for preimage in preimages]
+
+
+def _fingerprints(qid) -> list[bytes]:
+    """A QID set's five salt-free fingerprints, composite first, then the
+    four fields, from the documented layout with hashlib alone."""
+    values = qid.as_tuple()
+    preimages = [b"PHT-COMPOSITE|" + "|".join(values).encode() + b"|"] + [
+        f"PHT-FIELD-{i}|{value}|".encode() for i, value in enumerate(values)]
+    return [hashlib.sha512(preimage).digest()[:16] for preimage in preimages]
+
+
+def _keyed(qid, salt) -> list[bytes]:
+    """A QID set's five raw digests, in _fingerprints's order: each
+    fingerprint through AES-256-ECB under SHA-256("PHT-PSEUDONYM-KEY|" +
+    salt), with cryptography's AES alone."""
+    key = hashlib.sha256(b"PHT-PSEUDONYM-KEY|" + salt.bytes).digest()
+    keyed = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(
+        b"".join(_fingerprints(qid)))
+    return [keyed[i : i + 16] for i in range(0, len(keyed), 16)]
 
 
 class TestDataMinimisation:
@@ -1594,18 +1652,37 @@ class TestDataMinimisation:
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.completed and len(opened) == 2
 
-        whole = [_whole_digests(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
-        used = [w[0] for w in whole] if mode == "exact" else [d for w in whole for d in w[1:]]
-        unused = [d for w in whole for d in w[1:]] if mode == "exact" else [w[0] for w in whole]
-        plaintext, width = b"".join(opened), DIGEST_DTYPE.itemsize
-        # the prefixes the mode links on travel raw inside the sealed extracts ...
-        assert all(d[:width] in plaintext for d in used)
-        # ... the others travel nowhere, neither raw nor as hex, and no
-        # digest's bytes past the prefix travel at all
+        keyed = [_keyed(r.qid, salt) for ds in (scn.ds_a, scn.ds_b) for r in ds.rows]
+        used = [d[0] for d in keyed] if mode == "exact" else [x for d in keyed for x in d[1:]]
+        unused = [x for d in keyed for x in d[1:]] if mode == "exact" else [d[0] for d in keyed]
+        plaintext = b"".join(opened)
+        # the digests the mode links on travel raw inside the sealed extracts ...
+        assert all(d in plaintext for d in used)
+        # ... the others travel nowhere, neither raw nor as hex
         seen = [plaintext, *out.received_bytes["TSE"]]
-        for part in [d[:width] for d in unused] + [d[width:] for w in whole for d in w]:
+        for part in unused:
             for needle in (part, part.hex().encode()):
                 assert not any(needle in blob for blob in seen), mode
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+    def test_no_fingerprint_leaves_a_station(self, monkeypatch, transport, mode):
+        # invariant 1: the salt-free fingerprints A keeps beside its raw QIDs
+        # reach neither the TSE nor the researcher, in a frame or in an
+        # opened extract, raw or as hex
+        scn = demo_scenario(seed=7, linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
+        opened = _opened_plaintexts(monkeypatch, scn.setup.tse.enc_keys)
+        out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
+        assert out.completed and len(opened) == 2
+        needles = []
+        for row in scn.ds_a.rows:
+            fingerprints = _fingerprints(row.qid)
+            assert row.qid.fingerprint == fingerprints[0]
+            needles += [n for f in fingerprints for n in (f, f.hex().encode())]
+        assert out.received_bytes["researcher"]
+        blobs = [*opened, *out.received_bytes["TSE"], *out.received_bytes["researcher"]]
+        for needle in needles:
+            assert not any(needle in blob for blob in blobs), mode
 
     @pytest.mark.parametrize("transport", ["inproc", "tcp"])
     def test_composite_only_extract_under_probabilistic_linkage_aborts_and_wipes(

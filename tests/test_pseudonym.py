@@ -1,4 +1,4 @@
-"""Salted hashing: frozen digest oracles, determinism, avalanche, domain
+"""Keyed pseudonyms: frozen digest oracles, determinism, avalanche, domain
 separation."""
 
 import hashlib
@@ -6,13 +6,13 @@ import platform
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from conftest import per_row_digests
 from phtlink import linkage, pseudonym
 from phtlink.model import QuasiIdentifierSet
 from phtlink.pseudonym import (
-    CHUNK_ROWS,
     DIGEST_HEX_LENGTH,
     LINKAGE_MODES,
     SALT_LENGTH,
@@ -26,14 +26,26 @@ from phtlink.pseudonym import (
 QID = QuasiIdentifierSet("6211AB", "12", "F", "1960-03-15")
 ZERO_SALT = Salt(b"\x00" * 32, "run-zero")
 
-# Frozen oracle values: the first 16 bytes of a standalone SHA-512 run over
-# the documented preimages "PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + 32 zero
-# bytes and "PHT-FIELD-0|6211AB|" + 32 zero bytes. Each is the first 32 hex
-# characters of the value pinned when digests were 32 bytes,
-# c64b0fdb1e6b78e52a1f0fdb0848ef657b572f47950a9e0f6d7688f7dc3a4b8a and
-# a6c9c405526e3f139f7dd59b2b2f80a96935451d07703d3568742802ab80fe5f.
-ORACLE_COMPOSITE_ZERO_SALT = "c64b0fdb1e6b78e52a1f0fdb0848ef65"
-ORACLE_FIELD0_ZERO_SALT = "a6c9c405526e3f139f7dd59b2b2f80a9"
+# Frozen oracle values, from a standalone hashlib and AES run over the
+# documented layout: AES-256-ECB, under the key SHA-256("PHT-PSEUDONYM-KEY|" +
+# 32 zero bytes), of the fingerprints f916d8be6f07535008434b7f2c6d8b71, the
+# first 16 bytes of SHA-512("PHT-COMPOSITE|6211AB|12|F|1960-03-15|"), and
+# b78fabc96dc7b5640a1a9de04910081b, of SHA-512("PHT-FIELD-0|6211AB|"). They
+# moved when pseudonyms became keyed AES over salt-free fingerprints; under
+# the salted SHA-512 they replace they were c64b0fdb1e6b78e52a1f0fdb0848ef65
+# and a6c9c405526e3f139f7dd59b2b2f80a9.
+ORACLE_FINGERPRINT = "f916d8be6f07535008434b7f2c6d8b71"
+ORACLE_COMPOSITE_ZERO_SALT = "2137bff1c9473202f095b4d59fffd896"
+ORACLE_FIELD0_ZERO_SALT = "5778901a88e4207e58b42a9f6c0b6486"
+
+
+def keyed(preimage: bytes, salt: bytes) -> str:
+    """A digest recomputed from the documented layout, without phtlink: the
+    preimage's SHA-512 fingerprint, cut to 16 bytes, through AES-256-ECB
+    under SHA-256("PHT-PSEUDONYM-KEY|" + salt), in hex."""
+    key = hashlib.sha256(b"PHT-PSEUDONYM-KEY|" + salt).digest()
+    block = hashlib.sha512(preimage).digest()[:16]
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(block).hex()
 
 
 def qids(n, seed=0):
@@ -69,6 +81,13 @@ class TestPseudonymize:
         assert vec.composite == ORACLE_COMPOSITE_ZERO_SALT
         assert vec.per_field[0] == ORACLE_FIELD0_ZERO_SALT
 
+    def test_fingerprint_is_the_salt_free_composite_hash(self):
+        assert QID.fingerprint.hex() == ORACLE_FINGERPRINT
+        assert QID.fingerprint == hashlib.sha512(
+            b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|").digest()[:16]
+        # a field of its own, set when the set is built, outside equality
+        assert QID == QuasiIdentifierSet(*QID.as_tuple()) and "fingerprint" not in repr(QID)
+
     def test_digest_shape(self):
         vec = pseudonymize(QID, ZERO_SALT)
         assert len(vec.composite) == DIGEST_HEX_LENGTH
@@ -86,12 +105,12 @@ class TestPseudonymize:
         va, vb = pseudonymize(QID, salt_a), pseudonymize(QID, salt_b)
         assert va.composite != vb.composite
         assert all(x != y for x, y in zip(va.per_field, vb.per_field))
-        # independent recomputation from the documented preimage layout
+        # independent recomputation from the documented layout
         for salt, vec in ((salt_a, va), (salt_b, vb)):
-            expected = hashlib.sha512(
-                b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|" + salt.bytes
-            ).hexdigest()[:DIGEST_HEX_LENGTH]
-            assert vec.composite == expected
+            assert vec.composite == keyed(b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|", salt.bytes)
+            assert vec.per_field == tuple(
+                keyed(f"PHT-FIELD-{i}|{value}|".encode(), salt.bytes)
+                for i, value in enumerate(QID.as_tuple()))
 
     def test_avalanche_per_field(self):
         base = pseudonymize(QID, ZERO_SALT)
@@ -111,11 +130,11 @@ class TestPseudonymize:
 
     def test_domain_separation_prefixes(self):
         # equal value strings in different field positions can never collide
-        salt = b"\x07" * 32
-        assert (
-            hashlib.sha512(b"PHT-FIELD-0|12|" + salt).hexdigest()[:DIGEST_HEX_LENGTH]
-            != hashlib.sha512(b"PHT-FIELD-1|12|" + salt).hexdigest()[:DIGEST_HEX_LENGTH]
-        )
+        salt = Salt(b"\x07" * 32, "r")
+        vec = pseudonymize(QuasiIdentifierSet("12", "12", "12", "12"), salt, "probabilistic")
+        assert len(set(vec.per_field)) == 4
+        assert vec.per_field[:2] == (keyed(b"PHT-FIELD-0|12|", salt.bytes),
+                                     keyed(b"PHT-FIELD-1|12|", salt.bytes))
 
     def test_per_field_digests_pairwise_distinct(self):
         salt = generate_salt("run-1")
@@ -271,23 +290,35 @@ def _batch(qids, salt, mode):
     return digests.tobytes() if mode == "exact" else per_row_digests(fields).tobytes()
 
 
-class TestBatchHashLoop:
-    """The batch hashes CHUNK_ROWS preimages at a time through the built-in
-    SHA-512 and cuts each chunk's digests in numpy."""
+class TestBatchKernel:
+    """Exact mode keys the fingerprints the QID sets computed when they were
+    built, with one AES call; probabilistic mode hashes each distinct value
+    once through the built-in SHA-512."""
 
-    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 256, 257])
     @pytest.mark.parametrize("mode", LINKAGE_MODES)
-    def test_batch_is_the_reference_around_the_chunk_size(self, mode, n):
+    def test_batch_is_the_reference(self, mode, n):
         salt = Salt(bytes(range(32)), "run-1")
         qids = _distinct_qids(n)
         assert _batch(qids, salt, mode) == _reference(qids, salt, mode)
 
-    @pytest.mark.parametrize("mode", LINKAGE_MODES)
-    def test_hashlib_fallback_gives_the_same_bytes(self, mode, monkeypatch):
+    def test_exact_mode_makes_no_sha512_call(self, monkeypatch):
         salt = Salt(b"\x09" * 32, "run-1")
-        n = CHUNK_ROWS + 1
+        qids = _distinct_qids(300)
+        expected = _reference(qids, salt, "exact")
+
+        def refused(*_args):
+            raise AssertionError("SHA-512 called in exact mode")
+
+        monkeypatch.setattr(pseudonym, "BATCH_SHA512", refused)
+        monkeypatch.setattr(hashlib, "sha512", refused)
+        assert _batch(qids, salt, "exact") == expected
+
+    def test_hashlib_fallback_gives_the_same_bytes(self, monkeypatch):
+        salt = Salt(b"\x09" * 32, "run-1")
+        n = 300
         qids = _distinct_qids(n)
-        built_in = _batch(qids, salt, mode)
+        built_in = _batch(qids, salt, "probabilistic")
         calls = []
 
         def openssl(preimage):
@@ -295,10 +326,10 @@ class TestBatchHashLoop:
             return hashlib.sha512(preimage)
 
         monkeypatch.setattr(pseudonym, "BATCH_SHA512", openssl)
-        assert _batch(qids, salt, mode) == built_in
-        # one call per composite, or per distinct value of each field: n zip
-        # codes, house numbers and dates of birth, two genders
-        assert len(calls) == {"exact": n, "probabilistic": 3 * n + 2}[mode]
+        assert _batch(qids, salt, "probabilistic") == built_in
+        # one call per distinct value of each field: n zip codes, house
+        # numbers and dates of birth, two genders
+        assert len(calls) == 3 * n + 2
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython",
                         reason="the built-in SHA-512 modules are CPython's")

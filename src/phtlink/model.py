@@ -43,14 +43,18 @@ took 3. That form is canonical too: dataset_from_bytes refuses a coded
 column wider than its values need, or of a type other than numeric, and a
 JSON column the rule would have coded.
 
-A data station holds Records, with QIDs. From the extract on, a
-pseudonymized dataset is held as Columns, in the body's own layout: one list
-per payload variable, or a decoded body's integer array, the composites as
-one numpy DIGEST_DTYPE array and the per-field digests as FieldCodes, which a
-station's one pseudonymize_columns call writes directly. A Dataset of
-Records carrying PseudonymVectors, whose digests are hex strings, reaches
-that form through to_columns. code_fields is the one builder of the coded
-form.
+A data station loads Records, with QIDs, and builds them once into a
+StationTable: each QID field a CodedColumn (its sorted distinct values and
+each row's position among them), each payload variable an array, and every
+row's salt-free composite fingerprint in one DIGEST_DTYPE array. A run's
+extract is then a mask over that table's columns and a fancy index of each.
+From the extract on, a pseudonymized dataset is held as Columns, in the
+body's own layout: one list or integer array per payload variable, the
+composites as one numpy DIGEST_DTYPE array and the per-field digests as
+FieldCodes, which a station's one pseudonymize_columns call writes
+directly. A Dataset of Records carrying PseudonymVectors, whose digests are
+hex strings, reaches that form through to_columns. code_fields is the one
+builder of the coded form.
 
 A data station's CSV and its JSON sidecar descriptor (Sidecar) are read
 strictly; a fault is a ValueError, or a MalformedField for a linkage field
@@ -76,7 +80,7 @@ from .encoding import (
     block_from_dict, canonical_json_bytes, check_types, from_json_bytes, read_field, write_field,
 )
 from .errors import MalformedField
-from .pseudonym import DIGEST_DTYPE, PseudonymVector, composite_fingerprint
+from .pseudonym import DIGEST_DTYPE, PseudonymVector, composite_fingerprints
 
 #: Order of the linkage fields everywhere in the package: CSV columns,
 #: pseudonym per-field digests, agreement vectors, m/u parameter vectors.
@@ -99,23 +103,12 @@ _GENDER_MAP = {
 @dataclass(frozen=True, slots=True)
 class QuasiIdentifierSet:
     """The four linkage fields in canonical form. Slotted, as is Record: a
-    station holds one of each per row.
-
-    ``fingerprint`` is the salt-free composite fingerprint of the four
-    (pseudonym.composite_fingerprint), computed once, when the set is
-    built: a station pays for it when it loads its data, and each run keys
-    it with one AES call. It stays in station memory, beside the raw values.
-    """
+    station holds one of each per row."""
 
     zip_code: str
     house_number: str
     gender: str
     date_of_birth: str
-    fingerprint: bytes = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fingerprint", composite_fingerprint(
-            self.zip_code, self.house_number, self.gender, self.date_of_birth))
 
     def as_tuple(self) -> tuple[str, str, str, str]:
         return (self.zip_code, self.house_number, self.gender, self.date_of_birth)
@@ -298,10 +291,16 @@ def _payload_marker(lo: int, hi: int) -> str | None:
     return None
 
 
-def _coded_marker(column: list) -> str | None:
+def _coded_marker(column: list | np.ndarray) -> str | None:
     """The marker ``column`` travels under, or None where it travels as a
     JSON array: only a non-empty column of exact ints that fits 64 bits is
-    coded, so a bool, a float or a numpy scalar keeps its type."""
+    coded, so a bool, a float or a numpy scalar keeps its type. An integer
+    array's least and greatest value are read in numpy; any other array is
+    read as the list of its values."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind not in "iu":
+            return _coded_marker(column.tolist())
+        return _payload_marker(int(column.min()), int(column.max())) if len(column) else None
     if not column or set(map(type, column)) != {int}:
         return None
     return _payload_marker(min(column), max(column))
@@ -338,20 +337,46 @@ class FieldCodes:
         return len(self.index[0])
 
 
+@dataclass(frozen=True, eq=False)
+class CodedColumn:
+    """One text column of a station's rows: its distinct values, sorted as
+    Python sorts strings, by code point, and each row's position among
+    them, an int32 array. Positions order as their values do, so a
+    comparison of every row with one string is one bisect over ``values``
+    and one comparison of ``codes``, exact for any string. The values stay
+    Python strings: a numpy text array would drop their trailing NULs."""
+
+    values: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, column: Sequence[str]) -> "CodedColumn":
+        values = sorted(set(column))
+        position = {value: i for i, value in enumerate(values)}
+        return cls(values, np.fromiter(map(position.__getitem__, column), np.int32, len(column)))
+
+
+def code_qids(qids: Sequence[QuasiIdentifierSet]) -> tuple[CodedColumn, ...]:
+    """The four fields of ``qids`` as CodedColumns, in QID_FIELDS order."""
+    return tuple(CodedColumn.of([getattr(qid, name) for qid in qids]) for name in QID_FIELDS)
+
+
 def code_fields(
-    rows: Sequence[Sequence], digests: Callable[[int, list], np.ndarray]
+    columns: Sequence[CodedColumn], digests: Callable[[int, list], np.ndarray]
 ) -> FieldCodes:
-    """Dictionary code the four fields of ``rows``, four keys per row: each
-    field's distinct keys in the order of the row where each first occurs,
-    mapped to their raw digests by ``digests(field, keys)``, a DIGEST_DTYPE
-    array with one digest per key, and each row's position among them, at
-    the width the field's dictionary needs."""
+    """Dictionary code four columns of keys: each column's distinct keys in
+    the order of the row where each first occurs, mapped to their raw
+    digests by ``digests(field, keys)``, a DIGEST_DTYPE array with one
+    digest per key, and each row's position among them, at the width the
+    field's dictionary needs."""
     dictionaries, index = [], []
-    for k in range(4):
-        positions: dict = {}
-        codes = [positions.setdefault(row[k], len(positions)) for row in rows]
-        index.append(np.array(codes, index_dtype(len(positions))))
-        dictionaries.append(digests(k, list(positions)))
+    for k, column in enumerate(columns):
+        distinct, first = np.unique(column.codes, return_index=True)
+        ordered = distinct[np.argsort(first)]  # the codes in first-row order
+        position = np.empty(len(column.values), np.int64)
+        position[ordered] = np.arange(len(ordered))
+        index.append(position[column.codes].astype(index_dtype(len(ordered))))
+        dictionaries.append(digests(k, [column.values[code] for code in ordered.tolist()]))
     return FieldCodes(tuple(dictionaries), tuple(index))
 
 
@@ -359,7 +384,8 @@ def hex_field_codes(per_field: Sequence[Sequence[str]]) -> FieldCodes:
     """code_fields over rows of four hex per-field digests, as a
     PseudonymVector's ``per_field`` holds them."""
     return code_fields(
-        per_field, lambda _field, keys: np.frombuffer(bytes.fromhex("".join(keys)), DIGEST_DTYPE)
+        [CodedColumn.of([row[k] for row in per_field]) for k in range(4)],
+        lambda _field, keys: np.frombuffer(bytes.fromhex("".join(keys)), DIGEST_DTYPE),
     )
 
 
@@ -395,9 +421,10 @@ class Columns:
 
     ``station_id`` names the station the rows came from; at the TSE, the
     sender it authenticated, since a body does not carry it.
-    ``payload`` holds one column per variable, in schema order: a list, or,
-    where dataset_from_bytes read a coded column, a read-only 1-D integer
-    array viewing the body (``.tolist()`` gives its Python ints).
+    ``payload`` holds one column per variable, in schema order: a list, or
+    a 1-D integer array, such as a station's int64 column or the read-only
+    view of the body where dataset_from_bytes read a coded column
+    (``.tolist()`` gives its Python ints).
     ``digests`` is an (n_rows, 1) DIGEST_DTYPE array of each row's composite, or (n_rows, 0)
     without one; ``fields`` holds the four per-field digests, dictionary
     coded, or None. ``parts`` names the digest parts present. Read digests
@@ -431,6 +458,69 @@ class Columns:
         _check_columns(self, self.payload)
         if self.fields is not None:
             _check_field_codes(self.fields, self.n_rows)
+
+
+def _payload_array(column: list) -> np.ndarray:
+    """A payload column as an array: int64 where every value is an exact int
+    that fits, otherwise an object array, which keeps each value as it is."""
+    exact = bool(column) and set(map(type, column)) == {int}
+    if exact and -(1 << 63) <= min(column) and max(column) < 1 << 63:
+        return np.array(column, np.int64)
+    return np.fromiter(column, object, len(column))
+
+
+def row_qids(station_id: str, rows: Sequence[Record]) -> list[QuasiIdentifierSet]:
+    """Each row's QID set; a row without one is refused with a ValueError
+    naming the station and the row."""
+    qids = [row.qid for row in rows]
+    missing = next((i for i, qid in enumerate(qids) if qid is None), None)
+    if missing is not None:
+        raise ValueError(f"station {station_id}: row {missing} carries no QID set")
+    return qids
+
+
+@dataclass(frozen=True, eq=False)
+class StationTable:
+    """A data station's rows as columns, built once when it loads its data,
+    so that a run's extract is a mask, a few fancy indexes and one AES call.
+
+    ``fields`` holds the four QID fields as CodedColumns, in QID_FIELDS
+    order, which the pool filter compares and probabilistic mode codes.
+    ``fingerprints`` holds each row's salt-free composite fingerprint
+    (pseudonym.composite_fingerprints), one contiguous DIGEST_DTYPE array,
+    which exact mode keys; it stays in station memory, beside the raw values.
+    ``payload`` maps each variable to its column (_payload_array).
+    """
+
+    station_id: str
+    fields: tuple[CodedColumn, ...]
+    fingerprints: np.ndarray
+    payload: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, ds: Dataset) -> "StationTable":
+        """The table of ``ds``, whose every row must carry a QID set (row_qids)."""
+        qids = row_qids(ds.station_id, ds.rows)
+        return cls(ds.station_id, code_qids(qids), composite_fingerprints(qids),
+                   {name: _payload_array(ds.payload_column(name)) for name in ds.variable_names()})
+
+    def __len__(self) -> int:
+        return len(self.fingerprints)
+
+    def take(self, keep: np.ndarray, variables: Sequence[str]) -> "StationTable":
+        """The rows at the indexes ``keep``, in that order, with the payload
+        columns of ``variables`` alone."""
+        return StationTable(self.station_id,
+                            tuple(CodedColumn(column.values, column.codes[keep])
+                                  for column in self.fields),
+                            self.fingerprints[keep],
+                            {name: self.payload[name][keep] for name in variables})
+
+    def payload_column(self, name: str) -> list | np.ndarray:
+        """Column ``name`` as Columns holds it: an int64 array, or a list of
+        the values as they were loaded."""
+        column = self.payload[name]
+        return column.tolist() if column.dtype == object else column
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +588,9 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
     values, in schema order, at the width its header marker names.
     """
     cols = to_columns(ds)
-    payload = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols.payload]
-    markers = [_coded_marker(column) for column in payload]
-    entries = [marker or column for column, marker in zip(payload, markers)]
+    markers = [_coded_marker(column) for column in cols.payload]
+    entries = [marker or (column.tolist() if isinstance(column, np.ndarray) else column)
+               for column, marker in zip(cols.payload, markers)]
     header = _BodyHeader(cols.schema, cols.n_rows, cols.parts, entries, cols.salt_check)
     doc = canonical_json_bytes(vars(header))
     chunks = [*write_field(_U32, doc), cols.digests.tobytes()]
@@ -509,8 +599,8 @@ def dataset_to_bytes(ds: Dataset | Columns) -> bytes:
         chunks.append(np.array([len(d) for d in dictionaries], LENGTH_DTYPE).tobytes())
         chunks += [dictionary.tobytes() for dictionary in dictionaries]
         chunks += [index.tobytes() for index in cols.fields.index]
-    chunks += [np.array(column, PAYLOAD_DTYPES[marker]).tobytes()
-               for column, marker in zip(payload, markers) if marker]
+    chunks += [np.asarray(column, PAYLOAD_DTYPES[marker]).tobytes()
+               for column, marker in zip(cols.payload, markers) if marker]
     return b"".join(chunks)
 
 
@@ -553,10 +643,7 @@ def _check_payload_form(header: _BodyHeader, payload: list) -> None:
     it, with a ValueError naming the variable."""
     for (name, _), entry, column in zip(header.schema, header.columns, payload):
         sent = entry if isinstance(entry, str) else None
-        if sent is None:
-            need = _coded_marker(column)
-        else:  # a view: its least and greatest value, read in numpy
-            need = _payload_marker(int(column.min()), int(column.max())) if len(column) else None
+        need = _coded_marker(column)
         if sent != need:
             raise ValueError(f"variable {name!r} travels as {sent or 'a JSON array'}, "
                              f"where its values take {need or 'a JSON array'}")

@@ -19,12 +19,13 @@ Layout (bit-exact interchange contract, UTF-8, "|" separators):
 Field order is zip_code, house_number, gender, date_of_birth. The distinct
 prefixes separate hashing domains: equal strings in different fields (or in
 the composite) can never produce equal fingerprints. A fingerprint is
-salt-free, so a station computes it once per row when it loads its data
-(model.QuasiIdentifierSet.fingerprint) and keeps it beside the raw QIDs it
-comes from; it never leaves the station. Each run keys its digests with one
-AES-256 call over them. ECB is AES used as a pseudorandom permutation on
-independent 16-byte blocks, not as a mode for long messages: equal
-fingerprints give equal digests, which is the equality linkage joins on.
+salt-free, so a station computes every row's once, when it loads its data
+(composite_fingerprints, into model.StationTable), and keeps them beside
+the raw QIDs they come from; they never leave the station. Each run keys
+its digests with one AES-256 call over them. ECB is AES used as a
+pseudorandom permutation on independent 16-byte blocks, not as a mode for
+long messages: equal fingerprints give equal digests, which is the
+equality linkage joins on.
 This is the Encrypt-with-Hash shape of deterministic encryption (Bellare,
 Boldyreva & O'Neill, CRYPTO 2007).
 
@@ -49,18 +50,20 @@ agreement patterns in exact mode, nor the composite in probabilistic mode.
 Without a mode, both parts are computed.
 
 A data station pseudonymizes its whole extract in one pseudonymize_columns
-call, which writes raw digests straight into arrays. In exact mode that is
-one join of the kept rows' fingerprints and one AES call: no SHA-512 at
-all. In probabilistic mode the call returns the per-field digests
-dictionary coded (model.FieldCodes): it hashes each field's distinct values
-once, in the order of the row where each first occurs, keys each field's
-fingerprints with one AES call, and indexes every row into them. The
-dictionary is safe: expanded through its index it is byte for byte what
-pseudonymizing every row would give; it holds the raw values only in
-station memory, which already holds them; it is a local of the one call,
-under the one key, so nothing of it outlives the call or reaches another
-run; and its order is first-row order, never the order of the raw values,
-so the digests that travel say nothing of how, say, dates of birth sort.
+call over the kept rows of its table, which writes raw digests straight
+into arrays. In exact mode that is one AES call over the kept rows'
+fingerprints: no SHA-512 at all. In probabilistic mode the call returns
+the per-field digests dictionary coded (model.FieldCodes): from the
+table's coded QID columns (model.code_fields) it finds each field's
+distinct values in the order of the row where each first occurs, hashes
+each once, keys each field's fingerprints with one AES call, and indexes
+every row into them. The dictionary is safe: expanded through its index
+it is byte for byte what pseudonymizing every row would give; it holds the
+raw values only in station memory, which already holds them; it is a
+local of the one call, under the one key, so nothing of it outlives the
+call or reaches another run; and its order is first-row order, never the
+order of the raw values, so the digests that travel say nothing of how,
+say, dates of birth sort.
 
 Fingerprints come from CPython's built-in SHA-512 (_sha512.sha512 on Python
 3.10 and 3.11, _sha2.sha512 from 3.12), bound once at import, and from
@@ -69,7 +72,7 @@ hashlib.sha512 where neither exists; every choice gives the same bytes. On
 interface, about a third of a call for preimages this short; from 3.12 it
 is HACL*'s and no faster. pseudonymize, one QID set at a time with hex
 digests, is the reference the batch output is tested against: it computes
-its fingerprints on hashlib.sha512 and never reads the stored one, so the
+its fingerprints on hashlib.sha512 and never reads a table's, so the
 tests compare two independent paths.
 """
 
@@ -94,7 +97,7 @@ except ImportError:
         BATCH_SHA512 = hashlib.sha512
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import FieldCodes, QuasiIdentifierSet
+    from .model import FieldCodes, QuasiIdentifierSet, StationTable
 
 SALT_LENGTH = 32
 
@@ -177,14 +180,16 @@ def generate_salt(run_id: str) -> Salt:
     return Salt(bytes=material, run_id=run_id)
 
 
-def composite_fingerprint(
-    zip_code: str, house_number: str, gender: str, date_of_birth: str
-) -> bytes:
-    """A QID set's salt-free composite fingerprint, which a station computes
-    once per row at load and keeps beside the raw values."""
-    return BATCH_SHA512(
-        f"PHT-COMPOSITE|{zip_code}|{house_number}|{gender}|{date_of_birth}|".encode("utf-8")
-    ).digest()[:_DIGEST_LENGTH]
+def composite_fingerprints(qids: Sequence["QuasiIdentifierSet"]) -> np.ndarray:
+    """Each QID set's salt-free composite fingerprint, as one contiguous
+    DIGEST_DTYPE array: a station computes them once, when it loads its
+    data (model.StationTable), and keeps them beside the raw values."""
+    sha512 = BATCH_SHA512
+    return np.frombuffer(b"".join([
+        sha512(f"PHT-COMPOSITE|{qid.zip_code}|{qid.house_number}|{qid.gender}|"
+               f"{qid.date_of_birth}|".encode("utf-8")).digest()[:_DIGEST_LENGTH]
+        for qid in qids
+    ]), DIGEST_DTYPE)
 
 
 def pseudonymize(
@@ -215,24 +220,27 @@ def pseudonymize(
 
 
 def pseudonymize_columns(
-    qids: Sequence["QuasiIdentifierSet"], salt: Salt, mode: str
+    rows: "StationTable | Sequence[QuasiIdentifierSet]", salt: Salt, mode: str
 ) -> tuple[np.ndarray, "FieldCodes | None"]:
-    """Pseudonymize a whole extract's canonical QID sets under a shared salt.
+    """Pseudonymize a whole extract under a shared salt: the rows of a
+    station's table, or a list of canonical QID sets, whose columns it
+    builds first.
 
     Returns the digest parts of a model.Columns, as pseudonymize gives
-    them: in "exact" mode an (len(qids), 1) DIGEST_DTYPE array of each
-    row's composite, and no per-field codes; in "probabilistic" mode an
-    (len(qids), 0) array and the four per-field digests, dictionary coded.
-    Read the arrays back with ``.tobytes()`` (see model.Columns).
+    them: in "exact" mode an (n, 1) DIGEST_DTYPE array of each row's
+    composite, and no per-field codes; in "probabilistic" mode an (n, 0)
+    array and the four per-field digests, dictionary coded. Read the arrays
+    back with ``.tobytes()`` (see model.Columns).
     """
-    from .model import code_fields  # here, since model imports this module
+    from .model import StationTable, code_fields, code_qids  # here, since model imports this module
 
     if mode not in LINKAGE_MODES:
         raise ValueError(f"unknown linkage mode {mode!r}")
+    table = rows if isinstance(rows, StationTable) else None
     encrypt = salt.encryptor().update
     if mode == "exact":
-        keyed = encrypt(b"".join([qid.fingerprint for qid in qids]))
-        return np.frombuffer(keyed, DIGEST_DTYPE).reshape(-1, 1), None
+        fingerprints = composite_fingerprints(rows) if table is None else table.fingerprints
+        return np.frombuffer(encrypt(fingerprints.tobytes()), DIGEST_DTYPE).reshape(-1, 1), None
     sha512 = BATCH_SHA512
     prefixes = [FIELD_PREFIX_TEMPLATE.format(index=i).encode("utf-8") for i in range(4)]
 
@@ -243,5 +251,5 @@ def pseudonymize_columns(
             for value in values
         ])), DIGEST_DTYPE)
 
-    fields = code_fields([qid.as_tuple() for qid in qids], digests)
-    return np.empty((len(qids), 0), DIGEST_DTYPE), fields
+    fields = code_fields(code_qids(rows) if table is None else table.fields, digests)
+    return np.empty((fields.n_rows, 0), DIGEST_DTYPE), fields

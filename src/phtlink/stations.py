@@ -19,6 +19,13 @@ dispatches and the result, a run sends 9 frames. A station receives only
 its dispatch: only the TSE and the researcher hold a run past it, so the
 researcher cancels the TSE alone, and a deadline calls ``abort("Timeout")``.
 
+A data station's config builds its rows into a model.StationTable once, so
+once per station daemon; a row without a QID set fails there, at load. A
+run's extract is then column work, with no pass over the rows in Python:
+the pool filter is one mask over the date-of-birth and zip code columns
+(apply_pool_filter), its kept indexes pick each column's rows, and exact
+mode keys the kept fingerprints with one AES call.
+
 Privacy-critical structure: each data station derives the run's salt from
 its own key and its peer's public key (envelope.derive_salt), so no salt
 travels and stations never message each other; the TSE receives only each
@@ -33,7 +40,10 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .analysis import run_analysis, validate
 from .envelope import (
@@ -48,7 +58,10 @@ from .envelope import (
 from .errors import PhtError, StorageWiped
 from .linkage import link, merge
 from .manifest import TrainManifest, validate_train
-from .model import Columns, Dataset, Record, dataset_from_bytes, dataset_to_bytes
+from .model import (
+    CodedColumn, Columns, Dataset, Record, StationTable, dataset_from_bytes, dataset_to_bytes,
+    row_qids,
+)
 # imported as pseudonymize: bench/layers.py wraps that name to time the layer
 from .pseudonym import Salt, pseudonymize_columns as pseudonymize
 from .wire import (
@@ -132,32 +145,44 @@ def _born_by(as_of: dt.date, age: int) -> str:
     return f"{as_of.year - age:04d}-{as_of.month:02d}-{as_of.day:02d}"
 
 
-def apply_pool_filter(rows: list[Record], pool) -> list[Record]:
-    """Keep rows whose QID passes the manifest's pool restriction.
+def _pool_keep(pool, zip_code: CodedColumn, born: CodedColumn) -> np.ndarray:
+    """The indexes of the rows whose zip code and canonical date of birth
+    pass ``pool``, in row order: one mask over the two columns. ``as_of`` is
+    parsed once: each cut-off date is one bisect over the distinct dates of
+    birth, and each zip prefix one range of the sorted distinct zip codes."""
+    keep = np.ones(len(born.codes), bool)
+    as_of = dt.date.fromisoformat(pool.as_of)
+    if pool.age_max is not None:  # older than age_max if born on or before this
+        keep &= born.codes >= bisect_right(born.values, _born_by(as_of, pool.age_max + 1))
+    if pool.age_min is not None:  # at least age_min if born on or before this
+        keep &= born.codes < bisect_right(born.values, _born_by(as_of, pool.age_min))
+    if pool.zip_prefixes:
+        # the values that start with a prefix follow one another when sorted
+        starts = np.zeros(len(zip_code.values), bool)
+        for prefix in pool.zip_prefixes:
+            first = bisect_left(zip_code.values, prefix)
+            end = bisect_left(zip_code.values, True, first,
+                              key=lambda value: not value.startswith(prefix))
+            starts[first:end] = True
+        keep &= starts[zip_code.codes]
+    return np.flatnonzero(keep)
 
-    ``as_of`` is parsed once per call: each canonical date of birth is
-    compared with two cut-off dates instead of computing every row's age."""
+
+def apply_pool_filter(rows: StationTable | list[Record], pool) -> np.ndarray | list[Record]:
+    """Keep the rows whose QID passes the manifest's pool restriction: of a
+    station's table, the kept row indexes; of Records, the kept Records. A
+    Record without a QID set is refused (model.row_qids)."""
+    if isinstance(rows, StationTable):
+        if pool is None:
+            return np.arange(len(rows))
+        zip_code, _, _, born = rows.fields
+        return _pool_keep(pool, zip_code, born)
     if pool is None:
         return list(rows)
-    as_of = dt.date.fromisoformat(pool.as_of)
-    # older than age_max, and at least age_min, if born on or before these
-    too_old = None if pool.age_max is None else _born_by(as_of, pool.age_max + 1)
-    old_enough = None if pool.age_min is None else _born_by(as_of, pool.age_min)
-    prefixes = tuple(pool.zip_prefixes)
-    kept = []
-    for row in rows:
-        qid = row.qid
-        if qid is None:
-            raise PhtError("pool filter needs raw QIDs")
-        born = qid.date_of_birth
-        if too_old is not None and born <= too_old:
-            continue
-        if old_enough is not None and born > old_enough:
-            continue
-        if prefixes and not qid.zip_code.startswith(prefixes):
-            continue
-        kept.append(row)
-    return kept
+    qids = row_qids("?", rows)
+    keep = _pool_keep(pool, CodedColumn.of([qid.zip_code for qid in qids]),
+                      CodedColumn.of([qid.date_of_birth for qid in qids]))
+    return [rows[i] for i in keep.tolist()]
 
 
 class _Party:
@@ -228,6 +253,19 @@ class DataStationConfig:
     #: test hook: a salt used instead of the derived one, to plant a known
     #: salt or exercise the seal-time run binding check
     reuse_salt: Salt | None = None
+    #: ``dataset`` and its StationTable, built with the config, so once per
+    #: station daemon, and again if ``dataset`` is replaced
+    _table: tuple[Dataset, StationTable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._table = (self.dataset, StationTable.of(self.dataset))
+
+    @property
+    def table(self) -> StationTable:
+        """The rows of ``dataset`` as columns."""
+        if self._table[0] is not self.dataset:
+            self._table = (self.dataset, StationTable.of(self.dataset))
+        return self._table[1]
 
 
 class DataStationActor(_Party):
@@ -306,18 +344,19 @@ class DataStationActor(_Party):
         if missing:
             return self.abort(f"UnknownVariable({missing[0]})")
 
-        kept = apply_pool_filter(dataset.rows, request.pool)
+        table = self.config.table
+        kept = table.take(apply_pool_filter(table, request.pool), request.variables)
         types = dict(dataset.schema)
-        # columns straight from the kept rows, the digests from one batch call
+        # the kept rows of the table's columns, the digests from one batch call
         extract = Columns(
             self.station_id,
             tuple((name, types[name]) for name in request.variables),
-            [[row.payload[name] for row in kept] for name in request.variables],
-            *pseudonymize([row.qid for row in kept], salt, manifest.linkage.mode),
+            [kept.payload_column(name) for name in request.variables],
+            *pseudonymize(kept, salt, manifest.linkage.mode),
             salt.check,
         )
         payload = dataset_to_bytes(extract)
-        self._log("extract_prepared", f"{len(kept)}/{len(dataset.rows)} rows")
+        self._log("extract_prepared", f"{len(kept)}/{len(table)} rows")
 
         if self.config.fault == FAULT_NO_SEND:
             self.phase = DONE

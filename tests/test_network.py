@@ -22,12 +22,15 @@ from conftest import (
     key_ids_package, make_scenario, previous_format_package, row_major_body, with_header,
 )
 from phtlink.analysis import AnalysisSpec, DisclosurePolicy
-from phtlink import linkage, network, stations
+from phtlink import linkage, network, pseudonym, stations
 from phtlink.encoding import b64encode
 from phtlink.envelope import SealedPackage, generate_encryption_keypair, generate_signing_keys
 from phtlink.linkage import LinkageParams
 from phtlink.manifest import PoolFilter, sign_manifest
-from phtlink.model import QID_FIELDS, FieldCodes, dataset_from_bytes
+from phtlink.model import (
+    QID_FIELDS, Columns, FieldCodes, QuasiIdentifierSet, Record, dataset_from_bytes,
+    dataset_to_bytes, hex_field_codes, make_dataset,
+)
 from phtlink.network import Router, TcpNode, run_network
 from phtlink.pseudonym import DIGEST_DTYPE, Salt, pseudonymize, pseudonymize_columns
 from phtlink.stations import (
@@ -1675,9 +1678,10 @@ class TestDataMinimisation:
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
         assert out.completed and len(opened) == 2
         needles = []
-        for row in scn.ds_a.rows:
+        held = scn.setup.stations[0].table.fingerprints
+        for row, composite in zip(scn.ds_a.rows, held, strict=True):
             fingerprints = _fingerprints(row.qid)
-            assert row.qid.fingerprint == fingerprints[0]
+            assert composite.tobytes() == fingerprints[0]
             needles += [n for f in fingerprints for n in (f, f.hex().encode())]
         assert out.received_bytes["researcher"]
         blobs = [*opened, *out.received_bytes["TSE"], *out.received_bytes["researcher"]]
@@ -1719,21 +1723,21 @@ class TestDataMinimisation:
         # A cuts its digests as stations did before, to 32 bytes, or before
         # they were cut at all; B as now
         scn = demo_scenario(linkage=LinkageParams(mode=mode, blocking_fields=("gender",)))
-        qids_a = [row.qid for row in scn.ds_a.rows]
+        qids_a = [row.qid for row in scn.ds_a.rows]  # A has no pool filter: it keeps all
         dtype = f"S{width}"
 
-        def mixed(qids, salt, mode):
-            if qids != qids_a:
-                return pseudonymize_columns(qids, salt, mode)
-            cut = [[d[:width] for d in _whole_digests(qid, salt)] for qid in qids]
+        def mixed(table, salt, mode):
+            if table.station_id != "A":
+                return pseudonymize_columns(table, salt, mode)
+            cut = [[d[:width] for d in _whole_digests(qid, salt)] for qid in qids_a]
             if mode == "exact":
                 return np.frombuffer(b"".join(c[0] for c in cut), dtype).reshape(-1, 1), None
             # the dictionaries hold the wider digests, the index is as a station makes it
-            fields = pseudonymize_columns(qids, salt, mode)[1]
+            fields = pseudonymize_columns(table, salt, mode)[1]
             dictionaries = tuple(
                 np.frombuffer(b"".join(dict.fromkeys(c[1 + k] for c in cut)), dtype)
                 for k in range(4))
-            return np.empty((len(qids), 0), dtype), FieldCodes(dictionaries, fields.index)
+            return np.empty((len(table), 0), dtype), FieldCodes(dictionaries, fields.index)
 
         monkeypatch.setattr(stations, "pseudonymize", mixed)
         out = run_network(scn.setup, transport=transport, tse_timeout=5.0, run_timeout=30.0)
@@ -1822,6 +1826,94 @@ class TestDataMinimisation:
         # an empty extract still names the part its mode links on
         assert extract_a.parts == (("composite",) if mode == "exact" else ("field_codes",))
         assert extract_a.n_rows == 0
+
+
+_zip_codes = st.sampled_from(["6211AB", "6211AC", "6212XY", "1011AA"])
+_births = st.dates(dt.date(1900, 1, 1), dt.date(2025, 12, 31)).map(dt.date.isoformat)
+_station_qids = st.builds(QuasiIdentifierSet, _zip_codes, st.integers(1, 40).map(str),
+                          st.sampled_from("FMX"), _births)
+# exact ints, some past the 8-byte coded widths: 2**63 fits only unsigned, 2**64 none
+_exact_ints = st.one_of(st.integers(-(2**70), 2**70),
+                        st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1]))
+_pools = st.one_of(
+    st.none(),
+    st.builds(PoolFilter, age_min=st.one_of(st.none(), st.integers(0, 130)),
+              age_max=st.one_of(st.none(), st.integers(0, 130)),
+              zip_prefixes=st.lists(st.sampled_from(["", "1", "62", "6211", "6212X", "9"]),
+                                    max_size=2).map(tuple)),
+    st.just(PoolFilter(age_min=130)),  # keeps no row
+)
+
+
+def _per_row_extract(rows, schema, pool, salt, mode) -> Columns:
+    """A's extract from the per-row reference path: apply_pool_filter over
+    Records, then pseudonymize row by row."""
+    kept = stations.apply_pool_filter(rows, pool)
+    vectors = [pseudonymize(row.qid, salt, mode) for row in kept]
+    if mode == "exact":
+        composites = bytes.fromhex("".join(vec.composite for vec in vectors))
+        digests, fields = np.frombuffer(composites, DIGEST_DTYPE).reshape(-1, 1), None
+    else:
+        digests = np.empty((len(kept), 0), DIGEST_DTYPE)
+        fields = hex_field_codes([vec.per_field for vec in vectors])
+    payload = [[row.payload[name] for row in kept] for name, _ in schema]
+    return Columns("A", schema, payload, digests, fields, salt.check)
+
+
+class TestStationBody:
+    """The body a station builds from its table is byte for byte the body
+    of the per-row reference extract."""
+
+    SCHEMA = (("exact", "numeric"), ("flag", "numeric"), ("x", "numeric"),
+              ("mixed", "numeric"), ("kind", "categorical"))
+    DS_B = generate_vertical_demo(20, 5, seed=1)[1]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(qids=st.lists(_station_qids, max_size=25), pool=_pools, data=st.data(),
+           mode=st.sampled_from(["exact", "probabilistic"]))
+    def test_body_is_the_per_row_reference_body(self, qids, pool, data, mode):
+        if pool is not None and None not in (pool.age_min, pool.age_max):
+            pool = dataclasses.replace(pool, age_min=min(pool.age_min, pool.age_max),
+                                       age_max=max(pool.age_min, pool.age_max))
+        n = len(qids)
+        rows = [Record(payload={}, qid=qid) for qid in qids]
+        kept = {id(row) for row in stations.apply_pool_filter(rows, pool)}
+        columns = {
+            "exact": data.draw(st.lists(_exact_ints, min_size=n, max_size=n)),
+            "flag": data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            "x": data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=n, max_size=n)),
+            # all-int on the kept rows alone: coded, where the whole column is not
+            "mixed": [i if id(row) in kept else i + 0.5 for i, row in enumerate(rows)],
+            "kind": data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n)),
+        }
+        for i, row in enumerate(rows):
+            row.payload = {name: columns[name][i] for name, _ in self.SCHEMA}
+        ds_a = make_dataset("A", self.SCHEMA, rows)
+        salt = Salt(bytes(range(7, 39)), "run-0001")
+        names = tuple(name for name, _ in self.SCHEMA)
+        scn = make_scenario(ds_a, self.DS_B, variables_a=names, pool_a=pool, reuse_salt_a=salt,
+                            analysis=AnalysisSpec("descriptive", ("income",)),
+                            linkage=LinkageParams(mode=mode))
+        with pytest.MonkeyPatch.context() as patch:
+            opened = _opened_plaintexts(patch, scn.setup.tse.enc_keys)
+            run_network(scn.setup, transport="inproc")
+        expected = _per_row_extract(rows, self.SCHEMA, pool, salt, mode)
+        assert opened and opened[0] == dataset_to_bytes(expected)
+
+
+class TestRunComputesNoFingerprint:
+    def test_two_exact_runs_over_one_config_hash_no_sha512(self, monkeypatch):
+        scn = demo_scenario(pool_a=PoolFilter(age_min=50, as_of="2026-01-01"))
+
+        def refused(*_args):
+            raise AssertionError("SHA-512 called in a run")
+
+        monkeypatch.setattr(pseudonym, "BATCH_SHA512", refused)
+        monkeypatch.setattr(hashlib, "sha512", refused)
+        for _ in range(2):
+            out = run_network(scn.setup, transport="inproc")
+            assert out.completed and out.result.audit["run"]["records_linked"]
 
 
 class TestSealedExtractFormat:

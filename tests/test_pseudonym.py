@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import per_row_digests
 from phtlink import linkage, pseudonym
-from phtlink.model import QuasiIdentifierSet
+from phtlink.model import QuasiIdentifierSet, Record, StationTable, make_dataset
 from phtlink.pseudonym import (
+    DIGEST_DTYPE,
     DIGEST_HEX_LENGTH,
     LINKAGE_MODES,
     SALT_LENGTH,
@@ -82,11 +83,13 @@ class TestPseudonymize:
         assert vec.per_field[0] == ORACLE_FIELD0_ZERO_SALT
 
     def test_fingerprint_is_the_salt_free_composite_hash(self):
-        assert QID.fingerprint.hex() == ORACLE_FINGERPRINT
-        assert QID.fingerprint == hashlib.sha512(
-            b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|").digest()[:16]
-        # a field of its own, set when the set is built, outside equality
-        assert QID == QuasiIdentifierSet(*QID.as_tuple()) and "fingerprint" not in repr(QID)
+        fingerprint = hashlib.sha512(b"PHT-COMPOSITE|6211AB|12|F|1960-03-15|").digest()[:16]
+        assert fingerprint.hex() == ORACLE_FINGERPRINT
+        # one contiguous array, one fingerprint per QID set; none is kept on the set
+        fingerprints = pseudonym.composite_fingerprints([QID, QID])
+        assert fingerprints.dtype == DIGEST_DTYPE and fingerprints.flags.c_contiguous
+        assert fingerprints.tobytes() == 2 * fingerprint
+        assert not hasattr(QID, "fingerprint")
 
     def test_digest_shape(self):
         vec = pseudonymize(QID, ZERO_SALT)
@@ -291,7 +294,7 @@ def _batch(qids, salt, mode):
 
 
 class TestBatchKernel:
-    """Exact mode keys the fingerprints the QID sets computed when they were
+    """Exact mode keys the fingerprints a station table computed when it was
     built, with one AES call; probabilistic mode hashes each distinct value
     once through the built-in SHA-512."""
 
@@ -303,16 +306,18 @@ class TestBatchKernel:
         assert _batch(qids, salt, mode) == _reference(qids, salt, mode)
 
     def test_exact_mode_makes_no_sha512_call(self, monkeypatch):
+        # the fingerprints are the table's, computed when it was built
         salt = Salt(b"\x09" * 32, "run-1")
         qids = _distinct_qids(300)
         expected = _reference(qids, salt, "exact")
+        table = StationTable.of(make_dataset("A", (), [Record(qid=qid) for qid in qids]))
 
         def refused(*_args):
             raise AssertionError("SHA-512 called in exact mode")
 
         monkeypatch.setattr(pseudonym, "BATCH_SHA512", refused)
         monkeypatch.setattr(hashlib, "sha512", refused)
-        assert _batch(qids, salt, "exact") == expected
+        assert _batch(table, salt, "exact") == expected
 
     def test_hashlib_fallback_gives_the_same_bytes(self, monkeypatch):
         salt = Salt(b"\x09" * 32, "run-1")

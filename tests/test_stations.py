@@ -126,6 +126,21 @@ class TestDataStationHappyPath:
 
 
 class TestDataStationFailures:
+    def test_row_without_qid_set_is_refused_when_the_config_is_built(self):
+        ds_a, _, _ = generate_vertical_demo(30, 10, seed=4)
+        ds_a.rows[17] = Record(payload=ds_a.rows[17].payload)
+        config = scenario().setup.stations[0]
+        with pytest.raises(ValueError, match="station A: row 17 carries no QID set"):
+            dataclasses.replace(config, dataset=ds_a)
+
+    def test_a_replaced_dataset_replaces_the_table(self):
+        config = scenario().setup.stations[0]
+        before = config.table
+        assert config.table is before and len(before) == len(config.dataset.rows)
+        ds_a, _, _ = generate_vertical_demo(30, 10, seed=4)
+        config.dataset = ds_a
+        assert len(config.table) == 30 and config.table is config.table
+
     def test_bad_signature_aborts(self):
         scn = scenario()
         a, _, _ = actors(scn)
@@ -588,6 +603,36 @@ class TestPoolFilterUnit:
     def test_no_filter_keeps_everything(self):
         ds_a, _, _ = generate_vertical_demo(30, 10, seed=8)
         assert len(apply_pool_filter(ds_a.rows, None)) == 30
+
+
+_ages = st.one_of(st.none(), st.integers(0, 5))
+# a cut-off date itself, one of its neighbours as a string, or any text
+_births = st.one_of(st.integers(2019, 2027).flatmap(
+    lambda year: st.sampled_from([f"{year}-01-01", f"{year}-01-01\x00", f"{year}-01-0"])),
+    st.text(max_size=11))
+
+
+@given(zip_codes=st.lists(st.text(max_size=3), min_size=1, max_size=30),
+       prefixes=st.lists(st.text(max_size=2), max_size=3).map(tuple),
+       births=st.lists(_births, min_size=30, max_size=30), age_min=_ages, age_max=_ages)
+@settings(max_examples=300, deadline=None)
+def test_pool_filter_compares_as_python_strings(zip_codes, prefixes, births, age_min, age_max):
+    """Over any strings, NULs and other code points included, the mask keeps
+    the rows that str.startswith and string comparison with the cut-off
+    dates keep."""
+    rows = [Record(payload={}, qid=QuasiIdentifierSet(zip_code, "1", "M", born))
+            for zip_code, born in zip(zip_codes, births)]
+    pool = PoolFilter(age_min=age_min, age_max=age_max, zip_prefixes=prefixes,
+                      as_of="2026-01-01")
+    old_enough = None if age_min is None else f"{2026 - age_min:04d}-01-01"
+    too_old = None if age_max is None else f"{2026 - age_max - 1:04d}-01-01"
+    expected = [
+        row for row in rows
+        if (not prefixes or row.qid.zip_code.startswith(prefixes))
+        and (old_enough is None or row.qid.date_of_birth <= old_enough)
+        and (too_old is None or row.qid.date_of_birth > too_old)
+    ]
+    assert [id(row) for row in apply_pool_filter(rows, pool)] == [id(row) for row in expected]
 
 
 _leap_days = st.sampled_from([dt.date(y, 2, 29) for y in (1948, 1960, 1984, 2000, 2024)])
